@@ -32,7 +32,7 @@ import asyncio
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -46,9 +46,9 @@ from repro.anim.scheduler import SequenceFlight, SequenceScheduler
 from repro.anim.sequence import FrameSequence
 from repro.core.config import SpotNoiseConfig
 from repro.errors import AnimationServiceError, ServiceError
-from repro.machine.workload import workload_from_config
-from repro.parallel.planner import DecompositionPlan, DecompositionPlanner
-from repro.parallel.runtime import DivideAndConquerRuntime, spatial_feasibility
+from repro.parallel.binding import PlanBinding, PlanBound, PlanSnapshot
+from repro.parallel.planner import DecompositionPlanner
+from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.runtime.streams import BoundedFrameChannel, ChannelClosed
 from repro.service.admission import LatencyPredictor
 from repro.service.cache import (
@@ -64,21 +64,31 @@ from repro.service.server import DEFAULT_MEMORY_BUDGET
 from repro.service.stats import ServiceStats
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _PlanContext:
     """Everything a render walk needs, bound to one resolved plan.
 
-    A drift re-plan swaps the service's *current* context atomically;
-    walks and streams capture the context they started under and finish
-    on it, so frames are always cached under the identity whose config
-    rendered them — whatever the service's current plan is by then.
+    The resource of the service's :class:`~repro.parallel.binding.PlanBinding`.
+    Its bookkeeping and pooled idle animator belong to this plan's
+    identity too, so a re-plan needs no clean-up beyond :meth:`close`.
     """
 
     sequence: FrameSequence
-    config: SpotNoiseConfig
     runtime: DivideAndConquerRuntime
     sequence_id: str
     delta_encoder: Optional[DeltaEncoder] = None
+    # Guarded by the service's _book_lock.
+    cached_frames: Dict[int, str] = field(default_factory=dict)
+    checkpoint_boundaries: Set[int] = field(default_factory=set)
+    # Guarded by the service's _animator_lock.
+    idle_animator: Optional[IncrementalAnimator] = None
+
+    def close(self) -> None:
+        # Runs once no holder is left, so no walk can pool concurrently.
+        if self.idle_animator is not None:
+            self.idle_animator.close()
+            self.idle_animator = None
+        self.runtime.close()
 
 
 @dataclass(frozen=True)
@@ -104,20 +114,20 @@ class _RangeCursor:
     and the async front end (:meth:`AnimationService.stream_async`):
     both materialise frames through this exact pipeline — cache → delta
     decode → coalesced render walk — so the two delivery shapes cannot
-    drift apart.  The cursor pins the plan context it was created under:
-    a concurrent re-plan swaps the service's context but never this
-    stream's keys, flight or runtime.
+    drift apart.  The cursor pins the plan snapshot its owner holds: a
+    concurrent re-plan swaps the service's plan but never this stream's
+    keys, flight or runtime.
     """
 
     def __init__(
         self,
         service: "AnimationService",
-        ctx: _PlanContext,
+        snap: PlanSnapshot,
         stop: int,
         timeout: Optional[float],
     ):
         self.service = service
-        self.ctx = ctx
+        self.snap = snap
         self.stop = stop
         self.timeout = timeout
         self.flight: Optional[SequenceFlight] = None
@@ -126,7 +136,7 @@ class _RangeCursor:
     def materialise(self, t: int) -> FrameResponse:
         """Produce frame *t* (blocking), recording stats and latency."""
         svc = self.service
-        ctx = self.ctx
+        ctx = self.snap.resource
         t0 = time.perf_counter()
         svc.stats.record_request()
         try:
@@ -147,10 +157,7 @@ class _RangeCursor:
                     source = "delta"
                     break
                 if self.flight is None or not self.flight.try_join(t, self.stop):
-                    self.flight, created = svc.scheduler.stream(
-                        ctx.sequence_id, t, self.stop,
-                        lambda fl, ctx=ctx: svc._run_flight(fl, ctx),
-                    )
+                    self.flight, created = svc._start_walk(self.snap, t, self.stop)
                     self.flight_source = "stream" if created else "coalesced"
                 texture = self.flight.wait_frame(t, self.timeout)
                 if texture is not None:
@@ -176,7 +183,7 @@ class _RangeCursor:
         )
 
 
-class AnimationService:
+class AnimationService(PlanBound):
     """Request-coalescing, checkpoint-resumable animation streaming.
 
     Parameters
@@ -225,9 +232,9 @@ class AnimationService:
         hence its digest chain, checkpoints and cached frames) is bound
         to the *resolved* config, so the plan must hold for the
         sequence's lifetime.  Incremental render times feed the
-        predictor; :meth:`replan_if_drifted` lets a quiesced service
-        adopt a new plan (new sequence identity, new keys — old cache
-        entries simply go cold, they can never be served wrongly).
+        predictor; :meth:`replan_if_drifted` adopts a new plan (new
+        sequence identity, new keys — old cache entries simply go cold,
+        they can never be served wrongly).
     """
 
     def __init__(
@@ -254,11 +261,7 @@ class AnimationService:
         self.field_source = field_source
         self.requested_config = config
         self.policy = policy or LifeCyclePolicy()
-        self._planner: Optional[DecompositionPlanner] = None
-        self._plan: Optional[DecompositionPlan] = None  #: guarded-by: _replan_lock
-        self._plan_scale = 1.0  #: guarded-by: _replan_lock
         self.predictor = predictor
-        self.replans = 0  #: guarded-by: _replan_lock
         # Frame 0 is loaded only when something actually needs it: the
         # automatic advection step, the planner's workload, or the
         # predictor's grid shape.
@@ -268,16 +271,7 @@ class AnimationService:
         self.dt = float(dt) if dt is not None else auto_dt(field0)
         self._grid_shape = tuple(field0.grid.shape) if field0 is not None else None
         if config.backend == "auto":
-            self._planner = planner or DecompositionPlanner()
             self.predictor = self.predictor or LatencyPredictor()
-            self._plan_workload = workload_from_config(config, field0)
-            self._spatial_ok = spatial_feasibility(config, field0)
-            self._plan_scale = self.predictor.scale or 1.0
-            self._plan = self._planner.plan(
-                self._plan_workload, scale=self._plan_scale,
-                spatial_ok=self._spatial_ok,
-            )
-            config = self._plan.apply(config)
         self._length = length
         self.delta_transport: Optional[DeltaTransport] = None
         if delta_every is not None:
@@ -289,13 +283,10 @@ class AnimationService:
             self.delta_transport = DeltaTransport(
                 delta_store, keyframe_every=int(delta_every)
             )
-        # _ctx is published by snapshot-swap: replan_if_drifted builds a
-        # whole new _PlanContext and swaps the reference under
-        # _replan_lock; readers snapshot self._ctx without locking and
-        # finish on whatever context they captured.
-        self._replan_lock = threading.Lock()
-        self._ctx = self._make_context(config)
-        self._retired_runtimes: "List[DivideAndConquerRuntime]" = []  #: guarded-by: _replan_lock
+        self._binding = PlanBinding(
+            config, self._make_context, field0=field0, planner=planner,
+            predictor=self.predictor,
+        )
         self.checkpoint_every = int(checkpoint_every)
         self.verify_every = int(verify_every)
         self.stats = stats or ServiceStats()
@@ -310,10 +301,7 @@ class AnimationService:
         self.stats.queue_depth_probe = self.scheduler.scheduler.queue_depth
         self._disk_dir = disk_dir
         self._animator_lock = threading.Lock()
-        self._idle_animator: "Optional[Tuple[_PlanContext, IncrementalAnimator]]" = None
         self._book_lock = threading.Lock()
-        self._cached_frames: Dict[int, str] = {}
-        self._checkpoint_boundaries: Set[int] = set()
         self._closed = False
 
     def _make_context(self, config: SpotNoiseConfig) -> _PlanContext:
@@ -332,18 +320,16 @@ class AnimationService:
         )
         return _PlanContext(
             sequence=sequence,
-            config=config,
             runtime=DivideAndConquerRuntime(config),
             sequence_id=sequence_id,
             delta_encoder=encoder,
         )
 
-    # The service's *current* plan context; walks and streams capture it
-    # once and finish on it, so a concurrent re-plan can never mix two
-    # identities inside one walk.
+    # Views of the current plan (config, plan and replans come from
+    # PlanBound); walks and streams hold one snapshot and finish on it.
     @property
-    def config(self) -> SpotNoiseConfig:
-        return self._ctx.config
+    def _ctx(self) -> _PlanContext:
+        return self._binding.current.resource
 
     @property
     def sequence(self) -> FrameSequence:
@@ -377,20 +363,28 @@ class AnimationService:
         until the caller pulls.  (Validation is eager: a closed service
         or bad range raises here, not at the first ``next()``.)
         """
+        self._check_range(start, stop)
+        return self._stream(start, stop, timeout)
+
+    def _check_range(self, start: int, stop: int) -> None:
         if self._closed:
             raise ServiceError("animation service is closed")
         if stop <= start:
             raise AnimationServiceError(f"empty stream range [{start}, {stop})")
-        self.sequence.check_frame(start)
-        self.sequence.check_frame(stop - 1)
-        return self._stream(start, stop, timeout)
+        sequence = self.sequence
+        sequence.check_frame(start)
+        sequence.check_frame(stop - 1)
 
     def _stream(
         self, start: int, stop: int, timeout: Optional[float]
     ) -> Iterator[FrameResponse]:
-        cursor = _RangeCursor(self, self._ctx, stop, timeout)
-        for t in range(start, stop):
-            yield cursor.materialise(t)
+        snap = self._binding.acquire()
+        try:
+            cursor = _RangeCursor(self, snap, stop, timeout)
+            for t in range(start, stop):
+                yield cursor.materialise(t)
+        finally:
+            self._binding.release(snap)
 
     def stream_async(
         self,
@@ -414,20 +408,16 @@ class AnimationService:
         is eager: a closed service or bad range raises here, not at the
         first ``__anext__``.)
         """
-        if self._closed:
-            raise ServiceError("animation service is closed")
-        if stop <= start:
-            raise AnimationServiceError(f"empty stream range [{start}, {stop})")
-        self.sequence.check_frame(start)
-        self.sequence.check_frame(stop - 1)
-        cursor = _RangeCursor(self, self._ctx, stop, timeout)
-        return self._stream_async(cursor, start, stop, buffer)
+        self._check_range(start, stop)
+        return self._stream_async(start, stop, buffer, timeout)
 
     async def _stream_async(
-        self, cursor: "_RangeCursor", start: int, stop: int, buffer: int
+        self, start: int, stop: int, buffer: int, timeout: Optional[float]
     ) -> "AsyncIterator[FrameResponse]":
         channel = BoundedFrameChannel(buffer)
         loop = asyncio.get_running_loop()
+        snap = self._binding.acquire()
+        cursor = _RangeCursor(self, snap, stop, timeout)
 
         async def produce() -> None:
             try:
@@ -451,10 +441,23 @@ class AnimationService:
                 await producer
             except (asyncio.CancelledError, Exception):
                 pass
+            self._binding.release(snap)
 
     def request(self, frame: int, timeout: Optional[float] = None) -> FrameResponse:
         """Serve a single frame (a one-frame :meth:`stream`)."""
-        return next(iter(self.stream(frame, frame + 1, timeout=timeout)))
+        if self._closed:
+            raise ServiceError("animation service is closed")
+        snap = self._binding.acquire()
+        try:
+            return self._serve(snap, frame, timeout)
+        finally:
+            self._binding.release(snap)
+
+    def _serve(
+        self, snap: PlanSnapshot, frame: int, timeout: Optional[float]
+    ) -> FrameResponse:
+        snap.resource.sequence.check_frame(frame)
+        return _RangeCursor(self, snap, frame + 1, timeout).materialise(frame)
 
     def prefetch(self, start: int, stop: int) -> bool:
         """Kick off (or extend) a render walk without waiting.
@@ -468,38 +471,61 @@ class AnimationService:
         """
         if self._closed:
             raise ServiceError("animation service is closed")
-        ctx = self._ctx
-        ctx.sequence.check_frame(start)
-        ctx.sequence.check_frame(stop - 1)
-        encoder = ctx.delta_encoder
-        for t in range(start, stop):
-            if encoder is not None and encoder.has_frame(t):
-                continue
-            if self.cache.get(ctx.sequence.frame_digest(t))[0] is None:
-                _, created = self.scheduler.stream(
-                    ctx.sequence_id, t, stop,
-                    lambda fl, ctx=ctx: self._run_flight(fl, ctx),
-                )
-                return created
-        return False
+        snap = self._binding.acquire()
+        try:
+            ctx = snap.resource
+            ctx.sequence.check_frame(start)
+            ctx.sequence.check_frame(stop - 1)
+            encoder = ctx.delta_encoder
+            for t in range(start, stop):
+                if encoder is not None and encoder.has_frame(t):
+                    continue
+                if self.cache.get(ctx.sequence.frame_digest(t))[0] is None:
+                    return self._start_walk(snap, t, stop)[1]
+            return False
+        finally:
+            self._binding.release(snap)
 
     def verify(self, frame: int) -> bool:
         """Serve *frame* and compare it bit-for-bit with a one-shot render."""
-        response = self.request(frame)
-        reference = one_shot_frame(
-            self.config,
-            self.field_source,
-            frame,
-            dt=self.dt,
-            policy=self.policy,
-            runtime=self.runtime,
-        )
+        snap = self._binding.acquire()
+        try:
+            response = self._serve(snap, frame, None)
+            reference = one_shot_frame(
+                snap.config,
+                self.field_source,
+                frame,
+                dt=self.dt,
+                policy=self.policy,
+                runtime=snap.resource.runtime,
+            )
+        finally:
+            self._binding.release(snap)
         return bool(np.array_equal(response.texture, reference.display))
 
     # -- the render walk ---------------------------------------------------------
-    def _run_flight(self, flight: SequenceFlight, ctx: _PlanContext) -> None:
-        animator = self._acquire_animator(flight.first, ctx)
+    def _start_walk(
+        self, snap: PlanSnapshot, start: int, stop: int
+    ) -> "Tuple[SequenceFlight, bool]":
+        """Join the in-flight walk of *snap*'s sequence or start one; a
+        new walk takes its own reference, as it may outlive the caller."""
+        snap = self._binding.acquire(snap)
+        created = False
         try:
+            flight, created = self.scheduler.stream(
+                snap.resource.sequence_id, start, stop,
+                lambda fl: self._run_flight(fl, snap),
+            )
+        finally:
+            if not created:  # joined, or failed: the walk never runs
+                self._binding.release(snap)
+        return flight, created
+
+    def _run_flight(self, flight: SequenceFlight, snap: PlanSnapshot) -> None:
+        ctx = snap.resource
+        animator = None
+        try:
+            animator = self._acquire_animator(flight.first, snap)
             while True:
                 t = flight.next_frame()
                 if t is None:
@@ -523,7 +549,7 @@ class AnimationService:
                 self.stats.record_render(None, elapsed)
                 if self.predictor is not None:
                     self.predictor.observe(
-                        ctx.config, elapsed, grid_shape=self._grid_shape
+                        snap.config, elapsed, grid_shape=self._grid_shape
                     )
                 if self.verify_every and result.frame_index % self.verify_every == 0:
                     animator.verify_frame(result)
@@ -536,9 +562,13 @@ class AnimationService:
             # it never finished (e.g. a backend failure mid-synthesis);
             # pooling it would let a later walk advect that frame twice
             # and cache wrong bytes under correct keys.  Discard it.
-            animator.close()
+            if animator is not None:
+                animator.close()
             raise
-        self._release_animator(animator, ctx)
+        else:
+            self._release_animator(animator, ctx)
+        finally:
+            self._binding.release(snap)
 
     # -- the delta transport -----------------------------------------------------
     def _encode_delta(
@@ -582,16 +612,14 @@ class AnimationService:
         disk tier must still leave resume points and an honest manifest.
         """
         with self._book_lock:
-            if ctx is self._ctx:  # a superseded walk's frames are cold keys
-                self._cached_frames[t] = digest
+            ctx.cached_frames[t] = digest
         boundary = t + 1
         if self.checkpoint_every and boundary % self.checkpoint_every == 0:
             state_digest = ctx.sequence.checkpoint_digest(boundary)
             if state_digest not in self.checkpoints:
                 self.checkpoints.put(state_digest, animator.state())
             with self._book_lock:
-                if ctx is self._ctx:
-                    self._checkpoint_boundaries.add(boundary)
+                ctx.checkpoint_boundaries.add(boundary)
 
     # -- animator pooling and checkpoint restore ---------------------------------
     def _nearest_checkpoint(
@@ -607,19 +635,15 @@ class AnimationService:
                 boundary -= self.checkpoint_every
         return 0, None
 
-    def _acquire_animator(self, first: int, ctx: _PlanContext) -> IncrementalAnimator:
-        animator = None
+    def _acquire_animator(self, first: int, snap: PlanSnapshot) -> IncrementalAnimator:
+        # An animator is bound to the plan that built it (config +
+        # runtime), so the idle pool is per plan context.
+        ctx = snap.resource
         with self._animator_lock:
-            if self._idle_animator is not None:
-                idle_ctx, idle = self._idle_animator
-                # An animator is bound to the plan context that built it
-                # (config + runtime); one pooled under a superseded plan
-                # must not serve a walk under the new one.
-                if idle_ctx is ctx:
-                    animator, self._idle_animator = idle, None
+            animator, ctx.idle_animator = ctx.idle_animator, None
         if animator is None:
             animator = IncrementalAnimator(
-                ctx.config,
+                snap.config,
                 self.field_source,
                 dt=self.dt,
                 policy=self.policy,
@@ -642,89 +666,10 @@ class AnimationService:
 
     def _release_animator(self, animator: IncrementalAnimator, ctx: _PlanContext) -> None:
         with self._animator_lock:
-            if (
-                self._idle_animator is None
-                and not self._closed
-                and ctx is self._ctx  # superseded-plan animators retire
-            ):
-                self._idle_animator = (ctx, animator)
+            if ctx.idle_animator is None and not self._closed:
+                ctx.idle_animator = animator
                 return
         animator.close()
-
-    # -- planning ----------------------------------------------------------------
-    @property
-    def plan(self) -> Optional[DecompositionPlan]:
-        """The resolved decomposition plan (``None`` without auto)."""
-        with self._replan_lock:
-            return self._plan
-
-    def replan_if_drifted(self, drift: float = 2.0) -> bool:
-        """Adopt a new plan when the calibration scale drifted > *drift*.
-
-        A sequence's identity is bound to its resolved config, so the
-        service swaps its *whole* plan context (sequence, runtime,
-        sequence id) at once; walks and streams that already started
-        captured the old context and finish on it — their frames stay
-        keyed under the identity whose config rendered them, and the old
-        runtime is retired (closed at service :meth:`close`) rather than
-        pulled out from under them.  Previously cached frames and
-        checkpoints keyed by the old identity simply go cold.
-
-        Safe to call concurrently with in-flight streams and with other
-        ``replan_if_drifted`` calls: the drift decision and the context
-        swap happen under the re-plan lock (so two racing calls cannot
-        both retire the same context), while readers keep snapshotting
-        ``self._ctx`` lock-free — the same snapshot-swap discipline as
-        :class:`~repro.service.server.TextureService`'s
-        ``_RenderBinding``.  The :class:`~repro.runtime.supervisor.PlanSupervisor`
-        calls this continuously via :meth:`supervise`.
-
-        Returns ``True`` when a new decomposition was adopted.
-        """
-        if drift <= 1.0:
-            raise AnimationServiceError(f"drift must be > 1, got {drift}")
-        if self._planner is None or self.predictor is None or self._closed:
-            return False
-        scale = self.predictor.scale
-        if scale is None:
-            return False
-        with self._replan_lock:
-            ratio = scale / self._plan_scale if self._plan_scale > 0 else float("inf")
-            if 1.0 / drift <= ratio <= drift:
-                return False
-            plan = self._planner.plan(
-                self._plan_workload, scale=scale, spatial_ok=self._spatial_ok
-            )
-            self._plan_scale = scale
-            if plan.triple == self._plan.triple:
-                self._plan = plan  # same decomposition, fresher pricing
-                return False
-            old_ctx = self._ctx
-            self._plan = plan
-            self._ctx = self._make_context(plan.apply(self.requested_config))
-            self._retired_runtimes.append(old_ctx.runtime)
-            self.replans += 1
-        with self._animator_lock:
-            idle, self._idle_animator = self._idle_animator, None
-        if idle is not None:
-            # Pooled under a context this swap (or a concurrent one)
-            # superseded — _release_animator only re-pools current-ctx
-            # animators, so closing is at worst one warm-up lost.
-            idle[1].close()
-        with self._book_lock:
-            self._cached_frames.clear()
-            self._checkpoint_boundaries.clear()
-        return True
-
-    def supervise(self, supervisor, drift: float = 2.0) -> None:
-        """Register with a :class:`~repro.runtime.supervisor.PlanSupervisor`.
-
-        The supervisor folds the predictor's calibration-drift stream
-        into :meth:`replan_if_drifted` at its own cadence — live
-        re-planning while streams are in flight, instead of waiting for
-        a quiesced moment.
-        """
-        supervisor.watch(f"anim:{id(self):x}", lambda: self.replan_if_drifted(drift))
 
     # -- observability -----------------------------------------------------------
     def _delta_manifest_dict(self, ctx: _PlanContext) -> Optional[dict]:
@@ -733,33 +678,29 @@ class AnimationService:
         delta = ctx.delta_encoder.manifest()
         return delta.to_dict() if delta is not None else None
 
-    def manifest(self) -> dict:
-        """The sequence manifest: identity, cached frames, checkpoints,
-        and (with delta transport) the embedded delta frame table."""
+    def _manifest_fields(self) -> "Tuple[FrameSequence, dict]":
         ctx = self._ctx
         with self._book_lock:
-            cached = dict(self._cached_frames)
-            boundaries: List[int] = sorted(self._checkpoint_boundaries)
-        return ctx.sequence.manifest(
+            cached = dict(ctx.cached_frames)
+            boundaries: List[int] = sorted(ctx.checkpoint_boundaries)
+        return ctx.sequence, dict(
             cached_frames=cached,
             checkpoints=boundaries,
             delta=self._delta_manifest_dict(ctx),
         )
 
+    def manifest(self) -> dict:
+        """The sequence manifest: identity, cached frames, checkpoints,
+        and (with delta transport) the embedded delta frame table."""
+        sequence, fields = self._manifest_fields()
+        return sequence.manifest(**fields)
+
     def write_manifest(self) -> Optional[str]:
         """Persist the manifest next to the disk cache (no-op when memory-only)."""
         if not self._disk_dir:
             return None
-        ctx = self._ctx
-        with self._book_lock:
-            cached = dict(self._cached_frames)
-            boundaries = sorted(self._checkpoint_boundaries)
-        return ctx.sequence.write_manifest(
-            self._disk_dir,
-            cached_frames=cached,
-            checkpoints=boundaries,
-            delta=self._delta_manifest_dict(ctx),
-        )
+        sequence, fields = self._manifest_fields()
+        return sequence.write_manifest(self._disk_dir, **fields)
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
@@ -767,15 +708,7 @@ class AnimationService:
             return
         self._closed = True
         self.scheduler.close()
-        with self._animator_lock:
-            idle, self._idle_animator = self._idle_animator, None
-        if idle is not None:
-            idle[1].close()
-        self.runtime.close()
-        with self._replan_lock:
-            retired, self._retired_runtimes = self._retired_runtimes, []
-        for runtime in retired:
-            runtime.close()
+        self._binding.close()
         if self._disk_dir:
             self.write_manifest()
 

@@ -185,6 +185,12 @@ class ClusterNode:
         self._conn_tasks.add(task)
         try:
             await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            # close() cancels live handlers on purpose; end normally, since
+            # the stream protocol's done-callback calls task.exception(),
+            # which raises (and logs a traceback) on a cancelled task.
+            if not self._closed:
+                raise
         finally:
             self._conn_tasks.discard(task)
             writer.close()

@@ -10,6 +10,7 @@ strategy and backend.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -86,15 +87,18 @@ def spatial_feasibility(config: SpotNoiseConfig, field_: VectorField2D):
     band?  The planner uses this to exclude infeasible spatial
     candidates instead of letting them fail at render time.
 
-    Only the grid's scalars (cell size, bounds) are captured — services
-    keep the predicate alive for their whole lifetime, and closing over
-    the field itself would pin its full data array with it.
+    Answers are memoised per group count, so re-planning with the same
+    predicate does not rebuild tile layouts.  Only the grid's scalars
+    (cell size, bounds) are captured — services keep the predicate alive
+    for their whole lifetime, and closing over the field itself would
+    pin its full data array with it.
     """
     reach = spot_reach_world(config, field_.grid.min_spacing())
     bounds = field_.grid.bounds
     texture_size = config.texture_size
     guard_px = config.guard_px
 
+    @functools.lru_cache(maxsize=None)
     def ok(n_groups: int) -> bool:
         try:
             layout = TileLayout.for_groups(texture_size, n_groups, bounds, guard_px)

@@ -15,8 +15,9 @@ all, and cross-thread callers go through thin
 :meth:`RuntimeLoop.call`).  Mutable *published* state follows the
 immutable-snapshot-swap discipline already proven by
 :class:`~repro.cluster.ring.HashRing` and
-:class:`~repro.service.server._RenderBinding`: writers publish a whole
-new snapshot atomically, readers never lock.
+:class:`~repro.parallel.binding.PlanBinding`: writers publish a whole
+new snapshot atomically, and a reader holds the snapshot it took until
+it is done with it.
 
 The blocking public APIs of the serving stack
 (:class:`~repro.service.server.TextureService`,

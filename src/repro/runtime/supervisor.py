@@ -1,22 +1,20 @@
 """Continuous drift-driven re-planning: the :class:`PlanSupervisor`.
 
-Before the spine, re-planning was an idle-time side effect: a render's
-epilogue called ``_maybe_replan`` and a quiesced animation service
-waited for someone to call ``replan_if_drifted``.  The supervisor turns
-that into a loop task: services register a ``replan() -> bool`` check
-(:meth:`TextureService.supervise
+The supervisor is how a service re-plans live: services register a
+``replan() -> bool`` check (:meth:`TextureService.supervise
 <repro.service.server.TextureService.supervise>`,
 :meth:`AnimationService.supervise
 <repro.anim.service.AnimationService.supervise>`), and the supervisor
-invokes each at a fixed cadence, off-loop (the checks take service
-locks and may build fresh runtimes).  Each check folds the EWMA
-host-calibration drift stream (:attr:`LatencyPredictor.scale
+invokes each at a fixed cadence, off-loop (the checks take a lock and
+may build fresh runtimes).  Each check is
+:meth:`PlanBinding.replan_if_drifted
+<repro.parallel.binding.PlanBinding.replan_if_drifted>`: it folds the
+EWMA host-calibration drift stream (:attr:`LatencyPredictor.scale
 <repro.service.admission.LatencyPredictor.scale>`) into a
 :class:`~repro.parallel.planner.DecompositionPlanner` decision and
-publishes any new plan as an immutable snapshot
-(``_RenderBinding`` / ``_PlanContext``) — readers never lock, in-flight
-work finishes on the plan it started under, and a swapped plan can only
-ever cost an extra render, never a wrong-keyed cache entry.
+publishes any new plan as one immutable snapshot.  In-flight work holds
+the snapshot it started under and finishes on it, and a swapped plan
+can only ever cost an extra render, never a wrong-keyed cache entry.
 """
 
 from __future__ import annotations

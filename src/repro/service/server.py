@@ -35,9 +35,9 @@ from repro.core.synthesizer import render_frame
 from repro.errors import AdmissionError, ServiceError
 from repro.fields.io import field_digest
 from repro.fields.vectorfield import VectorField2D
-from repro.machine.workload import workload_from_config
-from repro.parallel.planner import DecompositionPlan, DecompositionPlanner
-from repro.parallel.runtime import DivideAndConquerRuntime, spatial_feasibility
+from repro.parallel.binding import PlanBinding, PlanBound, PlanSnapshot
+from repro.parallel.planner import DecompositionPlanner
+from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.service.admission import AdmissionController, LatencyPredictor
 from repro.service.cache import DiskTextureCache, LRUTextureCache, TieredTextureCache
 from repro.service.keys import RequestKey, TileSpec
@@ -78,12 +78,6 @@ class FrameRenderer:
     def __init__(self, config: SpotNoiseConfig):
         self.config = config
         self.runtime = DivideAndConquerRuntime(config)
-        # Maintained by TextureService (under its re-plan lock) so a
-        # renderer superseded by a re-plan can be closed as soon as its
-        # last in-flight render finishes instead of accumulating until
-        # service shutdown.
-        self.active_renders = 0
-        self.retired = False
 
     def render(self, field: VectorField2D) -> np.ndarray:
         frame = render_frame(self.config, field, runtime=self.runtime)
@@ -93,25 +87,7 @@ class FrameRenderer:
         self.runtime.close()
 
 
-@dataclass(frozen=True)
-class _RenderBinding:
-    """One request's consistent snapshot of the re-plannable state.
-
-    ``config``, ``fingerprint`` and ``renderer`` are read together under
-    the re-plan lock, so a drift re-plan can never split a request across
-    two plans — the digest a texture is cached under always describes
-    the config that rendered it.  The binding holds one
-    ``active_renders`` reference on its renderer from creation; whoever
-    consumes the binding releases it (directly, or via the render
-    closure's epilogue).
-    """
-
-    config: SpotNoiseConfig
-    fingerprint: str
-    renderer: FrameRenderer
-
-
-class TextureService:
+class TextureService(PlanBound):
     """Request-coalescing, cache-backed texture server.
 
     Parameters
@@ -149,15 +125,8 @@ class TextureService:
         service's *resolved* config.  The resolved config — not the
         requested ``"auto"`` one — is what gets fingerprinted into
         cache keys, so a different plan can only ever cause an extra
-        render, never a wrong cache hit.
-    replan_drift:
-        With an auto config, re-plan when the predictor's learned
-        calibration scale drifts by more than this factor from the
-        scale the current plan was priced at (the balance between
-        render work and parallel overhead is exactly what calibration
-        shifts).  A changed plan swaps in a fresh renderer and new
-        cache keys atomically; in-flight renders keep the renderer
-        they started with.
+        render, never a wrong cache hit.  Re-planning on calibration
+        drift is :meth:`replan_if_drifted`, driven by :meth:`supervise`.
     """
 
     def __init__(
@@ -173,7 +142,6 @@ class TextureService:
         preview_pgm: bool = False,
         stats: Optional[ServiceStats] = None,
         planner: Optional[DecompositionPlanner] = None,
-        replan_drift: float = 2.0,
     ):
         if config.seed is None:
             # The whole subsystem rests on render_frame being a pure
@@ -184,52 +152,24 @@ class TextureService:
                 "TextureService requires a deterministic config: set "
                 "SpotNoiseConfig.seed to an integer (got seed=None)"
             )
-        if replan_drift <= 1.0:
-            raise ServiceError(
-                f"replan_drift must be > 1 (a drift factor), got {replan_drift}"
-            )
         self.field_source = field_source
         self.requested_config = config
         self.stats = stats or ServiceStats()
         self.predictor = predictor or LatencyPredictor()
         self.admission = admission
         self._grid_shape: Optional[Tuple[int, int]] = None
-        self._planner: Optional[DecompositionPlanner] = None
-        self._plan: Optional[DecompositionPlan] = None  #: guarded-by: _replan_lock
-        self._plan_scale = 1.0  #: guarded-by: _replan_lock
-        self._replan_drift = float(replan_drift)
-        self._replan_lock = threading.Lock()
-        self._retired_renderers: "list[FrameRenderer]" = []  #: guarded-by: _replan_lock
-        self.replans = 0  #: guarded-by: _replan_lock
+        field0 = None
         if config.backend == "auto":
-            self._planner = planner or DecompositionPlanner()
             field0 = field_source(0)
             self._grid_shape = tuple(field0.grid.shape)
-            self._plan_workload = workload_from_config(config, field0)
-            # Feasibility is a pure function of geometry + config, so
-            # the per-group answers can be memoised for re-planning
-            # without keeping frame 0 alive.
-            feasible = spatial_feasibility(config, field0)
-            self._spatial_ok_cache: Dict[int, bool] = {}
-
-            def spatial_ok(n_groups: int, _f=feasible) -> bool:
-                if n_groups not in self._spatial_ok_cache:
-                    self._spatial_ok_cache[n_groups] = _f(n_groups)
-                return self._spatial_ok_cache[n_groups]
-
-            self._spatial_ok = spatial_ok
-            self._plan_scale = self.predictor.scale or 1.0
-            self._plan = self._planner.plan(
-                self._plan_workload, scale=self._plan_scale, spatial_ok=spatial_ok
-            )
-            config = self._plan.apply(config)
-        self.config = config  #: guarded-by: _replan_lock
+        self._binding = PlanBinding(
+            config, FrameRenderer, field0=field0, planner=planner,
+            predictor=self.predictor,
+        )
         disk = DiskTextureCache(disk_dir, preview_pgm=preview_pgm) if disk_dir else None
         self.cache = TieredTextureCache(LRUTextureCache(memory_budget_bytes), disk)
-        self.renderer = FrameRenderer(config)  #: guarded-by: _replan_lock
         self.scheduler = RequestScheduler(n_workers=n_workers, admit=self._admit)
         self.stats.queue_depth_probe = self.scheduler.queue_depth
-        self._fingerprint = config.fingerprint()  #: guarded-by: _replan_lock
         self._memoize_digests = memoize_digests
         self._digests: Dict[int, str] = {}
         self._digest_lock = threading.Lock()
@@ -246,97 +186,21 @@ class TextureService:
         kwargs.setdefault("memoize_digests", True)
         return cls(store.read, config, **kwargs)
 
-    # -- planning --------------------------------------------------------------
+    # -- planning (config, plan, replans, replan_if_drifted, supervise
+    # come from PlanBound) --------------------------------------------------
     @property
-    def plan(self) -> Optional[DecompositionPlan]:
-        """The resolved decomposition plan (``None`` without auto)."""
-        with self._replan_lock:
-            return self._plan
+    def renderer(self) -> FrameRenderer:
+        return self._binding.current.resource
 
-    def _maybe_replan(self) -> None:
-        """Re-plan when the learned calibration has drifted enough.
-
-        Called from render workers after each calibration observation.
-        A changed plan swaps the resolved config, fingerprint and
-        renderer together; renders already in flight finish on the
-        renderer they bound at submission, so every cache entry is
-        consistent with the key it was stored under.
-        """
-        if self._planner is None:
-            return
-        scale = self.predictor.scale
-        if scale is None:
-            return
-        with self._replan_lock:
-            ref = self._plan_scale
-            drift = scale / ref if ref > 0 else float("inf")
-            if 1.0 / self._replan_drift <= drift <= self._replan_drift:
-                return
-            plan = self._planner.plan(
-                self._plan_workload, scale=scale, spatial_ok=self._spatial_ok
-            )
-            self._plan_scale = scale
-            if plan.triple == self._plan.triple:
-                self._plan = plan  # same decomposition, fresher pricing
-                return
-            config = plan.apply(self.requested_config)
-            renderer = FrameRenderer(config)
-            old = self.renderer
-            old.retired = True
-            close_now = old.active_renders == 0
-            if not close_now:
-                # Closed by the last in-flight render's epilogue.
-                self._retired_renderers.append(old)
-            self._plan = plan
-            self.config = config
-            self.renderer = renderer
-            self._fingerprint = config.fingerprint()
-            self.replans += 1
-        if close_now:
-            old.close()
-
-    def _check_drift(self) -> bool:
-        """Supervisor-facing drift check: ``True`` iff a plan was adopted."""
-        with self._replan_lock:
-            before = self.replans
-        self._maybe_replan()
-        with self._replan_lock:
-            return self.replans > before
-
-    def supervise(self, supervisor) -> None:
-        """Register with a :class:`~repro.runtime.supervisor.PlanSupervisor`.
-
-        Turns re-planning from a render-epilogue side effect into a
-        continuous loop task: the supervisor folds the predictor's
-        calibration-drift stream into :meth:`_maybe_replan` at its own
-        cadence, so a service that has gone idle (or serves only cache
-        hits) still adopts a better plan when the host drifts.
-        """
-        supervisor.watch(f"texture:{id(self):x}", self._check_drift)
+    @property
+    def _fingerprint(self) -> str:
+        return self._binding.current.fingerprint
 
     # -- internals -------------------------------------------------------------
-    def _bind_render(self) -> _RenderBinding:
-        """Snapshot (config, fingerprint, renderer) consistently.
-
-        The triple must be read in one critical section: a request that
-        keyed its digest with one plan's fingerprint but rendered with
-        the next plan's renderer would cache the new plan's bytes under
-        the old plan's key.  Takes one ``active_renders`` reference; the
-        caller owns it until the binding is consumed.
-        """
-        with self._replan_lock:
-            renderer = self.renderer
-            renderer.active_renders += 1
-            return _RenderBinding(self.config, self._fingerprint, renderer)
-
-    def _current_config(self) -> SpotNoiseConfig:
-        with self._replan_lock:
-            return self.config
-
     def _admit(self, queue_depth: int) -> None:
         if self.admission is not None:
             predicted = self.predictor.predict(
-                self._current_config(), grid_shape=self._grid_shape
+                self.config, grid_shape=self._grid_shape
             )
             self.admission.admit(predicted, queue_depth)
 
@@ -351,9 +215,10 @@ class TextureService:
     ) -> "tuple[RequestKey, Optional[VectorField2D]]":
         """Compute the request key, loading the field only when needed.
 
-        *fingerprint* comes from the caller's :class:`_RenderBinding`
-        snapshot, never from ``self`` — the key must describe the config
-        the bound renderer will actually run.
+        *fingerprint* comes from the caller's
+        :class:`~repro.parallel.binding.PlanSnapshot`, never from
+        ``self`` — the key must describe the config the bound renderer
+        will actually run.
         """
         if self._memoize_digests:
             with self._digest_lock:
@@ -386,9 +251,7 @@ class TextureService:
         With ``memoize_digests`` the field is loaded at most once per
         frame across all routing and serving calls.
         """
-        with self._replan_lock:
-            fingerprint = self._fingerprint
-        key, _ = self._key_for(frame, fingerprint)
+        key, _ = self._key_for(frame, self._fingerprint)
         return key.digest
 
     # -- the request path --------------------------------------------------------
@@ -411,10 +274,12 @@ class TextureService:
             tile.validate_for(self.requested_config.texture_size)
         t0 = time.perf_counter()
         self.stats.record_request()
-        binding = self._bind_render()
+        # One snapshot keys and renders the request; a re-plan landing
+        # mid-request cannot split the two.
+        snap = self._binding.acquire()
         owned = True
         try:
-            key, field = self._key_for(frame, binding.fingerprint)
+            key, field = self._key_for(frame, snap.fingerprint)
             render_digest = key.digest  # full-frame digest (tile=None key)
             texture, tier = self.cache.get(render_digest)
             predicted: Optional[float] = None
@@ -422,11 +287,11 @@ class TextureService:
                 source = tier or "memory"
             else:
                 predicted = self.predictor.predict(
-                    binding.config, grid_shape=self._grid_shape
+                    snap.config, grid_shape=self._grid_shape
                 )
                 owned = False  # _render_coalesced owns the ref from here
                 texture, source = self._render_coalesced(
-                    render_digest, frame, field, predicted, timeout, binding
+                    render_digest, frame, field, predicted, timeout, snap
                 )
         except AdmissionError:
             self.stats.record_shed()
@@ -436,7 +301,7 @@ class TextureService:
             raise
         finally:
             if owned:
-                self._release_renderer_ref(binding.renderer)
+                self._binding.release(snap)
         latency = time.perf_counter() - t0
         self.stats.record_response(source, latency)
         out = tile.crop(texture) if tile is not None else texture
@@ -454,16 +319,14 @@ class TextureService:
         frame: int,
         field: Optional[VectorField2D],
         predicted: Optional[float],
-        binding: _RenderBinding,
+        snap: PlanSnapshot,
     ) -> "Callable[[], np.ndarray]":
-        # The binding was snapshotted (with its active_renders ref) when
-        # the request was keyed: a drift re-plan may swap self.renderer
-        # while this render waits in the queue, and the bytes cached
-        # under `render_digest` must come from the plan that digest was
-        # keyed with.  The refcount lets a re-plan close the superseded
-        # renderer the moment its last bound render finishes.
-        renderer = binding.renderer
-        config = binding.config
+        # The closure owns one reference on the snapshot the request was
+        # keyed with: the bytes cached under `render_digest` must come
+        # from that plan's renderer, whatever the current plan is by the
+        # time this render leaves the queue.
+        renderer = snap.resource
+        config = snap.config
 
         def do_render() -> np.ndarray:
             try:
@@ -475,23 +338,10 @@ class TextureService:
                 self.predictor.observe(config, actual, grid_shape=self._grid_shape)
                 self.stats.record_render(predicted, actual)
             finally:
-                self._release_renderer_ref(renderer)
-            self._maybe_replan()
+                self._binding.release(snap)
             return texture
 
         return do_render
-
-    def _release_renderer_ref(self, renderer: FrameRenderer) -> None:
-        """Drop one in-flight reference; close a fully-drained retiree."""
-        close_now = False
-        with self._replan_lock:
-            renderer.active_renders -= 1
-            if renderer.retired and renderer.active_renders == 0:
-                close_now = True
-                if renderer in self._retired_renderers:
-                    self._retired_renderers.remove(renderer)
-        if close_now:
-            renderer.close()
 
     def _render_coalesced(
         self,
@@ -500,16 +350,16 @@ class TextureService:
         field: Optional[VectorField2D],
         predicted: Optional[float],
         timeout: Optional[float],
-        binding: _RenderBinding,
+        snap: PlanSnapshot,
     ) -> "tuple[np.ndarray, str]":
-        render = self._make_render(render_digest, frame, field, predicted, binding)
+        render = self._make_render(render_digest, frame, field, predicted, snap)
         try:
             ticket, created = self.scheduler.submit(render_digest, render)
         except BaseException:
-            self._release_renderer_ref(binding.renderer)  # closure never runs
+            self._binding.release(snap)  # closure never runs
             raise
         if not created:
-            self._release_renderer_ref(binding.renderer)  # coalesced: closure dropped
+            self._binding.release(snap)  # coalesced: closure dropped
         texture = ticket.wait(timeout)
         return texture, ("render" if created else "coalesced")
 
@@ -519,13 +369,13 @@ class TextureService:
         cost nothing)."""
         scheduled = 0
         for frame in frames:
-            binding = self._bind_render()
+            snap = self._binding.acquire()
             owned = True
             try:
-                key, field = self._key_for(frame, binding.fingerprint)
+                key, field = self._key_for(frame, snap.fingerprint)
                 if self.cache.get(key.digest)[0] is not None:
                     continue
-                render = self._make_render(key.digest, frame, field, None, binding)
+                render = self._make_render(key.digest, frame, field, None, snap)
                 try:
                     _, created = self.scheduler.submit(key.digest, render)
                 except AdmissionError:
@@ -536,7 +386,7 @@ class TextureService:
                 scheduled += int(created)
             finally:
                 if owned:
-                    self._release_renderer_ref(binding.renderer)
+                    self._binding.release(snap)
         return scheduled
 
     # -- the sequence-streaming sibling ------------------------------------------
@@ -554,9 +404,7 @@ class TextureService:
         """
         from repro.anim.service import AnimationService
 
-        return AnimationService(
-            self.field_source, self._current_config(), dt=dt, **kwargs
-        )
+        return AnimationService(self.field_source, self.config, dt=dt, **kwargs)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -564,13 +412,7 @@ class TextureService:
             return
         self._closed = True
         self.scheduler.close()
-        with self._replan_lock:
-            renderer = self.renderer
-            retired = self._retired_renderers
-            self._retired_renderers = []
-        renderer.close()
-        for r in retired:
-            r.close()
+        self._binding.close()
 
     def __enter__(self) -> "TextureService":
         return self

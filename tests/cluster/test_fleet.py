@@ -10,6 +10,7 @@ landed on or whether it was proxied.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -101,3 +102,16 @@ def test_fleet_rejects_auto_backend_config(tmp_path, field_source, fleet_config)
         LocalFleet(
             2, auto, field_source=field_source, base_dir=str(tmp_path / "auto")
         )
+
+
+def test_fleet_close_logs_no_asyncio_errors(make_fleet, caplog):
+    # Regression: closing a node cancelled its connection handlers, and
+    # the stream protocol's done-callback then logged a CancelledError
+    # traceback for each one.  Handlers must end normally on close.
+    caplog.set_level(logging.WARNING, logger="asyncio")
+    fleet = make_fleet(2)
+    for i in range(6):
+        fleet.request(i % 2, i)
+    assert fleet.total_forwards() > 0  # live peer connections to tear down
+    fleet.close()
+    assert [r for r in caplog.records if r.name == "asyncio"] == []

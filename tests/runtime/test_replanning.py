@@ -12,18 +12,24 @@ The bar for the swap: at most an extra render.  Never a dropped frame,
 a duplicated frame, or bytes cached under another plan's key.
 """
 
+import gc
 import time
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.anim import AnimationService
 from repro.core.config import BentConfig, SpotNoiseConfig
+from repro.core.synthesizer import render_frame
 from repro.fields.analytic import random_smooth_field
 from repro.parallel.planner import DecompositionPlanner
+from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.runtime.supervisor import PlanSupervisor
 from repro.service import TextureService
 from repro.service.admission import LatencyPredictor
+from repro.service.server import FrameRenderer
 
 N_FRAMES = 6
 
@@ -75,6 +81,25 @@ def wait_until(predicate, timeout=30.0, interval=0.01):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def drifting_texture_service(fields):
+    field0 = fields(0)
+    shape = tuple(field0.grid.shape)
+    predictor = PinnedPredictor()
+    raw = predictor.predict(BENT_AUTO, field=field0)
+    predictor.inject(BENT_AUTO, raw * 1e-3, shape)  # fast host -> serial plan
+    svc = TextureService(
+        fields,
+        BENT_AUTO,
+        predictor=predictor,
+        planner=DecompositionPlanner(host_workers=8),
+    )
+
+    def inject(flip):  # even flips: slow host, odd flips: fast host again
+        predictor.inject(BENT_AUTO, raw * (1e3 if flip % 2 == 0 else 1e-3), shape)
+
+    return svc, inject
 
 
 def drifting_anim_service(fields, **kwargs):
@@ -204,3 +229,134 @@ class TestTextureServiceSupervision:
         finally:
             sup.close()
             svc.close()
+
+    @pytest.mark.parametrize("trigger", ["explicit", "supervisor"])
+    def test_completed_render_is_not_a_replan_trigger(self, fields, trigger):
+        # Re-planning has one trigger.  A render that completes after the
+        # calibration drifted leaves the plan alone until the drift check
+        # itself runs.
+        svc, inject = drifting_texture_service(fields)
+        sup = PlanSupervisor(interval_s=0.02)
+        try:
+            inject(0)
+            assert svc.request(0).source == "render"
+            assert svc.request(1).source == "render"
+            assert svc.replans == 0
+            assert svc.config.backend == "serial"
+            if trigger == "explicit":
+                assert svc.replan_if_drifted() is True
+            else:
+                svc.supervise(sup)
+                assert wait_until(lambda: svc.replans >= 1)
+            assert svc.replans == 1
+            assert svc.config.n_groups > 1
+        finally:
+            sup.close()
+            svc.close()
+
+
+def spy_lifecycle(monkeypatch, cls):
+    """Record every *cls* instance built and count ``close()`` per instance."""
+    created, closes = [], Counter()
+    real_init, real_close = cls.__init__, cls.close
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        created.append(self)
+
+    def close(self):
+        closes[id(self)] += 1
+        real_close(self)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    monkeypatch.setattr(cls, "close", close)
+    return created, closes
+
+
+class TestRetirement:
+    """A resource superseded by a re-plan closes exactly once, as soon as
+    its last holder lets go — not when the service closes."""
+
+    FLIPS = 6
+
+    def test_texture_service_closes_each_retired_renderer_once(
+        self, fields, monkeypatch
+    ):
+        created, closes = spy_lifecycle(monkeypatch, FrameRenderer)
+        svc, inject = drifting_texture_service(fields)
+        try:
+            for flip in range(self.FLIPS):
+                # A queued render holds the old plan across the swap.
+                svc.prefetch([flip])
+                inject(flip)
+                assert svc.replan_if_drifted() is True
+                assert svc.request(flip).source in ("render", "coalesced", "memory")
+            assert wait_until(lambda: svc.scheduler.queue_depth() == 0)
+
+            current = svc.renderer
+            assert len(created) == self.FLIPS + 1
+            retired = [r for r in created if r is not current]
+            assert [closes[id(r)] for r in retired] == [1] * self.FLIPS
+            assert closes[id(current)] == 0
+
+            first = svc.request(0)
+            again = svc.request(0)
+            np.testing.assert_array_equal(first.texture, again.texture)
+            fresh = render_frame(svc.config, fields(0)).display
+            np.testing.assert_array_equal(first.texture, fresh)
+        finally:
+            svc.close()
+        assert closes[id(current)] == 1
+
+    def test_animation_service_closes_each_retired_runtime_once(
+        self, fields, monkeypatch
+    ):
+        created, closes = spy_lifecycle(monkeypatch, DivideAndConquerRuntime)
+        svc, _ = drifting_anim_service(fields)
+        predictor = svc.predictor
+        field0 = fields(0)
+        shape = tuple(field0.grid.shape)
+        raw = LatencyPredictor(alpha=1.0).predict(BENT_AUTO, field=field0)
+        try:
+            for flip in range(self.FLIPS):
+                # The stream's cursor and its walk hold the old plan
+                # across the swap and finish on it.
+                frames = svc.stream(0, N_FRAMES)
+                assert next(frames).frame == 0
+                predictor.inject(
+                    BENT_AUTO, raw * (1e3 if flip % 2 == 0 else 1e-3), shape
+                )
+                assert svc.replan_if_drifted() is True
+                assert [f.frame for f in frames] == list(range(1, N_FRAMES))
+            assert wait_until(lambda: svc.scheduler.inflight() == 0)
+
+            current = svc.runtime
+            assert len(created) == self.FLIPS + 1
+            retired = [r for r in created if r is not current]
+            assert [closes[id(r)] for r in retired] == [1] * self.FLIPS
+            assert closes[id(current)] == 0
+
+            first = {f.frame: f.texture for f in svc.stream(0, N_FRAMES)}
+            again = {f.frame: f.texture for f in svc.stream(0, N_FRAMES)}
+            for t in range(N_FRAMES):
+                np.testing.assert_array_equal(first[t], again[t])
+            assert svc.verify(2)
+        finally:
+            svc.close()
+        assert closes[id(current)] == 1
+
+    def test_closed_animation_service_needs_no_cycle_collector(self, fields):
+        # Nothing may tie a closed service into a reference cycle (say,
+        # through the binding's factory): callers that open and close a
+        # service per session would hold every one's caches until the
+        # next collector pass.
+        gc.disable()
+        try:
+            svc, _ = drifting_anim_service(fields)
+            svc.request(0)
+            svc.close()
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+        finally:
+            gc.enable()

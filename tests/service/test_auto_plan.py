@@ -87,7 +87,7 @@ class TestTextureServiceAuto:
             # The host "slows down" by six orders of magnitude: drift far
             # beyond the 2x band must produce a parallel re-plan.
             predictor.observe(config, actual_s=raw * 1e3, grid_shape=shape)
-            svc._maybe_replan()
+            svc.replan_if_drifted()
             assert svc.replans == 1
             assert svc.config.n_groups > 1
             assert svc._fingerprint != fingerprint
@@ -103,7 +103,7 @@ class TestTextureServiceAuto:
     def test_no_replan_within_drift_band(self, fields):
         with TextureService(fields, AUTO) as svc:
             svc.request(0)  # observes a real render; drift is modest
-            svc._maybe_replan()
+            svc.replan_if_drifted()
             # Whatever the calibration said, the first observation sets
             # the reference *only* when it escapes the band; a concrete
             # assertion: the resolved triple still matches the plan.
@@ -137,7 +137,7 @@ class TestTextureServiceAuto:
                 if self.armed:
                     self.armed = False
                     self.observe(requested, actual_s=raw * 1e3, grid_shape=shape)
-                    self.service._maybe_replan()
+                    self.service.replan_if_drifted()
                 return super().predict(config, **kwargs)
 
         predictor = ReplanInWindow(alpha=1.0)
