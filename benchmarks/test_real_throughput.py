@@ -5,21 +5,17 @@ what *this* implementation achieves on *this* host for scaled versions of
 both workloads, so users know the real cost of a texture before asking
 the machine model about hypothetical hardware.
 
-Three renderer configurations are timed per workload:
+Two raster backends are timed per workload:
 
 * ``exact/batched`` — the default scanline backend
   (:mod:`repro.raster.batched`): exact coverage, fully vectorised.
-* ``sampled`` — the anti-aliased splatting renderer, the seed
-  repository's default path (its recorded numbers are directly
-  comparable to this row).
 * ``exact/reference`` — the per-quad oracle loop, timed on a tenth of
   the spots (it is orders of magnitude slower); its full-workload
   throughput is extrapolated linearly and marked as such.
 
 The batched backend renders the *same pixels* as the reference row, so
 the reference-vs-batched ratio is the speedup of the rasterisation
-subsystem itself; the sampled-vs-batched ratio is the end-to-end gain
-over the seed's default path.
+subsystem itself.
 """
 
 import time
@@ -62,9 +58,8 @@ CONFIGS = {
 _REFERENCE_SCALE = 10
 
 RENDERERS = {
-    "exact/batched": dict(render_mode="exact", raster_backend="batched"),
-    "sampled": dict(),  # the config default; the seed's recorded path
-    "exact/reference": dict(render_mode="exact", raster_backend="exact"),
+    "exact/batched": dict(raster_backend="batched"),
+    "exact/reference": dict(raster_backend="exact"),
 }
 
 
@@ -85,7 +80,7 @@ def test_real_throughput_report(benchmark, paper_report):
     assert texture.shape == (128, 128)
 
     lines = ["this implementation, this host (Python + numpy, 1 CPU; "
-             "fast renderers best of 3, reference 1 run):",
+             "batched best of 3, reference 1 run):",
              f"{'workload':>16s} {'renderer':>16s} {'spots':>6s} {'quads':>8s} "
              f"{'seconds':>8s} {'tex/s':>7s}"]
     rates = {}
@@ -108,11 +103,10 @@ def test_real_throughput_report(benchmark, paper_report):
             )
     for name in CONFIGS:
         batched = rates[(name, "exact/batched")]
-        sampled = rates[(name, "sampled")]
         reference = rates[(name, "exact/reference")] / _REFERENCE_SCALE
         lines.append(
-            f"{name}: batched scanline = {batched / sampled:.1f}x the seed's sampled "
-            f"path, {batched / reference:.0f}x the per-quad reference (same pixels)"
+            f"{name}: batched scanline = {batched / reference:.0f}x the per-quad "
+            "reference (same pixels)"
         )
     lines.append(
         "the 1997 Onyx2 did the full-size versions at 5.6 / 3.5 tex/s in "

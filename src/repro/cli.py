@@ -113,7 +113,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
         anisotropy=args.anisotropy,
         seed=args.seed,
         post_filter=args.post_filter,
-        render_mode=args.render_mode,
         raster_backend=args.raster_backend,
     )
     with SpotNoiseSynthesizer(config) as synth:
@@ -750,16 +749,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--post-filter", choices=("none", "highpass", "equalize"), default="none"
     )
     p_render.add_argument(
-        "--render-mode",
-        choices=("exact", "sampled"),
-        default="sampled",
-        help="anti-aliased splatting (default) or exact scanline coverage",
-    )
-    p_render.add_argument(
         "--raster-backend",
         choices=("exact", "batched"),
         default="batched",
-        help="exact-mode implementation: vectorised batch or per-quad reference",
+        help="spot rasteriser: vectorised batch or per-quad reference (same pixels)",
     )
     p_render.add_argument("--output", "-o", default="spotnoise.pgm")
     p_render.set_defaults(fn=_cmd_render)

@@ -2,7 +2,7 @@
 
 Every knob the paper mentions is here: spot count, spot size/profile, the
 anisotropic transform strength, bent-spot mesh resolution, texture size,
-tiling, rendering mode and the parallel decomposition.  Configs are
+tiling, raster backend and the parallel decomposition.  Configs are
 immutable dataclasses — safe to share across process groups and cheap to
 pickle into worker processes.
 """
@@ -17,7 +17,6 @@ from repro.errors import PipelineError
 from repro.spots.bent import BentSpotConfig
 
 SpotMode = Literal["standard", "bent"]
-RenderMode = Literal["exact", "sampled"]
 RasterBackend = Literal["exact", "batched"]
 PartitionStrategy = Literal["round_robin", "block", "spatial"]
 PostFilter = Literal["none", "highpass", "equalize"]
@@ -76,17 +75,14 @@ class SpotNoiseConfig:
         Bent-spot mesh parameters (used when ``spot_mode == "bent"``).
     intensity:
         Spot intensity amplitude (weights are +/- this value).
-    render_mode:
-        ``"exact"`` scanline rasterisation or ``"sampled"`` splatting.
     raster_backend:
-        Implementation of the exact scanline path: ``"batched"`` (the
-        default) rasterises all quads of a draw call in vectorised numpy
-        passes; ``"exact"`` is the per-quad reference loop kept as the
-        oracle.  Both produce bit-identical textures (the batched
-        renderer reproduces the reference's arithmetic and accumulation
-        order); ignored when ``render_mode`` is ``"sampled"``.
-    samples_per_edge:
-        Sampling density of the splatting renderer.
+        Implementation of the spot rasteriser — exact scanline coverage
+        of each texture-mapped quad, as the paper's graphics pipes drew
+        spots: ``"batched"`` (the default) rasterises all quads of a draw
+        call in vectorised numpy passes; ``"exact"`` is the per-quad
+        reference loop kept as the oracle.  Both produce bit-identical
+        textures (the batched renderer reproduces the reference's
+        arithmetic and accumulation order).
     n_groups:
         Process groups (= simulated graphics pipes) for divide and conquer.
     processors_per_group:
@@ -126,9 +122,7 @@ class SpotNoiseConfig:
     profile_resolution: int = 32
     bent: BentConfig = field(default_factory=BentConfig)
     intensity: float = 1.0
-    render_mode: RenderMode = "sampled"
     raster_backend: RasterBackend = "batched"
-    samples_per_edge: int = 2
     n_groups: int = 1
     processors_per_group: int = 1
     partition: PartitionStrategy = "round_robin"
@@ -149,12 +143,8 @@ class SpotNoiseConfig:
             raise PipelineError("spot_radius_cells must be positive")
         if self.anisotropy < 0:
             raise PipelineError("anisotropy must be >= 0")
-        if self.render_mode not in ("exact", "sampled"):
-            raise PipelineError(f"unknown render mode {self.render_mode!r}")
         if self.raster_backend not in ("exact", "batched"):
             raise PipelineError(f"unknown raster backend {self.raster_backend!r}")
-        if self.samples_per_edge < 1:
-            raise PipelineError("samples_per_edge must be >= 1")
         if self.n_groups < 1:
             raise PipelineError("n_groups must be >= 1")
         if self.processors_per_group < 1:

@@ -30,7 +30,6 @@ from repro.glsim.state import GLState
 from repro.raster.batched import rasterize_quads_batched
 from repro.raster.framebuffer import FrameBuffer
 from repro.raster.rasterize import rasterize_quads_exact
-from repro.raster.splat import rasterize_quads_sampled
 from repro.raster.texture import Texture
 
 
@@ -125,27 +124,16 @@ class GraphicsPipe:
         if transform is not None and not transform.is_identity():
             quads = transform.apply(quads)
 
-        mode = self.state.get("render_mode")
-        if mode == "exact":
-            # The scanline path has two implementations producing
-            # bit-identical pixels: the vectorised batch renderer (the
-            # fast default) and the per-quad reference loop (the oracle).
-            if self.state.get("raster_backend") == "batched":
-                rasterize = rasterize_quads_batched
-            else:
-                rasterize = rasterize_quads_exact
-            pixels = rasterize(
-                self.framebuffer, quads, cmd.uvs, cmd.intensities, self._bound_texture
-            )
+        # Scanline rasterisation has two implementations producing
+        # bit-identical pixels: the vectorised batch renderer (the
+        # default) and the per-quad reference loop (the oracle).
+        if self.state.get("raster_backend") == "batched":
+            rasterize = rasterize_quads_batched
         else:
-            pixels = rasterize_quads_sampled(
-                self.framebuffer,
-                quads,
-                cmd.uvs,
-                cmd.intensities,
-                self._bound_texture,
-                samples_per_edge=self.state.get("samples_per_edge"),
-            )
+            rasterize = rasterize_quads_exact
+        pixels = rasterize(
+            self.framebuffer, quads, cmd.uvs, cmd.intensities, self._bound_texture
+        )
         self.counters.vertices_in += cmd.n_vertices
         self.counters.quads_drawn += cmd.n_quads
         self.counters.pixels_filled += pixels

@@ -24,13 +24,10 @@ _DEFAULTS: Dict[str, Any] = {
     "blend_mode": "add",
     "texture": None,
     "transform": None,  # None = identity, spots arrive pre-transformed
-    "render_mode": "sampled",  # 'exact' | 'sampled'
-    "raster_backend": "batched",  # 'exact' | 'batched' (exact-mode impl)
-    "samples_per_edge": 2,
+    "raster_backend": "batched",  # 'exact' (reference oracle) | 'batched'
 }
 
 _VALID_BLEND = ("add", "max", "over")
-_VALID_RENDER = ("exact", "sampled")
 _VALID_RASTER_BACKEND = ("exact", "batched")
 
 
@@ -78,14 +75,10 @@ class GLState:
             raise GLStateError(f"unknown state key {key!r}; valid: {sorted(_DEFAULTS)}")
         if key == "blend_mode" and value not in _VALID_BLEND:
             raise GLStateError(f"invalid blend mode {value!r}; valid: {_VALID_BLEND}")
-        if key == "render_mode" and value not in _VALID_RENDER:
-            raise GLStateError(f"invalid render mode {value!r}; valid: {_VALID_RENDER}")
         if key == "raster_backend" and value not in _VALID_RASTER_BACKEND:
             raise GLStateError(
                 f"invalid raster backend {value!r}; valid: {_VALID_RASTER_BACKEND}"
             )
-        if key == "samples_per_edge" and (not isinstance(value, int) or value < 1):
-            raise GLStateError(f"samples_per_edge must be a positive int, got {value!r}")
         current = self._state[key]
         if current is value or current == value:
             return False

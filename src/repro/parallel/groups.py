@@ -238,9 +238,7 @@ def render_group(task: GroupTask) -> GroupResult:
     cfg = task.config
     pipe = GraphicsPipe(task.group_index, task.fb_size[0], task.fb_size[1], task.fb_window)
     pipe.upload_texture(0, _profile_texture(cfg.profile, cfg.profile_resolution))
-    pipe.state.set("render_mode", cfg.render_mode)
     pipe.state.set("raster_backend", cfg.raster_backend)
-    pipe.state.set("samples_per_edge", cfg.samples_per_edge)
     pipe.execute(SetBlendMode("add"))
     pipe.execute(BindTexture(0))
 

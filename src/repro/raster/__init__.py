@@ -1,28 +1,26 @@
 """Software scan conversion and blending.
 
 This package stands in for the rasterisation stage of the InfiniteReality
-pipes: textured quads go in, blended intensity rasters come out.  Three
-rendering strategies are provided:
+pipes: textured quads go in, blended intensity rasters come out.  Spots
+are rasterised the way the paper's pipes drew them — exact scanline
+coverage of texture-mapped polygons — by one of two implementations
+that produce bit-identical pixels (``SpotNoiseConfig.raster_backend``):
 
+* :func:`rasterize_quads_batched` — the production renderer, vectorised
+  over the whole quad batch;
 * :func:`rasterize_quads_exact` — per-quad scanline coverage with
-  barycentric texture interpolation; exact, the reference oracle;
-* :func:`rasterize_quads_batched` — the same scanline rasterisation,
-  bit-identical pixels, but fully vectorised over the quad batch; the
-  default implementation of the exact render mode
-  (``SpotNoiseConfig.raster_backend``);
-* :func:`rasterize_quads_sampled` — a vectorised sample-and-splat
-  renderer that trades exact coverage for anti-aliased speed on the
-  paper's ~1.3-1.9 million bent-spot quadrilaterals per texture.
+  barycentric texture interpolation, kept as the reference oracle.
 
-All accumulate into a :class:`FrameBuffer` using the additive blend that
-defines spot noise (``f(x) = sum a_i h(x - x_i)``).
+Both accumulate into a :class:`FrameBuffer` using the additive blend that
+defines spot noise (``f(x) = sum a_i h(x - x_i)``).  :func:`splat_points`
+deposits point sets for the line-drawing baselines.
 """
 
 from repro.raster.framebuffer import FrameBuffer
 from repro.raster.texture import Texture
 from repro.raster.batched import rasterize_quads_batched
 from repro.raster.rasterize import rasterize_quads_exact, rasterize_triangle
-from repro.raster.splat import rasterize_quads_sampled, splat_points
+from repro.raster.splat import splat_points
 from repro.raster.blend import blend_add, blend_over, blend_max, BLEND_MODES
 from repro.raster.clip import clip_quads_to_rect, quad_bboxes
 
@@ -32,7 +30,6 @@ __all__ = [
     "rasterize_quads_batched",
     "rasterize_quads_exact",
     "rasterize_triangle",
-    "rasterize_quads_sampled",
     "splat_points",
     "blend_add",
     "blend_over",

@@ -2,24 +2,27 @@
 
 :func:`rasterize_quads_batched` produces the *same pixels* as the
 reference per-quad loop in :mod:`repro.raster.rasterize` but processes
-the whole quad batch in a handful of numpy passes:
+the whole quad batch in a handful of numpy passes whose count does not
+grow with the number of pixels a quad covers:
 
 1. per-quad triangle windings (the reference flips ``v1``/``v2`` of a
    negatively wound triangle) are resolved in bulk from the two signed
-   areas, giving each quad one of four winding combinations;
-2. quads are bucketed by winding combination and bounding-box size, so
-   each bucket evaluates its edge functions over one exactly-sized,
-   flattened pixel-centre grid covering the whole quad — both triangles
-   of a quad share that grid, and the diagonal edge is evaluated once
-   where the winding lets the two triangles share it.  Each edge
-   function is separable in x and y, so the full-grid work per edge is
-   one gather and one subtraction on contiguous arrays;
-3. texture coordinates are interpolated barycentrically at the covered
-   pixel centres and the spot profile is sampled for all of them at once;
-4. the deposits (tagged with their triangle's position in the reference
-   emission order) are stable-sorted back into that order and
-   scatter-added into the frame buffer with a single ``np.bincount`` (the
-   fast form of ``np.add.at``).
+   areas;
+2. quads are bucketed by the power-of-two classes of their bounding-box
+   height and width — all four winding combinations share a bucket — and
+   each pass over a bucket gathers both post-flip triangles' vertex
+   cycles per quad and evaluates their six edge functions in one
+   broadcast ``(edges, rows, cols, quads)`` array: an edge function is
+   separable in x and y, so it is one per-row term minus one per-column
+   term.  The strict shared diagonal sits in a fixed edge slot whatever
+   the winding;
+3. the covered pixel centres of every pass are recorded as deposits
+   (triangle, pixel, barycentric numerators); one deferred pass over all
+   deposits then computes the weights, interpolates the texture
+   coordinates and samples the spot profile;
+4. the deposits are stable-sorted back into the reference emission order
+   and scatter-added into the frame buffer with a single ``np.bincount``
+   (the fast form of ``np.add.at``).
 
 Bit equivalence with the reference renderer is maintained deliberately,
 not approximately: every floating-point operation (edge functions,
@@ -37,13 +40,13 @@ reference rounds after every triangle while the batch sums its deposits
 first.
 
 Degenerate (zero-area) triangles cover nothing in both paths.  Non-finite
-vertices make the reference path fail; the batched path drops such quads,
-the graceful-degradation behaviour the splat renderer already has.
+vertices make the reference path fail; the batched path drops such quads
+so corrupted particle positions degrade gracefully.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -51,51 +54,37 @@ from repro.errors import RasterError
 from repro.raster.framebuffer import FrameBuffer
 from repro.raster.texture import Texture
 
-#: Grid-pixel budget per internal pass; bounds scratch memory to a few
-#: tens of MB regardless of batch size.
-_CHUNK_PX = 1 << 20
+#: Grid-pixel budget per edge pass, and deposit budget per texture pass;
+#: bounds scratch memory to a few MB regardless of batch size.
+_CHUNK_PX = 1 << 14
 
 #: Bounding boxes are clipped to this pixel range before integer
 #: conversion so absurd (finite) coordinates cannot overflow int64.
 _COORD_LIMIT = float(1 << 40)
-
-#: Bounding-box dimensions up to this many pixels get their own bucket
-#: (an exactly-sized grid); larger ones share power-of-two buckets.
-_EXACT_DIM = 8
 
 # The reference splits each quad along the v0-v2 diagonal into triangles
 # (v0, v1, v2) and (v2, v3, v0), normalises each winding by swapping the
 # triangle's second and third vertices when its signed area is negative,
 # and rasterises with edge k running from vertex k to vertex k+1 — the
 # second triangle's diagonal (edge 2 unflipped, edge 0 after a flip)
-# tested strictly.  Each spec below is that post-flip triangle, per
-# winding combination ``flip1 * 2 + flip2``:
-#   (edges as directed quad-corner pairs, strict edge position or -1,
-#    uv corner order, area index)
-_TRI1_UNFLIPPED = (((0, 1), (1, 2), (2, 0)), -1, (0, 1, 2), 0)
-_TRI1_FLIPPED = (((0, 2), (2, 1), (1, 0)), -1, (0, 2, 1), 0)
-_TRI2_UNFLIPPED = (((2, 3), (3, 0), (0, 2)), 2, (2, 3, 0), 1)
-_TRI2_FLIPPED = (((2, 0), (0, 3), (3, 2)), 0, (2, 0, 3), 1)
-_COMBO_SPECS = (
-    (_TRI1_UNFLIPPED, _TRI2_UNFLIPPED),
-    (_TRI1_UNFLIPPED, _TRI2_FLIPPED),
-    (_TRI1_FLIPPED, _TRI2_UNFLIPPED),
-    (_TRI1_FLIPPED, _TRI2_FLIPPED),
-)
+# tested strictly.
 
+#: Quad corners of the post-flip vertices, ``[vertex, 2 * tri + flip]``:
+#: (v0, v1, v2), (v0, v2, v1), (v2, v3, v0), (v2, v0, v3).
+_CORNERS = np.array([(0, 1, 2), (0, 2, 1), (2, 3, 0), (2, 0, 3)]).T
 
-def _dim_bucket_index(d: np.ndarray) -> np.ndarray:
-    """Bucket index of a grid dimension: exact up to ``_EXACT_DIM``, pow2 above."""
-    out = d.copy()
-    big = d > _EXACT_DIM
-    if big.any():
-        out[big] = _EXACT_DIM + np.ceil(np.log2(d[big])).astype(np.int64) - 3
-    return out
+#: Rows of the corner-major ``(8, n)`` pixel coordinates (x rows 0-3, y
+#: rows 4-7) holding both triangles' closed vertex cycles for unflipped
+#: windings: x then y of (v0, v1, v2, v0) and (v2, v3, v0, v2).
+_CYCLE_ROWS = np.array([0, 1, 2, 0, 2, 3, 0, 2, 4, 5, 6, 4, 6, 7, 4, 6])
 
-
-def _bucket_dim(index: int) -> int:
-    """Inverse of :func:`_dim_bucket_index` for a single bucket."""
-    return index if index <= _EXACT_DIM else 1 << (index - _EXACT_DIM + 3)
+#: Per winding flip, (destination, source) cycle rows that turn the
+#: unflipped cycle into the flipped one.  A flipped first triangle swaps
+#: v1 and v2.  A flipped second triangle (v2, v0, v3) cycles from its
+#: second vertex, (v0, v3, v2, v0): the same edges, with the strict
+#: diagonal v2 -> v0 last for every winding.
+_FLIP1_ROWS = ([1, 2, 9, 10], [2, 1, 10, 9])
+_FLIP2_ROWS = ([4, 6, 7, 12, 14, 15], [6, 4, 6, 14, 12, 14])
 
 
 def _min4(c: np.ndarray) -> np.ndarray:
@@ -104,6 +93,11 @@ def _min4(c: np.ndarray) -> np.ndarray:
 
 def _max4(c: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+
+
+def _pow2_class(d: np.ndarray) -> np.ndarray:
+    """``ceil(log2(d))`` of positive integer dimensions, computed exactly."""
+    return np.frexp(np.maximum(d - 1, 0).astype(np.float64))[1]
 
 
 def rasterize_quads_batched(
@@ -128,7 +122,8 @@ def rasterize_quads_batched(
     intensities:
         ``(N,)`` spot weights.
     chunk_px:
-        Grid-pixel budget per internal pass (bounds scratch memory).
+        Grid pixels per edge pass and deposits per texture pass (bounds
+        scratch memory).
     """
     q = np.asarray(quads, dtype=np.float64)
     t = np.asarray(uvs, dtype=np.float64)
@@ -200,22 +195,14 @@ def rasterize_quads_batched(
     valid1 = (area1 > 0.0) & finite
     valid2 = (area2 > 0.0) & finite
     keep = (ix0 < ix1) & (iy0 < iy1) & (valid1 | valid2)
-    areas = (area1, area2)           # original quad order, gathered lazily
-    valid = (valid1, valid2)
-    any_invalid = not (valid1.all() and valid2.all())
-
     bw = ix1 - ix0
     bh = iy1 - iy0
-    # Bucket indices stay below 64 (pow2 buckets up to 2^40 pixels), so
-    # the composite key fits int16 — numpy stable-sorts 16-bit integers
-    # with a radix sort, making the bucketing pass O(n).
-    combo = flip1.astype(np.int64) * 2 + flip2
-    key = ((combo * 64 + _dim_bucket_index(bh)) * 64 + _dim_bucket_index(bw)).astype(
-        np.int16
-    )
 
-    # One stable integer sort buckets the quads; dropped quads are
-    # filtered out of the permutation rather than compressed separately.
+    # One stable sort on the (height class, width class) key buckets the
+    # quads — int16 keys take numpy's O(n) radix sort — and keeps each
+    # bucket in ascending quad order; dropped quads are filtered out of
+    # the permutation.
+    key = (_pow2_class(bh) * 64 + _pow2_class(bw)).astype(np.int16)
     order = np.argsort(key, kind="stable")
     if not keep.all():
         order = order[keep[order]]
@@ -223,130 +210,156 @@ def rasterize_quads_batched(
     if m == 0:
         return 0
 
-    # Two packed gathers put the per-quad data in bucket order; areas and
-    # validity stay in original order and are gathered per deposit chunk.
-    P = np.take(P, order, axis=1)
-    gx = P[0:4]
-    gy = P[4:8]
-    I = np.empty((4, n), dtype=np.int32)
-    I[0], I[1], I[2], I[3] = ix0, iy0, bw, bh
-    I = np.take(I, order, axis=1)
-    ix0, iy0, bw, bh = I[0], I[1], I[2], I[3]
-    qidx = order  # original quad index, for uv / intensity / area gathers
-    key = key[order]
+    # Per-quad data in bucket order.
+    P = P.take(order, axis=1)
+    f1, f2 = flip1.take(order), flip2.take(order)
+    boxes = np.empty((4, n), dtype=np.int32)
+    boxes[0], boxes[1], boxes[2], boxes[3] = ix0, iy0, bw, bh
+    ix0, iy0, bw, bh = boxes.take(order, axis=1)
+    key = key.take(order)
+    all_valid = bool(valid1.all() and valid2.all())
+    if not all_valid:
+        valid = np.stack([valid1, valid2]).take(order, axis=1)
+    base = iy0.astype(np.int64) * fbw + ix0
 
     bounds = np.flatnonzero(np.diff(key)) + 1
-    segments = np.concatenate([[0], bounds, [m]])
+    segments = np.concatenate([[0], bounds, [m]]).tolist()
 
-    covered = 0
     dep_gid: List[np.ndarray] = []
     dep_pix: List[np.ndarray] = []
-    dep_val: List[np.ndarray] = []
+    dep_num: List[np.ndarray] = []
     for s0, s1 in zip(segments[:-1], segments[1:]):
-        k = int(key[s0])
-        wc = _bucket_dim(k % 64)
-        hc = _bucket_dim((k // 64) % 64)
-        specs = _COMBO_SPECS[k // (64 * 64)]
-        padded = wc > _EXACT_DIM or hc > _EXACT_DIM
-        cell = hc * wc
-        row_of = np.arange(cell) // wc
-        col_of = np.arange(cell) - row_of * wc
-        # (iy0+row)*fbw + (ix0+col) decomposes exactly into a per-quad
-        # base plus a per-cell offset.
-        pix_of = row_of * fbw + col_of
-        step = max(1, chunk_px // cell)
-        for c0 in range(int(s0), int(s1), step):
-            c1 = min(c0 + step, int(s1))
-            sl = slice(c0, c1)
-            nc = c1 - c0
+        R = int(bh[s0:s1].max())
+        C = int(bw[s0:s1].max())
+        RC = R * C
+        rows = np.arange(R)[:, None]
+        cols = np.arange(C)[:, None]
+        step = max(1, chunk_px // RC)
+        for c0 in range(s0, s1, step):
+            sl = slice(c0, min(c0 + step, s1))
+            nq = sl.stop - c0
+            plane = RC * nq
+            # Both triangles' closed vertex cycles, (2, 4, nq): edge k of
+            # a triangle runs from vertex k to vertex k + 1.
+            cycles = P[_CYCLE_ROWS, sl]
+            for flip, (dst, src) in ((f1[sl], _FLIP1_ROWS), (f2[sl], _FLIP2_ROWS)):
+                if flip.any():
+                    at = np.flatnonzero(flip)
+                    cycles[np.ix_(dst, at)] = cycles[np.ix_(src, at)]
+            vx = cycles[0:8].reshape(2, 4, nq)
+            vy = cycles[8:16].reshape(2, 4, nq)
+            # Directed edge functions (bx-ax)*(py-ay) - (by-ay)*(px-ax) at
+            # the pixel centres of every quad's grid: per-row minus
+            # per-column term, broadcast to (6, R, C, nq).  The centre
+            # coordinates match the reference's ``np.arange(ix0, ix1) +
+            # 0.5`` exactly.
+            ax, ay = vx[:, :3, None, :], vy[:, :3, None, :]
+            py = (iy0[sl] + rows) + 0.5
+            px = (ix0[sl] + cols) + 0.5
+            ty = ((vx[:, 1:] - vx[:, :3])[:, :, None, :] * (py - ay)).reshape(6, R, nq)
+            tx = ((vy[:, 1:] - vy[:, :3])[:, :, None, :] * (px - ax)).reshape(6, C, nq)
+            e = np.empty((6, R, C, nq))
+            np.subtract(ty[:, :, None, :], tx[:, None, :, :], out=e)
+            ok = np.empty(e.shape, dtype=bool)
+            np.greater_equal(e[:5], 0.0, out=ok[:5])
+            np.greater(e[5], 0.0, out=ok[5])
+            inside = ok[0::3] & ok[1::3]
+            inside &= ok[2::3]
+            # Grid cells beyond the quad's own box and zero-area
+            # triangles cover nothing.
+            if bh[sl].min() < R:
+                inside &= (rows < bh[sl])[:, None, :]
+            if bw[sl].min() < C:
+                inside &= cols < bw[sl]
+            if not all_valid:
+                inside &= valid[:, None, None, sl]
 
-            pad_mask = None
-            if padded:
-                pad_mask = (row_of[:, None] < bh[None, sl]) & (
-                    col_of[:, None] < bw[None, sl]
-                )
+            # Quad-major positions: each pass emits its deposits sorted by
+            # (quad, triangle), so the final restoring sort merges a few
+            # long runs.
+            idx = np.flatnonzero(inside.transpose(3, 0, 1, 2))
+            if idx.size == 0:
+                continue
+            ql = idx // (2 * RC)
+            rem = idx - ql * (2 * RC)
+            tri = rem // RC
+            rc = rem - tri * RC
+            qg = ql + c0
+            dep_gid.append(2 * order[qg] + tri)
+            dep_pix.append(base[qg] + rc + (rc // C) * (fbw - C))
+            if texture is not None:
+                # Barycentric numerators w0, w1, w2 (the edge opposite
+                # each post-flip vertex): the triangle's edge slots
+                # (1, 2, 0), or (0, 1, 2) for a flipped second triangle,
+                # whose edges are stored rotated.
+                flat = e.reshape(-1)
+                at = rc * nq + ql + tri * (3 * plane)
+                rot = (tri & f2[qg]) * plane
+                nums = np.empty((3, idx.size))
+                flat.take(at + plane - rot, out=nums[0])
+                flat.take(at + 2 * plane - rot, out=nums[1])
+                flat.take(at + 2 * rot, out=nums[2])
+                dep_num.append(nums)
 
-            # Directed edge functions (bx-ax)*(py-ay) - (by-ay)*(px-ax)
-            # at the grid's pixel centres, evaluated lazily and shared
-            # between the two triangles where the winding allows.  The
-            # edge function is separable in x and y, so it decomposes
-            # into per-grid-row and per-grid-column terms; the arrays are
-            # laid out cell-major, (cell, nc), keeping every operation a
-            # contiguous 1-D pass over the chunk's quads.  (Deposit order
-            # *within* a triangle is free — no pixel repeats inside one
-            # triangle — so cell-major emission stays bit-equivalent.)
-            # Pixel-centre coordinate values, hoisted per chunk (shared by
-            # all edges); they match the reference's
-            # ``np.arange(ix0, ix1) + 0.5`` exactly.
-            pys = [(iy0[sl] + r) + 0.5 for r in range(hc)]
-            pxs = [(ix0[sl] + c) + 0.5 for c in range(wc)]
-            base = iy0[sl].astype(np.int64) * fbw + ix0[sl]
-            edge_cache: Dict[Tuple[int, int], np.ndarray] = {}
+    if not dep_gid:
+        return 0
+    gid = np.concatenate(dep_gid)
+    pix = np.concatenate(dep_pix)
+    if texture is None:
+        val = a.take(gid >> 1)
+    else:
+        val = _textured_values(
+            gid, np.concatenate(dep_num, axis=1), t, a, area1, area2,
+            flip1 + 2 * flip2, texture, chunk_px,
+        )
+    # Restore the reference emission order (quad 0 triangle 1, quad 0
+    # triangle 2, quad 1 triangle 1, ...), then one ordered scatter-add:
+    # bincount accumulates per pixel in deposit order, matching the
+    # reference's sequential accumulation exactly when the frame buffer
+    # starts cleared.
+    restore = np.argsort(gid, kind="stable")
+    fb.data += np.bincount(
+        pix[restore], weights=val[restore], minlength=fbh * fbw
+    ).reshape(fbh, fbw)
+    return int(gid.size)
 
-            def edge(i: int, j: int) -> np.ndarray:
-                e = edge_cache.get((i, j))
-                if e is None:
-                    exi, eyi = gx[i, sl], gy[i, sl]
-                    dx = gx[j, sl] - exi
-                    dy = gy[j, sl] - eyi
-                    term_y = [dx * (py - eyi) for py in pys]
-                    term_x = [dy * (px - exi) for px in pxs]
-                    e = np.empty((cell, nc), dtype=np.float64)
-                    for p in range(cell):
-                        np.subtract(term_y[p // wc], term_x[p - (p // wc) * wc], out=e[p])
-                    edge_cache[(i, j)] = e
-                return e
 
-            for tri_side, (pairs, strict_pos, uv_corners, area_row) in enumerate(specs):
-                inside = None
-                for pos, (i, j) in enumerate(pairs):
-                    e = edge(i, j)
-                    mask = e > 0.0 if pos == strict_pos else e >= 0.0
-                    inside = mask if inside is None else (inside & mask)
-                if pad_mask is not None:
-                    inside &= pad_mask
-                if any_invalid:
-                    v_chunk = valid[area_row][qidx[sl]]
-                    if not v_chunk.all():
-                        inside &= v_chunk[None, :]
+def _textured_values(
+    gid: np.ndarray,
+    num: np.ndarray,
+    t: np.ndarray,
+    a: np.ndarray,
+    area1: np.ndarray,
+    area2: np.ndarray,
+    flips: np.ndarray,
+    texture: Texture,
+    chunk: int,
+) -> np.ndarray:
+    """Deposit values ``a * tex(u, v)`` for triangle ids ``2 * quad + tri``.
 
-                idx = np.flatnonzero(inside)
-                if idx.size == 0:
-                    continue
-                covered += int(idx.size)
-
-                cellpos = idx // nc
-                quad_l = idx - cellpos * nc
-                quad_g = quad_l + c0
-
-                quad = qidx[quad_g]
-                tri_area = areas[area_row][quad]
-                w0 = edge(*pairs[1]).ravel()[idx] / tri_area
-                w1 = edge(*pairs[2]).ravel()[idx] / tri_area
-                w2 = edge(*pairs[0]).ravel()[idx] / tri_area
-                if texture is None:
-                    val = a[quad]
-                else:
-                    u0, u1, u2 = uv_corners
-                    u = w0 * t[quad, u0, 0] + w1 * t[quad, u1, 0] + w2 * t[quad, u2, 0]
-                    vv = w0 * t[quad, u0, 1] + w1 * t[quad, u1, 1] + w2 * t[quad, u2, 1]
-                    val = a[quad] * texture.sample(u, vv)
-
-                dep_gid.append((2 * quad + tri_side).astype(np.int32))
-                dep_pix.append(base[quad_l] + pix_of[cellpos])
-                dep_val.append(val)
-
-    if covered:
-        g = dep_gid[0] if len(dep_gid) == 1 else np.concatenate(dep_gid)
-        p = dep_pix[0] if len(dep_pix) == 1 else np.concatenate(dep_pix)
-        v = dep_val[0] if len(dep_val) == 1 else np.concatenate(dep_val)
-        # Restore the reference emission order (quad 0 triangle 1, quad 0
-        # triangle 2, quad 1 triangle 1, ...), then one ordered
-        # scatter-add: bincount accumulates per pixel in deposit order,
-        # matching the reference's sequential accumulation exactly when
-        # the frame buffer starts cleared.
-        restore = np.argsort(g, kind="stable")
-        fb.data += np.bincount(
-            p[restore], weights=v[restore], minlength=fbh * fbw
-        ).reshape(fbh, fbw)
-    return covered
+    The deferred texture pass: barycentric weights from the numerators
+    *num* ``(3, D)``, uv interpolated in post-flip vertex order (*flips*
+    packs each quad's ``flip1 + 2 * flip2``) and the texture sampled once
+    per *chunk* deposits — the reference's arithmetic in the reference's
+    order.
+    """
+    area = np.stack([area1, area2], axis=1).reshape(-1)
+    uv = t.reshape(-1)
+    out = np.empty(gid.shape[0])
+    for lo in range(0, gid.shape[0], chunk):
+        g = gid[lo:lo + chunk]
+        quad = g >> 1
+        tri = g & 1
+        code = 2 * tri + ((flips.take(quad) >> tri) & 1)
+        at = quad * 8
+        i0 = at + 2 * _CORNERS[0].take(code)
+        i1 = at + 2 * _CORNERS[1].take(code)
+        i2 = at + 2 * _CORNERS[2].take(code)
+        tri_area = area.take(g)
+        w0 = num[0, lo:lo + chunk] / tri_area
+        w1 = num[1, lo:lo + chunk] / tri_area
+        w2 = num[2, lo:lo + chunk] / tri_area
+        u = w0 * uv.take(i0) + w1 * uv.take(i1) + w2 * uv.take(i2)
+        vv = w0 * uv.take(i0 + 1) + w1 * uv.take(i1 + 1) + w2 * uv.take(i2 + 1)
+        out[lo:lo + chunk] = a.take(quad) * texture.sample(u, vv)
+    return out

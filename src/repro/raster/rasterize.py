@@ -9,9 +9,7 @@ a requirement for the additive spot-noise blend to stay unbiased.
 This path is exact but per-quad: it is the *reference oracle*.  The
 production implementation of the same scanline semantics is
 :mod:`repro.raster.batched`, which renders bit-identical pixels in
-vectorised batches (selected via ``SpotNoiseConfig.raster_backend``);
-the anti-aliased splatting alternative lives in
-:mod:`repro.raster.splat`.
+vectorised batches (selected via ``SpotNoiseConfig.raster_backend``).
 """
 
 from __future__ import annotations

@@ -50,21 +50,25 @@ class Texture:
         # NaN coordinates pass through the float clamp; the maximum(0)
         # below bounds their garbage int cast back to texel 0, so they
         # yield NaN output (not an IndexError), as np.clip used to.
+        # The four neighbours are flat gathers at one index into views
+        # shifted by one texel right / one row up (no shift along an axis
+        # one texel wide, where the neighbour is the texel itself).
         fx = np.minimum(np.maximum(u * w - 0.5, 0.0), w - 1.0)
         fy = np.minimum(np.maximum(v * h - 0.5, 0.0), h - 1.0)
-        ix0 = np.maximum(fx.astype(np.int64), 0)
-        iy0 = np.maximum(fy.astype(np.int64), 0)
-        ix0 = np.minimum(ix0, w - 2) if w > 1 else np.zeros_like(ix0)
-        iy0 = np.minimum(iy0, h - 2) if h > 1 else np.zeros_like(iy0)
+        ix0 = np.minimum(np.maximum(fx.astype(np.int64), 0), max(w - 2, 0))
+        iy0 = np.minimum(np.maximum(fy.astype(np.int64), 0), max(h - 2, 0))
         tx = fx - ix0
         ty = fy - iy0
-        ix1 = np.minimum(ix0 + 1, w - 1)
-        iy1 = np.minimum(iy0 + 1, h - 1)
-        v00 = self.data[iy0, ix0]
-        v01 = self.data[iy0, ix1]
-        v10 = self.data[iy1, ix0]
-        v11 = self.data[iy1, ix1]
-        return (v00 * (1 - tx) + v01 * tx) * (1 - ty) + (v10 * (1 - tx) + v11 * tx) * ty
+        flat = self.data.ravel()
+        i00 = iy0 * w + ix0
+        right = 1 if w > 1 else 0
+        up = w if h > 1 else 0
+        v00 = flat.take(i00)
+        v01 = flat[right:].take(i00)
+        v10 = flat[up:].take(i00)
+        v11 = flat[right + up:].take(i00)
+        sx = 1 - tx
+        return (v00 * sx + v01 * tx) * (1 - ty) + (v10 * sx + v11 * tx) * ty
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Texture({self.shape[1]}x{self.shape[0]}, filter={self.filter!r})"

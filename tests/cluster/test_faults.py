@@ -25,15 +25,24 @@ from repro.service import scrubbing_trace
 def test_kill_mid_scrub_rebalances_to_survivors(make_fleet, make_single_node):
     fleet = make_fleet(3)
     trace = scrubbing_trace(40, 8, seed=11)
+    probe = fleet.nodes[0]
+    owned_by_dead = sorted(
+        frame for frame in set(trace)
+        if probe.ring.owner(probe.service.render_digest(frame)) == "node-1"
+    )
+    assert owned_by_dead, "node-1 must own a frame of the trace"
     split = len(trace) // 2
     for i, frame in enumerate(trace[:split]):
         fleet.request(i % 3, frame)
     fleet.kill(1)
     survivors = fleet.live_indices()
-    responses = [
-        (frame, fleet.request(survivors[i % len(survivors)], frame))
-        for i, frame in enumerate(trace[split:])
+    # Membership is failure-driven: a survivor drops node-1 only once it
+    # routes a request there, so each survivor first asks for a frame
+    # node-1 owned, whatever the hash placement of the rest of the trace.
+    requests = [(i, owned_by_dead[0]) for i in survivors] + [
+        (survivors[i % len(survivors)], frame) for i, frame in enumerate(trace[split:])
     ]
+    responses = [(frame, fleet.request(i, frame)) for i, frame in requests]
     single = make_single_node()
     for frame, texture in responses:
         assert np.array_equal(single.request(frame).texture, texture)

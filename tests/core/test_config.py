@@ -30,8 +30,8 @@ class TestSpotNoiseConfig:
             dict(spot_mode="square"),
             dict(spot_radius_cells=0.0),
             dict(anisotropy=-1.0),
-            dict(render_mode="fast"),
-            dict(samples_per_edge=0),
+            dict(raster_backend="fast"),
+            dict(post_filter="blur"),
             dict(n_groups=0),
             dict(processors_per_group=0),
             dict(partition="random"),
@@ -89,9 +89,7 @@ class TestFingerprint:
         "profile_resolution": 16,
         "bent": BentConfig(n_along=8, n_across=5),
         "intensity": 2.0,
-        "render_mode": "exact",
         "raster_backend": "exact",
-        "samples_per_edge": 3,
         "n_groups": 2,
         "processors_per_group": 2,
         "partition": "block",

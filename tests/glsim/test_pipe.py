@@ -76,7 +76,6 @@ class TestGraphicsPipe:
 
     def test_draw_renders_into_framebuffer(self, pipe):
         pipe.execute(BindTexture(1))
-        pipe.state.set("render_mode", "exact")
         pipe.execute(DrawQuads(full_quad(), UV, np.array([2.0])))
         np.testing.assert_allclose(pipe.framebuffer.data, 2.0)
 
@@ -87,7 +86,6 @@ class TestGraphicsPipe:
 
     def test_transform_applied_and_synchronizing(self, pipe):
         pipe.execute(BindTexture(1))
-        pipe.state.set("render_mode", "exact")
         pipe.execute(SetTransform(Transform2D.scale_rotate(0.5, 0.5, 0.0, (0.25, 0.25))))
         pipe.execute(DrawQuads(full_quad(), UV, np.array([1.0])))
         assert pipe.counters.synchronizing_changes == 1

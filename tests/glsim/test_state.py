@@ -48,9 +48,7 @@ class TestGLState:
         with pytest.raises(GLStateError):
             s.set("blend_mode", "xor")
         with pytest.raises(GLStateError):
-            s.set("render_mode", "raytrace")
-        with pytest.raises(GLStateError):
-            s.set("samples_per_edge", 0)
+            s.set("raster_backend", "raytrace")
 
     def test_snapshot_is_copy(self):
         s = GLState()

@@ -19,7 +19,7 @@ from repro.parallel.groups import GroupTask
 
 FIELD = vortex_field(n=33)
 BASE = SpotNoiseConfig(
-    n_spots=12, texture_size=32, spot_mode="standard", render_mode="exact", seed=3
+    n_spots=12, texture_size=32, spot_mode="standard", seed=3
 )
 
 

@@ -32,7 +32,7 @@ def synthesize(config, particles=None, field=FIELD):
 
 
 BASE = SpotNoiseConfig(
-    n_spots=300, texture_size=64, spot_mode="standard", render_mode="sampled", seed=3
+    n_spots=300, texture_size=64, spot_mode="standard", seed=3
 )
 
 
@@ -80,7 +80,7 @@ class TestSequentialEquivalence:
         np.testing.assert_allclose(out, ref, atol=1e-9)
 
     def test_exact_render_mode_equivalence(self):
-        cfg = BASE.with_overrides(render_mode="exact")
+        cfg = BASE.with_overrides(raster_backend="exact")
         ps = make_particles(150)
         ref, _ = synthesize(cfg, ps.copy())
         out, _ = synthesize(cfg.with_overrides(n_groups=3), ps.copy())
@@ -114,8 +114,8 @@ class TestRasterBackendEquivalence:
     """exact-vs-batched scanline backends must agree bit for bit,
     whatever the partition strategy or execution backend."""
 
-    EXACT = BASE.with_overrides(n_spots=120, render_mode="exact", raster_backend="exact")
-    BATCHED = BASE.with_overrides(n_spots=120, render_mode="exact", raster_backend="batched")
+    EXACT = BASE.with_overrides(n_spots=120, raster_backend="exact")
+    BATCHED = BASE.with_overrides(n_spots=120, raster_backend="batched")
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process", "sharedmem"])
     @pytest.mark.parametrize(
@@ -135,7 +135,6 @@ class TestRasterBackendEquivalence:
             n_spots=50,
             texture_size=64,
             spot_mode="bent",
-            render_mode="exact",
             seed=13,
         ).with_overrides(
             bent=SpotNoiseConfig().bent.__class__(

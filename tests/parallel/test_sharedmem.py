@@ -19,7 +19,7 @@ from repro.parallel.sharedmem import SharedMemoryBackend
 
 FIELD = vortex_field(n=33)
 BASE = SpotNoiseConfig(
-    n_spots=120, texture_size=64, spot_mode="standard", render_mode="exact", seed=7
+    n_spots=120, texture_size=64, spot_mode="standard", seed=7
 )
 
 
@@ -55,7 +55,6 @@ class TestEquivalenceZoo:
             n_spots=40,
             texture_size=64,
             spot_mode="bent",
-            render_mode="exact",
             seed=13,
             n_groups=3,
         ).with_overrides(
@@ -66,13 +65,6 @@ class TestEquivalenceZoo:
         ps = ParticleSet.uniform_random(40, FIELD.grid.bounds, seed=13)
         ref, _ = synthesize(bent, ps.copy())
         out, _ = synthesize(bent.with_overrides(backend="sharedmem"), ps.copy())
-        np.testing.assert_array_equal(out, ref)
-
-    def test_sampled_render_mode_identical(self):
-        cfg = BASE.with_overrides(render_mode="sampled", n_groups=2)
-        ps = make_particles()
-        ref, _ = synthesize(cfg, ps.copy())
-        out, _ = synthesize(cfg.with_overrides(backend="sharedmem"), ps.copy())
         np.testing.assert_array_equal(out, ref)
 
     def test_repeated_frames_identical(self):

@@ -126,6 +126,112 @@ class TestBitEquivalence:
         np.testing.assert_array_equal(bat.data, ref.data)
 
 
+def spot_geometry(field, n_spots, size, seed):
+    """The textured quads one pipe draws for *n_spots* standard spots."""
+    from repro.advection.particles import ParticleSet
+    from repro.core.config import SpotNoiseConfig
+    from repro.parallel.groups import build_spot_geometry
+
+    cfg = SpotNoiseConfig(n_spots=n_spots, texture_size=size, seed=seed)
+    ps = ParticleSet.uniform_random(n_spots, field.grid.bounds, seed=seed)
+    quads, uvs, _ = build_spot_geometry(ps.positions, field, cfg)
+    return quads, uvs, ps.intensities
+
+
+def smog_wind():
+    from repro.apps.smog.steering import SteeredSmogApplication
+
+    wind, _ = SteeredSmogApplication(seed=1997).advance()
+    return wind
+
+
+def dns_wake():
+    from repro.apps.dns.solver import DNSConfig, DNSSolver
+    from repro.fields.grid import RectilinearGrid
+    from repro.fields.vectorfield import VectorField2D
+
+    solver = DNSSolver(DNSConfig(nx=70, ny=52, seed=1))
+    solver.advance_to(0.1)
+    grid = RectilinearGrid(solver.grid.x_coords(), solver.grid.y_coords())
+    return VectorField2D(grid, solver.field().data)
+
+
+def fleet_frame():
+    from repro.cluster.fleet import analytic_source
+
+    return analytic_source(seed=1)(3)
+
+
+class TestFoldedBuckets:
+    """One bucket per box size holds all four winding combinations; the
+    strict diagonal is chosen per quad."""
+
+    def test_all_windings_in_one_bucket_with_diagonals_on_pixel_centres(self):
+        # Pixel units (window == raster), corners on half-integers: every
+        # quad's v0-v2 diagonal runs exactly through pixel centres, and
+        # every bounding box has the same size.  Flat intensity makes a
+        # diagonal pixel covered twice (or never) visible.
+        shapes = [
+            [(0, 0), (4, 0), (4, 4), (0, 4)],   # both triangles CCW
+            [(0, 0), (0, 4), (4, 4), (4, 0)],   # both CW
+            [(0, 0), (4, 0), (4, 4), (3, 1)],   # second triangle flipped
+            [(0, 0), (1, 3), (4, 4), (0, 4)],   # first triangle flipped
+        ]
+        rng = np.random.default_rng(17)
+        quads = np.array([
+            np.array(shapes[k % 4], dtype=float) + rng.integers(0, 27, 2) + 0.5
+            for k in range(48)
+        ])
+        uvs = np.broadcast_to(UNIT_UV, quads.shape).copy()
+        inten = rng.uniform(0.5, 1.5, len(quads))
+        window = (0.0, 32.0, 0.0, 32.0)
+        for texture in (None, TEXTURE):
+            ref, bat, n_ref, n_bat = both(
+                quads, uvs, inten, texture=texture, size=32, window=window
+            )
+            assert n_ref == n_bat
+            np.testing.assert_array_equal(bat.data, ref.data)
+        # A lone convex square covers the 5x5 pixel centres on and inside
+        # its boundary exactly once each, its diagonal included.
+        for quad in quads[:2]:
+            ref, bat, n_ref, n_bat = both(
+                quad[None], uvs[:1], np.ones(1), texture=None, size=32, window=window
+            )
+            assert n_bat == 25
+            assert set(np.unique(bat.data)) == {0.0, 1.0}
+
+
+class TestBenchmarkedGeometries:
+    """Bit-identity on the spot quads of the benchmarked workloads."""
+
+    @pytest.mark.parametrize(
+        "make_field,n_spots,size",
+        [(smog_wind, 2500, 128), (dns_wake, 500, 64), (fleet_frame, 300, 48)],
+        ids=["smog-2500-128", "dns-500-64", "analytic-300-48"],
+    )
+    def test_standard_spots(self, make_field, n_spots, size):
+        field = make_field()
+        quads, uvs, inten = spot_geometry(field, n_spots, size, seed=1)
+        ref, bat, n_ref, n_bat = both(
+            quads, uvs, inten, size=size, window=field.grid.bounds
+        )
+        assert n_ref == n_bat > 0
+        np.testing.assert_array_equal(bat.data, ref.data)
+
+    def test_bucket_split_across_passes(self):
+        # Translated copies of one quad share one bucket; a chunk of a few
+        # quads' grids splits it over many passes, and the deferred
+        # texture pass over the deposits runs in chunks of the same size.
+        rng = np.random.default_rng(5)
+        base = np.array([[0.0, 0.0], [0.09, 0.02], [0.1, 0.1], [0.01, 0.08]])
+        quads = base + rng.uniform(0.0, 0.85, (200, 1, 2))
+        uvs = np.broadcast_to(UNIT_UV, quads.shape).copy()
+        inten = rng.uniform(-1.0, 1.0, 200)
+        ref, bat, n_ref, n_bat = both(quads, uvs, inten, size=96, chunk_px=400)
+        assert n_ref == n_bat > 400
+        np.testing.assert_array_equal(bat.data, ref.data)
+
+
 class TestBatchedBehaviour:
     def test_empty_batch(self):
         fb = FrameBuffer(32, 32, (0, 1, 0, 1))

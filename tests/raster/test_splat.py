@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import RasterError
 from repro.raster.framebuffer import FrameBuffer
-from repro.raster.rasterize import rasterize_quads_exact
-from repro.raster.splat import rasterize_quads_sampled, splat_points
-from repro.raster.texture import Texture
+from repro.raster.splat import splat_points
 
 WIN = (0.0, 1.0, 0.0, 1.0)
-UV = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
-
-
-def quad(x0, x1, y0, y1):
-    return np.array([[[x0, y0], [x1, y0], [x1, y1], [x0, y1]]], dtype=float)
 
 
 class TestSplatPoints:
@@ -60,73 +53,3 @@ class TestSplatPoints:
         fb = FrameBuffer(32, 32, WIN)
         splat_points(fb, np.array([[x, y]]), np.array([v]))
         assert fb.total() == pytest.approx(v, abs=1e-9)
-
-
-class TestRasterizeQuadsSampled:
-    def test_total_matches_exact_for_aligned_quad(self):
-        q = quad(0.25, 0.75, 0.25, 0.75)
-        a = np.array([1.0])
-        fbe = FrameBuffer(32, 32, WIN)
-        fbs = FrameBuffer(32, 32, WIN)
-        rasterize_quads_exact(fbe, q, UV, a)
-        rasterize_quads_sampled(fbs, q, UV, a)
-        assert fbs.total() == pytest.approx(fbe.total(), rel=0.05)
-
-    def test_adaptive_matches_exact_pixelwise_for_big_quads(self):
-        rng = np.random.default_rng(0)
-        centers = rng.uniform(0.2, 0.8, (20, 2))
-        quads = np.stack(
-            [
-                centers + np.array([-0.08, -0.05]),
-                centers + np.array([0.08, -0.05]),
-                centers + np.array([0.08, 0.05]),
-                centers + np.array([-0.08, 0.05]),
-            ],
-            axis=1,
-        )
-        uvs = np.broadcast_to(UV, (20, 4, 2)).copy()
-        a = rng.choice([-1.0, 1.0], 20)
-        tex = Texture(np.ones((8, 8)))
-        fbe = FrameBuffer(64, 64, WIN)
-        fbs = FrameBuffer(64, 64, WIN)
-        rasterize_quads_exact(fbe, quads, uvs, a, tex)
-        rasterize_quads_sampled(fbs, quads, uvs, a, tex)
-        err = np.abs(fbe.data - fbs.data).sum() / np.abs(fbe.data).sum()
-        assert err < 0.25  # anti-aliased edges differ; interiors agree
-
-    def test_subpixel_quads_deposit_area_weighted(self):
-        # A quad covering 1/4 pixel deposits ~intensity * area_px.
-        fb = FrameBuffer(8, 8, WIN)
-        q = quad(0.25, 0.3125, 0.25, 0.3125)  # 0.5 x 0.5 pixels
-        rasterize_quads_sampled(fb, q, UV, np.array([4.0]))
-        assert fb.total() == pytest.approx(4.0 * 0.25, rel=1e-6)
-
-    def test_empty_batch(self):
-        fb = FrameBuffer(8, 8, WIN)
-        n = rasterize_quads_sampled(
-            fb, np.zeros((0, 4, 2)), np.zeros((0, 4, 2)), np.zeros(0)
-        )
-        assert n == 0
-
-    def test_chunking_equivalence(self):
-        rng = np.random.default_rng(1)
-        n = 50
-        c = rng.uniform(0.1, 0.9, (n, 2))
-        quads = np.stack(
-            [c + [-0.02, -0.02], c + [0.02, -0.02], c + [0.02, 0.02], c + [-0.02, 0.02]],
-            axis=1,
-        )
-        uvs = np.broadcast_to(UV, (n, 4, 2)).copy()
-        a = rng.normal(size=n)
-        fb1 = FrameBuffer(32, 32, WIN)
-        fb2 = FrameBuffer(32, 32, WIN)
-        rasterize_quads_sampled(fb1, quads, uvs, a, chunk=7)
-        rasterize_quads_sampled(fb2, quads, uvs, a, chunk=1 << 18)
-        np.testing.assert_allclose(fb1.data, fb2.data, atol=1e-12)
-
-    def test_validation(self):
-        fb = FrameBuffer(4, 4, WIN)
-        with pytest.raises(RasterError):
-            rasterize_quads_sampled(fb, np.zeros((1, 4, 2)), np.zeros((1, 4, 2)), np.zeros(1), samples_per_edge=0)
-        with pytest.raises(RasterError):
-            rasterize_quads_sampled(fb, np.zeros((1, 3, 2)), np.zeros((1, 3, 2)), np.zeros(1))

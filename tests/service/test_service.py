@@ -57,7 +57,6 @@ class TestServedBytes:
             n_spots=150,
             texture_size=48,
             seed=11,
-            render_mode="exact",
             raster_backend=raster_backend,
             backend=backend,
             n_groups=2,
