@@ -19,7 +19,8 @@ pipeline state instead and streams the results:
 * :mod:`~repro.anim.checkpoints` — resumable pipeline-state checkpoints
   every K frames, memory over disk;
 * :mod:`~repro.anim.scheduler` — single-flight streaming over frame
-  ranges (overlapping scrubs join one in-flight render walk);
+  ranges: overlapping scrubs join one render walk, a task on the
+  :mod:`repro.runtime` loop that renders each frame in one executor job;
 * :mod:`~repro.anim.delta` — the delta frame transport: keyframes +
   digest-addressed compressed diffs clients sync by digest, decoded
   bit-identically on read (``python -m repro.cli delta-bench``);
@@ -40,7 +41,7 @@ from repro.anim.delta import (
     DeltaTransport,
 )
 from repro.anim.incremental import IncrementalAnimator, one_shot_frame
-from repro.anim.scheduler import SequenceFlight, SequenceScheduler
+from repro.anim.scheduler import SequenceScheduler
 from repro.anim.sequence import FrameSequence
 from repro.anim.service import AnimationService, FrameResponse
 from repro.anim.state import PipelineState
@@ -56,7 +57,6 @@ __all__ = [
     "FrameSequence",
     "IncrementalAnimator",
     "PipelineState",
-    "SequenceFlight",
     "SequenceScheduler",
     "one_shot_frame",
 ]

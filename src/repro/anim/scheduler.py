@@ -3,249 +3,196 @@
 The texture scheduler coalesces point requests; animation traffic asks
 for *ranges*, and ranges overlap — one client replays frames 0-100 while
 another scrubs 10-40.  :class:`SequenceScheduler` extends single-flight
-semantics to that shape: per sequence there is at most one in-flight
-:class:`SequenceFlight`, a render job that walks frames forward and
-publishes each one as it completes.  A new range request whose start the
-flight has not passed *joins* it (extending its target if the request
-reaches further); everyone waits on the flight's buffer, so N
-overlapping scrubs cost one incremental render walk.
+semantics to that shape: per sequence there is at most one live render
+walk, a loop task that walks frames forward and publishes each one into
+a :class:`~repro.runtime.streams.FrameStream` as it completes.  A new
+range request whose start the walk has not passed *joins* it (extending
+its target if the request reaches further); everyone waits on the
+stream's buffer, so N overlapping scrubs cost one incremental render
+walk.
 
-On the async spine the walk state lives in a loop-confined
-:class:`~repro.runtime.streams.FrameStream` — the condition variable and
-its lock are gone; every mutation is a loop callback and every wait an
-awaited future.  :class:`SequenceFlight` is the blocking facade the
-walk jobs and stream iterators still call.  The flights' jobs execute on
-a :class:`~repro.service.scheduler.RequestScheduler` render pool — the
-sequence layer adds range semantics and streaming delivery on top of the
-single-flight machinery, it does not replace it.  Publication keeps the
-load-linked/store-conditional shape of lock-free coordination: joiners
-*observe* the stream in one loop callback and only the flight's own
-worker advances it, so readers never block the render walk.
+The registry is native to the event loop: the stream map and the set of
+walk tasks are loop-confined, so there is no lock.  Join, curtail, stream
+creation and ``create_task(walk)`` run in one loop callback
+(:meth:`SequenceScheduler.join_or_start`), so a walk cannot claim a frame
+before its caller holds the stream — ordering by construction, not by
+timing.  Publication keeps the load-linked/store-conditional shape of
+lock-free coordination: joiners *observe* the stream in one loop
+callback and only the walk advances it.  A walk offloads each frame's
+blocking body to the scheduler's
+:class:`~repro.runtime.executor.RenderExecutor`; :meth:`fetch` is the one
+blocking shim, joining and awaiting a frame in a single loop hop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import AnimationServiceError, ServiceError
-from repro.runtime.loop import RuntimeLoop, get_runtime_loop
+from repro.runtime.executor import RenderExecutor
+from repro.runtime.loop import get_runtime_loop
 from repro.runtime.streams import FrameStream
-from repro.service.scheduler import RequestScheduler
 
-#: Published frames a flight keeps buffered for joiners.  The buffer
-#: only needs to cover the gap between the walk and its slowest waiter:
-#: frames the walk has passed are already in the service cache (puts
-#: precede publishes), so evicted entries are served from there.
+#: Published frames a walk keeps buffered for joiners.  The buffer only
+#: needs to cover the gap between the walk and its slowest waiter: frames
+#: the walk has passed are already in the service cache (puts precede
+#: publishes), so evicted entries are served from there.
 DEFAULT_BUFFER_LIMIT = 64
 
-
-class SequenceFlight:
-    """One in-flight streaming render of a frame range.
-
-    A blocking facade over a loop-confined
-    :class:`~repro.runtime.streams.FrameStream`: mutations
-    (:meth:`publish`, :meth:`finish`, :meth:`curtail`, :meth:`try_join`)
-    execute as single loop callbacks, :meth:`wait_frame` awaits the
-    stream's future on the spine, and the introspection attributes
-    (:attr:`frames`, :attr:`position`, :attr:`target`, …) are snapshot
-    reads — exact once the loop drains, which is all the old
-    condition-variable version guaranteed to outside readers too.
-    """
-
-    def __init__(
-        self,
-        sequence_id: str,
-        first: int,
-        target: int,
-        buffer_limit: int = DEFAULT_BUFFER_LIMIT,
-        runtime: Optional[RuntimeLoop] = None,
-    ):
-        self._runtime = runtime or get_runtime_loop()
-        self._core = FrameStream(sequence_id, first, target, buffer_limit)
-
-    # -- snapshot reads of the loop-confined core --------------------------------
-    @property
-    def sequence_id(self) -> str:
-        return self._core.sequence_id
-
-    @property
-    def first(self) -> int:
-        return self._core.first
-
-    @property
-    def buffer_limit(self) -> int:
-        return self._core.buffer_limit
-
-    @property
-    def target(self) -> int:
-        return self._core.target
-
-    @property
-    def position(self) -> int:
-        return self._core.position
-
-    @property
-    def frames(self):
-        return self._core.frames
-
-    @property
-    def done(self) -> bool:
-        return self._core.done
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        return self._core.error
-
-    @property
-    def joiners(self) -> int:
-        return self._core.joiners
-
-    # -- the worker side ---------------------------------------------------------
-    def next_frame(self) -> Optional[int]:
-        """The worker's claim step: the next frame to render, or ``None``
-        (which marks the flight done in the same loop callback — the
-        store-conditional that makes join-vs-finish race-free)."""
-        return self._runtime.call(self._core.next_frame)
-
-    def publish(self, frame: int, payload: Any) -> None:
-        self._runtime.call(self._core.publish, frame, payload)
-
-    def finish(self, error: Optional[BaseException] = None) -> None:
-        self._runtime.call(self._core.finish, error)
-
-    def curtail(self) -> int:
-        """Stop the walk; returns the end of its unserved remainder, or
-        ``0`` when it already finished (see
-        :meth:`repro.runtime.streams.FrameStream.curtail`)."""
-        return self._runtime.call(self._core.curtail)
-
-    # -- the client side ---------------------------------------------------------
-    def try_join(self, start: int, stop: int) -> bool:
-        """Join the flight for ``[start, stop)`` if it can still serve it."""
-        return self._runtime.call(self._core.try_join, start, stop)
-
-    def wait_frame(self, frame: int, timeout: Optional[float] = None):
-        """Block until *frame* is available; returns its payload.
-
-        Returns ``None`` when this flight can no longer deliver *frame*
-        from its buffer — the walk already passed it (buffer eviction or
-        a late join) or finished without reaching it; the caller should
-        fall back to the service cache / a new flight.  Raises the
-        flight's error if the render failed, and
-        :class:`~repro.errors.ServiceError` when *timeout* (a total
-        deadline, not per-publish) expires first.
-        """
-        try:
-            return self._runtime.run(
-                asyncio.wait_for(self._core.wait_frame(frame), timeout)
-            )
-        except asyncio.TimeoutError:
-            raise ServiceError(
-                f"timed out waiting for frame {frame} of "
-                f"{self.sequence_id[:12]}..."
-            ) from None
+#: Builds the walk coroutine for a freshly created stream.  Called in the
+#: creating loop callback, and only when a new walk actually starts.
+Walk = Callable[[FrameStream], Awaitable[None]]
 
 
 class SequenceScheduler:
-    """Single-flight registry of streaming sequence renders.
+    """Loop-confined single-flight registry of streaming render walks.
 
     Parameters
     ----------
-    scheduler:
-        The render pool executing flight jobs.  Owned by default; pass
-        ``owns_scheduler=False`` to share a pool with a texture service.
+    n_workers:
+        Size of the render executor the walks' frame jobs run on.
     buffer_limit:
-        Published-frame buffer size handed to every flight.
+        Published-frame buffer size handed to every stream.
     """
 
-    def __init__(
-        self,
-        scheduler: Optional[RequestScheduler] = None,
-        owns_scheduler: Optional[bool] = None,
-        buffer_limit: int = DEFAULT_BUFFER_LIMIT,
-    ):
-        self.scheduler = scheduler or RequestScheduler(n_workers=1, name="anim-service")
-        self._owns_scheduler = (scheduler is None) if owns_scheduler is None else owns_scheduler
+    def __init__(self, n_workers: int = 1, buffer_limit: int = DEFAULT_BUFFER_LIMIT):
+        self.runtime = get_runtime_loop()
+        self.executor = RenderExecutor(n_workers, name="anim-service")
         self.buffer_limit = int(buffer_limit)
-        self._flights: Dict[str, SequenceFlight] = {}  #: guarded-by: _lock
-        self._lock = threading.Lock()
-        self._serial = 0  #: guarded-by: _lock
+        self._streams: Dict[str, FrameStream] = {}  # loop-confined
+        self._walks: "Set[asyncio.Task]" = set()  # loop-confined
+        self._closed = False  # loop-confined
         self.created = 0
         self.joined = 0
 
-    def stream(
-        self,
-        sequence_id: str,
-        start: int,
-        stop: int,
-        run: Callable[[SequenceFlight], None],
-    ) -> Tuple[SequenceFlight, bool]:
-        """Join the in-flight render of *sequence_id* or start a new one.
+    # -- on the loop ---------------------------------------------------------------
+    def join_or_start(
+        self, sequence_id: str, start: int, stop: int, walk: Walk
+    ) -> Tuple[FrameStream, bool]:
+        """Join the live walk of *sequence_id* for ``[start, stop)`` or
+        start one; returns ``(stream, created)``.  Runs on the loop.
 
-        Returns ``(flight, created)``.  *run* drives the actual frame
-        walk when a flight is created: it must loop on
-        :meth:`SequenceFlight.next_frame` / :meth:`publish`; errors it
-        raises propagate to every waiter.
+        *walk* builds the walk coroutine when a stream is created: it
+        must loop on :meth:`FrameStream.next_frame` /
+        :meth:`~FrameStream.publish`; whatever it raises is delivered to
+        every waiter.
         """
         if stop <= start:
             raise AnimationServiceError(f"empty stream range [{start}, {stop})")
-        with self._lock:
-            flight = self._flights.get(sequence_id)
-            if flight is not None and flight.try_join(start, stop):
+        if self._closed:
+            raise ServiceError("sequence scheduler is closed")
+        stream = self._streams.get(sequence_id)
+        if stream is not None:
+            if stream.try_join(start, stop):
                 self.joined += 1
-                return flight, False
-            if flight is not None:
-                # Curtail-and-union: the live flight cannot serve `start`
-                # (its walk passed it and evicted it), so it stops where
-                # it is and the replacement covers the union of both
-                # ranges.  Without this the old walk would keep claiming
-                # frames the new one also walks — re-rendering (or
-                # double-delivering) the shared boundary.
-                stop = max(stop, flight.curtail())
-            flight = SequenceFlight(
-                sequence_id, start, stop,
-                buffer_limit=self.buffer_limit,
-                runtime=self.scheduler.runtime,
-            )
-            self._flights[sequence_id] = flight
-            self.created += 1
-            self._serial += 1
-            submit_key = f"{sequence_id}#{self._serial}"
+                return stream, False
+            # Curtail-and-union: the live walk cannot serve `start` (it
+            # passed and evicted it), so it stops where it is and the
+            # replacement covers the union of both ranges.  Without this
+            # the old walk would keep claiming frames the new one also
+            # walks — re-rendering (or double-delivering) the boundary.
+            stop = max(stop, stream.curtail())
+        stream = FrameStream(sequence_id, start, stop, self.buffer_limit)
+        task = asyncio.get_running_loop().create_task(self._drive(stream, walk(stream)))
+        self._streams[sequence_id] = stream
+        self._walks.add(task)
+        task.add_done_callback(self._walks.discard)
+        self.created += 1
+        return stream, True
 
-        dispatched = threading.Event()
+    async def _drive(self, stream: FrameStream, walk: Awaitable[None]) -> None:
+        try:
+            await walk
+        except asyncio.CancelledError:
+            stream.finish(ServiceError("render walk cancelled"))
+            raise
+        except BaseException as exc:  # noqa: BLE001 - delivered to waiters
+            # Not re-raised: a KeyboardInterrupt/SystemExit escaping a
+            # task stops the loop every service in the process shares.
+            stream.finish(exc)
+        finally:
+            stream.finish()
+            if self._streams.get(stream.sequence_id) is stream:
+                del self._streams[stream.sequence_id]
 
-        def job() -> None:
-            # The walk must not outrun its own registration: the caller
-            # holds the flight handle before the first claim runs, the
-            # same practical ordering the pre-spine queue handoff gave.
-            dispatched.wait(1.0)
-            try:
-                run(flight)
-            except BaseException as exc:  # noqa: BLE001 - delivered to waiters
-                flight.finish(exc)
-                raise
-            finally:
-                flight.finish()
-                with self._lock:
-                    if self._flights.get(sequence_id) is flight:
-                        del self._flights[sequence_id]
+    async def _fetch(
+        self,
+        sequence_id: str,
+        frame: int,
+        stop: int,
+        walk: Walk,
+        stream: Optional[FrameStream],
+        timeout: Optional[float],
+    ) -> Tuple[FrameStream, bool, Any, Optional[BaseException]]:
+        created = False
+        if stream is None or not stream.try_join(frame, stop):
+            stream, created = self.join_or_start(sequence_id, frame, stop, walk)
+        try:
+            async with asyncio.timeout(timeout) as deadline:
+                payload = await stream.wait_frame(frame)
+        except TimeoutError:
+            if not deadline.expired():
+                raise  # the walk's own error, delivered as-is
+            raise ServiceError(
+                f"timed out waiting for frame {frame} of {sequence_id[:12]}..."
+            ) from None
+        except (KeyboardInterrupt, SystemExit) as exc:
+            # Re-raised on the caller's thread instead, for the same
+            # reason the walk never lets them escape its task.
+            return stream, created, None, exc
+        return stream, created, payload, None
 
-        self.scheduler.submit(submit_key, job)
-        dispatched.set()
-        return flight, True
+    async def drain(self) -> None:
+        """Refuse new walks and await the live ones."""
+        self._closed = True
+        await asyncio.gather(*self._walks, return_exceptions=True)
 
+    # -- the blocking shim ---------------------------------------------------------
+    def fetch(
+        self,
+        sequence_id: str,
+        frame: int,
+        stop: int,
+        walk: Walk,
+        stream: Optional[FrameStream] = None,
+        timeout: Optional[float] = None,
+    ) -> Tuple[FrameStream, bool, Any]:
+        """Block for *frame* from a walk serving ``[frame, stop)``.
+
+        Reuses *stream* when it can still serve the range, else joins or
+        starts the sequence's walk; one loop hop either way.  Returns
+        ``(stream, created, payload)``; ``payload`` is ``None`` when the
+        walk can no longer deliver *frame* from its buffer (it passed
+        it), and the caller falls back to the cache or a new walk.
+        Raises the walk's error, and :class:`~repro.errors.ServiceError`
+        when *timeout* (a total deadline, not per-publish) expires first.
+        """
+        stream, created, payload, error = self.runtime.run(
+            self._fetch(sequence_id, frame, stop, walk, stream, timeout)
+        )
+        if error is not None:
+            raise error
+        return stream, created, payload
+
+    # -- introspection and lifecycle -----------------------------------------------
     def inflight(self) -> int:
-        with self._lock:
-            return len(self._flights)
+        """Walk tasks still running, winding-down ones included (a
+        snapshot read of loop-confined state — exact once the loop
+        drains)."""
+        return len(self._walks)
+
+    def queue_depth(self) -> int:
+        """Walks with frames still to render (a snapshot read)."""
+        return sum(not stream.done for stream in list(self._streams.values()))
 
     def close(self) -> None:
-        if self._owns_scheduler:
-            self.scheduler.close()
+        """Drain the live walks, then stop the executor."""
+        self.runtime.run(self.drain())
+        self.executor.shutdown()
 
     def __enter__(self) -> "SequenceScheduler":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: Any) -> None:
         self.close()

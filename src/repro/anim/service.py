@@ -11,8 +11,10 @@ streams temporally-coherent frames through it.
 2. the two-tier texture cache answers per-frame hits;
 3. missing ranges coalesce through the
    :class:`~repro.anim.scheduler.SequenceScheduler` onto one in-flight
-   incremental render walk that streams frames to every joined caller
-   as they complete;
+   incremental render walk — a task on the runtime loop that claims and
+   publishes each frame there and renders it in one executor job — which
+   streams frames to every joined caller as they complete; a blocking
+   caller pays one loop hop per frame it has to wait for;
 4. the walk threads pipeline state across frames
    (:class:`~repro.anim.incremental.IncrementalAnimator`), captures a
    resumable checkpoint every K frames, and resumes seeks from the
@@ -33,6 +35,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import AsyncIterator, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -42,14 +45,14 @@ from repro.advection.lifecycle import LifeCyclePolicy
 from repro.anim.checkpoints import CheckpointStore
 from repro.anim.delta import DeltaEncoder, DeltaTransport
 from repro.anim.incremental import FieldSource, IncrementalAnimator, one_shot_frame
-from repro.anim.scheduler import SequenceFlight, SequenceScheduler
+from repro.anim.scheduler import SequenceScheduler, Walk
 from repro.anim.sequence import FrameSequence
 from repro.core.config import SpotNoiseConfig
 from repro.errors import AnimationServiceError, ServiceError
 from repro.parallel.binding import PlanBinding, PlanBound, PlanSnapshot
 from repro.parallel.planner import DecompositionPlanner
 from repro.parallel.runtime import DivideAndConquerRuntime
-from repro.runtime.streams import BoundedFrameChannel, ChannelClosed
+from repro.runtime.streams import BoundedFrameChannel, ChannelClosed, FrameStream
 from repro.service.admission import LatencyPredictor
 from repro.service.cache import (
     DiskBlobStore,
@@ -59,7 +62,6 @@ from repro.service.cache import (
     TieredTextureCache,
 )
 from repro.service.keys import SequenceKey
-from repro.service.scheduler import RequestScheduler
 from repro.service.server import DEFAULT_MEMORY_BUDGET
 from repro.service.stats import ServiceStats
 
@@ -116,7 +118,7 @@ class _RangeCursor:
     decode → coalesced render walk — so the two delivery shapes cannot
     drift apart.  The cursor pins the plan snapshot its owner holds: a
     concurrent re-plan swaps the service's plan but never this stream's
-    keys, flight or runtime.
+    keys, walk or runtime.
     """
 
     def __init__(
@@ -130,8 +132,8 @@ class _RangeCursor:
         self.snap = snap
         self.stop = stop
         self.timeout = timeout
-        self.flight: Optional[SequenceFlight] = None
-        self.flight_source = "stream"
+        self.stream: Optional[FrameStream] = None
+        self.stream_source = "stream"
 
     def materialise(self, t: int) -> FrameResponse:
         """Produce frame *t* (blocking), recording stats and latency."""
@@ -143,10 +145,10 @@ class _RangeCursor:
             digest = ctx.sequence.frame_digest(t)
             texture = None
             source = "memory"
-            # Bounded retry: a flight can pass `t` after evicting it
-            # from its buffer (or finish early); the frame is then in
-            # the cache — unless the memory tier evicted it too, in
-            # which case a fresh flight re-renders it.
+            # Bounded retry: a walk can pass `t` after evicting it from
+            # its buffer (or finish early); the frame is then in the
+            # cache — unless the memory tier evicted it too, in which
+            # case a fresh walk re-renders it.
             for _ in range(8):
                 texture, tier = svc.cache.get(digest)
                 if texture is not None:
@@ -156,14 +158,19 @@ class _RangeCursor:
                 if texture is not None:
                     source = "delta"
                     break
-                if self.flight is None or not self.flight.try_join(t, self.stop):
-                    self.flight, created = svc._start_walk(self.snap, t, self.stop)
-                    self.flight_source = "stream" if created else "coalesced"
-                texture = self.flight.wait_frame(t, self.timeout)
+                # One loop hop: keep following this cursor's walk, or
+                # join/start the sequence's, and await frame t.
+                stream, created, texture = svc.scheduler.fetch(
+                    ctx.sequence_id, t, self.stop, svc._walk_for(self.snap),
+                    self.stream, self.timeout,
+                )
+                if stream is not self.stream:
+                    self.stream = stream
+                    self.stream_source = "stream" if created else "coalesced"
                 if texture is not None:
-                    source = self.flight_source
+                    source = self.stream_source
                     break
-                self.flight = None  # the walk passed us; fall back to cache
+                self.stream = None  # the walk passed us; fall back to cache
             if texture is None:
                 raise AnimationServiceError(
                     f"could not materialise frame {t}: render walks kept "
@@ -208,9 +215,10 @@ class AnimationService(PlanBound):
         Texture cache tiers (checkpoints persist under
         ``<disk_dir>/checkpoints`` when a disk tier is configured).
     n_workers:
-        Worker threads driving render walks.  One suffices for a single
-        sequence (a service serves exactly one); more only helps when
-        callers also use the service's pool for other work.
+        Render-executor threads running the walks' frame jobs.  One
+        suffices for a single sequence (a service serves exactly one);
+        more only overlaps a curtailed walk's last frames with its
+        replacement's.
     verify_every:
         When > 0, every Nth frame rendered by a walk is re-rendered
         one-shot and compared bit-for-bit (expensive — a debugging and
@@ -294,11 +302,8 @@ class AnimationService(PlanBound):
         self.cache = TieredTextureCache(LRUTextureCache(memory_budget_bytes), disk)
         blob = DiskBlobStore(os.path.join(disk_dir, "checkpoints")) if disk_dir else None
         self.checkpoints = CheckpointStore(disk=blob)
-        self.scheduler = SequenceScheduler(
-            RequestScheduler(n_workers=n_workers, name="anim-service"),
-            owns_scheduler=True,  # close() must join the walk workers
-        )
-        self.stats.queue_depth_probe = self.scheduler.scheduler.queue_depth
+        self.scheduler = SequenceScheduler(n_workers=n_workers)
+        self.stats.queue_depth_probe = self.scheduler.queue_depth
         self._disk_dir = disk_dir
         self._animator_lock = threading.Lock()
         self._book_lock = threading.Lock()
@@ -481,7 +486,11 @@ class AnimationService(PlanBound):
                 if encoder is not None and encoder.has_frame(t):
                     continue
                 if self.cache.get(ctx.sequence.frame_digest(t))[0] is None:
-                    return self._start_walk(snap, t, stop)[1]
+                    sched = self.scheduler
+                    return sched.runtime.call(
+                        sched.join_or_start, ctx.sequence_id, t, stop,
+                        self._walk_for(snap),
+                    )[1]
             return False
         finally:
             self._binding.release(snap)
@@ -504,69 +513,80 @@ class AnimationService(PlanBound):
         return bool(np.array_equal(response.texture, reference.display))
 
     # -- the render walk ---------------------------------------------------------
-    def _start_walk(
-        self, snap: PlanSnapshot, start: int, stop: int
-    ) -> "Tuple[SequenceFlight, bool]":
-        """Join the in-flight walk of *snap*'s sequence or start one; a
-        new walk takes its own reference, as it may outlive the caller."""
-        snap = self._binding.acquire(snap)
-        created = False
-        try:
-            flight, created = self.scheduler.stream(
-                snap.resource.sequence_id, start, stop,
-                lambda fl: self._run_flight(fl, snap),
-            )
-        finally:
-            if not created:  # joined, or failed: the walk never runs
-                self._binding.release(snap)
-        return flight, created
+    def _walk_for(self, snap: PlanSnapshot) -> Walk:
+        """The walk factory for *snap*'s sequence.  The scheduler calls it
+        (on the loop, while the caller still holds *snap*) only when a
+        new walk starts; the walk takes its own reference, as it may
+        outlive the caller."""
+        return lambda stream: self._walk(stream, self._binding.acquire(snap))
 
-    def _run_flight(self, flight: SequenceFlight, snap: PlanSnapshot) -> None:
-        ctx = snap.resource
+    async def _walk(self, stream: FrameStream, snap: PlanSnapshot) -> None:
+        """The render walk, a loop task: claim and publish on the loop,
+        one executor job per frame for everything that blocks."""
+        run = self.scheduler.executor.run
         animator = None
         try:
-            animator = self._acquire_animator(flight.first, snap)
-            while True:
-                t = flight.next_frame()
-                if t is None:
-                    break
-                digest = ctx.sequence.frame_digest(t)
-                cached, _ = self.cache.get(digest)
-                if cached is not None:
-                    # Someone materialised this frame earlier: one cheap
-                    # advection keeps the walk's state coherent, no splat.
-                    animator.advance_to(t + 1)
-                    self._bookkeep(t, digest, animator, ctx)
-                    # Encode before publish so a consumer that observed
-                    # the frame can rely on its delta entry existing.
-                    self._encode_delta(t, cached, digest, ctx)
-                    flight.publish(t, cached)
-                    continue
-                animator.advance_to(t)
-                r0 = time.perf_counter()
-                result = animator.render_next()
-                elapsed = time.perf_counter() - r0
-                self.stats.record_render(None, elapsed)
-                if self.predictor is not None:
-                    self.predictor.observe(
-                        snap.config, elapsed, grid_shape=self._grid_shape
-                    )
-                if self.verify_every and result.frame_index % self.verify_every == 0:
-                    animator.verify_frame(result)
-                self.cache.put(digest, result.display)
-                self._bookkeep(t, digest, animator, ctx)
-                self._encode_delta(t, result.display, digest, ctx)
-                flight.publish(t, result.display)
+            animator = await run(partial(self._acquire_animator, stream.first, snap))
+            while (t := stream.next_frame()) is not None:
+                texture = await run(partial(self._walk_frame, t, animator, snap))
+                stream.publish(t, texture)
         except BaseException:
             # The animator may have mutated evolution state for a frame
             # it never finished (e.g. a backend failure mid-synthesis);
             # pooling it would let a later walk advect that frame twice
-            # and cache wrong bytes under correct keys.  Discard it.
-            if animator is not None:
-                animator.close()
+            # and cache wrong bytes under correct keys.  Discard it, and
+            # let go of the plan before the error reaches any waiter.
+            await run(partial(self._end_walk, snap, animator, False))
             raise
-        else:
-            self._release_animator(animator, ctx)
+        await run(partial(self._end_walk, snap, animator, True))
+
+    def _walk_frame(
+        self, t: int, animator: IncrementalAnimator, snap: PlanSnapshot
+    ) -> np.ndarray:
+        """One frame of a walk (executor work): the texture to publish."""
+        ctx = snap.resource
+        digest = ctx.sequence.frame_digest(t)
+        cached, _ = self.cache.get(digest)
+        if cached is not None:
+            # Someone materialised this frame earlier: one cheap
+            # advection keeps the walk's state coherent, no splat.
+            animator.advance_to(t + 1)
+            self._bookkeep(t, digest, animator, ctx)
+            # Encode before publish so a consumer that observed the
+            # frame can rely on its delta entry existing.
+            self._encode_delta(t, cached, digest, ctx)
+            return cached
+        animator.advance_to(t)
+        r0 = time.perf_counter()
+        result = animator.render_next()
+        elapsed = time.perf_counter() - r0
+        self.stats.record_render(None, elapsed)
+        if self.predictor is not None:
+            self.predictor.observe(snap.config, elapsed, grid_shape=self._grid_shape)
+        if self.verify_every and result.frame_index % self.verify_every == 0:
+            animator.verify_frame(result)
+        self._bookkeep(t, digest, animator, ctx)
+        self._encode_delta(t, result.display, digest, ctx)
+        # Put last: a consumer can see the frame in the cache before the
+        # walk publishes it, and must then find its manifest and delta
+        # entries already in place.
+        self.cache.put(digest, result.display)
+        return result.display
+
+    def _end_walk(
+        self,
+        snap: PlanSnapshot,
+        animator: Optional[IncrementalAnimator],
+        pool: bool,
+    ) -> None:
+        # Executor work: the last holder of a retired plan closes its
+        # runtime, which may join a backend pool.
+        try:
+            if animator is not None:
+                if pool:
+                    self._release_animator(animator, snap.resource)
+                else:
+                    animator.close()
         finally:
             self._binding.release(snap)
 

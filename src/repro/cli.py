@@ -123,46 +123,47 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    # Imports deferred: the serving stack pulls in the whole pipeline.
+def _bench_config(args: argparse.Namespace, **overrides):
+    """The benches' seeded standard-spot config from the shared flags."""
     from repro.core.config import SpotNoiseConfig
-    from repro.fields.analytic import random_smooth_field
-    from repro.service import (
-        FrameRenderer,
-        TextureService,
-        replay,
-        replay_uncached,
-        scrubbing_trace,
-        uniform_trace,
-        zipf_trace,
-    )
 
-    config = SpotNoiseConfig(
+    return SpotNoiseConfig(
         n_spots=args.spots,
         texture_size=args.size,
         spot_mode="standard",
         seed=args.seed,
+        **overrides,
     )
 
-    if args.store:
+
+def _bench_source(args: argparse.Namespace):
+    """``(source, n_frames, label)``: the ``--store`` database when given,
+    else memoised analytic random fields (immutable per frame)."""
+    if getattr(args, "store", ""):
         from repro.apps.dns.store import ChunkedFieldStore
 
         store = ChunkedFieldStore(args.store)
         n_frames = min(args.frames, len(store)) or len(store)
-        source = store.read
-        source_label = f"store {args.store} ({len(store)} frames)"
-    else:
-        n_frames = args.frames
-        field_cache = {}
+        return store.read, n_frames, f"store {args.store} ({len(store)} frames)"
 
-        def source(frame: int):
-            if frame not in field_cache:
-                field_cache[frame] = random_smooth_field(
-                    seed=args.seed + 1000 + frame, n=args.grid
-                )
-            return field_cache[frame]
+    from repro.fields.analytic import random_smooth_field
 
-        source_label = f"analytic random fields ({n_frames} frames, n={args.grid})"
+    field_cache = {}
+
+    def source(frame: int):
+        if frame not in field_cache:
+            field_cache[frame] = random_smooth_field(
+                seed=args.seed + 1000 + frame, n=args.grid
+            )
+        return field_cache[frame]
+
+    label = f"analytic random fields ({args.frames} frames, n={args.grid})"
+    return source, args.frames, label
+
+
+def _bench_trace(args: argparse.Namespace, n_frames: int):
+    """The ``--trace`` request trace of ``--requests`` frames."""
+    from repro.service import scrubbing_trace, uniform_trace, zipf_trace
 
     makers = {
         "uniform": lambda: uniform_trace(args.requests, n_frames, seed=args.seed),
@@ -170,8 +171,20 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             args.requests, n_frames, exponent=args.zipf_exponent, seed=args.seed
         ),
         "scrub": lambda: scrubbing_trace(args.requests, n_frames, seed=args.seed),
+        # Sequential playthroughs — the data-browser "play through any
+        # part of the data base" pattern.
+        "replay": lambda: [t % n_frames for t in range(args.requests)],
     }
-    trace = makers[args.trace]()
+    return makers[args.trace]()
+
+
+def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    # Imports deferred: the serving stack pulls in the whole pipeline.
+    from repro.service import FrameRenderer, TextureService, replay, replay_uncached
+
+    config = _bench_config(args)
+    source, n_frames, source_label = _bench_source(args)
+    trace = _bench_trace(args, n_frames)
     distinct = len(set(trace))
 
     print(f"serve-bench: {args.trace} trace, {args.requests} requests over "
@@ -235,43 +248,11 @@ def _cmd_anim_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.anim import AnimationService, one_shot_frame
-    from repro.core.config import SpotNoiseConfig
-    from repro.fields.analytic import random_smooth_field
-    from repro.service import replay, scrubbing_trace
+    from repro.service import replay
 
-    config = SpotNoiseConfig(
-        n_spots=args.spots,
-        texture_size=args.size,
-        spot_mode="standard",
-        seed=args.seed,
-    )
-
-    if args.store:
-        from repro.apps.dns.store import ChunkedFieldStore
-
-        store = ChunkedFieldStore(args.store)
-        n_frames = min(args.frames, len(store)) or len(store)
-        source = store.read
-        source_label = f"store {args.store} ({len(store)} frames)"
-    else:
-        n_frames = args.frames
-        field_cache = {}
-
-        def source(frame: int):
-            if frame not in field_cache:
-                field_cache[frame] = random_smooth_field(
-                    seed=args.seed + 1000 + frame, n=args.grid
-                )
-            return field_cache[frame]
-
-        source_label = f"analytic random fields ({n_frames} frames, n={args.grid})"
-
-    if args.trace == "replay":
-        # Sequential playthroughs — the data-browser "play through any
-        # part of the data base" pattern.
-        trace = [t % n_frames for t in range(args.requests)]
-    else:
-        trace = scrubbing_trace(args.requests, n_frames, seed=args.seed)
+    config = _bench_config(args)
+    source, n_frames, source_label = _bench_source(args)
+    trace = _bench_trace(args, n_frames)
     distinct = len(set(trace))
 
     print(f"anim-bench: {args.trace} trace, {args.requests} requests over "
@@ -351,25 +332,10 @@ def _cmd_delta_bench(args: argparse.Namespace) -> int:
 
     from repro.anim import AnimationService, one_shot_frame
     from repro.anim.delta import DeltaDecoder, DeltaManifest
-    from repro.core.config import SpotNoiseConfig
-    from repro.fields.analytic import random_smooth_field
     from repro.service import scrubbing_trace
 
-    config = SpotNoiseConfig(
-        n_spots=args.spots,
-        texture_size=args.size,
-        spot_mode="standard",
-        seed=args.seed,
-    )
-    field_cache = {}
-
-    def source(frame: int):
-        if frame not in field_cache:
-            field_cache[frame] = random_smooth_field(
-                seed=args.seed + 1000 + frame, n=args.grid
-            )
-        return field_cache[frame]
-
+    config = _bench_config(args)
+    source, _, _ = _bench_source(args)
     trace = scrubbing_trace(args.requests, args.frames, seed=args.seed)
     distinct = sorted(set(trace))
 
@@ -449,21 +415,14 @@ def _cmd_plan_bench(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.core.config import SpotNoiseConfig
     from repro.core.pipeline import SpotNoisePipeline
     from repro.fields.analytic import random_smooth_field
     from repro.machine.workload import workload_from_config
     from repro.parallel.planner import DecompositionPlanner
-    from repro.parallel.runtime import DivideAndConquerRuntime, spatial_feasibility
+    from repro.parallel.runtime import spatial_feasibility
     from repro.service.admission import LatencyPredictor
 
-    config = SpotNoiseConfig(
-        n_spots=args.spots,
-        texture_size=args.size,
-        spot_mode="standard",
-        n_groups=args.groups,
-        seed=args.seed,
-    )
+    config = _bench_config(args, n_groups=args.groups)
     field = random_smooth_field(seed=args.seed + 1000, n=args.grid)
     workload = workload_from_config(config, field)
 
@@ -527,16 +486,9 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
     import threading
 
     from repro.cluster import ClusterNode, TenantQuotas, analytic_source
-    from repro.core.config import SpotNoiseConfig
     from repro.service import TextureService
 
-    config = SpotNoiseConfig(
-        n_spots=args.spots,
-        texture_size=args.size,
-        spot_mode="standard",
-        seed=args.seed,
-        backend=args.backend,
-    )
+    config = _bench_config(args, backend=args.backend)
     source = analytic_source(seed=args.seed, grid=args.grid)
     quotas = (
         TenantQuotas(rate=args.quota_rate, burst=args.quota_burst)
@@ -603,31 +555,11 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.cluster import LocalFleet, analytic_source
-    from repro.core.config import SpotNoiseConfig
-    from repro.service import (
-        FrameRenderer,
-        scrubbing_trace,
-        uniform_trace,
-        zipf_trace,
-    )
+    from repro.service import FrameRenderer
 
-    config = SpotNoiseConfig(
-        n_spots=args.spots,
-        texture_size=args.size,
-        spot_mode="standard",
-        seed=args.seed,
-        backend=args.backend,
-    )
+    config = _bench_config(args, backend=args.backend)
     source = analytic_source(seed=args.seed, grid=args.grid)
-
-    makers = {
-        "uniform": lambda: uniform_trace(args.requests, args.frames, seed=args.seed),
-        "zipf": lambda: zipf_trace(
-            args.requests, args.frames, exponent=args.zipf_exponent, seed=args.seed
-        ),
-        "scrub": lambda: scrubbing_trace(args.requests, args.frames, seed=args.seed),
-    }
-    trace = makers[args.trace]()
+    trace = _bench_trace(args, args.frames)
     distinct = len(set(trace))
 
     # The no-share baseline: the same trace fanned round-robin across

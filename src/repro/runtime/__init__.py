@@ -23,7 +23,10 @@ The blocking public APIs of the serving stack
 (:class:`~repro.service.server.TextureService`,
 :class:`~repro.anim.service.AnimationService`,
 :class:`~repro.cluster.node.ClusterNode`) are unchanged — they are now
-shims over this spine.
+shims over this spine.  Animation render walks are loop tasks
+themselves: each claims and publishes frames on the loop and awaits one
+executor job per frame, so a blocking stream consumer pays one loop hop
+per frame it has to wait for.
 """
 
 from repro.runtime.executor import RenderExecutor

@@ -108,8 +108,11 @@ class RuntimeLoop:
         try:
             return future.result(timeout)
         except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise ServiceError(f"runtime call timed out after {timeout}s") from None
+            if not future.done():
+                future.cancel()
+                raise ServiceError(f"runtime call timed out after {timeout}s") from None
+            # Finished meanwhile, or raised a TimeoutError of its own.
+            return future.result()
 
     def call(self, fn: Callable[..., T], *args: Any) -> T:
         """Run plain ``fn(*args)`` on the loop thread; returns its result.

@@ -1,17 +1,16 @@
 """Streaming primitives on the async spine.
 
-Two pieces replace the anim tier's hand-rolled condition-variable
-machinery:
+Two pieces carry the anim tier's frame delivery:
 
-* :class:`FrameStream` — the loop-confined core of one in-flight frame
-  walk: claim (:meth:`next_frame`), :meth:`publish`, join/curtail, and
-  an awaitable :meth:`wait_frame`.  Exactly the semantics of the old
-  ``SequenceFlight`` — monotonically extendable target, bounded
+* :class:`FrameStream` — one in-flight frame walk: claim
+  (:meth:`next_frame`), :meth:`publish`, join/curtail, and an awaitable
+  :meth:`wait_frame`, with a monotonically extendable target, a bounded
   evict-oldest buffer (evicted/passed frames fall back to the service
-  cache), curtail-and-union replacement — but the state is touched only
-  from the event loop, so the condition variable and its lock are gone.
-  :class:`~repro.anim.scheduler.SequenceFlight` is now a thin blocking
-  facade over this core.
+  cache) and curtail-and-union replacement.  The state is touched only
+  from the event loop, so it needs no lock: the walk that advances it is
+  itself a loop task (:class:`~repro.anim.scheduler.SequenceScheduler`),
+  and blocking callers reach it through one
+  :meth:`~repro.anim.scheduler.SequenceScheduler.fetch` hop per frame.
 
 * :class:`BoundedFrameChannel` — a backpressured single-producer
   async pipe: ``put`` awaits while the buffer is full, so a range
@@ -68,9 +67,9 @@ class FrameStream:
     content-addressed cache already, so :meth:`wait_frame` reports
     evicted/passed frames as ``None`` and the caller falls back there.
 
-    Every method must run on the owning event loop; the blocking
-    facade (:class:`~repro.anim.scheduler.SequenceFlight`) shims through
-    :meth:`RuntimeLoop.call <repro.runtime.loop.RuntimeLoop.call>`.
+    Every method must run on the owning event loop: the walk task calls
+    the worker side directly, and blocking clients cross over through
+    :meth:`SequenceScheduler.fetch <repro.anim.scheduler.SequenceScheduler.fetch>`.
     """
 
     def __init__(self, sequence_id: str, first: int, target: int, buffer_limit: int):
@@ -106,10 +105,9 @@ class FrameStream:
         Publishing the final claimed frame marks the stream done in the
         same loop callback.  Without this, a request arriving right
         after delivery could observe a fully-served walk that has not
-        yet re-claimed (the claim round-trips worker thread -> loop) and
-        join it — extending a finished walk re-renders the whole gap to
-        the new target, where a fresh flight would advect past cached
-        state and render only the requested frame.
+        yet re-claimed and join it — extending a finished walk re-renders
+        the whole gap to the new target, where a fresh walk would advect
+        past cached state and render only the requested frame.
         """
         self.frames[frame] = payload
         while len(self.frames) > self.buffer_limit:

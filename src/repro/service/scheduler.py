@@ -41,10 +41,7 @@ class RenderTicket:
     :class:`~repro.runtime.singleflight.Flight`: waiters block on an
     event here, while the live-waiter count stays on the flight
     (loop-confined, adjusted only by loop callbacks).  The payload is
-    opaque to the scheduler: texture serving stores a numpy array, the
-    sequence layer (:mod:`repro.anim.scheduler`) runs whole streaming
-    jobs through the same pool and ignores the ticket result entirely
-    (frames flow through the stream's own buffer).
+    opaque to the scheduler; texture serving stores a numpy array.
     """
 
     def __init__(self, key: str, scheduler: "RequestScheduler", flight: Flight):

@@ -50,6 +50,12 @@ class TestDisciplinedCode:
 
 
 class TestScoping:
+    def test_anim_walks_are_in_scope(self, analyse):
+        # Render walks run as loop tasks, so repro.anim is on the spine.
+        findings = _blocking(analyse("anim/walkbad.py"))
+        assert {f.symbol for f in findings} == {"BadWalk.walk"}
+        assert len(findings) == 2
+
     def test_modules_off_the_spine_are_not_scanned(self, analyse):
         # The same blocking shapes in a non-runtime/cluster module are
         # out of scope: blocking is legal off the loop.

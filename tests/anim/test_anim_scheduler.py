@@ -1,99 +1,116 @@
-"""Range coalescing and streaming delivery of the sequence scheduler."""
+"""Range coalescing and streaming delivery of the sequence scheduler.
 
-import threading
-import time
+The walks are coroutines gated by ``asyncio.Event``s and every scenario
+runs on the scheduler's own spine, so each interleaving below is fixed
+by the loop's callback order rather than by timing.
+"""
+
+import asyncio
 
 import pytest
 
-from repro.anim.scheduler import SequenceFlight, SequenceScheduler
+from repro.anim.scheduler import SequenceScheduler
 from repro.errors import AnimationServiceError, ServiceError
 
 
-def stepped_runner(release: threading.Event, rendered: list):
-    """A flight job that renders one 'frame' per release-check cycle."""
+def stepped_runner(release: asyncio.Event, rendered: list):
+    """A walk that renders one 'frame' per claim once *release* is set."""
 
-    def run(flight: SequenceFlight) -> None:
-        while True:
-            t = flight.next_frame()
-            if t is None:
-                return
-            release.wait(5.0)
+    async def run(stream) -> None:
+        while (t := stream.next_frame()) is not None:
+            await release.wait()
             rendered.append(t)
-            flight.publish(t, f"tex-{t}")
+            stream.publish(t, f"tex-{t}")
 
     return run
 
 
 class TestCoalescing:
     def test_overlapping_range_joins_inflight_walk(self):
-        release = threading.Event()
         rendered = []
-        with SequenceScheduler() as sched:
-            flight_a, created_a = sched.stream(
+
+        async def scenario(sched):
+            release = asyncio.Event()
+            stream_a, created_a = sched.join_or_start(
                 "seq", 0, 10, stepped_runner(release, rendered)
             )
             assert created_a
             # The scrub of [3, 8) joins the in-flight [0, 10) walk.
-            flight_b, created_b = sched.stream(
+            stream_b, created_b = sched.join_or_start(
                 "seq", 3, 8, stepped_runner(release, rendered)
             )
-            assert flight_b is flight_a
+            assert stream_b is stream_a
             assert not created_b
             assert sched.joined == 1
             release.set()
-            assert flight_a.wait_frame(7, timeout=5.0) == "tex-7"
-            assert flight_a.wait_frame(9, timeout=5.0) == "tex-9"
+            assert await stream_a.wait_frame(7) == "tex-7"
+            assert await stream_a.wait_frame(9) == "tex-9"
+
+        with SequenceScheduler() as sched:
+            sched.runtime.run(scenario(sched))
         # One walk rendered every frame exactly once.
         assert rendered == list(range(10))
 
     def test_join_extends_target(self):
-        release = threading.Event()
         rendered = []
-        with SequenceScheduler() as sched:
-            flight, _ = sched.stream("seq", 0, 4, stepped_runner(release, rendered))
-            joined, created = sched.stream(
+
+        async def scenario(sched):
+            release = asyncio.Event()
+            stream, _ = sched.join_or_start("seq", 0, 4, stepped_runner(release, rendered))
+            joined, created = sched.join_or_start(
                 "seq", 2, 9, stepped_runner(release, rendered)
             )
-            assert joined is flight and not created
+            assert joined is stream and not created
             release.set()
-            assert flight.wait_frame(8, timeout=5.0) == "tex-8"
+            assert await stream.wait_frame(8) == "tex-8"
+
+        with SequenceScheduler() as sched:
+            sched.runtime.run(scenario(sched))
         assert rendered == list(range(9))
 
     def test_finished_flight_not_joined(self):
-        release = threading.Event()
-        release.set()
         rendered = []
-        with SequenceScheduler() as sched:
-            flight, _ = sched.stream("seq", 0, 3, stepped_runner(release, rendered))
-            flight.wait_frame(2, timeout=5.0)
-            # Wait for retirement (the job's finally runs after publish).
-            deadline = time.time() + 5.0
-            while sched.inflight() and time.time() < deadline:
-                time.sleep(0.005)
-            second, created = sched.stream(
+
+        async def scenario(sched):
+            release = asyncio.Event()
+            release.set()
+            stream, _ = sched.join_or_start("seq", 0, 3, stepped_runner(release, rendered))
+            await stream.wait_frame(2)
+            # Publishing the last claimed frame marks the stream done in
+            # the same callback: the join is refused even though the walk
+            # task has not retired yet.
+            assert stream.done
+            second, created = sched.join_or_start(
                 "seq", 0, 3, stepped_runner(release, rendered)
             )
             assert created
-            assert second is not flight
+            assert second is not stream
+
+        with SequenceScheduler() as sched:
+            sched.runtime.run(scenario(sched))
 
     def test_request_behind_walk_start_gets_new_flight(self):
-        # Curtail-and-union: the old flight stops claiming frames (its
-        # remaining range is handed to the replacement), and the new
-        # flight covers the union [1, 8) — so the behind request is
-        # served without two walks racing over the same frames.
-        release = threading.Event()
+        # Curtail-and-union: the old walk stops claiming frames (its
+        # remaining range is handed to the replacement), and the new walk
+        # covers the union [1, 8) — so the behind request is served
+        # without two walks racing over the same frames.
         rendered = []
-        with SequenceScheduler() as sched:
-            flight, _ = sched.stream("seq", 5, 8, stepped_runner(release, rendered))
-            behind, created = sched.stream(
+
+        async def scenario(sched):
+            release = asyncio.Event()
+            stream, _ = sched.join_or_start("seq", 5, 8, stepped_runner(release, rendered))
+            behind, created = sched.join_or_start(
                 "seq", 1, 3, stepped_runner(release, rendered)
             )
             assert created
-            assert behind is not flight
+            assert behind is not stream
             assert behind.target == 8  # union of [1, 3) and the curtailed [5, 8)
             release.set()
-            assert behind.wait_frame(2, timeout=5.0) == "tex-2"
-            assert behind.wait_frame(7, timeout=5.0) == "tex-7"
+            assert await behind.wait_frame(2) == "tex-2"
+            assert await behind.wait_frame(7) == "tex-7"
+
+        with SequenceScheduler() as sched:
+            sched.runtime.run(scenario(sched))
 
     def test_overlapping_behind_request_never_double_renders(self):
         # Regression: [8, 24) arriving while [0, 16) streams — with the
@@ -101,34 +118,38 @@ class TestCoalescing:
         # to leave the old walk rendering its remainder [10, 16) while
         # the replacement walked [8, 24): the shared boundary frames
         # were claimed by both walks and rendered (and delivered) twice.
-        # Now the old flight is curtailed at its position and the
+        # Now the old walk is curtailed at its position and the
         # replacement covers the union, so every not-yet-claimed frame
         # belongs to exactly one walk.  (Frames the old walk already
         # published may be re-walked — those are cache hits at the
         # service layer, never re-renders.)
-        gate = threading.Event()
         rendered = []
-        flights = []
+        streams = []
 
-        def runner(flight: SequenceFlight) -> None:
-            while True:
-                if flight is flights[0] and flight.position >= 10:
-                    gate.wait(5.0)  # stall the first walk *before* it claims 10
-                t = flight.next_frame()
-                if t is None:
-                    return
-                rendered.append(t)
-                flight.publish(t, f"tex-{t}")
+        async def scenario(sched):
+            gate = asyncio.Event()
 
-        with SequenceScheduler(buffer_limit=1) as sched:
-            first, _ = sched.stream("seq", 0, 16, runner)
-            flights.append(first)
-            assert first.wait_frame(9, timeout=5.0) == "tex-9"
-            second, created = sched.stream("seq", 8, 24, runner)
+            async def runner(stream) -> None:
+                while True:
+                    if stream is streams[0] and stream.position >= 10:
+                        await gate.wait()  # stall the first walk *before* it claims 10
+                    t = stream.next_frame()
+                    if t is None:
+                        return
+                    rendered.append(t)
+                    stream.publish(t, f"tex-{t}")
+
+            first, _ = sched.join_or_start("seq", 0, 16, runner)
+            streams.append(first)
+            assert await first.wait_frame(9) == "tex-9"
+            second, created = sched.join_or_start("seq", 8, 24, runner)
             assert created and second is not first
             assert second.target == 24  # union already covered by [8, 24)
             gate.set()
-            assert second.wait_frame(23, timeout=5.0) == "tex-23"
+            assert await second.wait_frame(23) == "tex-23"
+
+        with SequenceScheduler(buffer_limit=1) as sched:
+            sched.runtime.run(scenario(sched))
         # The curtailed walk claimed nothing past its position: every
         # frame of the old remainder and the extension rendered once.
         boundary = [t for t in rendered if t >= 10]
@@ -137,80 +158,84 @@ class TestCoalescing:
 
 class TestDelivery:
     def test_error_propagates_to_waiters(self):
-        def failing(flight: SequenceFlight) -> None:
-            t = flight.next_frame()
-            flight.publish(t, "ok")
+        async def failing(stream) -> None:
+            t = stream.next_frame()
+            stream.publish(t, "ok")
             raise RuntimeError("render exploded")
 
-        with SequenceScheduler() as sched:
-            flight, _ = sched.stream("seq", 0, 5, failing)
-            assert flight.wait_frame(0, timeout=5.0) == "ok"
+        async def scenario(sched):
+            stream, _ = sched.join_or_start("seq", 0, 5, failing)
+            assert await stream.wait_frame(0) == "ok"
             with pytest.raises(RuntimeError, match="render exploded"):
-                flight.wait_frame(1, timeout=5.0)
+                await stream.wait_frame(1)
+
+        with SequenceScheduler() as sched:
+            sched.runtime.run(scenario(sched))
 
     def test_wait_timeout(self):
-        stall = threading.Event()
+        stall = asyncio.Event()
 
-        def stalled(flight: SequenceFlight) -> None:
-            stall.wait(5.0)
-            while flight.next_frame() is not None:
-                flight.publish(flight.position, "late")
+        async def stalled(stream) -> None:
+            await stall.wait()
+            while (t := stream.next_frame()) is not None:
+                stream.publish(t, "late")
 
         with SequenceScheduler() as sched:
-            flight, _ = sched.stream("seq", 0, 2, stalled)
             with pytest.raises(ServiceError, match="timed out"):
-                flight.wait_frame(0, timeout=0.05)
-            stall.set()
-
-    def test_flight_ended_before_frame_reports_none(self):
-        flight = SequenceFlight("seq", 0, 2)
-        flight.finish()
-        # The caller (AnimationService) falls back to the cache / a new
-        # flight on None; the flight never blocks for unreachable frames.
-        assert flight.wait_frame(1, timeout=1.0) is None
-
-    def test_join_refused_once_walk_passed_and_evicted(self):
-        flight = SequenceFlight("seq", 0, 100, buffer_limit=2)
-        for t in range(10):
-            flight.publish(t, f"tex-{t}")
-        assert flight.try_join(9, 20)       # still buffered
-        assert flight.try_join(10, 20)      # ahead of the walk
-        # Passed and evicted: refusing lets the registry start a fresh
-        # flight instead of waiting on one that never looks back.
-        assert not flight.try_join(3, 20)
-
-    def test_buffer_bounded_and_passed_frames_fall_back(self):
-        flight = SequenceFlight("seq", 0, 100, buffer_limit=4)
-        for t in range(10):
-            flight.publish(t, f"tex-{t}")
-        assert len(flight.frames) == 4  # only the most recent window
-        assert flight.wait_frame(9) == "tex-9"
-        assert flight.wait_frame(2) is None  # evicted: the walk passed it
-        assert flight.wait_frame(3, timeout=0.01) is None  # no blocking either
+                sched.fetch("seq", 0, 2, stalled, timeout=0.05)
+            sched.runtime.call(stall.set)
 
     def test_wait_timeout_is_a_total_deadline(self):
         # A walk that publishes steadily must not keep re-arming the
-        # caller's timeout: frame 50 is ~5 s away but timeout is 0.2 s.
-        flight = SequenceFlight("seq", 0, 100)
-        stop = threading.Event()
+        # caller's timeout: frame 50 is ~1 s away but timeout is 0.2 s.
+        stop = asyncio.Event()
 
-        def slow_walk():
-            t = 0
-            while not stop.is_set() and t < 100:
-                flight.publish(t, f"tex-{t}")
-                t += 1
-                time.sleep(0.02)
+        async def slow_walk(stream) -> None:
+            while not stop.is_set() and (t := stream.next_frame()) is not None:
+                stream.publish(t, f"tex-{t}")
+                await asyncio.sleep(0.02)  # one 'render'
 
-        worker = threading.Thread(target=slow_walk, daemon=True)
-        worker.start()
-        t0 = time.monotonic()
-        with pytest.raises(ServiceError, match="timed out"):
-            flight.wait_frame(50, timeout=0.2)
-        assert time.monotonic() - t0 < 2.0
-        stop.set()
-        worker.join()
+        with SequenceScheduler() as sched:
+            stream, _ = sched.runtime.call(sched.join_or_start, "seq", 0, 100, slow_walk)
+            clock = sched.runtime.time
+            t0 = clock()
+            with pytest.raises(ServiceError, match="timed out"):
+                sched.fetch("seq", 50, 100, slow_walk, stream, timeout=0.2)
+            assert clock() - t0 < 2.0
+            sched.runtime.call(stop.set)
+
+    def test_walk_timeout_error_is_not_the_callers_deadline(self):
+        async def failing(stream) -> None:
+            stream.next_frame()
+            raise TimeoutError("store read timed out")
+
+        with SequenceScheduler() as sched:
+            with pytest.raises(TimeoutError, match="store read"):
+                sched.fetch("seq", 0, 2, failing, timeout=5.0)
+
+    def test_fetch_reuses_the_callers_stream(self):
+        gate = asyncio.Event()
+        rendered = []
+
+        async def walk(stream) -> None:
+            while (t := stream.next_frame()) is not None:
+                if t == 3:
+                    await gate.wait()  # park with frame 3 claimed
+                rendered.append(t)
+                stream.publish(t, f"tex-{t}")
+
+        with SequenceScheduler() as sched:
+            stream, created, payload = sched.fetch("seq", 0, 8, walk)
+            assert created and payload == "tex-0"
+            # The walk is parked with frame 3 claimed; frame 2 is still
+            # buffered, so the caller's stream serves it.
+            again, created, payload = sched.fetch("seq", 2, 8, walk, stream)
+            assert again is stream and not created and payload == "tex-2"
+            assert sched.created == 1
+            sched.runtime.call(gate.set)
+        assert rendered == list(range(8))
 
     def test_empty_range_rejected(self):
         with SequenceScheduler() as sched:
             with pytest.raises(AnimationServiceError):
-                sched.stream("seq", 3, 3, lambda flight: None)
+                sched.fetch("seq", 3, 3, stepped_runner(asyncio.Event(), []))

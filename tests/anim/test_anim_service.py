@@ -1,5 +1,6 @@
 """End-to-end animation streaming: cache tiers, checkpoints, coalescing."""
 
+import sys
 import threading
 import time
 
@@ -10,6 +11,7 @@ from repro.anim import AnimationService, one_shot_frame
 from repro.core.config import SpotNoiseConfig
 from repro.errors import AnimationServiceError, ServiceError
 from repro.fields.analytic import random_smooth_field
+from repro.runtime.loop import RuntimeLoop, get_runtime_loop
 
 CONFIG = SpotNoiseConfig(n_spots=100, texture_size=32, seed=9)
 N_FRAMES = 24
@@ -178,6 +180,133 @@ class TestFailureRecovery:
         manifest = svc2.manifest()
         assert sorted(manifest["cached_frames"]) == list(range(2, 8))
         assert manifest["checkpoints"] == [4, 8]
+
+
+class _Abort(BaseException):
+    """Not an ``Exception``: the shape of KeyboardInterrupt/SystemExit."""
+
+
+class TestLoopNativeWalks:
+    def test_streamed_frame_costs_at_most_one_loop_hop(self, source, monkeypatch):
+        hops = []
+        run, call = RuntimeLoop.run, RuntimeLoop.call
+
+        def counting_run(self, coro, timeout=None):
+            hops.append("run")
+            return run(self, coro, timeout)
+
+        def counting_call(self, fn, *args):
+            # call() goes through run(), so a call counts twice: the
+            # bound below only gets stricter.
+            hops.append("call")
+            return call(self, fn, *args)
+
+        monkeypatch.setattr(RuntimeLoop, "run", counting_run)
+        monkeypatch.setattr(RuntimeLoop, "call", counting_call)
+        with make_service(source) as svc:
+            hops.clear()
+            frames = list(svc.stream(0, 16))
+            streamed = len(hops)
+            assert svc.stats.renders == 16  # every frame was cold
+        assert [f.frame for f in frames] == list(range(16))
+        assert streamed <= 16 + 2, hops
+
+    @pytest.mark.parametrize("fatal", [_Abort, SystemExit])
+    def test_base_exception_mid_walk_reaches_the_consumer(self, source, fatal):
+        loads = {}
+
+        def aborting(t):
+            loads[t] = loads.get(t, 0) + 1
+            # The first load of a field feeds the digest chain; the
+            # second is the walk's render of frame 3, in its executor job.
+            if t == 3 and loads[t] == 2:
+                raise fatal("field source aborted")
+            return source(t)
+
+        with AnimationService(
+            aborting, CONFIG, length=N_FRAMES, checkpoint_every=4
+        ) as svc:
+            assert [r.frame for r in svc.stream(0, 3)] == [0, 1, 2]
+            # The walk for [3, 6) continues the sequence from the pooled
+            # animator; its consumer is attached to frame 3 from the hop
+            # that starts the walk, so the failure must reach it.
+            with pytest.raises(fatal):
+                list(svc.stream(3, 6))
+            # Delivered to the waiter, never escaped onto the spine.
+            assert get_runtime_loop().alive
+            svc.scheduler.runtime.call(lambda: None)  # retirement callbacks ran
+            assert svc.scheduler.inflight() == 0
+            again = {r.frame: r.texture for r in svc.stream(0, 6)}
+        for t in range(6):
+            reference = one_shot_frame(CONFIG, source, t, dt=svc.dt)
+            assert np.array_equal(again[t], reference.display), f"frame {t}"
+
+    def test_close_mid_walk_drains_it(self, source):
+        reached, gate = threading.Event(), threading.Event()
+
+        def gated(t):
+            if t == 5 and not gate.is_set():
+                reached.set()
+                assert gate.wait(10.0)
+            return source(t)
+
+        svc = AnimationService(gated, CONFIG, length=N_FRAMES, checkpoint_every=4)
+        sched = svc.scheduler
+        assert svc.prefetch(0, 12)
+        assert reached.wait(10.0)  # the walk is parked inside frame 5
+        walks = sched.runtime.call(lambda: set(sched._walks))
+        assert len(walks) == 1
+        drain = sched.drain
+
+        async def draining():
+            gate.set()  # release the walk only once the drain has begun
+            await drain()
+
+        sched.drain = draining
+        svc.close()
+        assert all(walk.done() for walk in walks)
+        assert sched.inflight() == 0
+        assert svc.stats.renders == 12  # the walk finished its range
+        with pytest.raises(ServiceError, match="closed"):
+            svc.request(0)
+
+    def test_racing_scrubs_stay_bit_identical_under_switch_pressure(self, source):
+        # Eight clients on two cores scrub overlapping ranges through a
+        # four-texture memory tier, so joins, curtail-and-union
+        # replacements and cache fallbacks race walk tasks and their
+        # executor jobs at a shortened interpreter switch interval.
+        with make_service(source) as sequential:
+            reference = {f.frame: f.texture for f in sequential.stream(0, N_FRAMES)}
+        rng = np.random.default_rng(5)
+        starts = rng.integers(0, N_FRAMES, size=(8, 3))
+        served, errors = [], []
+
+        def client(row):
+            try:
+                for start in row:
+                    stop = min(N_FRAMES, int(start) + 6)
+                    served.extend(svc.stream(int(start), stop, timeout=30.0))
+            except Exception as exc:  # noqa: BLE001 - the assertion
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            svc = make_service(source, n_workers=2, memory_budget_bytes=4 * 32 * 32 * 8)
+            threads = [threading.Thread(target=client, args=(row,)) for row in starts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            svc.close()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert svc.scheduler.inflight() == 0
+        assert len(served) == sum(min(N_FRAMES, int(a) + 6) - int(a) for a in starts.flat)
+        for response in served:
+            assert np.array_equal(response.texture, reference[response.frame]), response.frame
 
 
 class TestCoalescing:

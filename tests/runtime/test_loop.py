@@ -39,6 +39,13 @@ class TestCrossing:
         with pytest.raises(ValueError, match="kapow"):
             rt.run(boom())
 
+    def test_coroutines_own_timeout_error_is_not_a_call_timeout(self, rt):
+        async def store_read():
+            raise TimeoutError("store read timed out")
+
+        with pytest.raises(TimeoutError, match="store read"):
+            rt.run(store_read())
+
     def test_run_timeout_raises_service_error(self, rt):
         with pytest.raises(ServiceError, match="timed out"):
             rt.run(asyncio.sleep(30.0), timeout=0.05)

@@ -1,7 +1,6 @@
 """Tests for repro.service.scheduler — single-flight coalescing."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -121,10 +120,9 @@ class TestErrorsAndLifecycle:
         assert ticket.waiters == 2
         with pytest.raises(ServiceError, match="timed out"):
             joined.wait(0.05)
-        # The detach hops onto the runtime loop; poll the snapshot read.
-        deadline = time.monotonic() + 5.0
-        while ticket.waiters != 1 and time.monotonic() < deadline:
-            time.sleep(0.005)
+        # The detach is a call_soon onto the runtime loop; a round trip
+        # queued after it is a barrier.
+        scheduler.runtime.call(lambda: None)
         assert ticket.waiters == 1
         hold.set()
         assert ticket.wait(5.0).shape == (2, 2)
@@ -208,9 +206,9 @@ class TestAdmissionHook:
         assert scheduler.queue_depth() == 1
         hold.set()
         ticket.wait(5.0)
-        deadline = time.time() + 2.0
-        while scheduler.queue_depth() and time.time() < deadline:
-            time.sleep(0.005)
+        # The flight retires on the loop; a round trip queued after the
+        # wake-up is a barrier, so this read needs no polling.
+        scheduler.runtime.call(lambda: None)
         assert scheduler.queue_depth() == 0
         scheduler.close()
 

@@ -1,4 +1,5 @@
-"""Async-discipline lint for the runtime spine and the cluster tier.
+"""Async-discipline lint for the runtime spine, the cluster tier and the
+anim render walks.
 
 The async spine's whole contract is that the event loop never blocks:
 one stalled coroutine freezes every connection pump, every stream
@@ -40,6 +41,8 @@ ASYNC_MODULES = (
     "repro.runtime.*",
     "repro.cluster",
     "repro.cluster.*",
+    "repro.anim",
+    "repro.anim.*",
 )
 
 #: Method names whose bare (non-awaited) call inside async code is a

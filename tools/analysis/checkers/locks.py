@@ -1,8 +1,8 @@
 """Lock-discipline race checker over ``#: guarded-by:`` annotations.
 
 The serving spine is a handful of small classes whose mutable state is
-protected by exactly one lock each (``RequestScheduler._lock``,
-``SharedMemoryBackend._pool_lock``, ``SequenceFlight.cond``, ...).  The
+protected by exactly one lock each (``PlanBinding._lock``,
+``SharedMemoryBackend._pool_lock``, ``RenderExecutor._lock``, ...).  The
 discipline is simple — *every* touch of a guarded attribute happens
 inside ``with self.<lock>`` — but nothing enforced it until now: one
 refactor that hoists a read out of the ``with`` block reintroduces
@@ -23,8 +23,8 @@ repo's structural conventions encoded:
   (their *callers* are still checked);
 * nested functions and lambdas reset the held-lock state — a closure
   created under the lock typically runs after it was released, so it
-  must re-acquire (``SequenceScheduler.stream``'s job closure is the
-  canonical example);
+  must re-acquire (the pool-thread closure ``RenderExecutor._tracked``
+  returns is the canonical example);
 * guard annotations are inherited by same-module subclasses
   (``DiskTextureCache`` manipulates counters its base declared).
 
