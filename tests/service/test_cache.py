@@ -1,8 +1,10 @@
 """Tests for repro.service.cache — LRU budget, disk tier, promotion."""
 
 import os
+import struct
 import threading
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,6 +23,24 @@ def tex(value: float, n: int = 8) -> np.ndarray:
 
 
 ENTRY_BYTES = tex(0.0).nbytes  # 8*8*8 = 512
+
+
+def member_data_offset(path: str) -> int:
+    """File offset of the first byte of an ``.npz``'s first member's data."""
+    with zipfile.ZipFile(path) as zf:
+        offset = zf.infolist()[0].header_offset
+    with open(path, "rb") as fh:
+        fh.seek(offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    return offset + 30 + name_len + extra_len
+
+
+def flip_byte(path: str, offset: int) -> None:
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 0xFF]))
 
 
 class TestLRUTextureCache:
@@ -104,6 +124,75 @@ class TestDiskTextureCache:
         disk = DiskTextureCache(tmp_path, preview_pgm=True)
         disk.put("abc", tex(0.5))
         assert os.path.exists(os.path.join(str(tmp_path), "abc.pgm"))
+
+    def test_evict_and_trim_take_the_preview_with_its_entry(self, tmp_path):
+        disk = DiskTextureCache(tmp_path, preview_pgm=True)
+        for i in range(5):
+            disk.put(f"d{i}", tex(i / 5))
+            for name in (f"d{i}.npz", f"d{i}.pgm"):
+                os.utime(os.path.join(str(tmp_path), name), (1000.0 + i, 1000.0 + i))
+        npz_bytes = sum(
+            os.path.getsize(os.path.join(str(tmp_path), n))
+            for n in os.listdir(tmp_path) if n.endswith(".npz")
+        )
+        assert disk.nbytes_on_disk() > npz_bytes  # previews count
+        assert disk.evict("d2")
+        assert "d2.pgm" not in os.listdir(tmp_path)
+        # The previews push the store over a budget its bundles fit in,
+        # so the oldest entry goes, preview and all.
+        assert disk.trim_to_bytes(npz_bytes * 4 // 5) == 1
+        assert sorted(os.listdir(tmp_path)) == [
+            "d1.npz", "d1.pgm", "d3.npz", "d3.pgm", "d4.npz", "d4.pgm",
+        ]
+        assert disk.trim_to_bytes(0) == 3
+        assert os.listdir(tmp_path) == []
+        assert disk.nbytes_on_disk() == 0
+
+
+class TestDiskCodec:
+    """Entries are stored raw; entries deflated by older versions still
+    serve, and damage to either format reads as a dropped miss."""
+
+    def test_new_entries_are_stored_uncompressed(self, tmp_path):
+        store = DiskBlobStore(tmp_path)
+        store.put("d", {"texture": np.random.default_rng(2).random((16, 16)), "n": np.arange(4)})
+        with zipfile.ZipFile(store._path("d")) as zf:
+            members = zf.infolist()
+        assert len(members) == 2
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_deflated_entry_served_bit_identically(self, tmp_path):
+        disk = DiskTextureCache(tmp_path)
+        t = np.random.default_rng(3).random((32, 32))
+        with open(disk._path("old"), "wb") as fh:
+            np.savez_compressed(fh, texture=t)
+        with zipfile.ZipFile(disk._path("old")) as zf:
+            assert zf.infolist()[0].compress_type == zipfile.ZIP_DEFLATED
+        got = disk.get("old")
+        assert got.dtype == np.float64
+        assert got.tobytes() == t.tobytes()
+        assert disk.hits == 1
+
+    def test_damaged_deflate_stream_is_a_dropped_miss(self, tmp_path):
+        store = DiskBlobStore(tmp_path)
+        path = store._path("old")
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, texture=np.linspace(0.0, 1.0, 256).reshape(16, 16))
+        flip_byte(path, member_data_offset(path))
+        assert store.get("old") is None
+        assert store.misses == 1 and store.hits == 0
+        assert not os.path.exists(path)
+
+    def test_damaged_raw_entry_fails_its_crc_and_is_dropped(self, tmp_path):
+        store = DiskBlobStore(tmp_path)
+        store.put("d", {"texture": np.linspace(0.0, 1.0, 256).reshape(16, 16)})
+        path = store._path("d")
+        with zipfile.ZipFile(path) as zf:
+            size = zf.infolist()[0].compress_size
+        flip_byte(path, member_data_offset(path) + size - 1)  # array data, not header
+        assert store.get("d") is None
+        assert store.misses == 1
+        assert not os.path.exists(path)
 
 
 class TestTieredTextureCache:
