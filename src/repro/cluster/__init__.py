@@ -11,7 +11,7 @@ exactly once.  The pieces, bottom to top:
 * :mod:`~repro.cluster.ring` — consistent-hash ring over
   content-addressed request digests: every node maps a digest to the
   same owner, so fleet-wide duplicates converge on one node whose local
-  scheduler coalesces them (global single-flight = routing + local
+  service coalesces them (global single-flight = routing + local
   single-flight);
 * :mod:`~repro.cluster.peer` — pooled, retrying client; transport
   faults back off and resurface as :class:`PeerUnavailable` for the

@@ -8,8 +8,8 @@ ring names the one node that owns that digest:
 
 * **owned here** → serve from the local stack (cache hit, coalesced
   join, or render).  Concurrent duplicates from the whole fleet land on
-  this node and coalesce in its
-  :class:`~repro.service.scheduler.RequestScheduler`, so a distinct
+  this node and coalesce on its service's single-flight map
+  (:class:`~repro.runtime.singleflight.AsyncSingleFlight`), so a distinct
   frame renders exactly once *globally* — single-flight is routing plus
   local coalescing, no consensus protocol;
 * **owned elsewhere** → proxy to the owner and relay its bytes.  The

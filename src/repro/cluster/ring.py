@@ -6,8 +6,8 @@ node maps a request's content-addressed digest
 :class:`~repro.service.keys.RequestKey`/:class:`~repro.service.keys.SequenceKey`
 digest) to the *same* owner, so concurrent duplicates landing anywhere
 in the fleet converge on one node — whose local
-:class:`~repro.service.scheduler.RequestScheduler` then coalesces them
-onto one render.  A distinct frame is rendered once globally because it
+:class:`~repro.service.server.TextureService` then coalesces them onto
+one render.  A distinct frame is rendered once globally because it
 is rendered once locally on exactly one node.
 
 Classic consistent hashing with virtual nodes: each node contributes

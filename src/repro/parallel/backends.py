@@ -29,7 +29,7 @@ across :meth:`~ExecutionBackend.run` calls so animation frames amortise
 worker start-up, and discard a process pool whose ``map`` failed — a
 worker that died mid-task leaves the pool unusable, and keeping it would
 fail every subsequent frame.  The texture service drives one shared
-backend from several scheduler worker threads, so a pooled backend's
+backend from several render worker threads, so a pooled backend's
 ``run`` executes under its pool lock: concurrent calls serialise (the
 pool *is* the parallelism — overlapping two maps on one pool buys
 nothing) and can never race a resize or teardown.  The serial backend

@@ -30,8 +30,7 @@ class RenderExecutor:
         Pool size — distinct-render concurrency.  Each worker drives a
         full divide-and-conquer render (which itself fans out over
         :mod:`repro.parallel.backends`), so the cap trades request
-        concurrency against per-render parallelism, exactly as the old
-        scheduler worker threads did.
+        concurrency against per-render parallelism.
     """
 
     def __init__(self, n_workers: int, name: str = "render"):

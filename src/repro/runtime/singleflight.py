@@ -1,28 +1,27 @@
 """Async single-flight: key → in-flight awaitable, coalescing via futures.
 
-The thread-pool scheduler coalesced duplicates through
-:class:`~repro.service.scheduler.RenderTicket` events under a lock; on
-the spine the same contract is a loop-confined dict of
-:class:`Flight`\\s, each carrying one shared :class:`asyncio.Future`.
-Everything here runs on the owning event loop — confinement *is* the
-synchronization, so there is no lock to take and no ordering to get
-wrong beyond the one that matters: :meth:`AsyncSingleFlight.settle`
-retires a flight from the map *before* resolving its future, so a
-request arriving after completion starts fresh (and usually hits the
-cache the flight just populated).
+One render per key, however many concurrent requests ask for it: the
+first request begins a :class:`Flight`, which carries one shared
+:class:`asyncio.Future`, and every request that arrives before it
+settles joins it (a coalesced response).  The map is loop-confined —
+everything here runs on the owning event loop, so confinement *is* the
+synchronization.  There is no lock to take and only one ordering that
+matters: :meth:`AsyncSingleFlight.settle` retires a flight from the map
+*before* resolving its future, so a request arriving after completion
+starts fresh (and usually hits the cache the flight just populated).
 
-Waiter accounting mirrors the blocking ticket's contract: joining
-increments :attr:`Flight.waiters`, and a waiter that gives up — timeout
-or cancellation — detaches, so shed/cancellation accounting sees the
-true number of live waiters (see
-:meth:`~repro.service.scheduler.RenderTicket.wait`'s detach-on-timeout
-fix, mirrored here in :meth:`AsyncSingleFlight.wait`).
+Waiter accounting: joining increments :attr:`Flight.waiters`, and a
+waiter that gives up — timeout or cancellation — detaches in
+:meth:`AsyncSingleFlight.wait`, so shed and cancellation accounting
+see the true number of live waiters.  The driver (the point-serving
+miss path in :class:`~repro.service.server.TextureService`) owns the
+begin → run → settle sequence.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ServiceError
 
@@ -92,9 +91,8 @@ class AsyncSingleFlight:
             return
         if error is not None:
             flight.future.set_exception(error)
-            # Blocking waiters consume the error through their ticket,
-            # not this future; mark it retrieved so an all-threads
-            # request never logs a phantom "exception never retrieved".
+            # Mark it retrieved: a flight whose waiters all gave up
+            # must not log a phantom "exception never retrieved".
             flight.future.exception()
         else:
             flight.future.set_result(result)
@@ -110,24 +108,3 @@ class AsyncSingleFlight:
         except (asyncio.TimeoutError, asyncio.CancelledError):
             self.detach(flight)
             raise
-
-    async def run(
-        self,
-        key: str,
-        supplier: Callable[[], Awaitable[Any]],
-        timeout: Optional[float] = None,
-    ) -> Any:
-        """Coalesce around *supplier*: one run per key, shared by all
-        concurrent callers; later callers await the first's future."""
-        existing = self.get(key)
-        if existing is not None:
-            self.join(existing)
-            return await self.wait(existing, timeout)
-        flight = self.begin(key)
-        try:
-            result = await supplier()
-        except BaseException as exc:  # noqa: BLE001 - delivered to waiters
-            self.settle(flight, error=exc)
-            raise
-        self.settle(flight, result)
-        return result

@@ -10,14 +10,15 @@ renderer itself is not rendering at all:
   digest + config fingerprint), so identical work is identical bytes;
 * :mod:`~repro.service.cache` — in-memory LRU under a byte budget over
   an atomic content-addressed disk tier;
-* :mod:`~repro.service.scheduler` — single-flight coalescing of
-  concurrent duplicates over a render worker pool;
 * :mod:`~repro.service.admission` — cost-model latency prediction and
   load shedding;
 * :mod:`~repro.service.stats` — hit rate, coalesce rate, queue depth,
   latency percentiles;
 * :mod:`~repro.service.server` — :class:`TextureService`, the front
-  end binding a field source to one config;
+  end binding a field source to one config; its misses coalesce
+  concurrent duplicates on the runtime loop's
+  :class:`~repro.runtime.singleflight.AsyncSingleFlight` and render on
+  a capped worker pool;
 * :mod:`~repro.service.trace` — uniform/Zipf/scrubbing request traces
   and the replay harness behind ``repro.cli serve-bench``.
 
@@ -25,8 +26,8 @@ Every future scaling layer (sharding, multi-process serving, an HTTP
 front end) plugs in above :class:`TextureService`.  Sequence traffic —
 temporally-coherent animation frames, which depend on every field
 before them — is served by the sibling subsystem :mod:`repro.anim`,
-which builds on this module's keys, caches and single-flight scheduler
-(see :meth:`TextureService.animation_service`).
+which builds on this module's keys and caches (see
+:meth:`TextureService.animation_service`).
 """
 
 from repro.service.admission import AdmissionController, LatencyPredictor, TokenBucket
@@ -44,7 +45,6 @@ from repro.service.keys import (
     request_key,
     ring_hash,
 )
-from repro.service.scheduler import RenderTicket, RequestScheduler
 from repro.service.server import FrameRenderer, TextureResponse, TextureService
 from repro.service.stats import ServiceStats
 from repro.service.trace import (
@@ -70,8 +70,6 @@ __all__ = [
     "chain_digest",
     "request_key",
     "ring_hash",
-    "RenderTicket",
-    "RequestScheduler",
     "FrameRenderer",
     "TextureResponse",
     "TextureService",

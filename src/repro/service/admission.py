@@ -208,8 +208,8 @@ class AdmissionController:
         """Raise :class:`AdmissionError` if the render must be shed.
 
         *queue_depth* is the number of renders queued **ahead** of this
-        one — the scheduler's backlog, excluding flights a worker is
-        already executing (:meth:`RequestScheduler.backlog`).
+        one — the service's backlog, excluding flights a worker is
+        already executing (:meth:`TextureService.backlog`).
         """
         if self.max_queue is not None and queue_depth >= self.max_queue:
             raise AdmissionError(

@@ -21,7 +21,7 @@ shrink such an entry from 33.0 to 14.0 kB (to 5.5 of 18.7 kB at 48², to
 raw).  Entries written deflated by older versions still read:
 ``np.load`` takes both.
 
-All three are thread-safe; the scheduler's workers and any number of
+All three are thread-safe; the render workers and any number of
 client threads may hit them concurrently.
 """
 

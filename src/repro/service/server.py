@@ -8,10 +8,10 @@ through the full stack:
 
 1. the request is keyed by content (:mod:`repro.service.keys`);
 2. the two-tier cache answers memory and disk hits;
-3. misses coalesce through the single-flight scheduler
-   (:mod:`repro.service.scheduler`) onto a deterministic render
-   (:func:`repro.core.synthesizer.render_frame`) with a pooled
-   divide-and-conquer runtime;
+3. misses coalesce on the runtime loop's
+   :class:`~repro.runtime.singleflight.AsyncSingleFlight` onto a
+   deterministic render (:func:`repro.core.synthesizer.render_frame`)
+   with a pooled divide-and-conquer runtime;
 4. admission control sheds renders past the latency budget;
 5. every step reports into :class:`~repro.service.stats.ServiceStats`.
 
@@ -19,10 +19,20 @@ Responses are bit-identical to a fresh render of the same request — the
 cache stores exactly what the renderer produced, the disk tier round
 trips float64 exactly, and the renderer itself is a pure function of
 ``(config, field)``.
+
+A miss is loop-native.  The in-flight map, the set of drive tasks and
+admission are loop-confined: :meth:`TextureService._start` joins a
+key's flight or admits a new one and creates its drive task in one
+loop callback, and the drive task awaits the render on the service's
+:class:`~repro.runtime.executor.RenderExecutor` and settles the
+flight.  :meth:`TextureService.request` crosses into the loop once, to
+a coroutine that starts or joins the flight and awaits it; the cache
+put runs inside the render job, so it lands before any waiter wakes.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from dataclasses import dataclass
@@ -38,10 +48,12 @@ from repro.fields.vectorfield import VectorField2D
 from repro.parallel.binding import PlanBinding, PlanBound, PlanSnapshot
 from repro.parallel.planner import DecompositionPlanner
 from repro.parallel.runtime import DivideAndConquerRuntime
+from repro.runtime.executor import RenderExecutor
+from repro.runtime.loop import get_runtime_loop
+from repro.runtime.singleflight import AsyncSingleFlight, Flight
 from repro.service.admission import AdmissionController, LatencyPredictor
 from repro.service.cache import DiskTextureCache, LRUTextureCache, TieredTextureCache
 from repro.service.keys import RequestKey, TileSpec
-from repro.service.scheduler import RequestScheduler
 from repro.service.stats import ServiceStats
 
 FieldSource = Callable[[int], VectorField2D]
@@ -168,8 +180,11 @@ class TextureService(PlanBound):
         )
         disk = DiskTextureCache(disk_dir, preview_pgm=preview_pgm) if disk_dir else None
         self.cache = TieredTextureCache(LRUTextureCache(memory_budget_bytes), disk)
-        self.scheduler = RequestScheduler(n_workers=n_workers, admit=self._admit)
-        self.stats.queue_depth_probe = self.scheduler.queue_depth
+        self._runtime = get_runtime_loop()
+        self._executor = RenderExecutor(n_workers, name="texture-service")
+        self._flights = AsyncSingleFlight()  # loop-confined
+        self._drives: "set[asyncio.Task]" = set()  # loop-confined
+        self.stats.queue_depth_probe = self.queue_depth
         self._memoize_digests = memoize_digests
         self._digests: Dict[int, str] = {}
         self._digest_lock = threading.Lock()
@@ -289,10 +304,18 @@ class TextureService(PlanBound):
                 predicted = self.predictor.predict(
                     snap.config, grid_shape=self._grid_shape
                 )
-                owned = False  # _render_coalesced owns the ref from here
-                texture, source = self._render_coalesced(
-                    render_digest, frame, field, predicted, timeout, snap
+                render = self._make_render(
+                    render_digest, frame, field, predicted, snap
                 )
+                created, texture, error = self._runtime.run(
+                    self._miss(render_digest, render, timeout)
+                )
+                # A started render owns the reference from here; a
+                # joined, shed or refused request still owns its own.
+                owned = not created
+                if error is not None:
+                    raise error
+                source = "render" if created else "coalesced"
         except AdmissionError:
             self.stats.record_shed()
             raise
@@ -343,25 +366,73 @@ class TextureService(PlanBound):
 
         return do_render
 
-    def _render_coalesced(
-        self,
-        render_digest: str,
-        frame: int,
-        field: Optional[VectorField2D],
-        predicted: Optional[float],
-        timeout: Optional[float],
-        snap: PlanSnapshot,
-    ) -> "tuple[np.ndarray, str]":
-        render = self._make_render(render_digest, frame, field, predicted, snap)
+    # -- the miss path, on the loop --------------------------------------------------
+    def _start(
+        self, key: str, render: "Callable[[], np.ndarray]"
+    ) -> "tuple[Flight, bool]":
+        """Join *key*'s flight, or admit a new one and create its drive
+        task; returns ``(flight, created)``.  Runs as one loop callback.
+
+        Admission prices only a new flight, by the backlog: flights
+        still waiting for a worker, excluding the ones executing (an
+        executing render is nearly done and does not queue ahead of the
+        new one, so counting it would over-shed).  Joining is free and
+        never shed.
+        """
+        if self._closed:
+            raise ServiceError("service is closed")
+        flight = self._flights.get(key)
+        if flight is not None:
+            self._flights.join(flight)
+            return flight, False
+        self._admit(len(self._flights) - self._executor.active)
+        flight = self._flights.begin(key)
+        task = asyncio.get_running_loop().create_task(self._drive(flight, render))
+        self._drives.add(task)
+        task.add_done_callback(self._drives.discard)
+        return flight, True
+
+    async def _drive(
+        self, flight: Flight, render: "Callable[[], np.ndarray]"
+    ) -> None:
         try:
-            ticket, created = self.scheduler.submit(render_digest, render)
-        except BaseException:
-            self._binding.release(snap)  # closure never runs
+            texture = await self._executor.run(render)
+        except asyncio.CancelledError:
+            self._flights.settle(flight, error=ServiceError("render cancelled"))
             raise
-        if not created:
-            self._binding.release(snap)  # coalesced: closure dropped
-        texture = ticket.wait(timeout)
-        return texture, ("render" if created else "coalesced")
+        except BaseException as exc:  # noqa: BLE001 - delivered to waiters
+            # Not re-raised: a KeyboardInterrupt/SystemExit escaping a
+            # task stops the loop every service in the process shares.
+            self._flights.settle(flight, error=exc)
+        else:
+            self._flights.settle(flight, texture)
+
+    async def _miss(
+        self, key: str, render: "Callable[[], np.ndarray]", timeout: Optional[float]
+    ) -> "tuple[bool, Optional[np.ndarray], Optional[BaseException]]":
+        """Join or start *key*'s flight and await it under a total
+        *timeout*: the one loop hop of a miss.
+
+        Returns ``(created, texture, error)``.  Errors come back as
+        values: the caller needs *created* on every path to know who
+        owns its snapshot reference, and a KeyboardInterrupt/SystemExit
+        raised out of this task would stop the shared loop, so it is
+        re-raised on the caller's thread instead.
+        """
+        created = False
+        try:
+            flight, created = self._start(key, render)
+            try:
+                async with asyncio.timeout(timeout) as deadline:
+                    return created, await self._flights.wait(flight), None
+            except TimeoutError:
+                if not deadline.expired():
+                    raise  # the render's own error, delivered as-is
+                raise ServiceError(
+                    f"timed out waiting for render {key[:12]}..."
+                ) from None
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+            return created, None, exc
 
     def prefetch(self, frames: Iterable[int]) -> int:
         """Queue renders for uncached *frames* without waiting; returns
@@ -377,12 +448,11 @@ class TextureService(PlanBound):
                     continue
                 render = self._make_render(key.digest, frame, field, None, snap)
                 try:
-                    _, created = self.scheduler.submit(key.digest, render)
+                    _, created = self._runtime.call(self._start, key.digest, render)
                 except AdmissionError:
                     self.stats.record_shed()
                     continue
-                if created:
-                    owned = False  # the queued closure releases the ref
+                owned = not created  # a started render releases the ref
                 scheduled += int(created)
             finally:
                 if owned:
@@ -406,13 +476,34 @@ class TextureService(PlanBound):
 
         return AnimationService(self.field_source, self.config, dt=dt, **kwargs)
 
+    # -- introspection ---------------------------------------------------------
+    def queue_depth(self) -> int:
+        """Renders in flight, queued plus executing: the stats gauge.
+
+        A snapshot read of loop-confined state, exact once the loop has
+        run the callbacks that precede the read.
+        """
+        return len(self._flights)
+
+    def backlog(self) -> int:
+        """Renders still waiting for a worker: what admission prices."""
+        return len(self._flights) - self._executor.active
+
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
+        """Refuse new flights, finish the queued renders, then stop the
+        render pool and the plan's resources."""
         if self._closed:
             return
+        # Written before the hop below, so every _start the loop runs
+        # after it refuses: the drain sees the final set of drives.
         self._closed = True
-        self.scheduler.close()
+        self._runtime.run(self._drain())
+        self._executor.shutdown()
         self._binding.close()
+
+    async def _drain(self) -> None:
+        await asyncio.gather(*self._drives, return_exceptions=True)
 
     def __enter__(self) -> "TextureService":
         return self

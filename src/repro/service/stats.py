@@ -1,7 +1,7 @@
 """Serving metrics.
 
 :class:`ServiceStats` is the one place every layer of the serving stack
-reports into: the cache tiers (hit source), the scheduler (coalesces,
+reports into: the cache tiers (hit source), single-flight (coalesces,
 queue depth, renders), admission control (sheds, predicted vs actual
 latency) and the request path itself (end-to-end latency per source).
 ``report()`` renders the operator view; ``snapshot()`` returns the same
@@ -43,7 +43,7 @@ class ServiceStats:
         }
         self._predictions: Deque[Tuple[float, float]] = deque(maxlen=sample_window)
         self._sample_window = sample_window
-        #: Optional gauge probe installed by the service (scheduler queue depth).
+        #: Optional gauge probe installed by the service (its queue depth).
         self.queue_depth_probe: Optional[Callable[[], int]] = None
 
     # -- recording (called by the service layers) ------------------------------

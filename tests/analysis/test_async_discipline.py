@@ -1,7 +1,14 @@
 """Async-discipline checker: no blocking primitives on the event loop."""
 
+import os
+import shutil
+
 from tools.analysis.baseline import Baseline
 from tools.analysis.runner import run_analysis
+
+FIXTURE_SRC = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures", "src", "repro"
+)
 
 
 def _blocking(report):
@@ -56,10 +63,22 @@ class TestScoping:
         assert {f.symbol for f in findings} == {"BadWalk.walk"}
         assert len(findings) == 2
 
-    def test_modules_off_the_spine_are_not_scanned(self, analyse):
-        # The same blocking shapes in a non-runtime/cluster module are
-        # out of scope: blocking is legal off the loop.
-        report = analyse("service/locksbad.py")
+    def test_service_misses_are_in_scope(self, analyse):
+        # Point-serving misses await their flight on the loop, so
+        # repro.service is on the spine.
+        findings = _blocking(analyse("service/missbad.py"))
+        assert {f.symbol for f in findings} == {"BadMiss.miss"}
+        assert len(findings) == 1
+
+    def test_modules_off_the_spine_are_not_scanned(self, tmp_path):
+        # The same blocking shapes in a module off the spine (the walk
+        # fixture, copied under repro.parallel) are out of scope:
+        # blocking is legal off the loop.
+        dest = tmp_path / "src" / "repro" / "parallel" / "walkbad.py"
+        dest.parent.mkdir(parents=True)
+        shutil.copy(os.path.join(FIXTURE_SRC, "anim", "walkbad.py"), dest)
+        report = run_analysis(baseline=Baseline(), root=str(tmp_path))
+        assert report.files_scanned == 1
         assert not _blocking(report)
 
 

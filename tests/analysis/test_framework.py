@@ -11,7 +11,7 @@ from tools.analysis.runner import run_analysis
 
 #: Active findings the full fixture tree produces (asserted exactly so a
 #: checker that silently stops firing shows up here, not in production).
-EXPECTED_FINDINGS = 26
+EXPECTED_FINDINGS = 27
 EXPECTED_SUPPRESSED = 2
 
 

@@ -15,7 +15,7 @@ from tools.analysis.runner import repo_root, run_analysis
 REPO = repo_root()
 
 BACKENDS = os.path.join("src", "repro", "parallel", "backends.py")
-SCHEDULER = os.path.join("src", "repro", "service", "scheduler.py")
+SERVER = os.path.join("src", "repro", "service", "server.py")
 
 
 def _scratch_tree(tmp_path, rel, old=None, new=None):
@@ -52,10 +52,10 @@ class TestShippedBugsStayDead:
     def test_admission_fed_raw_inflight_len_is_caught(self, tmp_path):
         # PR 5 fixed the scheduler handing admission the raw in-flight
         # count (including already-executing renders), which over-shed.
-        # The async-spine scheduler keeps the same invariant with
-        # loop-confined state: backlog = flights minus executing.
+        # The service's loop-native miss path keeps the same invariant
+        # with loop-confined state: backlog = flights minus executing.
         root = _scratch_tree(
-            tmp_path, SCHEDULER,
+            tmp_path, SERVER,
             old="self._admit(len(self._flights) - self._executor.active)",
             new="self._admit(len(self._flights))",
         )
@@ -64,7 +64,7 @@ class TestShippedBugsStayDead:
 
     def test_unmutated_copies_pass(self, tmp_path):
         _scratch_tree(tmp_path, BACKENDS)
-        root = _scratch_tree(tmp_path, SCHEDULER)
+        root = _scratch_tree(tmp_path, SERVER)
         report = _run(root)
         assert report.findings == []
         assert report.parse_errors == []

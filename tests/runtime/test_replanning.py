@@ -291,7 +291,7 @@ class TestRetirement:
                 inject(flip)
                 assert svc.replan_if_drifted() is True
                 assert svc.request(flip).source in ("render", "coalesced", "memory")
-            assert wait_until(lambda: svc.scheduler.queue_depth() == 0)
+            assert wait_until(lambda: svc.queue_depth() == 0)
 
             current = svc.renderer
             assert len(created) == self.FLIPS + 1

@@ -12,6 +12,33 @@ def run(coro):
     return asyncio.run(coro)
 
 
+drives = set()  # keeps each drive task referenced until it is done
+
+
+async def serve(flights, key, supplier, timeout=None):
+    """One request in the shape the service's miss path takes: join
+    *key*'s flight, or begin one whose drive task runs *supplier* and
+    settles it; either way, await the flight."""
+    flight = flights.get(key)
+    if flight is not None:
+        flights.join(flight)
+    else:
+        flight = flights.begin(key)
+
+        async def drive():
+            try:
+                result = await supplier()
+            except Exception as exc:
+                flights.settle(flight, error=exc)
+            else:
+                flights.settle(flight, result)
+
+        task = asyncio.ensure_future(drive())
+        drives.add(task)
+        task.add_done_callback(drives.discard)
+    return await flights.wait(flight, timeout)
+
+
 class TestCoalescing:
     def test_concurrent_runs_share_one_supplier_call(self):
         async def main():
@@ -24,7 +51,7 @@ class TestCoalescing:
                 return "payload"
 
             results = await asyncio.gather(
-                *(flights.run("k", supplier) for _ in range(5))
+                *(serve(flights, "k", supplier) for _ in range(5))
             )
             return flights, calls, results
 
@@ -42,8 +69,8 @@ class TestCoalescing:
                 return key.upper()
 
             a, b = await asyncio.gather(
-                flights.run("a", lambda: supplier("a")),
-                flights.run("b", lambda: supplier("b")),
+                serve(flights, "a", lambda: supplier("a")),
+                serve(flights, "b", lambda: supplier("b")),
             )
             return flights, a, b
 
@@ -61,8 +88,8 @@ class TestCoalescing:
                 calls.append(1)
                 return len(calls)
 
-            first = await flights.run("k", supplier)
-            second = await flights.run("k", supplier)
+            first = await serve(flights, "k", supplier)
+            second = await serve(flights, "k", supplier)
             return flights, first, second
 
         flights, first, second = run(main())
@@ -109,7 +136,7 @@ class TestFlightMap:
                 raise RuntimeError("render failed")
 
             results = await asyncio.gather(
-                *(flights.run("k", supplier) for _ in range(3)),
+                *(serve(flights, "k", supplier) for _ in range(3)),
                 return_exceptions=True,
             )
             return flights, results
@@ -138,8 +165,8 @@ class TestWaiterAccounting:
         run(main())
 
     def test_wait_timeout_detaches_the_waiter(self):
-        # Mirror of RenderTicket.wait's detach-on-timeout fix: a waiter
-        # that gives up must not count as live forever.
+        # Regression: a waiter that gives up must not count as live
+        # forever, or shed and cancellation accounting over-counts.
         async def main():
             flights = AsyncSingleFlight()
             flight = flights.begin("k")
@@ -191,7 +218,7 @@ class TestWaiterAccounting:
                 except asyncio.TimeoutError:
                     return "gave up"
 
-            patient = asyncio.ensure_future(flights.run("k", slow))
+            patient = asyncio.ensure_future(serve(flights, "k", slow))
             await asyncio.sleep(0)
             gave_up = await impatient()
             return gave_up, await patient

@@ -1,238 +1,366 @@
-"""Tests for repro.service.scheduler — single-flight coalescing."""
+"""Single-flight scheduling of TextureService misses.
+
+A miss joins its key's in-flight render or admits a new one on the
+runtime loop (``TextureService._start``), a drive task renders it on the
+service's executor and settles the flight, and the caller awaits it in
+one loop hop.  These tests drive that path through the public service.
+Renders are held at a gate; every wait is ordered on an event the code
+under test signals (a render starting, a request joining), never on a
+clock.
+"""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core.config import SpotNoiseConfig
 from repro.errors import AdmissionError, ServiceError
-from repro.service.scheduler import RequestScheduler
+from repro.fields.analytic import random_smooth_field
+from repro.runtime.loop import RuntimeLoop, get_runtime_loop
+from repro.service import AdmissionController, FrameRenderer, TextureService
+
+CONFIG = SpotNoiseConfig(n_spots=80, texture_size=24, seed=3)
+
+
+@pytest.fixture
+def fields():
+    return {f: random_smooth_field(seed=70 + f, n=17) for f in range(6)}
+
+
+def make_service(fields, **kwargs):
+    return TextureService(lambda f: fields[f], CONFIG, **kwargs)
+
+
+def fresh(field):
+    renderer = FrameRenderer(CONFIG)
+    try:
+        return renderer.render(field)
+    finally:
+        renderer.close()
+
+
+class Gate:
+    """Holds every render of *svc* until :meth:`release`; counts them
+    and signals each one's start.  *fail* is raised instead of
+    rendering once released."""
+
+    def __init__(self, svc, fail=None):
+        self.svc = svc
+        self.hold = threading.Event()
+        self.started = threading.Semaphore(0)
+        self.calls = 0
+        self._lock = threading.Lock()
+        render = svc.renderer.render
+
+        def gated(field):
+            with self._lock:
+                self.calls += 1
+            self.started.release()
+            self.hold.wait(10.0)
+            if fail is not None:
+                raise fail
+            return render(field)
+
+        svc.renderer.render = gated
+
+    def wait_started(self, n=1):
+        for _ in range(n):
+            assert self.started.acquire(timeout=10.0)
+
+    def release(self):
+        self.hold.set()
+
+    def restore(self):
+        del self.svc.renderer.render
+
+
+def joiners(svc, pool, frame, n=1):
+    """Submit *n* blocking requests for *frame*; return their futures
+    once every one has joined the in-flight render (signalled from the
+    loop callback that joins, so the wait is ordered)."""
+    joined = threading.Semaphore(0)
+    join = svc._flights.join
+
+    def counting(flight):
+        join(flight)
+        joined.release()
+
+    svc._flights.join = counting
+    try:
+        futures = [pool.submit(svc.request, frame) for _ in range(n)]
+        for _ in range(n):
+            assert joined.acquire(timeout=10.0)
+    finally:
+        del svc._flights.join
+    return futures
+
+
+class RecordingAdmission(AdmissionController):
+    """Records the backlog every new flight is priced at; sheds from
+    *shed_at* on."""
+
+    def __init__(self, shed_at=None):
+        super().__init__()
+        self.depths = []
+        self.shed_at = shed_at
+
+    def admit(self, predicted_s, queue_depth):
+        self.depths.append(queue_depth)
+        if self.shed_at is not None and queue_depth >= self.shed_at:
+            raise AdmissionError("queue full")
 
 
 class TestSingleFlight:
-    def test_concurrent_duplicates_render_once(self):
-        """N threads hitting the same key while the render is held at a
-        barrier must produce exactly one render and N-1 coalesces."""
-        n_threads = 8
-        render_calls = [0]
-        calls_lock = threading.Lock()
-        release = threading.Event()
-        all_submitted = threading.Barrier(n_threads + 1)
+    def test_concurrent_duplicates_render_once(self, fields):
+        """N requests for one frame while its render is held produce
+        exactly one render and N-1 coalesced responses."""
+        n = 8
+        with make_service(fields, n_workers=2) as svc, ThreadPoolExecutor(n) as pool:
+            gate = Gate(svc)
+            futures = [pool.submit(svc.request, 0)]
+            gate.wait_started()
+            futures += joiners(svc, pool, 0, n - 1)
+            gate.release()
+            responses = [f.result(timeout=10.0) for f in futures]
+            assert gate.calls == 1
+            assert svc.stats.renders == 1
+        assert sorted(r.source for r in responses) == ["coalesced"] * (n - 1) + ["render"]
+        assert svc.stats.snapshot()["by_source"]["coalesced"] == n - 1
+        expected = fresh(fields[0])
+        for r in responses:
+            np.testing.assert_array_equal(r.texture, expected)
 
-        def slow_render():
-            with calls_lock:
-                render_calls[0] += 1
-            release.wait(5.0)
-            return np.ones((4, 4))
+    def test_distinct_keys_render_independently(self, fields):
+        with make_service(fields, n_workers=2) as svc, ThreadPoolExecutor(2) as pool:
+            gate = Gate(svc)
+            futures = [pool.submit(svc.request, f) for f in (0, 1)]
+            gate.wait_started(2)  # both execute at once: no cross-key join
+            assert svc.queue_depth() == 2
+            gate.release()
+            a, b = (f.result(timeout=10.0) for f in futures)
+            assert svc.stats.renders == 2
+        assert (a.source, b.source) == ("render", "render")
+        np.testing.assert_array_equal(a.texture, fresh(fields[0]))
+        np.testing.assert_array_equal(b.texture, fresh(fields[1]))
+        assert not np.array_equal(a.texture, b.texture)
 
-        scheduler = RequestScheduler(n_workers=2)
-        results = []
-        results_lock = threading.Lock()
-
-        def client():
-            ticket, created = scheduler.submit("hot-key", slow_render)
-            all_submitted.wait(5.0)
-            texture = ticket.wait(5.0)
-            with results_lock:
-                results.append((created, texture))
-
-        threads = [threading.Thread(target=client) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        all_submitted.wait(5.0)  # every client has submitted...
-        release.set()            # ...before the render is allowed to finish
-        for t in threads:
-            t.join()
-        scheduler.close()
-
-        assert render_calls[0] == 1
-        assert scheduler.coalesced == n_threads - 1
-        assert sum(created for created, _ in results) == 1
-        for _, texture in results:
-            np.testing.assert_array_equal(texture, np.ones((4, 4)))
-
-    def test_distinct_keys_render_independently(self):
-        scheduler = RequestScheduler(n_workers=2)
-        t1, c1 = scheduler.submit("a", lambda: np.zeros((2, 2)))
-        t2, c2 = scheduler.submit("b", lambda: np.ones((2, 2)))
-        assert c1 and c2
-        assert t1.wait(5.0)[0, 0] == 0.0
-        assert t2.wait(5.0)[0, 0] == 1.0
-        scheduler.close()
-
-    def test_sequential_same_key_renders_again_after_completion(self):
-        calls = [0]
-
-        def render():
-            calls[0] += 1
-            return np.zeros((2, 2))
-
-        scheduler = RequestScheduler(n_workers=1)
-        t1, _ = scheduler.submit("k", render)
-        t1.wait(5.0)
-        t2, created = scheduler.submit("k", render)
-        t2.wait(5.0)
-        assert created  # the first flight retired before the second submit
-        assert calls[0] == 2
-        scheduler.close()
+    def test_sequential_same_key_renders_again_after_completion(self, fields):
+        # A zero memory budget rejects every put, so the second request
+        # can only be served by a new flight once the first settled.
+        with make_service(fields, n_workers=1, memory_budget_bytes=0) as svc:
+            first = svc.request(0)
+            second = svc.request(0)
+            assert svc.stats.renders == 2
+        assert (first.source, second.source) == ("render", "render")
+        np.testing.assert_array_equal(first.texture, second.texture)
 
 
 class TestErrorsAndLifecycle:
-    def test_render_error_propagates_to_every_waiter(self):
-        release = threading.Event()
+    def test_render_error_propagates_to_every_waiter(self, fields):
+        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(2) as pool:
+            gate = Gate(svc, fail=RuntimeError("render exploded"))
+            futures = [pool.submit(svc.request, 0)]
+            gate.wait_started()
+            futures += joiners(svc, pool, 0)
+            gate.release()
+            for future in futures:
+                with pytest.raises(RuntimeError, match="render exploded"):
+                    future.result(timeout=10.0)
+            assert svc.stats.errors == 2
+            # The service survives and the next request renders fresh.
+            gate.restore()
+            assert svc.request(0).source == "render"
+            assert svc.stats.renders == 1
 
-        def failing():
-            release.wait(5.0)
-            raise RuntimeError("render exploded")
+    def test_wait_timeout_raises(self, fields):
+        with make_service(fields, n_workers=1) as svc:
+            gate = Gate(svc)
+            with pytest.raises(ServiceError, match="timed out"):
+                svc.request(0, timeout=0.05)
+            gate.release()
+            # The timed-out request's render still completes and caches:
+            # frame 1 queues behind it on the one worker.
+            assert svc.request(1).source == "render"
+            assert svc.request(0).source == "memory"
+            assert svc.stats.renders == 2
 
-        scheduler = RequestScheduler(n_workers=1)
-        t1, _ = scheduler.submit("k", failing)
-        t2, created = scheduler.submit("k", failing)
-        assert not created
-        release.set()
-        for ticket in (t1, t2):
-            with pytest.raises(RuntimeError, match="render exploded"):
-                ticket.wait(5.0)
-        # The scheduler survives and serves the next request.
-        t3, _ = scheduler.submit("k", lambda: np.ones((2, 2)))
-        assert t3.wait(5.0)[0, 0] == 1.0
-        scheduler.close()
+    def test_snapshot_is_released_once_on_every_path(self, fields):
+        # The render owns the request's plan reference once it starts a
+        # flight; a request that joined, was shed or refused keeps its
+        # own.  A second release by a timed-out creator would close the
+        # live renderer's runtime.
+        admission = RecordingAdmission()
+        with make_service(fields, n_workers=1, admission=admission) as svc:
+            gate = Gate(svc)
+            with pytest.raises(ServiceError, match="timed out"):
+                svc.request(0, timeout=0.05)  # created, then timed out
+            with pytest.raises(ServiceError, match="timed out"):
+                svc.request(0, timeout=0.05)  # joined, then timed out
+            admission.shed_at = 0
+            with pytest.raises(AdmissionError):
+                svc.request(2)  # shed
+            admission.shed_at = None
+            gate.release()
+            assert svc.request(1).source == "render"  # ordered behind 0
+            assert svc.request(0).source == "memory"
+            assert svc._binding._refs == {svc.renderer: 1}
 
-    def test_wait_timeout_raises(self):
-        scheduler = RequestScheduler(n_workers=1)
-        hold = threading.Event()
-        ticket, _ = scheduler.submit("k", lambda: hold.wait(10.0) or np.zeros((2, 2)))
-        with pytest.raises(ServiceError, match="timed out"):
-            ticket.wait(0.05)
-        hold.set()
-        scheduler.close()
-
-    def test_wait_timeout_detaches_the_waiter(self):
+    def test_wait_timeout_detaches_the_waiter(self, fields):
         # Regression: a timed-out waiter used to stay attached to the
         # flight forever, so anything pricing work by live waiters —
         # shed and late-cancellation accounting — over-counted for the
         # rest of the flight's life.
-        scheduler = RequestScheduler(n_workers=1)
-        hold = threading.Event()
-        ticket, _ = scheduler.submit("k", lambda: hold.wait(10.0) and np.zeros((2, 2)))
-        joined, created = scheduler.submit("k", lambda: np.zeros((2, 2)))
-        assert not created
-        assert ticket.waiters == 2
-        with pytest.raises(ServiceError, match="timed out"):
-            joined.wait(0.05)
-        # The detach is a call_soon onto the runtime loop; a round trip
-        # queued after it is a barrier.
-        scheduler.runtime.call(lambda: None)
-        assert ticket.waiters == 1
-        hold.set()
-        assert ticket.wait(5.0).shape == (2, 2)
-        scheduler.close()
+        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(1) as pool:
+            gate = Gate(svc)
+            creator = pool.submit(svc.request, 0)
+            gate.wait_started()
+            with pytest.raises(ServiceError, match="timed out"):
+                svc.request(0, timeout=0.05)
+            digest = svc.render_digest(0)
+            # The detach runs on the loop before the timed-out request
+            # returns, so this read needs no barrier.
+            assert svc._runtime.call(lambda: svc._flights.get(digest).waiters) == 1
+            assert svc._flights.coalesced == 1
+            gate.release()
+            assert creator.result(timeout=10.0).texture.shape == (24, 24)
 
-    def test_submit_after_close_raises(self):
-        scheduler = RequestScheduler(n_workers=1)
-        scheduler.close()
+    def test_submit_after_close_raises(self, fields):
+        svc = make_service(fields, n_workers=1)
+        svc.close()
         with pytest.raises(ServiceError, match="closed"):
-            scheduler.submit("k", lambda: np.zeros((2, 2)))
+            svc.request(0)
+        with pytest.raises(ServiceError, match="closed"):
+            svc.prefetch([0])
+        # The loop refuses a new flight too: a request racing close.
+        with pytest.raises(ServiceError, match="closed"):
+            svc._runtime.call(svc._start, "k", lambda: None)
 
-    def test_close_drains_pending_work(self):
-        scheduler = RequestScheduler(n_workers=1)
-        tickets = [
-            scheduler.submit(f"k{i}", lambda i=i: np.full((2, 2), float(i)))[0]
-            for i in range(5)
-        ]
-        scheduler.close(wait=True)
-        for i, ticket in enumerate(tickets):
-            assert ticket.wait(1.0)[0, 0] == float(i)
+    def test_close_drains_pending_work(self, fields):
+        svc = make_service(fields, n_workers=1)
+        gate = Gate(svc)
+        assert svc.prefetch(range(5)) == 5
+        gate.wait_started()
+        digests = [svc.render_digest(f) for f in range(5)]
+        gate.release()
+        svc.close()
+        # Every queued render ran and its flight settled before close
+        # returned.
+        assert svc.queue_depth() == 0
+        assert svc.stats.renders == 5
+        for f, digest in enumerate(digests):
+            np.testing.assert_array_equal(svc.cache.get(digest)[0], fresh(fields[f]))
 
 
 class TestAdmissionHook:
-    def test_admit_sees_backlog_and_can_shed(self):
-        depths = []
+    def test_admit_sees_backlog_and_can_shed(self, fields):
+        admission = RecordingAdmission(shed_at=2)
+        with make_service(fields, n_workers=1, admission=admission) as svc, \
+                ThreadPoolExecutor(1) as pool:
+            gate = Gate(svc)
+            assert svc.prefetch([0]) == 1
+            gate.wait_started()  # 0 is executing, not queued
+            assert svc.prefetch([1]) == 1  # backlog 0
+            assert svc.prefetch([2]) == 1  # backlog 1 (1 queued)
+            with pytest.raises(AdmissionError):
+                svc.request(3)  # backlog 2: shed
+            assert svc.stats.sheds == 1
+            # Joining an existing flight is never shed.
+            assert svc.prefetch([0]) == 0
+            (joined,) = joiners(svc, pool, 0)
+            assert admission.depths == [0, 0, 1, 2]
+            gate.release()
+            assert joined.result(timeout=10.0).source == "coalesced"
 
-        def admit(depth):
-            depths.append(depth)
-            if depth >= 2:
-                raise AdmissionError("queue full")
-
-        hold = threading.Event()
-        started = threading.Event()
-        scheduler = RequestScheduler(n_workers=1, admit=admit)
-        scheduler.submit(
-            "a", lambda: started.set() or hold.wait(5.0) or np.zeros((2, 2))
-        )
-        assert started.wait(5.0)  # "a" is executing, not queued
-        scheduler.submit("b", lambda: np.zeros((2, 2)))  # backlog 0
-        scheduler.submit("c", lambda: np.zeros((2, 2)))  # backlog 1 (b queued)
-        with pytest.raises(AdmissionError):
-            scheduler.submit("d", lambda: np.zeros((2, 2)))  # backlog 2: shed
-        # Coalescing onto an existing flight is never shed.
-        _, created = scheduler.submit("a", lambda: np.zeros((2, 2)))
-        assert not created
-        assert depths == [0, 0, 1, 2]
-        hold.set()
-        scheduler.close()
-
-    def test_admit_excludes_executing_renders(self):
-        """Regression: admit used to receive len(inflight) — executing
+    def test_admit_excludes_executing_renders(self, fields):
+        """Regression: admission used to receive every flight — executing
         plus queued — so budgets priced nearly-finished renders as if
         they queued ahead of the new request and over-shed."""
-        depths = []
-        hold = threading.Event()
-        scheduler = RequestScheduler(n_workers=2, admit=depths.append)
+        admission = RecordingAdmission()
+        with make_service(fields, n_workers=2, admission=admission) as svc:
+            gate = Gate(svc)
+            for frame in (0, 1):
+                assert svc.prefetch([frame]) == 1
+                gate.wait_started()  # this flight is executing
+            assert svc.queue_depth() == 2  # total in the system...
+            assert svc.backlog() == 0      # ...but nothing queues ahead
+            assert svc.prefetch([2]) == 1
+            # The new flight was admitted against an empty backlog, not
+            # the two executing renders.
+            assert admission.depths == [0, 0, 0]
+            gate.release()
 
-        def slow(started):
-            started.set()
-            hold.wait(5.0)
-            return np.zeros((2, 2))
-
-        for key in ("a", "b"):
-            started = threading.Event()
-            scheduler.submit(key, lambda started=started: slow(started))
-            assert started.wait(5.0)  # this flight is executing
-        assert scheduler.queue_depth() == 2  # total in the system...
-        assert scheduler.backlog() == 0      # ...but nothing queues ahead
-        scheduler.submit("c", lambda: np.zeros((2, 2)))
-        # The new flight was admitted against an empty backlog, not the
-        # two executing renders.
-        assert depths == [0, 0, 0]
-        hold.set()
-        scheduler.close()
-
-    def test_queue_depth_tracks_inflight(self):
-        hold = threading.Event()
-        scheduler = RequestScheduler(n_workers=1)
-        assert scheduler.queue_depth() == 0
-        ticket, _ = scheduler.submit("a", lambda: hold.wait(5.0) or np.zeros((2, 2)))
-        assert scheduler.queue_depth() == 1
-        hold.set()
-        ticket.wait(5.0)
-        # The flight retires on the loop; a round trip queued after the
-        # wake-up is a barrier, so this read needs no polling.
-        scheduler.runtime.call(lambda: None)
-        assert scheduler.queue_depth() == 0
-        scheduler.close()
+    def test_queue_depth_tracks_inflight(self, fields):
+        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(1) as pool:
+            gate = Gate(svc)
+            assert svc.queue_depth() == 0
+            assert svc.prefetch([0]) == 1
+            assert svc.queue_depth() == 1
+            assert svc.stats.snapshot()["queue_depth"] == 1
+            (joined,) = joiners(svc, pool, 0)
+            gate.release()
+            assert joined.result(timeout=10.0).source == "coalesced"
+            # The flight retires before its waiters wake.
+            assert svc.queue_depth() == 0
 
 
-class TestBatchSubmit:
-    def test_submit_many_coalesces_within_the_batch(self):
-        calls = [0]
-        calls_lock = threading.Lock()
-        release = threading.Event()
+class TestLoopHops:
+    def test_point_miss_costs_one_loop_hop(self, fields, monkeypatch):
+        hops = []
+        run, call = RuntimeLoop.run, RuntimeLoop.call
 
-        def render():
-            with calls_lock:
-                calls[0] += 1
-            release.wait(5.0)
-            return np.zeros((2, 2))
+        def counting_run(self, coro, timeout=None):
+            hops.append((threading.get_ident(), "run"))
+            return run(self, coro, timeout)
 
-        scheduler = RequestScheduler(n_workers=2)
-        tickets = scheduler.submit_many(
-            [("a", render), ("b", render), ("a", render), ("b", render)]
-        )
-        release.set()
-        for ticket, _ in tickets:
-            ticket.wait(5.0)
-        scheduler.close()
-        assert calls[0] == 2  # two distinct keys, duplicates coalesced
-        created = [c for _, c in tickets]
-        assert created == [True, True, False, False]
+        def counting_call(self, fn, *args):
+            # call() goes through run(), so a call counts twice: the
+            # check below only gets stricter.
+            hops.append((threading.get_ident(), "call"))
+            return call(self, fn, *args)
+
+        monkeypatch.setattr(RuntimeLoop, "run", counting_run)
+        monkeypatch.setattr(RuntimeLoop, "call", counting_call)
+        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(2) as pool:
+            gate = Gate(svc)
+            hops.clear()
+            creator = pool.submit(svc.request, 0)
+            gate.wait_started()
+            (joiner,) = joiners(svc, pool, 0)
+            gate.release()
+            sources = [creator.result(timeout=10.0).source,
+                       joiner.result(timeout=10.0).source]
+            assert svc.request(0).source == "memory"  # a hit costs none
+            counted = list(hops)  # before close() makes its own hop
+        assert sources == ["render", "coalesced"]
+        by_thread = {}
+        for ident, kind in counted:
+            by_thread.setdefault(ident, []).append(kind)
+        assert sorted(by_thread.values()) == [["run"], ["run"]], counted
+
+
+class TestBaseExceptions:
+    @pytest.mark.parametrize("fatal", [KeyboardInterrupt, SystemExit])
+    def test_fatal_render_error_reaches_the_caller(self, fields, fatal):
+        with make_service(fields, n_workers=1) as svc:
+            gate = Gate(svc, fail=fatal("render aborted"))
+            gate.release()
+            outcome = {}
+
+            def client():
+                try:
+                    svc.request(0)
+                except BaseException as exc:  # noqa: BLE001 - inspected below
+                    outcome["error"] = exc
+
+            # A thread with a bounded join: if the fatal error escaped
+            # onto the loop, the loop would stop and the request hang.
+            thread = threading.Thread(target=client, daemon=True)
+            thread.start()
+            thread.join(10.0)
+            assert not thread.is_alive(), "request hung: the runtime loop died"
+            assert type(outcome["error"]) is fatal
+            assert get_runtime_loop().alive
+            gate.restore()
+            assert svc.request(0).source == "render"

@@ -183,16 +183,25 @@ class TestAdmissionIntegration:
                 # One render executes at the held worker...
                 futures = [pool.submit(svc.request, 0)]
                 assert started.wait(5.0)
-                assert svc.scheduler.backlog() == 0
+                assert svc.backlog() == 0
+                # An ordered wait, not a poll: the flight map signals
+                # when the next flight has begun.
+                begun = threading.Semaphore(0)
+                begin = svc._flights.begin
+
+                def signalling(key):
+                    flight = begin(key)
+                    begun.release()
+                    return flight
+
+                svc._flights.begin = signalling
                 # ...which must NOT count against the queue cap: the cap
                 # prices renders queued ahead, and an executing render is
                 # nearly done (the over-shedding regression).
                 futures.append(pool.submit(svc.request, 1))
-                deadline = __import__("time").time() + 2.0
-                while svc.scheduler.backlog() < 1 and __import__("time").time() < deadline:
-                    __import__("time").sleep(0.005)
-                assert svc.scheduler.queue_depth() == 2
-                assert svc.scheduler.backlog() == 1
+                assert begun.acquire(timeout=5.0)
+                assert svc.queue_depth() == 2
+                assert svc.backlog() == 1
                 # A third distinct render sees a full backlog and is shed,
                 # while joining an in-flight render stays admitted.
                 with pytest.raises(AdmissionError):
@@ -290,10 +299,10 @@ class TestPrefetch:
             svc.request(0)  # already cached
             scheduled = svc.prefetch([0, 1, 2, 1])
             assert scheduled == 2
-            # Wait for the background renders, then everything is a hit.
-            deadline = __import__("time").time() + 10.0
-            while svc.scheduler.queue_depth() and __import__("time").time() < deadline:
-                __import__("time").sleep(0.01)
+            # An ordered wait, not a poll: a prefetched frame is still in
+            # flight (the request joins it) or already cached.
+            for frame in (1, 2):
+                assert svc.request(frame).source in ("coalesced", "memory")
             for frame in (0, 1, 2):
                 assert svc.request(frame).source == "memory"
         assert svc.stats.renders == 3

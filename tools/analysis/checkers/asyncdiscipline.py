@@ -1,5 +1,5 @@
-"""Async-discipline lint for the runtime spine, the cluster tier and the
-anim render walks.
+"""Async-discipline lint for the runtime spine, the cluster tier, the
+anim render walks and the point-serving miss path.
 
 The async spine's whole contract is that the event loop never blocks:
 one stalled coroutine freezes every connection pump, every stream
@@ -43,6 +43,8 @@ ASYNC_MODULES = (
     "repro.cluster.*",
     "repro.anim",
     "repro.anim.*",
+    "repro.service",
+    "repro.service.*",
 )
 
 #: Method names whose bare (non-awaited) call inside async code is a
