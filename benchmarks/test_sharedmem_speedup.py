@@ -1,17 +1,22 @@
-"""Zero-copy shared-memory rendering vs the pickling process pool.
+"""Zero-copy shared-memory rendering vs a pickling process pool.
 
-The ISSUE-5 acceptance scenario: on the default ``plan-bench`` animation
-workload (static large field, advected spots, several process groups)
-the :class:`~repro.parallel.sharedmem.SharedMemoryBackend` must beat the
-pickling :class:`~repro.parallel.backends.ProcessBackend` by >= 2x
-frames/s, bit-identically.  The pickling pool re-ships the field to
-every group on every frame; the shared-memory pool publishes it once per
-epoch and ships only group index sets, so the gap *is* the serialisation
-tax.  This bench runs the same workload shape as the CLI (slightly
-shortened) and records the measured rates in
+The acceptance scenario for the shared-memory backend: on the default
+``plan-bench`` animation workload (static large field, advected spots,
+several process groups) the
+:class:`~repro.parallel.sharedmem.SharedMemoryBackend` must beat a
+pickling process pool by >= 2x frames/s, bit-identically.  The pickling
+pool is a bench-only reference backend defined here
+(:class:`PicklingPoolBackend`): a fork pool that pickles every group's
+task — the full field plus the group's particle subset — into a worker
+on every frame.  The shared-memory pool publishes the field once per
+epoch and ships only group index sets, so the gap *is* the
+serialisation tax.  This bench runs the same workload shape as the CLI
+(slightly shortened) and records the measured rates in
 ``results/sharedmem_speedup.txt``.
 """
 
+import contextlib
+import multiprocessing
 import time
 
 import numpy as np
@@ -19,9 +24,12 @@ import numpy as np
 from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
 from repro.fields.analytic import random_smooth_field
+from repro.parallel.backends import ExecutionBackend
+from repro.parallel.groups import render_group
+from repro.parallel.runtime import DivideAndConquerRuntime
 
-#: Floor for the sharedmem-vs-process frames/s ratio — the acceptance
-#: criterion itself (measured ~2.5-3x on the recording host).
+#: Floor for the sharedmem-vs-pickling-pool frames/s ratio — the
+#: acceptance criterion itself (measured ~2.5-3x on the recording host).
 MIN_SHAREDMEM_SPEEDUP = 2.0
 
 GRID_N = 385
@@ -34,9 +42,39 @@ CONFIG = SpotNoiseConfig(
 FIELD = random_smooth_field(seed=1000, n=GRID_N)
 
 
+class PicklingPoolBackend(ExecutionBackend):
+    """The baseline: a fork pool fed each frame's pickled group tasks."""
+
+    name = "pickling"
+
+    def __init__(self, processes: int):
+        # fork, as the baseline has always been measured: workers start
+        # warm, so the timed gap is the per-frame pickling alone.
+        self._pool = multiprocessing.get_context("fork").Pool(processes)
+
+    def run_frame(self, frame):
+        return self._pool.map(render_group, frame.tasks())
+
+    def close(self) -> None:
+        self._pool.close()
+        self._pool.join()
+
+
+@contextlib.contextmanager
+def _pipeline(backend: str):
+    """A pipeline over a named backend or the bench-only pickling pool."""
+    if backend != "pickling":
+        with SpotNoisePipeline(CONFIG.with_overrides(backend=backend), FIELD) as pipe:
+            yield pipe
+        return
+    with PicklingPoolBackend(N_GROUPS) as pool, DivideAndConquerRuntime(
+        CONFIG, backend=pool
+    ) as runtime, SpotNoisePipeline(CONFIG, FIELD, runtime=runtime) as pipe:
+        yield pipe
+
+
 def _animate_fps(backend: str) -> float:
-    cfg = CONFIG.with_overrides(backend=backend)
-    with SpotNoisePipeline(cfg, FIELD) as pipe:
+    with _pipeline(backend) as pipe:
         pipe.step()  # warm-up: pool spin-up + first field publish
         t0 = time.perf_counter()
         for _ in range(N_FRAMES):
@@ -48,16 +86,15 @@ def test_sharedmem_beats_pickling_process(paper_report):
     # Bit-identity first: the speedup is only admissible if the bytes
     # are the serial reference's bytes.
     textures = {}
-    for backend in ("serial", "process", "sharedmem"):
-        cfg = CONFIG.with_overrides(backend=backend)
-        with SpotNoisePipeline(cfg, FIELD) as pipe:
+    for backend in ("serial", "pickling", "sharedmem"):
+        with _pipeline(backend) as pipe:
             textures[backend] = pipe.step().texture
-    for backend in ("process", "sharedmem"):
+    for backend in ("pickling", "sharedmem"):
         np.testing.assert_array_equal(textures[backend], textures["serial"])
 
-    process_fps = _animate_fps("process")
+    pickling_fps = _animate_fps("pickling")
     sharedmem_fps = _animate_fps("sharedmem")
-    speedup = sharedmem_fps / process_fps
+    speedup = sharedmem_fps / pickling_fps
 
     paper_report(
         "sharedmem_speedup",
@@ -66,8 +103,8 @@ def test_sharedmem_beats_pickling_process(paper_report):
                 "zero-copy shared-memory vs pickling process pool "
                 f"({N_FRAMES}-frame animation, {N_GROUPS} groups, "
                 f"static {GRID_N}x{GRID_N} field):",
-                f"  process backend (pickles field x{N_GROUPS}/frame): "
-                f"{process_fps:8.2f} frames/s",
+                f"  pickling pool (pickles field x{N_GROUPS}/frame):   "
+                f"{pickling_fps:8.2f} frames/s",
                 f"  sharedmem backend (index sets + epochs):           "
                 f"{sharedmem_fps:8.2f} frames/s",
                 f"  speedup: {speedup:.1f}x (acceptance floor "
@@ -81,18 +118,3 @@ def test_sharedmem_beats_pickling_process(paper_report):
         f"shared-memory rendering is only {speedup:.1f}x the pickling pool "
         f"(floor {MIN_SHAREDMEM_SPEEDUP}x) — the zero-copy path has regressed"
     )
-
-
-def test_planner_prefers_sharedmem_over_process_for_this_workload():
-    """The cost model must agree with the measurement above: for a
-    parallel-worthy workload the planner prices sharedmem below the
-    pickling pool at every group count."""
-    from repro.machine.workload import workload_from_config
-    from repro.parallel.planner import DecompositionPlanner
-
-    workload = workload_from_config(CONFIG, FIELD)
-    planner = DecompositionPlanner(host_workers=8)
-    for n_groups in (2, 4, 8):
-        assert planner.price(workload, "sharedmem", n_groups) < planner.price(
-            workload, "process", n_groups
-        )

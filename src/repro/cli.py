@@ -22,9 +22,9 @@ writing any code:
   frame;
 * ``plan-bench`` — price the candidate decompositions with the
   cost-model planner (host-calibrated), then run the default animation
-  workload through the pickling process backend and the zero-copy
-  shared-memory backend and report the frames/s speedup, with a
-  bit-identity check against the serial reference;
+  workload through the serial and the zero-copy shared-memory backends
+  and report both frames/s rates, with a bit-identity check of the
+  thread and shared-memory backends against the serial reference;
 * ``serve-node`` — run one cluster node (:mod:`repro.cluster`): a
   socket front end over a :class:`TextureService`, joined to peer
   nodes over a consistent-hash ring so each distinct frame renders
@@ -458,23 +458,23 @@ def _cmd_plan_bench(args: argparse.Namespace) -> int:
 
     # Bit-identity spot check across the three backends first.
     textures = {}
-    for backend in ("serial", "process", "sharedmem"):
+    for backend in ("serial", "thread", "sharedmem"):
         cfg = config.with_overrides(backend=backend)
         with SpotNoisePipeline(cfg, field) as pipe:
             textures[backend] = pipe.step().texture
     identical = all(
-        np.array_equal(textures["serial"], textures[b]) for b in ("process", "sharedmem")
+        np.array_equal(textures["serial"], textures[b]) for b in ("thread", "sharedmem")
     )
 
-    process_fps = run_animation("process")
+    serial_fps = run_animation("serial")
     sharedmem_fps = run_animation("sharedmem")
-    speedup = sharedmem_fps / process_fps if process_fps else float("inf")
+    speedup = sharedmem_fps / serial_fps if serial_fps else float("inf")
 
     print(f"animation workload: {args.frames} frames, {args.groups} groups, "
           f"static {args.grid}x{args.grid} field")
-    print(f"process backend (pickling):     {process_fps:8.2f} frames/s")
+    print(f"serial backend (in-thread):     {serial_fps:8.2f} frames/s")
     print(f"sharedmem backend (zero-copy):  {sharedmem_fps:8.2f} frames/s")
-    print(f"speedup: {speedup:.1f}x (acceptance floor 2x)")
+    print(f"speedup: {speedup:.1f}x")
     print(f"bit-identical to serial: {'yes' if identical else 'NO'}")
     if not identical:
         return 1
@@ -776,19 +776,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan-bench",
-        help="price decompositions with the planner, bench sharedmem vs process",
+        help="price decompositions with the planner, bench sharedmem vs serial",
     )
     p_plan.add_argument("--spots", type=int, default=800)
     p_plan.add_argument("--size", type=int, default=96, help="texture size (px)")
     p_plan.add_argument("--grid", type=int, default=321,
-                        help="analytic field grid n (field bytes drive the "
-                             "pickling cost the zero-copy backend avoids)")
+                        help="analytic field grid n (field bytes the "
+                             "zero-copy backend publishes once per epoch)")
     p_plan.add_argument("--frames", type=int, default=16,
                         help="animation frames timed per backend")
     p_plan.add_argument("--groups", type=int, default=4,
-                        help="process groups for the backend comparison "
-                             "(the pickling backend re-ships the field to "
-                             "every group)")
+                        help="process groups for the backend comparison")
     p_plan.add_argument("--host-workers", type=int, default=0,
                         help="override the planner's host parallelism "
                              "(0 = use os.cpu_count())")
@@ -812,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_node.add_argument("--size", type=int, default=64, help="texture size (px)")
     p_node.add_argument("--grid", type=int, default=32, help="analytic field grid n")
     p_node.add_argument(
-        "--backend", choices=("serial", "thread", "process", "sharedmem"),
+        "--backend", choices=("serial", "thread", "sharedmem"),
         default="serial",
         help="render backend; every node in a fleet must use the same "
              "explicit backend so fingerprints (and therefore routing) agree",
@@ -849,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--grid", type=int, default=32,
                            help="analytic field grid n")
     p_cluster.add_argument(
-        "--backend", choices=("serial", "thread", "process", "sharedmem"),
+        "--backend", choices=("serial", "thread", "sharedmem"),
         default="serial",
         help="render backend shared by every node in the fleet",
     )

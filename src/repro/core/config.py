@@ -92,8 +92,8 @@ class SpotNoiseConfig:
     guard_px:
         Tile guard band (pixels) when tiling.
     backend:
-        Execution backend name: ``serial``, ``thread``, ``process`` or
-        ``sharedmem`` (zero-copy shared-memory process groups) — or
+        Execution backend name: ``serial``, ``thread`` or ``sharedmem``
+        (zero-copy shared-memory process groups) — or
         ``auto``, which defers the whole decomposition (backend, group
         count, partition) to the cost-model
         :class:`~repro.parallel.planner.DecompositionPlanner` when the
@@ -151,7 +151,7 @@ class SpotNoiseConfig:
             raise PipelineError("processors_per_group must be >= 1")
         if self.partition not in ("round_robin", "block", "spatial"):
             raise PipelineError(f"unknown partition strategy {self.partition!r}")
-        if self.backend not in ("serial", "thread", "process", "sharedmem", "auto"):
+        if self.backend not in ("serial", "thread", "sharedmem", "auto"):
             raise PipelineError(f"unknown backend {self.backend!r}")
         if self.guard_px < 0:
             raise PipelineError("guard_px must be >= 0")

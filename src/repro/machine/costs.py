@@ -62,16 +62,12 @@ class CostModel:
         Sequential per-pixel cost of that blend.
     bus_bandwidth_Bps:
         Bus bandwidth (bytes/second); 800 MB/s on the Onyx2.
-    ipc_bandwidth_Bps:
-        Effective bytes/second through a pickling inter-process channel
-        (serialise + pipe write + deserialise) on the *host* running the
-        real backends.  Unlike the 1997 constants above this is a
-        present-day magnitude, used by the decomposition planner to
-        charge the classic process backend for re-shipping the field to
-        every group each frame.
     shm_bandwidth_Bps:
         Host memcpy bytes/second into/out of shared memory — what the
-        zero-copy backend pays to publish the frame state once.
+        zero-copy process backend pays to publish the frame state once.
+        Unlike the 1997 constants above this is a present-day magnitude
+        of the *host* running the real backends, used by the
+        decomposition planner.
     worker_dispatch_s:
         Host-side per-group, per-frame overhead of handing work to a
         pooled worker (queue hop, wakeup).
@@ -100,7 +96,6 @@ class CostModel:
     blend_setup_s: float = 4.0e-3
     blend_pixel_s: float = 3.0e-8
     bus_bandwidth_Bps: float = 800.0e6
-    ipc_bandwidth_Bps: float = 300.0e6
     shm_bandwidth_Bps: float = 4.0e9
     worker_dispatch_s: float = 2.0e-4
     net_bandwidth_Bps: float = 100.0e6
@@ -111,7 +106,7 @@ class CostModel:
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 0:
                 raise MachineError(f"cost {name} must be >= 0")
-        for name in ("bus_bandwidth_Bps", "ipc_bandwidth_Bps", "shm_bandwidth_Bps",
+        for name in ("bus_bandwidth_Bps", "shm_bandwidth_Bps",
                      "net_bandwidth_Bps", "delta_decode_Bps"):
             if getattr(self, name) <= 0:
                 raise MachineError(f"{name} must be positive")

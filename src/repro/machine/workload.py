@@ -114,10 +114,9 @@ class SpotWorkload:
     def field_bytes(self) -> int:
         """Raw field data bytes: ``ny * nx`` float64 ``(u, v)`` pairs.
 
-        This is what a pickling process backend re-ships to every group
-        on every frame, and what the shared-memory backend publishes
-        once per field epoch — the dominant term the decomposition
-        planner charges against inter-process backends.
+        This is what the shared-memory process backend publishes once
+        per field epoch — the dominant term the decomposition planner
+        charges against it.
         """
         ny, nx = self.grid_shape
         return int(ny) * int(nx) * 2 * _BYTES_FLOAT64

@@ -4,11 +4,11 @@ This package implements the paper's parallel decomposition *for real*:
 spots are partitioned into disjoint sets, each set is processed by one
 process group driving one simulated graphics pipe, partial textures are
 gathered and blended into the final texture.  Execution backends range
-from serial (reference) through thread- and process-based to zero-copy
-shared-memory process groups (:mod:`repro.parallel.sharedmem`); all
-backends produce bit-identical textures for the same seed, which is the
-core correctness property of the decomposition (spots are independent
-and blending is associative/commutative addition).
+from serial (reference) through thread-based to zero-copy shared-memory
+process groups (:mod:`repro.parallel.sharedmem`); all backends produce
+bit-identical textures for the same seed, which is the core correctness
+property of the decomposition (spots are independent and blending is
+associative/commutative addition).
 
 The decomposition itself can be *planned* instead of configured: the
 cost-model :class:`~repro.parallel.planner.DecompositionPlanner` prices
@@ -28,7 +28,6 @@ from repro.parallel.backends import (
     ExecutionBackend,
     SerialBackend,
     ThreadBackend,
-    ProcessBackend,
     get_backend,
 )
 from repro.parallel.sharedmem import SharedMemoryBackend
@@ -54,7 +53,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "SharedMemoryBackend",
     "DecompositionPlan",
     "DecompositionPlanner",

@@ -1,39 +1,32 @@
 """Execution backends for process groups.
 
-The decomposition is backend-agnostic: any callable that maps
-:class:`~repro.parallel.groups.GroupTask` objects to
-:class:`~repro.parallel.groups.GroupResult` objects in order will do.
+The decomposition is backend-agnostic: a backend takes one
+structure-shared :class:`~repro.parallel.groups.FrameWork` and returns
+one :class:`~repro.parallel.groups.GroupResult` per group, in group
+order, through its single work method :meth:`ExecutionBackend.run_frame`.
 
 * :class:`SerialBackend` — reference implementation, zero concurrency.
 * :class:`ThreadBackend` — a thread per group; numpy releases the GIL in
   its inner loops, so groups overlap where it matters.
-* :class:`ProcessBackend` — a process per group via
-  :mod:`multiprocessing`; true isolation, tasks are pickled.  This is the
-  closest analogue of the paper's process groups on IRIX.
 * :class:`~repro.parallel.sharedmem.SharedMemoryBackend` (name
-  ``"sharedmem"``) — process groups over
+  ``"sharedmem"``) — the paper's process groups over
   :mod:`multiprocessing.shared_memory`: the field and particle arrays
   are published once per epoch and workers receive only group index
   sets, so nothing heavy is pickled per frame.
 
-Backends consume work at two granularities: :meth:`ExecutionBackend.run`
-takes fully materialised :class:`~repro.parallel.groups.GroupTask`
-objects, while :meth:`ExecutionBackend.run_frame` takes one
-structure-shared :class:`~repro.parallel.groups.FrameWork` (the runtime's
-native call).  The default ``run_frame`` materialises tasks and
-delegates to ``run``, so classic backends behave exactly as before;
-zero-copy backends override it.
+The serial and thread backends materialise the frame's per-group
+:class:`~repro.parallel.groups.GroupTask` objects (``frame.tasks()``)
+and run :func:`~repro.parallel.groups.render_group` on each; the
+shared-memory backend ships the frame's index sets instead.
 
-The pooled backends (thread and process) keep their worker pools alive
-across :meth:`~ExecutionBackend.run` calls so animation frames amortise
-worker start-up, and discard a process pool whose ``map`` failed — a
-worker that died mid-task leaves the pool unusable, and keeping it would
-fail every subsequent frame.  The texture service drives one shared
-backend from several render worker threads, so a pooled backend's
-``run`` executes under its pool lock: concurrent calls serialise (the
-pool *is* the parallelism — overlapping two maps on one pool buys
-nothing) and can never race a resize or teardown.  The serial backend
-is stateless and fully reentrant.
+The pooled backends keep their workers alive across
+:meth:`~ExecutionBackend.run_frame` calls so animation frames amortise
+worker start-up.  The texture service drives one shared backend from
+several render worker threads, so a pooled backend's ``run_frame``
+executes under its pool lock: concurrent calls serialise (the pool *is*
+the parallelism — overlapping two maps on one pool buys nothing) and can
+never race a resize or teardown.  The serial backend is stateless and
+fully reentrant.
 
 All backends must return results in group order and produce *identical*
 numerical output — asserted by the backend-equivalence tests, since spot
@@ -42,32 +35,22 @@ independence (section 3) is exactly what makes that possible.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Sequence, Type
+from typing import Dict, List, Type
 
 from repro.errors import BackendError
-from repro.parallel.groups import FrameWork, GroupResult, GroupTask, render_group
+from repro.parallel.groups import FrameWork, GroupResult, render_group
 
 
 class ExecutionBackend:
-    """Interface: run group tasks, return results in group order."""
+    """Interface: render one frame's groups, return results in group order."""
 
     name: str = "abstract"
 
-    def run(self, tasks: Sequence[GroupTask]) -> List[GroupResult]:
-        raise NotImplementedError
-
     def run_frame(self, frame: FrameWork) -> List[GroupResult]:
-        """Execute one structure-shared frame of group work.
-
-        The default materialises the per-group tasks (bit-identical to
-        the arrays the runtime used to build directly) and delegates to
-        :meth:`run`; shared-state backends override this to avoid the
-        per-group copies entirely.
-        """
-        return self.run(frame.tasks())
+        """Execute one structure-shared frame of group work."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release any pooled workers (no-op by default)."""
@@ -84,8 +67,8 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run(self, tasks: Sequence[GroupTask]) -> List[GroupResult]:
-        return [render_group(t) for t in tasks]
+    def run_frame(self, frame: FrameWork) -> List[GroupResult]:
+        return [render_group(t) for t in frame.tasks()]
 
 
 class ThreadBackend(ExecutionBackend):
@@ -124,7 +107,8 @@ class ThreadBackend(ExecutionBackend):
             self._pool_size = size
         return self._pool
 
-    def run(self, tasks: Sequence[GroupTask]) -> List[GroupResult]:
+    def run_frame(self, frame: FrameWork) -> List[GroupResult]:
+        tasks = frame.tasks()
         if not tasks:
             return []
         with self._pool_lock:
@@ -139,83 +123,15 @@ class ThreadBackend(ExecutionBackend):
                 self._pool_size = 0
 
 
-class ProcessBackend(ExecutionBackend):
-    """One OS process per group.
-
-    Uses a lazily created ``multiprocessing.Pool`` so repeated frames
-    (animation!) amortise worker start-up.  ``fork`` is preferred where
-    available: tasks then share the read-only field data with the parent
-    at no copy cost until written.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: "int | None" = None):
-        if max_workers is not None and max_workers < 1:
-            raise BackendError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._pool: "multiprocessing.pool.Pool | None" = None  #: guarded-by: _pool_lock
-        self._pool_size = 0  #: guarded-by: _pool_lock
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool_locked(self, n: int) -> "multiprocessing.pool.Pool":
-        size = self.max_workers or n
-        if self._pool is not None and self._pool_size < size:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._pool_size = 0
-        if self._pool is None:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                ctx = multiprocessing.get_context()
-            self._pool = ctx.Pool(processes=size)
-            self._pool_size = size
-        return self._pool
-
-    def run(self, tasks: Sequence[GroupTask]) -> List[GroupResult]:
-        if not tasks:
-            return []
-        with self._pool_lock:
-            pool = self._ensure_pool_locked(len(tasks))
-            try:
-                return pool.map(render_group, tasks)
-            except BaseException as exc:
-                # The pool may be unusable after a failed map (dead
-                # workers, half-drained queues); discard it so the next
-                # frame gets a fresh one instead of failing forever.
-                # BaseException on purpose: a KeyboardInterrupt or
-                # SystemExit mid-map leaves the pool exactly as corrupt
-                # as a task failure does, and skipping the discard here
-                # would poison every later frame.
-                pool.terminate()
-                pool.join()
-                self._pool = None
-                self._pool_size = 0
-                if isinstance(exc, Exception):
-                    raise BackendError(f"process backend failed: {exc}") from exc
-                raise  # KeyboardInterrupt/SystemExit propagate unwrapped
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool.join()
-                self._pool = None
-                self._pool_size = 0
-
-
 _BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
 }
 
 #: Names resolvable by :func:`get_backend` (``sharedmem`` loads lazily to
 #: keep the import cycle between this module and the shared-memory
 #: implementation one-directional).
-BACKEND_NAMES = ("serial", "thread", "process", "sharedmem")
+BACKEND_NAMES = ("serial", "thread", "sharedmem")
 
 
 def get_backend(name: str, **kwargs) -> ExecutionBackend:

@@ -40,7 +40,7 @@ from repro.spots.transform import flow_transforms, spot_quads
 
 @dataclass
 class GroupTask:
-    """Everything one group needs (picklable for the process backend).
+    """Everything one group needs to render its spot set.
 
     ``speed_hint`` is the frame's reference speed (the clamped
     ``field.max_magnitude()``), computed once per frame by the runtime
@@ -96,12 +96,10 @@ class FrameWork:
 
     The read-mostly state (field, config, full particle arrays) appears
     exactly once; each :class:`GroupSpec` selects its spot subset by
-    index.  :meth:`task` materialises the classic per-group
-    :class:`GroupTask` — bit-identical inputs to what the runtime used
-    to build directly — which is how the default
-    :meth:`~repro.parallel.backends.ExecutionBackend.run_frame`
-    delegates to ``run()``.  Zero-copy backends instead publish the
-    shared arrays once and ship only the specs.
+    index.  :meth:`task` materialises one group's :class:`GroupTask`,
+    which is what the serial and thread backends render; the
+    shared-memory backend instead publishes the shared arrays once and
+    ships only the specs.
     """
 
     field: VectorField2D
@@ -138,48 +136,6 @@ class FrameWork:
 
     def tasks(self) -> "List[GroupTask]":
         return [self.task(spec) for spec in self.groups]
-
-    @classmethod
-    def from_tasks(cls, tasks: "List[GroupTask]") -> "FrameWork":
-        """Rebuild a frame from homogeneous per-group tasks.
-
-        All tasks must share the same field object and configuration
-        (the invariant the runtime guarantees); the shared particle
-        arrays are the concatenation of the per-task subsets with
-        identity index ranges.
-        """
-        if not tasks:
-            raise PartitionError("cannot build a FrameWork from zero tasks")
-        first = tasks[0]
-        for t in tasks[1:]:
-            if t.field is not first.field or t.config != first.config:
-                raise PartitionError(
-                    "from_tasks requires every task to share one field and config"
-                )
-        positions = np.concatenate([t.positions for t in tasks], axis=0)
-        intensities = np.concatenate([t.intensities for t in tasks])
-        groups: List[GroupSpec] = []
-        offset = 0
-        for t in tasks:
-            n = t.positions.shape[0]
-            groups.append(
-                GroupSpec(
-                    group_index=t.group_index,
-                    indices=np.arange(offset, offset + n, dtype=np.int64),
-                    fb_size=t.fb_size,
-                    fb_window=t.fb_window,
-                    n_processors=t.n_processors,
-                )
-            )
-            offset += n
-        return cls(
-            field=first.field,
-            config=first.config,
-            positions=positions,
-            intensities=intensities,
-            groups=groups,
-            speed_hint=first.speed_hint,
-        )
 
 
 @dataclass

@@ -17,10 +17,9 @@ Two families of constants participate:
   use the 1997 Onyx2 constants times a host calibration ``scale`` — the
   same EWMA scale the serving layer's
   :class:`~repro.service.admission.LatencyPredictor` learns online;
-* the **host transport terms** (pickling IPC for the classic process
-  backend, shared-memory memcpy for the zero-copy backend, per-group
-  worker dispatch) use present-day host magnitudes and are *not*
-  scaled.
+* the **host transport terms** (shared-memory memcpy for the process
+  backend, per-group worker dispatch) use present-day host magnitudes
+  and are *not* scaled.
 
 Because the calibration multiplies only the render work, it shifts the
 balance: a slow host (large scale) amortises parallel overheads and the
@@ -43,7 +42,7 @@ from repro.machine.workload import SpotWorkload
 
 #: Backends the planner knows how to price, cheapest-infrastructure
 #: first — the order used to break exact ties.
-PLANNABLE_BACKENDS: "Tuple[str, ...]" = ("serial", "thread", "sharedmem", "process")
+PLANNABLE_BACKENDS: "Tuple[str, ...]" = ("serial", "thread", "sharedmem")
 
 _BYTES_FLOAT64 = 8
 
@@ -175,15 +174,6 @@ class DecompositionPlanner:
             else workload.texture_pixels
         )
         texture_bytes = n_groups * partial_px * _BYTES_FLOAT64
-        if backend == "process":
-            # The pickling pool re-ships the field to *every* group and
-            # pickles each partial texture back, every frame.
-            moved = (
-                n_groups * workload.field_bytes
-                + workload.particle_bytes
-                + texture_bytes
-            )
-            return dispatch + moved / c.ipc_bandwidth_Bps
         # sharedmem: the field is published at most once per frame (and
         # not at all while it is epoch-stable); particles once; partial
         # textures come back by memcpy.  Charging the field every frame

@@ -127,7 +127,7 @@ class DivideAndConquerRuntime:
     backend:
         Optional pre-built backend instance; by default one is constructed
         from ``config.backend`` and kept for the runtime's lifetime (so
-        process pools persist across animation frames).
+        worker pools persist across animation frames).
     planner:
         Planner used to resolve ``backend="auto"`` (a default-constructed
         one otherwise).

@@ -1,13 +1,12 @@
 """Zero-copy shared-memory process rendering.
 
-:class:`SharedMemoryBackend` is the process backend the paper's
-decomposition actually wants: process groups with *structure-shared*
-frame state.  Where :class:`~repro.parallel.backends.ProcessBackend`
-pickles the full field plus each group's particle subset into every
-worker on every frame, this backend places the read-mostly state in
-:mod:`multiprocessing.shared_memory` segments and ships only group
-index sets plus epoch tags per :meth:`run_frame` — share the read-mostly
-state, copy only what changed:
+:class:`SharedMemoryBackend` is the repo's process backend: the paper's
+process groups (one per graphics pipe) with *structure-shared* frame
+state.  Rather than pickling the full field plus each group's particle
+subset into every worker on every frame, it places the read-mostly
+state in :mod:`multiprocessing.shared_memory` segments and ships only
+group index sets plus epoch tags per :meth:`run_frame` — share the
+read-mostly state, copy only what changed:
 
 * the **field** segment holds the ``(ny, nx, 2)`` vector data; it is
   rewritten only when the frame carries a *different field object*
@@ -33,10 +32,10 @@ arrays that round-trip through shared memory exactly (float64 memcpy),
 which the backend-equivalence zoo asserts.
 
 A task failure inside a worker is caught there and reported back; the
-pool stays warm and healthy (like the thread backend, unlike the classic
-process pool).  Only infrastructure failures — a worker dying, an
-interrupt mid-collection — discard the pool, via ``BaseException`` so a
-``KeyboardInterrupt`` can never leave a desynchronised pool behind.
+pool stays warm and healthy, like the thread backend.  Only
+infrastructure failures — a worker dying, an interrupt mid-collection —
+discard the pool, via ``BaseException`` so a ``KeyboardInterrupt`` can
+never leave a desynchronised pool behind.
 
 The field-epoch cache keys on *object identity*: callers must not
 mutate ``field.data`` in place between frames (the pipeline API never
@@ -50,13 +49,13 @@ import pickle
 import queue as queue_mod
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from multiprocessing import shared_memory
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import BackendError, PartitionError
+from repro.errors import BackendError
 from repro.fields.vectorfield import VectorField2D
 from repro.parallel.backends import ExecutionBackend
 from repro.parallel.groups import FrameWork, GroupResult, GroupTask, render_group
@@ -336,18 +335,20 @@ class SharedMemoryBackend(ExecutionBackend):
         if self._last_field is field:
             return
         self._field_epoch += 1
-        self._last_field = field
         self._field_meta = pickle.dumps((field.grid, field.boundary))
         shm = self._segments["field"].ensure(field.data.nbytes)
         view = np.ndarray(field.data.shape, dtype=np.float64, buffer=shm.buf)
         view[:] = field.data
+        # Recorded only once published: a failed publish must not let the
+        # next frame skip it and ship the stale segment under a new epoch.
+        self._last_field = field
 
     def _publish_config_locked(self, config: SpotNoiseConfig) -> None:
         if self._last_config == config:
             return
         self._config_epoch += 1
-        self._last_config = config
         self._config_blob = pickle.dumps(config)
+        self._last_config = config
 
     def _publish_frame_locked(self, frame: FrameWork) -> "Tuple[list, list]":
         """Write the frame's arrays into the segments; return messages
@@ -478,24 +479,6 @@ class SharedMemoryBackend(ExecutionBackend):
                         n_vertices=n_vertices,
                     )
                 )
-            return results
-
-    def run(self, tasks: Sequence[GroupTask]) -> List[GroupResult]:
-        """Task-level entry: rebuild the structure-shared frame.
-
-        Homogeneous tasks (one field object, one config — what the
-        runtime produces) execute as a single parallel frame; a
-        heterogeneous sequence falls back to one frame per task.
-        """
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        try:
-            return self.run_frame(FrameWork.from_tasks(tasks))
-        except PartitionError:
-            results: List[GroupResult] = []
-            for task in tasks:
-                results.extend(self.run_frame(FrameWork.from_tasks([task])))
             return results
 
     # -- lifecycle -------------------------------------------------------------

@@ -11,7 +11,7 @@ plain function on the loop thread); both are
 thread, where blocking on the loop's own result would deadlock.
 
 :func:`get_runtime_loop` hands out the process-wide singleton.  The
-process backends fork workers, and a forked child inherits a loop whose
+shared-memory backend forks its workers, and a forked child inherits a loop whose
 thread does not exist there — an ``at_fork`` hook drops the handle so
 the child lazily builds its own spine.
 """

@@ -83,7 +83,7 @@ class FrameRenderer:
 
     Every call builds a fresh pipeline (re-seeded from ``config.seed``)
     but reuses one :class:`DivideAndConquerRuntime`, so thread or
-    process pools persist across renders the way they persist across
+    shared-memory pools persist across renders the way they persist across
     animation frames.
     """
 

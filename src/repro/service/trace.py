@@ -140,7 +140,8 @@ def replay(
     clients land on the same hot frame).  With *verify_fresh* — a
     callable rendering frame *f* from scratch — up to *verify_sample*
     distinct frames are re-rendered after the replay and compared
-    bit-for-bit against what the service returned.
+    bit-for-bit against what the service returned; ``bit_identical`` is
+    ``False`` when no request was served (nothing could be compared).
     """
     if n_clients < 1:
         raise ServiceError(f"n_clients must be >= 1, got {n_clients}")
@@ -183,7 +184,8 @@ def replay(
     bit_identical: Optional[bool] = None
     if verify_fresh is not None:
         frames = sorted(served)[: max(1, verify_sample)]
-        bit_identical = all(
+        # A replay that served nothing verified nothing: never a vacuous pass.
+        bit_identical = bool(frames) and all(
             np.array_equal(verify_fresh(f), served[f]) for f in frames
         )
     return ReplayResult(

@@ -14,7 +14,7 @@ from tools.analysis.runner import repo_root, run_analysis
 
 REPO = repo_root()
 
-BACKENDS = os.path.join("src", "repro", "parallel", "backends.py")
+SHAREDMEM = os.path.join("src", "repro", "parallel", "sharedmem.py")
 SERVER = os.path.join("src", "repro", "service", "server.py")
 
 
@@ -39,10 +39,12 @@ def _run(root):
 
 class TestShippedBugsStayDead:
     def test_pool_discard_narrowed_to_exception_is_caught(self, tmp_path):
-        # PR 5 fixed ProcessBackend.run discarding its pool under
-        # `except Exception`, which a KeyboardInterrupt skips.
+        # A pool discard under `except Exception` is skipped by a
+        # KeyboardInterrupt, leaving a desynchronised pool behind; the
+        # shared-memory backend's run_frame must discard under
+        # BaseException.
         root = _scratch_tree(
-            tmp_path, BACKENDS,
+            tmp_path, SHAREDMEM,
             old="except BaseException as exc:",
             new="except Exception as exc:",
         )
@@ -63,7 +65,7 @@ class TestShippedBugsStayDead:
         assert any(f.rule == "admission-backlog" for f in report.findings)
 
     def test_unmutated_copies_pass(self, tmp_path):
-        _scratch_tree(tmp_path, BACKENDS)
+        _scratch_tree(tmp_path, SHAREDMEM)
         root = _scratch_tree(tmp_path, SERVER)
         report = _run(root)
         assert report.findings == []

@@ -106,6 +106,50 @@ class TestAnimBench:
             build_parser().parse_args(["anim-bench", "--trace", "bogus"])
 
 
+class TestPlanBench:
+    def test_small_plan_bench_runs_and_reports(self, capsys):
+        code = main([
+            "plan-bench", "--spots", "200", "--size", "48", "--grid", "64",
+            "--frames", "3", "--groups", "2", "--host-workers", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "plan: backend=" in out
+        assert "serial backend (in-thread):" in out
+        assert "sharedmem backend (zero-copy):" in out
+        assert "bit-identical to serial: yes" in out
+
+
+class TestDeltaBench:
+    def test_small_delta_bench_runs_and_reports(self, capsys):
+        # A 16-frame trace re-ships too many keyframes to reach the
+        # default 1/3 byte budget, so the budget is passed explicitly.
+        code = main([
+            "delta-bench", "--requests", "48", "--frames", "16",
+            "--spots", "150", "--size", "48", "--grid", "24", "--budget", "0.6",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "delta transport:" in out
+        assert "ratio:" in out
+        assert "decoded frames bit-identical: yes" in out
+
+    def test_budget_overrun_fails_the_run(self, capsys):
+        code = main([
+            "delta-bench", "--requests", "48", "--frames", "16",
+            "--spots", "150", "--size", "48", "--grid", "24", "--budget", "0.1",
+        ])
+        assert code == 1
+        assert "decoded frames bit-identical: yes" in capsys.readouterr().out
+
+
+class TestBackendChoices:
+    @pytest.mark.parametrize("command", ["serve-node", "cluster-bench"])
+    def test_process_backend_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--backend", "process"])
+
+
 class TestServeBench:
     def test_small_zipf_bench_runs_and_reports(self, capsys):
         code = main([

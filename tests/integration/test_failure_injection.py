@@ -17,8 +17,9 @@ from repro.errors import BackendError, FieldError, StoreError
 from repro.fields.analytic import vortex_field
 from repro.fields.grid import RectilinearGrid
 from repro.fields.vectorfield import VectorField2D
-from repro.parallel.backends import ProcessBackend, SerialBackend
-from repro.parallel.groups import GroupTask
+from repro.parallel.backends import SerialBackend
+from repro.parallel.groups import FrameWork, GroupSpec
+from repro.parallel.sharedmem import SharedMemoryBackend
 from repro.parallel.runtime import DivideAndConquerRuntime
 
 FIELD = vortex_field(n=17)
@@ -57,34 +58,40 @@ class TestStoreCorruption:
 
 
 class TestWorkerFailure:
-    def _bad_task(self):
+    def _bad_frame(self):
         # NaN positions make VectorField sampling produce garbage spot
         # geometry; the field constructor rejects non-finite *field* data,
         # and the rasteriser rejects the resulting degenerate quads — but
         # the earliest guard is the particle set itself here: we build a
-        # task whose field data is corrupted after construction.
+        # one-group frame whose field data is corrupted after construction.
         cfg = SpotNoiseConfig(n_spots=4, texture_size=16, spot_mode="standard")
         field = vortex_field(n=9)
-        field.data[0, 0] = np.nan  # corrupt in place, bypassing validation
-        return GroupTask(
-            group_index=0,
-            positions=np.zeros((4, 2)),
-            intensities=np.ones(4),
+        frame = FrameWork(
             field=field,
             config=cfg,
-            fb_size=(16, 16),
-            fb_window=field.grid.bounds,
+            positions=np.zeros((4, 2)),
+            intensities=np.ones(4),
+            groups=[
+                GroupSpec(
+                    group_index=0,
+                    indices=np.arange(4),
+                    fb_size=(16, 16),
+                    fb_window=field.grid.bounds,
+                )
+            ],
         )
+        field.data[0, 0] = np.nan  # corrupt in place, bypassing validation
+        return frame
 
-    def test_process_backend_wraps_worker_exception(self):
-        backend = ProcessBackend(max_workers=1)
+    def test_sharedmem_wraps_worker_exception(self):
+        backend = SharedMemoryBackend(max_workers=1)
         try:
-            with pytest.raises(BackendError, match="process backend failed"):
-                # Non-picklable payload or failing worker — inject by
-                # killing pickling: a lambda inside the task config.
-                task = self._bad_task()
-                object.__setattr__(task.config, "seed", lambda: None)  # unpicklable
-                backend.run([task])
+            with pytest.raises(BackendError, match="shared-memory backend failed"):
+                # Non-picklable payload — inject by killing pickling: a
+                # lambda inside the frame config.
+                frame = self._bad_frame()
+                object.__setattr__(frame.config, "seed", lambda: None)  # unpicklable
+                backend.run_frame(frame)
         finally:
             backend.close()
 
@@ -93,18 +100,18 @@ class TestWorkerFailure:
         # so debugging stays direct.
         from repro.errors import SpotError
 
-        task = self._bad_task()
-        object.__setattr__(task.config, "profile", "bogus")
+        frame = self._bad_frame()
+        object.__setattr__(frame.config, "profile", "bogus")
         with pytest.raises(SpotError, match="unknown spot profile"):
-            SerialBackend().run([task])
+            SerialBackend().run_frame(frame)
 
     def test_nan_positions_degrade_gracefully(self):
         # Silently corrupted particle positions must not crash the
         # renderer: the splat path drops non-finite samples.
-        task = self._bad_task()
-        task.positions[:] = np.nan
-        task.field.data[0, 0] = 0.0  # restore the field; corrupt only spots
-        result = SerialBackend().run([task])[0]
+        frame = self._bad_frame()
+        frame.positions[:] = np.nan
+        frame.field.data[0, 0] = 0.0  # restore the field; corrupt only spots
+        result = SerialBackend().run_frame(frame)[0]
         assert np.isfinite(result.texture).all() or True  # no exception raised
 
 

@@ -14,6 +14,7 @@ from repro.core.config import SpotNoiseConfig
 from repro.errors import BackendError, MachineError
 from repro.fields.analytic import vortex_field
 from repro.machine.workload import SpotWorkload, workload_from_config
+from repro.parallel.backends import BACKEND_NAMES
 from repro.parallel.planner import (
     PLANNABLE_BACKENDS,
     DecompositionPlanner,
@@ -41,12 +42,10 @@ class TestPlanProperties:
         plan = DecompositionPlanner(host_workers=1).plan(HUGE)
         assert plan.backend == "serial"
 
-    def test_sharedmem_prices_below_pickling_process(self):
-        p = DecompositionPlanner(host_workers=8)
-        for n_groups in (2, 4, 8):
-            assert p.price(HUGE, "sharedmem", n_groups) < p.price(
-                HUGE, "process", n_groups
-            )
+    def test_every_plannable_backend_is_constructible(self):
+        # The planner may only choose what get_backend can build, and
+        # every named backend is a candidate.
+        assert set(PLANNABLE_BACKENDS) == set(BACKEND_NAMES)
 
     def test_calibration_scale_moves_the_balance(self):
         # A slow host (large scale) amortises parallel overhead; a fast

@@ -88,7 +88,7 @@ class TestSequentialEquivalence:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
     def test_backends_identical(self, backend):
         ps = make_particles()
         ref, _ = synthesize(BASE.with_overrides(n_groups=2), ps.copy())
@@ -102,6 +102,19 @@ class TestBackendEquivalence:
 
         with pytest.raises(BackendError):
             get_backend("gpu")
+
+    def test_process_is_not_a_backend(self):
+        # sharedmem is the one process backend: "process" names nothing
+        # in config validation, get_backend or the planner.
+        from repro.errors import BackendError, PipelineError
+        from repro.parallel.planner import DecompositionPlanner
+
+        with pytest.raises(BackendError):
+            get_backend("process")
+        with pytest.raises(PipelineError):
+            SpotNoiseConfig(backend="process")
+        with pytest.raises(BackendError):
+            DecompositionPlanner(backends=("process",))
 
     def test_thread_backend_worker_bound(self):
         from repro.errors import BackendError
@@ -117,7 +130,7 @@ class TestRasterBackendEquivalence:
     EXACT = BASE.with_overrides(n_spots=120, raster_backend="exact")
     BATCHED = BASE.with_overrides(n_spots=120, raster_backend="batched")
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
     @pytest.mark.parametrize(
         "partition,n_groups", [("round_robin", 3), ("block", 3), ("spatial", 4)]
     )

@@ -6,6 +6,9 @@ state invalidated by epoch tags (``read_data``/config changes), and a
 pool that survives task failures but not infrastructure ones.
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from repro.advection.particles import ParticleSet
 from repro.core.config import SpotNoiseConfig
 from repro.errors import BackendError
 from repro.fields.analytic import random_smooth_field, vortex_field
-from repro.parallel.groups import FrameWork, GroupSpec, GroupTask
+from repro.parallel.groups import FrameWork, GroupSpec
 from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.parallel.sharedmem import SharedMemoryBackend
 
@@ -153,8 +156,8 @@ class TestLifecycle:
             be.close()
 
     def test_task_error_keeps_pool_warm(self):
-        # Unlike the classic process pool, a failing task is caught in
-        # the worker: the pool must survive and the next frame succeed.
+        # A failing task is caught in the worker: the pool must survive
+        # and the next frame succeed.
         be = SharedMemoryBackend(max_workers=2)
         try:
             ps = make_particles()
@@ -177,25 +180,85 @@ class TestLifecycle:
         with pytest.raises(BackendError, match="closed"):
             be.run_frame(_frame(BASE.with_overrides(n_groups=1), ps))
 
+    def test_frame_without_groups_starts_no_pool(self):
+        be = SharedMemoryBackend()
+        try:
+            frame = FrameWork(
+                field=FIELD, config=BASE,
+                positions=np.zeros((0, 2)), intensities=np.zeros(0),
+            )
+            assert be.run_frame(frame) == []
+            assert be.pool_size == 0
+        finally:
+            be.close()
+
     def test_close_idempotent_and_before_first_run(self):
         be = SharedMemoryBackend()
         be.close()
         be.close()
 
-    def test_run_accepts_heterogeneous_tasks(self):
-        # Direct run() with tasks on different fields falls back to
-        # per-task frames but still returns correct results in order.
+
+class TestRecovery:
+    """Infrastructure failures discard the pool; the next frame recovers."""
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_discards_pool(self, interrupt, monkeypatch):
+        # An interrupt while collecting leaves messages and results
+        # unaccounted for: the pool must be discarded (BaseException,
+        # not Exception) and the interrupt re-raised unwrapped.
         be = SharedMemoryBackend(max_workers=2)
         try:
-            other = random_smooth_field(seed=9, n=33)
-            t0 = _task(0, FIELD)
-            t1 = _task(1, other)
-            results = be.run([t0, t1])
-            assert [r.group_index for r in results] == [0, 1]
-            from repro.parallel.groups import render_group
+            frame = _frame(BASE.with_overrides(n_groups=2), make_particles())
+            ref = _compose(be.run_frame(frame))
+            assert be.pool_size == 2
 
-            np.testing.assert_array_equal(results[0].texture, render_group(t0).texture)
-            np.testing.assert_array_equal(results[1].texture, render_group(t1).texture)
+            def interrupted(expected):
+                raise interrupt()
+
+            monkeypatch.setattr(be, "_collect_locked", interrupted)
+            with pytest.raises(interrupt):
+                be.run_frame(frame)
+            assert be.pool_size == 0
+            monkeypatch.undo()
+            np.testing.assert_array_equal(_compose(be.run_frame(frame)), ref)
+            assert be.pool_size == 2
+        finally:
+            be.close()
+
+    def test_failed_config_publish_is_not_recorded(self):
+        # A config that fails to pickle must not count as published: the
+        # next frame with an equal config would otherwise skip the
+        # publish and ship the previous config's blob under a new epoch.
+        be = SharedMemoryBackend(max_workers=1)
+        try:
+            ps = make_particles()
+            be.run_frame(_frame(BASE.with_overrides(n_groups=1), ps))
+            changed = BASE.with_overrides(n_groups=1, anisotropy=BASE.anisotropy + 2.0)
+            seed = changed.seed
+            object.__setattr__(changed, "seed", lambda: None)  # unpicklable
+            with pytest.raises(BackendError, match="shared-memory backend failed"):
+                be.run_frame(_frame(changed, ps))
+            object.__setattr__(changed, "seed", seed)
+            out = be.run_frame(_frame(changed, ps))
+            ref, _ = synthesize(changed, ps.copy())
+            np.testing.assert_array_equal(_compose(out), ref)
+        finally:
+            be.close()
+
+    def test_killed_worker_is_reported_and_replaced(self):
+        be = SharedMemoryBackend(max_workers=1)
+        try:
+            frame = _frame(BASE.with_overrides(n_groups=1), make_particles())
+            ref = _compose(be.run_frame(frame))
+            (worker,) = be._workers
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            with pytest.raises(BackendError, match=worker.name):
+                be.run_frame(frame)
+            assert be.pool_size == 0
+            np.testing.assert_array_equal(_compose(be.run_frame(frame)), ref)
+            assert be._workers[0].pid != worker.pid
         finally:
             be.close()
 
@@ -219,20 +282,6 @@ def _frame(config, particles, field=FIELD):
             )
             for g, idx in enumerate(parts)
         ],
-    )
-
-
-def _task(group_index, field, n=6):
-    rng = np.random.default_rng(group_index + 1)
-    x0, x1, y0, y1 = field.grid.bounds
-    return GroupTask(
-        group_index=group_index,
-        positions=rng.uniform((x0, y0), (x1, y1), (n, 2)),
-        intensities=np.where(rng.random(n) < 0.5, -1.0, 1.0),
-        field=field,
-        config=BASE,
-        fb_size=(BASE.texture_size, BASE.texture_size),
-        fb_window=field.grid.bounds,
     )
 
 

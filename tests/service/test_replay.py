@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import ServiceError
+from repro.errors import AdmissionError, ServiceError
 from repro.fields.analytic import random_smooth_field
 from repro.service import (
+    AdmissionController,
     FrameRenderer,
     TextureService,
     replay,
@@ -85,6 +86,24 @@ class TestReplay:
             )
         renderer.close()
         assert result.bit_identical is True
+
+    def test_everything_shed_is_not_verified(self, served):
+        # Zero frames compared must not read as a bit-identity pass.
+        class ShedEverything(AdmissionController):
+            def admit(self, predicted_s, queue_depth):
+                raise AdmissionError("shed by the test")
+
+        fields, config = served
+        with TextureService(
+            lambda f: fields[f], config, admission=ShedEverything()
+        ) as svc:
+            result = replay(
+                svc,
+                uniform_trace(6, 4, seed=1),
+                verify_fresh=lambda f: pytest.fail("nothing was served"),
+            )
+        assert result.sheds == 6
+        assert result.bit_identical is False
 
     def test_uncached_baseline_renders_everything(self, served):
         fields, config = served
