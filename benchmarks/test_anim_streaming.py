@@ -3,23 +3,23 @@
 The ISSUE-4 acceptance scenario: a 64-frame scrubbing trace served by
 ``repro.anim`` must beat the per-frame no-reuse service path by >= 3x
 frames/s, with incremental frames bit-identical to one-shot renders.
-This bench replays a scaled version of exactly the ``anim-bench`` CLI
-workload (same trace generator, same analytic fields) and records the
-measured rates in ``results/anim_streaming.txt``.
+This bench runs the ``anim-bench`` CLI's measuring body,
+:func:`repro.benches.anim_bench`, on a scaled workload (same trace
+generator, same analytic fields, one client) and records the measured
+rates in ``results/anim_streaming.txt``.
 
 The structural floor asserted here is below the acceptance 3x to absorb
 CI noise; the CLI run with the full default workload lands well above
 it (~5x on the recording host).
 """
 
-import time
-
 import numpy as np
 
 from repro.anim import AnimationService, one_shot_frame
+from repro.benches import anim_bench
+from repro.cluster import analytic_source
 from repro.core.config import SpotNoiseConfig
 from repro.fields.analytic import random_smooth_field
-from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.service.trace import scrubbing_trace
 
 #: Floor for the streamed-vs-per-frame frames/s ratio (acceptance: 3x on
@@ -33,38 +33,15 @@ BASELINE_REQUESTS = 16
 
 def test_anim_streaming_speedup(paper_report):
     config = SpotNoiseConfig(n_spots=400, texture_size=64, seed=0)
-    fields = {}
-
-    def source(frame):
-        if frame not in fields:
-            fields[frame] = random_smooth_field(seed=1000 + frame, n=32)
-        return fields[frame]
-
     trace = scrubbing_trace(N_REQUESTS, N_FRAMES, seed=0)
     distinct = len(set(trace))
 
-    with AnimationService(
-        source, config, length=N_FRAMES, checkpoint_every=8
-    ) as service:
-        t0 = time.perf_counter()
-        for frame in trace:
-            service.request(frame)
-        streamed_s = time.perf_counter() - t0
-        renders = service.stats.renders
-        dt = service.dt
-        # Bit-identity spot checks against the one-shot reference path.
-        identical = all(service.verify(f) for f in sorted(set(trace))[::20])
-
-    streamed_fps = len(trace) / streamed_s
-
-    runtime = DivideAndConquerRuntime(config)
-    t0 = time.perf_counter()
-    for frame in trace[:BASELINE_REQUESTS]:
-        one_shot_frame(config, source, frame, dt=dt, runtime=runtime)
-    baseline_s = time.perf_counter() - t0
-    runtime.close()
-    baseline_fps = BASELINE_REQUESTS / baseline_s
-    speedup = streamed_fps / baseline_fps
+    # Every distinct served frame is checked against its one-shot render.
+    result = anim_bench(
+        analytic_source(seed=0, grid=32), config, trace,
+        length=N_FRAMES, checkpoint_every=8, n_clients=1,
+        baseline_requests=BASELINE_REQUESTS, verify_sample=distinct,
+    )
 
     paper_report(
         "anim_streaming",
@@ -73,24 +50,24 @@ def test_anim_streaming_speedup(paper_report):
                 "animation streaming vs per-frame no-reuse (scrub trace):",
                 f"  trace: {N_REQUESTS} requests over {N_FRAMES} frames "
                 f"({distinct} distinct)",
-                f"  streamed path:  {streamed_fps:8.1f} frames/s "
-                f"({renders} incremental renders)",
-                f"  per-frame path: {baseline_fps:8.1f} frames/s "
+                f"  streamed path:  {result.served.throughput_rps:8.1f} frames/s "
+                f"({result.served.renders} incremental renders)",
+                f"  per-frame path: {result.baseline.throughput_rps:8.1f} frames/s "
                 f"(full prefix replay per request)",
-                f"  speedup: {speedup:.1f}x (acceptance floor 3x on the full "
+                f"  speedup: {result.speedup:.1f}x (acceptance floor 3x on the full "
                 "anim-bench workload)",
                 f"  incremental bit-identical to one-shot: "
-                f"{'yes' if identical else 'NO'}",
+                f"{'yes' if result.served.bit_identical else 'NO'}",
             ]
         ),
     )
 
-    assert identical, "incremental frames diverged from one-shot renders"
+    assert result.served.bit_identical, "incremental frames diverged from one-shot renders"
     # Streaming renders each distinct frame at most ~once (small race
     # slack) instead of replaying the prefix per request.
-    assert renders <= distinct + 4
-    assert speedup >= MIN_STREAMING_SPEEDUP, (
-        f"streaming is only {speedup:.1f}x the per-frame path "
+    assert result.served.renders <= distinct + 4
+    assert result.speedup >= MIN_STREAMING_SPEEDUP, (
+        f"streaming is only {result.speedup:.1f}x the per-frame path "
         f"(floor {MIN_STREAMING_SPEEDUP}x) — state reuse has regressed"
     )
 

@@ -9,19 +9,18 @@ exactly once while the full-texture path re-ships the (compressed)
 texture per request; the cost-model-priced keyframe cadence adds thin
 diffs on top wherever frames are coherent.
 
-This bench replays a scaled version of exactly the ``delta-bench`` CLI
-workload (same trace generator, same analytic fields) and records the
-measured ratio in ``results/delta_transport.txt``.
+This bench runs the ``delta-bench`` CLI's measuring body,
+:func:`repro.benches.delta_bench`, on a scaled workload (same trace
+generator, same analytic fields), which also checks a sample of decoded
+frames against one-shot renders, and records the measured ratio in
+``results/delta_transport.txt``.
 """
-
-import zlib
 
 import numpy as np
 
-from repro.anim import AnimationService
-from repro.anim.delta import DeltaDecoder, DeltaManifest
+from repro.benches import delta_bench
+from repro.cluster import analytic_source
 from repro.core.config import SpotNoiseConfig
-from repro.fields.analytic import random_smooth_field
 from repro.service.trace import scrubbing_trace
 
 #: Acceptance ceiling for delta bytes / full-texture bytes.
@@ -37,42 +36,17 @@ def canonical(texture) -> bytes:
 
 def test_delta_transport_ships_a_third_of_the_bytes(paper_report):
     config = SpotNoiseConfig(n_spots=400, texture_size=64, seed=0)
-    fields = {}
-
-    def source(frame):
-        if frame not in fields:
-            fields[frame] = random_smooth_field(seed=1000 + frame, n=32)
-        return fields[frame]
-
     trace = scrubbing_trace(N_REQUESTS, N_FRAMES, seed=0)
     distinct = sorted(set(trace))
 
-    textures = {}
-    with AnimationService(
-        source, config, length=N_FRAMES, checkpoint_every=8, delta_every=0,
-    ) as service:
-        for frame in trace:
-            textures.setdefault(frame, service.request(frame).texture)
-        stats = service.delta_stats()
-        manifest = DeltaManifest.from_dict(service.manifest()["delta"])
-        store = service.delta_transport.store
-
-    # Digest-sync client: every unique chunk ships once, plus the manifest.
-    delta_bytes = stats["shipped_bytes"] + manifest.json_bytes()
-    # Full-texture transport: compressed texture bytes per request.
-    frame_bytes = {
-        t: len(zlib.compress(canonical(tex), 6)) for t, tex in textures.items()
-    }
-    baseline_bytes = sum(frame_bytes[t] for t in trace)
-    ratio = delta_bytes / baseline_bytes
-
     # Every distinct frame decodes bit-identically from the published
-    # manifest + chunk store alone.
-    decoder = DeltaDecoder(store, manifest)
-    mismatched = [
-        t for t in distinct
-        if (out := decoder.decode(t)) is None or out.tobytes() != canonical(textures[t])
-    ]
+    # manifest + chunk store alone; the first three also match one-shot
+    # renders.
+    result = delta_bench(
+        analytic_source(seed=0, grid=32), config, trace,
+        length=N_FRAMES, checkpoint_every=8, delta_every=0, verify_sample=3,
+    )
+    mismatched = result.mismatched
 
     paper_report(
         "delta_transport",
@@ -81,14 +55,14 @@ def test_delta_transport_ships_a_third_of_the_bytes(paper_report):
                 "delta frame transport vs full-texture path (scrub trace):",
                 f"  trace: {N_REQUESTS} requests over {N_FRAMES} frames "
                 f"({len(distinct)} distinct)",
-                f"  encoded: {stats['keys']} keyframes + {stats['deltas']} "
-                f"deltas (cadence K={stats['keyframe_every']}, cost-model "
+                f"  encoded: {result.keys} keyframes + {result.deltas} "
+                f"deltas (cadence K={result.keyframe_every}, cost-model "
                 "priced)",
-                f"  delta transport: {delta_bytes:>12,d} bytes "
-                f"(unique chunks once + {manifest.json_bytes():,d} B manifest)",
-                f"  full-texture:    {baseline_bytes:>12,d} bytes "
+                f"  delta transport: {result.delta_bytes:>12,d} bytes "
+                f"(unique chunks once + {result.manifest_bytes:,d} B manifest)",
+                f"  full-texture:    {result.baseline_bytes:>12,d} bytes "
                 "(compressed texture per request)",
-                f"  ratio: {ratio:.3f}x (ceiling {MAX_BYTES_RATIO}x)",
+                f"  ratio: {result.ratio:.3f}x (ceiling {MAX_BYTES_RATIO}x)",
                 f"  decoded frames bit-identical: "
                 f"{'yes' if not mismatched else 'NO'}",
             ]
@@ -96,8 +70,8 @@ def test_delta_transport_ships_a_third_of_the_bytes(paper_report):
     )
 
     assert not mismatched, f"delta decode diverged on frames {mismatched[:5]}"
-    assert ratio <= MAX_BYTES_RATIO, (
-        f"delta transport shipped {ratio:.3f}x the full-texture bytes "
+    assert result.ratio <= MAX_BYTES_RATIO, (
+        f"delta transport shipped {result.ratio:.3f}x the full-texture bytes "
         f"(ceiling {MAX_BYTES_RATIO}x) — the bandwidth win has regressed"
     )
 

@@ -10,17 +10,16 @@ pool is a bench-only reference backend defined here
 task — the full field plus the group's particle subset — into a worker
 on every frame.  The shared-memory pool publishes the field once per
 epoch and ships only group index sets, so the gap *is* the
-serialisation tax.  This bench runs the same workload shape as the CLI
-(slightly shortened) and records the measured rates in
-``results/sharedmem_speedup.txt``.
+serialisation tax.  This bench feeds :func:`repro.benches.backend_bench`,
+the timing and bit-identity body behind ``plan-bench``, the same
+workload shape as the CLI (slightly shortened) and records the measured
+rates in ``results/sharedmem_speedup.txt``.
 """
 
 import contextlib
 import multiprocessing
-import time
 
-import numpy as np
-
+from repro.benches import backend_bench
 from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
 from repro.fields.analytic import random_smooth_field
@@ -73,28 +72,16 @@ def _pipeline(backend: str):
         yield pipe
 
 
-def _animate_fps(backend: str) -> float:
-    with _pipeline(backend) as pipe:
-        pipe.step()  # warm-up: pool spin-up + first field publish
-        t0 = time.perf_counter()
-        for _ in range(N_FRAMES):
-            pipe.step()
-        return N_FRAMES / (time.perf_counter() - t0)
-
-
 def test_sharedmem_beats_pickling_process(paper_report):
     # Bit-identity first: the speedup is only admissible if the bytes
     # are the serial reference's bytes.
-    textures = {}
-    for backend in ("serial", "pickling", "sharedmem"):
-        with _pipeline(backend) as pipe:
-            textures[backend] = pipe.step().texture
-    for backend in ("pickling", "sharedmem"):
-        np.testing.assert_array_equal(textures[backend], textures["serial"])
-
-    pickling_fps = _animate_fps("pickling")
-    sharedmem_fps = _animate_fps("sharedmem")
-    speedup = sharedmem_fps / pickling_fps
+    result = backend_bench(
+        _pipeline,
+        checked=("pickling", "sharedmem"),
+        baseline="pickling",
+        n_frames=N_FRAMES,
+    )
+    assert result.bit_identical, "a backend diverged from the serial reference"
 
     paper_report(
         "sharedmem_speedup",
@@ -104,17 +91,17 @@ def test_sharedmem_beats_pickling_process(paper_report):
                 f"({N_FRAMES}-frame animation, {N_GROUPS} groups, "
                 f"static {GRID_N}x{GRID_N} field):",
                 f"  pickling pool (pickles field x{N_GROUPS}/frame):   "
-                f"{pickling_fps:8.2f} frames/s",
+                f"{result.baseline_fps:8.2f} frames/s",
                 f"  sharedmem backend (index sets + epochs):           "
-                f"{sharedmem_fps:8.2f} frames/s",
-                f"  speedup: {speedup:.1f}x (acceptance floor "
+                f"{result.sharedmem_fps:8.2f} frames/s",
+                f"  speedup: {result.speedup:.1f}x (acceptance floor "
                 f"{MIN_SHAREDMEM_SPEEDUP}x)",
                 "  bit-identical to serial: yes",
             ]
         ),
     )
 
-    assert speedup >= MIN_SHAREDMEM_SPEEDUP, (
-        f"shared-memory rendering is only {speedup:.1f}x the pickling pool "
+    assert result.speedup >= MIN_SHAREDMEM_SPEEDUP, (
+        f"shared-memory rendering is only {result.speedup:.1f}x the pickling pool "
         f"(floor {MIN_SHAREDMEM_SPEEDUP}x) — the zero-copy path has regressed"
     )

@@ -101,16 +101,13 @@ def test_smoke_serving_cache():
     stay >= 5x faster than the no-cache path, render each distinct frame
     exactly once, and serve bytes identical to fresh renders.  Both sides
     of the ratio run on this host, so the check is host-independent.
+    The measurement is :func:`repro.benches.serve_bench`, the body behind
+    ``repro.cli serve-bench``, on this guard's own workload.
     """
+    from repro.benches import serve_bench
     from repro.core.config import SpotNoiseConfig
     from repro.fields.analytic import random_smooth_field
-    from repro.service import (
-        FrameRenderer,
-        TextureService,
-        replay,
-        replay_uncached,
-        zipf_trace,
-    )
+    from repro.service import zipf_trace
 
     n_frames = 32
     fields = {f: random_smooth_field(seed=300 + f, n=33) for f in range(n_frames)}
@@ -118,31 +115,18 @@ def test_smoke_serving_cache():
     trace = zipf_trace(256, n_frames, seed=4)
     distinct = len(set(trace))
 
-    renderer = FrameRenderer(config)
-    with TextureService(
-        lambda f: fields[f], config, n_workers=2, memoize_digests=True
-    ) as service:
-        cached = replay(
-            service,
-            trace,
-            n_clients=4,
-            verify_fresh=lambda f: renderer.render(fields[f]),
-        )
-    assert cached.bit_identical, "served textures differ from fresh renders"
-    assert cached.renders <= distinct, (
-        f"{cached.renders} renders for {distinct} distinct frames — "
+    result = serve_bench(
+        fields.__getitem__, config, trace,
+        n_workers=2, n_clients=4, baseline_requests=48,
+    )
+    assert result.served.bit_identical, "served textures differ from fresh renders"
+    assert result.served.renders <= distinct, (
+        f"{result.served.renders} renders for {distinct} distinct frames — "
         "duplicate requests are not being coalesced/cached"
     )
 
-    baseline_trace = trace[:48]
-    baseline = replay_uncached(
-        lambda f: renderer.render(fields[f]), baseline_trace, n_clients=4
-    )
-    renderer.close()
-
-    speedup = cached.throughput_rps / baseline.throughput_rps
-    assert speedup >= MIN_SERVING_SPEEDUP, (
-        f"serving layer is only {speedup:.1f}x the no-cache path "
-        f"(floor {MIN_SERVING_SPEEDUP}x; cached {cached.throughput_rps:.0f} req/s, "
-        f"uncached {baseline.throughput_rps:.0f} req/s) — the cache has regressed"
+    assert result.speedup >= MIN_SERVING_SPEEDUP, (
+        f"serving layer is only {result.speedup:.1f}x the no-cache path "
+        f"(floor {MIN_SERVING_SPEEDUP}x; cached {result.served.throughput_rps:.0f} req/s, "
+        f"uncached {result.baseline.throughput_rps:.0f} req/s) — the cache has regressed"
     )

@@ -8,7 +8,8 @@ few hot frames dominating, the access pattern dashboards generate — with
 four concurrent clients.  Identical requests hit the cache, concurrent
 duplicates coalesce onto one in-flight render, and the run ends with the
 serving report (hit rate, coalesce rate, latency percentiles) next to
-the honest no-cache baseline.
+the honest no-cache baseline.  The measurement is
+``repro.benches.serve_bench``, the body behind ``repro.cli serve-bench``.
 
 Run:  python examples/serve_trace.py
 Writes the database to ``examples/out_serve_db/`` and the disk cache
@@ -21,7 +22,8 @@ import shutil
 from repro import SpotNoiseConfig
 from repro.apps.dns import ChunkedFieldStore, DNSConfig, DNSSolver
 from repro.fields.grid import RectilinearGrid
-from repro.service import FrameRenderer, TextureService, replay, replay_uncached, zipf_trace
+from repro.benches import serve_bench
+from repro.service import zipf_trace
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DB_DIR = os.path.join(HERE, "out_serve_db")
@@ -57,25 +59,19 @@ def main() -> None:
 
     if os.path.exists(CACHE_DIR):
         shutil.rmtree(CACHE_DIR)
-    with TextureService.for_store(
-        store, config, n_workers=2, disk_dir=CACHE_DIR
-    ) as service:
-        result = replay(service, trace, n_clients=4)
-        print()
-        print(service.stats.report())
-
-    renderer = FrameRenderer(config)
-    baseline = replay_uncached(
-        lambda f: renderer.render(store.read(f)), trace[:40], n_clients=4
+    result = serve_bench(
+        store.read, config, trace, n_workers=2, n_clients=4,
+        baseline_requests=40, verify=False, disk_dir=CACHE_DIR,
     )
-    renderer.close()
+    print()
+    print(result.report)
 
     print()
-    print(f"cached:   {result.throughput_rps:8.1f} requests/s "
-          f"({result.renders} renders for {distinct} distinct frames)")
-    print(f"no cache: {baseline.throughput_rps:8.1f} requests/s "
-          f"(first {baseline.n_requests} requests, every one rendered)")
-    print(f"speedup:  {result.throughput_rps / baseline.throughput_rps:.1f}x")
+    print(f"cached:   {result.served.throughput_rps:8.1f} requests/s "
+          f"({result.served.renders} renders for {distinct} distinct frames)")
+    print(f"no cache: {result.baseline.throughput_rps:8.1f} requests/s "
+          f"(first {result.baseline.n_requests} requests, every one rendered)")
+    print(f"speedup:  {result.speedup:.1f}x")
     print(f"disk tier: {len(os.listdir(CACHE_DIR))} entries in {CACHE_DIR}/ — "
           "a restarted service starts warm")
 

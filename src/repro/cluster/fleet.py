@@ -32,7 +32,6 @@ from repro.core.config import SpotNoiseConfig
 from repro.errors import ServiceError
 from repro.fields.analytic import random_smooth_field
 from repro.fields.vectorfield import VectorField2D
-from repro.service.server import TextureService
 
 
 def analytic_source(seed: int = 0, grid: int = 25) -> Callable[[int], VectorField2D]:
@@ -134,19 +133,13 @@ class LocalFleet:
         return f"node-{i}"
 
     def _build_node(self, i: int) -> ClusterNode:
-        cache_dir = os.path.join(self.base_dir, self._node_id(i), "cache")
-        service = TextureService(
+        node = ClusterNode.over_source(
+            self._node_id(i),
             self.field_source,
             self.config,
-            disk_dir=cache_dir,
+            disk_dir=os.path.join(self.base_dir, self._node_id(i), "cache"),
             n_workers=self._n_workers,
-            memoize_digests=True,
-        )
-        node = ClusterNode(
-            self._node_id(i),
-            service,
             quotas=self._quotas_factory() if self._quotas_factory else None,
-            blob_store=service.cache.disk,
         )
         node.serve()
         return node
@@ -193,7 +186,6 @@ class LocalFleet:
         if client is not None:
             client.close()
         if node is not None:
-            node.service.close()
             node.close()
 
     def restart(self, i: int) -> None:
@@ -217,7 +209,6 @@ class LocalFleet:
                 client.close()
         for node in self.nodes:
             if node is not None:
-                node.service.close()
                 node.close()
         self.nodes = []
         self.clients = []

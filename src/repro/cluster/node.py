@@ -129,7 +129,26 @@ class ClusterNode:
         self._conn_tasks: "set[asyncio.Task]" = set()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
+        self._owns_service = False
         self.address: Optional[Tuple[str, int]] = None
+
+    @classmethod
+    def over_source(
+        cls, node_id: str, field_source, config, disk_dir: "str | None", n_workers: int,
+        **kwargs,
+    ) -> "ClusterNode":
+        """A node over its own :class:`TextureService` of *field_source*
+        (immutable per frame: digests are memoised), whose disk tier is
+        the node's blob store; :meth:`close` closes the service too."""
+        service = TextureService(field_source, config, disk_dir=disk_dir,
+                                 n_workers=n_workers, memoize_digests=True)
+        try:
+            node = cls(node_id, service, blob_store=service.cache.disk, **kwargs)
+        except BaseException:
+            service.close()
+            raise
+        node._owns_service = True
+        return node
 
     # -- membership --------------------------------------------------------------
     def add_peer(self, node_id: str, address: Tuple[str, int], **client_kwargs) -> None:
@@ -368,6 +387,8 @@ class ClusterNode:
             # must not hold shutdown hostage; its connection task is
             # already cancelled and its reply socket closed.
             self._pool.shutdown(wait=False)
+        if self._owns_service:
+            self.service.close()
 
     async def _shutdown(self) -> None:
         if self._server is not None:

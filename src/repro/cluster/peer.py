@@ -77,6 +77,8 @@ class PeerClient:
         if attempts < 1:
             raise ServiceError(f"attempts must be >= 1, got {attempts}")
         self.address = (str(address[0]), int(address[1]))
+        if not 1 <= self.address[1] <= 65535:
+            raise ServiceError(f"peer port must be in 1-65535, got {self.address[1]}")
         self.timeout = float(timeout)
         self.attempts = int(attempts)
         self.backoff_s = float(backoff_s)

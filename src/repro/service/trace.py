@@ -13,7 +13,8 @@ arrives at a texture server:
 :func:`replay` drives a :class:`~repro.service.server.TextureService`
 with N concurrent client threads, and :func:`replay_uncached` renders
 the same trace with no cache and no coalescing — the honest baseline a
-speedup claim needs.  Both return a :class:`ReplayResult`; ``replay``
+speedup claim needs.  Both drive one shared-cursor client loop and
+return a :class:`ReplayResult`; ``replay``
 can additionally verify that a sample of served textures is
 bit-identical to fresh renders.
 """
@@ -85,7 +86,7 @@ def _check(n_requests: int, n_frames: int) -> None:
         raise ServiceError(f"n_frames must be >= 1, got {n_frames}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayResult:
     """Outcome of replaying one trace."""
 
@@ -107,23 +108,49 @@ class ReplayResult:
         return self.completed / self.duration_s if self.duration_s > 0 else 0.0
 
 
-def _run_clients(n_clients: int, worker: Callable[[], None]) -> List[BaseException]:
-    errors: List[BaseException] = []
-    error_lock = threading.Lock()
+def _run_clients(
+    trace: Sequence[int], n_clients: int, serve: Callable[[int], object]
+) -> float:
+    """Call *serve* on every entry of *trace* from *n_clients* threads.
 
-    def guarded() -> None:
+    Clients pull the next entry from one shared cursor, so the
+    interleaving is realistic (concurrent duplicates happen whenever two
+    clients land on the same hot frame).  A single client runs on the
+    calling thread: a spawned one allocates from its own malloc arena,
+    which shifts its rate against main-thread timings.  Returns the
+    wall-clock seconds; the first client error is re-raised.
+    """
+    if n_clients < 1:
+        raise ServiceError(f"n_clients must be >= 1, got {n_clients}")
+    cursor = iter(trace)
+    cursor_lock = threading.Lock()
+    errors: List[BaseException] = []
+
+    def client() -> None:
         try:
-            worker()
+            while True:
+                with cursor_lock:
+                    frame = next(cursor, None)
+                if frame is None:
+                    return
+                serve(frame)
         except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
-            with error_lock:
+            with cursor_lock:
                 errors.append(exc)
 
-    threads = [threading.Thread(target=guarded, daemon=True) for _ in range(n_clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return errors
+    t0 = time.perf_counter()
+    if n_clients == 1:
+        client()
+    else:
+        threads = [threading.Thread(target=client, daemon=True) for _ in range(n_clients)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    duration = time.perf_counter() - t0
+    if errors:
+        raise errors[0]
+    return duration
 
 
 def replay(
@@ -133,48 +160,31 @@ def replay(
     verify_fresh: Optional[Callable[[int], np.ndarray]] = None,
     verify_sample: int = 8,
 ) -> ReplayResult:
-    """Replay *trace* against *service* with *n_clients* threads.
+    """Replay *trace* against *service* with *n_clients* threads sharing
+    one cursor.
 
-    Clients pull the next trace entry from a shared cursor, so the
-    interleaving is realistic (concurrent duplicates happen whenever two
-    clients land on the same hot frame).  With *verify_fresh* — a
-    callable rendering frame *f* from scratch — up to *verify_sample*
-    distinct frames are re-rendered after the replay and compared
-    bit-for-bit against what the service returned; ``bit_identical`` is
-    ``False`` when no request was served (nothing could be compared).
+    With *verify_fresh* — a callable rendering frame *f* from scratch —
+    up to *verify_sample* distinct frames are re-rendered after the
+    replay and compared bit-for-bit against what the service returned;
+    ``bit_identical`` is ``False`` when no request was served (nothing
+    could be compared).
     """
-    if n_clients < 1:
-        raise ServiceError(f"n_clients must be >= 1, got {n_clients}")
-    cursor_lock = threading.Lock()
-    cursor = [0]
     served: Dict[int, np.ndarray] = {}
     served_lock = threading.Lock()
     sheds = [0]
     before = service.stats.snapshot()
 
-    def client() -> None:
-        while True:
-            with cursor_lock:
-                i = cursor[0]
-                if i >= len(trace):
-                    return
-                cursor[0] = i + 1
-            frame = trace[i]
-            try:
-                response = service.request(frame)
-            except AdmissionError:
-                with cursor_lock:
-                    sheds[0] += 1
-                continue
+    def serve(frame: int) -> None:
+        try:
+            response = service.request(frame)
+        except AdmissionError:
             with served_lock:
-                if frame not in served:
-                    served[frame] = response.texture
+                sheds[0] += 1
+            return
+        with served_lock:
+            served.setdefault(frame, response.texture)
 
-    t0 = time.perf_counter()
-    errors = _run_clients(n_clients, client)
-    duration = time.perf_counter() - t0
-    if errors:
-        raise errors[0]
+    duration = _run_clients(trace, n_clients, serve)
 
     after = service.stats.snapshot()
     sources = {
@@ -209,25 +219,7 @@ def replay_uncached(
     *render* must be thread-safe or cheap to call concurrently (each
     client calls it directly; nothing is shared, coalesced or cached).
     """
-    if n_clients < 1:
-        raise ServiceError(f"n_clients must be >= 1, got {n_clients}")
-    cursor_lock = threading.Lock()
-    cursor = [0]
-
-    def client() -> None:
-        while True:
-            with cursor_lock:
-                i = cursor[0]
-                if i >= len(trace):
-                    return
-                cursor[0] = i + 1
-            render(trace[i])
-
-    t0 = time.perf_counter()
-    errors = _run_clients(n_clients, client)
-    duration = time.perf_counter() - t0
-    if errors:
-        raise errors[0]
+    duration = _run_clients(trace, n_clients, render)
     return ReplayResult(
         n_requests=len(trace),
         n_clients=n_clients,

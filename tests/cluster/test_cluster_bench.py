@@ -63,6 +63,10 @@ def test_bench_counts_match_the_trace_arithmetic(capsys):
 @pytest.mark.parametrize("argv", [
     ["serve-node", "--peer", "garbage", "--duration", "0.1"],
     ["serve-node", "--peer", "id-but-no-address=", "--duration", "0.1"],
+    ["serve-node", "--peer", "a=127.0.0.1:99999", "--duration", "0.1"],
+    ["serve-node", "--peer", "a=127.0.0.1:65536", "--duration", "0.1"],
+    ["serve-node", "--peer", "a=127.0.0.1:0", "--duration", "0.1"],
+    ["serve-node", "--peer", "a=127.0.0.1:-1", "--duration", "0.1"],
 ])
 def test_serve_node_rejects_malformed_peer_specs(argv, capsys):
     assert main(argv) == 2

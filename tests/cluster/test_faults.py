@@ -197,6 +197,14 @@ def test_backoff_schedule_is_exponential_and_bounded():
     assert sleeps == [0.05, 0.1, 0.2]  # attempts-1 waits, doubling
 
 
+@pytest.mark.parametrize("port", [0, -1, 65536, 99999])
+def test_client_rejects_out_of_range_port(port):
+    # Rejected at construction; otherwise every request fails at connect
+    # time (above 65535 as a bare OverflowError from the socket layer).
+    with pytest.raises(ServiceError, match="1-65535"):
+        PeerClient(("127.0.0.1", port))
+
+
 def test_unreachable_peer_is_marked_dead_and_keys_reroute(make_fleet):
     fleet = make_fleet(3)
     # Sever node 0's view of node 2 by feeding it a dead address, then

@@ -179,3 +179,51 @@ class TestServeBench:
         # The disk tier is content-addressed npz files.
         cached = [p for p in (tmp_path / "cache").iterdir() if p.suffix == ".npz"]
         assert cached
+
+
+class TestServeBenchStore:
+    """``--store``: frames come from a ChunkedFieldStore, not analytic fields."""
+
+    @staticmethod
+    def build_store(tmp_path):
+        from repro.apps.dns.store import ChunkedFieldStore
+        from repro.fields.analytic import random_smooth_field
+        from repro.fields.grid import RectilinearGrid
+        from repro.fields.vectorfield import VectorField2D
+
+        first = random_smooth_field(seed=5, n=17)
+        grid = RectilinearGrid(first.grid.x_coords(), first.grid.y_coords())
+        path = tmp_path / "db"
+        store = ChunkedFieldStore.create(path, grid, frames_per_chunk=2)
+        for t in range(4):
+            field = random_smooth_field(seed=5 + t, n=17)
+            store.append(VectorField2D(grid, field.data), time=0.1 * t)
+        store.flush()
+        return str(path)
+
+    def test_serves_the_store(self, tmp_path, capsys):
+        store = self.build_store(tmp_path)
+        code = main([
+            "serve-bench", "--store", store, "--frames", "4", "--requests", "12",
+            "--clients", "1", "--workers", "1", "--spots", "60", "--size", "32",
+            "--baseline-requests", "3",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"source: store {store} (4 frames)" in out
+        assert "bit-identical to fresh renders: yes" in out
+
+
+class TestAnimBenchStore:
+    def test_streams_the_store(self, tmp_path, capsys):
+        store = TestServeBenchStore.build_store(tmp_path)
+        code = main([
+            "anim-bench", "--store", store, "--frames", "4", "--requests", "12",
+            "--clients", "1", "--spots", "60", "--size", "32",
+            "--baseline-requests", "2", "--verify-sample", "2",
+            "--checkpoint-every", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"source: store {store} (4 frames)" in out
+        assert "bit-identical to one-shot renders: yes" in out

@@ -1,5 +1,7 @@
 """Tests for repro.service.trace — trace shapes and the replay harness."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,15 @@ class TestReplay:
         renderer.close()
         assert result.renders == 6
         assert result.sources == {"render": 6}
+
+    def test_one_client_runs_on_the_calling_thread(self):
+        # A spawned client would time its renders in another malloc
+        # arena than a main-thread baseline; errors still surface.
+        seen = []
+        replay_uncached(lambda f: seen.append(threading.current_thread()), [0, 1, 2])
+        assert seen == [threading.current_thread()] * 3
+        with pytest.raises(ZeroDivisionError):
+            replay_uncached(lambda f: 1 // f, [1, 0, 2])
 
     def test_bad_client_count(self, served):
         fields, config = served

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate for CI.
 
-Two checks, both cheap to keep honest:
+Three checks, all cheap to keep honest:
 
 1. **Docstring audit** — every public module under ``src/repro`` (any
    ``.py`` whose name does not start with an underscore, including
@@ -11,6 +11,12 @@ Two checks, both cheap to keep honest:
    in a scratch directory.  Documentation that cannot run is
    documentation that has drifted; mark genuinely non-runnable listings
    as ```text`` (or leave the fence untagged).
+3. **CLI invocations** — every ``python -m repro.cli ...`` command line
+   in those files, fenced or inline (an inline span may wrap across
+   lines, a fenced line may continue with ``\\``), is parsed, not run,
+   with ``repro.cli.build_parser()``, up to its first shell operator
+   (``|``, ``>``, ``;``, ``&&`` ...), so a renamed subcommand or flag
+   fails here before a reader trips on it.
 
 Exit status is non-zero with a per-failure report, so the CI step's log
 says exactly which module or snippet broke.
@@ -18,9 +24,13 @@ says exactly which module or snippet broke.
 
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -30,6 +40,11 @@ SRC = os.path.join(REPO, "src")
 SNIPPET_TIMEOUT_S = 240
 
 FENCE_RE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
+ANY_FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
+INLINE_RE = re.compile(r"`([^`]+)`")
+CLI_RE = re.compile(r"python -m repro\.cli\s+(\S.*)")
+CONTINUATION_RE = re.compile(r"\\[ \t]*\n")
+SHELL_OPERATOR_CHARS = set("();<>|&")
 
 
 def public_modules() -> "list[str]":
@@ -104,11 +119,98 @@ def check_snippets() -> "list[str]":
     return failures
 
 
+def cli_invocations(text: str) -> "list[tuple[int, str]]":
+    """``(line, arguments)`` of every ``python -m repro.cli`` command
+    line with arguments in *text*: one per (``\\``-continued) line of a
+    fenced block, one per inline code span."""
+    found = []
+
+    def add(offset: int, snippet: str) -> None:
+        match = CLI_RE.search(" ".join(snippet.split()))
+        if match:
+            found.append((text.count("\n", 0, offset) + 1, match.group(1)))
+
+    for fence in ANY_FENCE_RE.finditer(text):
+        offset = start = fence.start(1)
+        command = ""
+        for line in fence.group(1).splitlines(keepends=True):
+            if not command:
+                start = offset
+            command += line
+            offset += len(line)
+            if not CONTINUATION_RE.search(line):
+                add(start, CONTINUATION_RE.sub(" ", command))
+                command = ""
+    # Blank the fences (keeping offsets) so inline spans never pair a
+    # fence's backticks with prose.
+    prose = ANY_FENCE_RE.sub(lambda m: " " * len(m.group(0)), text)
+    for span in INLINE_RE.finditer(prose):
+        add(span.start(1), span.group(1))
+    return sorted(found)
+
+
+def split_command(arguments: str) -> "list[str]":
+    """The argv of a documented command line, up to its first shell
+    operator; ValueError when its quoting does not balance."""
+    lexer = shlex.shlex(arguments, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    argv = []
+    for token in lexer:
+        if set(token) <= SHELL_OPERATOR_CHARS:
+            break
+        argv.append(token)
+    return argv
+
+
+def strict(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """*parser* and its subcommands with prefix abbreviations off, so a
+    documented flag that a rename only lengthened still fails."""
+    parser.allow_abbrev = False
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                strict(subparser)
+    return parser
+
+
+def check_cli_invocations() -> "list[str]":
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from repro.cli import build_parser
+
+    parser = strict(build_parser())
+    failures = []
+    for path in doc_files():
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for line, arguments in cli_invocations(text):
+            label = f"{rel} line {line}: python -m repro.cli {arguments}"
+            try:
+                argv = split_command(arguments)
+            except ValueError as exc:
+                failures.append(f"{label}: cannot be split ({exc})")
+                continue
+            if argv[0] == "lint":  # forwarded verbatim, as repro.cli.main does
+                continue
+            stderr = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(stderr):
+                    parser.parse_args(argv)
+            except SystemExit:
+                error = stderr.getvalue().strip().splitlines()[-1:]
+                failures.append(f"{label}: does not parse ({' '.join(error)})")
+                continue
+            print(f"ok: {label}")
+    return failures
+
+
 def main() -> int:
     failures = check_docstrings()
     n_modules = len(public_modules())
     if not failures:
         print(f"ok: {n_modules} public modules all carry module docstrings")
+    failures += check_cli_invocations()
     failures += check_snippets()
     if failures:
         print(f"\n{len(failures)} docs check failure(s):", file=sys.stderr)
