@@ -20,7 +20,7 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.advection` — particle advection, streamlines, life cycles
 - :mod:`repro.spots` — spot profiles, flow transforms, bent spots
 - :mod:`repro.raster` — software scan conversion and blending
-- :mod:`repro.glsim` — simulated OpenGL state machine / graphics pipes
+- :mod:`repro.glsim` — simulated graphics pipes and their work counters
 - :mod:`repro.machine` — calibrated Onyx2 performance model (Tables 1-2)
 - :mod:`repro.parallel` — divide-and-conquer runtime and backends
 - :mod:`repro.core` — the four-stage pipeline and public API

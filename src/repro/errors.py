@@ -34,7 +34,7 @@ class RasterError(ReproError):
 
 
 class GLStateError(ReproError):
-    """Illegal operation on the simulated OpenGL state machine."""
+    """Illegal command or setting on a simulated graphics pipe."""
 
 
 class MachineError(ReproError):

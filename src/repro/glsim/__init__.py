@@ -1,47 +1,34 @@
 """Simulated graphics subsystem.
 
-The paper treats each graphics pipe as "an OpenGL state machine which can
-be set and queried through the OpenGL API".  This package provides that
-abstraction in software: a state machine with explicit state-change
-accounting (setting state on an InfiniteReality synchronises its four
-geometry processors — the overhead the paper's design works around), a
-command stream with byte accounting (bus traffic), a 2-D geometry
-transform stage, and a :class:`GraphicsPipe` that executes commands
-against the software rasteriser while counting the work it performs.
+Each process group renders through one simulated InfiniteReality pipe.
+Changing OpenGL state on such a pipe synchronises its geometry
+processors, so the paper transforms spots in software and draws each
+pipe's whole spot set with one bound texture and additive blending;
+:mod:`repro.machine` prices that state cost.  This package models the
+pipe that design leaves: a command stream with byte accounting (bus
+traffic) and a :class:`GraphicsPipe` that executes it against the
+software rasteriser while counting the work it performs.
 
-The counters — vertices in, quads scan-converted, state changes, bytes
-moved — are the interface to :mod:`repro.machine`, which converts them
-into simulated time.
+The counters — vertices in, quads scan-converted, pixels filled, bytes
+moved, texture uploads — are the interface to :mod:`repro.machine`,
+which converts them into simulated time.
 """
 
-from repro.glsim.state import GLState, StateChangeLog
-from repro.glsim.geometry import Transform2D
 from repro.glsim.commands import (
     Command,
     BindTexture,
     SetBlendMode,
-    SetTransform,
     DrawQuads,
-    ReadPixels,
-    Clear,
     command_bytes,
 )
 from repro.glsim.pipe import GraphicsPipe, PipeCounters
-from repro.glsim.context import GLContext
 
 __all__ = [
-    "GLState",
-    "StateChangeLog",
-    "Transform2D",
     "Command",
     "BindTexture",
     "SetBlendMode",
-    "SetTransform",
     "DrawQuads",
-    "ReadPixels",
-    "Clear",
     "command_bytes",
     "GraphicsPipe",
     "PipeCounters",
-    "GLContext",
 ]

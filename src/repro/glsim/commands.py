@@ -20,7 +20,6 @@ from typing import Union
 import numpy as np
 
 from repro.errors import GLStateError
-from repro.glsim.geometry import Transform2D
 
 BYTES_PER_FLOAT = 4
 #: floats per vertex on the wire: x, y, u, v
@@ -38,26 +37,6 @@ class BindTexture:
 @dataclass(frozen=True)
 class SetBlendMode:
     mode: str
-
-
-@dataclass(frozen=True)
-class SetTransform:
-    """Set the pipe's transform matrix — a synchronising state change."""
-
-    transform: Transform2D
-
-
-@dataclass(frozen=True)
-class Clear:
-    pass
-
-
-@dataclass(frozen=True)
-class ReadPixels:
-    """Read the pipe's partial texture back (the gather step); w*h floats."""
-
-    width: int
-    height: int
 
 
 class DrawQuads:
@@ -95,7 +74,7 @@ class DrawQuads:
         return f"DrawQuads(n_quads={self.n_quads})"
 
 
-Command = Union[BindTexture, SetBlendMode, SetTransform, Clear, ReadPixels, DrawQuads]
+Command = Union[BindTexture, SetBlendMode, DrawQuads]
 
 _SMALL_COMMAND_BYTES = 16  # opcode + a couple of words
 
@@ -108,9 +87,6 @@ def command_bytes(cmd: Command) -> int:
         return _SMALL_COMMAND_BYTES + vertex_bytes + intensity_bytes
     if isinstance(cmd, BindTexture):
         return _SMALL_COMMAND_BYTES + cmd.upload_nbytes
-    if isinstance(cmd, ReadPixels):
-        # Readback travels pipe -> processor but crosses the same bus.
-        return _SMALL_COMMAND_BYTES + cmd.width * cmd.height * BYTES_PER_FLOAT
-    if isinstance(cmd, (SetBlendMode, SetTransform, Clear)):
+    if isinstance(cmd, SetBlendMode):
         return _SMALL_COMMAND_BYTES
     raise GLStateError(f"unknown command type {type(cmd).__name__}")

@@ -22,7 +22,7 @@ from repro.parallel.partition import (
     spatial_partition,
 )
 from repro.parallel.tiling import TileLayout, Tile
-from repro.parallel.groups import FrameWork, GroupResult, GroupSpec, ProcessGroup
+from repro.parallel.groups import FrameWork, GroupResult, GroupSpec
 from repro.parallel.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
@@ -45,7 +45,6 @@ __all__ = [
     "spatial_partition",
     "TileLayout",
     "Tile",
-    "ProcessGroup",
     "GroupResult",
     "GroupSpec",
     "FrameWork",

@@ -192,9 +192,10 @@ def _profile_texture(name: str, resolution: int) -> Texture:
 def render_group(task: GroupTask) -> GroupResult:
     """Execute one group's spot set on a private simulated pipe."""
     cfg = task.config
-    pipe = GraphicsPipe(task.group_index, task.fb_size[0], task.fb_size[1], task.fb_window)
+    pipe = GraphicsPipe(
+        task.group_index, task.fb_size[0], task.fb_size[1], task.fb_window, cfg.raster_backend
+    )
     pipe.upload_texture(0, _profile_texture(cfg.profile, cfg.profile_resolution))
-    pipe.state.set("raster_backend", cfg.raster_backend)
     pipe.execute(SetBlendMode("add"))
     pipe.execute(BindTexture(0))
 
@@ -212,27 +213,3 @@ def render_group(task: GroupTask) -> GroupResult:
         n_spots=n,
         n_vertices=n * cfg.vertices_per_spot(),
     )
-
-
-class ProcessGroup:
-    """Static description of one process group (master + slaves).
-
-    Real execution routes through :func:`render_group`; this class carries
-    the structural facts (which pipe, how many processors) used by reports
-    and by the machine model.
-    """
-
-    def __init__(self, group_index: int, n_processors: int = 1):
-        if group_index < 0:
-            raise PartitionError(f"group_index must be >= 0, got {group_index}")
-        if n_processors < 1:
-            raise PartitionError(f"a group needs >= 1 processor, got {n_processors}")
-        self.group_index = group_index
-        self.n_processors = n_processors
-
-    @property
-    def n_slaves(self) -> int:
-        return self.n_processors - 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessGroup(pipe={self.group_index}, master+{self.n_slaves} slaves)"

@@ -131,8 +131,6 @@ class DivideAndConquerRuntime:
     planner:
         Planner used to resolve ``backend="auto"`` (a default-constructed
         one otherwise).
-    plan_scale:
-        Host calibration factor for the planner's render-work terms.
     """
 
     def __init__(
@@ -140,14 +138,12 @@ class DivideAndConquerRuntime:
         config: SpotNoiseConfig,
         backend: Optional[ExecutionBackend] = None,
         planner: Optional[DecompositionPlanner] = None,
-        plan_scale: float = 1.0,
     ):
         self.config = config
         self._effective_config = config
         self._plan: Optional[DecompositionPlan] = None
         self._plan_lock = threading.Lock()
         self._planner: Optional[DecompositionPlanner] = None
-        self._plan_scale = plan_scale
         if backend is not None:
             self.backend: Optional[ExecutionBackend] = backend
             self._owns_backend = False
@@ -181,9 +177,7 @@ class DivideAndConquerRuntime:
                 return
             workload = workload_from_config(self.config, field_)
             plan = self._planner.plan(
-                workload,
-                scale=self._plan_scale,
-                spatial_ok=spatial_feasibility(self.config, field_),
+                workload, spatial_ok=spatial_feasibility(self.config, field_)
             )
             self._plan = plan
             self._effective_config = plan.apply(self.config)

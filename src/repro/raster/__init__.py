@@ -13,7 +13,8 @@ that produce bit-identical pixels (``SpotNoiseConfig.raster_backend``):
 
 Both accumulate into a :class:`FrameBuffer` using the additive blend that
 defines spot noise (``f(x) = sum a_i h(x - x_i)``).  :func:`splat_points`
-deposits point sets for the line-drawing baselines.
+deposits point sets for the line-drawing baselines, and :func:`blend_over`
+composites the overlays.
 """
 
 from repro.raster.framebuffer import FrameBuffer
@@ -21,8 +22,7 @@ from repro.raster.texture import Texture
 from repro.raster.batched import rasterize_quads_batched
 from repro.raster.rasterize import rasterize_quads_exact, rasterize_triangle
 from repro.raster.splat import splat_points
-from repro.raster.blend import blend_add, blend_over, blend_max, BLEND_MODES
-from repro.raster.clip import clip_quads_to_rect, quad_bboxes
+from repro.raster.blend import blend_over
 
 __all__ = [
     "FrameBuffer",
@@ -31,10 +31,5 @@ __all__ = [
     "rasterize_quads_exact",
     "rasterize_triangle",
     "splat_points",
-    "blend_add",
     "blend_over",
-    "blend_max",
-    "BLEND_MODES",
-    "clip_quads_to_rect",
-    "quad_bboxes",
 ]

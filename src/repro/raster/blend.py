@@ -1,39 +1,16 @@
-"""Blend operators for combining rasters.
+"""Alpha compositing for overlays.
 
-Spot noise is defined by *additive* blending (the sum in
-``f(x) = sum a_i h(x - x_i)``), which is what the graphics pipes use while
-scan-converting spots and what the gather step uses to combine partial
-textures.  ``over`` and ``max`` are provided for the overlay compositor
+Spot noise itself is defined by *additive* blending (the sum in
+``f(x) = sum a_i h(x - x_i)``), which the rasterisers and the gather
+step perform in place.  ``over`` is the overlay compositor's operator
 (figure 6 drapes the pollutant colour over the flow texture).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
 
 from repro.errors import RasterError
-
-
-def _check_pair(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise RasterError(f"blend operands must have equal shape, got {a.shape} vs {b.shape}")
-    return a, b
-
-
-def blend_add(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Additive blend — the spot noise accumulation operator."""
-    a, b = _check_pair(dst, src)
-    return a + b
-
-
-def blend_max(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Per-pixel maximum (useful for mask composition)."""
-    a, b = _check_pair(dst, src)
-    return np.maximum(a, b)
 
 
 def blend_over(dst: np.ndarray, src: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -41,15 +18,11 @@ def blend_over(dst: np.ndarray, src: np.ndarray, alpha: np.ndarray) -> np.ndarra
 
     *alpha* broadcasts against the operands and must lie in [0, 1].
     """
-    a, b = _check_pair(dst, src)
+    a = np.asarray(dst, dtype=np.float64)
+    b = np.asarray(src, dtype=np.float64)
+    if a.shape != b.shape:
+        raise RasterError(f"blend operands must have equal shape, got {a.shape} vs {b.shape}")
     al = np.asarray(alpha, dtype=np.float64)
     if np.any(al < 0.0) or np.any(al > 1.0):
         raise RasterError("alpha values must lie in [0, 1]")
     return b * al + a * (1.0 - al)
-
-
-BLEND_MODES: Dict[str, Callable[..., np.ndarray]] = {
-    "add": blend_add,
-    "max": blend_max,
-    "over": blend_over,
-}

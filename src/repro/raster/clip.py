@@ -1,8 +1,8 @@
-"""Quad bounding boxes and conservative rect clipping.
+"""Conservative spot-to-tile assignment.
 
 The texture-tiling tradeoff of section 3 assigns each spot "to each
-process group it might affect": a conservative bounding-box-vs-tile-rect
-test.  These helpers implement that test on batches of quads.
+process group it might affect": a spot's centre tested against its tile
+rect grown by the spot's reach.
 """
 
 from __future__ import annotations
@@ -10,33 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import RasterError
-
-
-def quad_bboxes(quads: np.ndarray) -> np.ndarray:
-    """Axis-aligned bounds of each quad: ``(N, 4, 2) -> (N, 4)`` as (x0, x1, y0, y1)."""
-    q = np.asarray(quads, dtype=np.float64)
-    if q.ndim != 3 or q.shape[1:] != (4, 2):
-        raise RasterError(f"quads must be (N, 4, 2), got {q.shape}")
-    out = np.empty((q.shape[0], 4), dtype=np.float64)
-    out[:, 0] = q[..., 0].min(axis=1)
-    out[:, 1] = q[..., 0].max(axis=1)
-    out[:, 2] = q[..., 1].min(axis=1)
-    out[:, 3] = q[..., 1].max(axis=1)
-    return out
-
-
-def clip_quads_to_rect(quads: np.ndarray, rect: "tuple[float, float, float, float]") -> np.ndarray:
-    """Boolean mask of quads whose bbox intersects the world rect.
-
-    This is a *conservative* test (a bbox may intersect while the quad does
-    not); exactly the over-assignment the paper accepts as the cost of easy
-    tile composition.
-    """
-    x0, x1, y0, y1 = rect
-    if not (x1 > x0 and y1 > y0):
-        raise RasterError(f"degenerate rect {rect}")
-    bb = quad_bboxes(quads)
-    return (bb[:, 1] >= x0) & (bb[:, 0] <= x1) & (bb[:, 3] >= y0) & (bb[:, 2] <= y1)
 
 
 def points_in_rect(points: np.ndarray, rect: "tuple[float, float, float, float]", margin: float = 0.0) -> np.ndarray:

@@ -57,6 +57,40 @@ class TestWorkCounts:
         # Remaining overhead (command headers) stays tiny.
         assert report.counters.bytes_received < expected_geometry + texture_upload + 256
 
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (dict(n_spots=150, seed=1, raster_backend="batched"), (600, 150, 2319, 18440, 1)),
+            (dict(n_spots=150, seed=1, raster_backend="exact"), (600, 150, 2319, 18440, 1)),
+            (
+                dict(n_spots=300, n_groups=3, backend="thread", seed=2),
+                (1200, 300, 4673, 45120, 3),
+            ),
+            (
+                dict(
+                    n_spots=200,
+                    spot_mode="bent",
+                    bent=BentConfig(n_along=6, n_across=3, length_cells=2.0, width_cells=0.8),
+                    n_groups=4,
+                    partition="spatial",
+                    guard_px=16,
+                    seed=1,
+                ),
+                (9880, 2470, 1134, 200920, 4),
+            ),
+        ],
+        ids=["standard-batched", "standard-exact", "thread-3-groups", "bent-spatial-4"],
+    )
+    def test_counters_pinned_exactly(self, overrides, expected):
+        """Every counter the model and perfbench read, pinned to its value.
+
+        A dropped command header or a second texture upload moves
+        ``bytes_received`` by 16 bytes or a whole profile; both fail here.
+        """
+        c = run(SpotNoiseConfig(texture_size=64, **overrides)).counters
+        got = (c.vertices_in, c.quads_drawn, c.pixels_filled, c.bytes_received, c.texture_uploads)
+        assert got == expected
+
     def test_duplication_counted_in_groups(self):
         cfg = SpotNoiseConfig(
             n_spots=400,

@@ -4,37 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RasterError
-from repro.raster.clip import clip_quads_to_rect, points_in_rect, quad_bboxes
-
-
-def quads_at(centers, half=0.1):
-    c = np.asarray(centers, dtype=float)
-    return np.stack(
-        [c + [-half, -half], c + [half, -half], c + [half, half], c + [-half, half]],
-        axis=1,
-    )
-
-
-class TestQuadBboxes:
-    def test_bbox_values(self):
-        q = quads_at([[0.5, 0.5]], half=0.2)
-        bb = quad_bboxes(q)
-        np.testing.assert_allclose(bb, [[0.3, 0.7, 0.3, 0.7]])
-
-    def test_bad_shape(self):
-        with pytest.raises(RasterError):
-            quad_bboxes(np.zeros((2, 3, 2)))
-
-
-class TestClipQuads:
-    def test_inside_outside_straddling(self):
-        q = quads_at([[0.5, 0.5], [2.0, 2.0], [1.0, 0.5]], half=0.1)
-        mask = clip_quads_to_rect(q, (0.0, 1.0, 0.0, 1.0))
-        assert mask.tolist() == [True, False, True]  # third straddles x=1
-
-    def test_degenerate_rect(self):
-        with pytest.raises(RasterError):
-            clip_quads_to_rect(quads_at([[0, 0]]), (1.0, 1.0, 0.0, 1.0))
+from repro.raster.clip import points_in_rect
 
 
 class TestPointsInRect:

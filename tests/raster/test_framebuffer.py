@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RasterError
-from repro.raster.blend import blend_add, blend_max, blend_over
+from repro.raster.blend import blend_over
 from repro.raster.framebuffer import FrameBuffer
 
 WIN = (0.0, 4.0, 0.0, 2.0)
@@ -89,14 +89,6 @@ class TestRectOps:
 
 
 class TestBlend:
-    def test_add(self):
-        np.testing.assert_array_equal(blend_add(np.ones(4), 2 * np.ones(4)), 3 * np.ones(4))
-
-    def test_max(self):
-        np.testing.assert_array_equal(
-            blend_max(np.array([1.0, 5.0]), np.array([3.0, 2.0])), [3.0, 5.0]
-        )
-
     def test_over_alpha_zero_keeps_dst(self):
         dst = np.array([1.0, 2.0])
         out = blend_over(dst, np.array([9.0, 9.0]), np.array([0.0, 0.0]))
@@ -112,12 +104,4 @@ class TestBlend:
 
     def test_shape_mismatch(self):
         with pytest.raises(RasterError):
-            blend_add(np.zeros(2), np.zeros(3))
-
-    def test_add_commutative_associative(self):
-        rng = np.random.default_rng(0)
-        a, b, c = rng.normal(size=(3, 8, 8))
-        np.testing.assert_allclose(blend_add(a, b), blend_add(b, a))
-        np.testing.assert_allclose(
-            blend_add(blend_add(a, b), c), blend_add(a, blend_add(b, c)), atol=1e-12
-        )
+            blend_over(np.zeros(2), np.zeros(3), np.zeros(2))

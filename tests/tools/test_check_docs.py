@@ -67,3 +67,11 @@ def test_unbalanced_quoting_is_reported_not_raised(tmp_path, monkeypatch):
     monkeypatch.setattr(check_docs, "doc_files", lambda: [str(doc)])
     failures = check_docs.check_cli_invocations()
     assert len(failures) == 1 and "cannot be split" in failures[0]
+
+
+def test_leading_shell_operator_is_reported_not_raised(tmp_path, monkeypatch):
+    doc = tmp_path / "doc.md"
+    doc.write_text("```\npython -m repro.cli > out.txt\n```\n")
+    monkeypatch.setattr(check_docs, "doc_files", lambda: [str(doc)])
+    failures = check_docs.check_cli_invocations()
+    assert len(failures) == 1 and "names no command" in failures[0]

@@ -191,6 +191,9 @@ def check_cli_invocations() -> "list[str]":
             except ValueError as exc:
                 failures.append(f"{label}: cannot be split ({exc})")
                 continue
+            if not argv:
+                failures.append(f"{label}: names no command before its shell operator")
+                continue
             if argv[0] == "lint":  # forwarded verbatim, as repro.cli.main does
                 continue
             stderr = io.StringIO()
