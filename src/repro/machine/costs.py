@@ -69,8 +69,10 @@ class CostModel:
         of the *host* running the real backends, used by the
         decomposition planner.
     worker_dispatch_s:
-        Host-side per-group, per-frame overhead of handing work to a
-        pooled worker (queue hop, wakeup).
+        Host-side per-group, per-frame round trip of handing work to a
+        pooled worker and collecting its result (queue hops, wakeups,
+        result copy), as measured on a 2-CPU host: about 1 ms.  Read
+        only by the decomposition planner, never by the machine model.
     net_bandwidth_Bps:
         Client-facing link bytes/second — what the delta transport pays
         to ship a keyframe or diff chunk to a scrubbing client or edge
@@ -97,7 +99,7 @@ class CostModel:
     blend_pixel_s: float = 3.0e-8
     bus_bandwidth_Bps: float = 800.0e6
     shm_bandwidth_Bps: float = 4.0e9
-    worker_dispatch_s: float = 2.0e-4
+    worker_dispatch_s: float = 1.0e-3
     net_bandwidth_Bps: float = 100.0e6
     delta_decode_Bps: float = 1.2e9
     chunk_request_s: float = 2.0e-4

@@ -9,8 +9,8 @@ order, through its single work method :meth:`ExecutionBackend.run_frame`.
 * :class:`ThreadBackend` — a thread per group; numpy releases the GIL in
   its inner loops, so groups overlap where it matters.
 * :class:`~repro.parallel.sharedmem.SharedMemoryBackend` (name
-  ``"sharedmem"``) — the paper's process groups over
-  :mod:`multiprocessing.shared_memory`: the field and particle arrays
+  ``"sharedmem"``) — the paper's process groups over anonymous shared
+  mappings the workers inherit at fork: the field and particle arrays
   are published once per epoch and workers receive only group index
   sets, so nothing heavy is pickled per frame.
 
@@ -21,7 +21,9 @@ shared-memory backend ships the frame's index sets instead.
 
 The pooled backends keep their workers alive across
 :meth:`~ExecutionBackend.run_frame` calls so animation frames amortise
-worker start-up.  The texture service drives one shared backend from
+worker start-up; runtimes share one process-wide ``sharedmem`` pool
+(:func:`~repro.parallel.sharedmem.shared_backend`) so successive
+pipelines do too.  The texture service drives one shared backend from
 several render worker threads, so a pooled backend's ``run_frame``
 executes under its pool lock: concurrent calls serialise (the pool *is*
 the parallelism — overlapping two maps on one pool buys nothing) and can

@@ -10,16 +10,18 @@ an executable decision for the *real* backends: given a
 :class:`~repro.machine.costs.CostModel` and returns the cheapest as a
 :class:`DecompositionPlan`.
 
-Two families of constants participate:
+Two families of terms participate:
 
-* the **render-work terms** (spot shaping, feeding, scan conversion,
-  the eq-3.2 blend term, the sequential spot-distribution preprocessing)
+* the **render-work terms** (spot shaping, feeding, scan conversion)
   use the 1997 Onyx2 constants times a host calibration ``scale`` — the
   same EWMA scale the serving layer's
-  :class:`~repro.service.admission.LatencyPredictor` learns online;
-* the **host transport terms** (shared-memory memcpy for the process
-  backend, per-group worker dispatch) use present-day host magnitudes
-  and are *not* scaled.
+  :class:`~repro.service.admission.LatencyPredictor` learns online —
+  divided by the parallel slots;
+* the **host terms** are priced on the host and are *not* scaled:
+  partition and blend (eq 3.2's sequential term) by the bytes they move
+  over ``shm_bandwidth_Bps``, charged only when there is more than one
+  group; shared-memory memcpy for the process backend; and a per-group
+  worker dispatch.  A serial plan pays the render work only.
 
 Because the calibration multiplies only the render work, it shifts the
 balance: a slow host (large scale) amortises parallel overheads and the
@@ -45,6 +47,7 @@ from repro.machine.workload import SpotWorkload
 PLANNABLE_BACKENDS: "Tuple[str, ...]" = ("serial", "thread", "sharedmem")
 
 _BYTES_FLOAT64 = 8
+_BYTES_POS = 16  # one (x, y) float64 pair
 
 
 @dataclass(frozen=True)
@@ -204,15 +207,18 @@ class DecompositionPlanner:
         verts = workload.total_vertices * dup
         pixels = workload.total_pixels * dup
         work = c.shape_time(spots, verts) + c.feed_time(verts) + c.pipe_time(verts, pixels)
-        preprocess = c.preprocess_spot_s * workload.n_spots if n_groups > 1 else 0.0
-        partial_px = (
-            workload.texture_pixels // n_groups
-            if partition == "spatial"
-            else workload.texture_pixels
-        )
-        blend = n_groups * c.blend_time(partial_px)  # the eq-3.2 `c` term
-        render_s = (work / self._slots(backend, n_groups) + preprocess + blend) * scale
-        return render_s + self._transport_s(backend, n_groups, workload, partition)
+        seconds = work / self._slots(backend, n_groups) * scale
+        if n_groups > 1:
+            # Partition and blend (the eq-3.2 `c` term) run on this host:
+            # price the bytes they move, unscaled.
+            partial_px = (
+                workload.texture_pixels // n_groups
+                if partition == "spatial"
+                else workload.texture_pixels
+            )
+            moved = workload.n_spots * _BYTES_POS + n_groups * partial_px * _BYTES_FLOAT64
+            seconds += moved / c.shm_bandwidth_Bps
+        return seconds + self._transport_s(backend, n_groups, workload, partition)
 
     # -- planning --------------------------------------------------------------
     def group_candidates(self) -> "Tuple[int, ...]":

@@ -33,6 +33,7 @@ from repro.parallel.partition import (
     spatial_partition,
 )
 from repro.parallel.planner import DecompositionPlan, DecompositionPlanner
+from repro.parallel.sharedmem import SharedMemoryBackend, shared_backend
 from repro.parallel.tiling import Tile, TileLayout
 from repro.utils.timing import StageTimer
 
@@ -127,7 +128,11 @@ class DivideAndConquerRuntime:
     backend:
         Optional pre-built backend instance; by default one is constructed
         from ``config.backend`` and kept for the runtime's lifetime (so
-        worker pools persist across animation frames).
+        worker pools persist across animation frames).  A ``sharedmem``
+        backend, configured or planned, is not constructed: the runtime
+        borrows the process-wide pool of
+        :func:`~repro.parallel.sharedmem.shared_backend`, which
+        :meth:`close` leaves running for the next runtime.
     planner:
         Planner used to resolve ``backend="auto"`` (a default-constructed
         one otherwise).
@@ -155,8 +160,7 @@ class DivideAndConquerRuntime:
             self._owns_backend = True
             self._planner = planner or DecompositionPlanner()
         else:
-            self.backend = get_backend(config.backend)
-            self._owns_backend = True
+            self._adopt_backend(config.backend)
 
     # -- planning ---------------------------------------------------------------
     @property
@@ -181,7 +185,12 @@ class DivideAndConquerRuntime:
             )
             self._plan = plan
             self._effective_config = plan.apply(self.config)
-            self.backend = get_backend(plan.backend)
+            self._adopt_backend(plan.backend)
+
+    def _adopt_backend(self, name: str) -> None:
+        """Build the named backend, or borrow the process-wide sharedmem pool."""
+        self._owns_backend = name != SharedMemoryBackend.name
+        self.backend = get_backend(name) if self._owns_backend else shared_backend()
 
     def close(self) -> None:
         if self._owns_backend and self.backend is not None:

@@ -4,27 +4,38 @@
 process groups (one per graphics pipe) with *structure-shared* frame
 state.  Rather than pickling the full field plus each group's particle
 subset into every worker on every frame, it places the read-mostly
-state in :mod:`multiprocessing.shared_memory` segments and ships only
-group index sets plus epoch tags per :meth:`run_frame` — share the
-read-mostly state, copy only what changed:
+state in anonymous shared mappings (``mmap.mmap(-1, n)``, which is
+``MAP_SHARED``) and ships only group index sets plus epoch tags per
+:meth:`run_frame` — share the read-mostly state, copy only what changed:
 
-* the **field** segment holds the ``(ny, nx, 2)`` vector data; it is
+* the **field** mapping holds the ``(ny, nx, 2)`` vector data; it is
   rewritten only when the frame carries a *different field object*
   (pipeline ``read_data`` swaps the object, so a new data frame bumps
   the field epoch and a static animation ships the field exactly once);
-* the **particles** segment holds the frame's positions/intensities,
+* the **particles** mapping holds the frame's positions/intensities,
   rewritten once per frame (one memcpy, never per group);
-* the **indices** segment holds the concatenated per-group index sets;
-* the **out** segment holds one partial-texture slot per group that
+* the **indices** mapping holds the concatenated per-group index sets;
+* the **out** mapping holds one partial-texture slot per group that
   workers write their result into, so textures come back by memcpy too.
 
-Workers are a persistent pool of plain processes.  Each caches its
+The mappings are made before the workers fork, and the workers inherit
+them.  A mapping has a fixed size: a frame that needs a larger one
+stops the workers, remaps at twice the need and forks them again.  The
+mappings have no name, so no resource-tracker process starts and no
+``/dev/shm`` entry can leak.
+
+Workers are a persistent pool of plain processes, pinned round-robin
+to the CPUs the parent may use and each keeping its freed heap (see
+:func:`_keep_freed_memory`).  Each caches its
 reconstructed field/config *by epoch*: a task message whose epoch
 matches costs nothing, a bumped epoch (``read_data`` or a config
 change) invalidates the resident state and the worker rebuilds it from
-the segment — no restart, no re-fork.  Task messages carry only the
-segment names, offsets, epochs and the tiny pickled grid/config
-metadata (<1 KB); the arrays themselves never travel through a pipe.
+the mapping — no restart, no re-fork.  Task messages carry only
+offsets, epochs and the tiny pickled grid/config metadata (<1 KB); the
+arrays themselves never travel through a pipe.  Results come back on a
+queue whose reader the parent waits on together with the workers'
+sentinels, so a dead worker is noticed the moment it dies, not polled
+for.
 
 Execution is bit-identical to :class:`~repro.parallel.backends.SerialBackend`:
 workers run the same pure :func:`~repro.parallel.groups.render_group` on
@@ -37,6 +48,11 @@ infrastructure failures — a worker dying, an interrupt mid-collection —
 discard the pool, via ``BaseException`` so a ``KeyboardInterrupt`` can
 never leave a desynchronised pool behind.
 
+A backend built directly owns its pool and :meth:`close` stops it.
+Runtimes instead borrow one process-wide pool from
+:func:`shared_backend`, so every pipeline of a process reuses the same
+warm workers; it is closed at interpreter exit.
+
 The field-epoch cache keys on *object identity*: callers must not
 mutate ``field.data`` in place between frames (the pipeline API never
 does — ``read_data`` replaces the field object).
@@ -44,15 +60,18 @@ does — ``read_data`` replaces the field object).
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import mmap
 import multiprocessing
+import os
 import pickle
-import queue as queue_mod
 import threading
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.core.config import SpotNoiseConfig
 from repro.errors import BackendError
@@ -63,39 +82,35 @@ from repro.parallel.groups import FrameWork, GroupResult, GroupTask, render_grou
 _BYTES_F64 = 8
 _BYTES_POS = 16  # one (x, y) float64 pair
 
-#: Seconds between liveness checks while waiting for group results.
-_POLL_S = 0.25
-
 #: Seconds to wait for workers to drain their shutdown sentinel.
 _JOIN_S = 5.0
+
+#: glibc ``mallopt`` parameters (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass(frozen=True)
 class _GroupMessage:
     """Everything one worker needs to render one group — no arrays.
 
-    The heavy state travels through the named segments; this message is
-    a few hundred bytes of names, offsets and epochs (the grid/config
-    metadata blobs are tiny and carried on every message so a worker
-    that joined the pool late, or missed an epoch, can always rebuild).
+    The heavy state travels through the inherited mappings; this message
+    is a few hundred bytes of offsets and epochs (the grid/config
+    metadata blobs are tiny and carried on every message so a freshly
+    forked worker can always rebuild).
     """
 
     task_seq: int              # unique per message; results are keyed by it
     frame_epoch: int
     field_epoch: int
-    field_name: str
     field_shape: Tuple[int, int, int]
     field_meta: bytes          # pickled (grid, boundary)
     config_epoch: int
     config_blob: bytes         # pickled SpotNoiseConfig
-    part_name: str
     n_particles: int
-    idx_name: str
-    idx_total: int
     idx_start: int
     idx_count: int
-    out_name: str
-    out_offset: int            # bytes into the out segment
+    out_offset: int            # bytes into the out mapping
     group_index: int
     fb_size: Tuple[int, int]
     fb_window: Tuple[float, float, float, float]
@@ -103,67 +118,22 @@ class _GroupMessage:
     speed_hint: "float | None"
 
 
-class _Segment:
-    """A growable parent-owned shared-memory buffer.
-
-    Shared-memory segments have a fixed size, so growth recreates the
-    segment under a fresh (auto-generated) name; workers notice the name
-    change in the next task message and re-attach.  Old mappings held by
-    workers stay valid until they close them — ``unlink`` only removes
-    the name.
-    """
-
-    def __init__(self) -> None:
-        self.shm: Optional[shared_memory.SharedMemory] = None
-
-    def ensure(self, nbytes: int) -> shared_memory.SharedMemory:
-        nbytes = max(int(nbytes), 1)
-        if self.shm is None or self.shm.size < nbytes:
-            self.close()
-            self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        return self.shm
-
-    def close(self) -> None:
-        if self.shm is not None:
-            self.shm.close()
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self.shm = None
-
-
 class _WorkerState:
-    """Per-worker caches: segment attachments and epoch-tagged state."""
+    """Per-worker epoch-tagged caches over the inherited mappings."""
 
-    def __init__(self) -> None:
-        self.attached: Dict[str, shared_memory.SharedMemory] = {}
-        self.role_names: Dict[str, str] = {}
-        self._field: "Tuple[int, str, VectorField2D] | None" = None
+    def __init__(self, maps: Dict[str, mmap.mmap]) -> None:
+        self.maps = maps
+        self._field: "Tuple[int, VectorField2D] | None" = None
         self._config: "Tuple[int, SpotNoiseConfig] | None" = None
-
-    def attach(self, role: str, name: str) -> shared_memory.SharedMemory:
-        old = self.role_names.get(role)
-        if old is not None and old != name:
-            stale = self.attached.pop(old, None)
-            if stale is not None:
-                stale.close()
-        shm = self.attached.get(name)
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=name)
-            self.attached[name] = shm
-        self.role_names[role] = name
-        return shm
 
     def field(self, msg: _GroupMessage) -> VectorField2D:
         cached = self._field
-        if cached is not None and cached[0] == msg.field_epoch and cached[1] == msg.field_name:
-            return cached[2]
-        shm = self.attach("field", msg.field_name)
-        data = np.ndarray(msg.field_shape, dtype=np.float64, buffer=shm.buf)
+        if cached is not None and cached[0] == msg.field_epoch:
+            return cached[1]
+        data = np.ndarray(msg.field_shape, dtype=np.float64, buffer=self.maps["field"])
         grid, boundary = pickle.loads(msg.field_meta)
         field = VectorField2D(grid, data, boundary)
-        self._field = (msg.field_epoch, msg.field_name, field)
+        self._field = (msg.field_epoch, field)
         return field
 
     def config(self, msg: _GroupMessage) -> SpotNoiseConfig:
@@ -174,28 +144,21 @@ class _WorkerState:
         self._config = (msg.config_epoch, config)
         return config
 
-    def close(self) -> None:
-        for shm in self.attached.values():
-            shm.close()
-        self.attached.clear()
-        self.role_names.clear()
-        self._field = None
-        self._config = None
-
 
 def _run_group(msg: _GroupMessage, state: _WorkerState) -> tuple:
     """Execute one group in a worker; returns the result-message tail."""
     field = state.field(msg)
     config = state.config(msg)
-    part = state.attach("particles", msg.part_name)
-    positions = np.ndarray((msg.n_particles, 2), dtype=np.float64, buffer=part.buf)
+    part = state.maps["particles"]
+    positions = np.ndarray((msg.n_particles, 2), dtype=np.float64, buffer=part)
     intensities = np.ndarray(
-        (msg.n_particles,), dtype=np.float64, buffer=part.buf,
+        (msg.n_particles,), dtype=np.float64, buffer=part,
         offset=msg.n_particles * _BYTES_POS,
     )
-    idx_shm = state.attach("indices", msg.idx_name)
-    indices = np.ndarray((msg.idx_total,), dtype=np.int64, buffer=idx_shm.buf)
-    idx = indices[msg.idx_start : msg.idx_start + msg.idx_count]
+    idx = np.ndarray(
+        (msg.idx_count,), dtype=np.int64, buffer=state.maps["indices"],
+        offset=msg.idx_start * _BYTES_F64,
+    )
     task = GroupTask(
         group_index=msg.group_index,
         positions=positions[idx],
@@ -208,9 +171,8 @@ def _run_group(msg: _GroupMessage, state: _WorkerState) -> tuple:
         speed_hint=msg.speed_hint,
     )
     result = render_group(task)
-    out_shm = state.attach("out", msg.out_name)
     out = np.ndarray(
-        result.texture.shape, dtype=np.float64, buffer=out_shm.buf,
+        result.texture.shape, dtype=np.float64, buffer=state.maps["out"],
         offset=msg.out_offset,
     )
     out[:] = result.texture
@@ -223,26 +185,41 @@ def _run_group(msg: _GroupMessage, state: _WorkerState) -> tuple:
     )
 
 
-def _worker_main(task_q, result_q) -> None:
-    """Worker loop: pull group messages until the ``None`` sentinel."""
-    state = _WorkerState()
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed blocks in this worker's heap.
+
+    A group render allocates and frees megabytes of numpy scratch.  By
+    default glibc maps such blocks fresh and unmaps them on free, so a
+    worker took ~1000 minor page faults per frame on a 128² ``steer``
+    group.  A worker is a process this module owns, so it may keep its
+    heap; elsewhere (musl, macOS) this is a no-op.
+    """
     try:
-        while True:
-            msg = task_q.get()
-            if msg is None:
-                return
-            try:
-                tail = _run_group(msg, state)
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                # Ship the failure as plain strings: always picklable, so
-                # a weird exception type can never wedge the result queue.
-                result_q.put(
-                    ("err", msg.task_seq, msg.group_index, type(exc).__name__, str(exc))
-                )
-            else:
-                result_q.put(("ok",) + tail)
-    finally:
-        state.close()
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # pragma: no cover - not glibc
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's ceiling on 64-bit
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _worker_main(task_q, result_q, maps) -> None:
+    """Worker loop: pull group messages until the ``None`` sentinel."""
+    _keep_freed_memory()
+    state = _WorkerState(maps)
+    while True:
+        msg = task_q.get()
+        if msg is None:
+            return
+        try:
+            tail = _run_group(msg, state)
+        except Exception as exc:  # noqa: BLE001 - reported to the parent
+            # Ship the failure as plain strings: always picklable, so
+            # a weird exception type can never wedge the result queue.
+            result_q.put(
+                ("err", msg.task_seq, msg.group_index, type(exc).__name__, str(exc))
+            )
+        else:
+            result_q.put(("ok",) + tail)
 
 
 class SharedMemoryBackend(ExecutionBackend):
@@ -261,17 +238,12 @@ class SharedMemoryBackend(ExecutionBackend):
         if max_workers is not None and max_workers < 1:
             raise BackendError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            self._ctx = multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context("fork")
         self._pool_lock = threading.Lock()
         self._workers: "List[multiprocessing.Process]" = []  #: guarded-by: _pool_lock
         self._task_q = None  #: guarded-by: _pool_lock
         self._result_q = None  #: guarded-by: _pool_lock
-        self._segments: Dict[str, _Segment] = {  #: guarded-by: _pool_lock
-            role: _Segment() for role in ("field", "particles", "indices", "out")
-        }
+        self._maps: Dict[str, mmap.mmap] = {}  #: guarded-by: _pool_lock
         self._frame_epoch = 0  #: guarded-by: _pool_lock
         self._field_epoch = 0  #: guarded-by: _pool_lock
         self._last_field: Optional[VectorField2D] = None  #: guarded-by: _pool_lock
@@ -282,34 +254,51 @@ class SharedMemoryBackend(ExecutionBackend):
         self._closed = False  #: guarded-by: _pool_lock
 
     # -- pool management -------------------------------------------------------
-    def _ensure_pool_locked(self, n_groups: int) -> None:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        size = self.max_workers or n_groups
+    def _ensure_pool_locked(self, n_groups: int, needs: Dict[str, int]) -> None:
+        """Grow the mappings to *needs* bytes per role, then the pool."""
+        small = [role for role, n in needs.items()
+                 if role not in self._maps or len(self._maps[role]) < n]
+        if small:
+            # Workers see only the mappings they were forked with.
+            self._stop_workers_locked()
+            for role in small:
+                self._maps[role] = mmap.mmap(-1, 2 * max(needs[role], 1))
+            if "field" in small:
+                self._last_field = None  # republish into the new mapping
         if self._task_q is None:
-            # Start the parent's resource tracker *before* forking: the
-            # workers then inherit it, so their attach-side segment
-            # registrations land in the same tracker the parent's
-            # unlink() unregisters from.  A worker that forked without a
-            # tracker would lazily start its own and mis-report the
-            # parent's segments as leaked at shutdown.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - tracker is an optimisation
-                pass
             self._task_q = self._ctx.SimpleQueue()
-            self._result_q = self._ctx.Queue()
+            self._result_q = self._ctx.SimpleQueue()
+        size = self.max_workers or n_groups
         while len(self._workers) < size:
             worker = self._ctx.Process(
                 target=_worker_main,
-                args=(self._task_q, self._result_q),
+                args=(self._task_q, self._result_q, self._maps),
                 name=f"sharedmem-worker-{len(self._workers)}",
                 daemon=True,
             )
             worker.start()
+            # Spread the pool over the allowed CPUs: a forked worker can
+            # otherwise stay on its parent's CPU for its whole life.
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(worker.pid, {cpus[len(self._workers) % len(cpus)]})
             self._workers.append(worker)
+
+    def _stop_workers_locked(self) -> None:
+        """Send every worker its sentinel and join it."""
+        try:
+            for _ in self._workers:
+                self._task_q.put(None)
+        except (OSError, ValueError):  # pragma: no cover - queue gone
+            pass
+        for worker in self._workers:
+            worker.join(timeout=_JOIN_S)
+            if worker.is_alive():  # pragma: no cover - stuck worker
+                worker.terminate()
+                worker.join(timeout=_JOIN_S)
+        self._workers = []
+        # A sentinel a dead worker never took must not reach its successor.
+        self._task_q = None
+        self._result_q = None
 
     def _discard_pool_locked(self) -> None:
         for worker in self._workers:
@@ -336,11 +325,10 @@ class SharedMemoryBackend(ExecutionBackend):
             return
         self._field_epoch += 1
         self._field_meta = pickle.dumps((field.grid, field.boundary))
-        shm = self._segments["field"].ensure(field.data.nbytes)
-        view = np.ndarray(field.data.shape, dtype=np.float64, buffer=shm.buf)
+        view = np.ndarray(field.data.shape, dtype=np.float64, buffer=self._maps["field"])
         view[:] = field.data
         # Recorded only once published: a failed publish must not let the
-        # next frame skip it and ship the stale segment under a new epoch.
+        # next frame skip it and ship the stale mapping under a new epoch.
         self._last_field = field
 
     def _publish_config_locked(self, config: SpotNoiseConfig) -> None:
@@ -350,56 +338,45 @@ class SharedMemoryBackend(ExecutionBackend):
         self._config_blob = pickle.dumps(config)
         self._last_config = config
 
-    def _publish_frame_locked(self, frame: FrameWork) -> "Tuple[list, list]":
-        """Write the frame's arrays into the segments; return messages
-        and per-group (offset, shape-capacity) output slots."""
+    def _publish_frame_locked(self, frame: FrameWork) -> "List[_GroupMessage]":
+        """Write the frame's arrays into the mappings (growing them and
+        the pool as needed); return one message per group."""
+        n = frame.positions.shape[0]
+        counts = [int(spec.indices.size) for spec in frame.groups]
+        starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        sizes = [spec.fb_size[0] * spec.fb_size[1] * _BYTES_F64 for spec in frame.groups]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        self._ensure_pool_locked(len(frame.groups), {
+            "field": frame.field.data.nbytes,
+            "particles": n * (_BYTES_POS + _BYTES_F64),
+            "indices": starts[-1] * _BYTES_F64,
+            "out": offsets[-1],
+        })
         self._frame_epoch += 1
         self._publish_field_locked(frame.field)
         self._publish_config_locked(frame.config)
 
-        n = frame.positions.shape[0]
-        part = self._segments["particles"].ensure(n * (_BYTES_POS + _BYTES_F64))
-        pos_view = np.ndarray((n, 2), dtype=np.float64, buffer=part.buf)
-        pos_view[:] = frame.positions
-        int_view = np.ndarray((n,), dtype=np.float64, buffer=part.buf, offset=n * _BYTES_POS)
-        int_view[:] = frame.intensities
+        part = self._maps["particles"]
+        np.ndarray((n, 2), dtype=np.float64, buffer=part)[:] = frame.positions
+        np.ndarray((n,), dtype=np.float64, buffer=part, offset=n * _BYTES_POS)[:] = (
+            frame.intensities
+        )
+        idx_view = np.ndarray((starts[-1],), dtype=np.int64, buffer=self._maps["indices"])
+        for spec, start, count in zip(frame.groups, starts, counts):
+            idx_view[start : start + count] = spec.indices
 
-        counts = [int(spec.indices.size) for spec in frame.groups]
-        total_idx = sum(counts)
-        idx_seg = self._segments["indices"].ensure(total_idx * _BYTES_F64)
-        idx_view = np.ndarray((total_idx,), dtype=np.int64, buffer=idx_seg.buf)
-        starts = []
-        cursor = 0
-        for spec, count in zip(frame.groups, counts):
-            idx_view[cursor : cursor + count] = spec.indices
-            starts.append(cursor)
-            cursor += count
-
-        offsets = []
-        out_bytes = 0
-        for spec in frame.groups:
-            offsets.append(out_bytes)
-            out_bytes += spec.fb_size[0] * spec.fb_size[1] * _BYTES_F64
-        out_seg = self._segments["out"].ensure(out_bytes)
-
-        field_shm = self._segments["field"].shm
-        messages = [
+        return [
             _GroupMessage(
                 task_seq=g,
                 frame_epoch=self._frame_epoch,
                 field_epoch=self._field_epoch,
-                field_name=field_shm.name,
                 field_shape=tuple(frame.field.data.shape),
                 field_meta=self._field_meta,
                 config_epoch=self._config_epoch,
                 config_blob=self._config_blob,
-                part_name=part.name,
                 n_particles=n,
-                idx_name=idx_seg.name,
-                idx_total=total_idx,
                 idx_start=starts[g],
                 idx_count=counts[g],
-                out_name=out_seg.name,
                 out_offset=offsets[g],
                 group_index=spec.group_index,
                 fb_size=spec.fb_size,
@@ -409,12 +386,15 @@ class SharedMemoryBackend(ExecutionBackend):
             )
             for g, spec in enumerate(frame.groups)
         ]
-        return messages, offsets
 
     # -- execution -------------------------------------------------------------
     def _collect_locked(self, expected: int) -> "Tuple[dict, list]":
         """Drain *expected* result messages; errors collected, not raised,
         so the queue is clean for the next frame either way.
+
+        Waits on the result reader and every worker's sentinel at once:
+        a sentinel that becomes ready while no result is pending is a
+        dead worker.
 
         Results are keyed by ``task_seq`` (the message's position in the
         frame), not by ``group_index`` — group indices are not required
@@ -423,16 +403,14 @@ class SharedMemoryBackend(ExecutionBackend):
         """
         done: Dict[int, tuple] = {}
         errors: List[str] = []
+        reader = self._result_q._reader
+        sentinels = {w.sentinel: w.name for w in self._workers}
         while len(done) + len(errors) < expected:
-            try:
-                msg = self._result_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                dead = [w.name for w in self._workers if not w.is_alive()]
-                if dead:
-                    raise BackendError(
-                        f"shared-memory worker(s) died mid-frame: {', '.join(dead)}"
-                    )
-                continue
+            ready = wait([reader, *sentinels])
+            if reader not in ready:
+                dead = ", ".join(sentinels[s] for s in ready)
+                raise BackendError(f"shared-memory worker(s) died mid-frame: {dead}")
+            msg = self._result_q.get()
             if msg[0] == "ok":
                 done[msg[1]] = msg[2:]
             else:
@@ -444,9 +422,10 @@ class SharedMemoryBackend(ExecutionBackend):
         if not frame.groups:
             return []
         with self._pool_lock:
-            self._ensure_pool_locked(len(frame.groups))
+            if self._closed:
+                raise BackendError("shared-memory backend is closed")
             try:
-                messages, _ = self._publish_frame_locked(frame)
+                messages = self._publish_frame_locked(frame)
                 for msg in messages:
                     self._task_q.put(msg)
                 done, errors = self._collect_locked(len(messages))
@@ -463,13 +442,11 @@ class SharedMemoryBackend(ExecutionBackend):
                 # Task-level failures: every message was drained, workers
                 # are healthy, the pool stays warm for the next frame.
                 raise BackendError("; ".join(errors))
-            out_shm = self._segments["out"].shm
+            out = self._maps["out"]
             results: List[GroupResult] = []
             for msg in messages:
                 counters, n_spots, n_vertices, shape = done[msg.task_seq]
-                view = np.ndarray(
-                    shape, dtype=np.float64, buffer=out_shm.buf, offset=msg.out_offset
-                )
+                view = np.ndarray(shape, dtype=np.float64, buffer=out, offset=msg.out_offset)
                 results.append(
                     GroupResult(
                         group_index=msg.group_index,
@@ -487,22 +464,36 @@ class SharedMemoryBackend(ExecutionBackend):
             if self._closed:
                 return
             self._closed = True
-            if self._task_q is not None:
-                try:
-                    for _ in self._workers:
-                        self._task_q.put(None)
-                except (OSError, ValueError):  # pragma: no cover - queue gone
-                    pass
-            for worker in self._workers:
-                worker.join(timeout=_JOIN_S)
-            for worker in self._workers:
-                if worker.is_alive():  # pragma: no cover - stuck worker
-                    worker.terminate()
-                    worker.join(timeout=_JOIN_S)
-            self._workers = []
-            self._task_q = None
-            self._result_q = None
-            for segment in self._segments.values():
-                segment.close()
+            self._stop_workers_locked()
+            # Unmapped once the last view is gone; nothing is named.
+            self._maps = {}
             self._last_field = None
             self._last_config = None
+
+
+_shared: Optional[SharedMemoryBackend] = None
+_shared_pid = 0
+_shared_lock = threading.Lock()
+
+
+def _close_shared() -> None:
+    # A child forked with os.fork inherits this hook: leave the parent's pool alone.
+    if _shared is not None and _shared_pid == os.getpid():
+        _shared.close()
+
+
+def shared_backend() -> SharedMemoryBackend:
+    """The process-wide pool every runtime-owned ``sharedmem`` backend borrows.
+
+    Made on first use with one worker per CPU; closed (sentinels and a
+    join) at interpreter exit, never by a runtime.  A forked child gets
+    a pool of its own.
+    """
+    global _shared, _shared_pid
+    with _shared_lock:
+        if _shared is None or _shared_pid != os.getpid():
+            if _shared is None:
+                atexit.register(_close_shared)
+            _shared = SharedMemoryBackend(max_workers=os.cpu_count())
+            _shared_pid = os.getpid()
+        return _shared

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.advection.particles import ParticleSet
+from repro.apps.smog.steering import SteeredSmogApplication
 from repro.core.config import SpotNoiseConfig
 from repro.errors import BackendError, MachineError
 from repro.fields.analytic import vortex_field
+from repro.machine.costs import CostModel
 from repro.machine.workload import SpotWorkload, workload_from_config
 from repro.parallel.backends import BACKEND_NAMES
 from repro.parallel.planner import (
@@ -20,7 +22,7 @@ from repro.parallel.planner import (
     DecompositionPlanner,
     DecompositionPlan,
 )
-from repro.parallel.runtime import DivideAndConquerRuntime
+from repro.parallel.runtime import DivideAndConquerRuntime, spatial_feasibility
 
 TINY = SpotWorkload.standard_spots(50, texture_size=64)
 HUGE = SpotWorkload.turbulence()
@@ -96,6 +98,44 @@ class TestPlanProperties:
         plan = DecompositionPlanner(host_workers=8).plan(TINY)
         text = plan.summary()
         assert "->" in text and "serial" in text
+
+
+class TestHostRanking:
+    """The plans a 2-slot host gets under the uncalibrated Onyx2 model.
+
+    Render work is priced from the Onyx2 constants; partition, blend,
+    transport and dispatch are host terms.  No wall clock is read.
+    """
+
+    PLANNER = DecompositionPlanner(CostModel.onyx2(), host_workers=2)
+
+    def _plan(self, cfg, field_):
+        return self.PLANNER.plan(
+            workload_from_config(cfg, field_), spatial_ok=spatial_feasibility(cfg, field_)
+        )
+
+    def test_steering_loop_plans_sharedmem_on_two_slots(self):
+        # The section 5.1 steering loop: smog wind of the application's
+        # default world (seed 1997), 2500 spots, 128^2 texture.
+        wind, _ = SteeredSmogApplication(seed=1997).advance()
+        cfg = SpotNoiseConfig(n_spots=2500, texture_size=128, seed=1, backend="auto")
+        assert self._plan(cfg, wind).triple == ("sharedmem", 2, "round_robin")
+
+    @pytest.mark.parametrize("n_spots", [150, 500])
+    def test_small_vortex_configs_plan_serial(self, n_spots):
+        cfg = SpotNoiseConfig(n_spots=n_spots, texture_size=64, seed=3, backend="auto")
+        assert self._plan(cfg, vortex_field(n=33)).triple == ("serial", 1, "round_robin")
+
+    def test_serial_pays_render_work_only(self):
+        # One group partitions and blends nothing on the host.
+        c = CostModel.onyx2()
+        w = SpotWorkload.standard_spots(2500, texture_size=128)
+        work = (
+            c.shape_time(w.n_spots, w.total_vertices)
+            + c.feed_time(w.total_vertices)
+            + c.pipe_time(w.total_vertices, w.total_pixels)
+        )
+        assert self.PLANNER.price(w, "serial", 1, scale=3.0) == pytest.approx(3.0 * work)
 
 
 class TestValidation:

@@ -1,24 +1,31 @@
 """Shared-memory backend: zero-copy equivalence, epochs, lifecycle.
 
-The backend's contract is threefold: bit-identical output to the serial
-reference for every partition/group-count (the zoo), worker-resident
-state invalidated by epoch tags (``read_data``/config changes), and a
-pool that survives task failures but not infrastructure ones.
+The backend's contract is bit-identical output to the serial reference
+for every partition/group-count (the zoo), worker-resident state
+invalidated by epoch tags (``read_data``/config changes), a pool that
+survives task failures but not infrastructure ones, one warm pool per
+process for runtimes, and no process or ``/dev/shm`` entry left behind.
 """
 
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.advection.particles import ParticleSet
 from repro.core.config import SpotNoiseConfig
 from repro.errors import BackendError
 from repro.fields.analytic import random_smooth_field, vortex_field
 from repro.parallel.groups import FrameWork, GroupSpec
 from repro.parallel.runtime import DivideAndConquerRuntime
-from repro.parallel.sharedmem import SharedMemoryBackend
+from repro.parallel.sharedmem import SharedMemoryBackend, shared_backend
+from tools.no_survivors import session_members
 
 FIELD = vortex_field(n=33)
 BASE = SpotNoiseConfig(
@@ -261,6 +268,106 @@ class TestRecovery:
             assert be._workers[0].pid != worker.pid
         finally:
             be.close()
+
+
+class TestSharedPool:
+    """Runtimes borrow one process-wide pool; direct backends own theirs."""
+
+    CFG = BASE.with_overrides(backend="sharedmem", n_groups=2)
+
+    def _render(self):
+        with DivideAndConquerRuntime(self.CFG) as rt:
+            texture, _ = rt.synthesize(FIELD, make_particles())
+            backend = rt.backend
+        return texture, backend
+
+    def test_successive_runtimes_share_the_workers_and_leave_them_running(self):
+        first, backend = self._render()
+        pids = [w.pid for w in backend._workers]
+        second, again = self._render()
+        assert again is backend is shared_backend()
+        assert [w.pid for w in again._workers] == pids
+        assert all(w.is_alive() for w in again._workers)  # close() kept them
+        np.testing.assert_array_equal(first, second)
+
+    def test_direct_backend_owns_and_closes_its_pool(self):
+        be = SharedMemoryBackend(max_workers=2)
+        with DivideAndConquerRuntime(self.CFG, backend=be) as rt:
+            rt.synthesize(FIELD, make_particles())
+        workers = list(be._workers)
+        assert workers and all(w.is_alive() for w in workers)  # injected: not closed
+        assert be is not shared_backend()
+        be.close()
+        assert not any(w.is_alive() for w in workers)
+
+    def test_growing_a_mapping_reforks_and_stays_identical_to_serial(self):
+        be = SharedMemoryBackend(max_workers=2)
+        try:
+            cfg = BASE.with_overrides(n_groups=2)
+            be.run_frame(_frame(cfg, make_particles(60)))
+            pids = [w.pid for w in be._workers]
+            size = len(be._maps["particles"])
+            big = make_particles(600)
+            out = be.run_frame(_frame(cfg, big))
+            assert len(be._maps["particles"]) == 2 * 600 * 24 > size
+            assert not set(pids) & {w.pid for w in be._workers}
+            ref, _ = synthesize(cfg, big.copy())
+            np.testing.assert_array_equal(_compose(out), ref)
+        finally:
+            be.close()
+
+    def test_forked_child_gets_a_fresh_pool(self):
+        _, parent = self._render()
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_render_in_child, args=(writer, id(parent)))
+        child.start()
+        writer.close()
+        assert reader.poll(60), "the forked child sent nothing"
+        fresh, texture = reader.recv()
+        child.join(timeout=60)
+        assert child.exitcode == 0 and fresh
+        np.testing.assert_array_equal(texture, self._render()[0])
+
+
+def _render_in_child(writer, parent_pool_id):
+    with DivideAndConquerRuntime(TestSharedPool.CFG) as rt:
+        texture, _ = rt.synthesize(FIELD, make_particles())
+        fresh = id(rt.backend) != parent_pool_id and rt.backend is shared_backend()
+    writer.send((fresh, texture))
+
+
+CHILD_RUN = textwrap.dedent(
+    """
+    import multiprocessing.resource_tracker as rt
+    from repro.advection.particles import ParticleSet
+    from repro.core.config import SpotNoiseConfig
+    from repro.fields.analytic import vortex_field
+    from repro.parallel.runtime import DivideAndConquerRuntime
+
+    field = vortex_field(n=33)
+    cfg = SpotNoiseConfig(n_spots=120, texture_size=64, seed=7,
+                          backend="sharedmem", n_groups=2)
+    with DivideAndConquerRuntime(cfg) as runtime:
+        runtime.synthesize(field, ParticleSet.uniform_random(120, field.grid.bounds, seed=7))
+    assert rt._resource_tracker._pid is None, "a resource tracker was started"
+    """
+)
+
+
+def test_nothing_outlives_a_sharedmem_run():
+    # The child leads its own session: any worker or tracker it leaves
+    # behind still carries that session id after the child has exited.
+    before = set(os.listdir("/dev/shm"))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-c", CHILD_RUN], env=dict(os.environ, PYTHONPATH=src),
+        start_new_session=True, stderr=subprocess.PIPE, text=True,
+    )
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    assert session_members(child.pid) == []
+    assert set(os.listdir("/dev/shm")) <= before
 
 
 def _frame(config, particles, field=FIELD):

@@ -34,8 +34,9 @@ AUTO = SpotNoiseConfig(n_spots=150, texture_size=64, seed=0, backend="auto")
 #: A genuinely parallelisable workload: bent spots cost hundreds of mesh
 #: vertices each, so the plan flips between serial (fast host, small
 #: calibration scale) and a parallel backend (slow host) — standard
-#: spots are so cheap per spot that eq 3.2's preprocessing + blend terms
-#: keep them serial at any scale, which is itself correct.
+#: spots are so cheap per spot that the host's partition, blend and
+#: dispatch terms keep them serial unless the calibration scale is
+#: several times 1, which is itself correct.
 BENT_AUTO = SpotNoiseConfig(
     n_spots=400,
     texture_size=64,
