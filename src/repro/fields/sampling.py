@@ -33,6 +33,8 @@ def _prepare_indices(
     callers on the hot path skip it with ``need_inside=False`` (``None``
     is returned in its place).
     """
+    if mode not in _BOUNDARY_MODES:
+        raise FieldError(f"unknown boundary mode {mode!r}; expected one of {_BOUNDARY_MODES}")
     f = np.asarray(f, dtype=np.float64)
     finite = np.isfinite(f)
     if not finite.all():
@@ -73,8 +75,6 @@ def bilinear_sample(
     -------
     ``(N,)`` or ``(N, k)`` array of interpolated values.
     """
-    if mode not in _BOUNDARY_MODES:
-        raise FieldError(f"unknown boundary mode {mode!r}; expected one of {_BOUNDARY_MODES}")
     data = np.asarray(data)
     if data.ndim not in (2, 3):
         raise FieldError(f"data must be (ny, nx) or (ny, nx, k), got shape {data.shape}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.errors import FieldError
 from repro.fields.grid import RegularGrid, RectilinearGrid, _as_points
-from repro.fields.sampling import bilinear_sample, BoundaryMode
+from repro.fields.sampling import _prepare_indices, bilinear_sample, BoundaryMode
 
 Grid = Union[RegularGrid, RectilinearGrid]
 
@@ -66,16 +66,25 @@ class ScalarField2D:
 
         Returns a ``(height, width)`` array — the form consumed by the
         overlay compositor when draping the scalar over the texture.
+        Pixel ``(i, j)`` is :func:`bilinear_sample` at ``(xs[j], ys[i])``
+        bit for bit, computed separably: fractional indices per column and
+        per row, the x blend once per grid row, then two row gathers.
         """
         h, w = texture_shape
         if h < 1 or w < 1:
             raise FieldError(f"invalid raster shape {texture_shape}")
+        mode = self.boundary
         x0, x1, y0, y1 = self.grid.bounds
-        xs = np.linspace(x0, x1, w)
-        ys = np.linspace(y0, y1, h)
-        X, Y = np.meshgrid(xs, ys)
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        return self.sample(pts).reshape(h, w)
+        xs, ys = np.linspace(x0, x1, w), np.linspace(y0, y1, h)
+        fx = self.grid.world_to_fractional(np.stack([xs, np.full(w, y0)], axis=-1))[0]
+        fy = self.grid.world_to_fractional(np.stack([np.full(h, x0), ys], axis=-1))[1]
+        jx0, jx1, tx, in_x = _prepare_indices(fx, self.grid.nx, mode, mode == "zero")
+        jy0, jy1, ty, in_y = _prepare_indices(fy, self.grid.ny, mode, mode == "zero")
+        rows = self.data[:, jx0] * (1.0 - tx) + self.data[:, jx1] * tx
+        out = rows[jy0] * (1.0 - ty[:, None]) + rows[jy1] * ty[:, None]
+        if mode == "zero":
+            out = np.where(~(in_y[:, None] & in_x), 0.0, out)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ScalarField2D(shape={self.grid.shape}, range=[{self.min():.3g}, {self.max():.3g}])"

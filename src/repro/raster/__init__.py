@@ -14,7 +14,7 @@ that produce bit-identical pixels (``SpotNoiseConfig.raster_backend``):
 Both accumulate into a :class:`FrameBuffer` using the additive blend that
 defines spot noise (``f(x) = sum a_i h(x - x_i)``).  :func:`splat_points`
 deposits point sets for the line-drawing baselines, and :func:`blend_over`
-composites the overlays.
+is the ``over`` alpha-compositing operator.
 """
 
 from repro.raster.framebuffer import FrameBuffer

@@ -2,8 +2,8 @@
 
 Spot noise itself is defined by *additive* blending (the sum in
 ``f(x) = sum a_i h(x - x_i)``), which the rasterisers and the gather
-step perform in place.  ``over`` is the overlay compositor's operator
-(figure 6 drapes the pollutant colour over the flow texture).
+step perform in place.  ``over`` is the figure-6 drape's operator;
+:func:`repro.viz.overlay.scalar_overlay` computes it fused per channel.
 """
 
 from __future__ import annotations

@@ -35,13 +35,31 @@ class Colormap:
         self.controls = controls
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Map values in [0, 1] (clipped) to RGB; output shape ``(..., 3)``."""
-        v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+        """Map values in [0, 1] (clipped) to RGB; output shape ``(..., 3)``.
+
+        Each channel plane is ``c[i0] * (1 - t) + c[i0 + 1] * t`` with
+        ``c`` that channel's control column, gathered with ``take``.
+        Non-finite values have no colour and raise :class:`ReproError`.
+        """
+        v = np.clip(finite_array(values, f"colormap {self.name!r}"), 0.0, 1.0)
         k = self.controls.shape[0]
         x = v * (k - 1)
         i0 = np.minimum(x.astype(np.int64), k - 2)
-        t = (x - i0)[..., None]
-        return self.controls[i0] * (1.0 - t) + self.controls[i0 + 1] * t
+        t = x - i0
+        s = 1.0 - t
+        out = np.empty(v.shape + (3,))
+        for c, col in enumerate(self.controls.T):
+            np.add(col.take(i0) * s, col.take(i0 + 1) * t, out=out[..., c])
+        return out
+
+
+def finite_array(values: np.ndarray, what: str) -> np.ndarray:
+    """*values* as float64, or :class:`ReproError` naming how many are non-finite."""
+    v = np.asarray(values, dtype=np.float64)
+    bad = v.size - np.count_nonzero(np.isfinite(v))
+    if bad:
+        raise ReproError(f"{what}: {bad} non-finite value(s)")
+    return v
 
 
 def rainbow() -> Colormap:

@@ -13,12 +13,11 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ReproError
-from repro.raster.blend import blend_over
-from repro.viz.colormap import Colormap, grayscale
+from repro.viz.colormap import Colormap, finite_array, grayscale
 
 
 def _as_texture01(texture: np.ndarray) -> np.ndarray:
-    t = np.asarray(texture, dtype=np.float64)
+    t = finite_array(texture, "texture")
     if t.ndim != 2:
         raise ReproError(f"texture must be 2-D, got shape {t.shape}")
     return np.clip(t, 0.0, 1.0)
@@ -38,6 +37,9 @@ def scalar_overlay(
     visible in figure 6.
 
     Both inputs are (H, W) arrays in [0, 1]; output is (H, W, 3) RGB.
+    Each channel is ``colour * alpha + texture * (1 - alpha)``, the
+    ``over`` blend onto the grayscale texture (every channel of which is
+    the texture) with the texture term computed once.
     """
     tex = _as_texture01(texture01)
     sca = np.asarray(scalar01, dtype=np.float64)
@@ -46,10 +48,11 @@ def scalar_overlay(
     if not (0.0 <= max_alpha <= 1.0):
         raise ReproError(f"max_alpha must be in [0, 1], got {max_alpha}")
     sca = np.clip(sca, 0.0, 1.0)
-    base = grayscale()(tex)
-    colour = colormap(sca)
-    alpha = (sca * max_alpha)[..., None]
-    return blend_over(base, colour, alpha)
+    alpha = sca * max_alpha
+    rgb = colormap(sca)
+    rgb *= alpha[..., None]
+    rgb += (tex * (1.0 - alpha))[..., None]
+    return rgb
 
 
 def mask_overlay(

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FieldError
+from repro.fields.grid import RegularGrid
 from repro.fields.sampling import bilinear_sample, nearest_sample
+from repro.fields.scalarfield import ScalarField2D
 
 
 def ramp(ny=5, nx=7):
@@ -87,6 +89,13 @@ class TestBilinearSample:
         fy = rng.uniform(0, 4, 50)
         expected = 3.0 + 2.0 * fx - 1.5 * fy
         np.testing.assert_allclose(bilinear_sample(data, fx, fy), expected, atol=1e-12)
+
+    def test_bad_mode(self):
+        with pytest.raises(FieldError, match="unknown boundary mode"):
+            bilinear_sample(ramp(), np.array([0.0]), np.array([0.0]), "nope")
+        scalar = ScalarField2D(RegularGrid(7, 5), ramp(), boundary="nope")
+        with pytest.raises(FieldError, match="unknown boundary mode"):
+            scalar.resampled_to((4, 4))
 
 
 class TestNearestSample:

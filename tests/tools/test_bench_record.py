@@ -45,3 +45,77 @@ def test_records_every_declared_workload(tmp_path, monkeypatch):
     assert len(row["probe_ms"]["values"]) == 6
     assert bench["host"]["probe_ms"]["median"] > 4.0
 
+
+
+SPEC = {
+    "end_to_end": [
+        {"name": "textures_per_s", "better": "higher", "bound": 0.2},
+        {"name": "latency_ms_p50", "better": "lower", "bound": 0.25},
+        {"name": "ok_ratio", "better": "higher", "bound": 0.01},
+    ]
+}
+
+
+def record(workloads, probe=None):
+    rows = {
+        name: {"end_to_end": {m: {"median": med, "iqr": iqr} for m, (med, iqr) in metrics.items()}}
+        for name, metrics in workloads.items()
+    }
+    if probe is not None:
+        for row in rows.values():
+            row["probe_ms"] = {"median": probe[0], "iqr": probe[1]}
+    return {"workloads": rows}
+
+
+OLD = record({
+    "steer": {"textures_per_s": (100.0, 5.0), "latency_ms_p50": (10.0, 4.0), "ok_ratio": (1.0, 0.0)},
+    "gone": {"textures_per_s": (50.0, 1.0)},
+})
+
+
+def test_compare_verdicts():
+    new = record({"steer": {"textures_per_s": (70.0, 5.0), "latency_ms_p50": (12.0, 1.0), "ok_ratio": (1.0, 0.0)}})
+    rows, notes, regressed = bench_record.compare(OLD, new, SPEC)
+    verdicts = {(r[0], r[1]): r[-1] for r in rows}
+    # 30% fewer textures/s is past the 20% bound; the old p50 spread
+    # (40%) is wider than its 25% bound, so +20% there is unresolved.
+    assert verdicts[("steer", "textures_per_s")] == "regressed"
+    assert verdicts[("steer", "latency_ms_p50")] == "unresolved"
+    assert verdicts[("steer", "ok_ratio")] == "ok"
+    assert {verdicts[("gone", m["name"])] for m in SPEC["end_to_end"]} == {"missing"}
+    assert regressed
+    row = next(r for r in rows if r[:2] == ("steer", "textures_per_s"))
+    assert row[2:5] == ("100", "70", "-30.0%")
+
+
+def test_compare_gain_and_small_loss_are_ok():
+    new = record({"steer": {"textures_per_s": (130.0, 5.0), "latency_ms_p50": (10.5, 1.0), "ok_ratio": (0.995, 0.0)}})
+    rows, notes, regressed = bench_record.compare(OLD, new, SPEC)
+    assert not regressed and not notes
+    assert {r[-1] for r in rows if r[0] == "steer"} == {"ok", "unresolved"}
+
+
+def test_compare_host_probe_outside_old_spread_is_unresolved():
+    slow = {"textures_per_s": (70.0, 5.0), "ok_ratio": (1.0, 0.0)}
+    old = record({"steer": {"textures_per_s": (100.0, 5.0), "ok_ratio": (1.0, 0.0)}}, probe=(5.0, 0.4))
+    # The host probe moved 1.5 ms against an old probe IQR of 0.4 ms: the
+    # records cannot tell a 30% loss from host drift.
+    rows, notes, regressed = bench_record.compare(old, record({"steer": slow}, probe=(6.5, 0.4)), SPEC)
+    assert not regressed
+    assert {r[-1] for r in rows if r[1] != "latency_ms_p50"} == {"unresolved"}
+    assert notes == ["steer: host probe 5 -> 6.5 ms, past the old IQR 0.4 ms; its rows are unresolved"]
+    # Within the old probe spread the same loss is a regression.
+    rows, notes, regressed = bench_record.compare(old, record({"steer": slow}, probe=(5.3, 0.4)), SPEC)
+    assert regressed and not notes
+
+
+def test_compare_exit_code(tmp_path, capsys):
+    paths = []
+    for name, tput in (("old", 100.0), ("same", 99.0), ("slow", 50.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(record({"steer": {"textures_per_s": (tput, 1.0)}})))
+        paths.append(str(path))
+    assert bench_record.main(["--compare", paths[0], paths[1]]) == 0
+    assert bench_record.main(["--compare", paths[0], paths[2]]) == 1
+    out = capsys.readouterr().out
+    assert "regressed" in out and "missing" in out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from repro.spots.filtering import contrast_stretch
 from repro.viz.colormap import Colormap, diverging, get_colormap, grayscale, rainbow
 from repro.viz.image import read_pgm, to_uint8, write_pgm, write_ppm
 from repro.viz.overlay import compose_scene, mask_overlay, scalar_overlay
@@ -38,6 +39,12 @@ class TestColormap:
         with pytest.raises(ReproError):
             get_colormap("turbo")
 
+    def test_non_finite_values_raise(self):
+        with pytest.raises(ReproError, match="1 non-finite"):
+            rainbow()(np.array([0.2, np.nan]))
+        with pytest.raises(ReproError, match="2 non-finite"):
+            grayscale()(np.array([np.inf, -np.inf, 0.5]))
+
     def test_validation(self):
         with pytest.raises(ReproError):
             Colormap("bad", np.array([[0.0, 0.0, 2.0], [1, 1, 1]]))
@@ -63,6 +70,18 @@ class TestOverlay:
     def test_alpha_validation(self):
         with pytest.raises(ReproError):
             scalar_overlay(np.zeros((4, 4)), np.zeros((4, 4)), rainbow(), max_alpha=2.0)
+
+    def test_non_finite_display_pixel_raises(self):
+        texture = np.random.default_rng(0).normal(size=(8, 8))
+        texture[3, 4] = np.nan
+        display = contrast_stretch(texture)
+        for scalar in (None, np.zeros((8, 8))):
+            with pytest.raises(ReproError, match="non-finite"):
+                compose_scene(display, scalar, rainbow())
+        scalar = np.zeros((8, 8))
+        scalar[1, 2] = np.nan
+        with pytest.raises(ReproError, match="1 non-finite"):
+            compose_scene(np.zeros((8, 8)), scalar, rainbow())
 
     def test_mask_outline_only_draws_border(self):
         img = np.ones((8, 8, 3))

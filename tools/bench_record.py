@@ -13,6 +13,18 @@ metric.  Every value is host-normalised by perfbench itself; the raw
 probe medians are kept beside them so two records from different hosts
 can be told apart.  Run it from any directory; it benchmarks the
 checkout it lives in.
+
+    python3 tools/bench_record.py --compare BENCH_22.json BENCH_23.json
+
+reads two records, runs nothing, and prints the old median, new median
+and relative change of every end-to-end metric on every workload, with
+a verdict from the metric's ``better`` and ``bound`` in
+``BENCHMARK.json``: ``regressed`` when the new median is worse by more
+than the bound, ``unresolved`` when the old record's IQR exceeds the
+bound or the workload's host probe moved past the old record's probe
+IQR (either spread cannot tell such a change from noise), ``missing``
+when either record lacks the row, ``ok`` otherwise.  It exits 1 only
+when a row regressed.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import platform
 import statistics
 import subprocess
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 import numpy
 
@@ -84,15 +96,90 @@ def record(workloads: List[str], seeds: List[int], seconds: float) -> Dict[str, 
     return out
 
 
+def relative_change(old: float, new: float) -> float:
+    """``(new - old) / |old|``; a change from zero is infinite."""
+    if old == 0:
+        return 0.0 if new == old else float("inf") if new > old else float("-inf")
+    return (new - old) / abs(old)
+
+
+def verdict(
+    old: Optional[dict], new: Optional[dict], better: str, bound: float, host_moved: bool
+) -> Tuple[str, float]:
+    """``(verdict, relative change)`` of one end-to-end metric between two records."""
+    if old is None or new is None:
+        return "missing", float("nan")
+    change = relative_change(old["median"], new["median"])
+    if host_moved:
+        return "unresolved", change
+    worse = -change if better == "higher" else change
+    if worse > bound:
+        return "regressed", change
+    if relative_change(old["median"], old["median"] + old["iqr"]) > bound:
+        return "unresolved", change
+    return "ok", change
+
+
+def host_move(old_row: dict, new_row: dict) -> Optional[str]:
+    """Why a workload's host probe moved past the old record's probe IQR, or ``None``.
+
+    Values are host-normalised by the probe, but a host that moved past
+    its own run-to-run spread can move the serving workloads by more
+    than their bounds (identical code recorded in two sessions read up
+    to 67% apart), so such a workload's rows are ``unresolved``.
+    """
+    a, b = old_row.get("probe_ms"), new_row.get("probe_ms")
+    if not (a and b) or abs(b["median"] - a["median"]) <= a["iqr"]:
+        return None
+    return f"host probe {a['median']:.3g} -> {b['median']:.3g} ms, past the old IQR {a['iqr']:.3g} ms"
+
+
+def compare(old: dict, new: dict, spec: dict) -> Tuple[List[Tuple[str, ...]], List[str], bool]:
+    """Rows ``(workload, metric, old, new, change, verdict)``, host notes, and whether any regressed."""
+    rows, notes = [], []
+    for workload in sorted(set(old["workloads"]) | set(new["workloads"])):
+        before = old["workloads"].get(workload, {})
+        after = new["workloads"].get(workload, {})
+        moved = host_move(before, after)
+        if moved:
+            notes.append(f"{workload}: {moved}; its rows are unresolved")
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            a, b = before.get("end_to_end", {}).get(name), after.get("end_to_end", {}).get(name)
+            label, change = verdict(a, b, metric["better"], metric["bound"], moved is not None)
+            rows.append((
+                workload, name,
+                f"{a['median']:.4g}" if a else "-", f"{b['median']:.4g}" if b else "-",
+                f"{change:+.1%}" if a and b else "-", label,
+            ))
+    return rows, notes, any(r[-1] == "regressed" for r in rows)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pr", type=int, help="names the output BENCH_<pr>.json")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two records; run nothing")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
     parser.add_argument("--out", help="output path (default: BENCH_<pr>.json in the checkout)")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    if args.compare:
+        records = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                records.append(json.load(fh))
+        rows, notes, regressed = compare(records[0], records[1], spec)
+        header = ("workload", "metric", "old", "new", "change", "verdict")
+        widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
+        print(f"{args.compare[0]} -> {args.compare[1]}")
+        for row in [header] + rows:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        for note in notes:
+            print(note)
+        return 1 if regressed else 0
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
 
