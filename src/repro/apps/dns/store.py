@@ -4,9 +4,12 @@
 data browser is being developed to analyse such scientific data bases"
 (section 5.2).  This store is that database substrate at laptop scale:
 frames are appended sequentially, packed into fixed-size chunk files
-(compressed ``.npz``), random access loads exactly one chunk, and a
-one-chunk LRU cache makes sequential playback and local scrubbing cheap —
-the access patterns a browser generates.
+(compressed ``.npz``), and random access loads exactly one chunk.
+Decoded chunks stay in a byte-bounded LRU (the memory tier's
+:class:`~repro.service.cache.LRUTextureCache` at its default budget),
+shared by every reader of one store — the scrubbing client, the
+animation walk and texture-service workers — so a scrub's random seeks
+and the walk's reads inflate each chunk once while it stays resident.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from repro.errors import StoreError
 from repro.fields.grid import RectilinearGrid
 from repro.fields.vectorfield import VectorField2D
+from repro.service.cache import DEFAULT_MEMORY_BUDGET, LRUTextureCache
 from repro.utils.fileio import atomic_write
 
 _META_NAME = "meta.json"
@@ -54,12 +58,13 @@ class ChunkedFieldStore:
         self.grid = RectilinearGrid(np.asarray(meta["x"]), np.asarray(meta["y"]))
         self._pending: List[np.ndarray] = []
         self._pending_times: List[float] = []
-        self._cache_index: Optional[int] = None  #: guarded-by: _cache_lock
-        self._cache_data: Optional[np.ndarray] = None  #: guarded-by: _cache_lock
-        # The chunk cache is read from texture-service worker threads
-        # (TextureService.for_store); guard the check-then-set so a race
-        # can never pair one chunk's index with another chunk's data.
-        self._cache_lock = threading.Lock()
+        # Decoded chunks (float64, read-only) keyed by chunk index; the
+        # LRU's own lock serves the client, walk and service threads.
+        self._chunks = LRUTextureCache(DEFAULT_MEMORY_BUDGET)
+        # One inflation at a time, so concurrent misses on one chunk
+        # decode it once, and because np.load parses its header with
+        # ast, which CPython 3.11 can fail (SystemError) in two threads.
+        self._inflate_lock = threading.Lock()
 
     # -- creation ----------------------------------------------------------------
     @classmethod
@@ -130,9 +135,7 @@ class ChunkedFieldStore:
         self._pending.clear()
         self._pending_times.clear()
         # Invalidate the cache in case this chunk was read while partial.
-        with self._cache_lock:
-            self._cache_index = None
-            self._cache_data = None
+        self._chunks.clear()
 
     def _write_meta(self) -> None:
         meta = {
@@ -153,21 +156,25 @@ class ChunkedFieldStore:
         return self.n_frames
 
     def _load_chunk(self, chunk_index: int) -> np.ndarray:
-        with self._cache_lock:
-            if self._cache_index == chunk_index and self._cache_data is not None:
-                return self._cache_data
-        path = self._chunk_path(chunk_index)
-        if not os.path.exists(path):
-            raise StoreError(f"missing chunk file {path} (unflushed frames?)")
-        with np.load(path) as archive:
-            data = archive["frames"]
-        with self._cache_lock:
-            self._cache_index = chunk_index
-            self._cache_data = data
+        """The chunk's frames: cached float64, or float32 as just inflated."""
+        key = str(chunk_index)
+        data = self._chunks.get(key)
+        if data is None:
+            # Inflate outside the cache's lock, so hits never wait on it;
+            # a reader that waited here finds what its predecessor put.
+            with self._inflate_lock:
+                data = self._chunks.get(key)
+                if data is None:
+                    path = self._chunk_path(chunk_index)
+                    if not os.path.exists(path):
+                        raise StoreError(f"missing chunk file {path} (unflushed frames?)")
+                    with np.load(path) as archive:
+                        data = archive["frames"]
+                    self._chunks.put(key, data)
         return data
 
     def read(self, frame: int) -> VectorField2D:
-        """Random access to any frame (loads and caches one chunk)."""
+        """Random access to any frame: a fresh, writable float64 copy."""
         if not (0 <= frame < self.n_frames):
             raise StoreError(f"frame {frame} out of range [0, {self.n_frames})")
         chunk_index, offset = divmod(frame, self.frames_per_chunk)
@@ -177,7 +184,7 @@ class ChunkedFieldStore:
             data = self._pending[frame - n_flushed]
             return VectorField2D(self.grid, np.asarray(data, dtype=np.float64))
         chunk = self._load_chunk(chunk_index)
-        return VectorField2D(self.grid, np.asarray(chunk[offset], dtype=np.float64))
+        return VectorField2D(self.grid, np.array(chunk[offset], dtype=np.float64))
 
     def iter_range(self, start: int = 0, stop: Optional[int] = None, stride: int = 1) -> Iterator[VectorField2D]:
         """Sequential playback over ``[start, stop)`` with *stride*."""

@@ -21,6 +21,13 @@ BoundaryMode = Literal["clamp", "wrap", "zero"]
 _BOUNDARY_MODES = ("clamp", "wrap", "zero")
 
 
+def check_boundary_mode(mode: str) -> BoundaryMode:
+    """*mode* itself, or :class:`FieldError` if it is not a boundary mode."""
+    if mode not in _BOUNDARY_MODES:
+        raise FieldError(f"unknown boundary mode {mode!r}; expected one of {_BOUNDARY_MODES}")
+    return mode  # type: ignore[return-value]
+
+
 def _prepare_indices(
     f: np.ndarray, n: int, mode: BoundaryMode, need_inside: bool = True
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None"]:
@@ -33,8 +40,7 @@ def _prepare_indices(
     callers on the hot path skip it with ``need_inside=False`` (``None``
     is returned in its place).
     """
-    if mode not in _BOUNDARY_MODES:
-        raise FieldError(f"unknown boundary mode {mode!r}; expected one of {_BOUNDARY_MODES}")
+    check_boundary_mode(mode)
     f = np.asarray(f, dtype=np.float64)
     finite = np.isfinite(f)
     if not finite.all():
@@ -120,8 +126,7 @@ def nearest_sample(
     mode: BoundaryMode = "clamp",
 ) -> np.ndarray:
     """Nearest-neighbour sampling (used for the geography/land-mask overlay)."""
-    if mode not in _BOUNDARY_MODES:
-        raise FieldError(f"unknown boundary mode {mode!r}; expected one of {_BOUNDARY_MODES}")
+    check_boundary_mode(mode)
     data = np.asarray(data)
     if data.ndim not in (2, 3):
         raise FieldError(f"data must be (ny, nx) or (ny, nx, k), got shape {data.shape}")

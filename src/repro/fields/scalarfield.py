@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.errors import FieldError
 from repro.fields.grid import RegularGrid, RectilinearGrid, _as_points
-from repro.fields.sampling import _prepare_indices, bilinear_sample, BoundaryMode
+from repro.fields.sampling import _prepare_indices, bilinear_sample, check_boundary_mode, BoundaryMode
 
 Grid = Union[RegularGrid, RectilinearGrid]
 
@@ -29,7 +29,7 @@ class ScalarField2D:
             raise FieldError("scalar data contains non-finite values")
         self.grid = grid
         self.data = data
-        self.boundary: BoundaryMode = boundary
+        self.boundary: BoundaryMode = check_boundary_mode(boundary)
 
     @classmethod
     def from_function(

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.errors import FieldError
 from repro.fields.grid import RegularGrid, RectilinearGrid, _as_points
-from repro.fields.sampling import bilinear_sample, BoundaryMode
+from repro.fields.sampling import bilinear_sample, check_boundary_mode, BoundaryMode
 
 Grid = Union[RegularGrid, RectilinearGrid]
 
@@ -41,7 +41,7 @@ class VectorField2D:
             raise FieldError("vector data contains non-finite values")
         self.grid = grid
         self.data = data
-        self.boundary: BoundaryMode = boundary
+        self.boundary: BoundaryMode = check_boundary_mode(boundary)
 
     # -- construction helpers ----------------------------------------------
     @classmethod

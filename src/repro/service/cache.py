@@ -40,6 +40,10 @@ from repro.errors import ServiceError
 from repro.utils.fileio import atomic_write
 from repro.viz.image import write_pgm
 
+#: Default in-memory budget: 64 MiB ≈ 32 float64 textures at 512².  The
+#: memory tier of every service and the field store's decoded chunks.
+DEFAULT_MEMORY_BUDGET = 64 << 20
+
 
 def _freeze(texture: np.ndarray) -> np.ndarray:
     """Canonicalise to a C-ordered float64 array and mark it read-only."""

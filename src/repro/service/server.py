@@ -52,14 +52,11 @@ from repro.runtime.executor import RenderExecutor
 from repro.runtime.loop import get_runtime_loop
 from repro.runtime.singleflight import AsyncSingleFlight, Flight
 from repro.service.admission import AdmissionController, LatencyPredictor
-from repro.service.cache import DiskTextureCache, LRUTextureCache, TieredTextureCache
+from repro.service.cache import DEFAULT_MEMORY_BUDGET, DiskTextureCache, LRUTextureCache, TieredTextureCache
 from repro.service.keys import RequestKey, TileSpec
 from repro.service.stats import ServiceStats
 
 FieldSource = Callable[[int], VectorField2D]
-
-#: Default in-memory budget: 64 MiB ≈ 32 float64 textures at 512².
-DEFAULT_MEMORY_BUDGET = 64 << 20
 
 
 @dataclass(frozen=True)

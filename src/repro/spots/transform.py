@@ -107,8 +107,13 @@ def spot_quads(centers: np.ndarray, transforms: np.ndarray) -> "tuple[np.ndarray
         raise SpotError(
             f"transforms must be (N, 2, 2) matching centers, got {transforms.shape}"
         )
-    # vertices[n, c] = centers[n] + transforms[n] @ _QUAD_LOCAL[c]
-    verts = centers[:, None, :] + np.einsum("nij,cj->nci", transforms, _QUAD_LOCAL)
+    # vertices[n, c] = centers[n] + transforms[n] @ _QUAD_LOCAL[c].  The
+    # corner offsets are +-1, so each product is exact; the two products
+    # are summed before the centre is added, the order (and so the
+    # rounding and the signed zeros) of the einsum contraction.
+    m = transforms[:, None, :, :]
+    offsets = m[..., 0] * _QUAD_LOCAL[:, None, 0] + m[..., 1] * _QUAD_LOCAL[:, None, 1]
+    verts = centers[:, None, :] + offsets
     uvs = np.broadcast_to(_QUAD_UV, (centers.shape[0], 4, 2)).copy()
     return verts, uvs
 

@@ -41,7 +41,11 @@ def scalar_overlay(
     ``over`` blend onto the grayscale texture (every channel of which is
     the texture) with the texture term computed once.
     """
-    tex = _as_texture01(texture01)
+    return _drape(_as_texture01(texture01), scalar01, colormap, max_alpha)
+
+
+def _drape(tex: np.ndarray, scalar01: np.ndarray, colormap: Colormap, max_alpha: float) -> np.ndarray:
+    """:func:`scalar_overlay` on a texture already checked and clipped."""
     sca = np.asarray(scalar01, dtype=np.float64)
     if sca.shape != tex.shape:
         raise ReproError(f"scalar shape {sca.shape} != texture shape {tex.shape}")
@@ -98,7 +102,7 @@ def compose_scene(
     if scalar01 is not None:
         if colormap is None:
             raise ReproError("a colormap is required to overlay a scalar")
-        rgb = scalar_overlay(tex, scalar01, colormap, max_alpha)
+        rgb = _drape(tex, scalar01, colormap, max_alpha)
     else:
         rgb = grayscale()(tex)
     if mask is not None:

@@ -287,6 +287,144 @@ class TestStore:
         np.testing.assert_allclose(reopened.read(0).data, 7.0)
 
 
+class TestStoreChunkCache:
+    """Decoded chunks live in a byte-bounded LRU shared by every reader."""
+
+    FPC = 4
+
+    def _store(self, tmp_path, n_frames=16, flush=True):
+        grid = RectilinearGrid(np.linspace(0, 4, 9), np.linspace(0, 3, 7))
+        store = ChunkedFieldStore.create(tmp_path / "db", grid, frames_per_chunk=self.FPC)
+        rng = np.random.default_rng(11)
+        frames = []
+        from repro.fields.vectorfield import VectorField2D
+
+        for t in range(n_frames):
+            frames.append(rng.normal(size=(*grid.shape, 2)))
+            store.append(VectorField2D(grid, frames[-1]), time=0.1 * t)
+        if flush:
+            store.flush()
+        # The store keeps float32; the float64 it returns is exact.
+        return store, [f.astype(np.float32).astype(np.float64) for f in frames]
+
+    def _chunk_bytes(self, store):
+        return self.FPC * store.grid.shape[0] * store.grid.shape[1] * 2 * 8
+
+    @staticmethod
+    def _count_inflations(monkeypatch):
+        import repro.apps.dns.store as store_mod
+
+        paths = []
+        real = store_mod.np.load
+
+        def counting_load(path, *args, **kwargs):
+            paths.append(os.path.basename(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod.np, "load", counting_load)
+        return paths
+
+    def test_scrub_inflates_each_chunk_once(self, tmp_path, monkeypatch):
+        store, frames = self._store(tmp_path, n_frames=18)
+        loads = self._count_inflations(monkeypatch)
+        # A scrub over every frame: random seeks, then a walk back and forth.
+        order = list(np.random.default_rng(5).permutation(18)) + list(range(18)) + list(range(17, -1, -1))
+        for t in order:
+            assert np.array_equal(store.read(int(t)).data, frames[t])
+        assert sorted(loads) == [f"chunk_{i:06d}.npz" for i in range(5)]
+        assert len(store._chunks) == 5 and store._chunks.evictions == 0
+
+    def test_budget_evicts_least_recently_used(self, tmp_path, monkeypatch):
+        import repro.apps.dns.store as store_mod
+
+        store, frames = self._store(tmp_path)
+        budget = int(2.5 * self._chunk_bytes(store))
+        monkeypatch.setattr(store_mod, "DEFAULT_MEMORY_BUDGET", budget)
+        store = ChunkedFieldStore(store.directory)
+        loads = self._count_inflations(monkeypatch)
+        first = {c: store.read(c * self.FPC).data for c in range(3)}  # chunk 0 evicted
+        assert loads == [f"chunk_{i:06d}.npz" for i in range(3)]
+        assert len(store._chunks) == 2 and store._chunks.nbytes <= budget
+        store.read(1 * self.FPC + 1)  # chunk 1 now most recent: a hit
+        store.read(3 * self.FPC)  # evicts chunk 2, the least recently used
+        assert len(loads) == 4
+        store.read(1 * self.FPC + 2)
+        assert len(loads) == 4
+        for c in (2, 0):
+            again = store.read(c * self.FPC).data
+            assert np.array_equal(again, first[c]) and np.array_equal(again, frames[c * self.FPC])
+        assert loads[4:] == ["chunk_000002.npz", "chunk_000000.npz"]
+        assert store._chunks.evictions == 4
+        assert len(store._chunks) == 2 and store._chunks.nbytes <= budget
+
+    def _scrub_in_threads(self, store, frames, order):
+        import concurrent.futures as cf
+        import sys
+
+        def scrub(ts):
+            return all(np.array_equal(store.read(int(t)).data, frames[t]) for t in ts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cf.ThreadPoolExecutor(len(order)) as pool:
+                futures = [pool.submit(scrub, ts) for ts in order]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_scrubs_inflate_each_chunk_once(self, tmp_path, monkeypatch):
+        store, frames = self._store(tmp_path, n_frames=24)
+        store = ChunkedFieldStore(store.directory)
+        loads = self._count_inflations(monkeypatch)
+        # Eight readers (more than the cores) seek the same frames at once.
+        self._scrub_in_threads(store, frames, [np.random.default_rng(9).integers(0, 24, 60)] * 8)
+        assert sorted(loads) == sorted(set(loads)) and len(loads) == len(store._chunks) == 6
+
+    def test_concurrent_readers_under_eviction(self, tmp_path, monkeypatch):
+        import repro.apps.dns.store as store_mod
+
+        store, frames = self._store(tmp_path, n_frames=24)
+        budget = int(2.5 * self._chunk_bytes(store))
+        monkeypatch.setattr(store_mod, "DEFAULT_MEMORY_BUDGET", budget)
+        store = ChunkedFieldStore(store.directory)
+        self._scrub_in_threads(store, frames, np.random.default_rng(9).integers(0, 24, size=(8, 120)))
+        # A lost update in the LRU's accounting would break either.
+        assert store._chunks.nbytes <= budget
+        assert store._chunks.nbytes == len(store._chunks) * self._chunk_bytes(store)
+
+    def test_returned_fields_never_alias_the_cache(self, tmp_path):
+        store, frames = self._store(tmp_path, n_frames=6, flush=False)
+        store.flush()
+        store.append(store.read(0), time=1.0)  # frame 6 stays pending
+        for t in (1, 5, 6):
+            field = store.read(t)
+            assert field.data.dtype == np.float64 and field.data.flags.writeable
+            field.data[...] = -99.0
+            field.u[0, 0] = 123.0
+            expected = frames[t] if t < 6 else frames[0]
+            assert np.array_equal(store.read(t).data, expected)
+
+    def test_reads_stay_correct_across_append_and_flush(self, tmp_path):
+        from repro.fields.vectorfield import VectorField2D
+
+        store, frames = self._store(tmp_path, n_frames=0, flush=False)
+        rng = np.random.default_rng(12)
+        for t in range(10):
+            frames.append(rng.normal(size=(*store.grid.shape, 2)).astype(np.float32).astype(np.float64))
+            store.append(VectorField2D(store.grid, frames[t]), time=0.1 * t)
+            # Frames 3 and 7 complete a chunk, which is written and the
+            # cache cleared; the rest are read from the pending buffer.
+            for u in range(t + 1):
+                assert np.array_equal(store.read(u).data, frames[u]), (t, u)
+        store.flush()  # writes the partial chunk 2
+        reopened = ChunkedFieldStore(store.directory)
+        for u in list(range(10)) + list(range(9, -1, -1)):
+            assert np.array_equal(store.read(u).data, frames[u])
+            assert np.array_equal(reopened.read(u).data, frames[u])
+        assert len(reopened._chunks) == 3
+
+
 class TestBrowser:
     @pytest.fixture
     def store(self, tmp_path):

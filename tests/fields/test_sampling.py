@@ -93,7 +93,12 @@ class TestBilinearSample:
     def test_bad_mode(self):
         with pytest.raises(FieldError, match="unknown boundary mode"):
             bilinear_sample(ramp(), np.array([0.0]), np.array([0.0]), "nope")
-        scalar = ScalarField2D(RegularGrid(7, 5), ramp(), boundary="nope")
+        # The constructor rejects the mode; one set afterwards is still
+        # caught when the field is sampled.
+        with pytest.raises(FieldError, match="unknown boundary mode"):
+            ScalarField2D(RegularGrid(7, 5), ramp(), boundary="nope")
+        scalar = ScalarField2D(RegularGrid(7, 5), ramp())
+        scalar.boundary = "nope"
         with pytest.raises(FieldError, match="unknown boundary mode"):
             scalar.resampled_to((4, 4))
 

@@ -34,6 +34,15 @@ class TestVectorFieldConstruction:
         with pytest.raises(FieldError):
             VectorField2D.from_components(grid, np.zeros(grid.shape), np.zeros((2, 2)))
 
+    def test_unknown_boundary_mode_rejected(self, grid):
+        data = np.zeros((*grid.shape, 2))
+        with pytest.raises(FieldError, match="unknown boundary mode 'nope'"):
+            VectorField2D(grid, data, boundary="nope")
+        with pytest.raises(FieldError, match="unknown boundary mode"):
+            VectorField2D.from_components(grid, data[..., 0], data[..., 1], boundary="mirror")
+        for mode in ("clamp", "wrap", "zero"):
+            assert VectorField2D(grid, data, boundary=mode).boundary == mode
+
     def test_uv_are_views(self, grid):
         f = VectorField2D(grid, np.zeros((*grid.shape, 2)))
         f.u[0, 0] = 5.0
@@ -87,6 +96,14 @@ class TestScalarField:
     def test_shape_enforced(self, grid):
         with pytest.raises(FieldError):
             ScalarField2D(grid, np.zeros((3, 3)))
+
+    def test_unknown_boundary_mode_rejected(self, grid):
+        with pytest.raises(FieldError, match="unknown boundary mode 'nope'"):
+            ScalarField2D(grid, np.zeros(grid.shape), boundary="nope")
+        with pytest.raises(FieldError, match="unknown boundary mode"):
+            ScalarField2D.from_function(grid, lambda X, Y: X, boundary="periodic")
+        for mode in ("clamp", "wrap", "zero"):
+            assert ScalarField2D(grid, np.zeros(grid.shape), boundary=mode).boundary == mode
 
     def test_zeros_and_minmax(self, grid):
         s = ScalarField2D.zeros(grid)

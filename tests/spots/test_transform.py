@@ -96,6 +96,28 @@ class TestSpotQuads:
         # Square with half-side 2 -> area 16.
         np.testing.assert_allclose(quad_areas(verts), [16.0])
 
+    def test_matches_einsum_oracle_bit_for_bit(self):
+        # The contraction spot_quads replaced: centre plus M @ corner.
+        # Compared with array_equal and signbit, never a tolerance, over
+        # zero-velocity spots (whose matrices hold -0.0) and signed-zero
+        # centres as well as ordinary ones.
+        from repro.spots.transform import _QUAD_LOCAL
+
+        rng = np.random.default_rng(7)
+        for scale in (0.0, 1.5):
+            vel = rng.normal(size=(1250, 2))
+            vel[:40] = 0.0
+            vel[40:50] = -0.0
+            centers = rng.uniform(-3, 3, (1250, 2)) * 10.0 ** rng.uniform(-3, 3, (1250, 1))
+            centers[:20] = 0.0
+            centers[20:30] = -0.0
+            m = flow_transforms(vel, radius=0.04, scale=scale, v_ref=1.0)
+            assert np.signbit(m).any() and (m == 0).any()
+            verts, _ = spot_quads(centers, m)
+            oracle = centers[:, None, :] + np.einsum("nij,cj->nci", m, _QUAD_LOCAL)
+            assert np.array_equal(verts, oracle)
+            assert np.array_equal(np.signbit(verts), np.signbit(oracle))
+
     def test_transform_count_mismatch(self):
         with pytest.raises(SpotError):
             spot_quads(np.zeros((2, 2)), np.zeros((1, 2, 2)))

@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
+
 from tools import bench_record
 
 
-def fake_run(workload, seed, seconds, trace):
+def fake_run(workload, seed, seconds, trace, root=None):
     names = ("latency_ms_p50", "textures_per_s") if trace == 0 else ("core.render_ms",)
     return {
         "result": {
@@ -119,3 +121,93 @@ def test_compare_exit_code(tmp_path, capsys):
     assert bench_record.main(["--compare", paths[0], paths[2]]) == 1
     out = capsys.readouterr().out
     assert "regressed" in out and "missing" in out
+
+
+def test_parent_runs_alternate_back_to_back(tmp_path, monkeypatch):
+    calls = []
+
+    def run(workload, seed, seconds, trace, root=bench_record.ROOT):
+        calls.append((workload, seed, trace, root))
+        out = fake_run(workload, seed, seconds, trace)
+        if root != bench_record.ROOT:
+            for metric in out["result"]["metrics"].values():
+                metric["value"] *= 10
+        return out
+
+    monkeypatch.setattr(bench_record, "run_once", run)
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    out = tmp_path / "BENCH_9.json"
+    argv = ["--pr", "9", "--seeds", "1", "2", "3", "--parent", str(parent), "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    bench = json.loads(out.read_text())
+    assert sorted(bench["parent"]) == sorted(bench["workloads"])
+    workload = sorted(bench["workloads"])[0]
+    mine = [c for c in calls if c[0] == workload]
+    # Each run here sits beside the same run of the parent, and the
+    # pair's order alternates seed by seed, in both modes.
+    pairs = [mine[i:i + 2] for i in range(0, len(mine), 2)]
+    assert [(a[1:3], b[1:3]) for a, b in pairs] == [((s, t), (s, t)) for t in (0, 1) for s in (1, 2, 3)]
+    firsts = [a[3] == bench_record.ROOT for a, _ in pairs]
+    assert firsts == [True, False, True, True, False, True]
+    assert {b[3] for a, b in pairs} | {a[3] for a, b in pairs} == {bench_record.ROOT, str(parent)}
+    here = bench["workloads"][workload]["end_to_end"]["textures_per_s"]
+    there = bench["parent"][workload]["end_to_end"]["textures_per_s"]
+    assert here["values"] == [1.0, 2.0, 3.0] and there["values"] == [10.0, 20.0, 30.0]
+    assert set(bench["parent"][workload]) == set(bench["workloads"][workload])
+
+
+def test_parent_must_be_a_checkout(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "run_once", fake_run)
+    with pytest.raises(SystemExit):
+        bench_record.main(["--pr", "9", "--parent", str(tmp_path), "--out", str(tmp_path / "b.json")])
+
+
+def with_parent(workloads, parent, probe=None, parent_probe=None):
+    rec = record(workloads, probe)
+    rec["parent"] = record(parent, parent_probe)["workloads"]
+    return rec
+
+
+def test_compare_parent_verdicts(tmp_path, capsys):
+    rec = with_parent(
+        {"steer": {"textures_per_s": (70.0, 5.0), "latency_ms_p50": (10.5, 1.0), "ok_ratio": (1.0, 0.0)}},
+        {"steer": {"textures_per_s": (100.0, 5.0), "latency_ms_p50": (10.0, 4.0), "ok_ratio": (1.0, 0.0)}},
+    )
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(rec))
+    assert bench_record.main(["--compare-parent", str(path)]) == 1
+    out = capsys.readouterr().out
+    verdicts = {line.split()[1]: line.split()[-1] for line in out.splitlines() if line.startswith("steer")}
+    # main() reads BENCHMARK.json, whose other metrics this record lacks.
+    assert {m: verdicts[m] for m in ("textures_per_s", "latency_ms_p50", "ok_ratio")} == {
+        "textures_per_s": "regressed", "latency_ms_p50": "unresolved", "ok_ratio": "ok"}
+    assert verdicts["setup_s"] == "missing"
+    assert "same session" in out.splitlines()[0]
+
+
+def test_compare_parent_ignores_the_host_probe_rule(tmp_path):
+    # Between sessions a probe that moved this far leaves the rows
+    # unresolved; against a parent run beside it, the loss is judged.
+    slow = {"steer": {"textures_per_s": (70.0, 5.0)}}
+    fast = {"steer": {"textures_per_s": (100.0, 5.0)}}
+    rec = with_parent(slow, fast, probe=(6.5, 0.4), parent_probe=(5.0, 0.4))
+    rows, notes, regressed = bench_record.compare(
+        {"workloads": rec["parent"]}, rec, SPEC, host_rule=False)
+    assert regressed and not notes
+    rows, notes, regressed = bench_record.compare({"workloads": rec["parent"]}, rec, SPEC)
+    assert not regressed and notes
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(rec))
+    assert bench_record.main(["--compare-parent", str(path)]) == 1
+    path.write_text(json.dumps(with_parent(fast, slow, probe=(6.5, 0.4), parent_probe=(5.0, 0.4))))
+    assert bench_record.main(["--compare-parent", str(path)]) == 0
+
+
+def test_compare_parent_needs_a_parent_block(tmp_path):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(record({"steer": {"textures_per_s": (100.0, 1.0)}})))
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--compare-parent", str(path)])
+    assert exc.value.code == 2

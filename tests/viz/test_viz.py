@@ -101,6 +101,20 @@ class TestOverlay:
         with pytest.raises(ReproError):
             compose_scene(np.zeros((4, 4)), scalar01=np.zeros((4, 4)))
 
+    def test_compose_scene_checks_the_display_once(self, monkeypatch):
+        import repro.viz.overlay as overlay
+
+        calls = []
+        real = overlay._as_texture01
+        monkeypatch.setattr(overlay, "_as_texture01", lambda t: calls.append(1) or real(t))
+        tex = np.random.default_rng(2).uniform(-0.5, 1.5, (8, 8))
+        scalar = np.random.default_rng(3).uniform(0, 1, (8, 8))
+        out = compose_scene(tex, scalar, rainbow())
+        assert len(calls) == 1
+        # Bits as scalar_overlay, which still checks its own input.
+        assert np.array_equal(out, scalar_overlay(tex, scalar, rainbow()))
+        assert len(calls) == 2
+
     def test_compose_scene_grayscale_passthrough(self):
         out = compose_scene(np.full((4, 4), 0.25))
         np.testing.assert_allclose(out, 0.25)

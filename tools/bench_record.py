@@ -25,6 +25,17 @@ bound or the workload's host probe moved past the old record's probe
 IQR (either spread cannot tell such a change from noise), ``missing``
 when either record lacks the row, ``ok`` otherwise.  It exits 1 only
 when a row regressed.
+
+    python3 tools/bench_record.py --pr <n> --parent ../parent-checkout
+    python3 tools/bench_record.py --compare-parent BENCH_26.json
+
+``--parent`` takes a second checkout, of the parent commit, and runs it
+in the same session: every run of this checkout is paired with the same
+run there, back to back, the pair's order alternating from one seed to
+the next.  The parent's summary goes under a top-level ``"parent"`` key
+shaped like ``"workloads"``.  ``--compare-parent`` judges such a record
+against its own parent block with the same verdicts, but without the
+host-probe rule: both sides shared a host, run by run.
 """
 
 from __future__ import annotations
@@ -43,14 +54,14 @@ import numpy
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, object]:
-    """One ``perfbench/run.py`` run: its result object and info line."""
+def run_once(workload: str, seed: int, seconds: float, trace: int, root: str = ROOT) -> Dict[str, object]:
+    """One ``perfbench/run.py`` run in the checkout *root*: its result object and info line."""
     cmd = [
         sys.executable, os.path.join("perfbench", "run.py"),
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         raise SystemExit(f"{workload} seed {seed} trace {trace} failed:\n{proc.stderr[-2000:]}")
     lines = proc.stdout.strip().splitlines()
@@ -76,24 +87,40 @@ def summarise(runs: List[Dict[str, object]], with_spread: bool) -> Dict[str, obj
     return table
 
 
-def record(workloads: List[str], seeds: List[int], seconds: float) -> Dict[str, object]:
-    """``{workload: summary}``, every workload run over every seed in both modes."""
-    out: Dict[str, object] = {}
+def summarise_workload(plain: List[Dict[str, object]], traced: List[Dict[str, object]]) -> Dict[str, object]:
+    """One workload's summary from its untraced and traced runs."""
+    probes = [r["info"]["probe_ms"] for r in plain + traced]
+    return {
+        "all_correct": all(r["result"]["correct"] for r in plain + traced),
+        "failed_ops": sum(r["result"]["failed"] for r in plain + traced),
+        "probe_ms": {**spread(probes), "values": probes},
+        "end_to_end": summarise(plain, with_spread=True),
+        "per_layer": summarise(traced, with_spread=False),
+    }
+
+
+def record(
+    workloads: List[str], seeds: List[int], seconds: float, parent: Optional[str] = None
+) -> Tuple[Dict[str, object], Optional[Dict[str, object]]]:
+    """``({workload: summary}, parent's or None)``, every workload over every seed in both modes.
+
+    With a *parent* checkout, each run here and the same run there go
+    back to back, and which of the two goes first alternates.
+    """
+    roots = [ROOT] if parent is None else [ROOT, parent]
+    out: Dict[str, Dict[str, object]] = {root: {} for root in roots}
     for workload in workloads:
-        plain = [run_once(workload, seed, seconds, 0) for seed in seeds]
-        traced = [run_once(workload, seed, seconds, 1) for seed in seeds]
-        probes = [r["info"]["probe_ms"] for r in plain + traced]
-        out[workload] = {
-            "all_correct": all(r["result"]["correct"] for r in plain + traced),
-            "failed_ops": sum(r["result"]["failed"] for r in plain + traced),
-            "probe_ms": {**spread(probes), "values": probes},
-            "end_to_end": summarise(plain, with_spread=True),
-            "per_layer": summarise(traced, with_spread=False),
-        }
-        row = out[workload]
-        print(f"{workload}: correct={row['all_correct']} probe {row['probe_ms']['median']:.3f} ms "
-              f"textures_per_s {row['end_to_end']['textures_per_s']['median']:.4g}", flush=True)
-    return out
+        runs: Dict[Tuple[str, int], List[Dict[str, object]]] = {}
+        for trace in (0, 1):
+            for i, seed in enumerate(seeds):
+                for root in roots if i % 2 == 0 else roots[::-1]:
+                    runs.setdefault((root, trace), []).append(run_once(workload, seed, seconds, trace, root))
+        for root in roots:
+            row = out[root][workload] = summarise_workload(runs[root, 0], runs[root, 1])
+            side = "" if root == ROOT else " (parent)"
+            print(f"{workload}{side}: correct={row['all_correct']} probe {row['probe_ms']['median']:.3f} ms "
+                  f"textures_per_s {row['end_to_end']['textures_per_s']['median']:.4g}", flush=True)
+    return out[ROOT], out.get(parent)
 
 
 def relative_change(old: float, new: float) -> float:
@@ -134,13 +161,19 @@ def host_move(old_row: dict, new_row: dict) -> Optional[str]:
     return f"host probe {a['median']:.3g} -> {b['median']:.3g} ms, past the old IQR {a['iqr']:.3g} ms"
 
 
-def compare(old: dict, new: dict, spec: dict) -> Tuple[List[Tuple[str, ...]], List[str], bool]:
-    """Rows ``(workload, metric, old, new, change, verdict)``, host notes, and whether any regressed."""
+def compare(
+    old: dict, new: dict, spec: dict, host_rule: bool = True
+) -> Tuple[List[Tuple[str, ...]], List[str], bool]:
+    """Rows ``(workload, metric, old, new, change, verdict)``, host notes, and whether any regressed.
+
+    *host_rule* off drops the host-probe rule, for a parent measured in
+    the same session as the record.
+    """
     rows, notes = [], []
     for workload in sorted(set(old["workloads"]) | set(new["workloads"])):
         before = old["workloads"].get(workload, {})
         after = new["workloads"].get(workload, {})
-        moved = host_move(before, after)
+        moved = host_move(before, after) if host_rule else None
         if moved:
             notes.append(f"{workload}: {moved}; its rows are unresolved")
         for metric in spec["end_to_end"]:
@@ -160,30 +193,43 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pr", type=int, help="names the output BENCH_<pr>.json")
     mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two records; run nothing")
+    mode.add_argument("--compare-parent", metavar="RECORD",
+                      help="judge a record against its own parent block; run nothing")
+    parser.add_argument("--parent", help="a checkout of the parent commit, recorded alongside (with --pr)")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
     parser.add_argument("--out", help="output path (default: BENCH_<pr>.json in the checkout)")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    if args.compare:
+    if args.compare or args.compare_parent:
         records = []
-        for path in args.compare:
+        for path in args.compare or [args.compare_parent]:
             with open(path, encoding="utf-8") as fh:
                 records.append(json.load(fh))
-        rows, notes, regressed = compare(records[0], records[1], spec)
+        if args.compare:
+            title = f"{args.compare[0]} -> {args.compare[1]}"
+            rows, notes, regressed = compare(records[0], records[1], spec)
+        elif "parent" not in records[0]:
+            parser.error(f"{args.compare_parent} holds no parent block")
+        else:
+            title = f"{args.compare_parent}: parent -> this change, same session"
+            rows, notes, regressed = compare(
+                {"workloads": records[0]["parent"]}, records[0], spec, host_rule=False)
         header = ("workload", "metric", "old", "new", "change", "verdict")
         widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
-        print(f"{args.compare[0]} -> {args.compare[1]}")
+        print(title)
         for row in [header] + rows:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         for note in notes:
             print(note)
         return 1 if regressed else 0
+    if args.parent and not os.path.isfile(os.path.join(args.parent, "perfbench", "run.py")):
+        parser.error(f"--parent {args.parent} is not a checkout with perfbench/run.py")
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
 
-    results = record(workloads, args.seeds, seconds)
+    results, parent = record(workloads, args.seeds, seconds, args.parent)
     probes = [v for row in results.values() for v in row["probe_ms"]["values"]]
     bench = {
         "pr": args.pr,
@@ -199,6 +245,8 @@ def main(argv=None) -> int:
         },
         "workloads": results,
     }
+    if parent is not None:
+        bench["parent"] = parent
     path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
