@@ -27,7 +27,7 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.service` — cache-backed, request-coalescing texture serving
 - :mod:`repro.anim` — temporally-coherent animation streaming
 - :mod:`repro.apps` — smog steering and DNS browsing applications
-- :mod:`repro.baselines` — arrow plots, streamlines, LIC, sequential
+- :mod:`repro.baselines` — arrow plots, streamlines, LIC
 - :mod:`repro.viz` — colormaps, overlays, image IO, texture statistics
 """
 

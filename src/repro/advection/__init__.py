@@ -14,13 +14,12 @@ from repro.advection.integrators import (
 )
 from repro.advection.particles import ParticleSet
 from repro.advection.lifecycle import LifeCyclePolicy
-from repro.advection.streamline import integrate_streamline, streamline_bundle
-from repro.advection.unsteady import pathline_bundle, streakline, timeline, steady
+from repro.advection.streamline import streamline_bundle
+from repro.advection.unsteady import pathline_bundle, timeline, steady
 from repro.advection.advector import Advector
 
 __all__ = [
     "pathline_bundle",
-    "streakline",
     "timeline",
     "steady",
     "euler_step",
@@ -30,7 +29,6 @@ __all__ = [
     "INTEGRATORS",
     "ParticleSet",
     "LifeCyclePolicy",
-    "integrate_streamline",
     "streamline_bundle",
     "Advector",
 ]

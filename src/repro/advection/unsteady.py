@@ -1,20 +1,20 @@
-"""Unsteady-flow integral curves: pathlines and streaklines.
+"""Unsteady-flow integral curves: pathlines and timelines.
 
 The spot noise animation visualises *time-varying* data — "a new frame
 in the animation sequence is determined by advecting all particles over
 a small distance through the flow field" (section 2), with the field
 itself updated 5-15 times a second.  Particle trajectories through such
-data are *pathlines*, not streamlines; continuously emitted dye makes
-*streaklines*.  Both are provided here, over the same vectorised
+data are *pathlines*, not streamlines; a material line carried along
+them is a *timeline*.  Both are provided here, over the same vectorised
 field-sampler interface the rest of the package uses — the sampler just
 gains a time argument.
 
-For a steady field all three curve families coincide (property-tested).
+For a steady field pathlines and streamlines coincide (tested).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
@@ -68,35 +68,6 @@ def pathline_bundle(
         t += dt
         out[:, i + 1] = pos
     return out
-
-
-def streakline(
-    velocity: UnsteadyVelocityFn,
-    source: np.ndarray,
-    t0: float,
-    dt: float,
-    n_steps: int,
-) -> np.ndarray:
-    """The streakline of a dye source observed at time ``t0 + n_steps*dt``.
-
-    One particle is emitted from *source* at every step time; all emitted
-    particles are then advected to the observation time.  Returns
-    ``(n_steps + 1, 2)`` positions ordered oldest (furthest downstream)
-    to newest (at the source).
-    """
-    src = np.asarray(source, dtype=np.float64).reshape(2)
-    _check_inputs(src[None, :], n_steps, dt)
-    # particles[k] was emitted at time t0 + k*dt.
-    particles: List[np.ndarray] = []
-    active = np.empty((0, 2), dtype=np.float64)
-    t = float(t0)
-    for _ in range(n_steps):
-        active = np.vstack([active, src[None, :]])
-        active = _rk4_unsteady(velocity, active, t, dt)
-        t += dt
-    # Append the particle emitted exactly at observation time.
-    active = np.vstack([active, src[None, :]])
-    return active
 
 
 def timeline(

@@ -48,7 +48,7 @@ import json
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -204,21 +204,6 @@ class DeltaManifest:
     def json_bytes(self) -> int:
         """Size of the manifest on the wire (canonical JSON)."""
         return len(json.dumps(self.to_dict(), sort_keys=True).encode("utf-8"))
-
-    def chunk_digests(self) -> "Set[str]":
-        """Every chunk digest referenced by any frame of the table.
-
-        The sync set of the digest-sync protocol: a peer holding these
-        blobs can decode every published frame.  Shared chunks appear
-        once — the cluster manifest publisher
-        (:mod:`repro.cluster.manifest`) uses this to ship each distinct
-        chunk at most once no matter how many frames reference it.
-        """
-        return {
-            ref.digest
-            for entry in self.frames.values()
-            for ref in entry.chunks
-        }
 
 
 def _materialise(

@@ -28,7 +28,7 @@ Two further reuse levers live here:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -207,14 +207,6 @@ class IncrementalAnimator:
         self.synthesized_frames += 1
         self._last_result = result
         return result
-
-    def render_range(self, start: int, stop: int) -> Iterator[FrameResult]:
-        """Yield frames ``start..stop-1``, fast-forwarding as needed."""
-        if stop < start:
-            raise AnimationServiceError(f"empty range [{start}, {stop})")
-        self.advance_to(start)
-        for _ in range(start, stop):
-            yield self.render_next()
 
     # -- the bit-identity fallback check -----------------------------------------
     def verify_frame(self, result: FrameResult) -> None:

@@ -176,12 +176,6 @@ class SequenceScheduler:
         return stream, created, payload
 
     # -- introspection and lifecycle -----------------------------------------------
-    def inflight(self) -> int:
-        """Walk tasks still running, winding-down ones included (a
-        snapshot read of loop-confined state — exact once the loop
-        drains)."""
-        return len(self._walks)
-
     def queue_depth(self) -> int:
         """Walks with frames still to render (a snapshot read)."""
         return sum(not stream.done for stream in list(self._streams.values()))

@@ -42,8 +42,8 @@ class FrameSequence:
     field_source:
         ``frame -> VectorField2D``; must be immutable per frame (the
         chain digests are memoised, so a source that rewrites a frame
-        would silently keep its old identity — mirror of the
-        ``memoize_digests`` contract in :class:`TextureService`).
+        would silently keep its old identity — the same contract as
+        :class:`TextureService`).
     config:
         Synthesis configuration (must be seeded).
     dt:

@@ -197,8 +197,8 @@ class AnimationService(PlanBound):
     ----------
     field_source:
         ``frame -> VectorField2D``; frames must be immutable once served
-        (digest chains are memoised — same contract as
-        ``TextureService(memoize_digests=True)``).
+        (digest chains are memoised — the same contract as
+        :class:`~repro.service.server.TextureService`).
     config:
         Seeded synthesis configuration (one service = one sequence).
     dt:

@@ -12,7 +12,6 @@ browser that mirrors the paper's "select mappings, then play through any
 part of the data base" workflow.
 """
 
-from repro.apps.dns.poisson import solve_poisson_periodic, solve_poisson_sor
 from repro.apps.dns.obstacle import block_mask, fringe_mask
 from repro.apps.dns.solver import DNSSolver, DNSConfig
 from repro.apps.dns.store import ChunkedFieldStore
@@ -20,8 +19,6 @@ from repro.apps.dns.browser import DataBrowser, VisualizationMapping
 from repro.apps.dns.volume import SliceBrowser, space_time_volume
 
 __all__ = [
-    "solve_poisson_periodic",
-    "solve_poisson_sor",
     "block_mask",
     "fringe_mask",
     "DNSSolver",

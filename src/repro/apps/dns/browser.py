@@ -62,10 +62,6 @@ class DataBrowser:
     def __len__(self) -> int:
         return len(self.store)
 
-    def select_mapping(self, mapping: VisualizationMapping) -> None:
-        """Change the visualisation mapping (step 1 of the browser workflow)."""
-        self.mapping = mapping
-
     def seek(self, frame: int) -> None:
         if not (0 <= frame < len(self.store)):
             raise ApplicationError(f"seek {frame} out of range [0, {len(self.store)})")

@@ -29,6 +29,31 @@ from repro.fields.vectorfield import VectorField2D
 from repro.utils.rng import as_rng
 
 
+def spectral_wavenumbers(
+    ny: int, nx: int, dx: float, dy: float, zero_nyquist: bool = True
+) -> "tuple[np.ndarray, np.ndarray]":
+    """(ky, kx) wavenumber grids for ``rfft2`` layouts.
+
+    With *zero_nyquist* the Nyquist wavenumbers are zeroed: first
+    derivatives of the (cosine-only) Nyquist mode are not representable on
+    the grid, and letting ``1j * k_nyq`` act on it produces coefficients
+    that violate the Hermitian symmetry of a real field — the projected
+    velocity would silently lose its divergence correction in
+    ``irfft2``.  Zeroing is the standard pseudo-spectral treatment for
+    odd-order derivatives.
+    """
+    ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=dy)[:, None]
+    kx = 2.0 * np.pi * np.fft.rfftfreq(nx, d=dx)[None, :]
+    if zero_nyquist:
+        ky = ky.copy()
+        kx = kx.copy()
+        if ny % 2 == 0:
+            ky[ny // 2, 0] = 0.0
+        if nx % 2 == 0:
+            kx[0, -1] = 0.0
+    return ky, kx
+
+
 @dataclass(frozen=True)
 class DNSConfig:
     """Solver parameters.
@@ -112,8 +137,6 @@ class DNSSolver:
 
     def _project(self) -> None:
         """Make (u, v) divergence-free via the FFT Poisson solve."""
-        from repro.apps.dns.poisson import spectral_wavenumbers
-
         ny, nx = self.grid.shape
         ky, kx = spectral_wavenumbers(ny, nx, self.dx, self.dy)
         k2 = kx**2 + ky**2
@@ -178,12 +201,3 @@ class DNSSolver:
         """Current velocity slice as a visualisation-ready field."""
         data = np.stack([self.u, self.v], axis=-1)
         return VectorField2D(self.grid, data.copy())
-
-    def max_divergence(self) -> float:
-        """Spectral divergence magnitude (should be ~round-off after projection)."""
-        from repro.apps.dns.poisson import divergence
-
-        return float(np.abs(divergence(self.u, self.v, self.dx, self.dy)).max())
-
-    def kinetic_energy(self) -> float:
-        return float(0.5 * (self.u**2 + self.v**2).mean())

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Iterator, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.errors import StoreError
 from repro.fields.grid import RectilinearGrid
 from repro.fields.vectorfield import VectorField2D
 from repro.service.cache import DEFAULT_MEMORY_BUDGET, LRUTextureCache
-from repro.utils.fileio import atomic_write
+from repro.utils.fileio import atomic_write, load_npz
 
 _META_NAME = "meta.json"
 _FORMAT_VERSION = 1
@@ -57,13 +57,11 @@ class ChunkedFieldStore:
         self.times: List[float] = [float(t) for t in meta["times"]]
         self.grid = RectilinearGrid(np.asarray(meta["x"]), np.asarray(meta["y"]))
         self._pending: List[np.ndarray] = []
-        self._pending_times: List[float] = []
         # Decoded chunks (float64, read-only) keyed by chunk index; the
         # LRU's own lock serves the client, walk and service threads.
         self._chunks = LRUTextureCache(DEFAULT_MEMORY_BUDGET)
         # One inflation at a time, so concurrent misses on one chunk
-        # decode it once, and because np.load parses its header with
-        # ast, which CPython 3.11 can fail (SystemError) in two threads.
+        # decode it once.
         self._inflate_lock = threading.Lock()
 
     # -- creation ----------------------------------------------------------------
@@ -100,8 +98,13 @@ class ChunkedFieldStore:
             raise StoreError(
                 f"frame shape {field.grid.shape} != store grid shape {self.grid.shape}"
             )
+        if not self._pending and self.n_frames % self.frames_per_chunk:
+            # The last chunk on disk is partial (flushed, or written by an
+            # earlier session): take its frames back, so the chunk is
+            # rewritten whole once it fills.
+            chunk = self._load_chunk(self.n_frames // self.frames_per_chunk)
+            self._pending = [np.asarray(f, dtype=np.float32) for f in chunk]
         self._pending.append(np.asarray(field.data, dtype=np.float32))
-        self._pending_times.append(float(time))
         index = self.n_frames
         self.n_frames += 1
         self.times.append(float(time))
@@ -133,7 +136,6 @@ class ChunkedFieldStore:
             lambda fh: np.savez_compressed(fh, frames=frames),
         )
         self._pending.clear()
-        self._pending_times.clear()
         # Invalidate the cache in case this chunk was read while partial.
         self._chunks.clear()
 
@@ -168,8 +170,7 @@ class ChunkedFieldStore:
                     path = self._chunk_path(chunk_index)
                     if not os.path.exists(path):
                         raise StoreError(f"missing chunk file {path} (unflushed frames?)")
-                    with np.load(path) as archive:
-                        data = archive["frames"]
+                    data = load_npz(path)["frames"]
                     self._chunks.put(key, data)
         return data
 
@@ -185,14 +186,6 @@ class ChunkedFieldStore:
             return VectorField2D(self.grid, np.asarray(data, dtype=np.float64))
         chunk = self._load_chunk(chunk_index)
         return VectorField2D(self.grid, np.array(chunk[offset], dtype=np.float64))
-
-    def iter_range(self, start: int = 0, stop: Optional[int] = None, stride: int = 1) -> Iterator[VectorField2D]:
-        """Sequential playback over ``[start, stop)`` with *stride*."""
-        if stride < 1:
-            raise StoreError(f"stride must be >= 1, got {stride}")
-        stop = self.n_frames if stop is None else min(stop, self.n_frames)
-        for t in range(start, stop, stride):
-            yield self.read(t)
 
     def nbytes_on_disk(self) -> int:
         """Total chunk bytes — the 'terabytes' metric, at laptop scale."""

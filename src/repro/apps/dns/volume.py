@@ -71,11 +71,6 @@ class SliceBrowser:
     def index(self) -> int:
         return self._spec.index
 
-    def select_axis(self, axis: str) -> None:
-        """Switch slicing axis, clamping the index to the new range."""
-        size = self.volume.axis_size(axis)  # raises on a bad axis via dict
-        self._spec = SliceSpec(axis, min(self.index, size - 1))
-
     def seek(self, index: int) -> None:
         size = self.volume.axis_size(self.axis)
         if not (0 <= index < size):

@@ -11,12 +11,9 @@ from repro.apps.smog.meteo import SyntheticMeteorology
 from repro.apps.smog.emissions import EmissionSource, EmissionInventory
 from repro.apps.smog.geography import europe_like_landmass, land_mask_raster
 from repro.apps.smog.model import SmogModel, SmogModelConfig
-from repro.apps.smog.chemistry import ChemistryConfig, PhotochemicalSmogModel
 from repro.apps.smog.steering import SteeredSmogApplication
 
 __all__ = [
-    "ChemistryConfig",
-    "PhotochemicalSmogModel",
     "SyntheticMeteorology",
     "EmissionSource",
     "EmissionInventory",

@@ -142,7 +142,3 @@ class SmogModel:
             self.time += h
         self.concentration = c
         return ScalarField2D(self.grid, c.copy())
-
-    def total_mass(self) -> float:
-        """Domain-integrated pollutant (conservation diagnostics in tests)."""
-        return float(self.concentration.sum() * self.grid.dx * self.grid.dy)

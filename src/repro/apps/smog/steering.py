@@ -153,11 +153,10 @@ class SteeredSmogApplication:
         dashboard views re-requesting recent smog frames hit the cache
         instead of re-rendering, and concurrent duplicates coalesce.
         Recorded wind fields are immutable (each :meth:`advance` appends
-        a new one), so digest memoisation is safe and stays on.
+        a new one), as the service's digest memoisation requires.
         """
         from repro.service.server import TextureService
 
-        kwargs.setdefault("memoize_digests", True)
         return TextureService(self.read_history, config, **kwargs)
 
     def animation_service(self, config, dt: Optional[float] = None, **kwargs):

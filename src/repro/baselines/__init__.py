@@ -9,15 +9,11 @@ are implemented too:
 * :mod:`streamlines` — the classic discrete-position technique the
   introduction contrasts with texture;
 * :mod:`lic` — Line Integral Convolution, the texture technique that
-  historically superseded spot noise; included as the modern comparator;
-* :mod:`sequential` — single-processor single-pipe spot noise (eq 2.1),
-  the performance baseline the divide-and-conquer speedups are measured
-  against.
+  historically superseded spot noise; included as the modern comparator.
 """
 
 from repro.baselines.arrowplot import arrow_plot
 from repro.baselines.streamlines import streamline_plot
 from repro.baselines.lic import lic_texture
-from repro.baselines.sequential import sequential_spot_noise
 
-__all__ = ["arrow_plot", "streamline_plot", "lic_texture", "sequential_spot_noise"]
+__all__ = ["arrow_plot", "streamline_plot", "lic_texture"]

@@ -69,7 +69,7 @@ def serve_bench(
 
         with TextureService(
             source, config, n_workers=n_workers, memory_budget_bytes=memory_budget_bytes,
-            disk_dir=disk_dir, memoize_digests=True,
+            disk_dir=disk_dir,
         ) as service:
             served = replay(service, trace, n_clients=n_clients,
                             verify_fresh=fresh if verify else None)

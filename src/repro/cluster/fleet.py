@@ -37,8 +37,8 @@ from repro.fields.vectorfield import VectorField2D
 def analytic_source(seed: int = 0, grid: int = 25) -> Callable[[int], VectorField2D]:
     """A deterministic, immutable frame→field source for fleet tests.
 
-    Frames are cached after first generation and never mutate, so
-    ``memoize_digests`` is sound and every node in a fleet sees
+    Frames are cached after first generation and never mutate, so the
+    services' digest memoisation is sound and every node in a fleet sees
     bit-identical fields for the same frame index.  Thread-safe: render
     workers on several nodes may fault in the same frame concurrently.
     """

@@ -124,9 +124,6 @@ class ClusterManifest:
             sequences=sequences,
         )
 
-    def chunk_map(self) -> Dict[str, ChunkEntry]:
-        return {entry.digest: entry for entry in self.chunks}
-
 
 def publish_store(
     store,

@@ -141,7 +141,7 @@ class ClusterNode:
         (immutable per frame: digests are memoised), whose disk tier is
         the node's blob store; :meth:`close` closes the service too."""
         service = TextureService(field_source, config, disk_dir=disk_dir,
-                                 n_workers=n_workers, memoize_digests=True)
+                                 n_workers=n_workers)
         try:
             node = cls(node_id, service, blob_store=service.cache.disk, **kwargs)
         except BaseException:

@@ -90,11 +90,6 @@ class SteeringSession:
         """(frame, parameter, value) change records, in order."""
         return list(self._journal)
 
-    def replay_into(self, other: "SteeringSession") -> None:
-        """Apply this journal to another session (reproducing a run)."""
-        for _, name, value in self._journal:
-            other.set(name, value)
-
     def describe(self) -> str:
         lines = []
         for name in self.names():

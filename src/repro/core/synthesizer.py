@@ -1,19 +1,18 @@
 """High-level one-call API.
 
 :class:`SpotNoiseSynthesizer` wraps the pipeline for the common cases: a
-single texture from a field, an animated sequence, and performance
+single texture from a field, decomposition planning, and performance
 prediction on arbitrary workstation shapes through the machine model —
 the programmatic equivalents of what the paper's figures and tables show.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import FrameResult, SpotNoisePipeline
 from repro.advection.lifecycle import LifeCyclePolicy
-from repro.errors import PipelineError
 from repro.fields.vectorfield import VectorField2D
 from repro.machine.costs import CostModel
 from repro.machine.schedule import TimingResult, simulate_texture
@@ -51,7 +50,10 @@ def render_frame(
 
 
 class SpotNoiseSynthesizer:
-    """Facade over the pipeline.
+    """Facade over the pipeline: one texture per :meth:`synthesize` call,
+    decomposition planning (:meth:`plan`) and machine-model timing
+    (:meth:`predict_timing`).  Animated sequences stream through
+    :mod:`repro.anim`.
 
     >>> from repro.fields import vortex_field
     >>> synth = SpotNoiseSynthesizer(SpotNoiseConfig(n_spots=500, texture_size=128))
@@ -113,39 +115,6 @@ class SpotNoiseSynthesizer:
         pipe.read_data(field)
         return pipe.step()
 
-    def animate(
-        self,
-        fields: "VectorField2D | Iterable[VectorField2D]",
-        n_frames: int,
-        policy: Optional[LifeCyclePolicy] = None,
-    ) -> Iterator[FrameResult]:
-        """Yield *n_frames* frames; *fields* may be static or a per-frame iterable."""
-        if n_frames < 0:
-            raise ValueError(f"n_frames must be >= 0, got {n_frames}")
-        if isinstance(fields, VectorField2D):
-            field_iter: Iterator[VectorField2D] = iter([fields] * n_frames)
-        else:
-            field_iter = iter(fields)
-        pipe: Optional[SpotNoisePipeline] = None
-        for frame in range(n_frames):
-            try:
-                field = next(field_iter)
-            except StopIteration:
-                return
-            if pipe is None:
-                pipe = self._ensure_pipeline(field, policy)
-            try:
-                pipe.read_data(field)
-            except PipelineError as exc:
-                # read_data validates the grid geometry; rebuilding here
-                # would silently reset the particle population, so surface
-                # the change with the animation context attached instead.
-                raise PipelineError(
-                    f"field geometry changed mid-animation at frame {frame}: {exc}; "
-                    "animate over same-geometry fields or start a new animation"
-                ) from None
-            yield pipe.step()
-
     # -- decomposition planning ----------------------------------------------------
     def plan(
         self,
@@ -186,22 +155,3 @@ class SpotNoiseSynthesizer:
         return simulate_texture(
             WorkstationConfig(n_processors, n_pipes), workload, costs=costs, **kwargs
         )
-
-    def sweep_timing(
-        self,
-        field: VectorField2D,
-        processor_counts: "tuple[int, ...]" = (1, 2, 4, 8),
-        pipe_counts: "tuple[int, ...]" = (1, 2, 4),
-        costs: Optional[CostModel] = None,
-    ) -> "dict[tuple[int, int], TimingResult]":
-        """Reproduce a full table for this configuration's workload."""
-        workload = workload_from_config(self.config, field)
-        out: "dict[tuple[int, int], TimingResult]" = {}
-        for np_ in processor_counts:
-            for ng in pipe_counts:
-                if ng > np_:
-                    continue
-                out[(np_, ng)] = simulate_texture(
-                    WorkstationConfig(np_, ng), workload, costs=costs
-                )
-        return out

@@ -17,13 +17,11 @@ from repro.fields.analytic import (
     saddle_field,
     separation_field,
     double_gyre_field,
-    taylor_green_field,
     random_smooth_field,
 )
 from repro.fields.derived import (
     magnitude_field,
     vorticity_field,
-    divergence_field,
     okubo_weiss_field,
 )
 from repro.fields.slices import Dataset3D, SliceSpec
@@ -41,11 +39,9 @@ __all__ = [
     "saddle_field",
     "separation_field",
     "double_gyre_field",
-    "taylor_green_field",
     "random_smooth_field",
     "magnitude_field",
     "vorticity_field",
-    "divergence_field",
     "okubo_weiss_field",
     "Dataset3D",
     "SliceSpec",

@@ -105,21 +105,6 @@ def double_gyre_field(
     return VectorField2D.from_function(grid, fn)
 
 
-def taylor_green_field(k: int = 2, amplitude: float = 1.0, n: int = 96) -> VectorField2D:
-    """Taylor–Green vortex lattice on ``[0,1]^2`` (periodic, divergence free)."""
-    grid = RegularGrid(n, n, (0.0, 1.0, 0.0, 1.0))
-    kk = 2.0 * np.pi * k
-
-    def fn(X, Y):
-        u = amplitude * np.sin(kk * X) * np.cos(kk * Y)
-        v = -amplitude * np.cos(kk * X) * np.sin(kk * Y)
-        return u, v
-
-    f = VectorField2D.from_function(grid, fn)
-    f.boundary = "wrap"
-    return f
-
-
 def random_smooth_field(
     seed=None,
     n: int = 64,

@@ -36,14 +36,6 @@ def vorticity_field(field: VectorField2D) -> ScalarField2D:
     return ScalarField2D(field.grid, dvdx - dudy)
 
 
-def divergence_field(field: VectorField2D) -> ScalarField2D:
-    """Divergence ``du/dx + dv/dy`` (≈0 for incompressible DNS slices)."""
-    x, y = _axis_spacings(field)
-    dudx = np.gradient(field.u, x, axis=1)
-    dvdy = np.gradient(field.v, y, axis=0)
-    return ScalarField2D(field.grid, dudx + dvdy)
-
-
 def okubo_weiss_field(field: VectorField2D) -> ScalarField2D:
     """Okubo–Weiss criterion ``s_n^2 + s_s^2 - w^2``.
 

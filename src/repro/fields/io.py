@@ -1,14 +1,12 @@
-"""Field persistence.
+"""Field content digests.
 
-A tiny, dependency-free ``.npz`` container for fields.  The DNS browser
-stores thousands of time slices through :mod:`repro.apps.dns.store`,
-which builds on these primitives.
+:func:`field_digest` names a field by its content; the serving layer's
+request keys and the animation layer's digest chains build on it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Union
 
 import numpy as np
@@ -17,82 +15,6 @@ from repro.errors import FieldError
 from repro.fields.grid import RegularGrid, RectilinearGrid
 from repro.fields.vectorfield import VectorField2D
 from repro.fields.scalarfield import ScalarField2D
-from repro.utils.fileio import atomic_write
-
-_FORMAT_VERSION = 1
-
-
-def save_field(path: Union[str, os.PathLike], field: Union[VectorField2D, ScalarField2D]) -> None:
-    """Serialise a field (grid + data) to an ``.npz`` file.
-
-    The write is atomic (temp file + ``os.replace``): a crash mid-save
-    leaves any existing file untouched instead of a truncated archive.
-    """
-    grid = field.grid
-    # np.savez appends ".npz" to bare path names but not to handles;
-    # resolve the final name up front so atomic_write replaces the same
-    # path numpy would have written.
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "kind": "vector" if isinstance(field, VectorField2D) else "scalar",
-        "boundary": field.boundary,
-    }
-    if isinstance(grid, RegularGrid):
-        payload = dict(
-            data=field.data,
-            grid_type="regular",
-            nx=grid.nx,
-            ny=grid.ny,
-            bounds=np.asarray(grid.bounds),
-        )
-    elif isinstance(grid, RectilinearGrid):
-        payload = dict(
-            data=field.data,
-            grid_type="rectilinear",
-            x=grid.x,
-            y=grid.y,
-        )
-    else:  # pragma: no cover - defensive
-        raise FieldError(f"unsupported grid type {type(grid).__name__}")
-    payload.update({k: np.asarray(v) for k, v in meta.items()})
-    atomic_write(path, lambda fh: np.savez_compressed(fh, **payload))
-
-
-def load_field(path: Union[str, os.PathLike]) -> Union[VectorField2D, ScalarField2D]:
-    """Load a field saved by :func:`save_field`."""
-    with np.load(path, allow_pickle=False) as archive:
-        try:
-            version = int(archive["format_version"])
-            kind = str(archive["kind"])
-            boundary = str(archive["boundary"])
-            grid_type = str(archive["grid_type"])
-            data = archive["data"]
-            if grid_type == "regular":
-                bounds = tuple(float(b) for b in archive["bounds"])
-                grid: Union[RegularGrid, RectilinearGrid] = RegularGrid(
-                    int(archive["nx"]), int(archive["ny"]), bounds
-                )
-            elif grid_type == "rectilinear":
-                grid = RectilinearGrid(archive["x"], archive["y"])
-            else:
-                raise FieldError(f"unknown grid type {grid_type!r} in {path}")
-        except KeyError as exc:
-            raise FieldError(f"{path} is not a repro field file (missing {exc})") from exc
-    if version > _FORMAT_VERSION:
-        raise FieldError(
-            f"{path} uses field format version {version}, newer than the "
-            f"latest supported version {_FORMAT_VERSION}; upgrade repro to read it"
-        )
-    if version < 1:
-        raise FieldError(f"invalid field format version {version} in {path}")
-    if kind == "vector":
-        return VectorField2D(grid, data, boundary)  # type: ignore[arg-type]
-    if kind == "scalar":
-        return ScalarField2D(grid, data, boundary)  # type: ignore[arg-type]
-    raise FieldError(f"unknown field kind {kind!r} in {path}")
 
 
 def field_digest(field: Union[VectorField2D, ScalarField2D]) -> str:

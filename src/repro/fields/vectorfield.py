@@ -143,23 +143,10 @@ class VectorField2D:
 
         return fast_sample
 
-    def magnitude_at(self, points: np.ndarray) -> np.ndarray:
-        """Speed ``|v|`` at world points, shape ``(N,)``."""
-        vec = self.sample(points)
-        return np.hypot(vec[:, 0], vec[:, 1])
-
-    def direction_at(self, points: np.ndarray) -> np.ndarray:
-        """Flow angle ``atan2(v, u)`` in radians at world points."""
-        vec = self.sample(points)
-        return np.arctan2(vec[:, 1], vec[:, 0])
-
     # -- statistics ----------------------------------------------------------
     def max_magnitude(self) -> float:
         """Maximum node speed; used to scale advection steps and spot sizes."""
         return float(np.hypot(self.u, self.v).max())
-
-    def mean_magnitude(self) -> float:
-        return float(np.hypot(self.u, self.v).mean())
 
     # -- algebra -------------------------------------------------------------
     def scaled(self, factor: float) -> "VectorField2D":

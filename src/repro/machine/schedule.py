@@ -114,9 +114,6 @@ class TimingResult:
         """Average bus traffic — §5.1 reports ~116 MB/s at 5.6 textures/s."""
         return self.bytes_on_bus / self.makespan_s if self.makespan_s > 0 else 0.0
 
-    def pipe_utilization(self, pipe_id: int) -> float:
-        return self.pipe_busy_s.get(pipe_id, 0.0) / self.makespan_s if self.makespan_s else 0.0
-
 
 def tile_duplication(workload: SpotWorkload, n_tiles: int) -> float:
     """Fraction of extra (duplicated) spots introduced by spatial tiling.

@@ -90,10 +90,6 @@ class SpotWorkload:
         return self.n_spots * self.vertices_per_spot
 
     @property
-    def total_quads(self) -> int:
-        return self.n_spots * self.quads_per_spot
-
-    @property
     def total_pixels(self) -> float:
         return self.n_spots * self.pixels_per_spot
 

@@ -69,8 +69,3 @@ def compose_tiles(
     if not seen.all():
         raise PartitionError("tiles do not cover the full texture")
     return out
-
-
-def blend_cost_pixels(tiles: Sequence[Tile]) -> int:
-    """Pixels touched by the sequential blend — the `c` of eq 3.2."""
-    return int(sum(t.width * t.height for t in tiles))

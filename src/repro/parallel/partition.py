@@ -74,16 +74,6 @@ def spatial_partition(
     return out
 
 
-def partition_is_disjoint_cover(parts: List[np.ndarray], n_items: int) -> bool:
-    """True when the index sets are pairwise disjoint and cover ``range(n)``."""
-    if not parts:
-        return n_items == 0
-    allidx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    if allidx.size != n_items:
-        return False
-    return bool(np.array_equal(np.sort(allidx), np.arange(n_items)))
-
-
 def duplication_factor(parts: List[np.ndarray], n_items: int) -> float:
     """Total assigned spots / distinct spots — the tiling overhead metric."""
     if n_items == 0:

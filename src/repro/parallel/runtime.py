@@ -168,11 +168,6 @@ class DivideAndConquerRuntime:
         """The resolved plan (``None`` unless ``backend="auto"`` ran)."""
         return self._plan
 
-    @property
-    def resolved_config(self) -> SpotNoiseConfig:
-        """The effective configuration (the plan applied, for auto)."""
-        return self._effective_config
-
     def _ensure_plan(self, field_: VectorField2D) -> None:
         if self.backend is not None:
             return

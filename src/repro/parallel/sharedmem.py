@@ -314,11 +314,6 @@ class SharedMemoryBackend(ExecutionBackend):
         # Worker epoch caches died with the pool, but the parent-side
         # epochs stay valid: messages always carry enough to rebuild.
 
-    @property
-    def pool_size(self) -> int:
-        with self._pool_lock:
-            return len(self._workers)
-
     # -- epoch bookkeeping -----------------------------------------------------
     def _publish_field_locked(self, field: VectorField2D) -> None:
         if self._last_field is field:

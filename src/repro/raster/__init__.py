@@ -13,8 +13,7 @@ that produce bit-identical pixels (``SpotNoiseConfig.raster_backend``):
 
 Both accumulate into a :class:`FrameBuffer` using the additive blend that
 defines spot noise (``f(x) = sum a_i h(x - x_i)``).  :func:`splat_points`
-deposits point sets for the line-drawing baselines, and :func:`blend_over`
-is the ``over`` alpha-compositing operator.
+deposits point sets for the line-drawing baselines.
 """
 
 from repro.raster.framebuffer import FrameBuffer
@@ -22,7 +21,6 @@ from repro.raster.texture import Texture
 from repro.raster.batched import rasterize_quads_batched
 from repro.raster.rasterize import rasterize_quads_exact, rasterize_triangle
 from repro.raster.splat import splat_points
-from repro.raster.blend import blend_over
 
 __all__ = [
     "FrameBuffer",
@@ -31,5 +29,4 @@ __all__ = [
     "rasterize_quads_exact",
     "rasterize_triangle",
     "splat_points",
-    "blend_over",
 ]

@@ -73,13 +73,6 @@ class FrameBuffer:
             [x0 + px / self.width * (x1 - x0), y0 + py / self.height * (y1 - y0)], axis=-1
         )
 
-    def pixel_centers(self) -> "tuple[np.ndarray, np.ndarray]":
-        """World coordinates of all pixel centres, two (H, W) arrays."""
-        x0, x1, y0, y1 = self.window
-        xs = x0 + (np.arange(self.width) + 0.5) / self.width * (x1 - x0)
-        ys = y0 + (np.arange(self.height) + 0.5) / self.height * (y1 - y0)
-        return np.meshgrid(xs, ys)
-
     # -- pixel-rect plumbing for tiling ---------------------------------------
     def clip_rect(self, rect: Rect) -> Rect:
         ix0, ix1, iy0, iy1 = rect

@@ -68,12 +68,6 @@ class PlanSupervisor:
         self._watched[name] = replan
         self._ensure_task()
 
-    def unwatch(self, name: str) -> None:
-        self._runtime.call(self._watched.pop, name, None)
-
-    def watched(self) -> "list[str]":
-        return self._runtime.call(lambda: sorted(self._watched))
-
     # -- the supervision task --------------------------------------------------
     def start(self) -> None:
         self._runtime.call(self._ensure_task)

@@ -42,7 +42,6 @@ from repro.service.keys import (
     SequenceKey,
     TileSpec,
     chain_digest,
-    request_key,
     ring_hash,
 )
 from repro.service.server import FrameRenderer, TextureResponse, TextureService
@@ -68,7 +67,6 @@ __all__ = [
     "SequenceKey",
     "TileSpec",
     "chain_digest",
-    "request_key",
     "ring_hash",
     "FrameRenderer",
     "TextureResponse",

@@ -6,9 +6,7 @@ read-only and returned without copying, so a hit costs a dict lookup.
 The disk tier (:class:`DiskTextureCache`) is content-addressed ``.npz``
 files — exact float64 round trip, written via a same-directory temp file
 and ``os.replace`` so a crash can never leave a half-written texture to
-serve — with an optional human-browsable PGM preview per entry (written
-through :func:`repro.viz.image.write_pgm`, which is atomic for the same
-reason).  :class:`TieredTextureCache` stacks the two: memory first, then
+serve.  :class:`TieredTextureCache` stacks the two: memory first, then
 disk with promotion back into memory.
 
 Disk entries are written uncompressed (``np.savez``, ``ZIP_STORED``
@@ -37,8 +35,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ServiceError
-from repro.utils.fileio import atomic_write
-from repro.viz.image import write_pgm
+from repro.utils.fileio import atomic_write, load_npz
 
 #: Default in-memory budget: 64 MiB ≈ 32 float64 textures at 512².  The
 #: memory tier of every service and the field store's decoded chunks.
@@ -194,8 +191,7 @@ class DiskBlobStore:
                 # open handle, and the corrupt-drop below is guarded by
                 # it so a concurrent put's fresh bytes survive.
                 ino = os.fstat(fh.fileno()).st_ino
-                with np.load(fh, allow_pickle=False) as archive:
-                    bundle = {name: np.asarray(archive[name]) for name in archive.files}
+                bundle = load_npz(fh)
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error):
             if ino is not None:
                 # We read the entry and found it corrupt: drop that
@@ -389,19 +385,10 @@ class MemoryBlobStore:
 class DiskTextureCache(DiskBlobStore):
     """Content-addressed on-disk texture tier.
 
-    The one-texture specialisation of :class:`DiskBlobStore` (entries
+    The one-texture specialisation of :class:`DiskBlobStore`: entries
     are ``{"texture": float64 array}`` bundles, so the two share the
-    atomic-write and corrupt-entry contract in one place), with an
-    optional human-browsable PGM preview per entry.  A preview is part
-    of its entry: :meth:`evict` removes it and :meth:`trim_to_bytes`
-    counts its bytes.
+    atomic-write and corrupt-entry contract in one place.
     """
-
-    _suffixes = DiskBlobStore._suffixes + (".pgm",)
-
-    def __init__(self, directory: "str | os.PathLike", preview_pgm: bool = False):
-        super().__init__(directory)
-        self.preview_pgm = preview_pgm
 
     def get(self, digest: str) -> Optional[np.ndarray]:  # type: ignore[override]
         bundle = super().get(digest)
@@ -419,11 +406,7 @@ class DiskTextureCache(DiskBlobStore):
         return np.asarray(texture, dtype=np.float64)
 
     def put(self, digest: str, texture: np.ndarray) -> bool:  # type: ignore[override]
-        super().put(digest, {"texture": np.asarray(texture, dtype=np.float64)})
-        if self.preview_pgm:
-            preview = np.clip(texture, 0.0, 1.0)
-            write_pgm(os.path.join(self.directory, f"{digest}.pgm"), preview)
-        return True
+        return super().put(digest, {"texture": np.asarray(texture, dtype=np.float64)})
 
 
 class TieredTextureCache:

@@ -24,13 +24,10 @@ policy (see :mod:`repro.anim.sequence` for the layer that builds these).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import SpotNoiseConfig
 from repro.errors import ServiceError
-from repro.fields.io import field_digest
-from repro.fields.vectorfield import VectorField2D
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,6 @@ class RequestKey:
         )
         canon = f"{self.field_digest}|{self.config_fingerprint}|{tile_token}"
         return hashlib.sha256(canon.encode("ascii")).hexdigest()
-
-    def render_key(self) -> "RequestKey":
-        """The key of the full-frame render backing this request."""
-        if self.tile is None:
-            return self
-        return replace(self, tile=None)
 
 
 def ring_hash(token: str) -> int:
@@ -203,27 +194,4 @@ def policy_token(policy) -> str:
     return (
         f"{policy.position_mode}|{policy.boundary}|"
         f"{policy.lifetime}|{policy.fade_frames}"
-    )
-
-
-def request_key(
-    field: VectorField2D,
-    config: SpotNoiseConfig,
-    frame: int = 0,
-    tile: Optional[TileSpec] = None,
-    field_digest_hex: Optional[str] = None,
-) -> RequestKey:
-    """Build the canonical key for serving *frame* of *field* under *config*.
-
-    Pass *field_digest_hex* when the field digest is already known (the
-    service memoises digests for immutable stores) to skip re-hashing
-    the data.
-    """
-    if tile is not None:
-        tile.validate_for(config.texture_size)
-    return RequestKey(
-        field_digest=field_digest_hex or field_digest(field),
-        config_fingerprint=config.fingerprint(),
-        frame=int(frame),
-        tile=tile,
     )

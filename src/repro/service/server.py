@@ -103,7 +103,10 @@ class TextureService(PlanBound):
     ----------
     field_source:
         Callable ``frame -> VectorField2D``.  Must be safe to call from
-        worker threads.
+        worker threads, and each frame must be immutable once served:
+        the service memoises ``frame -> field digest`` so cache hits
+        skip loading the field (the contract
+        :class:`~repro.anim.service.AnimationService` shares).
     config:
         Synthesis configuration served by this instance (one service =
         one config; run several services to serve several mappings).
@@ -120,13 +123,6 @@ class TextureService(PlanBound):
     predictor:
         Latency predictor (defaults to a fresh Onyx2-cost predictor that
         self-calibrates from observed renders).
-    memoize_digests:
-        Cache ``frame -> field digest`` so cache hits skip loading the
-        field entirely.  Off by default because it is only sound for
-        immutable sources (a flushed store, a recorded history — the
-        in-repo clients opt in); under a source whose frames mutate it
-        would serve stale textures, since content changes could no
-        longer change the key.
     planner:
         Decomposition planner used when ``config.backend == "auto"``:
         frame 0 is loaded eagerly, the workload priced, and the
@@ -147,8 +143,6 @@ class TextureService(PlanBound):
         n_workers: int = 2,
         admission: Optional[AdmissionController] = None,
         predictor: Optional[LatencyPredictor] = None,
-        memoize_digests: bool = False,
-        preview_pgm: bool = False,
         stats: Optional[ServiceStats] = None,
         planner: Optional[DecompositionPlanner] = None,
     ):
@@ -175,14 +169,13 @@ class TextureService(PlanBound):
             config, FrameRenderer, field0=field0, planner=planner,
             predictor=self.predictor,
         )
-        disk = DiskTextureCache(disk_dir, preview_pgm=preview_pgm) if disk_dir else None
+        disk = DiskTextureCache(disk_dir) if disk_dir else None
         self.cache = TieredTextureCache(LRUTextureCache(memory_budget_bytes), disk)
         self._runtime = get_runtime_loop()
         self._executor = RenderExecutor(n_workers, name="texture-service")
         self._flights = AsyncSingleFlight()  # loop-confined
         self._drives: "set[asyncio.Task]" = set()  # loop-confined
         self.stats.queue_depth_probe = self.queue_depth
-        self._memoize_digests = memoize_digests
         self._digests: Dict[int, str] = {}
         self._digest_lock = threading.Lock()
         self._closed = False
@@ -190,12 +183,8 @@ class TextureService(PlanBound):
     # -- construction helpers ----------------------------------------------------
     @classmethod
     def for_store(cls, store, config: SpotNoiseConfig, **kwargs) -> "TextureService":
-        """Serve a :class:`~repro.apps.dns.store.ChunkedFieldStore`.
-
-        Store frames are immutable once flushed, so digests are memoised
-        by default.
-        """
-        kwargs.setdefault("memoize_digests", True)
+        """Serve a :class:`~repro.apps.dns.store.ChunkedFieldStore`
+        (frames are immutable once flushed)."""
         return cls(store.read, config, **kwargs)
 
     # -- planning (config, plan, replans, replan_if_drifted, supervise
@@ -232,25 +221,15 @@ class TextureService(PlanBound):
         ``self`` — the key must describe the config the bound renderer
         will actually run.
         """
-        if self._memoize_digests:
-            with self._digest_lock:
-                digest = self._digests.get(frame)
-            if digest is not None:
-                return (
-                    RequestKey(digest, fingerprint, frame),
-                    None,
-                )
+        with self._digest_lock:
+            digest = self._digests.get(frame)
+        if digest is not None:
+            return RequestKey(digest, fingerprint, frame), None
         field = self._load_field(frame)
         digest = field_digest(field)
-        if self._memoize_digests:
-            with self._digest_lock:
-                self._digests[frame] = digest
-        return RequestKey(digest, fingerprint, frame), field
-
-    def invalidate_frame(self, frame: int) -> None:
-        """Drop a memoised digest (a mutable source rewrote *frame*)."""
         with self._digest_lock:
-            self._digests.pop(frame, None)
+            self._digests[frame] = digest
+        return RequestKey(digest, fingerprint, frame), field
 
     def render_digest(self, frame: int) -> str:
         """The full-frame render digest of *frame* — the routing key.
@@ -260,8 +239,8 @@ class TextureService(PlanBound):
         it, without rendering anything.  Computed from the same
         fingerprint snapshot the request path uses, so the owner a node
         routes to is the owner of the digest it would serve locally.
-        With ``memoize_digests`` the field is loaded at most once per
-        frame across all routing and serving calls.
+        The field is loaded at most once per frame across all routing
+        and serving calls.
         """
         key, _ = self._key_for(frame, self._fingerprint)
         return key.digest

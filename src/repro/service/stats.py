@@ -78,11 +78,6 @@ class ServiceStats:
             self.errors += 1
 
     # -- derived metrics ---------------------------------------------------------
-    @property
-    def cache_hits(self) -> int:
-        with self._lock:
-            return self.hits_by_source.get("memory", 0) + self.hits_by_source.get("disk", 0)
-
     def hit_rate(self) -> float:
         """Fraction of requests served from a cache tier (0 when idle)."""
         with self._lock:

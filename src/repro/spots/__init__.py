@@ -30,11 +30,8 @@ from repro.spots.filtering import (
 from repro.spots.distribution import (
     uniform_positions,
     jittered_grid_positions,
-    density_weighted_positions,
-    cell_area_density,
     seed_positions,
     signed_intensities,
-    gaussian_intensities,
 )
 
 __all__ = [
@@ -56,9 +53,6 @@ __all__ = [
     "histogram_equalize",
     "uniform_positions",
     "jittered_grid_positions",
-    "density_weighted_positions",
-    "cell_area_density",
     "seed_positions",
     "signed_intensities",
-    "gaussian_intensities",
 ]

@@ -62,57 +62,6 @@ def jittered_grid_positions(n: int, bounds, seed=None) -> np.ndarray:
     return pts[np.sort(keep)]
 
 
-def density_weighted_positions(n: int, density: np.ndarray, bounds, seed=None) -> np.ndarray:
-    """``(n, 2)`` positions with probability proportional to a density raster.
-
-    *density* is a non-negative ``(ny, nx)`` array over *bounds*.  Cells are
-    chosen by weighted sampling and positions jittered uniformly within the
-    chosen cell — the non-uniform-grid spot placement of [4].
-    """
-    if n < 0:
-        raise SpotError(f"cannot draw {n} positions")
-    rho = np.asarray(density, dtype=np.float64)
-    if rho.ndim != 2:
-        raise SpotError(f"density must be 2-D, got shape {rho.shape}")
-    if np.any(rho < 0):
-        raise SpotError("density must be non-negative")
-    total = rho.sum()
-    if total <= 0:
-        raise SpotError("density must have positive mass")
-    rng = as_rng(seed)
-    x0, x1, y0, y1 = bounds
-    ny, nx = rho.shape
-    flat = (rho / total).ravel()
-    choice = rng.choice(flat.size, size=n, p=flat)
-    iy, ix = np.divmod(choice, nx)
-    dx = (x1 - x0) / nx
-    dy = (y1 - y0) / ny
-    out = np.empty((n, 2), dtype=np.float64)
-    out[:, 0] = x0 + (ix + rng.uniform(0.0, 1.0, size=n)) * dx
-    out[:, 1] = y0 + (iy + rng.uniform(0.0, 1.0, size=n)) * dy
-    return out
-
-
-def cell_area_density(grid) -> np.ndarray:
-    """Inverse-cell-area density raster for a structured grid.
-
-    On a stretched rectilinear grid, uniform world-space spot placement
-    makes the texture coarse where cells are small (one spot covers many
-    cells of refined region in *data* space).  [4] counteracts this by
-    placing spots with probability inversely proportional to cell area, so
-    granularity stays constant per *cell*.  Returns a ``(ny-1, nx-1)``
-    density over the grid cells, suitable for
-    :func:`density_weighted_positions`.  Constant (uniform) for a regular
-    grid.
-    """
-    x = np.asarray(grid.x_coords(), dtype=np.float64)
-    y = np.asarray(grid.y_coords(), dtype=np.float64)
-    areas = np.diff(y)[:, None] * np.diff(x)[None, :]
-    if np.any(areas <= 0):
-        raise SpotError("grid has non-positive cell areas")
-    return 1.0 / areas
-
-
 def cell_uniform_positions(n: int, grid, seed=None) -> np.ndarray:
     """``(n, 2)`` positions with the same expected count in every grid cell.
 
@@ -160,13 +109,3 @@ def signed_intensities(n: int, amplitude: float = 1.0, seed=None) -> np.ndarray:
         raise SpotError(f"amplitude must be >= 0, got {amplitude}")
     rng = as_rng(seed)
     return amplitude * rng.choice(np.array([-1.0, 1.0]), size=n)
-
-
-def gaussian_intensities(n: int, sigma: float = 1.0, seed=None) -> np.ndarray:
-    """Zero-mean Gaussian intensities (an alternative ``a_i`` distribution)."""
-    if n < 0:
-        raise SpotError(f"cannot draw {n} intensities")
-    if sigma < 0:
-        raise SpotError(f"sigma must be >= 0, got {sigma}")
-    rng = as_rng(seed)
-    return rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)

@@ -40,15 +40,6 @@ class SpotProfile:
         S, T = np.meshgrid(c, c)
         return np.ascontiguousarray(self.weight(S, T), dtype=np.float64)
 
-    def footprint_fraction(self, resolution: int = 64) -> float:
-        """Fraction of the unit square covered by non-zero weight.
-
-        Used by sanity tests for the "small compared to the texture size"
-        requirement of section 2.
-        """
-        tex = self.make_texture(resolution)
-        return float((np.abs(tex) > 1e-12).mean())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 

@@ -116,18 +116,3 @@ def spot_quads(centers: np.ndarray, transforms: np.ndarray) -> "tuple[np.ndarray
     verts = centers[:, None, :] + offsets
     uvs = np.broadcast_to(_QUAD_UV, (centers.shape[0], 4, 2)).copy()
     return verts, uvs
-
-
-def quad_areas(vertices: np.ndarray) -> np.ndarray:
-    """Signed area of each quad via the shoelace formula, ``(N, 4, 2) -> (N,)``.
-
-    Property tests use this to confirm the transform preserves area.
-    """
-    v = np.asarray(vertices, dtype=np.float64)
-    if v.ndim != 3 or v.shape[1:] != (4, 2):
-        raise SpotError(f"vertices must be (N, 4, 2), got {v.shape}")
-    x = v[..., 0]
-    y = v[..., 1]
-    xn = np.roll(x, -1, axis=1)
-    yn = np.roll(y, -1, axis=1)
-    return 0.5 * np.sum(x * yn - xn * y, axis=1)

@@ -1,24 +1,10 @@
-"""Shared utilities: deterministic RNG handling, timing, validation."""
+"""Shared utilities: deterministic RNG handling, timing, file I/O."""
 
-from repro.utils.rng import as_rng, spawn_rngs, derive_seed
+from repro.utils.rng import as_rng
 from repro.utils.timing import Stopwatch, StageTimer
-from repro.utils.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_shape,
-    check_power_of_two,
-)
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
-    "derive_seed",
     "Stopwatch",
     "StageTimer",
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_shape",
-    "check_power_of_two",
 ]

@@ -3,19 +3,12 @@
 Spot noise is a stochastic technique: spot positions and intensities are
 random (van Wijk '91).  For reproducible experiments every stochastic
 component in this library accepts either a seed or a ready-made
-:class:`numpy.random.Generator`; these helpers normalise the two and
-derive independent child generators for parallel process groups so that
-the divide-and-conquer decomposition produces the same texture regardless
-of the execution backend.
+:class:`numpy.random.Generator`; :func:`as_rng` normalises the two.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-RngLike = "int | np.random.Generator | np.random.SeedSequence | None"
 
 
 def as_rng(seed: "int | np.random.Generator | np.random.SeedSequence | None" = None) -> np.random.Generator:
@@ -30,46 +23,3 @@ def as_rng(seed: "int | np.random.Generator | np.random.SeedSequence | None" = N
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def derive_seed(base_seed: int, *path: int) -> int:
-    """Derive a stable child seed from *base_seed* and an index path.
-
-    Used when process-based backends must re-create generators inside a
-    worker: ``derive_seed(seed, group_index)`` gives every process group its
-    own stream while staying reproducible across runs and backends.
-    """
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def spawn_rngs(seed: "int | np.random.Generator | np.random.SeedSequence | None", n: int) -> list[np.random.Generator]:
-    """Spawn *n* statistically independent generators from one seed.
-
-    The split is done with :class:`numpy.random.SeedSequence` spawning, the
-    supported way to obtain non-overlapping streams — one per process group
-    in the divide-and-conquer runtime.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    if isinstance(seed, np.random.Generator):
-        # Use the generator itself to produce a root seed; keeps determinism
-        # when the caller passed a seeded generator.
-        root = np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
-    elif isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(n)]
-
-
-def permutation_chunks(rng: np.random.Generator, n_items: int, n_chunks: int) -> list[np.ndarray]:
-    """Randomly permute ``arange(n_items)`` and split into *n_chunks* parts.
-
-    Helper for randomised round-robin partitioning; chunk sizes differ by at
-    most one.
-    """
-    if n_chunks <= 0:
-        raise ValueError("n_chunks must be positive")
-    perm = rng.permutation(n_items)
-    return [np.asarray(c) for c in np.array_split(perm, n_chunks)]

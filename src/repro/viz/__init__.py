@@ -7,41 +7,31 @@ displayable image.  The statistics module quantifies texture anisotropy,
 which the tests use to verify that spot noise actually encodes the flow.
 """
 
-from repro.viz.colormap import Colormap, rainbow, grayscale, diverging, get_colormap
+from repro.viz.colormap import Colormap, rainbow, grayscale, diverging
 from repro.viz.overlay import scalar_overlay, mask_overlay, compose_scene
-from repro.viz.image import write_pgm, write_ppm, read_pgm, to_uint8
+from repro.viz.image import write_pgm, write_ppm, to_uint8
 from repro.viz.stats import (
     texture_statistics,
     anisotropy_direction,
     directional_energy,
     TextureStats,
 )
-from repro.viz.quality import (
-    radial_power_spectrum,
-    spectral_distance,
-    ssim,
-    temporal_coherence,
-)
+from repro.viz.quality import ssim
 
 __all__ = [
     "Colormap",
     "rainbow",
     "grayscale",
     "diverging",
-    "get_colormap",
     "scalar_overlay",
     "mask_overlay",
     "compose_scene",
     "write_pgm",
     "write_ppm",
-    "read_pgm",
     "to_uint8",
     "texture_statistics",
     "anisotropy_direction",
     "directional_energy",
     "TextureStats",
-    "radial_power_spectrum",
-    "spectral_distance",
     "ssim",
-    "temporal_coherence",
 ]

@@ -88,13 +88,3 @@ def diverging() -> Colormap:
         "diverging",
         np.array([[0.12, 0.23, 0.75], [1.0, 1.0, 1.0], [0.85, 0.14, 0.12]]),
     )
-
-
-_REGISTRY = {"rainbow": rainbow, "grayscale": grayscale, "diverging": diverging}
-
-
-def get_colormap(name: str) -> Colormap:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise ReproError(f"unknown colormap {name!r}; available: {sorted(_REGISTRY)}") from None

@@ -2,8 +2,7 @@
 
 Textures and composed scenes are written as binary PGM (grayscale) and
 PPM (RGB).  Arrays follow the library's y-up convention; images are
-flipped to the y-down raster order of the file formats on write and
-flipped back on read, so a save/load round trip is the identity.
+flipped to the y-down raster order of the file formats on write.
 """
 
 from __future__ import annotations
@@ -45,27 +44,3 @@ def write_ppm(path: PathLike, rgb01: np.ndarray) -> None:
     h, w = data.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + data.tobytes())
-
-
-def read_pgm(path: PathLike) -> np.ndarray:
-    """Read a binary PGM written by :func:`write_pgm`; returns [0, 1] floats."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ReproError(f"{path} is not a binary PGM (magic {magic!r})")
-        # Skip comment lines.
-        line = fh.readline()
-        while line.startswith(b"#"):
-            line = fh.readline()
-        try:
-            w, h = (int(x) for x in line.split())
-            maxval = int(fh.readline())
-        except ValueError as exc:
-            raise ReproError(f"malformed PGM header in {path}") from exc
-        if maxval != 255:
-            raise ReproError(f"only 8-bit PGM supported, got maxval {maxval}")
-        raw = fh.read(w * h)
-    if len(raw) != w * h:
-        raise ReproError(f"truncated PGM data in {path}")
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
-    return data[::-1].astype(np.float64) / 255.0

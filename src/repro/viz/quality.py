@@ -2,9 +2,7 @@
 
 The paper's quality statements are visual ("very accurate renderings",
 "less accurate renderings"); the ablation benches need numbers.  This
-module provides the comparison tools: radially averaged power spectra,
-spectral distance between textures, and a structural-similarity score —
-all dependency-free.
+module provides the comparison tool: a structural-similarity score.
 """
 
 from __future__ import annotations
@@ -21,72 +19,6 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]"
     if a.ndim != 2 or a.shape != b.shape:
         raise ReproError(f"textures must be equal-shape 2-D arrays, got {a.shape} vs {b.shape}")
     return a, b
-
-
-def radial_power_spectrum(texture: np.ndarray, n_bins: int = 32) -> "tuple[np.ndarray, np.ndarray]":
-    """Radially averaged power spectrum.
-
-    Returns ``(k, power)``: bin-centre spatial frequencies (cycles/pixel)
-    and mean spectral power per bin.  The spot radius sets where the
-    spectrum rolls off — the quantitative version of "properties of the
-    spot directly control the properties of the texture".
-    """
-    t = np.asarray(texture, dtype=np.float64)
-    if t.ndim != 2:
-        raise ReproError(f"texture must be 2-D, got shape {t.shape}")
-    if n_bins < 2:
-        raise ReproError(f"n_bins must be >= 2, got {n_bins}")
-    spec = np.abs(np.fft.fftshift(np.fft.fft2(t - t.mean()))) ** 2
-    ky = np.fft.fftshift(np.fft.fftfreq(t.shape[0]))[:, None]
-    kx = np.fft.fftshift(np.fft.fftfreq(t.shape[1]))[None, :]
-    k = np.hypot(kx, ky)
-    edges = np.linspace(0.0, 0.5, n_bins + 1)
-    idx = np.clip(np.digitize(k.ravel(), edges) - 1, 0, n_bins - 1)
-    power = np.bincount(idx, weights=spec.ravel(), minlength=n_bins)
-    counts = np.bincount(idx, minlength=n_bins)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_power = np.where(counts > 0, power / counts, 0.0)
-    return centres, mean_power
-
-
-def spectral_distance(a: np.ndarray, b: np.ndarray, n_bins: int = 32) -> float:
-    """L1 distance between normalised radial spectra, in [0, 2].
-
-    Invariant to intensity scaling and to spatial arrangement — it
-    compares the *statistics* of two textures, which is the right notion
-    of distance for stochastic spot noise (two seeds of the same
-    configuration measure ~0 apart, different spot sizes measure far).
-    """
-    a, b = _check_pair(a, b)
-    _, pa = radial_power_spectrum(a, n_bins)
-    _, pb = radial_power_spectrum(b, n_bins)
-    sa, sb = pa.sum(), pb.sum()
-    if sa == 0 or sb == 0:
-        return 0.0 if sa == sb else 2.0
-    return float(np.abs(pa / sa - pb / sb).sum())
-
-
-def temporal_coherence(frames: "list[np.ndarray]") -> float:
-    """Mean correlation between consecutive frames, in [-1, 1].
-
-    Spot noise animation works because advected particles keep the
-    texture *coherent* between frames — the eye tracks moving structure
-    instead of seeing flicker.  Re-randomising spot positions every frame
-    (the ``"rerandomize"`` life-cycle mode) destroys the coherence even
-    though each frame individually looks the same; this metric separates the
-    two regimes.
-    """
-    if len(frames) < 2:
-        raise ReproError("need at least 2 frames to measure coherence")
-    correlations = []
-    for a, b in zip(frames, frames[1:]):
-        a, b = _check_pair(a, b)
-        da = a - a.mean()
-        db = b - b.mean()
-        denom = np.sqrt((da**2).sum() * (db**2).sum())
-        correlations.append(float((da * db).sum() / denom) if denom > 0 else 0.0)
-    return float(np.mean(correlations))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, sigma: float = 2.0) -> float:

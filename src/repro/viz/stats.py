@@ -31,17 +31,6 @@ class TextureStats:
     max: float
     rms: float
 
-    def is_roughly_zero_mean(self, tolerance_sigmas: float = 5.0) -> bool:
-        """Mean within *tolerance_sigmas* standard errors of zero.
-
-        The spot intensities ``a_i`` have zero mean (section 2), so the
-        texture mean is a zero-mean random variable; its standard error is
-        estimated crudely from the pixel std and an effective sample count.
-        """
-        if self.std == 0:
-            return self.mean == 0
-        return abs(self.mean) <= tolerance_sigmas * self.std
-
 
 def texture_statistics(texture: np.ndarray) -> TextureStats:
     t = np.asarray(texture, dtype=np.float64)

@@ -6,7 +6,7 @@ import pytest
 from repro.advection.advector import Advector
 from repro.advection.lifecycle import LifeCyclePolicy
 from repro.advection.particles import ParticleSet
-from repro.advection.streamline import arc_lengths, integrate_streamline, streamline_bundle
+from repro.advection.streamline import streamline_bundle
 from repro.errors import AdvectionError
 from repro.fields.analytic import constant_field, vortex_field
 
@@ -39,14 +39,9 @@ class TestStreamlineBundle:
         np.testing.assert_allclose(out[0, 0], [0.0, 0.0], atol=1e-12)
         assert (np.diff(out[0, :, 0]) > 0).all()
 
-    def test_single_streamline_helper(self):
-        f = vortex_field(n=17)
-        curve = integrate_streamline(f.sample, np.array([0.5, 0.0]), 8, 0.05)
-        assert curve.shape == (9, 2)
-
     def test_vortex_streamline_stays_on_circle(self):
         f = vortex_field(n=65)
-        curve = integrate_streamline(f.sample, np.array([0.5, 0.0]), 40, 0.02)
+        curve = streamline_bundle(f.sample, np.array([[0.5, 0.0]]), 40, 0.02)[0]
         radii = np.hypot(curve[:, 0], curve[:, 1])
         np.testing.assert_allclose(radii, 0.5, atol=5e-3)
 
@@ -60,16 +55,6 @@ class TestStreamlineBundle:
         f = constant_field(n=9)
         with pytest.raises(AdvectionError):
             streamline_bundle(f.sample, np.zeros((1, 2)), 4, 0.0)
-
-    def test_arc_lengths(self):
-        curves = np.zeros((2, 3, 2))
-        curves[0, 1] = [1.0, 0.0]
-        curves[0, 2] = [1.0, 1.0]
-        np.testing.assert_allclose(arc_lengths(curves), [2.0, 0.0])
-
-    def test_arc_lengths_bad_shape(self):
-        with pytest.raises(AdvectionError):
-            arc_lengths(np.zeros((2, 3)))
 
 
 class TestAdvector:

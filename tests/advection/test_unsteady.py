@@ -1,10 +1,10 @@
-"""Tests for pathlines/streaklines/timelines (repro.advection.unsteady)."""
+"""Tests for pathlines/timelines (repro.advection.unsteady)."""
 
 import numpy as np
 import pytest
 
 from repro.advection.streamline import streamline_bundle
-from repro.advection.unsteady import pathline_bundle, steady, streakline, timeline
+from repro.advection.unsteady import pathline_bundle, steady, timeline
 from repro.errors import AdvectionError
 from repro.fields.analytic import constant_field, vortex_field
 
@@ -47,31 +47,6 @@ class TestPathlines:
             pathline_bundle(rotating_uniform, np.zeros((1, 2)), 0.0, 0.0, 5)
         with pytest.raises(AdvectionError):
             pathline_bundle(rotating_uniform, np.zeros((1, 2)), 0.0, 0.1, 0)
-
-
-class TestStreaklines:
-    def test_steady_streakline_lies_on_streamline(self):
-        f = constant_field(1.0, 0.5, n=9)
-        streak = streakline(steady(f.sample), np.array([0.0, 0.0]), 0.0, 0.05, 10)
-        # In a steady uniform flow the streakline is the straight line
-        # through the source along the velocity.
-        assert streak.shape == (11, 2)
-        np.testing.assert_allclose(streak[:, 1], 0.5 * streak[:, 0], atol=1e-12)
-        # Newest particle at the source.
-        np.testing.assert_allclose(streak[-1], [0.0, 0.0], atol=1e-12)
-
-    def test_oldest_particle_travelled_furthest(self):
-        f = constant_field(2.0, 0.0, n=9)
-        streak = streakline(steady(f.sample), np.array([0.0, 0.0]), 0.0, 0.05, 10)
-        assert streak[0, 0] == pytest.approx(2.0 * 0.5)  # emitted at t0, advected 10 steps
-        assert (np.diff(streak[:, 0]) < 0).all()
-
-    def test_unsteady_streakline_differs_from_pathline(self):
-        src = np.array([0.0, 0.0])
-        streak = streakline(rotating_uniform, src, 0.0, 0.1, 30)
-        path = pathline_bundle(rotating_uniform, src[None, :], 0.0, 0.1, 30)[0]
-        # Same endpoints family but different curves in unsteady flow.
-        assert not np.allclose(streak[::-1], path, atol=1e-3)
 
 
 class TestTimeline:

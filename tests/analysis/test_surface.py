@@ -1,0 +1,49 @@
+"""The public-surface checker (``unused-public``).
+
+The fixture tree under ``fixtures/surface`` is a miniature repo: a
+``repro`` package whose public names are used from inside the package,
+from ``benchmarks/``, or only from ``tests/`` and the package
+``__init__``.
+"""
+
+import os
+
+from tools.analysis.baseline import Baseline
+from tools.analysis.runner import run_analysis
+
+SURFACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "surface")
+SURFACE_SRC = os.path.join(SURFACE, "src", "repro")
+
+
+def _run(paths=(SURFACE_SRC,), baseline=None):
+    return run_analysis(
+        paths=list(paths),
+        rules=["unused-public"],
+        baseline=Baseline() if baseline is None else baseline,
+        root=SURFACE,
+    )
+
+
+class TestPublicSurface:
+    def test_flags_names_only_tests_and_reexports_use(self):
+        report = _run()
+        assert sorted(f.symbol for f in report.findings) == [
+            "Orphan", "orphan", "recursive_orphan",
+        ]
+        assert {f.path for f in report.findings} == {os.path.join("src", "repro", "mod.py")}
+        assert {f.rule for f in report.findings} == {"unused-public"}
+
+    def test_message_names_the_kind(self):
+        messages = {f.symbol: f.message for f in _run().findings}
+        assert messages["Orphan"].startswith("public class 'Orphan'")
+        assert messages["orphan"].startswith("public function 'orphan'")
+
+    def test_scan_without_the_package_root_is_not_judged(self):
+        report = _run(paths=[os.path.join(SURFACE_SRC, "mod.py")])
+        assert report.findings == []
+
+    def test_baseline_keeps_a_deliberate_keep(self):
+        kept = next(f for f in _run().findings if f.symbol == "orphan")
+        report = _run(baseline=Baseline([kept.key()]))
+        assert [f.symbol for f in report.baselined] == ["orphan"]
+        assert sorted(f.symbol for f in report.findings) == ["Orphan", "recursive_orphan"]

@@ -235,7 +235,7 @@ class TestLoopNativeWalks:
             # Delivered to the waiter, never escaped onto the spine.
             assert get_runtime_loop().alive
             svc.scheduler.runtime.call(lambda: None)  # retirement callbacks ran
-            assert svc.scheduler.inflight() == 0
+            assert len(svc.scheduler._walks) == 0
             again = {r.frame: r.texture for r in svc.stream(0, 6)}
         for t in range(6):
             reference = one_shot_frame(CONFIG, source, t, dt=svc.dt)
@@ -265,7 +265,7 @@ class TestLoopNativeWalks:
         sched.drain = draining
         svc.close()
         assert all(walk.done() for walk in walks)
-        assert sched.inflight() == 0
+        assert len(sched._walks) == 0
         assert svc.stats.renders == 12  # the walk finished its range
         with pytest.raises(ServiceError, match="closed"):
             svc.request(0)
@@ -303,7 +303,7 @@ class TestLoopNativeWalks:
         finally:
             sys.setswitchinterval(previous)
         assert errors == []
-        assert svc.scheduler.inflight() == 0
+        assert len(svc.scheduler._walks) == 0
         assert len(served) == sum(min(N_FRAMES, int(a) + 6) - int(a) for a in starts.flat)
         for response in served:
             assert np.array_equal(response.texture, reference[response.frame]), response.frame

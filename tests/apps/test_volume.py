@@ -68,12 +68,6 @@ class TestSliceBrowser:
         browser.step(-3)  # wraparound
         assert browser.index == 5
 
-    def test_axis_switch_clamps_index(self, store):
-        vol = space_time_volume(store)          # sizes: z=6, y=9, x=12
-        browser = SliceBrowser(vol, axis="x", index=11)
-        browser.select_axis("z")
-        assert browser.index == 5
-
     def test_seek_bounds(self, store):
         vol = space_time_volume(store)
         browser = SliceBrowser(vol)

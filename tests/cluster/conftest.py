@@ -55,7 +55,6 @@ def make_single_node(tmp_path, field_source):
             analytic_source(seed=SOURCE_SEED, grid=SOURCE_GRID),
             FLEET_CONFIG,
             disk_dir=str(tmp_path / f"single-{len(services)}"),
-            memoize_digests=True,
         )
         services.append(service)
         return service

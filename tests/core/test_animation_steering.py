@@ -120,16 +120,6 @@ class TestSteeringSession:
         s.set("a", 3.0)
         assert seen == [("a", 3.0)]
 
-    def test_replay_into(self):
-        src = SteeringSession()
-        src.register("a", 0.0, 0.0, 10.0)
-        src.set("a", 4.0)
-        src.set("a", 6.0)
-        dst = SteeringSession()
-        dst.register("a", 0.0, 0.0, 10.0)
-        src.replay_into(dst)
-        assert dst.get("a") == 6.0
-
     def test_describe_lists_params(self):
         s = SteeringSession()
         s.register("beta", 0.5, 0.0, 1.0, "mixing")

@@ -52,7 +52,7 @@ class TestRender:
         ])
         assert code == 0
         assert os.path.exists(out_path)
-        from repro.viz.image import read_pgm
+        from oracles import read_pgm
 
         img = read_pgm(out_path)
         assert img.shape == (64, 64)

@@ -91,23 +91,6 @@ class TestSynthesizer:
             frame = s.synthesize(FIELD)
         assert frame.display.shape == (48, 48)
 
-    def test_animate_yields_n_frames(self):
-        with SpotNoiseSynthesizer(CFG) as s:
-            frames = list(s.animate(FIELD, 3))
-        assert len(frames) == 3
-        assert [f.frame_index for f in frames] == [0, 1, 2]
-
-    def test_animate_with_field_sequence(self):
-        fields = [vortex_field(omega=w, n=17) for w in (1.0, 2.0)]
-        with SpotNoiseSynthesizer(CFG) as s:
-            frames = list(s.animate(iter(fields), 5))
-        assert len(frames) == 2  # stops when the source is exhausted
-
-    def test_animate_negative(self):
-        with SpotNoiseSynthesizer(CFG) as s:
-            with pytest.raises(ValueError):
-                list(s.animate(FIELD, -1))
-
     def test_pipeline_rebuilt_on_domain_change(self):
         with SpotNoiseSynthesizer(CFG) as s:
             s.synthesize(FIELD)
@@ -119,11 +102,6 @@ class TestSynthesizer:
         with SpotNoiseSynthesizer(SpotNoiseConfig.atmospheric()) as s:
             res = s.predict_timing(FIELD, 8, 4)
         assert res.textures_per_second > 1.0
-
-    def test_sweep_timing_layout(self):
-        with SpotNoiseSynthesizer(SpotNoiseConfig.atmospheric()) as s:
-            table = s.sweep_timing(FIELD, (1, 2), (1, 2))
-        assert set(table) == {(1, 1), (2, 1), (2, 2)}
 
 
 class TestWorkloadFromConfig:

@@ -5,8 +5,8 @@ geometry* (bounds and shape) and the *same life-cycle policy*; anything
 else silently reusing state was the bug class this pins down: a
 same-bounds field at a different resolution reused spot sizes computed
 for the old grid, and an explicit policy change was ignored entirely.
-Mid-animation geometry changes must fail loudly instead of resetting the
-particle population behind the caller's back.
+A pipeline fed a field of another grid shape must fail loudly instead of
+resetting the particle population behind the caller's back.
 """
 
 import pytest
@@ -78,21 +78,6 @@ class TestPipelineReuse:
 
 
 class TestAnimateGeometryValidation:
-    def test_mid_animation_shape_change_raises(self):
-        fields = [vortex_field(n=17), vortex_field(n=17), vortex_field(n=33)]
-        with SpotNoiseSynthesizer(CFG) as synth:
-            frames = synth.animate(iter(fields), n_frames=3)
-            next(frames)
-            next(frames)
-            with pytest.raises(PipelineError, match="geometry changed mid-animation"):
-                next(frames)
-
-    def test_same_geometry_animation_runs(self):
-        fields = [vortex_field(n=17) for _ in range(3)]
-        with SpotNoiseSynthesizer(CFG) as synth:
-            frames = list(synth.animate(iter(fields), n_frames=3))
-        assert [f.frame_index for f in frames] == [0, 1, 2]
-
     def test_pipeline_read_data_rejects_shape_change(self):
         from repro.core.pipeline import SpotNoisePipeline
 

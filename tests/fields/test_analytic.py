@@ -10,10 +10,10 @@ from repro.fields.analytic import (
     saddle_field,
     separation_field,
     shear_field,
-    taylor_green_field,
     vortex_field,
 )
-from repro.fields.derived import divergence_field, vorticity_field
+
+from oracles import divergence_field
 
 
 class TestConstantField:
@@ -86,18 +86,6 @@ class TestDoubleGyre:
         a = double_gyre_field(t=0.0, n=24)
         b = double_gyre_field(t=2.5, n=24)
         assert not np.allclose(a.data, b.data)
-
-
-class TestTaylorGreen:
-    def test_divergence_free(self):
-        f = taylor_green_field(k=2, n=64)
-        div = divergence_field(f)
-        # FD divergence of the analytic field: second-order small, not zero.
-        assert abs(div.data).max() < 0.1 * abs(vorticity_field(f).data).max()
-
-    def test_periodic_boundary_mode(self):
-        f = taylor_green_field()
-        assert f.boundary == "wrap"
 
 
 class TestRandomSmoothField:

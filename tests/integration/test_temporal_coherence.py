@@ -13,7 +13,8 @@ from repro.advection.lifecycle import LifeCyclePolicy
 from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
 from repro.fields.analytic import vortex_field
-from repro.viz.quality import temporal_coherence
+
+from oracles import temporal_coherence
 
 FIELD = vortex_field(n=33)
 CFG = SpotNoiseConfig(n_spots=800, texture_size=96, spot_mode="standard", seed=8)

@@ -49,7 +49,7 @@ class TestSpotWorkload:
         assert w.vertices_per_spot == 544
         assert w.total_vertices == 1_360_000
         # "approximately 1.3 million quadrilaterals"
-        assert 1.2e6 < w.total_quads < 1.3e6
+        assert 1.2e6 < w.n_spots * w.quads_per_spot < 1.3e6
         assert w.texture_size == 512
         assert w.grid_shape == (55, 53)
 
@@ -60,7 +60,7 @@ class TestSpotWorkload:
         # The paper says "approximately 1.9 million quadrilaterals", which
         # matches the vertex count (40000 * 48 = 1.92M); the exact cell
         # count of a 16x3 mesh is 15*2 = 30 quads/spot = 1.2M.
-        assert w.total_quads == 1_200_000
+        assert w.n_spots * w.quads_per_spot == 1_200_000
 
     def test_turbulence_bus_bytes_31MB(self):
         # §5.2: "approximately 31.0 megabyte per texture".

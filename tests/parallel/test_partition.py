@@ -9,10 +9,11 @@ from repro.errors import PartitionError
 from repro.parallel.partition import (
     block_partition,
     duplication_factor,
-    partition_is_disjoint_cover,
     round_robin_partition,
     spatial_partition,
 )
+
+from oracles import partition_is_disjoint_cover
 
 
 class TestRoundRobin:

@@ -166,7 +166,7 @@ class TestAutoRuntime:
         ps = ParticleSet.uniform_random(150, self.FIELD.grid.bounds, seed=3)
         with DivideAndConquerRuntime(cfg) as rt:
             out, rep = rt.synthesize(self.FIELD, ps.copy())
-            resolved = rt.resolved_config
+            resolved = rt._effective_config
             plan = rt.plan
         assert plan is not None
         assert resolved.backend in PLANNABLE_BACKENDS
@@ -192,7 +192,7 @@ class TestAutoRuntime:
         cfg = SpotNoiseConfig(n_spots=50, texture_size=32, seed=0, backend="auto")
         be = SerialBackend()
         with DivideAndConquerRuntime(cfg, backend=be) as rt:
-            assert rt.resolved_config.backend == "serial"
+            assert rt._effective_config.backend == "serial"
 
     def test_planner_workload_round_trip(self):
         cfg = SpotNoiseConfig(n_spots=500, texture_size=128, seed=0)

@@ -154,11 +154,11 @@ class TestLifecycle:
         try:
             ps = make_particles()
             be.run_frame(_frame(BASE.with_overrides(n_groups=2), ps))
-            assert be.pool_size == 2
+            assert len(be._workers) == 2
             be.run_frame(_frame(BASE.with_overrides(n_groups=4), ps))
-            assert be.pool_size == 4
+            assert len(be._workers) == 4
             be.run_frame(_frame(BASE.with_overrides(n_groups=2), ps))
-            assert be.pool_size == 4  # high-water, never shrinks mid-life
+            assert len(be._workers) == 4  # high-water, never shrinks mid-life
         finally:
             be.close()
 
@@ -195,7 +195,7 @@ class TestLifecycle:
                 positions=np.zeros((0, 2)), intensities=np.zeros(0),
             )
             assert be.run_frame(frame) == []
-            assert be.pool_size == 0
+            assert len(be._workers) == 0
         finally:
             be.close()
 
@@ -217,7 +217,7 @@ class TestRecovery:
         try:
             frame = _frame(BASE.with_overrides(n_groups=2), make_particles())
             ref = _compose(be.run_frame(frame))
-            assert be.pool_size == 2
+            assert len(be._workers) == 2
 
             def interrupted(expected):
                 raise interrupt()
@@ -225,10 +225,10 @@ class TestRecovery:
             monkeypatch.setattr(be, "_collect_locked", interrupted)
             with pytest.raises(interrupt):
                 be.run_frame(frame)
-            assert be.pool_size == 0
+            assert len(be._workers) == 0
             monkeypatch.undo()
             np.testing.assert_array_equal(_compose(be.run_frame(frame)), ref)
-            assert be.pool_size == 2
+            assert len(be._workers) == 2
         finally:
             be.close()
 
@@ -263,7 +263,7 @@ class TestRecovery:
             assert not worker.is_alive()
             with pytest.raises(BackendError, match=worker.name):
                 be.run_frame(frame)
-            assert be.pool_size == 0
+            assert len(be._workers) == 0
             np.testing.assert_array_equal(_compose(be.run_frame(frame)), ref)
             assert be._workers[0].pid != worker.pid
         finally:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.parallel.compose import blend_cost_pixels, compose_add, compose_tiles
+from repro.parallel.compose import compose_add, compose_tiles
 from repro.parallel.tiling import TileLayout
 
 WIN = (0.0, 1.0, 0.0, 1.0)
@@ -123,7 +123,3 @@ class TestComposeTiles:
         layout, tiles, partials = self._make()
         with pytest.raises(PartitionError):
             compose_tiles(partials[:1], tiles[:1], 16)
-
-    def test_blend_cost_pixels(self):
-        layout, tiles, _ = self._make(size=16, tx=2, ty=2)
-        assert blend_cost_pixels(tiles) == 16 * 16

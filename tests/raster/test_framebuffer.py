@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import RasterError
-from repro.raster.blend import blend_over
 from repro.raster.framebuffer import FrameBuffer
 
 WIN = (0.0, 4.0, 0.0, 2.0)
@@ -33,13 +32,6 @@ class TestFrameBufferGeometry:
         pp = fb.world_to_pixel(pts)
         back = fb.pixel_to_world(pp[:, 0], pp[:, 1])
         np.testing.assert_allclose(back, pts, atol=1e-12)
-
-    def test_pixel_centers_shape_and_range(self):
-        fb = FrameBuffer(8, 4, WIN)
-        X, Y = fb.pixel_centers()
-        assert X.shape == (4, 8)
-        assert X[0, 0] == pytest.approx(0.25)
-        assert Y[-1, -1] == pytest.approx(1.75)
 
 
 class TestRectOps:
@@ -86,22 +78,3 @@ class TestRectOps:
         a.data[...] = 1.0
         a.clear()
         assert a.total() == 0.0
-
-
-class TestBlend:
-    def test_over_alpha_zero_keeps_dst(self):
-        dst = np.array([1.0, 2.0])
-        out = blend_over(dst, np.array([9.0, 9.0]), np.array([0.0, 0.0]))
-        np.testing.assert_array_equal(out, dst)
-
-    def test_over_alpha_one_takes_src(self):
-        out = blend_over(np.zeros(2), np.array([9.0, 8.0]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(out, [9.0, 8.0])
-
-    def test_over_alpha_validation(self):
-        with pytest.raises(RasterError):
-            blend_over(np.zeros(2), np.zeros(2), np.array([1.5, 0.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(RasterError):
-            blend_over(np.zeros(2), np.zeros(3), np.zeros(2))

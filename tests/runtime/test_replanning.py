@@ -328,7 +328,7 @@ class TestRetirement:
                 )
                 assert svc.replan_if_drifted() is True
                 assert [f.frame for f in frames] == list(range(1, N_FRAMES))
-            assert wait_until(lambda: svc.scheduler.inflight() == 0)
+            assert wait_until(lambda: len(svc.scheduler._walks) == 0)
 
             current = svc.runtime
             assert len(created) == self.FLIPS + 1

@@ -77,15 +77,6 @@ class TestFailureIsolation:
 
 
 class TestRegistration:
-    def test_watched_lists_registrations(self, rt):
-        with PlanSupervisor(interval_s=5.0, runtime=rt) as sup:
-            sup.watch("b", lambda: False)
-            sup.watch("a", lambda: False)
-            assert sup.watched() == ["a", "b"]
-            sup.unwatch("b")
-            assert sup.watched() == ["a"]
-            sup.unwatch("missing")  # unknown names are a no-op
-
     def test_rewatching_same_name_replaces_the_check(self, rt):
         old, new = [], []
         with PlanSupervisor(interval_s=0.02, runtime=rt) as sup:

@@ -120,33 +120,54 @@ class TestDiskTextureCache:
         assert disk.nbytes_on_disk() > 0
         assert "abc" in disk
 
-    def test_preview_pgm_written(self, tmp_path):
-        disk = DiskTextureCache(tmp_path, preview_pgm=True)
-        disk.put("abc", tex(0.5))
-        assert os.path.exists(os.path.join(str(tmp_path), "abc.pgm"))
+    def test_concurrent_readers_under_fast_switching(self, tmp_path):
+        """numpy parses ``.npy`` headers with ``ast``; two threads parsing
+        at once can raise ``SystemError`` on CPython 3.11 unless reads
+        are serialised.  Fast thread switching and cyclic garbage with
+        finalizers, collected at arbitrary points of a parse, make the
+        interleaving likely."""
+        import gc
+        import sys
 
-    def test_evict_and_trim_take_the_preview_with_its_entry(self, tmp_path):
-        disk = DiskTextureCache(tmp_path, preview_pgm=True)
-        for i in range(5):
-            disk.put(f"d{i}", tex(i / 5))
-            for name in (f"d{i}.npz", f"d{i}.pgm"):
-                os.utime(os.path.join(str(tmp_path), name), (1000.0 + i, 1000.0 + i))
-        npz_bytes = sum(
-            os.path.getsize(os.path.join(str(tmp_path), n))
-            for n in os.listdir(tmp_path) if n.endswith(".npz")
-        )
-        assert disk.nbytes_on_disk() > npz_bytes  # previews count
-        assert disk.evict("d2")
-        assert "d2.pgm" not in os.listdir(tmp_path)
-        # The previews push the store over a budget its bundles fit in,
-        # so the oldest entry goes, preview and all.
-        assert disk.trim_to_bytes(npz_bytes * 4 // 5) == 1
-        assert sorted(os.listdir(tmp_path)) == [
-            "d1.npz", "d1.pgm", "d3.npz", "d3.pgm", "d4.npz", "d4.pgm",
-        ]
-        assert disk.trim_to_bytes(0) == 3
-        assert os.listdir(tmp_path) == []
-        assert disk.nbytes_on_disk() == 0
+        disk = DiskTextureCache(tmp_path)
+        textures = {f"d{i}": tex(i / 16, n=16) for i in range(16)}
+        for digest, t in textures.items():
+            disk.put(digest, t)
+
+        class Finalized:
+            def __del__(self):
+                pass
+
+        errors = []
+        deadline = time.monotonic() + 3.0
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while time.monotonic() < deadline and not errors:
+                    digest = f"d{rng.integers(16)}"
+                    got = disk.get(digest)
+                    assert got is not None and np.array_equal(got, textures[digest])
+                    for _ in range(16):
+                        cycle = Finalized()
+                        cycle.self = cycle
+            except BaseException as exc:  # report any failure, not just asserts
+                errors.append(exc)
+
+        interval, threshold = sys.getswitchinterval(), gc.get_threshold()
+        sys.setswitchinterval(1e-6)
+        gc.set_threshold(10)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*threshold)
+        assert errors == []
+        assert disk.misses == 0
 
 
 class TestDiskCodec:

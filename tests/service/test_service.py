@@ -128,33 +128,11 @@ class TestKeysAndSources:
             loads[0] += 1
             return fields[frame]
 
-        with TextureService(counting_source, config, memoize_digests=True) as svc:
+        with TextureService(counting_source, config) as svc:
             svc.request(0)
             loads_after_miss = loads[0]
             svc.request(0)
             assert loads[0] == loads_after_miss  # hit did not touch the source
-
-    def test_mutable_source_without_memoization_rekeys(self, config):
-        frames = {0: random_smooth_field(seed=1, n=25)}
-
-        def source(frame):
-            return frames[frame]
-
-        with TextureService(source, config, memoize_digests=False) as svc:
-            before = svc.request(0)
-            frames[0] = random_smooth_field(seed=2, n=25)  # steering rewrote it
-            after = svc.request(0)
-        assert after.source == "render"
-        assert not np.array_equal(before.texture, after.texture)
-
-    def test_invalidate_frame_drops_the_memoized_digest(self, config):
-        frames = {0: random_smooth_field(seed=1, n=25)}
-        with TextureService(lambda f: frames[f], config, memoize_digests=True) as svc:
-            svc.request(0)
-            frames[0] = random_smooth_field(seed=2, n=25)
-            svc.invalidate_frame(0)
-            assert svc.request(0).source == "render"
-            assert svc.stats.renders == 2
 
 
 class TestAdmissionIntegration:
@@ -345,17 +323,6 @@ class TestConcurrentStoreReads:
 
 
 class TestSafeDefaults:
-    def test_digest_memoization_is_off_by_default(self, config):
-        """The default must be safe for mutable sources: rewriting a frame
-        changes the key and triggers a fresh render."""
-        frames = {0: random_smooth_field(seed=1, n=25)}
-        with TextureService(lambda f: frames[f], config) as svc:
-            before = svc.request(0)
-            frames[0] = random_smooth_field(seed=2, n=25)
-            after = svc.request(0)
-        assert after.source == "render"
-        assert not np.array_equal(before.texture, after.texture)
-
     def test_bounded_smog_history_evicts_oldest(self):
         from repro.apps.smog.steering import SteeredSmogApplication
         from repro.errors import SteeringError

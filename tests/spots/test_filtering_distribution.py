@@ -5,8 +5,6 @@ import pytest
 
 from repro.errors import SpotError
 from repro.spots.distribution import (
-    density_weighted_positions,
-    gaussian_intensities,
     jittered_grid_positions,
     signed_intensities,
     uniform_positions,
@@ -136,33 +134,12 @@ class TestPositions:
         j = jittered_grid_positions(512, BOUNDS, seed=2)
         assert cell_var(j) < cell_var(u)
 
-    def test_density_weighted_follows_density(self):
-        density = np.zeros((4, 8))
-        density[:, :4] = 1.0  # all mass in the left half
-        pts = density_weighted_positions(400, density, BOUNDS, seed=3)
-        assert (pts[:, 0] <= 1.0 + 1e-9).all()
-
-    def test_density_validation(self):
-        with pytest.raises(SpotError):
-            density_weighted_positions(5, np.zeros((4, 4)), BOUNDS)
-        with pytest.raises(SpotError):
-            density_weighted_positions(5, -np.ones((4, 4)), BOUNDS)
-
 
 class TestIntensities:
     def test_signed_two_point(self):
         a = signed_intensities(1000, amplitude=1.5, seed=0)
         assert set(np.unique(a)) == {-1.5, 1.5}
 
-    def test_gaussian_zero_mean(self):
-        a = gaussian_intensities(5000, sigma=2.0, seed=1)
-        assert abs(a.mean()) < 5 * 2.0 / np.sqrt(5000)
-
-    def test_gaussian_zero_sigma(self):
-        np.testing.assert_array_equal(gaussian_intensities(5, sigma=0.0), np.zeros(5))
-
     def test_validation(self):
         with pytest.raises(SpotError):
             signed_intensities(-1)
-        with pytest.raises(SpotError):
-            gaussian_intensities(5, sigma=-1.0)

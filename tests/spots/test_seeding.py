@@ -5,24 +5,8 @@ import pytest
 
 from repro.errors import SpotError
 from repro.fields.grid import RectilinearGrid, RegularGrid
-from repro.spots.distribution import cell_area_density, seed_positions
+from repro.spots.distribution import seed_positions
 from repro.spots.functions import DoGProfile, get_profile
-
-
-class TestCellAreaDensity:
-    def test_uniform_on_regular_grid(self):
-        g = RegularGrid(9, 7, (0.0, 2.0, 0.0, 1.0))
-        rho = cell_area_density(g)
-        assert rho.shape == (6, 8)
-        np.testing.assert_allclose(rho, rho[0, 0])
-
-    def test_higher_where_cells_smaller(self):
-        g = RectilinearGrid.stretched(17, 9, (0.0, 1.0, 0.0, 1.0), focus=(0.25, 0.5))
-        rho = cell_area_density(g)
-        # Density near the focus column exceeds density far from it.
-        focus_col = np.searchsorted(g.x, 0.25)
-        far_col = np.searchsorted(g.x, 0.9)
-        assert rho[:, max(focus_col - 1, 0)].mean() > rho[:, min(far_col, rho.shape[1] - 1)].mean()
 
 
 class TestSeedPositions:

@@ -9,9 +9,10 @@ from repro.errors import SpotError
 from repro.spots.transform import (
     anisotropy_factors,
     flow_transforms,
-    quad_areas,
     spot_quads,
 )
+
+from oracles import quad_areas
 
 
 class TestAnisotropyFactors:

@@ -1,11 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.utils.rng import as_rng, derive_seed, permutation_chunks, spawn_rngs
+from repro.utils.rng import as_rng
 
 
 class TestAsRng:
@@ -23,52 +20,3 @@ class TestAsRng:
         ss = np.random.SeedSequence(5)
         a = as_rng(ss)
         assert isinstance(a, np.random.Generator)
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-
-    def test_path_sensitivity(self):
-        assert derive_seed(1, 2) != derive_seed(1, 3)
-        assert derive_seed(1, 2) != derive_seed(2, 2)
-
-    def test_result_is_valid_seed(self):
-        s = derive_seed(99, 0)
-        assert 0 <= s < 2**64
-        as_rng(s)  # must not raise
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_ok(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_streams_differ(self):
-        a, b = spawn_rngs(7, 2)
-        assert a.integers(0, 1 << 30, 10).tolist() != b.integers(0, 1 << 30, 10).tolist()
-
-    def test_deterministic_across_calls(self):
-        a1, _ = spawn_rngs(7, 2)
-        a2, _ = spawn_rngs(7, 2)
-        assert a1.integers(0, 1 << 30, 5).tolist() == a2.integers(0, 1 << 30, 5).tolist()
-
-
-class TestPermutationChunks:
-    @settings(max_examples=25, deadline=None)
-    @given(n_items=st.integers(0, 200), n_chunks=st.integers(1, 8))
-    def test_chunks_partition_range(self, n_items, n_chunks):
-        chunks = permutation_chunks(np.random.default_rng(0), n_items, n_chunks)
-        assert len(chunks) == n_chunks
-        merged = np.sort(np.concatenate(chunks)) if chunks else np.array([])
-        assert np.array_equal(merged, np.arange(n_items))
-
-    def test_bad_chunks_raises(self):
-        with pytest.raises(ValueError):
-            permutation_chunks(np.random.default_rng(0), 10, 0)

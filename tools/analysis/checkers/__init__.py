@@ -1,6 +1,6 @@
 """The repo-specific rule set.
 
-Six checkers, one per invariant class the repository's correctness
+Seven checkers, one per invariant class the repository's correctness
 story rests on (see ``docs/static_analysis.md`` for the full catalogue):
 
 * :class:`~tools.analysis.checkers.determinism.DeterminismChecker` —
@@ -19,7 +19,10 @@ story rests on (see ``docs/static_analysis.md`` for the full catalogue):
   durable artifacts land via the temp + ``os.replace`` idiom;
 * :class:`~tools.analysis.checkers.asyncdiscipline.AsyncDisciplineChecker` —
   ``async def``\\ s on the runtime spine never call blocking primitives
-  (``time.sleep``, blocking sockets, non-awaited ``.wait()``).
+  (``time.sleep``, blocking sockets, non-awaited ``.wait()``);
+* :class:`~tools.analysis.checkers.surface.PublicSurfaceChecker` —
+  every public top-level function and class in ``repro`` has a caller
+  outside ``tests/``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from tools.analysis.checkers.determinism import DeterminismChecker
 from tools.analysis.checkers.fingerprint import FingerprintChecker
 from tools.analysis.checkers.lifecycle import ResourceLifecycleChecker
 from tools.analysis.checkers.locks import LockDisciplineChecker
+from tools.analysis.checkers.surface import PublicSurfaceChecker
 
 __all__ = [
     "AsyncDisciplineChecker",
@@ -40,6 +44,7 @@ __all__ = [
     "DeterminismChecker",
     "FingerprintChecker",
     "LockDisciplineChecker",
+    "PublicSurfaceChecker",
     "ResourceLifecycleChecker",
     "all_checkers",
 ]
@@ -54,4 +59,5 @@ def all_checkers() -> List[Checker]:
         ResourceLifecycleChecker(),
         AtomicWriteChecker(),
         AsyncDisciplineChecker(),
+        PublicSurfaceChecker(),
     ]
