@@ -15,13 +15,12 @@ from repro.advection.integrators import (
 from repro.advection.particles import ParticleSet
 from repro.advection.lifecycle import LifeCyclePolicy
 from repro.advection.streamline import streamline_bundle
-from repro.advection.unsteady import pathline_bundle, timeline, steady
+from repro.advection.unsteady import pathline_bundle, timeline
 from repro.advection.advector import Advector
 
 __all__ = [
     "pathline_bundle",
     "timeline",
-    "steady",
     "euler_step",
     "rk2_step",
     "rk4_step",

@@ -85,8 +85,3 @@ def timeline(
     """
     curves = pathline_bundle(velocity, seeds, t0, dt, n_steps)
     return curves[:, -1]
-
-
-def steady(sampler) -> UnsteadyVelocityFn:
-    """Adapt a steady ``(N,2)->(N,2)`` sampler to the unsteady interface."""
-    return lambda positions, t: sampler(positions)

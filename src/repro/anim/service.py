@@ -34,7 +34,7 @@ import asyncio
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import AsyncIterator, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -45,12 +45,11 @@ from repro.advection.lifecycle import LifeCyclePolicy
 from repro.anim.checkpoints import CheckpointStore
 from repro.anim.delta import DeltaEncoder, DeltaTransport
 from repro.anim.incremental import FieldSource, IncrementalAnimator, one_shot_frame
-from repro.anim.scheduler import SequenceScheduler, Walk
+from repro.anim.scheduler import SequenceScheduler
 from repro.anim.sequence import FrameSequence
 from repro.core.config import SpotNoiseConfig
 from repro.errors import AnimationServiceError, ServiceError
-from repro.parallel.binding import PlanBinding, PlanBound, PlanSnapshot
-from repro.parallel.planner import DecompositionPlanner
+from repro.parallel.planner import DecompositionPlanner, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.runtime.streams import BoundedFrameChannel, ChannelClosed, FrameStream
 from repro.service.admission import LatencyPredictor
@@ -64,33 +63,6 @@ from repro.service.cache import (
 from repro.service.keys import SequenceKey
 from repro.service.server import DEFAULT_MEMORY_BUDGET
 from repro.service.stats import ServiceStats
-
-
-@dataclass(eq=False)
-class _PlanContext:
-    """Everything a render walk needs, bound to one resolved plan.
-
-    The resource of the service's :class:`~repro.parallel.binding.PlanBinding`.
-    Its bookkeeping and pooled idle animator belong to this plan's
-    identity too, so a re-plan needs no clean-up beyond :meth:`close`.
-    """
-
-    sequence: FrameSequence
-    runtime: DivideAndConquerRuntime
-    sequence_id: str
-    delta_encoder: Optional[DeltaEncoder] = None
-    # Guarded by the service's _book_lock.
-    cached_frames: Dict[int, str] = field(default_factory=dict)
-    checkpoint_boundaries: Set[int] = field(default_factory=set)
-    # Guarded by the service's _animator_lock.
-    idle_animator: Optional[IncrementalAnimator] = None
-
-    def close(self) -> None:
-        # Runs once no holder is left, so no walk can pool concurrently.
-        if self.idle_animator is not None:
-            self.idle_animator.close()
-            self.idle_animator = None
-        self.runtime.close()
 
 
 @dataclass(frozen=True)
@@ -116,20 +88,13 @@ class _RangeCursor:
     and the async front end (:meth:`AnimationService.stream_async`):
     both materialise frames through this exact pipeline — cache → delta
     decode → coalesced render walk — so the two delivery shapes cannot
-    drift apart.  The cursor pins the plan snapshot its owner holds: a
-    concurrent re-plan swaps the service's plan but never this stream's
-    keys, walk or runtime.
+    drift apart.
     """
 
     def __init__(
-        self,
-        service: "AnimationService",
-        snap: PlanSnapshot,
-        stop: int,
-        timeout: Optional[float],
+        self, service: "AnimationService", stop: int, timeout: Optional[float]
     ):
         self.service = service
-        self.snap = snap
         self.stop = stop
         self.timeout = timeout
         self.stream: Optional[FrameStream] = None
@@ -138,11 +103,10 @@ class _RangeCursor:
     def materialise(self, t: int) -> FrameResponse:
         """Produce frame *t* (blocking), recording stats and latency."""
         svc = self.service
-        ctx = self.snap.resource
         t0 = time.perf_counter()
         svc.stats.record_request()
         try:
-            digest = ctx.sequence.frame_digest(t)
+            digest = svc.sequence.frame_digest(t)
             texture = None
             source = "memory"
             # Bounded retry: a walk can pass `t` after evicting it from
@@ -154,14 +118,14 @@ class _RangeCursor:
                 if texture is not None:
                     source = tier or "memory"
                     break
-                texture = svc._decode_delta(t, digest, ctx)
+                texture = svc._decode_delta(t, digest)
                 if texture is not None:
                     source = "delta"
                     break
                 # One loop hop: keep following this cursor's walk, or
                 # join/start the sequence's, and await frame t.
                 stream, created, texture = svc.scheduler.fetch(
-                    ctx.sequence_id, t, self.stop, svc._walk_for(self.snap),
+                    svc._sequence_id, t, self.stop, svc._walk,
                     self.stream, self.timeout,
                 )
                 if stream is not self.stream:
@@ -184,13 +148,13 @@ class _RangeCursor:
         return FrameResponse(
             frame=t,
             texture=texture,
-            key=ctx.sequence.frame_key(t),
+            key=svc.sequence.frame_key(t),
             source=source,
             latency_s=latency,
         )
 
 
-class AnimationService(PlanBound):
+class AnimationService:
     """Request-coalescing, checkpoint-resumable animation streaming.
 
     Parameters
@@ -239,10 +203,9 @@ class AnimationService(PlanBound):
         by the planner at construction — a sequence's identity (and
         hence its digest chain, checkpoints and cached frames) is bound
         to the *resolved* config, so the plan must hold for the
-        sequence's lifetime.  Incremental render times feed the
-        predictor; :meth:`replan_if_drifted` adopts a new plan (new
-        sequence identity, new keys — old cache entries simply go cold,
-        they can never be served wrongly).
+        sequence's lifetime.  The plan is priced at the predictor's
+        calibration scale, and incremental render times feed the
+        predictor.
     """
 
     def __init__(
@@ -278,9 +241,10 @@ class AnimationService(PlanBound):
             field0 = field_source(0)
         self.dt = float(dt) if dt is not None else auto_dt(field0)
         self._grid_shape = tuple(field0.grid.shape) if field0 is not None else None
+        scale = 1.0
         if config.backend == "auto":
             self.predictor = self.predictor or LatencyPredictor()
-        self._length = length
+            scale = self.predictor.scale or 1.0
         self.delta_transport: Optional[DeltaTransport] = None
         if delta_every is not None:
             delta_store = (
@@ -291,9 +255,19 @@ class AnimationService(PlanBound):
             self.delta_transport = DeltaTransport(
                 delta_store, keyframe_every=int(delta_every)
             )
-        self._binding = PlanBinding(
-            config, self._make_context, field0=field0, planner=planner,
-            predictor=self.predictor,
+        #: The resolved plan (``None`` without auto) and config.
+        self.plan, self.config = resolve_plan(config, field0, planner, scale=scale)
+        self.sequence = FrameSequence(
+            field_source, self.config, self.dt, policy=self.policy, length=length
+        )
+        self._sequence_id = (
+            f"{self.config.fingerprint()}|{self.dt!r}|{self.sequence._policy_token}"
+        )
+        self.runtime = DivideAndConquerRuntime(self.config)
+        self.delta_encoder: Optional[DeltaEncoder] = (
+            self.delta_transport.encoder(self._sequence_id)
+            if self.delta_transport is not None
+            else None
         )
         self.checkpoint_every = int(checkpoint_every)
         self.verify_every = int(verify_every)
@@ -305,48 +279,12 @@ class AnimationService(PlanBound):
         self.scheduler = SequenceScheduler(n_workers=n_workers)
         self.stats.queue_depth_probe = self.scheduler.queue_depth
         self._disk_dir = disk_dir
-        self._animator_lock = threading.Lock()
         self._book_lock = threading.Lock()
+        self._cached_frames: Dict[int, str] = {}  #: guarded-by: _book_lock
+        self._checkpoint_boundaries: Set[int] = set()  #: guarded-by: _book_lock
+        self._animator_lock = threading.Lock()
+        self._idle_animator: Optional[IncrementalAnimator] = None  #: guarded-by: _animator_lock
         self._closed = False
-
-    def _make_context(self, config: SpotNoiseConfig) -> _PlanContext:
-        sequence = FrameSequence(
-            self.field_source, config, self.dt, policy=self.policy,
-            length=self._length,
-        )
-        sequence_id = f"{config.fingerprint()}|{self.dt!r}|{sequence._policy_token}"
-        # A re-plan gets a fresh encoder (new sequence identity, new
-        # frame table) over the *same* chunk store, so byte-identical
-        # chunks keep deduping across plans.
-        encoder = (
-            self.delta_transport.encoder(sequence_id)
-            if self.delta_transport is not None
-            else None
-        )
-        return _PlanContext(
-            sequence=sequence,
-            runtime=DivideAndConquerRuntime(config),
-            sequence_id=sequence_id,
-            delta_encoder=encoder,
-        )
-
-    # Views of the current plan (config, plan and replans come from
-    # PlanBound); walks and streams hold one snapshot and finish on it.
-    @property
-    def _ctx(self) -> _PlanContext:
-        return self._binding.current.resource
-
-    @property
-    def sequence(self) -> FrameSequence:
-        return self._ctx.sequence
-
-    @property
-    def runtime(self) -> DivideAndConquerRuntime:
-        return self._ctx.runtime
-
-    @property
-    def _sequence_id(self) -> str:
-        return self._ctx.sequence_id
 
     # -- construction helpers ----------------------------------------------------
     @classmethod
@@ -371,25 +309,23 @@ class AnimationService(PlanBound):
         self._check_range(start, stop)
         return self._stream(start, stop, timeout)
 
-    def _check_range(self, start: int, stop: int) -> None:
+    def _check_open(self) -> None:
         if self._closed:
             raise ServiceError("animation service is closed")
+
+    def _check_range(self, start: int, stop: int) -> None:
+        self._check_open()
         if stop <= start:
             raise AnimationServiceError(f"empty stream range [{start}, {stop})")
-        sequence = self.sequence
-        sequence.check_frame(start)
-        sequence.check_frame(stop - 1)
+        self.sequence.check_frame(start)
+        self.sequence.check_frame(stop - 1)
 
     def _stream(
         self, start: int, stop: int, timeout: Optional[float]
     ) -> Iterator[FrameResponse]:
-        snap = self._binding.acquire()
-        try:
-            cursor = _RangeCursor(self, snap, stop, timeout)
-            for t in range(start, stop):
-                yield cursor.materialise(t)
-        finally:
-            self._binding.release(snap)
+        cursor = _RangeCursor(self, stop, timeout)
+        for t in range(start, stop):
+            yield cursor.materialise(t)
 
     def stream_async(
         self,
@@ -421,8 +357,7 @@ class AnimationService(PlanBound):
     ) -> "AsyncIterator[FrameResponse]":
         channel = BoundedFrameChannel(buffer)
         loop = asyncio.get_running_loop()
-        snap = self._binding.acquire()
-        cursor = _RangeCursor(self, snap, stop, timeout)
+        cursor = _RangeCursor(self, stop, timeout)
 
         async def produce() -> None:
             try:
@@ -446,23 +381,12 @@ class AnimationService(PlanBound):
                 await producer
             except (asyncio.CancelledError, Exception):
                 pass
-            self._binding.release(snap)
 
     def request(self, frame: int, timeout: Optional[float] = None) -> FrameResponse:
         """Serve a single frame (a one-frame :meth:`stream`)."""
-        if self._closed:
-            raise ServiceError("animation service is closed")
-        snap = self._binding.acquire()
-        try:
-            return self._serve(snap, frame, timeout)
-        finally:
-            self._binding.release(snap)
-
-    def _serve(
-        self, snap: PlanSnapshot, frame: int, timeout: Optional[float]
-    ) -> FrameResponse:
-        snap.resource.sequence.check_frame(frame)
-        return _RangeCursor(self, snap, frame + 1, timeout).materialise(frame)
+        self._check_open()
+        self.sequence.check_frame(frame)
+        return _RangeCursor(self, frame + 1, timeout).materialise(frame)
 
     def prefetch(self, start: int, stop: int) -> bool:
         """Kick off (or extend) a render walk without waiting.
@@ -474,87 +398,67 @@ class AnimationService(PlanBound):
         (If a chunk turns out evicted by then, the read path's fallback
         renders the frame anyway.)
         """
-        if self._closed:
-            raise ServiceError("animation service is closed")
-        snap = self._binding.acquire()
-        try:
-            ctx = snap.resource
-            ctx.sequence.check_frame(start)
-            ctx.sequence.check_frame(stop - 1)
-            encoder = ctx.delta_encoder
-            for t in range(start, stop):
-                if encoder is not None and encoder.has_frame(t):
-                    continue
-                if self.cache.get(ctx.sequence.frame_digest(t))[0] is None:
-                    sched = self.scheduler
-                    return sched.runtime.call(
-                        sched.join_or_start, ctx.sequence_id, t, stop,
-                        self._walk_for(snap),
-                    )[1]
-            return False
-        finally:
-            self._binding.release(snap)
+        self._check_open()
+        self.sequence.check_frame(start)
+        self.sequence.check_frame(stop - 1)
+        encoder = self.delta_encoder
+        for t in range(start, stop):
+            if encoder is not None and encoder.has_frame(t):
+                continue
+            if self.cache.get(self.sequence.frame_digest(t))[0] is None:
+                sched = self.scheduler
+                return sched.runtime.call(
+                    sched.join_or_start, self._sequence_id, t, stop, self._walk
+                )[1]
+        return False
 
     def verify(self, frame: int) -> bool:
         """Serve *frame* and compare it bit-for-bit with a one-shot render."""
-        snap = self._binding.acquire()
-        try:
-            response = self._serve(snap, frame, None)
-            reference = one_shot_frame(
-                snap.config,
-                self.field_source,
-                frame,
-                dt=self.dt,
-                policy=self.policy,
-                runtime=snap.resource.runtime,
-            )
-        finally:
-            self._binding.release(snap)
+        response = self.request(frame)
+        reference = one_shot_frame(
+            self.config,
+            self.field_source,
+            frame,
+            dt=self.dt,
+            policy=self.policy,
+            runtime=self.runtime,
+        )
         return bool(np.array_equal(response.texture, reference.display))
 
     # -- the render walk ---------------------------------------------------------
-    def _walk_for(self, snap: PlanSnapshot) -> Walk:
-        """The walk factory for *snap*'s sequence.  The scheduler calls it
-        (on the loop, while the caller still holds *snap*) only when a
-        new walk starts; the walk takes its own reference, as it may
-        outlive the caller."""
-        return lambda stream: self._walk(stream, self._binding.acquire(snap))
-
-    async def _walk(self, stream: FrameStream, snap: PlanSnapshot) -> None:
+    async def _walk(self, stream: FrameStream) -> None:
         """The render walk, a loop task: claim and publish on the loop,
         one executor job per frame for everything that blocks."""
         run = self.scheduler.executor.run
         animator = None
         try:
-            animator = await run(partial(self._acquire_animator, stream.first, snap))
+            animator = await run(partial(self._acquire_animator, stream.first))
             while (t := stream.next_frame()) is not None:
-                texture = await run(partial(self._walk_frame, t, animator, snap))
+                texture = await run(partial(self._walk_frame, t, animator))
                 stream.publish(t, texture)
         except BaseException:
             # The animator may have mutated evolution state for a frame
             # it never finished (e.g. a backend failure mid-synthesis);
             # pooling it would let a later walk advect that frame twice
-            # and cache wrong bytes under correct keys.  Discard it, and
-            # let go of the plan before the error reaches any waiter.
-            await run(partial(self._end_walk, snap, animator, False))
+            # and cache wrong bytes under correct keys.  Discard it
+            # before the error reaches any waiter.
+            if animator is not None:
+                await run(animator.close)
             raise
-        await run(partial(self._end_walk, snap, animator, True))
+        await run(partial(self._release_animator, animator))
 
-    def _walk_frame(
-        self, t: int, animator: IncrementalAnimator, snap: PlanSnapshot
-    ) -> np.ndarray:
+    def _walk_frame(self, t: int, animator: IncrementalAnimator) -> np.ndarray:
         """One frame of a walk (executor work): the texture to publish."""
-        ctx = snap.resource
-        digest = ctx.sequence.frame_digest(t)
+        digest = self.sequence.frame_digest(t)
         cached, _ = self.cache.get(digest)
         if cached is not None:
             # Someone materialised this frame earlier: one cheap
             # advection keeps the walk's state coherent, no splat.
             animator.advance_to(t + 1)
-            self._bookkeep(t, digest, animator, ctx)
+            self._bookkeep(t, digest, animator)
             # Encode before publish so a consumer that observed the
             # frame can rely on its delta entry existing.
-            self._encode_delta(t, cached, digest, ctx)
+            self._encode_delta(t, cached, digest)
             return cached
         animator.advance_to(t)
         r0 = time.perf_counter()
@@ -562,45 +466,24 @@ class AnimationService(PlanBound):
         elapsed = time.perf_counter() - r0
         self.stats.record_render(None, elapsed)
         if self.predictor is not None:
-            self.predictor.observe(snap.config, elapsed, grid_shape=self._grid_shape)
+            self.predictor.observe(self.config, elapsed, grid_shape=self._grid_shape)
         if self.verify_every and result.frame_index % self.verify_every == 0:
             animator.verify_frame(result)
-        self._bookkeep(t, digest, animator, ctx)
-        self._encode_delta(t, result.display, digest, ctx)
+        self._bookkeep(t, digest, animator)
+        self._encode_delta(t, result.display, digest)
         # Put last: a consumer can see the frame in the cache before the
         # walk publishes it, and must then find its manifest and delta
         # entries already in place.
         self.cache.put(digest, result.display)
         return result.display
 
-    def _end_walk(
-        self,
-        snap: PlanSnapshot,
-        animator: Optional[IncrementalAnimator],
-        pool: bool,
-    ) -> None:
-        # Executor work: the last holder of a retired plan closes its
-        # runtime, which may join a backend pool.
-        try:
-            if animator is not None:
-                if pool:
-                    self._release_animator(animator, snap.resource)
-                else:
-                    animator.close()
-        finally:
-            self._binding.release(snap)
-
     # -- the delta transport -----------------------------------------------------
-    def _encode_delta(
-        self, t: int, texture: np.ndarray, digest: str, ctx: _PlanContext
-    ) -> None:
-        """Feed a walk-produced frame into the plan's delta encoder."""
-        if ctx.delta_encoder is not None:
-            ctx.delta_encoder.add_frame(t, texture, digest)
+    def _encode_delta(self, t: int, texture: np.ndarray, digest: str) -> None:
+        """Feed a walk-produced frame into the sequence's delta encoder."""
+        if self.delta_encoder is not None:
+            self.delta_encoder.add_frame(t, texture, digest)
 
-    def _decode_delta(
-        self, t: int, digest: str, ctx: _PlanContext
-    ) -> Optional[np.ndarray]:
+    def _decode_delta(self, t: int, digest: str) -> Optional[np.ndarray]:
         """Materialise frame *t* from the delta chunk store, if possible.
 
         The decode-on-read half of the transport: a texture-cache miss
@@ -611,68 +494,61 @@ class AnimationService(PlanBound):
         The decoded frame is put back into the texture cache so repeat
         traffic hits the fast tier.
         """
-        if ctx.delta_encoder is None:
+        if self.delta_encoder is None:
             return None
-        texture = ctx.delta_encoder.decode(t)
+        texture = self.delta_encoder.decode(t)
         if texture is not None:
             self.cache.put(digest, texture)
         return texture
 
     def delta_stats(self) -> Optional[dict]:
-        """Bytes-shipped accounting of the current plan's encoder."""
-        encoder = self._ctx.delta_encoder
+        """Bytes-shipped accounting of the sequence's encoder."""
+        encoder = self.delta_encoder
         return encoder.stats() if encoder is not None else None
 
-    def _bookkeep(
-        self, t: int, digest: str, animator: IncrementalAnimator, ctx: _PlanContext
-    ) -> None:
+    def _bookkeep(self, t: int, digest: str, animator: IncrementalAnimator) -> None:
         """Record frame *t* and capture the boundary checkpoint if due.
 
         Runs for rendered *and* cache-hit frames: a walk over a warm
         disk tier must still leave resume points and an honest manifest.
         """
         with self._book_lock:
-            ctx.cached_frames[t] = digest
+            self._cached_frames[t] = digest
         boundary = t + 1
         if self.checkpoint_every and boundary % self.checkpoint_every == 0:
-            state_digest = ctx.sequence.checkpoint_digest(boundary)
+            state_digest = self.sequence.checkpoint_digest(boundary)
             if state_digest not in self.checkpoints:
                 self.checkpoints.put(state_digest, animator.state())
             with self._book_lock:
-                ctx.checkpoint_boundaries.add(boundary)
+                self._checkpoint_boundaries.add(boundary)
 
     # -- animator pooling and checkpoint restore ---------------------------------
-    def _nearest_checkpoint(
-        self, frame: int, ctx: _PlanContext
-    ) -> "Tuple[int, Optional[object]]":
+    def _nearest_checkpoint(self, frame: int) -> "Tuple[int, Optional[object]]":
         """Best resume point at or below *frame*: (boundary, state|None)."""
         if self.checkpoint_every:
             boundary = (frame // self.checkpoint_every) * self.checkpoint_every
             while boundary >= self.checkpoint_every:
-                state = self.checkpoints.get(ctx.sequence.checkpoint_digest(boundary))
+                state = self.checkpoints.get(self.sequence.checkpoint_digest(boundary))
                 if state is not None:
                     return boundary, state
                 boundary -= self.checkpoint_every
         return 0, None
 
-    def _acquire_animator(self, first: int, snap: PlanSnapshot) -> IncrementalAnimator:
-        # An animator is bound to the plan that built it (config +
-        # runtime), so the idle pool is per plan context.
-        ctx = snap.resource
+    def _acquire_animator(self, first: int) -> IncrementalAnimator:
         with self._animator_lock:
-            animator, ctx.idle_animator = ctx.idle_animator, None
+            animator, self._idle_animator = self._idle_animator, None
         if animator is None:
             animator = IncrementalAnimator(
-                snap.config,
+                self.config,
                 self.field_source,
                 dt=self.dt,
                 policy=self.policy,
-                runtime=ctx.runtime,
+                runtime=self.runtime,
             )
             position = 0
         else:
             position = animator.position
-        boundary, state = self._nearest_checkpoint(first, ctx)
+        boundary, state = self._nearest_checkpoint(first)
         # The idle animator's own position is a "checkpoint" too — reuse
         # it when it is the closest resume point not past `first` (the
         # hot path for forward scrubbing).
@@ -684,51 +560,48 @@ class AnimationService(PlanBound):
             animator.reset()
         return animator
 
-    def _release_animator(self, animator: IncrementalAnimator, ctx: _PlanContext) -> None:
+    def _release_animator(self, animator: IncrementalAnimator) -> None:
         with self._animator_lock:
-            if ctx.idle_animator is None and not self._closed:
-                ctx.idle_animator = animator
+            if self._idle_animator is None and not self._closed:
+                self._idle_animator = animator
                 return
         animator.close()
 
     # -- observability -----------------------------------------------------------
-    def _delta_manifest_dict(self, ctx: _PlanContext) -> Optional[dict]:
-        if ctx.delta_encoder is None:
-            return None
-        delta = ctx.delta_encoder.manifest()
-        return delta.to_dict() if delta is not None else None
-
-    def _manifest_fields(self) -> "Tuple[FrameSequence, dict]":
-        ctx = self._ctx
+    def _manifest_fields(self) -> dict:
         with self._book_lock:
-            cached = dict(ctx.cached_frames)
-            boundaries: List[int] = sorted(ctx.checkpoint_boundaries)
-        return ctx.sequence, dict(
+            cached = dict(self._cached_frames)
+            boundaries: List[int] = sorted(self._checkpoint_boundaries)
+        delta = self.delta_encoder.manifest() if self.delta_encoder is not None else None
+        return dict(
             cached_frames=cached,
             checkpoints=boundaries,
-            delta=self._delta_manifest_dict(ctx),
+            delta=delta.to_dict() if delta is not None else None,
         )
 
     def manifest(self) -> dict:
         """The sequence manifest: identity, cached frames, checkpoints,
         and (with delta transport) the embedded delta frame table."""
-        sequence, fields = self._manifest_fields()
-        return sequence.manifest(**fields)
+        return self.sequence.manifest(**self._manifest_fields())
 
     def write_manifest(self) -> Optional[str]:
         """Persist the manifest next to the disk cache (no-op when memory-only)."""
         if not self._disk_dir:
             return None
-        sequence, fields = self._manifest_fields()
-        return sequence.write_manifest(self._disk_dir, **fields)
+        return self.sequence.write_manifest(self._disk_dir, **self._manifest_fields())
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
+        """Stop the render walks, then the pooled animator and the runtime."""
         if self._closed:
             return
         self._closed = True
         self.scheduler.close()
-        self._binding.close()
+        with self._animator_lock:
+            animator, self._idle_animator = self._idle_animator, None
+        if animator is not None:
+            animator.close()
+        self.runtime.close()
         if self._disk_dir:
             self.write_manifest()
 

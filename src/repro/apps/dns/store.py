@@ -93,7 +93,12 @@ class ChunkedFieldStore:
 
     # -- write path ----------------------------------------------------------------
     def append(self, field: VectorField2D, time: float = 0.0) -> int:
-        """Append one frame; returns its frame index.  Call :meth:`flush` last."""
+        """Append one frame; returns its frame index.  Call :meth:`flush` last.
+
+        The frame reaches disk, and the store's metadata, when its chunk
+        fills or at :meth:`flush`; until then only this store object
+        serves it, and a reopened store does not count it.
+        """
         if field.grid.shape != self.grid.shape:
             raise StoreError(
                 f"frame shape {field.grid.shape} != store grid shape {self.grid.shape}"
@@ -110,19 +115,19 @@ class ChunkedFieldStore:
         self.times.append(float(time))
         if len(self._pending) == self.frames_per_chunk:
             self._write_pending()
-        self._write_meta()
         return index
 
     def flush(self) -> None:
         """Write any buffered partial chunk to disk."""
         if self._pending:
             self._write_pending()
-            self._write_meta()
 
     def _chunk_path(self, chunk_index: int) -> str:
         return os.path.join(self.directory, f"chunk_{chunk_index:06d}.npz")
 
     def _write_pending(self) -> None:
+        """Write the buffered frames as one chunk, then the metadata that
+        counts them: meta only ever records frames that are on disk."""
         first_frame = self.n_frames - len(self._pending)
         chunk_index = first_frame // self.frames_per_chunk
         if first_frame % self.frames_per_chunk != 0:
@@ -136,8 +141,10 @@ class ChunkedFieldStore:
             lambda fh: np.savez_compressed(fh, frames=frames),
         )
         self._pending.clear()
-        # Invalidate the cache in case this chunk was read while partial.
-        self._chunks.clear()
+        # The rewritten chunk replaces any copy cached while it was
+        # partial; every other chunk is unchanged.
+        self._chunks.put(str(chunk_index), frames)
+        self._write_meta()
 
     def _write_meta(self) -> None:
         meta = {

@@ -25,9 +25,8 @@ from repro.cluster.fleet import LocalFleet
 from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
 from repro.fields.vectorfield import VectorField2D
-from repro.machine.workload import workload_from_config
-from repro.parallel.planner import DecompositionPlan, DecompositionPlanner
-from repro.parallel.runtime import DivideAndConquerRuntime, spatial_feasibility
+from repro.parallel.planner import DecompositionPlan, DecompositionPlanner, resolve_plan
+from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.service.admission import LatencyPredictor
 from repro.service.server import DEFAULT_MEMORY_BUDGET, FieldSource, FrameRenderer, TextureService
 from repro.service.trace import ReplayResult, replay, replay_uncached
@@ -210,9 +209,9 @@ def calibrated_plan(
             predictor.observe(config, time.perf_counter() - t0,
                               grid_shape=tuple(field.grid.shape))
     scale = predictor.scale or 1.0
-    plan = DecompositionPlanner(host_workers=host_workers).plan(
-        workload_from_config(config, field), scale=scale,
-        spatial_ok=spatial_feasibility(config, field),
+    plan, _ = resolve_plan(
+        config.with_overrides(backend="auto"), field,
+        DecompositionPlanner(host_workers=host_workers), scale=scale,
     )
     return scale, plan
 

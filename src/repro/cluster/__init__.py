@@ -32,9 +32,7 @@ from repro.cluster.fleet import LocalFleet, analytic_source
 from repro.cluster.manifest import (
     ChunkEntry,
     ClusterManifest,
-    SyncReport,
     publish_store,
-    sync_manifest,
 )
 from repro.cluster.node import ClusterNode
 from repro.cluster.peer import PeerClient, PeerUnavailable
@@ -47,9 +45,7 @@ __all__ = [
     "analytic_source",
     "ChunkEntry",
     "ClusterManifest",
-    "SyncReport",
     "publish_store",
-    "sync_manifest",
     "ClusterNode",
     "PeerClient",
     "PeerUnavailable",

@@ -4,11 +4,11 @@ A node that has rendered a sequence publishes *what it has* — a
 :class:`ClusterManifest` listing every raw chunk in its blob store
 (delta-transport chunks, :mod:`repro.anim.delta`, plus any other
 ``put_bytes`` payloads) and the sequence manifests they back.  Peers and
-clients then sync by digest: fetch only the chunks they are missing
-(:func:`sync_manifest`), verify every fetched payload against the
-published SHA-256 before storing it, and dedup against what they already
-hold at chunk granularity — two sequences sharing delta chunks transfer
-the shared chunks once.
+clients then sync by digest: fetch only the chunks they are missing,
+verify every fetched payload against the published SHA-256 before
+storing it, and dedup against what they already hold at chunk
+granularity — two sequences sharing delta chunks transfer the shared
+chunks once.
 
 Two digests per chunk, deliberately:
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from repro.errors import ServiceError
 
@@ -154,59 +154,4 @@ def publish_store(
         node_id=node_id,
         chunks=tuple(entries),
         sequences=tuple(dict(s) for s in sequences),
-    )
-
-
-@dataclass(frozen=True)
-class SyncReport:
-    """Outcome of one :func:`sync_manifest` pass."""
-
-    fetched: int
-    deduped: int
-    corrupt: int
-    missing: int
-    bytes_fetched: int
-
-    @property
-    def complete(self) -> bool:
-        """Every advertised chunk is now present and verified locally."""
-        return self.corrupt == 0 and self.missing == 0
-
-
-def sync_manifest(
-    manifest: ClusterManifest,
-    fetch: Callable[[str], Optional[bytes]],
-    dest,
-) -> SyncReport:
-    """Bring *dest* up to date with *manifest*, fetching missing chunks.
-
-    *fetch* maps a chunk digest to its payload bytes (``None`` for a
-    miss) — typically :meth:`repro.cluster.peer.PeerClient.fetch_chunk`.
-    Every fetched payload is re-hashed against the manifest's
-    ``payload_sha256`` before it is stored; a mismatch counts as
-    ``corrupt`` and **nothing** is written, so a lying or damaged source
-    can cost a retry but never poison the local store.  Chunks already
-    present locally are deduped by store key without any transfer.
-    """
-    fetched = deduped = corrupt = missing = bytes_fetched = 0
-    for entry in manifest.chunks:
-        if dest.contains_bytes(entry.digest):
-            deduped += 1
-            continue
-        payload = fetch(entry.digest)
-        if payload is None:
-            missing += 1
-            continue
-        if hashlib.sha256(payload).hexdigest() != entry.payload_sha256:
-            corrupt += 1
-            continue
-        dest.put_bytes(entry.digest, payload)
-        fetched += 1
-        bytes_fetched += len(payload)
-    return SyncReport(
-        fetched=fetched,
-        deduped=deduped,
-        corrupt=corrupt,
-        missing=missing,
-        bytes_fetched=bytes_fetched,
     )

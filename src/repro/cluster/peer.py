@@ -199,9 +199,9 @@ class PeerClient:
     def fetch_chunk(self, digest: str) -> Optional[bytes]:
         """The raw chunk payload stored under *digest*, or ``None``.
 
-        The returned bytes are **unverified** — callers sync through
-        :func:`repro.cluster.manifest.sync_manifest`, which re-hashes
-        against the published ``payload_sha256`` before storing.
+        The returned bytes are **unverified** — a caller re-hashes them
+        against the manifest's published ``payload_sha256`` before
+        storing.
         """
         kind, header, body = self._call(wire.CHUNK_REQUEST, {"digest": str(digest)})
         if kind != wire.CHUNK_RESPONSE:

@@ -22,13 +22,8 @@ response is bit-identical to the owner node's local answer.
 
 The module is transport-only: no routing, no sockets of its own — nodes
 (:mod:`repro.cluster.node`) and peer clients (:mod:`repro.cluster.peer`)
-call :func:`send_message`/:func:`recv_message` on sockets they manage,
-or the asyncio-stream twins
-:func:`send_message_async`/:func:`recv_message_async` on
-``StreamReader``/``StreamWriter`` pairs.  Both speak the identical
-frame format with the identical :class:`WireClosed`/:class:`WireError`
-contract, so a blocking client talks to an async node (and vice versa)
-without either noticing.
+call :func:`send_message_async`/:func:`recv_message_async` on the
+``StreamReader``/``StreamWriter`` pairs they manage.
 """
 
 from __future__ import annotations
@@ -100,28 +95,6 @@ def encode_frame(kind: int, header: Dict[str, Any], body: bytes = b"") -> bytes:
     return b"".join((prefix, header_bytes, body, digest))
 
 
-def send_message(sock, kind: int, header: Dict[str, Any], body: bytes = b"") -> None:
-    """Write one frame to *sock* (anything with ``sendall``)."""
-    sock.sendall(encode_frame(kind, header, body))
-
-
-def _recv_exact(sock, n: int, *, at_boundary: bool = False) -> bytes:
-    """Read exactly *n* bytes; EOF raises :class:`WireClosed` only when
-    it lands at a frame boundary (*at_boundary*), :class:`WireError`
-    mid-frame — a truncated frame is corruption, not a clean goodbye."""
-    parts = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(min(n - got, 1 << 16))
-        if not chunk:
-            if at_boundary and got == 0:
-                raise WireClosed("connection closed")
-            raise WireError(f"connection closed mid-frame ({got}/{n} bytes)")
-        parts.append(chunk)
-        got += len(chunk)
-    return b"".join(parts)
-
-
 def _parse_prefix(prefix: bytes) -> Tuple[int, int, int]:
     """Validate the fixed prefix; returns ``(kind, header_len, body_len)``."""
     magic, kind, header_len, body_len = _PREFIX.unpack(prefix)
@@ -151,24 +124,7 @@ def _assemble(
     return kind, header, body
 
 
-def recv_message(sock) -> Tuple[int, Dict[str, Any], bytes]:
-    """Read one frame from *sock*; returns ``(kind, header, body)``.
-
-    Raises :class:`WireClosed` on a clean close between frames and
-    :class:`WireError` on anything that cannot be trusted: bad magic,
-    unknown kind, oversize lengths, a checksum mismatch, malformed JSON,
-    or a truncated frame.  After a :class:`WireError` the stream's
-    framing is unreliable — callers must close the connection.
-    """
-    prefix = _recv_exact(sock, _PREFIX.size, at_boundary=True)
-    kind, header_len, body_len = _parse_prefix(prefix)
-    header_bytes = _recv_exact(sock, header_len)
-    body = _recv_exact(sock, body_len)
-    digest = _recv_exact(sock, _DIGEST_BYTES)
-    return _assemble(kind, header_bytes, body, digest)
-
-
-# -- the asyncio-stream twins -------------------------------------------------
+# -- streams ---------------------------------------------------------------------
 async def _read_exact_async(
     reader: "asyncio.StreamReader", n: int, *, at_boundary: bool = False
 ) -> bytes:
@@ -188,8 +144,14 @@ async def _read_exact_async(
 async def recv_message_async(
     reader: "asyncio.StreamReader",
 ) -> Tuple[int, Dict[str, Any], bytes]:
-    """:func:`recv_message` over an asyncio stream — same frame format,
-    same :class:`WireClosed`/:class:`WireError` contract."""
+    """Read one frame from *reader*; returns ``(kind, header, body)``.
+
+    Raises :class:`WireClosed` on a clean close between frames and
+    :class:`WireError` on anything that cannot be trusted: bad magic,
+    unknown kind, oversize lengths, a checksum mismatch, malformed JSON,
+    or a truncated frame.  After a :class:`WireError` the stream's
+    framing is unreliable — callers must close the connection.
+    """
     prefix = await _read_exact_async(reader, _PREFIX.size, at_boundary=True)
     kind, header_len, body_len = _parse_prefix(prefix)
     header_bytes = await _read_exact_async(reader, header_len)
@@ -204,7 +166,7 @@ async def send_message_async(
     header: Dict[str, Any],
     body: bytes = b"",
 ) -> None:
-    """:func:`send_message` over an asyncio stream (write + drain)."""
+    """Write one frame to *writer* and drain it."""
     writer.write(encode_frame(kind, header, body))
     await writer.drain()
 

@@ -1,9 +1,9 @@
 """High-level one-call API.
 
 :class:`SpotNoiseSynthesizer` wraps the pipeline for the common cases: a
-single texture from a field, decomposition planning, and performance
-prediction on arbitrary workstation shapes through the machine model —
-the programmatic equivalents of what the paper's figures and tables show.
+single texture from a field and performance prediction on arbitrary
+workstation shapes through the machine model — the programmatic
+equivalents of what the paper's figures and tables show.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.machine.workload import (  # noqa: F401 - re-exported public API
     workload_from_config,
 )
 from repro.machine.workstation import WorkstationConfig
-from repro.parallel.planner import DecompositionPlan, DecompositionPlanner
 from repro.parallel.runtime import DivideAndConquerRuntime
 
 
@@ -50,9 +49,8 @@ def render_frame(
 
 
 class SpotNoiseSynthesizer:
-    """Facade over the pipeline: one texture per :meth:`synthesize` call,
-    decomposition planning (:meth:`plan`) and machine-model timing
-    (:meth:`predict_timing`).  Animated sequences stream through
+    """Facade over the pipeline: one texture per :meth:`synthesize` call
+    and machine-model timing (:meth:`predict_timing`).  Animated sequences stream through
     :mod:`repro.anim`.
 
     >>> from repro.fields import vortex_field
@@ -114,27 +112,6 @@ class SpotNoiseSynthesizer:
         pipe = self._ensure_pipeline(field, policy)
         pipe.read_data(field)
         return pipe.step()
-
-    # -- decomposition planning ----------------------------------------------------
-    def plan(
-        self,
-        field: VectorField2D,
-        planner: Optional[DecompositionPlanner] = None,
-        scale: float = 1.0,
-    ) -> DecompositionPlan:
-        """Price the candidate decompositions for this config on *field*.
-
-        Returns the cheapest (backend, n_groups, partition) triple with
-        the full priced candidate table attached.  ``scale`` is a host
-        calibration factor for the render-work terms (the serving layer
-        learns one online via
-        :class:`~repro.service.admission.LatencyPredictor`); 1.0 prices
-        raw Onyx2-structured costs, which still ranks candidates
-        correctly on any host.
-        """
-        planner = planner or DecompositionPlanner()
-        workload = workload_from_config(self.config, field)
-        return planner.plan(workload, scale=scale)
 
     # -- performance prediction ----------------------------------------------------
     def predict_timing(

@@ -26,21 +26,31 @@ Two families of terms participate:
 Because the calibration multiplies only the render work, it shifts the
 balance: a slow host (large scale) amortises parallel overheads and the
 plan fans out; a fast host tips the same workload back to ``serial``.
-That is exactly why the serving layer re-plans when its calibration
-drifts.  For a *fixed* calibration the plan is a deterministic pure
-function of the workload.
+For a *fixed* calibration the plan is a deterministic pure function of
+the workload.
+
+:func:`resolve_plan` is the one place ``backend="auto"`` is resolved:
+the runtime, both serving front ends and the ``plan-bench`` command all
+call it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import BackendError, MachineError
 from repro.machine.costs import CostModel
 from repro.machine.schedule import tile_duplication
-from repro.machine.workload import SpotWorkload
+from repro.machine.workload import SpotWorkload, workload_from_config
+from repro.parallel.tiling import TileLayout
+
+if TYPE_CHECKING:
+    from repro.core.config import SpotNoiseConfig
+    from repro.fields.vectorfield import VectorField2D
 
 #: Backends the planner knows how to price, cheapest-infrastructure
 #: first — the order used to break exact ties.
@@ -290,3 +300,67 @@ class DecompositionPlanner:
             scale=scale,
             candidates=tuple(candidates),
         )
+
+
+def spot_reach_world(config: "SpotNoiseConfig", cell_size: float) -> float:
+    """Conservative world-space radius of influence of one spot.
+
+    Used both to assign border spots to all tiles they may touch and to
+    validate that the tile guard band can absorb them.  Standard spots
+    reach ``radius * (1 + anisotropy) * sqrt(2)`` (the stretched quad
+    corner); bent spots reach about 60% of their spine length plus half
+    their width (the spine is centred on the particle; 60% leaves slack
+    for curvature).
+    """
+    if config.spot_mode == "bent":
+        b = config.bent
+        return (0.6 * b.length_cells + 0.6 * b.width_cells) * cell_size
+    return config.spot_radius_cells * cell_size * (1.0 + config.anisotropy) * np.sqrt(2.0)
+
+
+def spatial_feasibility(
+    config: "SpotNoiseConfig", field_: "VectorField2D"
+) -> "Callable[[int], bool]":
+    """Predicate ``n_groups -> bool``: can a spatial decomposition of
+    *config* into that many tiles absorb the spot reach in its guard
+    band?  The planner uses this to exclude infeasible spatial
+    candidates instead of letting them fail at render time.
+    """
+    reach = spot_reach_world(config, field_.grid.min_spacing())
+
+    def ok(n_groups: int) -> bool:
+        try:
+            layout = TileLayout.for_groups(
+                config.texture_size, n_groups, field_.grid.bounds, config.guard_px
+            )
+        except Exception:
+            return False
+        return reach <= layout.guard_margin_world()
+
+    return ok
+
+
+def resolve_plan(
+    config: "SpotNoiseConfig",
+    field_: "Optional[VectorField2D]",
+    planner: Optional[DecompositionPlanner] = None,
+    scale: float = 1.0,
+) -> "Tuple[Optional[DecompositionPlan], SpotNoiseConfig]":
+    """``(plan, concrete config)`` for *config* rendering *field_*.
+
+    A concrete backend needs no plan: it comes back as ``(None,
+    config)``.  ``backend="auto"`` prices *config*'s workload on
+    *field_* with *planner* (a default one if absent) at host
+    calibration *scale*, excluding spatial candidates whose guard band
+    cannot absorb the spot reach, and stamps the cheapest triple onto
+    the config.
+    """
+    if config.backend != "auto":
+        return None, config
+    planner = planner or DecompositionPlanner()
+    plan = planner.plan(
+        workload_from_config(config, field_),
+        scale=scale,
+        spatial_ok=spatial_feasibility(config, field_),
+    )
+    return plan, plan.apply(config)

@@ -10,7 +10,6 @@ strategy and backend.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -22,7 +21,6 @@ from repro.core.config import SpotNoiseConfig
 from repro.errors import PartitionError
 from repro.fields.vectorfield import VectorField2D
 from repro.glsim.pipe import PipeCounters
-from repro.machine.workload import workload_from_config
 from repro.parallel.backends import ExecutionBackend, get_backend
 from repro.parallel.compose import compose_add, compose_tiles
 from repro.parallel.groups import FrameWork, GroupResult, GroupSpec
@@ -32,7 +30,12 @@ from repro.parallel.partition import (
     round_robin_partition,
     spatial_partition,
 )
-from repro.parallel.planner import DecompositionPlan, DecompositionPlanner
+from repro.parallel.planner import (
+    DecompositionPlan,
+    DecompositionPlanner,
+    resolve_plan,
+    spot_reach_world,
+)
 from repro.parallel.sharedmem import SharedMemoryBackend, shared_backend
 from repro.parallel.tiling import Tile, TileLayout
 from repro.utils.timing import StageTimer
@@ -66,50 +69,6 @@ class RuntimeReport:
         )
 
 
-def spot_reach_world(config: SpotNoiseConfig, cell_size: float) -> float:
-    """Conservative world-space radius of influence of one spot.
-
-    Used both to assign border spots to all tiles they may touch and to
-    validate that the tile guard band can absorb them.  Standard spots
-    reach ``radius * (1 + anisotropy) * sqrt(2)`` (the stretched quad
-    corner); bent spots reach about 60% of their spine length plus half
-    their width (the spine is centred on the particle; 60% leaves slack
-    for curvature).
-    """
-    if config.spot_mode == "bent":
-        b = config.bent
-        return (0.6 * b.length_cells + 0.6 * b.width_cells) * cell_size
-    return config.spot_radius_cells * cell_size * (1.0 + config.anisotropy) * np.sqrt(2.0)
-
-
-def spatial_feasibility(config: SpotNoiseConfig, field_: VectorField2D):
-    """Predicate ``n_groups -> bool``: can a spatial decomposition of
-    *config* into that many tiles absorb the spot reach in its guard
-    band?  The planner uses this to exclude infeasible spatial
-    candidates instead of letting them fail at render time.
-
-    Answers are memoised per group count, so re-planning with the same
-    predicate does not rebuild tile layouts.  Only the grid's scalars
-    (cell size, bounds) are captured — services keep the predicate alive
-    for their whole lifetime, and closing over the field itself would
-    pin its full data array with it.
-    """
-    reach = spot_reach_world(config, field_.grid.min_spacing())
-    bounds = field_.grid.bounds
-    texture_size = config.texture_size
-    guard_px = config.guard_px
-
-    @functools.lru_cache(maxsize=None)
-    def ok(n_groups: int) -> bool:
-        try:
-            layout = TileLayout.for_groups(texture_size, n_groups, bounds, guard_px)
-        except Exception:
-            return False
-        return reach <= layout.guard_margin_world()
-
-    return ok
-
-
 class DivideAndConquerRuntime:
     """Renders textures by partitioning spots over process groups.
 
@@ -122,9 +81,9 @@ class DivideAndConquerRuntime:
         workload, is known) a :class:`DecompositionPlanner` prices the
         candidate (backend, n_groups, partition) triples and the cheapest
         becomes this runtime's effective configuration for its lifetime.
-        The plan is resolved once — a stable decomposition keeps repeated
-        renders of one config bit-identical, which the serving layer's
-        caches depend on; services re-plan by building a new runtime.
+        The plan is resolved once (:func:`~repro.parallel.planner.resolve_plan`)
+        — a stable decomposition keeps repeated renders of one config
+        bit-identical, which the serving layer's caches depend on.
     backend:
         Optional pre-built backend instance; by default one is constructed
         from ``config.backend`` and kept for the runtime's lifetime (so
@@ -174,13 +133,10 @@ class DivideAndConquerRuntime:
         with self._plan_lock:
             if self.backend is not None:  # pragma: no cover - raced resolve
                 return
-            workload = workload_from_config(self.config, field_)
-            plan = self._planner.plan(
-                workload, spatial_ok=spatial_feasibility(self.config, field_)
+            self._plan, self._effective_config = resolve_plan(
+                self.config, field_, self._planner
             )
-            self._plan = plan
-            self._effective_config = plan.apply(self.config)
-            self._adopt_backend(plan.backend)
+            self._adopt_backend(self._plan.backend)
 
     def _adopt_backend(self, name: str) -> None:
         """Build the named backend, or borrow the process-wide sharedmem pool."""

@@ -1,8 +1,8 @@
 """The process-wide event loop and its cross-thread shims.
 
 :class:`RuntimeLoop` owns one asyncio loop on a dedicated daemon
-thread.  Everything above it — schedulers, streams, cluster sockets,
-the plan supervisor — schedules work onto that loop and keeps its
+thread.  Everything above it — schedulers, streams, cluster sockets
+— schedules work onto that loop and keeps its
 coordination state *loop-confined*: touched only from loop callbacks,
 so it needs no locks.  Thread-world callers (the blocking public APIs)
 cross over with :meth:`run` (await a coroutine) or :meth:`call` (run a
@@ -76,11 +76,7 @@ class RuntimeLoop:
         return threading.current_thread() is self._thread
 
     def time(self) -> float:
-        """The spine's monotonic clock (valid from any thread).
-
-        Admission windows, backoff deadlines and supervisor cadence all
-        read this one clock, so cross-component timing is comparable.
-        """
+        """The spine's monotonic clock (valid from any thread)."""
         return self._loop.time()
 
     # -- crossing into the loop ------------------------------------------------

@@ -117,8 +117,8 @@ class LatencyPredictor:
         """The learned host calibration factor (``None`` until observed).
 
         This is the multiplier the decomposition planner applies to its
-        render-work terms — the bridge between online calibration and
-        re-planning on drift.
+        render-work terms when a service resolves ``backend="auto"`` at
+        construction.
         """
         with self._lock:
             return self._scale

@@ -45,8 +45,7 @@ from repro.core.synthesizer import render_frame
 from repro.errors import AdmissionError, ServiceError
 from repro.fields.io import field_digest
 from repro.fields.vectorfield import VectorField2D
-from repro.parallel.binding import PlanBinding, PlanBound, PlanSnapshot
-from repro.parallel.planner import DecompositionPlanner
+from repro.parallel.planner import DecompositionPlanner, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.runtime.executor import RenderExecutor
 from repro.runtime.loop import get_runtime_loop
@@ -96,7 +95,7 @@ class FrameRenderer:
         self.runtime.close()
 
 
-class TextureService(PlanBound):
+class TextureService:
     """Request-coalescing, cache-backed texture server.
 
     Parameters
@@ -126,12 +125,12 @@ class TextureService(PlanBound):
     planner:
         Decomposition planner used when ``config.backend == "auto"``:
         frame 0 is loaded eagerly, the workload priced, and the
-        cheapest (backend, n_groups, partition) triple becomes the
-        service's *resolved* config.  The resolved config — not the
+        cheapest (backend, n_groups, partition) triple, priced at the
+        predictor's calibration scale, becomes the service's *resolved*
+        config for its lifetime.  The resolved config — not the
         requested ``"auto"`` one — is what gets fingerprinted into
         cache keys, so a different plan can only ever cause an extra
-        render, never a wrong cache hit.  Re-planning on calibration
-        drift is :meth:`replan_if_drifted`, driven by :meth:`supervise`.
+        render, never a wrong cache hit.
     """
 
     def __init__(
@@ -165,10 +164,12 @@ class TextureService(PlanBound):
         if config.backend == "auto":
             field0 = field_source(0)
             self._grid_shape = tuple(field0.grid.shape)
-        self._binding = PlanBinding(
-            config, FrameRenderer, field0=field0, planner=planner,
-            predictor=self.predictor,
+        #: The resolved plan (``None`` without auto) and config.
+        self.plan, self.config = resolve_plan(
+            config, field0, planner, scale=self.predictor.scale or 1.0
         )
+        self._fingerprint = self.config.fingerprint()
+        self.renderer = FrameRenderer(self.config)
         disk = DiskTextureCache(disk_dir) if disk_dir else None
         self.cache = TieredTextureCache(LRUTextureCache(memory_budget_bytes), disk)
         self._runtime = get_runtime_loop()
@@ -187,16 +188,6 @@ class TextureService(PlanBound):
         (frames are immutable once flushed)."""
         return cls(store.read, config, **kwargs)
 
-    # -- planning (config, plan, replans, replan_if_drifted, supervise
-    # come from PlanBound) --------------------------------------------------
-    @property
-    def renderer(self) -> FrameRenderer:
-        return self._binding.current.resource
-
-    @property
-    def _fingerprint(self) -> str:
-        return self._binding.current.fingerprint
-
     # -- internals -------------------------------------------------------------
     def _admit(self, queue_depth: int) -> None:
         if self.admission is not None:
@@ -211,38 +202,30 @@ class TextureService(PlanBound):
             self._grid_shape = tuple(field.grid.shape)
         return field
 
-    def _key_for(
-        self, frame: int, fingerprint: str
-    ) -> "tuple[RequestKey, Optional[VectorField2D]]":
-        """Compute the request key, loading the field only when needed.
-
-        *fingerprint* comes from the caller's
-        :class:`~repro.parallel.binding.PlanSnapshot`, never from
-        ``self`` — the key must describe the config the bound renderer
-        will actually run.
-        """
+    def _key_for(self, frame: int) -> "tuple[RequestKey, Optional[VectorField2D]]":
+        """Compute the request key, loading the field only when needed."""
         with self._digest_lock:
             digest = self._digests.get(frame)
         if digest is not None:
-            return RequestKey(digest, fingerprint, frame), None
+            return RequestKey(digest, self._fingerprint, frame), None
         field = self._load_field(frame)
         digest = field_digest(field)
         with self._digest_lock:
             self._digests[frame] = digest
-        return RequestKey(digest, fingerprint, frame), field
+        return RequestKey(digest, self._fingerprint, frame), field
 
     def render_digest(self, frame: int) -> str:
         """The full-frame render digest of *frame* — the routing key.
 
         A cluster node (:mod:`repro.cluster.node`) needs the key a
         request *would* be cached under before deciding which peer owns
-        it, without rendering anything.  Computed from the same
-        fingerprint snapshot the request path uses, so the owner a node
-        routes to is the owner of the digest it would serve locally.
+        it, without rendering anything.  Computed exactly as the request
+        path keys, so the owner a node routes to is the owner of the
+        digest it would serve locally.
         The field is loaded at most once per frame across all routing
         and serving calls.
         """
-        key, _ = self._key_for(frame, self._fingerprint)
+        key, _ = self._key_for(frame)
         return key.digest
 
     # -- the request path --------------------------------------------------------
@@ -260,17 +243,11 @@ class TextureService(PlanBound):
         if self._closed:
             raise ServiceError("service is closed")
         if tile is not None:
-            # texture_size is plan-invariant, so the requested config
-            # answers without touching re-plannable state.
-            tile.validate_for(self.requested_config.texture_size)
+            tile.validate_for(self.config.texture_size)
         t0 = time.perf_counter()
         self.stats.record_request()
-        # One snapshot keys and renders the request; a re-plan landing
-        # mid-request cannot split the two.
-        snap = self._binding.acquire()
-        owned = True
         try:
-            key, field = self._key_for(frame, snap.fingerprint)
+            key, field = self._key_for(frame)
             render_digest = key.digest  # full-frame digest (tile=None key)
             texture, tier = self.cache.get(render_digest)
             predicted: Optional[float] = None
@@ -278,17 +255,12 @@ class TextureService(PlanBound):
                 source = tier or "memory"
             else:
                 predicted = self.predictor.predict(
-                    snap.config, grid_shape=self._grid_shape
+                    self.config, grid_shape=self._grid_shape
                 )
-                render = self._make_render(
-                    render_digest, frame, field, predicted, snap
-                )
+                render = self._make_render(render_digest, frame, field, predicted)
                 created, texture, error = self._runtime.run(
                     self._miss(render_digest, render, timeout)
                 )
-                # A started render owns the reference from here; a
-                # joined, shed or refused request still owns its own.
-                owned = not created
                 if error is not None:
                     raise error
                 source = "render" if created else "coalesced"
@@ -298,9 +270,6 @@ class TextureService(PlanBound):
         except Exception:
             self.stats.record_error()
             raise
-        finally:
-            if owned:
-                self._binding.release(snap)
         latency = time.perf_counter() - t0
         self.stats.record_response(source, latency)
         out = tile.crop(texture) if tile is not None else texture
@@ -318,26 +287,15 @@ class TextureService(PlanBound):
         frame: int,
         field: Optional[VectorField2D],
         predicted: Optional[float],
-        snap: PlanSnapshot,
     ) -> "Callable[[], np.ndarray]":
-        # The closure owns one reference on the snapshot the request was
-        # keyed with: the bytes cached under `render_digest` must come
-        # from that plan's renderer, whatever the current plan is by the
-        # time this render leaves the queue.
-        renderer = snap.resource
-        config = snap.config
-
         def do_render() -> np.ndarray:
-            try:
-                f = field if field is not None else self._load_field(frame)
-                t0 = time.perf_counter()
-                texture = renderer.render(f)
-                actual = time.perf_counter() - t0
-                self.cache.put(render_digest, texture)
-                self.predictor.observe(config, actual, grid_shape=self._grid_shape)
-                self.stats.record_render(predicted, actual)
-            finally:
-                self._binding.release(snap)
+            f = field if field is not None else self._load_field(frame)
+            t0 = time.perf_counter()
+            texture = self.renderer.render(f)
+            actual = time.perf_counter() - t0
+            self.cache.put(render_digest, texture)
+            self.predictor.observe(self.config, actual, grid_shape=self._grid_shape)
+            self.stats.record_render(predicted, actual)
             return texture
 
         return do_render
@@ -390,10 +348,9 @@ class TextureService(PlanBound):
         *timeout*: the one loop hop of a miss.
 
         Returns ``(created, texture, error)``.  Errors come back as
-        values: the caller needs *created* on every path to know who
-        owns its snapshot reference, and a KeyboardInterrupt/SystemExit
-        raised out of this task would stop the shared loop, so it is
-        re-raised on the caller's thread instead.
+        values: a KeyboardInterrupt/SystemExit raised out of this task
+        would stop the shared loop, so it is re-raised on the caller's
+        thread instead.
         """
         created = False
         try:
@@ -414,25 +371,20 @@ class TextureService(PlanBound):
         """Queue renders for uncached *frames* without waiting; returns
         the number of new renders scheduled (duplicates and cache hits
         cost nothing)."""
+        if self._closed:
+            raise ServiceError("service is closed")
         scheduled = 0
         for frame in frames:
-            snap = self._binding.acquire()
-            owned = True
+            key, field = self._key_for(frame)
+            if self.cache.get(key.digest)[0] is not None:
+                continue
+            render = self._make_render(key.digest, frame, field, None)
             try:
-                key, field = self._key_for(frame, snap.fingerprint)
-                if self.cache.get(key.digest)[0] is not None:
-                    continue
-                render = self._make_render(key.digest, frame, field, None, snap)
-                try:
-                    _, created = self._runtime.call(self._start, key.digest, render)
-                except AdmissionError:
-                    self.stats.record_shed()
-                    continue
-                owned = not created  # a started render releases the ref
-                scheduled += int(created)
-            finally:
-                if owned:
-                    self._binding.release(snap)
+                _, created = self._runtime.call(self._start, key.digest, render)
+            except AdmissionError:
+                self.stats.record_shed()
+                continue
+            scheduled += int(created)
         return scheduled
 
     # -- the sequence-streaming sibling ------------------------------------------
@@ -468,7 +420,7 @@ class TextureService(PlanBound):
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
         """Refuse new flights, finish the queued renders, then stop the
-        render pool and the plan's resources."""
+        render pool and the renderer."""
         if self._closed:
             return
         # Written before the hop below, so every _start the loop runs
@@ -476,7 +428,7 @@ class TextureService(PlanBound):
         self._closed = True
         self._runtime.run(self._drain())
         self._executor.shutdown()
-        self._binding.close()
+        self.renderer.close()
 
     async def _drain(self) -> None:
         await asyncio.gather(*self._drives, return_exceptions=True)

@@ -8,12 +8,11 @@ which the tests use to verify that spot noise actually encodes the flow.
 """
 
 from repro.viz.colormap import Colormap, rainbow, grayscale, diverging
-from repro.viz.overlay import scalar_overlay, mask_overlay, compose_scene
+from repro.viz.overlay import mask_overlay, compose_scene
 from repro.viz.image import write_pgm, write_ppm, to_uint8
 from repro.viz.stats import (
     texture_statistics,
     anisotropy_direction,
-    directional_energy,
     TextureStats,
 )
 from repro.viz.quality import ssim
@@ -23,7 +22,6 @@ __all__ = [
     "rainbow",
     "grayscale",
     "diverging",
-    "scalar_overlay",
     "mask_overlay",
     "compose_scene",
     "write_pgm",
@@ -31,7 +29,6 @@ __all__ = [
     "to_uint8",
     "texture_statistics",
     "anisotropy_direction",
-    "directional_energy",
     "TextureStats",
     "ssim",
 ]

@@ -23,13 +23,8 @@ def _as_texture01(texture: np.ndarray) -> np.ndarray:
     return np.clip(t, 0.0, 1.0)
 
 
-def scalar_overlay(
-    texture01: np.ndarray,
-    scalar01: np.ndarray,
-    colormap: Colormap,
-    max_alpha: float = 0.65,
-) -> np.ndarray:
-    """Drape a normalised scalar field over a normalised texture.
+def _drape(tex: np.ndarray, scalar01: np.ndarray, colormap: Colormap, max_alpha: float) -> np.ndarray:
+    """Drape a normalised scalar field over a checked, clipped texture.
 
     The scalar's value drives both its colour (through *colormap*) and its
     opacity (0 where the scalar is 0, *max_alpha* where it is 1), so the
@@ -41,11 +36,6 @@ def scalar_overlay(
     ``over`` blend onto the grayscale texture (every channel of which is
     the texture) with the texture term computed once.
     """
-    return _drape(_as_texture01(texture01), scalar01, colormap, max_alpha)
-
-
-def _drape(tex: np.ndarray, scalar01: np.ndarray, colormap: Colormap, max_alpha: float) -> np.ndarray:
-    """:func:`scalar_overlay` on a texture already checked and clipped."""
     sca = np.asarray(scalar01, dtype=np.float64)
     if sca.shape != tex.shape:
         raise ReproError(f"scalar shape {sca.shape} != texture shape {tex.shape}")

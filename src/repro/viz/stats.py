@@ -9,7 +9,6 @@ vector field (instead of eyeballing figures):
 * :func:`anisotropy_direction` recovers the dominant correlation
   direction from the power spectrum — for a uniform flow it must match
   the flow angle;
-* :func:`directional_energy` integrates spectral energy per direction;
 * :func:`texture_statistics` bundles mean/variance/extrema, which the
   zero-mean property of spot intensities constrains.
 """
@@ -88,21 +87,3 @@ def anisotropy_direction(texture: np.ndarray) -> "tuple[float, float]":
     lam_min, lam_max = float(evals[0]), float(evals[1])
     strength = 0.0 if lam_max <= 0 else 1.0 - lam_min / lam_max
     return angle, strength
-
-
-def directional_energy(texture: np.ndarray, n_bins: int = 36) -> np.ndarray:
-    """Spectral energy integrated per direction bin over [0, pi).
-
-    Bin ``i`` covers angles ``[i, i+1) * pi / n_bins`` of the *frequency*
-    vector; a texture elongated along angle a has an energy minimum near
-    ``a`` and maximum near ``a + pi/2``.
-    """
-    if n_bins < 2:
-        raise ReproError(f"n_bins must be >= 2, got {n_bins}")
-    spec, kx, ky = _power_spectrum(texture)
-    angles = np.mod(np.arctan2(ky, kx), np.pi)
-    bins = np.minimum((angles / np.pi * n_bins).astype(np.int64), n_bins - 1)
-    dc = (kx == 0) & (ky == 0)
-    energy = np.bincount(bins[~dc].ravel(), weights=spec[~dc].ravel(), minlength=n_bins)
-    total = energy.sum()
-    return energy / total if total > 0 else energy

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.advection.streamline import streamline_bundle
-from repro.advection.unsteady import pathline_bundle, steady, timeline
+from repro.advection.unsteady import pathline_bundle, timeline
 from repro.errors import AdvectionError
 from repro.fields.analytic import constant_field, vortex_field
+
+
+def steady(sampler):
+    """A steady ``(N,2)->(N,2)`` sampler as an unsteady velocity."""
+    return lambda positions, t: sampler(positions)
 
 
 def rotating_uniform(positions, t):

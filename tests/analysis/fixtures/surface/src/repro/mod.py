@@ -23,5 +23,10 @@ class Orphan:
     pass
 
 
+def mentioned_only():
+    """Named by a docstring, a comment and a string, never by code."""
+    return 5
+
+
 def _private_helper():
     return 4

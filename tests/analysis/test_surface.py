@@ -2,8 +2,8 @@
 
 The fixture tree under ``fixtures/surface`` is a miniature repo: a
 ``repro`` package whose public names are used from inside the package,
-from ``benchmarks/``, or only from ``tests/`` and the package
-``__init__``.
+from ``benchmarks/``, only from ``tests/`` and the package ``__init__``,
+or only in a docstring, a comment and a string.
 """
 
 import os
@@ -28,10 +28,14 @@ class TestPublicSurface:
     def test_flags_names_only_tests_and_reexports_use(self):
         report = _run()
         assert sorted(f.symbol for f in report.findings) == [
-            "Orphan", "orphan", "recursive_orphan",
+            "Orphan", "mentioned_only", "orphan", "recursive_orphan",
         ]
         assert {f.path for f in report.findings} == {os.path.join("src", "repro", "mod.py")}
         assert {f.rule for f in report.findings} == {"unused-public"}
+
+    def test_a_name_in_prose_or_a_string_is_not_a_use(self):
+        finding = next(f for f in _run().findings if f.symbol == "mentioned_only")
+        assert finding.path == os.path.join("src", "repro", "mod.py")
 
     def test_message_names_the_kind(self):
         messages = {f.symbol: f.message for f in _run().findings}
@@ -46,4 +50,6 @@ class TestPublicSurface:
         kept = next(f for f in _run().findings if f.symbol == "orphan")
         report = _run(baseline=Baseline([kept.key()]))
         assert [f.symbol for f in report.baselined] == ["orphan"]
-        assert sorted(f.symbol for f in report.findings) == ["Orphan", "recursive_orphan"]
+        assert sorted(f.symbol for f in report.findings) == [
+            "Orphan", "mentioned_only", "recursive_orphan",
+        ]

@@ -72,7 +72,7 @@ class TestCodecExactness:
             ) as svc:
                 n = int(rng.integers(5, N_FRAMES))
                 list(svc.stream(0, n))
-                enc = svc._ctx.delta_encoder
+                enc = svc.delta_encoder
                 assert len(enc) == n
                 for t in range(n):
                     reference = one_shot_frame(
@@ -94,7 +94,7 @@ class TestCodecExactness:
             source, config, length=N_FRAMES, checkpoint_every=4, delta_every=8,
         ) as svc:
             svc.request(6)  # seek: resume/replay renders only frame 6
-            enc = svc._ctx.delta_encoder
+            enc = svc.delta_encoder
             assert enc.manifest().frames[6].kind == "key"
             list(svc.stream(0, 9))  # now fill the range around it
             for t in range(9):
@@ -219,7 +219,7 @@ class TestServiceIntegration:
             source, self.CONFIG, length=N_FRAMES, delta_every=4,
         ) as svc:
             reference = {f.frame: f.texture for f in svc.stream(0, 4)}
-            enc = svc._ctx.delta_encoder
+            enc = svc.delta_encoder
             for entry in enc.manifest().frames.values():
                 for chunk in entry.chunks:
                     svc.delta_transport.store.evict(chunk.digest)

@@ -1,8 +1,9 @@
 """End-to-end animation streaming: cache tiers, checkpoints, coalescing."""
 
+import gc
 import sys
 import threading
-import time
+import weakref
 
 import numpy as np
 import pytest
@@ -353,85 +354,50 @@ class TestCoalescing:
             assert svc.prefetch(0, 6) is False  # fully cached now
 
 
-class TestReplanConcurrency:
-    def test_replan_racing_active_scrub_is_safe(self):
-        # Regression: replan_if_drifted used to rebuild the sequence,
-        # runtime and sequence id one attribute at a time, so a scrub
-        # racing the swap could key a frame with one plan's fingerprint
-        # and render it with the next plan's runtime.  The snapshot-swap
-        # publishes a whole _PlanContext at once: racing re-plans must
-        # never drop/duplicate a frame or tear an identity.
-        from repro.core.config import BentConfig
-        from repro.parallel.planner import DecompositionPlanner
-        from repro.service.admission import LatencyPredictor
+class TestLifecycle:
+    def test_close_closes_each_resource_once_and_refuses_work(
+        self, source, monkeypatch
+    ):
+        from repro.parallel.runtime import DivideAndConquerRuntime
 
-        # The drift recipe proven in tests/service/test_auto_plan.py:
-        # bent spots are expensive enough per spot that the plan flips
-        # between serial (fast host) and parallel (slow host); the
-        # fixture's 16x16 fields are too cheap to flip, so this test
-        # brings its own 32x32 fields.
-        config = SpotNoiseConfig(
-            n_spots=400,
-            texture_size=64,
-            seed=0,
-            backend="auto",
-            spot_mode="bent",
-            bent=BentConfig(n_along=16, n_across=5, length_cells=2.0, width_cells=0.8),
-        )
-        fields = {t: random_smooth_field(seed=500 + t, n=32) for t in range(8)}
-        field0 = fields[0]
-        shape = tuple(field0.grid.shape)
-        predictor = LatencyPredictor(alpha=1.0)
-        raw = predictor.predict(config, field=field0)
-        predictor.observe(config, actual_s=raw * 1e-3, grid_shape=shape)
-        svc = AnimationService(
-            fields.__getitem__, config, length=8, checkpoint_every=0,
-            predictor=predictor, planner=DecompositionPlanner(host_workers=8),
-        )
-        errors = []
-        started = threading.Event()
+        closes = []
+        real_close = DivideAndConquerRuntime.close
 
-        def churn():
-            # Alternate six-orders-of-magnitude drift so every check
-            # escapes the band: each call swaps the plan context while
-            # the scrub below is mid-stream.
-            for flip in range(6):
-                predictor.observe(
-                    config,
-                    actual_s=raw * (1e3 if flip % 2 == 0 else 1e-3),
-                    grid_shape=shape,
-                )
-                try:
-                    svc.replan_if_drifted()
-                except Exception as exc:  # noqa: BLE001 - the assertion
-                    errors.append(exc)
-                    return
-                started.set()
-                time.sleep(0.01)
+        def counting_close(runtime):
+            closes.append(runtime)
+            real_close(runtime)
 
-        churner = threading.Thread(target=churn)
+        monkeypatch.setattr(DivideAndConquerRuntime, "close", counting_close)
+        svc = make_service(source)
+        frames = svc.stream(0, 2)
+        assert next(frames).frame == 0
+        svc.close()
+        svc.close()
+        assert closes.count(svc.runtime) == 1
+        with pytest.raises(ServiceError, match="closed"):
+            svc.request(0)
+        with pytest.raises(ServiceError, match="closed"):
+            svc.stream(0, 2)
+        with pytest.raises(ServiceError, match="closed"):
+            svc.prefetch(0, 2)
+        with pytest.raises(ServiceError, match="closed"):
+            svc.stream_async(0, 2)
+
+    def test_closed_animation_service_needs_no_cycle_collector(self, source):
+        # Nothing may tie a closed service into a reference cycle (say,
+        # through a walk factory bound to it): callers that open and
+        # close a service per session would hold every one's caches
+        # until the next collector pass.
+        gc.disable()
         try:
-            churner.start()
-            assert started.wait(10.0)
-            frames = list(svc.stream(0, 8))
-            churner.join(30.0)
-            assert not churner.is_alive()
-            assert errors == []
-            assert [f.frame for f in frames] == list(range(8))
-            assert svc.replans >= 1
-            # Every frame was keyed by the identity that rendered it.
-            fingerprints = {f.key.config_fingerprint for f in frames}
-            assert len(fingerprints) <= svc.replans + 1
-            # With the churn quiesced, the surviving identity serves
-            # bit-identically and matches a one-shot render.
-            again = {f.frame: f.texture for f in svc.stream(0, 8)}
-            repeat = {f.frame: f.texture for f in svc.stream(0, 8)}
-            for t in range(8):
-                assert np.array_equal(again[t], repeat[t])
-            assert svc.verify(3)
-        finally:
-            churner.join(30.0)
+            svc = make_service(source)
+            svc.request(0)
             svc.close()
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestVerifyEvery:

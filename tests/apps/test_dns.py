@@ -297,6 +297,7 @@ class TestStoreChunkCache:
 
     def test_scrub_inflates_each_chunk_once(self, tmp_path, monkeypatch):
         store, frames = self._store(tmp_path, n_frames=18)
+        store = ChunkedFieldStore(store.directory)
         loads = self._count_inflations(monkeypatch)
         # A scrub over every frame: random seeks, then a walk back and forth.
         order = list(np.random.default_rng(5).permutation(18)) + list(range(18)) + list(range(17, -1, -1))
@@ -384,8 +385,8 @@ class TestStoreChunkCache:
         for t in range(10):
             frames.append(rng.normal(size=(*store.grid.shape, 2)).astype(np.float32).astype(np.float64))
             store.append(VectorField2D(store.grid, frames[t]), time=0.1 * t)
-            # Frames 3 and 7 complete a chunk, which is written and the
-            # cache cleared; the rest are read from the pending buffer.
+            # Frames 3 and 7 complete a chunk, which is written and
+            # cached; the rest are read from the pending buffer.
             for u in range(t + 1):
                 assert np.array_equal(store.read(u).data, frames[u]), (t, u)
         store.flush()  # writes the partial chunk 2
@@ -421,6 +422,56 @@ class TestStoreChunkCache:
     def test_append_after_reopening_a_partial_chunk(self, tmp_path):
         store, frames = self._store(tmp_path, n_frames=6)
         self._grow_past_partial_chunk(ChunkedFieldStore(store.directory), frames)
+
+    def test_reopen_counts_only_flushed_frames(self, tmp_path):
+        from repro.fields.vectorfield import VectorField2D
+
+        store, frames = self._store(tmp_path, n_frames=2)
+        store.append(store.read(0), time=9.0)  # buffered, never flushed
+        reopened = ChunkedFieldStore(store.directory)
+        assert len(reopened) == 2
+        assert reopened.times == pytest.approx([0.0, 0.1])
+        with pytest.raises(StoreError):
+            reopened.read(2)
+        # The reopened store keeps growing from what is on disk.
+        data = np.random.default_rng(14).normal(size=(*reopened.grid.shape, 2))
+        assert reopened.append(VectorField2D(reopened.grid, data), time=0.2) == 2
+        reopened.flush()
+        again = ChunkedFieldStore(store.directory)
+        assert len(again) == 3
+        assert again.times == pytest.approx([0.0, 0.1, 0.2])
+        for t in range(2):
+            assert np.array_equal(again.read(t).data, frames[t])
+        assert np.array_equal(again.read(2).data, data.astype(np.float32).astype(np.float64))
+
+    def test_meta_is_written_once_per_chunk_write(self, tmp_path, monkeypatch):
+        import repro.apps.dns.store as store_mod
+
+        written = []
+        real = store_mod.atomic_write
+
+        def counting_write(path, writer):
+            written.append(os.path.basename(path))
+            real(path, writer)
+
+        monkeypatch.setattr(store_mod, "atomic_write", counting_write)
+        self._store(tmp_path, n_frames=10)  # chunks 0 and 1 fill, 2 is flushed
+        chunks = [name for name in written if name.startswith("chunk_")]
+        assert len(chunks) == 3
+        assert written.count("meta.json") == len(chunks) + 1  # + the create
+
+    def test_writing_a_chunk_keeps_the_others_cached(self, tmp_path, monkeypatch):
+        from repro.fields.vectorfield import VectorField2D
+
+        store, frames = self._store(tmp_path, n_frames=8)
+        store = ChunkedFieldStore(store.directory)
+        assert np.array_equal(store.read(1).data, frames[1])  # chunk 0 cached
+        loads = self._count_inflations(monkeypatch)
+        for t in range(8, 12):  # fills and writes chunk 2
+            store.append(VectorField2D(store.grid, frames[t - 8]), time=0.1 * t)
+        assert np.array_equal(store.read(1).data, frames[1])
+        assert np.array_equal(store.read(9).data, frames[1])
+        assert loads == []
 
 
 class TestBrowser:

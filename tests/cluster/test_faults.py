@@ -21,6 +21,8 @@ from repro.cluster.peer import PeerClient, PeerUnavailable
 from repro.errors import ServiceError
 from repro.service import scrubbing_trace
 
+from oracles import recv_message
+
 
 def test_kill_mid_scrub_rebalances_to_survivors(make_fleet, make_single_node):
     fleet = make_fleet(3)
@@ -116,7 +118,7 @@ class _FaultyServer:
         try:
             while True:
                 try:
-                    kind, header, body = wire.recv_message(conn)
+                    recv_message(conn)
                 except (wire.WireError, OSError):
                     return
                 self.requests_seen += 1

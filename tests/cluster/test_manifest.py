@@ -23,10 +23,11 @@ from repro.cluster.manifest import (
     ChunkEntry,
     ClusterManifest,
     publish_store,
-    sync_manifest,
 )
 from repro.errors import ServiceError
 from repro.service.cache import MemoryBlobStore
+
+from oracles import sync_manifest
 
 
 def _delta_store(n_frames: int = 5, size: int = 16, seed: int = 0):

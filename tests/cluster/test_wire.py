@@ -2,14 +2,15 @@
 
 Every frame carries a SHA-256 over header and body; these tests flip
 bytes at every interesting offset, truncate mid-frame, announce absurd
-lengths and close sockets at both clean and dirty boundaries, asserting
-the receiver always raises :class:`WireError`/:class:`WireClosed` and
-never hands back wrong bytes.
+lengths and end the stream at both clean and dirty boundaries,
+asserting the receiver (:func:`~repro.cluster.wire.recv_message_async`,
+the one the cluster's nodes and peers run) always raises
+:class:`WireError`/:class:`WireClosed` and never hands back wrong bytes.
 """
 
 from __future__ import annotations
 
-import socket
+import asyncio
 
 import numpy as np
 import pytest
@@ -17,18 +18,20 @@ import pytest
 from repro.cluster import wire
 
 
-def _pair():
-    return socket.socketpair()
+def _recv(data):
+    """Read one frame from a stream that holds *data*, then ends."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await wire.recv_message_async(reader)
+
+    return asyncio.run(read())
 
 
 def _roundtrip(kind, header, body=b""):
-    a, b = _pair()
-    try:
-        wire.send_message(a, kind, header, body)
-        return wire.recv_message(b)
-    finally:
-        a.close()
-        b.close()
+    return _recv(wire.encode_frame(kind, header, body))
 
 
 def test_round_trip_all_kinds():
@@ -62,38 +65,21 @@ def test_empty_header_and_body():
 )
 def test_corrupted_frames_raise_wire_error(mutate, match):
     frame = wire.encode_frame(wire.TEXTURE_RESPONSE, {"k": 1}, b"payload-bytes")
-    a, b = _pair()
-    try:
-        a.sendall(mutate(frame))
-        a.close()
-        with pytest.raises(wire.WireError, match=match):
-            wire.recv_message(b)
-    finally:
-        b.close()
+    with pytest.raises(wire.WireError, match=match):
+        _recv(mutate(frame))
 
 
 @pytest.mark.parametrize("cut", [1, 10, 30, -5])
 def test_truncated_frames_raise_mid_frame_not_closed(cut):
     frame = wire.encode_frame(wire.CHUNK_RESPONSE, {"found": True}, b"x" * 64)
-    a, b = _pair()
-    try:
-        a.sendall(frame[:cut] if cut > 0 else frame[:cut])
-        a.close()
-        with pytest.raises(wire.WireError) as excinfo:
-            wire.recv_message(b)
-        assert not isinstance(excinfo.value, wire.WireClosed)
-    finally:
-        b.close()
+    with pytest.raises(wire.WireError) as excinfo:
+        _recv(frame[:cut])
+    assert not isinstance(excinfo.value, wire.WireClosed)
 
 
 def test_clean_close_raises_wire_closed():
-    a, b = _pair()
-    a.close()
-    try:
-        with pytest.raises(wire.WireClosed):
-            wire.recv_message(b)
-    finally:
-        b.close()
+    with pytest.raises(wire.WireClosed):
+        _recv(b"")
 
 
 def test_oversize_announcements_rejected_before_allocation():
@@ -104,14 +90,8 @@ def test_oversize_announcements_rejected_before_allocation():
         (0, wire.MAX_BODY_BYTES + 1),
     ):
         evil = prefix.pack(wire.MAGIC, wire.PING, header_len, body_len) + good[prefix.size:]
-        a, b = _pair()
-        try:
-            a.sendall(evil)
-            a.close()
-            with pytest.raises(wire.WireError, match="cap"):
-                wire.recv_message(b)
-        finally:
-            b.close()
+        with pytest.raises(wire.WireError, match="cap"):
+            _recv(evil)
 
 
 def test_encode_rejects_unknown_kind():
@@ -130,14 +110,8 @@ def test_malformed_json_header_rejected():
         + header_bytes
         + digest
     )
-    a, b = _pair()
-    try:
-        a.sendall(frame)
-        a.close()
-        with pytest.raises(wire.WireError, match="malformed"):
-            wire.recv_message(b)
-    finally:
-        b.close()
+    with pytest.raises(wire.WireError, match="malformed"):
+        _recv(frame)
 
 
 # -- texture payloads ---------------------------------------------------------

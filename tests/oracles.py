@@ -10,9 +10,14 @@ without going through the code under test:
 * :func:`quad_areas` measures the spot quads a transform produced;
 * :func:`request_key` builds a :class:`~repro.service.keys.RequestKey`
   from a field and a config the way the serving layer keys a request;
-* :func:`radial_power_spectrum` measures a texture's spatial spectrum;
+* :func:`radial_power_spectrum` measures a texture's spatial spectrum,
+  :func:`directional_energy` its spectral energy per direction;
 * :func:`temporal_coherence` measures frame-to-frame correlation of an
-  animation.
+  animation;
+* :func:`recv_message` reads one cluster wire frame from a blocking
+  socket, for test-side peers;
+* :func:`sync_manifest` syncs a blob store from a published cluster
+  manifest, verifying every payload.
 
 Import them as ``from oracles import ...``: the test tree's root holds
 the suite's ``conftest.py``, so pytest puts it on ``sys.path``.
@@ -20,10 +25,13 @@ the suite's ``conftest.py``, so pytest puts it on ``sys.path``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import hashlib
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.cluster import wire
 from repro.core.config import SpotNoiseConfig
 from repro.errors import ReproError
 from repro.fields.io import field_digest
@@ -109,6 +117,26 @@ def radial_power_spectrum(texture: np.ndarray, n_bins: int = 32) -> "tuple[np.nd
     return centres, mean_power
 
 
+def directional_energy(texture: np.ndarray, n_bins: int = 36) -> np.ndarray:
+    """Spectral energy integrated per direction bin over [0, pi).
+
+    Bin ``i`` covers angles ``[i, i+1) * pi / n_bins`` of the *frequency*
+    vector; a texture elongated along angle a has an energy minimum near
+    ``a`` and maximum near ``a + pi/2``.
+    """
+    t = np.asarray(texture, dtype=np.float64)
+    if n_bins < 2:
+        raise ReproError(f"n_bins must be >= 2, got {n_bins}")
+    spec = np.abs(np.fft.fft2(t - t.mean())) ** 2
+    ky, kx = np.meshgrid(np.fft.fftfreq(t.shape[0]), np.fft.fftfreq(t.shape[1]), indexing="ij")
+    angles = np.mod(np.arctan2(ky, kx), np.pi)
+    bins = np.minimum((angles / np.pi * n_bins).astype(np.int64), n_bins - 1)
+    ac = (kx != 0) | (ky != 0)
+    energy = np.bincount(bins[ac], weights=spec[ac], minlength=n_bins)
+    total = energy.sum()
+    return energy / total if total > 0 else energy
+
+
 def request_key(
     field: VectorField2D,
     config: SpotNoiseConfig,
@@ -147,3 +175,84 @@ def temporal_coherence(frames: "list[np.ndarray]") -> float:
         denom = np.sqrt((da**2).sum() * (db**2).sum())
         correlations.append(float((da * db).sum() / denom) if denom > 0 else 0.0)
     return float(np.mean(correlations))
+
+
+def recv_message(sock) -> "tuple[int, dict, bytes]":
+    """Read one frame from a blocking *sock*; returns ``(kind, header, body)``.
+
+    The blocking counterpart of
+    :func:`repro.cluster.wire.recv_message_async`, with the same
+    :class:`~repro.cluster.wire.WireClosed`/:class:`~repro.cluster.wire.WireError`
+    contract.
+    """
+
+    def exact(n: int, at_boundary: bool = False) -> bytes:
+        data = b""
+        while len(data) < n:
+            chunk = sock.recv(n - len(data))
+            if not chunk:
+                if at_boundary and not data:
+                    raise wire.WireClosed("connection closed")
+                raise wire.WireError(f"connection closed mid-frame ({len(data)}/{n} bytes)")
+            data += chunk
+        return data
+
+    kind, header_len, body_len = wire._parse_prefix(exact(wire._PREFIX.size, at_boundary=True))
+    header_bytes = exact(header_len)
+    body = exact(body_len)
+    return wire._assemble(kind, header_bytes, body, exact(wire._DIGEST_BYTES))
+
+
+@dataclass(frozen=True)
+class SyncReport:
+    """Outcome of one :func:`sync_manifest` pass."""
+
+    fetched: int
+    deduped: int
+    corrupt: int
+    missing: int
+    bytes_fetched: int
+
+    @property
+    def complete(self) -> bool:
+        """Every advertised chunk is now present and verified locally."""
+        return self.corrupt == 0 and self.missing == 0
+
+
+def sync_manifest(
+    manifest,
+    fetch: Callable[[str], Optional[bytes]],
+    dest,
+) -> SyncReport:
+    """Bring *dest* up to date with *manifest*, fetching missing chunks.
+
+    *fetch* maps a chunk digest to its payload bytes (``None`` for a
+    miss), as :meth:`repro.cluster.peer.PeerClient.fetch_chunk` does.
+    Every fetched payload is re-hashed against the manifest's
+    ``payload_sha256`` before it is stored; a mismatch counts as
+    ``corrupt`` and **nothing** is written, so a lying or damaged source
+    can cost a retry but never poison the local store.  Chunks already
+    present locally are deduped by store key without any transfer.
+    """
+    fetched = deduped = corrupt = missing = bytes_fetched = 0
+    for entry in manifest.chunks:
+        if dest.contains_bytes(entry.digest):
+            deduped += 1
+            continue
+        payload = fetch(entry.digest)
+        if payload is None:
+            missing += 1
+            continue
+        if hashlib.sha256(payload).hexdigest() != entry.payload_sha256:
+            corrupt += 1
+            continue
+        dest.put_bytes(entry.digest, payload)
+        fetched += 1
+        bytes_fetched += len(payload)
+    return SyncReport(
+        fetched=fetched,
+        deduped=deduped,
+        corrupt=corrupt,
+        missing=missing,
+        bytes_fetched=bytes_fetched,
+    )

@@ -21,8 +21,9 @@ from repro.parallel.planner import (
     PLANNABLE_BACKENDS,
     DecompositionPlanner,
     DecompositionPlan,
+    resolve_plan,
 )
-from repro.parallel.runtime import DivideAndConquerRuntime, spatial_feasibility
+from repro.parallel.runtime import DivideAndConquerRuntime
 
 TINY = SpotWorkload.standard_spots(50, texture_size=64)
 HUGE = SpotWorkload.turbulence()
@@ -110,9 +111,9 @@ class TestHostRanking:
     PLANNER = DecompositionPlanner(CostModel.onyx2(), host_workers=2)
 
     def _plan(self, cfg, field_):
-        return self.PLANNER.plan(
-            workload_from_config(cfg, field_), spatial_ok=spatial_feasibility(cfg, field_)
-        )
+        plan, resolved = resolve_plan(cfg, field_, self.PLANNER)
+        assert resolved == plan.apply(cfg)
+        return plan
 
     def test_steering_loop_plans_sharedmem_on_two_slots(self):
         # The section 5.1 steering loop: smog wind of the application's
@@ -193,6 +194,10 @@ class TestAutoRuntime:
         be = SerialBackend()
         with DivideAndConquerRuntime(cfg, backend=be) as rt:
             assert rt._effective_config.backend == "serial"
+
+    def test_concrete_backend_resolves_to_itself(self):
+        cfg = SpotNoiseConfig(n_spots=50, texture_size=32, seed=0, backend="thread")
+        assert resolve_plan(cfg, None) == (None, cfg)
 
     def test_planner_workload_round_trip(self):
         cfg = SpotNoiseConfig(n_spots=500, texture_size=128, seed=0)

@@ -1,9 +1,10 @@
-"""backend="auto" through the serving layer: resolution, keys, re-planning.
+"""backend="auto" through the serving layer: resolution and keys.
 
 The invariant under test: the *resolved* plan — not the requested
-``"auto"`` — is what gets fingerprinted into cache keys, so a plan
-change (construction-time or drift-triggered) can only ever cause an
-extra render, never a wrong cache hit.
+``"auto"`` — is what gets fingerprinted into cache keys, so a
+different plan can only ever cause an extra render, never a wrong
+cache hit.  Every front end resolves through one function
+(:func:`~repro.parallel.planner.resolve_plan`), so they agree.
 """
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 from repro.anim import AnimationService
 from repro.core.config import BentConfig, SpotNoiseConfig
+from repro.core.pipeline import SpotNoisePipeline
+from repro.core.synthesizer import render_frame
 from repro.fields.analytic import random_smooth_field
 from repro.parallel.planner import PLANNABLE_BACKENDS, DecompositionPlanner
 from repro.service import TextureService
@@ -67,109 +70,6 @@ class TestTextureServiceAuto:
             assert first.source == "render" and again.source == "memory"
             np.testing.assert_array_equal(first.texture, again.texture)
 
-    def test_drift_replans_and_changes_keys(self, fields):
-        field0 = fields(0)
-        shape = tuple(field0.grid.shape)
-        config = BENT_AUTO
-        predictor = LatencyPredictor(alpha=1.0)
-        raw = predictor.predict(config, field=field0)
-        # Pre-calibrate a very fast host: the plan resolves to serial.
-        predictor.observe(config, actual_s=raw * 1e-3, grid_shape=shape)
-        svc = TextureService(
-            fields,
-            config,
-            predictor=predictor,
-            planner=DecompositionPlanner(host_workers=8),
-        )
-        try:
-            assert svc.config.backend == "serial"
-            fingerprint = svc._fingerprint
-            old_renderer = svc.renderer
-            # The host "slows down" by six orders of magnitude: drift far
-            # beyond the 2x band must produce a parallel re-plan.
-            predictor.observe(config, actual_s=raw * 1e3, grid_shape=shape)
-            svc.replan_if_drifted()
-            assert svc.replans == 1
-            assert svc.config.n_groups > 1
-            assert svc._fingerprint != fingerprint
-            assert svc._fingerprint == svc.config.fingerprint()
-            assert svc.renderer is not old_renderer
-            # The swapped service still serves, consistently.
-            r1 = svc.request(0)
-            r2 = svc.request(0)
-            np.testing.assert_array_equal(r1.texture, r2.texture)
-        finally:
-            svc.close()
-
-    def test_no_replan_within_drift_band(self, fields):
-        with TextureService(fields, AUTO) as svc:
-            svc.request(0)  # observes a real render; drift is modest
-            svc.replan_if_drifted()
-            # Whatever the calibration said, the first observation sets
-            # the reference *only* when it escapes the band; a concrete
-            # assertion: the resolved triple still matches the plan.
-            assert svc.plan.triple == (
-                svc.config.backend, svc.config.n_groups, svc.config.partition
-            )
-
-    def test_replan_mid_request_cannot_split_key_and_renderer(self, fields, monkeypatch):
-        # Regression: request() used to read the fingerprint for its key
-        # and bind the renderer in two separate steps; a drift re-plan
-        # landing between them cached the *new* plan's bytes under the
-        # *old* plan's key.  The request must key and render from one
-        # consistent snapshot: whatever config actually rendered is the
-        # config fingerprinted into the response key.
-        from repro.service.server import FrameRenderer
-
-        field0 = fields(0)
-        shape = tuple(field0.grid.shape)
-        requested = BENT_AUTO
-        raw = LatencyPredictor(alpha=1.0).predict(requested, field=field0)
-
-        class ReplanInWindow(LatencyPredictor):
-            """Fires a drift re-plan from inside the request path's
-            predict call — exactly the window between keying a request
-            and handing it to the renderer."""
-
-            service = None
-            armed = False
-
-            def predict(self, config, **kwargs):
-                if self.armed:
-                    self.armed = False
-                    self.observe(requested, actual_s=raw * 1e3, grid_shape=shape)
-                    self.service.replan_if_drifted()
-                return super().predict(config, **kwargs)
-
-        predictor = ReplanInWindow(alpha=1.0)
-        # Pre-calibrate a very fast host: the plan resolves to serial.
-        predictor.observe(requested, actual_s=raw * 1e-3, grid_shape=shape)
-
-        rendered_fingerprints = []
-        real_render = FrameRenderer.render
-
-        def recording_render(self, field):
-            rendered_fingerprints.append(self.config.fingerprint())
-            return real_render(self, field)
-
-        monkeypatch.setattr(FrameRenderer, "render", recording_render)
-        svc = TextureService(
-            fields,
-            requested,
-            predictor=predictor,
-            planner=DecompositionPlanner(host_workers=8),
-        )
-        predictor.service = svc
-        try:
-            assert svc.config.backend == "serial"
-            predictor.armed = True
-            response = svc.request(0)
-            assert svc.replans == 1  # the re-plan really fired in the window
-            assert response.source == "render"
-            assert rendered_fingerprints == [response.key.config_fingerprint]
-        finally:
-            svc.close()
-
     def test_concrete_backend_skips_planning(self, fields):
         cfg = AUTO.with_overrides(backend="serial")
         with TextureService(fields, cfg) as svc:
@@ -188,38 +88,56 @@ class TestAnimationServiceAuto:
             # Streams stay bit-identical to the one-shot reference.
             assert svc.verify(2)
 
-    def test_replan_if_drifted_swaps_sequence_identity(self, fields):
-        field0 = fields(0)
-        shape = tuple(field0.grid.shape)
-        config = BENT_AUTO
-        predictor = LatencyPredictor(alpha=1.0)
-        raw = predictor.predict(config, field=field0)
-        predictor.observe(config, actual_s=raw * 1e-3, grid_shape=shape)
-        svc = AnimationService(
-            fields,
-            config,
-            length=6,
-            predictor=predictor,
-            planner=DecompositionPlanner(host_workers=8),
-        )
-        try:
-            assert svc.config.backend == "serial"
-            old_id = svc._sequence_id
-            predictor.observe(config, actual_s=raw * 1e3, grid_shape=shape)
-            assert svc.replan_if_drifted() is True
-            assert svc.replans == 1
-            assert svc.config.n_groups > 1
-            assert svc._sequence_id != old_id
-            # The re-planned service still serves frames bit-identical
-            # to the one-shot reference under the new identity.
-            response = svc.request(1)
-            assert response.texture.shape == (64, 64)
-            assert svc.verify(1)
-        finally:
-            svc.close()
-
-    def test_replan_noop_without_auto(self, fields):
-        with AnimationService(fields, AUTO.with_overrides(backend="serial"),
-                              length=4) as svc:
-            assert svc.replan_if_drifted() is False
+    def test_concrete_backend_skips_planning(self, fields):
+        cfg = AUTO.with_overrides(backend="serial")
+        with AnimationService(fields, cfg, length=4) as svc:
             assert svc.plan is None
+            assert svc.config is cfg
+
+
+def calibrated(fields, factor):
+    """A predictor calibrated at *factor* times its own prediction."""
+    field0 = fields(0)
+    predictor = LatencyPredictor(alpha=1.0)
+    raw = predictor.predict(BENT_AUTO, field=field0)
+    predictor.observe(BENT_AUTO, actual_s=raw * factor,
+                      grid_shape=tuple(field0.grid.shape))
+    return predictor
+
+
+class TestConstructionTimeCalibration:
+    """The predictor's scale at construction prices the plan: a fast
+    host plans serial, a slow one fans the bent spots out."""
+
+    @pytest.mark.parametrize("factor, parallel", [(1e-3, False), (1e3, True)])
+    def test_texture_service(self, fields, factor, parallel):
+        with TextureService(
+            fields, BENT_AUTO, predictor=calibrated(fields, factor),
+            planner=DecompositionPlanner(host_workers=8),
+        ) as svc:
+            assert (svc.config.n_groups > 1) is parallel
+            assert svc.plan.scale == pytest.approx(factor)
+            assert svc._fingerprint == svc.config.fingerprint()
+            response = svc.request(0)
+            np.testing.assert_array_equal(
+                response.texture, render_frame(svc.config, fields(0)).display
+            )
+
+    @pytest.mark.parametrize("factor, parallel", [(1e-3, False), (1e3, True)])
+    def test_animation_service(self, fields, factor, parallel):
+        with AnimationService(
+            fields, BENT_AUTO, length=4, predictor=calibrated(fields, factor),
+            planner=DecompositionPlanner(host_workers=8),
+        ) as svc:
+            assert (svc.config.n_groups > 1) is parallel
+            assert svc.plan.scale == pytest.approx(factor)
+            assert svc.verify(1)
+
+
+def test_every_front_end_resolves_the_same_triple(fields):
+    with TextureService(fields, AUTO) as texture_svc, \
+            AnimationService(fields, AUTO, length=2) as anim_svc, \
+            SpotNoisePipeline(AUTO, fields(0)) as pipe:
+        pipe.step()
+        triples = {texture_svc.plan.triple, anim_svc.plan.triple, pipe.plan.triple}
+    assert len(triples) == 1

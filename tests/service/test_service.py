@@ -213,6 +213,27 @@ class TestLifecycle:
         with pytest.raises(ServiceError, match="closed"):
             svc.request(0)
 
+    def test_close_closes_the_renderer_once_and_refuses_work(
+        self, fields, config, monkeypatch
+    ):
+        closes = []
+        real_close = FrameRenderer.close
+
+        def counting_close(renderer):
+            closes.append(renderer)
+            real_close(renderer)
+
+        monkeypatch.setattr(FrameRenderer, "close", counting_close)
+        svc = make_service(fields, config)
+        svc.request(0)
+        svc.close()
+        svc.close()
+        assert closes == [svc.renderer]
+        with pytest.raises(ServiceError, match="closed"):
+            svc.request(1)
+        with pytest.raises(ServiceError, match="closed"):
+            svc.prefetch([1])
+
     def test_source_error_is_counted_and_propagates(self, config):
         def broken(frame):
             raise KeyError(frame)

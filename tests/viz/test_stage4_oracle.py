@@ -20,7 +20,7 @@ from repro.fields.sampling import bilinear_sample
 from repro.fields.scalarfield import ScalarField2D
 from repro.spots.filtering import contrast_stretch, highpass_texture, histogram_equalize
 from repro.viz.colormap import Colormap, diverging, grayscale, rainbow
-from repro.viz.overlay import compose_scene, mask_overlay, scalar_overlay
+from repro.viz.overlay import compose_scene, mask_overlay
 
 GRAY = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
@@ -156,7 +156,7 @@ def test_overlay_matches_oracle(cmap, max_alpha):
     k = cmap.controls.shape[0]
     tex = values_zoo(k + 1)
     sca = values_zoo(k)
-    got = scalar_overlay(tex, sca, cmap, max_alpha)
+    got = compose_scene(tex, sca, cmap, max_alpha=max_alpha)
     assert np.array_equal(got, oracle_overlay(tex, sca, cmap.controls, max_alpha))
     assert got.flags.c_contiguous
 

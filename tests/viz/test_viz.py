@@ -7,14 +7,10 @@ from repro.errors import ReproError
 from repro.spots.filtering import contrast_stretch
 from repro.viz.colormap import Colormap, diverging, grayscale, rainbow
 from repro.viz.image import to_uint8, write_pgm, write_ppm
-from repro.viz.overlay import compose_scene, mask_overlay, scalar_overlay
-from repro.viz.stats import (
-    anisotropy_direction,
-    directional_energy,
-    texture_statistics,
-)
+from repro.viz.overlay import compose_scene, mask_overlay
+from repro.viz.stats import anisotropy_direction, texture_statistics
 
-from oracles import read_pgm
+from oracles import directional_energy, read_pgm
 
 
 class TestColormap:
@@ -52,21 +48,21 @@ class TestColormap:
 class TestOverlay:
     def test_zero_scalar_keeps_texture(self):
         tex = np.full((8, 8), 0.5)
-        out = scalar_overlay(tex, np.zeros((8, 8)), rainbow())
+        out = compose_scene(tex, np.zeros((8, 8)), rainbow())
         np.testing.assert_allclose(out, 0.5)
 
     def test_full_scalar_tints(self):
         tex = np.zeros((8, 8))
-        out = scalar_overlay(tex, np.ones((8, 8)), rainbow(), max_alpha=1.0)
+        out = compose_scene(tex, np.ones((8, 8)), rainbow(), max_alpha=1.0)
         np.testing.assert_allclose(out[0, 0], [1.0, 0.0, 0.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ReproError):
-            scalar_overlay(np.zeros((8, 8)), np.zeros((4, 4)), rainbow())
+            compose_scene(np.zeros((8, 8)), np.zeros((4, 4)), rainbow())
 
     def test_alpha_validation(self):
         with pytest.raises(ReproError):
-            scalar_overlay(np.zeros((4, 4)), np.zeros((4, 4)), rainbow(), max_alpha=2.0)
+            compose_scene(np.zeros((4, 4)), np.zeros((4, 4)), rainbow(), max_alpha=2.0)
 
     def test_non_finite_display_pixel_raises(self):
         texture = np.random.default_rng(0).normal(size=(8, 8))
@@ -106,11 +102,8 @@ class TestOverlay:
         monkeypatch.setattr(overlay, "_as_texture01", lambda t: calls.append(1) or real(t))
         tex = np.random.default_rng(2).uniform(-0.5, 1.5, (8, 8))
         scalar = np.random.default_rng(3).uniform(0, 1, (8, 8))
-        out = compose_scene(tex, scalar, rainbow())
+        compose_scene(tex, scalar, rainbow())
         assert len(calls) == 1
-        # Bits as scalar_overlay, which still checks its own input.
-        assert np.array_equal(out, scalar_overlay(tex, scalar, rainbow()))
-        assert len(calls) == 2
 
     def test_compose_scene_grayscale_passthrough(self):
         out = compose_scene(np.full((4, 4), 0.25))

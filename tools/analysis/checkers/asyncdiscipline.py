@@ -3,7 +3,7 @@ anim render walks and the point-serving miss path.
 
 The async spine's whole contract is that the event loop never blocks:
 one stalled coroutine freezes every connection pump, every stream
-iterator and every re-plan tick in the process.  The blocking world is
+iterator and every render walk in the process.  The blocking world is
 still reachable from async code — that is the point of the executor
 bridge — but only through ``await loop.run_in_executor(...)``; calling
 a blocking primitive *directly* inside an ``async def`` compiles,

@@ -1,7 +1,7 @@
 """Lock-discipline race checker over ``#: guarded-by:`` annotations.
 
 The serving spine is a handful of small classes whose mutable state is
-protected by exactly one lock each (``PlanBinding._lock``,
+protected by exactly one lock each (``LRUTextureCache._lock``,
 ``SharedMemoryBackend._pool_lock``, ``RenderExecutor._lock``, ...).  The
 discipline is simple — *every* touch of a guarded attribute happens
 inside ``with self.<lock>`` — but nothing enforced it until now: one

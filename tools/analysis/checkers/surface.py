@@ -4,10 +4,13 @@ Each job in the library should have one implementation, and code that
 nothing but its own tests runs is a second implementation waiting to
 drift.  This cross-file checker flags every public (no leading
 underscore) top-level function or class in a ``repro.*`` module whose
-name has no whole-word reference anywhere in :data:`REFERENCE_DIRS`
-outside its own definition.  Package ``__init__`` files do not count:
-a re-export is not a use.  ``tests/`` is not searched, so a helper the
-tests need as an oracle belongs under ``tests/``.
+name has no code reference anywhere in :data:`REFERENCE_DIRS` outside
+its own definition.  A code reference is a name (``ast.Name``), an
+attribute (``ast.Attribute``) or a ``from ... import`` name; a word in
+a docstring, a comment or a string (``__all__`` included) is not one.
+Package ``__init__`` files do not count: a re-export is not a use.
+``tests/`` is not searched, so a helper the tests need as an oracle
+belongs under ``tests/``.
 
 The judgement needs the whole package: a scan of one file or one
 subpackage still reads every reference tree, but it would report names
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import ast
 import os
-import re
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
@@ -33,7 +35,6 @@ PACKAGE = "repro"
 #: Trees, relative to the repo root, searched for references.
 REFERENCE_DIRS = ("src", "benchmarks", "examples", "perfbench", "tools")
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SKIP_DIRS = frozenset({"__pycache__", ".git"})
 
 
@@ -46,19 +47,30 @@ def _reference_files(root: str) -> Iterator[str]:
                     yield os.path.join(dirpath, name)
 
 
-def _word_lines(root: str) -> "Dict[str, List[Tuple[str, int]]]":
-    """``{word: [(abspath, line), ...]}`` over every reference file."""
+def _code_references(tree: ast.AST) -> Iterator[Tuple[str, int]]:
+    """``(name, line)`` for every name, attribute and ``from`` import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno or node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def _reference_lines(root: str) -> "Dict[str, List[Tuple[str, int]]]":
+    """``{name: [(abspath, line), ...]}`` over every reference file."""
     index: "Dict[str, List[Tuple[str, int]]]" = defaultdict(list)
     for path in _reference_files(root):
         try:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError):
+                tree = ast.parse(fh.read(), filename=path)
+        except (OSError, UnicodeDecodeError, SyntaxError):
             continue
         path = os.path.abspath(path)
-        for lineno, line in enumerate(text.splitlines(), 1):
-            for word in set(_WORD.findall(line)):
-                index[word].append((path, lineno))
+        for name, lineno in _code_references(tree):
+            index[name].append((path, lineno))
     return index
 
 
@@ -75,7 +87,7 @@ class PublicSurfaceChecker(Checker):
         if package is None:
             return []
         root = package.path[: -len(package.rel)]
-        index = _word_lines(root)
+        index = _reference_lines(root)
         findings: List[Finding] = []
         for mod in sorted(corpus.values(), key=lambda m: m.rel):
             if not mod.module.startswith(PACKAGE + ".") or mod.path.endswith("__init__.py"):
