@@ -165,7 +165,7 @@ class ChunkedFieldStore:
         return self.n_frames
 
     def _load_chunk(self, chunk_index: int) -> np.ndarray:
-        """The chunk's frames: cached float64, or float32 as just inflated."""
+        """The chunk's float32 frames, cached or just inflated."""
         key = str(chunk_index)
         data = self._chunks.get(key)
         if data is None:

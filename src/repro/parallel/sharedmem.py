@@ -5,7 +5,7 @@ process groups (one per graphics pipe) with *structure-shared* frame
 state.  Rather than pickling the full field plus each group's particle
 subset into every worker on every frame, it places the read-mostly
 state in anonymous shared mappings (``mmap.mmap(-1, n)``, which is
-``MAP_SHARED``) and ships only group index sets plus epoch tags per
+``MAP_SHARED``) and hands out only group index sets plus epoch tags per
 :meth:`run_frame` — share the read-mostly state, copy only what changed:
 
 * the **field** mapping holds the ``(ny, nx, 2)`` vector data; it is
@@ -16,7 +16,9 @@ state in anonymous shared mappings (``mmap.mmap(-1, n)``, which is
   rewritten once per frame (one memcpy, never per group);
 * the **indices** mapping holds the concatenated per-group index sets;
 * the **out** mapping holds one partial-texture slot per group that
-  workers write their result into, so textures come back by memcpy too.
+  workers write their result into, so textures come back by memcpy too;
+* the **tasks** mapping holds one slot per group: the group's pickled
+  message, prefixed by its length.
 
 The mappings are made before the workers fork, and the workers inherit
 them.  A mapping has a fixed size: a frame that needs a larger one
@@ -27,15 +29,25 @@ mappings have no name, so no resource-tracker process starts and no
 Workers are a persistent pool of plain processes, pinned round-robin
 to the CPUs the parent may use and each keeping its freed heap (see
 :func:`_keep_freed_memory`).  Each caches its
-reconstructed field/config *by epoch*: a task message whose epoch
-matches costs nothing, a bumped epoch (``read_data`` or a config
-change) invalidates the resident state and the worker rebuilds it from
-the mapping — no restart, no re-fork.  Task messages carry only
-offsets, epochs and the tiny pickled grid/config metadata (<1 KB); the
-arrays themselves never travel through a pipe.  Results come back on a
+reconstructed field/config *by epoch*: a message whose epoch matches
+costs nothing, a bumped epoch (``read_data`` or a config change)
+invalidates the resident state and the worker rebuilds it from the
+mapping — no restart, no re-fork.  A message carries only offsets,
+epochs and the pickled grid/config metadata; the arrays themselves
+never travel through a pipe.
+
+A frame is handed to the pool with one doorbell: after writing every
+slot, the parent makes a single ``os.write`` of 4-byte slot offsets on
+a pipe the backend owns.  A frame of up to ``PIPE_BUF // 4`` groups is
+one atomic write, so no worker woken by the first group can delay the
+parent before the last group is posted.  Each idle worker blocks
+reading one record, renders that slot's group and reports on a result
 queue whose reader the parent waits on together with the workers'
 sentinels, so a dead worker is noticed the moment it dies, not polled
-for.
+for.  Workers close every doorbell write end after fork, so the
+parent's are the only ones: end-of-file on the doorbell is the shutdown
+signal, sent by :meth:`SharedMemoryBackend.close` and equally by the
+kernel when the parent dies, even by ``SIGKILL``.
 
 Execution is bit-identical to :class:`~repro.parallel.backends.SerialBackend`:
 workers run the same pure :func:`~repro.parallel.groups.render_group` on
@@ -46,7 +58,8 @@ A task failure inside a worker is caught there and reported back; the
 pool stays warm and healthy, like the thread backend.  Only
 infrastructure failures — a worker dying, an interrupt mid-collection —
 discard the pool, via ``BaseException`` so a ``KeyboardInterrupt`` can
-never leave a desynchronised pool behind.
+never leave a desynchronised pool behind; the next pool rings a fresh
+doorbell, so no stale record reaches its workers.
 
 A backend built directly owns its pool and :meth:`close` stops it.
 Runtimes instead borrow one process-wide pool from
@@ -66,6 +79,8 @@ import mmap
 import multiprocessing
 import os
 import pickle
+import select
+import struct
 import threading
 from dataclasses import dataclass
 from multiprocessing.connection import wait
@@ -82,8 +97,19 @@ from repro.parallel.groups import FrameWork, GroupResult, GroupTask, render_grou
 _BYTES_F64 = 8
 _BYTES_POS = 16  # one (x, y) float64 pair
 
-#: Seconds to wait for workers to drain their shutdown sentinel.
+#: One doorbell record (a slot's byte offset in the tasks mapping) and
+#: the length prefix of each slot.
+_U32 = struct.Struct("=I")
+
+#: Bytes of doorbell records one ``os.write`` may carry and stay atomic.
+_RING_BYTES = select.PIPE_BUF - select.PIPE_BUF % _U32.size
+
+#: Seconds to wait for workers to exit after their doorbell closes.
 _JOIN_S = 5.0
+
+#: Write ends of every open doorbell in this process; a worker closes
+#: them all after fork, so only the parent can hold a doorbell open.
+_bell_writers: "set[int]" = set()
 
 #: glibc ``mallopt`` parameters (``malloc.h``).
 _M_TRIM_THRESHOLD = -1
@@ -95,9 +121,9 @@ class _GroupMessage:
     """Everything one worker needs to render one group — no arrays.
 
     The heavy state travels through the inherited mappings; this message
-    is a few hundred bytes of offsets and epochs (the grid/config
-    metadata blobs are tiny and carried on every message so a freshly
-    forked worker can always rebuild).
+    is offsets and epochs plus the grid/config metadata blobs, carried
+    on every message so a freshly forked worker can always rebuild.  It
+    is written pickled into the group's slot of the tasks mapping.
     """
 
     task_seq: int              # unique per message; results are keyed by it
@@ -202,14 +228,23 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def _worker_main(task_q, result_q, maps) -> None:
-    """Worker loop: pull group messages until the ``None`` sentinel."""
+def _worker_main(bell: int, result_q, maps) -> None:
+    """Worker loop: render the slot of each doorbell record until EOF."""
+    for fd in _bell_writers:
+        os.close(fd)
     _keep_freed_memory()
     state = _WorkerState(maps)
+    tasks = maps["tasks"]
     while True:
-        msg = task_q.get()
-        if msg is None:
+        # Every ring is a whole number of records written atomically, so
+        # a read returns one whole record, or nothing at end-of-file.
+        record = os.read(bell, _U32.size)
+        if not record:
             return
+        (offset,) = _U32.unpack(record)
+        (size,) = _U32.unpack_from(tasks, offset)
+        start = offset + _U32.size
+        msg = pickle.loads(tasks[start : start + size])
         try:
             tail = _run_group(msg, state)
         except Exception as exc:  # noqa: BLE001 - reported to the parent
@@ -241,7 +276,7 @@ class SharedMemoryBackend(ExecutionBackend):
         self._ctx = multiprocessing.get_context("fork")
         self._pool_lock = threading.Lock()
         self._workers: "List[multiprocessing.Process]" = []  #: guarded-by: _pool_lock
-        self._task_q = None  #: guarded-by: _pool_lock
+        self._bell: "Tuple[int, int] | None" = None  #: guarded-by: _pool_lock
         self._result_q = None  #: guarded-by: _pool_lock
         self._maps: Dict[str, mmap.mmap] = {}  #: guarded-by: _pool_lock
         self._frame_epoch = 0  #: guarded-by: _pool_lock
@@ -265,14 +300,15 @@ class SharedMemoryBackend(ExecutionBackend):
                 self._maps[role] = mmap.mmap(-1, 2 * max(needs[role], 1))
             if "field" in small:
                 self._last_field = None  # republish into the new mapping
-        if self._task_q is None:
-            self._task_q = self._ctx.SimpleQueue()
+        if self._bell is None:
+            self._bell = os.pipe()
+            _bell_writers.add(self._bell[1])
             self._result_q = self._ctx.SimpleQueue()
         size = self.max_workers or n_groups
         while len(self._workers) < size:
             worker = self._ctx.Process(
                 target=_worker_main,
-                args=(self._task_q, self._result_q, self._maps),
+                args=(self._bell[0], self._result_q, self._maps),
                 name=f"sharedmem-worker-{len(self._workers)}",
                 daemon=True,
             )
@@ -283,22 +319,27 @@ class SharedMemoryBackend(ExecutionBackend):
             os.sched_setaffinity(worker.pid, {cpus[len(self._workers) % len(cpus)]})
             self._workers.append(worker)
 
+    def _close_channels_locked(self) -> None:
+        """Close the doorbell (EOF to every worker) and the result queue."""
+        if self._bell is not None:
+            read_end, write_end = self._bell
+            _bell_writers.discard(write_end)
+            os.close(write_end)
+            os.close(read_end)
+            self._result_q.close()
+        # Records a dead worker never took must not reach its successor.
+        self._bell = None
+        self._result_q = None
+
     def _stop_workers_locked(self) -> None:
-        """Send every worker its sentinel and join it."""
-        try:
-            for _ in self._workers:
-                self._task_q.put(None)
-        except (OSError, ValueError):  # pragma: no cover - queue gone
-            pass
+        """Close the doorbell and join every worker."""
+        self._close_channels_locked()
         for worker in self._workers:
             worker.join(timeout=_JOIN_S)
             if worker.is_alive():  # pragma: no cover - stuck worker
                 worker.terminate()
                 worker.join(timeout=_JOIN_S)
         self._workers = []
-        # A sentinel a dead worker never took must not reach its successor.
-        self._task_q = None
-        self._result_q = None
 
     def _discard_pool_locked(self) -> None:
         for worker in self._workers:
@@ -307,25 +348,13 @@ class SharedMemoryBackend(ExecutionBackend):
         for worker in self._workers:
             worker.join(timeout=_JOIN_S)
         self._workers = []
-        # Terminated workers may have died holding a queue lock; fresh
-        # queues come with the next pool.
-        self._task_q = None
-        self._result_q = None
+        # Terminated workers may have died holding the result queue's
+        # lock or left records unread: the next pool gets fresh channels.
+        self._close_channels_locked()
         # Worker epoch caches died with the pool, but the parent-side
         # epochs stay valid: messages always carry enough to rebuild.
 
     # -- epoch bookkeeping -----------------------------------------------------
-    def _publish_field_locked(self, field: VectorField2D) -> None:
-        if self._last_field is field:
-            return
-        self._field_epoch += 1
-        self._field_meta = pickle.dumps((field.grid, field.boundary))
-        view = np.ndarray(field.data.shape, dtype=np.float64, buffer=self._maps["field"])
-        view[:] = field.data
-        # Recorded only once published: a failed publish must not let the
-        # next frame skip it and ship the stale mapping under a new epoch.
-        self._last_field = field
-
     def _publish_config_locked(self, config: SpotNoiseConfig) -> None:
         if self._last_config == config:
             return
@@ -333,34 +362,20 @@ class SharedMemoryBackend(ExecutionBackend):
         self._config_blob = pickle.dumps(config)
         self._last_config = config
 
-    def _publish_frame_locked(self, frame: FrameWork) -> "List[_GroupMessage]":
-        """Write the frame's arrays into the mappings (growing them and
-        the pool as needed); return one message per group."""
+    def _publish_frame_locked(self, frame: FrameWork) -> "Tuple[List[_GroupMessage], List[int]]":
+        """Write the frame into the mappings (growing them and the pool
+        as needed); return one message per group and its slot offset."""
         n = frame.positions.shape[0]
         counts = [int(spec.indices.size) for spec in frame.groups]
         starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
         sizes = [spec.fb_size[0] * spec.fb_size[1] * _BYTES_F64 for spec in frame.groups]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-        self._ensure_pool_locked(len(frame.groups), {
-            "field": frame.field.data.nbytes,
-            "particles": n * (_BYTES_POS + _BYTES_F64),
-            "indices": starts[-1] * _BYTES_F64,
-            "out": offsets[-1],
-        })
         self._frame_epoch += 1
-        self._publish_field_locked(frame.field)
+        if self._last_field is not frame.field:  # a new field object: a new epoch
+            self._field_epoch += 1
+            self._field_meta = pickle.dumps((frame.field.grid, frame.field.boundary))
         self._publish_config_locked(frame.config)
-
-        part = self._maps["particles"]
-        np.ndarray((n, 2), dtype=np.float64, buffer=part)[:] = frame.positions
-        np.ndarray((n,), dtype=np.float64, buffer=part, offset=n * _BYTES_POS)[:] = (
-            frame.intensities
-        )
-        idx_view = np.ndarray((starts[-1],), dtype=np.int64, buffer=self._maps["indices"])
-        for spec, start, count in zip(frame.groups, starts, counts):
-            idx_view[start : start + count] = spec.indices
-
-        return [
+        messages = [
             _GroupMessage(
                 task_seq=g,
                 frame_epoch=self._frame_epoch,
@@ -381,6 +396,43 @@ class SharedMemoryBackend(ExecutionBackend):
             )
             for g, spec in enumerate(frame.groups)
         ]
+        blobs = [pickle.dumps(msg) for msg in messages]
+        slots = np.concatenate([[0], np.cumsum([_U32.size + len(b) for b in blobs])]).tolist()
+        self._ensure_pool_locked(len(frame.groups), {
+            "field": frame.field.data.nbytes,
+            "particles": n * (_BYTES_POS + _BYTES_F64),
+            "indices": starts[-1] * _BYTES_F64,
+            "out": offsets[-1],
+            "tasks": slots[-1],
+        })
+
+        if self._last_field is not frame.field:  # new, or its mapping regrown
+            view = np.ndarray(
+                frame.field.data.shape, dtype=np.float64, buffer=self._maps["field"]
+            )
+            view[:] = frame.field.data
+            # Recorded only once copied: a failed copy must not let the
+            # next frame skip it and ship the stale mapping under a new epoch.
+            self._last_field = frame.field
+        part = self._maps["particles"]
+        np.ndarray((n, 2), dtype=np.float64, buffer=part)[:] = frame.positions
+        np.ndarray((n,), dtype=np.float64, buffer=part, offset=n * _BYTES_POS)[:] = (
+            frame.intensities
+        )
+        idx_view = np.ndarray((starts[-1],), dtype=np.int64, buffer=self._maps["indices"])
+        for spec, start, count in zip(frame.groups, starts, counts):
+            idx_view[start : start + count] = spec.indices
+        tasks = self._maps["tasks"]
+        for blob, slot in zip(blobs, slots):
+            _U32.pack_into(tasks, slot, len(blob))
+            tasks[slot + _U32.size : slot + _U32.size + len(blob)] = blob
+        return messages, slots[:-1]
+
+    def _ring_locked(self, slots: List[int]) -> None:
+        """Post every slot to the pool: one atomic write per ``PIPE_BUF``."""
+        records = struct.pack(f"={len(slots)}I", *slots)
+        for i in range(0, len(records), _RING_BYTES):
+            os.write(self._bell[1], records[i : i + _RING_BYTES])
 
     # -- execution -------------------------------------------------------------
     def _collect_locked(self, expected: int) -> "Tuple[dict, list]":
@@ -420,9 +472,8 @@ class SharedMemoryBackend(ExecutionBackend):
             if self._closed:
                 raise BackendError("shared-memory backend is closed")
             try:
-                messages = self._publish_frame_locked(frame)
-                for msg in messages:
-                    self._task_q.put(msg)
+                messages, slots = self._publish_frame_locked(frame)
+                self._ring_locked(slots)
                 done, errors = self._collect_locked(len(messages))
             except BaseException as exc:
                 # Infrastructure failure (dead worker, interrupt while
@@ -480,8 +531,8 @@ def _close_shared() -> None:
 def shared_backend() -> SharedMemoryBackend:
     """The process-wide pool every runtime-owned ``sharedmem`` backend borrows.
 
-    Made on first use with one worker per CPU; closed (sentinels and a
-    join) at interpreter exit, never by a runtime.  A forked child gets
+    Made on first use with one worker per CPU; closed (doorbell EOF and
+    a join) at interpreter exit, never by a runtime.  A forked child gets
     a pool of its own.
     """
     global _shared, _shared_pid

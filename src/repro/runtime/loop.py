@@ -75,10 +75,6 @@ class RuntimeLoop:
     def in_loop_thread(self) -> bool:
         return threading.current_thread() is self._thread
 
-    def time(self) -> float:
-        """The spine's monotonic clock (valid from any thread)."""
-        return self._loop.time()
-
     # -- crossing into the loop ------------------------------------------------
     def submit(self, coro: "Coroutine[Any, Any, T]") -> "concurrent.futures.Future[T]":
         """Schedule *coro* on the loop; returns a concurrent future."""

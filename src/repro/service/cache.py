@@ -43,8 +43,15 @@ DEFAULT_MEMORY_BUDGET = 64 << 20
 
 
 def _freeze(texture: np.ndarray) -> np.ndarray:
-    """Canonicalise to a C-ordered float64 array and mark it read-only."""
-    t = np.ascontiguousarray(texture, dtype=np.float64)
+    """Copy to a C-ordered read-only array.
+
+    Floating input keeps its precision (the field store caches float32
+    chunks at 4 bytes a value); anything else becomes float64.
+    """
+    dtype = np.asarray(texture).dtype
+    if not np.issubdtype(dtype, np.floating):
+        dtype = np.float64
+    t = np.ascontiguousarray(texture, dtype=dtype)
     if t is texture:
         t = t.copy()
     t.flags.writeable = False

@@ -197,7 +197,7 @@ class TestDelivery:
 
         with SequenceScheduler() as sched:
             stream, _ = sched.runtime.call(sched.join_or_start, "seq", 0, 100, slow_walk)
-            clock = sched.runtime.time
+            clock = sched.runtime.loop.time
             t0 = clock()
             with pytest.raises(ServiceError, match="timed out"):
                 sched.fetch("seq", 50, 100, slow_walk, stream, timeout=0.2)

@@ -44,6 +44,7 @@ class TestStreaming:
             again = list(svc.stream(0, 8))
             assert svc.stats.renders == renders
         assert {f.source for f in again} == {"memory"}
+        assert {f.texture.dtype for f in again} == {np.dtype(np.float64)}
 
     def test_streamed_frames_bit_identical_to_one_shot(self, source):
         with make_service(source) as svc:

@@ -279,7 +279,18 @@ class TestStoreChunkCache:
         return store, [f.astype(np.float32).astype(np.float64) for f in frames]
 
     def _chunk_bytes(self, store):
-        return self.FPC * store.grid.shape[0] * store.grid.shape[1] * 2 * 8
+        # Chunks stay float32 in the cache, as on disk: 4 bytes a value.
+        return self.FPC * store.grid.shape[0] * store.grid.shape[1] * 2 * 4
+
+    def test_hit_and_miss_return_the_same_float32_chunk(self, tmp_path):
+        store, frames = self._store(tmp_path, n_frames=8)
+        assert store._load_chunk(1).dtype == np.float32  # cached by the flush
+        store = ChunkedFieldStore(store.directory)
+        miss = store._load_chunk(0)
+        hit = store._load_chunk(0)
+        assert miss.dtype == hit.dtype == np.float32
+        assert store._chunks.nbytes == self._chunk_bytes(store)
+        assert np.array_equal(store.read(1).data, frames[1])
 
     @staticmethod
     def _count_inflations(monkeypatch):

@@ -4,15 +4,20 @@ The backend's contract is bit-identical output to the serial reference
 for every partition/group-count (the zoo), worker-resident state
 invalidated by epoch tags (``read_data``/config changes), a pool that
 survives task failures but not infrastructure ones, one warm pool per
-process for runtimes, and no process or ``/dev/shm`` entry left behind.
+process for runtimes, a frame handed to the pool with one doorbell
+write, and no process, file descriptor or ``/dev/shm`` entry left
+behind — not even when the parent is killed.
 """
 
+import contextlib
 import multiprocessing
 import os
+import select
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +27,10 @@ from repro.advection.particles import ParticleSet
 from repro.core.config import SpotNoiseConfig
 from repro.errors import BackendError
 from repro.fields.analytic import random_smooth_field, vortex_field
+from repro.fields.grid import RectilinearGrid
+from repro.fields.vectorfield import VectorField2D
 from repro.parallel.groups import FrameWork, GroupSpec
+from repro.parallel import sharedmem
 from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.parallel.sharedmem import SharedMemoryBackend, shared_backend
 from tools.no_survivors import session_members
@@ -270,6 +278,77 @@ class TestRecovery:
             be.close()
 
 
+class TestDoorbell:
+    """A frame reaches the pool in one write; every channel is closed again."""
+
+    @pytest.mark.parametrize("n_groups", [2, 4])
+    def test_one_doorbell_write_per_frame(self, n_groups, monkeypatch):
+        be = SharedMemoryBackend(max_workers=2)
+        try:
+            frame = _frame(BASE.with_overrides(n_groups=n_groups), make_particles())
+            ref = _compose(be.run_frame(frame))  # the pool is forked and warm
+            writes = []
+            real_write = sharedmem.os.write
+
+            def counting_write(fd, data):
+                writes.append(fd)
+                return real_write(fd, data)
+
+            monkeypatch.setattr(sharedmem.os, "write", counting_write)
+            out = be.run_frame(frame)
+            monkeypatch.undo()
+            assert writes == [be._bell[1]]
+            np.testing.assert_array_equal(_compose(out), ref)
+        finally:
+            be.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("upset", ["none", "interrupt", "killed_worker", "regrow"])
+    def test_no_file_descriptor_outlives_the_backend(self, upset, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        be = SharedMemoryBackend(max_workers=2)
+        frame = _frame(BASE.with_overrides(n_groups=2), make_particles(60))
+        be.run_frame(frame)
+        if upset == "interrupt":
+            def interrupted(expected):
+                raise KeyboardInterrupt()
+
+            monkeypatch.setattr(be, "_collect_locked", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                be.run_frame(frame)
+            monkeypatch.undo()
+        elif upset == "killed_worker":
+            os.kill(be._workers[0].pid, signal.SIGKILL)
+            be._workers[0].join(timeout=10)
+            with pytest.raises(BackendError, match="died mid-frame"):
+                be.run_frame(frame)
+        elif upset == "regrow":
+            frame = _frame(BASE.with_overrides(n_groups=2), make_particles(600))
+        be.run_frame(frame)
+        be.close()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_message_larger_than_its_first_slot_is_identical_to_serial(self):
+        # A rectilinear grid pickles its coordinates: at 385^2 (the
+        # sharedmem speedup bench's size) that is ~6 kB a message, so
+        # the tasks mapping sized for the small field's messages grows.
+        smooth = random_smooth_field(seed=1000, n=385)
+        grid = RectilinearGrid(smooth.grid.x_coords(), smooth.grid.y_coords())
+        big = VectorField2D(grid, smooth.data, smooth.boundary)
+        cfg = BASE.with_overrides(n_groups=2)
+        ps = make_particles()
+        be = SharedMemoryBackend(max_workers=2)
+        try:
+            be.run_frame(_frame(cfg, ps))
+            size = len(be._maps["tasks"])
+            out = be.run_frame(_frame(cfg, ps, field=big))
+            assert len(be._maps["tasks"]) > size
+            ref, _ = synthesize(cfg, ps.copy(), field=big)
+            np.testing.assert_array_equal(_compose(out), ref)
+        finally:
+            be.close()
+
+
 class TestSharedPool:
     """Runtimes borrow one process-wide pool; direct backends own theirs."""
 
@@ -368,6 +447,64 @@ def test_nothing_outlives_a_sharedmem_run():
     assert child.returncode == 0, err
     assert session_members(child.pid) == []
     assert set(os.listdir("/dev/shm")) <= before
+
+
+CHILD_KILLED = textwrap.dedent(
+    """
+    import os, signal, sys
+    from repro.advection.particles import ParticleSet
+    from repro.core.config import SpotNoiseConfig
+    from repro.fields.analytic import vortex_field
+    from repro.parallel.runtime import DivideAndConquerRuntime
+    from repro.parallel.sharedmem import SharedMemoryBackend
+
+    field = vortex_field(n=33)
+    cfg = SpotNoiseConfig(n_spots=120, texture_size=64, seed=7, n_groups=2)
+    backend = SharedMemoryBackend(max_workers=2)
+    with DivideAndConquerRuntime(cfg, backend=backend) as runtime:
+        runtime.synthesize(field, ParticleSet.uniform_random(120, field.grid.bounds, seed=7))
+    with open(sys.argv[1], "w") as out:
+        out.write(" ".join(str(w.pid) for w in backend._workers))
+    os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfd_open")
+def test_workers_exit_with_a_killed_parent(tmp_path):
+    # Nothing waits on the child's output: workers that outlive it would
+    # hold the pipe open.
+    pid_file = tmp_path / "workers"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    with open(tmp_path / "stderr", "w") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", CHILD_KILLED, str(pid_file)],
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=err,
+        )
+        assert child.wait(timeout=120) == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    pidfds = {}
+    for pid in pids:
+        try:
+            pidfds[os.pidfd_open(pid)] = pid
+        except ProcessLookupError:  # already exited and reaped
+            pass
+    try:
+        deadline = time.monotonic() + 60.0
+        while pidfds and time.monotonic() < deadline:
+            exited, _, _ = select.select(list(pidfds), [], [], deadline - time.monotonic())
+            for fd in exited:
+                os.close(fd)
+                del pidfds[fd]
+        survivors = sorted(pidfds.values())
+    finally:
+        for fd, pid in pidfds.items():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+    assert survivors == [], "workers outlived their killed parent"
 
 
 def _frame(config, particles, field=FIELD):

@@ -74,19 +74,6 @@ class TestCrossing:
         assert rt.call(rt.in_loop_thread)
 
 
-class TestClock:
-    def test_time_is_monotone_nondecreasing(self, rt):
-        a = rt.time()
-        b = rt.time()
-        assert b >= a
-
-    def test_time_matches_loop_clock(self, rt):
-        # Admission windows and supervisor cadence compare against
-        # loop-side timestamps; both must read the same clock.
-        loop_side = rt.call(rt.loop.time)
-        assert abs(rt.time() - loop_side) < 5.0
-
-
 class TestLifecycle:
     def test_shutdown_ends_the_loop(self):
         runtime = RuntimeLoop(name="rt-brief")

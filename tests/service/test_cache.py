@@ -51,6 +51,16 @@ class TestLRUTextureCache:
         got = cache.get("a")
         np.testing.assert_array_equal(got, t)
 
+    def test_floating_entries_keep_their_dtype(self):
+        cache = LRUTextureCache(4 * ENTRY_BYTES)
+        single = np.random.default_rng(0).random((8, 8)).astype(np.float32)
+        cache.put("f32", single)
+        cache.put("int", np.arange(64).reshape(8, 8))
+        assert cache.get("f32").dtype == np.float32
+        assert cache.nbytes == single.nbytes + 64 * 8
+        np.testing.assert_array_equal(cache.get("f32"), single)
+        assert cache.get("int").dtype == np.float64
+
     def test_entries_are_read_only(self):
         cache = LRUTextureCache(4 * ENTRY_BYTES)
         cache.put("a", tex(1.0))

@@ -47,6 +47,7 @@ class TestServedBytes:
         renderer.close()
         np.testing.assert_array_equal(first.texture, fresh)
         np.testing.assert_array_equal(second.texture, fresh)
+        assert first.texture.dtype == second.texture.dtype == np.float64
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("raster_backend", ["exact", "batched"])
