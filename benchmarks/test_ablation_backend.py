@@ -1,8 +1,8 @@
 """Ablation: execution backend (design choice 6 of DESIGN.md).
 
-Times the same divide-and-conquer decomposition on the serial, thread
-and shared-memory process backends.  On a single-CPU host the parallel backends mostly
-measure their own dispatch overhead — the point is that the decomposition
+Times the same divide-and-conquer decomposition on the serial and
+shared-memory process backends.  On a single-CPU host the parallel
+backend mostly measures its own dispatch overhead — the point is that the decomposition
 is backend-agnostic and the outputs are identical; wall-clock speedups
 belong to the calibrated machine model.
 """
@@ -32,7 +32,7 @@ def reference():
     return synthesize("serial")
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+@pytest.mark.parametrize("backend", ["serial", "sharedmem"])
 def test_backend_timing(benchmark, backend, reference):
     texture = benchmark.pedantic(synthesize, args=(backend,), rounds=2, iterations=1)
     np.testing.assert_array_equal(texture, reference)

@@ -4,8 +4,8 @@ The figure's claim is structural: partition particles -> per-group
 advect+generate on its own pipe -> gather and blend.  This bench runs
 that decomposition with the real execution backends, asserts the gathered
 texture is identical to the sequential one (the correctness property that
-makes the decomposition legal), and times serial vs thread vs
-shared-memory process execution of the same work.
+makes the decomposition legal), and times serial vs shared-memory
+process execution of the same work.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ def reference():
     return texture
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+@pytest.mark.parametrize("backend", ["serial", "sharedmem"])
 def test_fig5_backend(benchmark, backend, reference):
     cfg = CFG.with_overrides(n_groups=4, backend=backend)
     texture, report = benchmark.pedantic(synthesize, args=(cfg,), rounds=2, iterations=1)
@@ -53,5 +53,5 @@ def test_fig5_report(benchmark, paper_report, reference):
         f"  {report.summary()}\n"
         "gathered texture identical to the sequential rendering for\n"
         "round-robin, block and spatial (tiled) partitions and for the\n"
-        "serial, thread and shared-memory process backends",
+        "serial and shared-memory process backends",
     )

@@ -5,25 +5,31 @@ what *this* implementation achieves on *this* host for scaled versions of
 both workloads, so users know the real cost of a texture before asking
 the machine model about hypothetical hardware.
 
-Two raster backends are timed per workload:
+Two rasterisers are timed per workload, both in a serial runtime:
 
-* ``exact/batched`` — the default scanline backend
+* ``exact/batched`` — the production scanline kernel
   (:mod:`repro.raster.batched`): exact coverage, fully vectorised.
-* ``exact/reference`` — the per-quad oracle loop, timed on a tenth of
+* ``exact/reference`` — the per-quad oracle loop
+  (:func:`repro.raster.rasterize.rasterize_quads_exact`, swapped in for
+  the batched kernel where the graphics pipe draws), timed on a tenth of
   the spots (it is orders of magnitude slower); its full-workload
   throughput is extrapolated linearly and marked as such.
 
-The batched backend renders the *same pixels* as the reference row, so
+The batched kernel renders the *same pixels* as the reference row, so
 the reference-vs-batched ratio is the speedup of the rasterisation
 subsystem itself.
 """
 
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 from repro.advection.particles import ParticleSet
 from repro.core.config import BentConfig, SpotNoiseConfig
 from repro.fields.analytic import random_smooth_field
+from repro.glsim import pipe
 from repro.parallel.runtime import DivideAndConquerRuntime
+from repro.raster.rasterize import rasterize_quads_exact
 
 FIELD_ATM = random_smooth_field(seed=21, n=53)
 FIELD_DNS = random_smooth_field(seed=22, n=139)
@@ -54,23 +60,25 @@ CONFIGS = {
 }
 
 #: Spot-count divisor for the per-quad reference row (it is ~2 orders of
-#: magnitude slower than the batched backend on the same geometry).
+#: magnitude slower than the batched kernel on the same geometry).
 _REFERENCE_SCALE = 10
 
+#: The kernel each renderer row draws with.  The configs are serial, so
+#: the swap reaches every group.
 RENDERERS = {
-    "exact/batched": dict(raster_backend="batched"),
-    "exact/reference": dict(raster_backend="exact"),
+    "exact/batched": nullcontext,
+    "exact/reference": lambda: mock.patch.object(
+        pipe, "rasterize_quads_batched", rasterize_quads_exact
+    ),
 }
 
 
 def render_once(name, renderer="exact/batched"):
     field, cfg = CONFIGS[name]
-    overrides = dict(RENDERERS[renderer])
     if renderer == "exact/reference":
-        overrides["n_spots"] = max(1, cfg.n_spots // _REFERENCE_SCALE)
-    cfg = cfg.with_overrides(**overrides)
+        cfg = cfg.with_overrides(n_spots=max(1, cfg.n_spots // _REFERENCE_SCALE))
     ps = ParticleSet.uniform_random(cfg.n_spots, field.grid.bounds, seed=cfg.seed)
-    with DivideAndConquerRuntime(cfg) as rt:
+    with RENDERERS[renderer](), DivideAndConquerRuntime(cfg) as rt:
         texture, report = rt.synthesize(field, ps)
     return texture, report
 

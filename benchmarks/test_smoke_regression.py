@@ -5,8 +5,8 @@ host-normalised: a small fixed numpy calibration kernel measures how
 fast *this* host is relative to the host that recorded the baseline, and
 the recorded batched-renderer time is scaled accordingly before the 2x
 comparison.  A second, host-independent check pins the structural
-speedup of the batched scanline backend over the per-quad reference
-loop — if someone breaks the vectorisation, that ratio collapses by two
+speedup of the batched scanline kernel over the per-quad reference
+loop (both timed serially) — if someone breaks the vectorisation, that ratio collapses by two
 orders of magnitude long before it crosses the floor used here.
 
 The baseline (``results/smoke_baseline.json``) is bootstrapped on first
@@ -66,7 +66,7 @@ def test_smoke_throughput_regression():
     batched = _time_renderer("exact/batched")
     reference = _time_renderer("exact/reference", reps=1)
 
-    # Host-independent structural check: the batched backend must stay
+    # Host-independent structural check: the batched kernel must stay
     # far faster than the per-quad loop on identical geometry (the
     # reference row renders a tenth of the spots).
     speedup = (reference * 10.0) / batched

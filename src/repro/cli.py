@@ -38,6 +38,7 @@ from repro.machine.animation import simulate_animation
 from repro.machine.schedule import format_table, simulate_texture, sweep_configurations
 from repro.machine.workload import SpotWorkload
 from repro.machine.workstation import WorkstationConfig
+from repro.parallel.backends import BACKEND_NAMES
 
 _WORKLOADS = {
     "atmospheric": SpotWorkload.atmospheric,
@@ -100,7 +101,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
         anisotropy=args.anisotropy,
         seed=args.seed,
         post_filter=args.post_filter,
-        raster_backend=args.raster_backend,
     )
     with SpotNoiseSynthesizer(config) as synth:
         frame = synth.synthesize(field)
@@ -282,7 +282,7 @@ def _cmd_plan_bench(args: argparse.Namespace) -> int:
     # The animation workload: a static field (the epoch-stable case the
     # shared-memory backend is built for), advected spots per frame.
     result = backend_bench(
-        partial(open_pipeline, config, field), checked=("thread", "sharedmem"),
+        partial(open_pipeline, config, field), checked=("sharedmem",),
         baseline="serial", n_frames=args.frames,
     )
     print(f"animation workload: {args.frames} frames, {args.groups} groups, "
@@ -451,7 +451,7 @@ _BENCH_FLAGS = {
                       dict(type=int, help="frames re-rendered one-shot for the "
                                           "bit-identity check (0 disables)")),
     "backend": (("--backend",), dict(
-        choices=("serial", "thread", "sharedmem"),
+        choices=BACKEND_NAMES,
         help="render backend; every node in a fleet must use the same explicit "
              "backend so fingerprints (and therefore routing) agree")),
 }
@@ -500,12 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--seed", type=int, default=0)
     p_render.add_argument(
         "--post-filter", choices=("none", "highpass", "equalize"), default="none"
-    )
-    p_render.add_argument(
-        "--raster-backend",
-        choices=("exact", "batched"),
-        default="batched",
-        help="spot rasteriser: vectorised batch or per-quad reference (same pixels)",
     )
     p_render.add_argument("--output", "-o", default="spotnoise.pgm")
     p_render.set_defaults(fn=_cmd_render)

@@ -87,8 +87,8 @@ class ClusterNode:
     quotas:
         Optional per-tenant rate limits, charged at the entry node.
     blob_store:
-        Optional blob store (the delta-chunk tier) served to syncing
-        peers via chunk/manifest requests.
+        Optional blob store (the delta-chunk tier) whose chunks this
+        node's manifest lists.
     sequences:
         Sequence manifests advertised in this node's published
         manifest.
@@ -262,8 +262,6 @@ class ClusterNode:
     ) -> None:
         if kind == wire.TEXTURE_REQUEST:
             await self._handle_texture(writer, header)
-        elif kind == wire.CHUNK_REQUEST:
-            await self._handle_chunk(writer, header)
         elif kind == wire.MANIFEST_REQUEST:
             manifest = await self._offload(self.manifest)
             await wire.send_message_async(
@@ -346,23 +344,7 @@ class ClusterNode:
             "source": response.source,
         }
 
-    # -- chunks + manifests ------------------------------------------------------
-    async def _handle_chunk(
-        self, writer: asyncio.StreamWriter, header: Dict[str, Any]
-    ) -> None:
-        digest = str(header.get("digest", ""))
-        payload = (
-            await self._offload(self.blob_store.get_bytes, digest)
-            if self.blob_store is not None and digest
-            else None
-        )
-        if payload is None:
-            await wire.send_message_async(writer, wire.CHUNK_RESPONSE, {"found": False})
-        else:
-            await wire.send_message_async(
-                writer, wire.CHUNK_RESPONSE, {"found": True}, payload
-            )
-
+    # -- manifests ---------------------------------------------------------------
     def manifest(self) -> ClusterManifest:
         """This node's current published manifest."""
         if self.blob_store is None:

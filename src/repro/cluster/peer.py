@@ -1,14 +1,13 @@
 """Client side of the node-to-node (and client-to-node) protocol.
 
 :class:`PeerClient` speaks :mod:`repro.cluster.wire` to one node's
-socket front end: request a texture, fetch a chunk by digest, pull the
-node's manifest, ping.  Connections are pooled and reused across calls;
-a call that hits a dead socket, a truncated frame or a corrupt frame
-retries on a *fresh* connection with exponential backoff, and only after
-the attempt budget is spent does it surface
-:class:`PeerUnavailable` — at which point the routing layer
-(:class:`repro.cluster.node.ClusterNode`) drops the peer from its ring
-and re-routes to the key's new owner.
+socket front end: request a texture, pull the node's manifest, ping.
+Connections are pooled and reused across calls; a call that hits a dead
+socket, a truncated frame or a corrupt frame retries on a *fresh*
+connection with exponential backoff, and only after the attempt budget
+is spent does it surface :class:`PeerUnavailable` — at which point the
+routing layer (:class:`repro.cluster.node.ClusterNode`) drops the peer
+from its ring and re-routes to the key's new owner.
 
 On the async spine every round trip is a coroutine on the process
 :class:`~repro.runtime.loop.RuntimeLoop`: the connection pool is
@@ -195,20 +194,6 @@ class PeerClient:
                 f"expected texture_response, got {wire.KIND_NAMES.get(kind, kind)}"
             )
         return wire.decode_texture(header, body), header
-
-    def fetch_chunk(self, digest: str) -> Optional[bytes]:
-        """The raw chunk payload stored under *digest*, or ``None``.
-
-        The returned bytes are **unverified** — a caller re-hashes them
-        against the manifest's published ``payload_sha256`` before
-        storing.
-        """
-        kind, header, body = self._call(wire.CHUNK_REQUEST, {"digest": str(digest)})
-        if kind != wire.CHUNK_RESPONSE:
-            raise ServiceError(
-                f"expected chunk_response, got {wire.KIND_NAMES.get(kind, kind)}"
-            )
-        return body if header.get("found") else None
 
     def manifest(self) -> ClusterManifest:
         """The peer's current published manifest."""

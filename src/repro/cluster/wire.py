@@ -52,8 +52,8 @@ MAX_BODY_BYTES = 1 << 31
 # -- message kinds ------------------------------------------------------------
 TEXTURE_REQUEST = 1
 TEXTURE_RESPONSE = 2
-CHUNK_REQUEST = 3
-CHUNK_RESPONSE = 4
+# Kinds 3 and 4 are retired: keep them unassigned (do not renumber), so
+# a frame of either kind fails as an unknown kind.
 MANIFEST_REQUEST = 5
 MANIFEST_RESPONSE = 6
 PING = 7
@@ -63,8 +63,6 @@ ERROR = 9
 KIND_NAMES = {
     TEXTURE_REQUEST: "texture_request",
     TEXTURE_RESPONSE: "texture_response",
-    CHUNK_REQUEST: "chunk_request",
-    CHUNK_RESPONSE: "chunk_response",
     MANIFEST_REQUEST: "manifest_request",
     MANIFEST_RESPONSE: "manifest_response",
     PING: "ping",

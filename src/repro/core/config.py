@@ -2,9 +2,9 @@
 
 Every knob the paper mentions is here: spot count, spot size/profile, the
 anisotropic transform strength, bent-spot mesh resolution, texture size,
-tiling, raster backend and the parallel decomposition.  Configs are
-immutable dataclasses — safe to share across process groups and cheap to
-pickle into worker processes.
+tiling and the parallel decomposition.  Configs are immutable
+dataclasses — safe to share across process groups and cheap to pickle
+into worker processes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.errors import PipelineError
 from repro.spots.bent import BentSpotConfig
 
 SpotMode = Literal["standard", "bent"]
-RasterBackend = Literal["exact", "batched"]
 PartitionStrategy = Literal["round_robin", "block", "spatial"]
 PostFilter = Literal["none", "highpass", "equalize"]
 Seeding = Literal["uniform", "jittered", "cell_area"]
@@ -75,14 +74,6 @@ class SpotNoiseConfig:
         Bent-spot mesh parameters (used when ``spot_mode == "bent"``).
     intensity:
         Spot intensity amplitude (weights are +/- this value).
-    raster_backend:
-        Implementation of the spot rasteriser — exact scanline coverage
-        of each texture-mapped quad, as the paper's graphics pipes drew
-        spots: ``"batched"`` (the default) rasterises all quads of a draw
-        call in vectorised numpy passes; ``"exact"`` is the per-quad
-        reference loop kept as the oracle.  Both produce bit-identical
-        textures (the batched renderer reproduces the reference's
-        arithmetic and accumulation order).
     n_groups:
         Process groups (= simulated graphics pipes) for divide and conquer.
     processors_per_group:
@@ -92,8 +83,8 @@ class SpotNoiseConfig:
     guard_px:
         Tile guard band (pixels) when tiling.
     backend:
-        Execution backend name: ``serial``, ``thread`` or ``sharedmem``
-        (zero-copy shared-memory process groups) — or
+        Execution backend name: ``serial`` or ``sharedmem`` (zero-copy
+        shared-memory process groups) — or
         ``auto``, which defers the whole decomposition (backend, group
         count, partition) to the cost-model
         :class:`~repro.parallel.planner.DecompositionPlanner` when the
@@ -122,7 +113,6 @@ class SpotNoiseConfig:
     profile_resolution: int = 32
     bent: BentConfig = field(default_factory=BentConfig)
     intensity: float = 1.0
-    raster_backend: RasterBackend = "batched"
     n_groups: int = 1
     processors_per_group: int = 1
     partition: PartitionStrategy = "round_robin"
@@ -143,15 +133,13 @@ class SpotNoiseConfig:
             raise PipelineError("spot_radius_cells must be positive")
         if self.anisotropy < 0:
             raise PipelineError("anisotropy must be >= 0")
-        if self.raster_backend not in ("exact", "batched"):
-            raise PipelineError(f"unknown raster backend {self.raster_backend!r}")
         if self.n_groups < 1:
             raise PipelineError("n_groups must be >= 1")
         if self.processors_per_group < 1:
             raise PipelineError("processors_per_group must be >= 1")
         if self.partition not in ("round_robin", "block", "spatial"):
             raise PipelineError(f"unknown partition strategy {self.partition!r}")
-        if self.backend not in ("serial", "thread", "sharedmem", "auto"):
+        if self.backend not in ("serial", "sharedmem", "auto"):
             raise PipelineError(f"unknown backend {self.backend!r}")
         if self.guard_px < 0:
             raise PipelineError("guard_px must be >= 0")
@@ -194,10 +182,10 @@ class SpotNoiseConfig:
         Two configs fingerprint equal iff they are equal, so the digest
         can stand in for the config in content-addressed cache keys
         (:mod:`repro.service`).  All fields participate — including
-        execution-shape knobs like ``raster_backend``, ``backend`` and
-        ``partition`` whose outputs are proven bit-identical by the
-        equivalence tests: keying conservatively on them can only cause
-        an extra render, never a wrong cache hit.
+        execution-shape knobs like ``backend`` and ``partition`` whose
+        outputs are proven bit-identical by the equivalence tests:
+        keying conservatively on them can only cause an extra render,
+        never a wrong cache hit.
         """
         parts = []
         for name in sorted(self.__dataclass_fields__):

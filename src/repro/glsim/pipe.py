@@ -1,11 +1,12 @@
 """The simulated graphics pipe.
 
 A :class:`GraphicsPipe` owns a frame buffer and the resident spot-profile
-textures, executes the command stream against the software rasteriser
-chosen by ``SpotNoiseConfig.raster_backend``, and counts everything it
-does.  The counters are the contract with :mod:`repro.machine`:
-simulated time is *derived* from them, never measured, so the
-performance model is deterministic and host-independent.
+textures, executes the command stream against the production software
+rasteriser (:func:`~repro.raster.batched.rasterize_quads_batched`), and
+counts everything it does.  The counters are the contract with
+:mod:`repro.machine`: simulated time is *derived* from them, never
+measured, so the performance model is deterministic and
+host-independent.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from repro.glsim.commands import (
 )
 from repro.raster.batched import rasterize_quads_batched
 from repro.raster.framebuffer import FrameBuffer
-from repro.raster.rasterize import rasterize_quads_exact
 from repro.raster.texture import Texture
-
-# Scanline rasterisation has two implementations producing bit-identical
-# pixels: the vectorised batch renderer (the default) and the per-quad
-# reference loop (the oracle).
-_RASTERIZERS = {"batched": rasterize_quads_batched, "exact": rasterize_quads_exact}
 
 
 @dataclass
@@ -58,21 +53,12 @@ class GraphicsPipe:
     width, height, window:
         Frame buffer geometry; a tiled configuration gives each pipe a
         smaller buffer covering only its tile.
-    raster_backend:
-        ``"batched"`` or ``"exact"`` (``SpotNoiseConfig.raster_backend``).
     """
 
-    def __init__(
-        self, pipe_id: int, width: int, height: int, window, raster_backend: str = "batched"
-    ):
-        if raster_backend not in _RASTERIZERS:
-            raise GLStateError(
-                f"invalid raster backend {raster_backend!r}; valid: {sorted(_RASTERIZERS)}"
-            )
+    def __init__(self, pipe_id: int, width: int, height: int, window):
         self.pipe_id = int(pipe_id)
         self.framebuffer = FrameBuffer(width, height, window)
         self.counters = PipeCounters()
-        self._rasterize = _RASTERIZERS[raster_backend]
         self._textures: Dict[int, Texture] = {}
         self._bound_texture: Optional[Texture] = None
         self._blend_mode = "add"
@@ -102,7 +88,9 @@ class GraphicsPipe:
     def _draw(self, cmd: DrawQuads) -> None:
         if self._blend_mode != "add":
             raise GLStateError("spot synthesis requires additive blending")
-        pixels = self._rasterize(
+        # Looked up by module name on every draw, so a test can swap in
+        # the per-quad reference oracle (``rasterize_quads_exact``).
+        pixels = rasterize_quads_batched(
             self.framebuffer, cmd.quads, cmd.uvs, cmd.intensities, self._bound_texture
         )
         self.counters.vertices_in += cmd.n_vertices

@@ -21,7 +21,7 @@ from repro.machine.workload import SpotWorkload
 from repro.machine.workstation import WorkstationConfig
 from repro.machine.schedule import simulate_texture, TimingResult, sweep_configurations
 from repro.machine.analytic import eq21_time, eq32_time
-from repro.machine.animation import AnimationTiming, pipelined_rate, simulate_animation
+from repro.machine.animation import AnimationTiming, simulate_animation
 
 __all__ = [
     "Simulator",

@@ -3,10 +3,10 @@
 This package implements the paper's parallel decomposition *for real*:
 spots are partitioned into disjoint sets, each set is processed by one
 process group driving one simulated graphics pipe, partial textures are
-gathered and blended into the final texture.  Execution backends range
-from serial (reference) through thread-based to zero-copy shared-memory
-process groups (:mod:`repro.parallel.sharedmem`); all backends produce
-bit-identical textures for the same seed, which is the core correctness
+gathered and blended into the final texture.  Two execution backends
+run it: ``serial`` (the reference) and zero-copy shared-memory process
+groups (:mod:`repro.parallel.sharedmem`); both produce bit-identical
+textures for the same seed, which is the core correctness
 property of the decomposition (spots are independent and blending is
 associative/commutative addition).
 
@@ -27,7 +27,6 @@ from repro.parallel.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend,
 )
 from repro.parallel.sharedmem import SharedMemoryBackend
@@ -51,7 +50,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "SharedMemoryBackend",
     "DecompositionPlan",
     "DecompositionPlanner",

@@ -97,7 +97,7 @@ class FrameWork:
     The read-mostly state (field, config, full particle arrays) appears
     exactly once; each :class:`GroupSpec` selects its spot subset by
     index.  :meth:`task` materialises one group's :class:`GroupTask`,
-    which is what the serial and thread backends render; the
+    which is what the serial backend renders; the
     shared-memory backend instead publishes the shared arrays once and
     ships only the specs.
     """
@@ -192,9 +192,7 @@ def _profile_texture(name: str, resolution: int) -> Texture:
 def render_group(task: GroupTask) -> GroupResult:
     """Execute one group's spot set on a private simulated pipe."""
     cfg = task.config
-    pipe = GraphicsPipe(
-        task.group_index, task.fb_size[0], task.fb_size[1], task.fb_window, cfg.raster_backend
-    )
+    pipe = GraphicsPipe(task.group_index, task.fb_size[0], task.fb_size[1], task.fb_window)
     pipe.upload_texture(0, _profile_texture(cfg.profile, cfg.profile_resolution))
     pipe.execute(SetBlendMode("add"))
     pipe.execute(BindTexture(0))

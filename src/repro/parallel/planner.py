@@ -20,8 +20,8 @@ Two families of terms participate:
 * the **host terms** are priced on the host and are *not* scaled:
   partition and blend (eq 3.2's sequential term) by the bytes they move
   over ``shm_bandwidth_Bps``, charged only when there is more than one
-  group; shared-memory memcpy for the process backend; and a per-group
-  worker dispatch.  A serial plan pays the render work only.
+  group; shared-memory memcpy for the ``sharedmem`` process groups; and
+  a per-group worker dispatch.  A serial plan pays the render work only.
 
 Because the calibration multiplies only the render work, it shifts the
 balance: a slow host (large scale) amortises parallel overheads and the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -46,15 +46,12 @@ from repro.errors import BackendError, MachineError
 from repro.machine.costs import CostModel
 from repro.machine.schedule import tile_duplication
 from repro.machine.workload import SpotWorkload, workload_from_config
+from repro.parallel.backends import BACKEND_NAMES
 from repro.parallel.tiling import TileLayout
 
 if TYPE_CHECKING:
     from repro.core.config import SpotNoiseConfig
     from repro.fields.vectorfield import VectorField2D
-
-#: Backends the planner knows how to price, cheapest-infrastructure
-#: first — the order used to break exact ties.
-PLANNABLE_BACKENDS: "Tuple[str, ...]" = ("serial", "thread", "sharedmem")
 
 _BYTES_FLOAT64 = 8
 _BYTES_POS = 16  # one (x, y) float64 pair
@@ -126,51 +123,29 @@ class DecompositionPlanner:
         ``min(n_groups, host_workers)`` — on a single-core host every
         parallel candidate degenerates to overhead and the planner
         correctly answers ``serial``.
-    backends:
-        Candidate backends (subset of :data:`PLANNABLE_BACKENDS`).
     max_groups:
         Largest group count considered.
-    thread_efficiency:
-        Fraction of a parallel slot a thread-backend group realises —
-        numpy releases the GIL in its inner loops, but the pure-python
-        glue between them serialises.
     """
 
     def __init__(
         self,
         costs: Optional[CostModel] = None,
         host_workers: Optional[int] = None,
-        backends: "Optional[Sequence[str]]" = None,
         max_groups: int = 8,
-        thread_efficiency: float = 0.6,
     ):
         self.costs = costs or CostModel.onyx2()
         self.host_workers = int(host_workers or os.cpu_count() or 1)
         if self.host_workers < 1:
             raise MachineError(f"host_workers must be >= 1, got {self.host_workers}")
-        self.backends = tuple(backends or PLANNABLE_BACKENDS)
-        for name in self.backends:
-            if name not in PLANNABLE_BACKENDS:
-                raise BackendError(
-                    f"cannot plan for backend {name!r}; plannable: {PLANNABLE_BACKENDS}"
-                )
         if max_groups < 1:
             raise MachineError(f"max_groups must be >= 1, got {max_groups}")
         self.max_groups = int(max_groups)
-        if not (0.0 < thread_efficiency <= 1.0):
-            raise MachineError(
-                f"thread_efficiency must be in (0, 1], got {thread_efficiency}"
-            )
-        self.thread_efficiency = float(thread_efficiency)
 
     # -- pricing ---------------------------------------------------------------
     def _slots(self, backend: str, n_groups: int) -> float:
         if backend == "serial":
             return 1.0
-        slots = float(min(n_groups, self.host_workers))
-        if backend == "thread":
-            return max(1.0, slots * self.thread_efficiency)
-        return slots
+        return float(min(n_groups, self.host_workers))
 
     def _transport_s(self, backend: str, n_groups: int, workload: SpotWorkload,
                      partition: str) -> float:
@@ -179,8 +154,6 @@ class DecompositionPlanner:
             return 0.0
         c = self.costs
         dispatch = n_groups * c.worker_dispatch_s
-        if backend == "thread":
-            return dispatch  # shared address space: no bytes move
         partial_px = (
             workload.texture_pixels // n_groups
             if partition == "spatial"
@@ -203,7 +176,7 @@ class DecompositionPlanner:
         scale: float = 1.0,
     ) -> float:
         """Predicted seconds per texture for one candidate triple."""
-        if backend not in PLANNABLE_BACKENDS:
+        if backend not in BACKEND_NAMES:
             raise BackendError(f"cannot price backend {backend!r}")
         if n_groups < 1:
             raise MachineError(f"n_groups must be >= 1, got {n_groups}")
@@ -265,7 +238,7 @@ class DecompositionPlanner:
         """
         scale = 1.0 if scale is None else float(scale)
         candidates = []
-        for backend in self.backends:
+        for backend in BACKEND_NAMES:
             for n_groups in self.group_candidates():
                 if backend == "serial" and n_groups != 1:
                     continue
@@ -287,10 +260,9 @@ class DecompositionPlanner:
                     )
         if not candidates:
             raise MachineError("planner produced no candidates")
-        rank = {name: i for i, name in enumerate(PLANNABLE_BACKENDS)}
-        candidates.sort(
-            key=lambda c: (c.predicted_s, c.n_groups, rank[c.backend], c.partition)
-        )
+        # One group means serial and more mean sharedmem, so the group
+        # count also settles which backend wins a tie.
+        candidates.sort(key=lambda c: (c.predicted_s, c.n_groups, c.partition))
         best = candidates[0]
         return DecompositionPlan(
             backend=best.backend,

@@ -55,7 +55,7 @@ arrays that round-trip through shared memory exactly (float64 memcpy),
 which the backend-equivalence zoo asserts.
 
 A task failure inside a worker is caught there and reported back; the
-pool stays warm and healthy, like the thread backend.  Only
+pool stays warm and healthy.  Only
 infrastructure failures — a worker dying, an interrupt mid-collection —
 discard the pool, via ``BaseException`` so a ``KeyboardInterrupt`` can
 never leave a desynchronised pool behind; the next pool rings a fresh
@@ -264,7 +264,7 @@ class SharedMemoryBackend(ExecutionBackend):
     ----------
     max_workers:
         Pool size; ``None`` grows to the high-water group count (workers
-        are added, never torn down, mirroring the thread backend).
+        are added, never torn down).
     """
 
     name = "sharedmem"

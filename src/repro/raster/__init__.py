@@ -3,13 +3,14 @@
 This package stands in for the rasterisation stage of the InfiniteReality
 pipes: textured quads go in, blended intensity rasters come out.  Spots
 are rasterised the way the paper's pipes drew them — exact scanline
-coverage of texture-mapped polygons — by one of two implementations
-that produce bit-identical pixels (``SpotNoiseConfig.raster_backend``):
+coverage of texture-mapped polygons:
 
-* :func:`rasterize_quads_batched` — the production renderer, vectorised
-  over the whole quad batch;
+* :func:`rasterize_quads_batched` — the renderer every pipe runs,
+  vectorised over the whole quad batch;
 * :func:`rasterize_quads_exact` — per-quad scanline coverage with
-  barycentric texture interpolation, kept as the reference oracle.
+  barycentric texture interpolation, the reference oracle the tests
+  hold the batched kernel to, pixel for pixel.  No configuration
+  selects it.
 
 Both accumulate into a :class:`FrameBuffer` using the additive blend that
 defines spot noise (``f(x) = sum a_i h(x - x_i)``).  :func:`splat_points`

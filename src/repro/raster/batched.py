@@ -113,7 +113,7 @@ def rasterize_quads_batched(
     Drop-in replacement for
     :func:`repro.raster.rasterize.rasterize_quads_exact` — same signature,
     same pixels (see the module docstring for the equivalence guarantee) —
-    selected through ``SpotNoiseConfig.raster_backend``.
+    and the kernel every :class:`~repro.glsim.pipe.GraphicsPipe` runs.
 
     Parameters
     ----------

@@ -6,10 +6,11 @@ all pixel centres of its bounding box at once.  The shared diagonal uses
 complementary inclusive/exclusive rules so no pixel is covered twice —
 a requirement for the additive spot-noise blend to stay unbiased.
 
-This path is exact but per-quad: it is the *reference oracle*.  The
-production implementation of the same scanline semantics is
-:mod:`repro.raster.batched`, which renders bit-identical pixels in
-vectorised batches (selected via ``SpotNoiseConfig.raster_backend``).
+This path is exact but per-quad: it is the *reference oracle*, run only
+by the tests.  The production implementation of the same scanline
+semantics is :mod:`repro.raster.batched`, which renders bit-identical
+pixels in vectorised batches and is the only kernel a graphics pipe
+runs.
 """
 
 from __future__ import annotations

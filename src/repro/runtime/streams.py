@@ -210,10 +210,6 @@ class BoundedFrameChannel:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     async def put(self, item: Any) -> None:
         while len(self._items) >= self.maxsize and not self._closed:
             await _wait_on(self._writable)

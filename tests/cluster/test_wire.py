@@ -71,7 +71,7 @@ def test_corrupted_frames_raise_wire_error(mutate, match):
 
 @pytest.mark.parametrize("cut", [1, 10, 30, -5])
 def test_truncated_frames_raise_mid_frame_not_closed(cut):
-    frame = wire.encode_frame(wire.CHUNK_RESPONSE, {"found": True}, b"x" * 64)
+    frame = wire.encode_frame(wire.MANIFEST_RESPONSE, {"found": True}, b"x" * 64)
     with pytest.raises(wire.WireError) as excinfo:
         _recv(frame[:cut])
     assert not isinstance(excinfo.value, wire.WireClosed)
@@ -95,8 +95,10 @@ def test_oversize_announcements_rejected_before_allocation():
 
 
 def test_encode_rejects_unknown_kind():
-    with pytest.raises(wire.WireError, match="kind"):
-        wire.encode_frame(42, {})
+    # 3 and 4 are retired kinds: they stay unassigned.
+    for kind in (3, 4, 42):
+        with pytest.raises(wire.WireError, match="kind"):
+            wire.encode_frame(kind, {})
 
 
 def test_malformed_json_header_rejected():

@@ -30,7 +30,7 @@ class TestSpotNoiseConfig:
             dict(spot_mode="square"),
             dict(spot_radius_cells=0.0),
             dict(anisotropy=-1.0),
-            dict(raster_backend="fast"),
+            dict(backend="thread"),
             dict(post_filter="blur"),
             dict(n_groups=0),
             dict(processors_per_group=0),
@@ -89,12 +89,11 @@ class TestFingerprint:
         "profile_resolution": 16,
         "bent": BentConfig(n_along=8, n_across=5),
         "intensity": 2.0,
-        "raster_backend": "exact",
         "n_groups": 2,
         "processors_per_group": 2,
         "partition": "block",
         "guard_px": 12,
-        "backend": "thread",
+        "backend": "sharedmem",
         "seed": 123,
         "post_filter": "highpass",
         "seeding": "jittered",

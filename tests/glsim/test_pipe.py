@@ -43,10 +43,6 @@ class TestCommandBytes:
 
 
 class TestGraphicsPipe:
-    def test_unknown_raster_backend_rejected(self):
-        with pytest.raises(GLStateError):
-            GraphicsPipe(0, 16, 16, WIN, raster_backend="raytrace")
-
     def test_draw_requires_uploaded_texture(self, pipe):
         with pytest.raises(GLStateError):
             pipe.execute(BindTexture(99))

@@ -6,6 +6,8 @@ quads, bus bytes — otherwise the model is predicting a different
 algorithm than the one implemented.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.advection.particles import ParticleSet
@@ -14,6 +16,8 @@ from repro.core.synthesizer import workload_from_config
 from repro.fields.analytic import random_smooth_field
 from repro.glsim.commands import BYTES_PER_FLOAT, FLOATS_PER_VERTEX
 from repro.parallel.runtime import DivideAndConquerRuntime
+
+from oracles import exact_rasteriser
 
 FIELD = random_smooth_field(seed=0, n=33)
 
@@ -58,12 +62,13 @@ class TestWorkCounts:
         assert report.counters.bytes_received < expected_geometry + texture_upload + 256
 
     @pytest.mark.parametrize(
-        "overrides, expected",
+        "overrides, kernel, expected",
         [
-            (dict(n_spots=150, seed=1, raster_backend="batched"), (600, 150, 2319, 18440, 1)),
-            (dict(n_spots=150, seed=1, raster_backend="exact"), (600, 150, 2319, 18440, 1)),
+            (dict(n_spots=150, seed=1), nullcontext, (600, 150, 2319, 18440, 1)),
+            (dict(n_spots=150, seed=1), exact_rasteriser, (600, 150, 2319, 18440, 1)),
             (
-                dict(n_spots=300, n_groups=3, backend="thread", seed=2),
+                dict(n_spots=300, n_groups=3, backend="sharedmem", seed=2),
+                nullcontext,
                 (1200, 300, 4673, 45120, 3),
             ),
             (
@@ -76,18 +81,22 @@ class TestWorkCounts:
                     guard_px=16,
                     seed=1,
                 ),
+                nullcontext,
                 (9880, 2470, 1134, 200920, 4),
             ),
         ],
-        ids=["standard-batched", "standard-exact", "thread-3-groups", "bent-spatial-4"],
+        ids=["standard-batched", "standard-exact", "sharedmem-3-groups", "bent-spatial-4"],
     )
-    def test_counters_pinned_exactly(self, overrides, expected):
+    def test_counters_pinned_exactly(self, overrides, kernel, expected):
         """Every counter the model and perfbench read, pinned to its value.
 
         A dropped command header or a second texture upload moves
         ``bytes_received`` by 16 bytes or a whole profile; both fail here.
+        The ``standard-exact`` row counts the reference rasteriser (a
+        serial render).
         """
-        c = run(SpotNoiseConfig(texture_size=64, **overrides)).counters
+        with kernel():
+            c = run(SpotNoiseConfig(texture_size=64, **overrides)).counters
         got = (c.vertices_in, c.quads_drawn, c.pixels_filled, c.bytes_received, c.texture_uploads)
         assert got == expected
 

@@ -17,7 +17,9 @@ without going through the code under test:
 * :func:`recv_message` reads one cluster wire frame from a blocking
   socket, for test-side peers;
 * :func:`sync_manifest` syncs a blob store from a published cluster
-  manifest, verifying every payload.
+  manifest, verifying every payload;
+* :func:`exact_rasteriser` renders frames through the per-quad
+  reference rasteriser instead of the batched kernel.
 
 Import them as ``from oracles import ...``: the test tree's root holds
 the suite's ``conftest.py``, so pytest puts it on ``sys.path``.
@@ -26,8 +28,10 @@ the suite's ``conftest.py``, so pytest puts it on ``sys.path``.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
+from unittest import mock
 
 import numpy as np
 
@@ -37,6 +41,8 @@ from repro.errors import ReproError
 from repro.fields.io import field_digest
 from repro.fields.scalarfield import ScalarField2D
 from repro.fields.vectorfield import VectorField2D
+from repro.glsim import pipe
+from repro.raster.rasterize import rasterize_quads_exact
 from repro.service.keys import RequestKey, TileSpec
 
 
@@ -227,7 +233,7 @@ def sync_manifest(
     """Bring *dest* up to date with *manifest*, fetching missing chunks.
 
     *fetch* maps a chunk digest to its payload bytes (``None`` for a
-    miss), as :meth:`repro.cluster.peer.PeerClient.fetch_chunk` does.
+    miss), as a blob store's ``get_bytes`` does.
     Every fetched payload is re-hashed against the manifest's
     ``payload_sha256`` before it is stored; a mismatch counts as
     ``corrupt`` and **nothing** is written, so a lying or damaged source
@@ -256,3 +262,18 @@ def sync_manifest(
         missing=missing,
         bytes_fetched=bytes_fetched,
     )
+
+
+@contextmanager
+def exact_rasteriser() -> Iterator[None]:
+    """Within the block, graphics pipes draw with the per-quad reference
+    oracle :func:`~repro.raster.rasterize.rasterize_quads_exact` instead
+    of the batched kernel.
+
+    The swap patches the name :mod:`repro.glsim.pipe` draws through, so
+    it reaches only renders in this process: use it with
+    ``backend="serial"`` only.  A shared-memory pool forked inside the
+    block would keep the slow kernel for the rest of the session.
+    """
+    with mock.patch.object(pipe, "rasterize_quads_batched", rasterize_quads_exact):
+        yield

@@ -1,10 +1,8 @@
-"""Backend lifecycle: pooled workers across frames, recovery after errors.
+"""Backend lifecycle: degenerate workloads through every backend.
 
-The runtime promises that worker pools "persist across animation frames"
-and that one bad frame does not poison the next.  These tests pin both
-promises for the thread backend, plus the degenerate workloads (frames
-without groups, zero-spot groups) through every backend; the
-shared-memory pool's recovery lives in ``test_sharedmem.py``.
+Frames without groups and zero-spot groups must work on every backend
+and give the serial result.  The shared-memory pool's persistence across
+frames and its recovery after errors live in ``test_sharedmem.py``.
 """
 
 import numpy as np
@@ -13,7 +11,7 @@ import pytest
 from repro.advection.particles import ParticleSet
 from repro.core.config import SpotNoiseConfig
 from repro.fields.analytic import vortex_field
-from repro.parallel.backends import ThreadBackend, get_backend
+from repro.parallel.backends import get_backend
 from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.parallel.groups import FrameWork, GroupSpec
 
@@ -47,12 +45,12 @@ def make_frame(*sizes, config=BASE):
 
 
 class TestEmptyWork:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "sharedmem"])
     def test_no_tasks(self, backend):
         with get_backend(backend) as be:
             assert be.run_frame(make_frame()) == []
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "sharedmem"])
     def test_all_groups_empty(self, backend):
         with get_backend(backend) as be:
             results = be.run_frame(make_frame(0, 0, 0))
@@ -61,7 +59,7 @@ class TestEmptyWork:
             assert r.n_spots == 0
             assert float(np.abs(r.texture).sum()) == 0.0
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "sharedmem"])
     @pytest.mark.parametrize("partition", ["round_robin", "block", "spatial"])
     def test_more_groups_than_spots(self, backend, partition):
         # 2 spots over 4 groups: at least two groups receive zero spots.
@@ -79,54 +77,9 @@ class TestEmptyWork:
 
 
 class TestFrameInterface:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "sharedmem"])
     def test_run_frame_is_the_only_work_method(self, backend):
         with get_backend(backend) as be:
             assert not hasattr(be, "run")
             results = be.run_frame(make_frame(4, 2))
         assert [(r.group_index, r.n_spots) for r in results] == [(0, 4), (1, 2)]
-
-
-class TestThreadBackendPersistence:
-    def test_executor_persists_across_frames(self):
-        with ThreadBackend(max_workers=2) as be:
-            be.run_frame(make_frame(4, 4))
-            pool_first = be._pool
-            assert pool_first is not None
-            be.run_frame(make_frame(4, 4))
-            assert be._pool is pool_first
-
-    def test_executor_grows_in_place_when_needed(self):
-        # Regression: growth used to shutdown(wait=True) + recreate,
-        # stalling the frame and discarding warm threads whenever the
-        # group count varied.  The executor must grow to the high-water
-        # size without being torn down.
-        with ThreadBackend() as be:
-            be.run_frame(make_frame(4))
-            small = be._pool
-            warm_threads = set(small._threads)
-            be.run_frame(make_frame(4, 4, 4))
-            assert be._pool is small  # same executor, grown in place
-            assert be._pool_size == 3
-            assert warm_threads <= set(small._threads)  # warm threads kept
-            # Shrinking frames never shrink the pool, and still work.
-            results = be.run_frame(make_frame(4))
-            assert be._pool is small and be._pool_size == 3
-            assert results[0].n_spots == 4
-
-    def test_task_error_leaves_executor_usable(self):
-        bad = make_frame(4, config=BASE.with_overrides(profile="no-such-profile"))
-        with ThreadBackend(max_workers=2) as be:
-            be.run_frame(make_frame(4))
-            pool = be._pool
-            with pytest.raises(Exception):
-                be.run_frame(bad)
-            assert be._pool is pool
-            results = be.run_frame(make_frame(4))
-            assert results[0].n_spots == 4
-
-    def test_close_releases_pool(self):
-        be = ThreadBackend(max_workers=1)
-        be.run_frame(make_frame(4))
-        be.close()
-        assert be._pool is None

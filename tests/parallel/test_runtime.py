@@ -16,6 +16,8 @@ from repro.fields.analytic import random_smooth_field, vortex_field
 from repro.parallel.backends import get_backend
 from repro.parallel.runtime import DivideAndConquerRuntime, spot_reach_world
 
+from oracles import exact_rasteriser
+
 
 FIELD = vortex_field(n=33)
 
@@ -80,15 +82,15 @@ class TestSequentialEquivalence:
         np.testing.assert_allclose(out, ref, atol=1e-9)
 
     def test_exact_render_mode_equivalence(self):
-        cfg = BASE.with_overrides(raster_backend="exact")
         ps = make_particles(150)
-        ref, _ = synthesize(cfg, ps.copy())
-        out, _ = synthesize(cfg.with_overrides(n_groups=3), ps.copy())
+        with exact_rasteriser():
+            ref, _ = synthesize(BASE, ps.copy())
+            out, _ = synthesize(BASE.with_overrides(n_groups=3), ps.copy())
         np.testing.assert_allclose(out, ref, atol=1e-9)
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "sharedmem"])
     def test_backends_identical(self, backend):
         ps = make_particles()
         ref, _ = synthesize(BASE.with_overrides(n_groups=2), ps.copy())
@@ -104,43 +106,45 @@ class TestBackendEquivalence:
             get_backend("gpu")
 
     def test_process_is_not_a_backend(self):
-        # sharedmem is the one process backend: "process" names nothing
-        # in config validation, get_backend or the planner.
+        # serial and sharedmem are the only backends: "process" and
+        # "thread" name nothing in config validation, get_backend or the
+        # planner.
         from repro.errors import BackendError, PipelineError
+        from repro.machine.workload import SpotWorkload
         from repro.parallel.planner import DecompositionPlanner
 
-        with pytest.raises(BackendError):
-            get_backend("process")
-        with pytest.raises(PipelineError):
-            SpotNoiseConfig(backend="process")
-        with pytest.raises(BackendError):
-            DecompositionPlanner(backends=("process",))
-
-    def test_thread_backend_worker_bound(self):
-        from repro.errors import BackendError
-
-        with pytest.raises(BackendError):
-            get_backend("thread", max_workers=0)
+        workload = SpotWorkload.standard_spots(300, texture_size=64)
+        for name in ("process", "thread"):
+            with pytest.raises(BackendError):
+                get_backend(name)
+            with pytest.raises(PipelineError):
+                SpotNoiseConfig(backend=name)
+            with pytest.raises(BackendError):
+                DecompositionPlanner().price(workload, name, 2)
+            plan = DecompositionPlanner(host_workers=8).plan(workload)
+            assert name not in {c.backend for c in plan.candidates}
 
 
 class TestRasterBackendEquivalence:
-    """exact-vs-batched scanline backends must agree bit for bit,
-    whatever the partition strategy or execution backend."""
+    """The batched kernel must agree bit for bit with the per-quad
+    reference oracle, whatever the partition strategy or execution
+    backend.  The oracle renders serially (:func:`exact_rasteriser`
+    reaches only this process); the batched frame runs on *backend*."""
 
-    EXACT = BASE.with_overrides(n_spots=120, raster_backend="exact")
-    BATCHED = BASE.with_overrides(n_spots=120, raster_backend="batched")
+    CFG = BASE.with_overrides(n_spots=120)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["serial", "sharedmem"])
     @pytest.mark.parametrize(
         "partition,n_groups", [("round_robin", 3), ("block", 3), ("spatial", 4)]
     )
     def test_bitwise_identical_across_matrix(self, partition, n_groups, backend):
         ps = make_particles(120, seed=11)
-        overrides = dict(
-            partition=partition, n_groups=n_groups, backend=backend, guard_px=16
+        overrides = dict(partition=partition, n_groups=n_groups, guard_px=16)
+        with exact_rasteriser():
+            ref, _ = synthesize(self.CFG.with_overrides(**overrides), ps.copy())
+        out, _ = synthesize(
+            self.CFG.with_overrides(backend=backend, **overrides), ps.copy()
         )
-        ref, _ = synthesize(self.EXACT.with_overrides(**overrides), ps.copy())
-        out, _ = synthesize(self.BATCHED.with_overrides(**overrides), ps.copy())
         np.testing.assert_array_equal(out, ref)
 
     def test_bent_spots_bitwise_identical(self):
@@ -155,8 +159,9 @@ class TestRasterBackendEquivalence:
             )
         )
         ps = ParticleSet.uniform_random(50, FIELD.grid.bounds, seed=13)
-        ref, _ = synthesize(bent.with_overrides(raster_backend="exact"), ps.copy())
-        out, _ = synthesize(bent.with_overrides(raster_backend="batched"), ps.copy())
+        with exact_rasteriser():
+            ref, _ = synthesize(bent, ps.copy())
+        out, _ = synthesize(bent, ps.copy())
         np.testing.assert_array_equal(out, ref)
 
 

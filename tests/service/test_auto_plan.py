@@ -15,7 +15,8 @@ from repro.core.config import BentConfig, SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
 from repro.core.synthesizer import render_frame
 from repro.fields.analytic import random_smooth_field
-from repro.parallel.planner import PLANNABLE_BACKENDS, DecompositionPlanner
+from repro.parallel.backends import BACKEND_NAMES
+from repro.parallel.planner import DecompositionPlanner
 from repro.service import TextureService
 from repro.service.admission import LatencyPredictor
 
@@ -54,7 +55,7 @@ class TestTextureServiceAuto:
     def test_auto_resolves_to_concrete_plan(self, fields):
         with TextureService(fields, AUTO) as svc:
             assert svc.requested_config.backend == "auto"
-            assert svc.config.backend in PLANNABLE_BACKENDS
+            assert svc.config.backend in BACKEND_NAMES
             assert svc.plan is not None
             assert svc.plan.triple == (
                 svc.config.backend, svc.config.n_groups, svc.config.partition
@@ -81,7 +82,7 @@ class TestAnimationServiceAuto:
     def test_auto_resolves_and_streams(self, fields):
         with AnimationService(fields, AUTO, length=6) as svc:
             assert svc.requested_config.backend == "auto"
-            assert svc.config.backend in PLANNABLE_BACKENDS
+            assert svc.config.backend in BACKEND_NAMES
             assert svc.plan is not None
             frames = list(svc.stream(0, 4))
             assert [r.frame for r in frames] == [0, 1, 2, 3]

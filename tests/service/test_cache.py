@@ -24,6 +24,10 @@ def tex(value: float, n: int = 8) -> np.ndarray:
 
 ENTRY_BYTES = tex(0.0).nbytes  # 8*8*8 = 512
 
+#: Evict/put rounds each churner runs in the racing-readers test: a fixed
+#: operation count, so the test does the same work on every host.
+CHURN_ROUNDS = 200
+
 
 def member_data_offset(path: str) -> int:
     """File offset of the first byte of an ``.npz``'s first member's data."""
@@ -279,11 +283,12 @@ class TestDiskBlobStoreEviction:
         bundle = {"texture": np.full((32, 32), 7.0)}
         store.put_bytes("blob", payload_a)
         store.put("arr", bundle)
-        stop = threading.Event()
+        churned = threading.Event()
         failures = []
 
         def reader():
-            while not stop.is_set():
+            while True:
+                done = churned.is_set()
                 raw = store.get_bytes("blob")
                 if raw is not None and raw != payload_a:
                     failures.append(("partial-blob", len(raw)))
@@ -292,22 +297,25 @@ class TestDiskBlobStoreEviction:
                     got["texture"], bundle["texture"]
                 ):
                     failures.append(("partial-bundle",))
+                if done:
+                    return
 
         def churner():
-            while not stop.is_set():
+            for _ in range(CHURN_ROUNDS):
                 store.evict("blob")
                 store.evict("arr")
                 store.put_bytes("blob", payload_a)
                 store.put("arr", bundle)
 
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        threads += [threading.Thread(target=churner) for _ in range(2)]
-        for t in threads:
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        churners = [threading.Thread(target=churner) for _ in range(2)]
+        for t in readers + churners:
             t.start()
-        time.sleep(0.5)
-        stop.set()
-        for t in threads:
-            t.join(10.0)
+        for t in churners:
+            t.join()
+        churned.set()
+        for t in readers:
+            t.join()
         assert failures == []
         # After the churn settles the entries are wholly readable again.
         assert store.get_bytes("blob") == payload_a

@@ -6,6 +6,8 @@ backends served a request, the texture equals a fresh render of the same
 ``(config, field)``.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.service import (
     TileSpec,
 )
 from repro.service.server import TextureResponse
+
+from oracles import exact_rasteriser
 
 
 @pytest.fixture
@@ -49,26 +53,23 @@ class TestServedBytes:
         np.testing.assert_array_equal(second.texture, fresh)
         assert first.texture.dtype == second.texture.dtype == np.float64
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("raster_backend", ["exact", "batched"])
-    def test_bit_identical_across_backends(self, fields, backend, raster_backend):
+    @pytest.mark.parametrize("backend", ["serial", "sharedmem"])
+    @pytest.mark.parametrize("kernel", ["exact", "batched"])
+    def test_bit_identical_across_backends(self, fields, backend, kernel):
         """The serve path must preserve the runtime's backend-equivalence
-        guarantee: any backend, cached or fresh, same bytes."""
+        guarantee: any backend, cached or fresh, same bytes as a fresh
+        serial render by the reference (``exact``) or batched kernel."""
         cfg = SpotNoiseConfig(
-            n_spots=150,
-            texture_size=48,
-            seed=11,
-            raster_backend=raster_backend,
-            backend=backend,
-            n_groups=2,
+            n_spots=150, texture_size=48, seed=11, backend=backend, n_groups=2
         )
         with make_service(fields, cfg) as svc:
             served = svc.request(1).texture
             cached = svc.request(1).texture
         reference_cfg = cfg.with_overrides(backend="serial")
-        renderer = FrameRenderer(reference_cfg)
-        fresh = renderer.render(fields[1])
-        renderer.close()
+        with exact_rasteriser() if kernel == "exact" else nullcontext():
+            renderer = FrameRenderer(reference_cfg)
+            fresh = renderer.render(fields[1])
+            renderer.close()
         np.testing.assert_array_equal(served, fresh)
         np.testing.assert_array_equal(cached, fresh)
 
