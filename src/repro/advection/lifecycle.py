@@ -61,11 +61,6 @@ class LifeCyclePolicy:
         """Static positions — the 'default parameters' of figure 2 (top)."""
         return cls(position_mode="static", lifetime=0, fade_frames=0)
 
-    @classmethod
-    def advected(cls, lifetime: int = 50, fade_frames: int = 8) -> "LifeCyclePolicy":
-        """Advected positions with finite lifetime — figure 2 (bottom)."""
-        return cls(position_mode="advect", lifetime=lifetime, fade_frames=fade_frames)
-
     def apply_boundary(
         self,
         particles: ParticleSet,

@@ -1,10 +1,9 @@
 """Particle populations backing the spot positions.
 
 A :class:`ParticleSet` is a structure-of-arrays record of spot particles:
-position, intensity, age and per-particle lifetime.  The divide-and-
-conquer runtime partitions one of these into per-process-group subsets
-(:meth:`subset`) and the animation loop ages and recycles them each frame
-according to a :class:`~repro.advection.lifecycle.LifeCyclePolicy`.
+position, intensity, age and per-particle lifetime.  The animation
+loop ages and recycles them each frame according to a
+:class:`~repro.advection.lifecycle.LifeCyclePolicy`.
 """
 
 from __future__ import annotations
@@ -106,16 +105,6 @@ class ParticleSet:
     def copy(self) -> "ParticleSet":
         return ParticleSet(
             self.positions.copy(), self.intensities.copy(), self.ages.copy(), self.lifetimes.copy()
-        )
-
-    def subset(self, indices: np.ndarray) -> "ParticleSet":
-        """Extract the particles at *indices* (a copy; used by partitioning)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return ParticleSet(
-            self.positions[idx].copy(),
-            self.intensities[idx].copy(),
-            self.ages[idx].copy(),
-            self.lifetimes[idx].copy(),
         )
 
     @classmethod

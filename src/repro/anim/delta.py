@@ -325,12 +325,6 @@ class DeltaEncoder:
         with self._lock:
             return len(self._entries)
 
-    def has_frame(self, frame: int) -> bool:
-        """Whether *frame* has a table entry (chunks may still be evicted:
-        :meth:`decode` remains the authority on materialisability)."""
-        with self._lock:
-            return frame in self._entries
-
     # -- encoding ----------------------------------------------------------------
     def _store_stream(self, stream: bytes) -> Tuple[Tuple[ChunkRef, ...], int]:
         """Chunk, shuffle, compress and store *stream*; returns (refs, shipped)."""
@@ -554,6 +548,3 @@ class DeltaTransport:
             level=self.level,
             cost_model=self.cost_model,
         )
-
-    def decoder(self, manifest: DeltaManifest) -> DeltaDecoder:
-        return DeltaDecoder(self.store, manifest)

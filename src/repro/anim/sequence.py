@@ -104,11 +104,6 @@ class FrameSequence:
                 )
             return self._chain[frame]
 
-    def known_frames(self) -> int:
-        """How many frames have memoised chain digests."""
-        with self._lock:
-            return len(self._chain)
-
     def frame_key(self, frame: int) -> SequenceKey:
         """The full content-addressed identity of *frame*."""
         return SequenceKey(

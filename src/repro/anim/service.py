@@ -30,13 +30,12 @@ against :func:`~repro.anim.incremental.one_shot_frame`.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import AsyncIterator, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from repro.core.config import SpotNoiseConfig
 from repro.errors import AnimationServiceError, ServiceError
 from repro.parallel.planner import DecompositionPlanner, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime
-from repro.runtime.streams import BoundedFrameChannel, ChannelClosed, FrameStream
+from repro.runtime.streams import FrameStream
 from repro.service.admission import LatencyPredictor
 from repro.service.cache import (
     DiskBlobStore,
@@ -84,11 +83,9 @@ class FrameResponse:
 class _RangeCursor:
     """One consumer's walk through a frame range.
 
-    Shared by the blocking iterator (:meth:`AnimationService.stream`)
-    and the async front end (:meth:`AnimationService.stream_async`):
-    both materialise frames through this exact pipeline — cache → delta
-    decode → coalesced render walk — so the two delivery shapes cannot
-    drift apart.
+    Shared by :meth:`AnimationService.stream` and
+    :meth:`AnimationService.request`: both materialise frames through
+    this one pipeline — cache → delta decode → coalesced render walk.
     """
 
     def __init__(
@@ -327,90 +324,11 @@ class AnimationService:
         for t in range(start, stop):
             yield cursor.materialise(t)
 
-    def stream_async(
-        self,
-        start: int,
-        stop: int,
-        buffer: int = 8,
-        timeout: Optional[float] = None,
-    ) -> "AsyncIterator[FrameResponse]":
-        """Stream frames ``start..stop-1`` as a backpressured async iterator.
-
-        The asyncio-native face of :meth:`stream`, usable from any event
-        loop (the caller's own, not the runtime spine): a producer task
-        materialises frames through the exact blocking pipeline —
-        cache → delta decode → coalesced render walk — off-loop, and
-        pushes them through a :class:`~repro.runtime.streams.BoundedFrameChannel`
-        of *buffer* frames, so rendering runs at most *buffer* frames
-        ahead of ``async for`` consumption instead of buffering the
-        whole range.  Abandoning the iterator (``break`` / ``aclose``)
-        cancels the producer; errors surface after the frames that
-        preceded them, exactly as in the blocking iterator.  (Validation
-        is eager: a closed service or bad range raises here, not at the
-        first ``__anext__``.)
-        """
-        self._check_range(start, stop)
-        return self._stream_async(start, stop, buffer, timeout)
-
-    async def _stream_async(
-        self, start: int, stop: int, buffer: int, timeout: Optional[float]
-    ) -> "AsyncIterator[FrameResponse]":
-        channel = BoundedFrameChannel(buffer)
-        loop = asyncio.get_running_loop()
-        cursor = _RangeCursor(self, stop, timeout)
-
-        async def produce() -> None:
-            try:
-                for t in range(start, stop):
-                    response = await loop.run_in_executor(None, cursor.materialise, t)
-                    await channel.put(response)
-            except ChannelClosed:
-                pass  # the consumer went away mid-range
-            except BaseException as exc:  # noqa: BLE001 - delivered via the channel
-                channel.close(exc)
-            else:
-                channel.close()
-
-        producer = loop.create_task(produce())
-        try:
-            async for response in channel:
-                yield response
-        finally:
-            producer.cancel()
-            try:
-                await producer
-            except (asyncio.CancelledError, Exception):
-                pass
-
     def request(self, frame: int, timeout: Optional[float] = None) -> FrameResponse:
         """Serve a single frame (a one-frame :meth:`stream`)."""
         self._check_open()
         self.sequence.check_frame(frame)
         return _RangeCursor(self, frame + 1, timeout).materialise(frame)
-
-    def prefetch(self, start: int, stop: int) -> bool:
-        """Kick off (or extend) a render walk without waiting.
-
-        Returns ``True`` when a new walk was created, ``False`` when the
-        range joined an existing one or was already materialisable —
-        fully cached, or (with delta transport) delta-encoded: frames
-        with a delta table entry decode on read, so they need no walk.
-        (If a chunk turns out evicted by then, the read path's fallback
-        renders the frame anyway.)
-        """
-        self._check_open()
-        self.sequence.check_frame(start)
-        self.sequence.check_frame(stop - 1)
-        encoder = self.delta_encoder
-        for t in range(start, stop):
-            if encoder is not None and encoder.has_frame(t):
-                continue
-            if self.cache.get(self.sequence.frame_digest(t))[0] is None:
-                sched = self.scheduler
-                return sched.runtime.call(
-                    sched.join_or_start, self._sequence_id, t, stop, self._walk
-                )[1]
-        return False
 
     def verify(self, frame: int) -> bool:
         """Serve *frame* and compare it bit-for-bit with a one-shot render."""

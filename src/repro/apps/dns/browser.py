@@ -12,7 +12,7 @@ the animation loop, supporting random seeks and strided playback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.apps.dns.store import ChunkedFieldStore
 from repro.errors import ApplicationError
@@ -70,18 +70,6 @@ class DataBrowser:
     def current(self) -> "tuple[VectorField2D, Optional[ScalarField2D]]":
         field = self.store.read(self.position)
         return field, self.mapping.derive(field)
-
-    def play(
-        self, start: Optional[int] = None, stop: Optional[int] = None, stride: int = 1
-    ) -> Iterator["tuple[VectorField2D, Optional[ScalarField2D]]"]:
-        """Play through any part of the database (step 2 of the workflow)."""
-        start = self.position if start is None else start
-        stop = len(self.store) if stop is None else stop
-        if stride < 1:
-            raise ApplicationError(f"stride must be >= 1, got {stride}")
-        for t in range(start, min(stop, len(self.store)), stride):
-            self.position = t
-            yield self.current()
 
     def frame_source(self, t: int) -> Union[VectorField2D, "tuple[VectorField2D, ScalarField2D]"]:
         """Adapter for :class:`~repro.core.animation.AnimationLoop`.
@@ -142,11 +130,11 @@ class DataBrowser:
     def scrub(self, service, start: int, stop: Optional[int] = None, stride: int = 1):
         """Play ``[start, stop)`` through an animation *service*.
 
-        The streaming analogue of :meth:`play`: yields
+        Step 2 of the workflow over the streaming stack: yields
         ``(FrameResponse, scalar_or_None)`` pairs, deriving this
         browser's scalar drape per frame client-side (drapes are a cheap
         colormap pass; only the flow texture is worth caching).  The
-        browser's position follows the scrub, like :meth:`play`.
+        browser's position follows the scrub.
         """
         stop = len(self.store) if stop is None else stop
         if stride < 1:

@@ -85,8 +85,3 @@ class SliceBrowser:
 
     def current(self) -> VectorField2D:
         return self.volume.slice(self._spec)
-
-    def sweep(self):
-        """Yield every slice along the current axis, in order."""
-        for i in range(self.volume.axis_size(self.axis)):
-            yield self.volume.slice(SliceSpec(self.axis, i))

@@ -57,14 +57,12 @@ class EmissionInventory:
     def add(self, source: EmissionSource) -> None:
         self.sources.append(source)
 
-    def total_rate(self) -> float:
-        return self.scale * sum(s.rate for s in self.sources)
-
     def rasterize(self, grid: RegularGrid) -> np.ndarray:
         """Emission rate field on the grid, ``(ny, nx)``.
 
         Each source deposits a normalised Gaussian, so the area integral of
-        the field equals :meth:`total_rate` regardless of grid resolution.
+        the field equals ``scale`` times the summed source rates,
+        regardless of grid resolution.
         """
         X, Y = grid.mesh()
         out = np.zeros(grid.shape, dtype=np.float64)

@@ -19,8 +19,6 @@ exactly once.  The pieces, bottom to top:
 * :mod:`~repro.cluster.node` — the socket front end binding a service
   to the ring: serve what you own, proxy what you don't, drop dead
   owners and re-route, degrade to local rendering before erroring;
-* :mod:`~repro.cluster.manifest` — versioned publish/sync of the blob
-  tier by digest, chunk-dedup'd, re-hashed on arrival;
 * :mod:`~repro.cluster.quotas` — per-tenant token buckets charged at
   the entry node;
 * :mod:`~repro.cluster.fleet` — an in-process N-node fleet on real
@@ -29,11 +27,6 @@ exactly once.  The pieces, bottom to top:
 """
 
 from repro.cluster.fleet import LocalFleet, analytic_source
-from repro.cluster.manifest import (
-    ChunkEntry,
-    ClusterManifest,
-    publish_store,
-)
 from repro.cluster.node import ClusterNode
 from repro.cluster.peer import PeerClient, PeerUnavailable
 from repro.cluster.quotas import TenantQuotas
@@ -43,9 +36,6 @@ from repro.cluster.wire import WireClosed, WireError
 __all__ = [
     "LocalFleet",
     "analytic_source",
-    "ChunkEntry",
-    "ClusterManifest",
-    "publish_store",
     "ClusterNode",
     "PeerClient",
     "PeerUnavailable",

@@ -10,10 +10,9 @@ with a private cache directory, meshes them fully, and hands back one
 :class:`~repro.cluster.peer.PeerClient` per node so a driver can land
 requests on any member and watch them route.
 
-Faults are first-class: :meth:`kill` drops a node mid-traffic (peers
-discover the death through failed proxies and re-route);
-:meth:`restart` brings the same identity back on a fresh port with its
-on-disk cache intact, and the mesh re-learns it.
+A slot of :attr:`LocalFleet.nodes` (and of :attr:`LocalFleet.clients`)
+may hold ``None`` for a node that is down: the fault tests stop and
+restart nodes that way, and every fleet-wide count skips the gap.
 """
 
 from __future__ import annotations
@@ -147,9 +146,6 @@ class LocalFleet:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def live_indices(self) -> List[int]:
-        return [i for i, node in enumerate(self.nodes) if node is not None]
-
     # -- driving traffic ---------------------------------------------------------
     def request(self, i: int, frame: int, tenant: str = "default") -> np.ndarray:
         """Land a request for *frame* on node *i* over the wire."""
@@ -177,30 +173,6 @@ class LocalFleet:
             for node in self.nodes
             if node is not None
         )
-
-    # -- faults ------------------------------------------------------------------
-    def kill(self, i: int) -> None:
-        """Drop node *i* abruptly; peers learn of it through failures."""
-        node, client = self.nodes[i], self.clients[i]
-        self.nodes[i], self.clients[i] = None, None
-        if client is not None:
-            client.close()
-        if node is not None:
-            node.close()
-
-    def restart(self, i: int) -> None:
-        """Bring node *i* back (same identity, fresh port, same disk)."""
-        if self.nodes[i] is not None:
-            raise ServiceError(f"node {i} is already running")
-        node = self._build_node(i)
-        self.nodes[i] = node
-        self.clients[i] = PeerClient(node.address, **self._client_kwargs)
-        for j in self.live_indices():
-            if j == i:
-                continue
-            other = self.nodes[j]
-            other.add_peer(node.node_id, node.address, **self._client_kwargs)
-            node.add_peer(other.node_id, other.address, **self._client_kwargs)
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:

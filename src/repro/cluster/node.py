@@ -41,10 +41,9 @@ import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster import wire
-from repro.cluster.manifest import ClusterManifest, publish_store
 from repro.cluster.peer import PeerClient, PeerUnavailable
 from repro.cluster.quotas import TenantQuotas
 from repro.cluster.ring import HashRing
@@ -86,12 +85,6 @@ class ClusterNode:
         Bind address; port 0 picks an ephemeral port (tests).
     quotas:
         Optional per-tenant rate limits, charged at the entry node.
-    blob_store:
-        Optional blob store (the delta-chunk tier) whose chunks this
-        node's manifest lists.
-    sequences:
-        Sequence manifests advertised in this node's published
-        manifest.
     runtime:
         The spine the front end runs on; defaults to the process
         singleton.
@@ -104,8 +97,6 @@ class ClusterNode:
         host: str = "127.0.0.1",
         port: int = 0,
         quotas: Optional[TenantQuotas] = None,
-        blob_store=None,
-        sequences: Iterable[Dict[str, Any]] = (),
         runtime: Optional[RuntimeLoop] = None,
     ):
         if not node_id:
@@ -113,8 +104,6 @@ class ClusterNode:
         self.node_id = node_id
         self.service = service
         self.quotas = quotas
-        self.blob_store = blob_store
-        self.sequences = tuple(dict(s) for s in sequences)
         self.ring = HashRing([node_id])
         self._host = host
         self._port = int(port)
@@ -138,12 +127,12 @@ class ClusterNode:
         **kwargs,
     ) -> "ClusterNode":
         """A node over its own :class:`TextureService` of *field_source*
-        (immutable per frame: digests are memoised), whose disk tier is
-        the node's blob store; :meth:`close` closes the service too."""
+        (immutable per frame: digests are memoised); :meth:`close`
+        closes the service too."""
         service = TextureService(field_source, config, disk_dir=disk_dir,
                                  n_workers=n_workers)
         try:
-            node = cls(node_id, service, blob_store=service.cache.disk, **kwargs)
+            node = cls(node_id, service, **kwargs)
         except BaseException:
             service.close()
             raise
@@ -219,7 +208,7 @@ class ClusterNode:
     ) -> None:
         while not self._closed:
             try:
-                kind, header, body = await asyncio.wait_for(
+                kind, header, _body = await asyncio.wait_for(
                     wire.recv_message_async(reader), CONN_IDLE_S
                 )
             except wire.WireClosed:
@@ -234,7 +223,7 @@ class ClusterNode:
                 # "closed" by a node that is supposed to be dead.
                 return
             try:
-                await self._dispatch(writer, kind, header, body)
+                await self._dispatch(writer, kind, header)
             except AdmissionError as exc:
                 await self._send_error(writer, "admission", exc)
             except ServiceError as exc:
@@ -254,25 +243,13 @@ class ClusterNode:
             pass  # the requester's retry path handles a vanished reply
 
     async def _dispatch(
-        self,
-        writer: asyncio.StreamWriter,
-        kind: int,
-        header: Dict[str, Any],
-        body: bytes,
+        self, writer: asyncio.StreamWriter, kind: int, header: Dict[str, Any]
     ) -> None:
-        if kind == wire.TEXTURE_REQUEST:
-            await self._handle_texture(writer, header)
-        elif kind == wire.MANIFEST_REQUEST:
-            manifest = await self._offload(self.manifest)
-            await wire.send_message_async(
-                writer, wire.MANIFEST_RESPONSE, {"manifest": manifest.to_dict()}
-            )
-        elif kind == wire.PING:
-            await wire.send_message_async(writer, wire.PONG, {"node": self.node_id})
-        else:
+        if kind != wire.TEXTURE_REQUEST:
             raise ServiceError(
                 f"unexpected request kind {wire.KIND_NAMES.get(kind, kind)}"
             )
+        await self._handle_texture(writer, header)
 
     async def _offload(self, fn, *args, **kwargs):
         """Run blocking serve work on the bounded serve executor."""
@@ -343,15 +320,6 @@ class ClusterNode:
             "node": self.node_id,
             "source": response.source,
         }
-
-    # -- manifests ---------------------------------------------------------------
-    def manifest(self) -> ClusterManifest:
-        """This node's current published manifest."""
-        if self.blob_store is None:
-            return ClusterManifest(
-                node_id=self.node_id, chunks=(), sequences=self.sequences
-            )
-        return publish_store(self.blob_store, self.node_id, sequences=self.sequences)
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:

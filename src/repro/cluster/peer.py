@@ -1,7 +1,7 @@
 """Client side of the node-to-node (and client-to-node) protocol.
 
 :class:`PeerClient` speaks :mod:`repro.cluster.wire` to one node's
-socket front end: request a texture, pull the node's manifest, ping.
+socket front end: request a texture.
 Connections are pooled and reused across calls; a call that hits a dead
 socket, a truncated frame or a corrupt frame retries on a *fresh*
 connection with exponential backoff, and only after the attempt budget
@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster import wire
-from repro.cluster.manifest import ClusterManifest
 from repro.errors import AdmissionError, ServiceError
 from repro.runtime.loop import RuntimeLoop, get_runtime_loop
 
@@ -194,27 +193,6 @@ class PeerClient:
                 f"expected texture_response, got {wire.KIND_NAMES.get(kind, kind)}"
             )
         return wire.decode_texture(header, body), header
-
-    def manifest(self) -> ClusterManifest:
-        """The peer's current published manifest."""
-        kind, header, _ = self._call(wire.MANIFEST_REQUEST, {})
-        if kind != wire.MANIFEST_RESPONSE:
-            raise ServiceError(
-                f"expected manifest_response, got {wire.KIND_NAMES.get(kind, kind)}"
-            )
-        payload = header.get("manifest")
-        if not isinstance(payload, dict):
-            raise ServiceError("manifest_response carried no manifest object")
-        return ClusterManifest.from_dict(payload)
-
-    def ping(self) -> Dict[str, Any]:
-        """Round-trip liveness probe; returns the pong header."""
-        kind, header, _ = self._call(wire.PING, {})
-        if kind != wire.PONG:
-            raise ServiceError(
-                f"expected pong, got {wire.KIND_NAMES.get(kind, kind)}"
-            )
-        return header
 
     def __enter__(self) -> "PeerClient":
         return self

@@ -125,10 +125,3 @@ class HashRing:
         # past the top of the ring.
         i = bisect.bisect_right(positions, position) % len(owners)
         return owners[i]
-
-    def spread(self, key_digests: "list[str]") -> "dict[str, int]":
-        """Owned-key counts per node over *key_digests* (observability)."""
-        counts: "dict[str, int]" = {node: 0 for node in self.nodes()}
-        for digest in key_digests:
-            counts[self.owner(digest)] += 1
-        return counts

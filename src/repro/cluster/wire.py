@@ -52,21 +52,13 @@ MAX_BODY_BYTES = 1 << 31
 # -- message kinds ------------------------------------------------------------
 TEXTURE_REQUEST = 1
 TEXTURE_RESPONSE = 2
-# Kinds 3 and 4 are retired: keep them unassigned (do not renumber), so
-# a frame of either kind fails as an unknown kind.
-MANIFEST_REQUEST = 5
-MANIFEST_RESPONSE = 6
-PING = 7
-PONG = 8
+# Kinds 3-8 are retired: keep them unassigned (do not renumber), so a
+# frame of any of them fails as an unknown kind.
 ERROR = 9
 
 KIND_NAMES = {
     TEXTURE_REQUEST: "texture_request",
     TEXTURE_RESPONSE: "texture_response",
-    MANIFEST_REQUEST: "manifest_request",
-    MANIFEST_RESPONSE: "manifest_response",
-    PING: "ping",
-    PONG: "pong",
     ERROR: "error",
 }
 

@@ -77,10 +77,6 @@ class RegularGrid:
         """(width, height) of the domain in world units."""
         return (self.x1 - self.x0, self.y1 - self.y0)
 
-    @property
-    def n_cells(self) -> int:
-        return (self.nx - 1) * (self.ny - 1)
-
     def x_coords(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.nx)
 
@@ -108,31 +104,6 @@ class RegularGrid:
         fx = np.asarray(fx, dtype=np.float64)
         fy = np.asarray(fy, dtype=np.float64)
         return np.stack([self.x0 + fx * self.dx, self.y0 + fy * self.dy], axis=-1)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside (inclusive) the grid bounds."""
-        pts = _as_points(points)
-        return (
-            (pts[:, 0] >= self.x0)
-            & (pts[:, 0] <= self.x1)
-            & (pts[:, 1] >= self.y0)
-            & (pts[:, 1] <= self.y1)
-        )
-
-    def clamp(self, points: np.ndarray) -> np.ndarray:
-        """Clamp points onto the grid bounds (used for 'clamp' boundary mode)."""
-        pts = _as_points(points).copy()
-        np.clip(pts[:, 0], self.x0, self.x1, out=pts[:, 0])
-        np.clip(pts[:, 1], self.y0, self.y1, out=pts[:, 1])
-        return pts
-
-    def wrap(self, points: np.ndarray) -> np.ndarray:
-        """Wrap points periodically into the grid bounds."""
-        pts = _as_points(points).copy()
-        w, h = self.extent
-        pts[:, 0] = self.x0 + np.mod(pts[:, 0] - self.x0, w)
-        pts[:, 1] = self.y0 + np.mod(pts[:, 1] - self.y0, h)
-        return pts
 
     def min_spacing(self) -> float:
         """Smallest node spacing; used to pick advection step sizes."""
@@ -171,60 +142,6 @@ class RectilinearGrid:
         self.nx = x.size
         self.ny = y.size
 
-    @classmethod
-    def stretched(
-        cls,
-        nx: int,
-        ny: int,
-        bounds: Tuple[float, float, float, float],
-        focus: Tuple[float, float] = (0.5, 0.5),
-        strength: float = 2.0,
-    ) -> "RectilinearGrid":
-        """Build a grid refined around a focus point.
-
-        *focus* is given in unit coordinates of the domain; *strength* > 1
-        concentrates nodes near it using a tanh stretching — the standard way
-        DNS meshes cluster resolution around an obstacle.
-        """
-        if strength <= 0:
-            raise GridError("strength must be positive")
-        x0, x1, y0, y1 = bounds
-
-        def stretch(n: int, lo: float, hi: float, f: float) -> np.ndarray:
-            # Map uniform parameter p in [0,1] through a sinh profile whose
-            # derivative is smallest at the focus: x(p) = f + sinh(s(p-p0))/D
-            # with p0 (the parameter of the focus) solving
-            # sinh(s*p0) / sinh(s*(1-p0)) = f / (1-f), so x(0)=0 and x(1)=1.
-            f = float(np.clip(f, 0.0, 1.0))
-            s = strength
-            if f <= 0.0:
-                p0 = 0.0
-            elif f >= 1.0:
-                p0 = 1.0
-            else:
-                lo_p, hi_p = 0.0, 1.0
-                for _ in range(60):
-                    mid = 0.5 * (lo_p + hi_p)
-                    ratio = np.sinh(s * mid) / np.sinh(s * (1.0 - mid))
-                    if ratio < f / (1.0 - f):
-                        lo_p = mid
-                    else:
-                        hi_p = mid
-                p0 = 0.5 * (lo_p + hi_p)
-            if p0 <= 0.0:
-                D = np.sinh(s) / 1.0
-                t = np.sinh(s * np.linspace(0.0, 1.0, n)) / D
-            elif p0 >= 1.0:
-                D = np.sinh(s)
-                t = 1.0 + np.sinh(s * (np.linspace(0.0, 1.0, n) - 1.0)) / D
-            else:
-                D = np.sinh(s * p0) / f
-                t = f + np.sinh(s * (np.linspace(0.0, 1.0, n) - p0)) / D
-            t = (t - t[0]) / (t[-1] - t[0])
-            return lo + (hi - lo) * t
-
-        return cls(stretch(nx, x0, x1, focus[0]), stretch(ny, y0, y1, focus[1]))
-
     # -- basic geometry ----------------------------------------------------
     @property
     def shape(self) -> Tuple[int, int]:
@@ -238,10 +155,6 @@ class RectilinearGrid:
     def extent(self) -> Tuple[float, float]:
         x0, x1, y0, y1 = self.bounds
         return (x1 - x0, y1 - y0)
-
-    @property
-    def n_cells(self) -> int:
-        return (self.nx - 1) * (self.ny - 1)
 
     def x_coords(self) -> np.ndarray:
         return self.x
@@ -275,25 +188,6 @@ class RectilinearGrid:
             return coords[idx] * (1.0 - t) + coords[idx + 1] * t
 
         return np.stack([world(self.x, fx), world(self.y, fy)], axis=-1)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points)
-        x0, x1, y0, y1 = self.bounds
-        return (pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)
-
-    def clamp(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points).copy()
-        x0, x1, y0, y1 = self.bounds
-        np.clip(pts[:, 0], x0, x1, out=pts[:, 0])
-        np.clip(pts[:, 1], y0, y1, out=pts[:, 1])
-        return pts
-
-    def wrap(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points).copy()
-        x0, x1, y0, y1 = self.bounds
-        pts[:, 0] = x0 + np.mod(pts[:, 0] - x0, x1 - x0)
-        pts[:, 1] = y0 + np.mod(pts[:, 1] - y0, y1 - y0)
-        return pts
 
     def min_spacing(self) -> float:
         return float(min(np.diff(self.x).min(), np.diff(self.y).min()))

@@ -148,17 +148,6 @@ class VectorField2D:
         """Maximum node speed; used to scale advection steps and spot sizes."""
         return float(np.hypot(self.u, self.v).max())
 
-    # -- algebra -------------------------------------------------------------
-    def scaled(self, factor: float) -> "VectorField2D":
-        """A new field with all vectors multiplied by *factor*."""
-        return VectorField2D(self.grid, self.data * float(factor), self.boundary)
-
-    def plus(self, other: "VectorField2D") -> "VectorField2D":
-        """Node-wise sum of two fields on the identical grid."""
-        if other.grid.shape != self.grid.shape or other.grid.bounds != self.grid.bounds:
-            raise FieldError("cannot add fields on different grids")
-        return VectorField2D(self.grid, self.data + other.data, self.boundary)
-
     def nbytes(self) -> int:
         """Size of the raw field data in bytes (data-set read-rate budgeting)."""
         return int(self.data.nbytes)

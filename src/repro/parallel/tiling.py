@@ -109,10 +109,6 @@ class TileLayout:
             a -= 1
         return cls(texture_size, n_groups // a, a, window, guard_px)
 
-    @property
-    def n_tiles(self) -> int:
-        return self.tiles_x * self.tiles_y
-
     def _axis_splits(self, n: int) -> List[int]:
         """Pixel boundaries splitting ``texture_size`` into n near-even parts."""
         base, extra = divmod(self.texture_size, n)

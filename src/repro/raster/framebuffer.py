@@ -6,8 +6,7 @@ the fields' y-up convention); the PGM/PPM writers flip for display.
 
 The divide-and-conquer runtime gives each graphics pipe its own frame
 buffer (possibly covering only a tile of the final texture) and composes
-them afterwards; :meth:`paste_from` / :meth:`add_from` implement that
-gather step.
+them afterwards (:mod:`repro.parallel.compose`).
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import RasterError
-
-Rect = Tuple[int, int, int, int]  # (ix0, ix1, iy0, iy1), half-open pixel ranges
 
 
 class FrameBuffer:
@@ -73,46 +70,9 @@ class FrameBuffer:
             [x0 + px / self.width * (x1 - x0), y0 + py / self.height * (y1 - y0)], axis=-1
         )
 
-    # -- pixel-rect plumbing for tiling ---------------------------------------
-    def clip_rect(self, rect: Rect) -> Rect:
-        ix0, ix1, iy0, iy1 = rect
-        return (
-            max(0, min(self.width, ix0)),
-            max(0, min(self.width, ix1)),
-            max(0, min(self.height, iy0)),
-            max(0, min(self.height, iy1)),
-        )
-
-    def view(self, rect: Rect) -> np.ndarray:
-        """Writable view of a pixel rect (half-open ranges)."""
-        ix0, ix1, iy0, iy1 = self.clip_rect(rect)
-        return self.data[iy0:iy1, ix0:ix1]
-
-    def paste_from(self, other: "FrameBuffer", dest_rect: Rect, src_rect: Rect) -> None:
-        """Copy *src_rect* of *other* over *dest_rect* of self (same size)."""
-        dst = self.view(dest_rect)
-        ix0, ix1, iy0, iy1 = other.clip_rect(src_rect)
-        src = other.data[iy0:iy1, ix0:ix1]
-        if dst.shape != src.shape:
-            raise RasterError(f"paste shape mismatch: dest {dst.shape} vs src {src.shape}")
-        dst[...] = src
-
-    def add_from(self, other: "FrameBuffer", dest_rect: Rect, src_rect: Rect) -> None:
-        """Accumulate *src_rect* of *other* into *dest_rect* of self."""
-        dst = self.view(dest_rect)
-        ix0, ix1, iy0, iy1 = other.clip_rect(src_rect)
-        src = other.data[iy0:iy1, ix0:ix1]
-        if dst.shape != src.shape:
-            raise RasterError(f"blend shape mismatch: dest {dst.shape} vs src {src.shape}")
-        dst += src
-
     # -- content -------------------------------------------------------------
     def clear(self) -> None:
         self.data[...] = 0.0
-
-    def total(self) -> float:
-        """Sum of all pixel intensities (conservation checks in tests)."""
-        return float(self.data.sum())
 
     def copy(self) -> "FrameBuffer":
         fb = FrameBuffer(self.width, self.height, self.window)

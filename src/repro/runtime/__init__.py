@@ -4,12 +4,12 @@ One long-lived asyncio event loop per process coordinates everything
 that used to be a thread-pool-plus-lock stack of its own: single-flight
 request coalescing (:mod:`repro.runtime.singleflight`), the bounded
 render-executor bridge (:mod:`repro.runtime.executor`) and streaming
-frame delivery with backpressure (:mod:`repro.runtime.streams`).
+frame delivery (:mod:`repro.runtime.streams`).
 
 The design rule throughout is *loop confinement instead of locks*:
-coordination state (in-flight maps, walk buffers, channel queues) is
-only ever touched from the event-loop thread, so it needs no locking at
-all, and cross-thread callers go through thin
+coordination state (in-flight maps, walk buffers) is only ever touched
+from the event-loop thread, so it needs no locking at all, and
+cross-thread callers go through thin
 ``run_coroutine_threadsafe`` shims (:meth:`RuntimeLoop.run` /
 :meth:`RuntimeLoop.call`).  Mutable *published* state follows the
 immutable-snapshot-swap discipline of
@@ -30,12 +30,10 @@ per frame it has to wait for.
 from repro.runtime.executor import RenderExecutor
 from repro.runtime.loop import RuntimeLoop, get_runtime_loop
 from repro.runtime.singleflight import AsyncSingleFlight, Flight
-from repro.runtime.streams import BoundedFrameChannel, ChannelClosed, FrameStream
+from repro.runtime.streams import FrameStream
 
 __all__ = [
     "AsyncSingleFlight",
-    "BoundedFrameChannel",
-    "ChannelClosed",
     "Flight",
     "FrameStream",
     "RenderExecutor",

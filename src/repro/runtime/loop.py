@@ -68,10 +68,6 @@ class RuntimeLoop:
     def alive(self) -> bool:
         return self._thread.is_alive() and not self._loop.is_closed()
 
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return self._loop
-
     def in_loop_thread(self) -> bool:
         return threading.current_thread() is self._thread
 

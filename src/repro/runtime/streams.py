@@ -1,34 +1,22 @@
-"""Streaming primitives on the async spine.
+"""The streaming primitive on the async spine.
 
-Two pieces carry the anim tier's frame delivery:
-
-* :class:`FrameStream` — one in-flight frame walk: claim
-  (:meth:`next_frame`), :meth:`publish`, join/curtail, and an awaitable
-  :meth:`wait_frame`, with a monotonically extendable target, a bounded
-  evict-oldest buffer (evicted/passed frames fall back to the service
-  cache) and curtail-and-union replacement.  The state is touched only
-  from the event loop, so it needs no lock: the walk that advances it is
-  itself a loop task (:class:`~repro.anim.scheduler.SequenceScheduler`),
-  and blocking callers reach it through one
-  :meth:`~repro.anim.scheduler.SequenceScheduler.fetch` hop per frame.
-
-* :class:`BoundedFrameChannel` — a backpressured single-producer
-  async pipe: ``put`` awaits while the buffer is full, so a range
-  stream's producer stays at most ``maxsize`` frames ahead of its
-  consumer instead of rendering the whole range into memory.  This is
-  the per-consumer delivery half of
-  :meth:`~repro.anim.service.AnimationService.stream_async`; the shared
-  walk buffer above keeps its evict-plus-cache-fallback semantics
-  because *other* joiners must not be throttled by one slow consumer.
+:class:`FrameStream` carries the anim tier's frame delivery: one
+in-flight frame walk with claim (:meth:`~FrameStream.next_frame`),
+:meth:`~FrameStream.publish`, join/curtail, and an awaitable
+:meth:`~FrameStream.wait_frame`, a monotonically extendable target, a
+bounded evict-oldest buffer (evicted/passed frames fall back to the
+service cache) and curtail-and-union replacement.  The state is touched
+only from the event loop, so it needs no lock: the walk that advances it
+is itself a loop task (:class:`~repro.anim.scheduler.SequenceScheduler`),
+and blocking callers reach it through one
+:meth:`~repro.anim.scheduler.SequenceScheduler.fetch` hop per frame.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Any, List, Optional
-
-from repro.errors import ServiceError
 
 
 def _wake(waiters: "List[asyncio.Future]") -> None:
@@ -178,71 +166,3 @@ class FrameStream:
             if self.done or self.position > frame:
                 return None
             await _wait_on(self._waiters)
-
-
-class ChannelClosed(ServiceError):
-    """``put`` on a closed channel, or ``get`` past the final item."""
-
-
-class BoundedFrameChannel:
-    """Backpressured async pipe between one producer and one consumer.
-
-    ``put`` awaits while the buffer holds *maxsize* items, so the
-    producer runs at most *maxsize* ahead of consumption.  ``close``
-    (optionally with an error) lets the consumer drain what was already
-    buffered; the error surfaces after the last buffered item, matching
-    the blocking iterator's "frames before the failure still stream"
-    behaviour.  Runs on whichever loop the producer and consumer share —
-    for :meth:`~repro.anim.service.AnimationService.stream_async`, the
-    caller's own loop, not the runtime spine.
-    """
-
-    def __init__(self, maxsize: int):
-        if maxsize < 1:
-            raise ServiceError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self._items: "deque[Any]" = deque()
-        self._closed = False
-        self._error: Optional[BaseException] = None
-        self._readable: "List[asyncio.Future]" = []
-        self._writable: "List[asyncio.Future]" = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    async def put(self, item: Any) -> None:
-        while len(self._items) >= self.maxsize and not self._closed:
-            await _wait_on(self._writable)
-        if self._closed:
-            raise ChannelClosed("channel is closed")
-        self._items.append(item)
-        _wake(self._readable)
-
-    async def get(self) -> Any:
-        while not self._items:
-            if self._closed:
-                if self._error is not None:
-                    raise self._error
-                raise ChannelClosed("channel drained")
-            await _wait_on(self._readable)
-        item = self._items.popleft()
-        _wake(self._writable)
-        return item
-
-    def close(self, error: Optional[BaseException] = None) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if error is not None:
-            self._error = error
-        _wake(self._readable)
-        _wake(self._writable)
-
-    def __aiter__(self) -> "BoundedFrameChannel":
-        return self
-
-    async def __anext__(self) -> Any:
-        try:
-            return await self.get()
-        except ChannelClosed:
-            raise StopAsyncIteration from None

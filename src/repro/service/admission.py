@@ -108,11 +108,6 @@ class LatencyPredictor:
                 self._scale = (1.0 - self.alpha) * self._scale + self.alpha * ratio
 
     @property
-    def calibrated(self) -> bool:
-        with self._lock:
-            return self._scale is not None
-
-    @property
     def scale(self) -> Optional[float]:
         """The learned host calibration factor (``None`` until observed).
 

@@ -30,7 +30,7 @@ import threading
 import zipfile
 import zlib
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -149,11 +149,7 @@ class DiskBlobStore:
     specialisation; the animation layer's pipeline-state checkpoints and
     delta chunks (:mod:`repro.anim`) use the store directly.
 
-    Eviction (:meth:`evict`, :meth:`trim_to_bytes`) is safe against
-    concurrent readers: removal is a single ``os.unlink``, so a reader
-    that already opened the entry keeps its complete inode (POSIX
-    semantics) and a reader arriving after sees a clean
-    ``FileNotFoundError`` miss — never a truncated read.
+    Nothing evicts entries yet, so the store grows without bound.
     """
 
     def __init__(self, directory: "str | os.PathLike"):
@@ -162,7 +158,6 @@ class DiskBlobStore:
         self._lock = threading.Lock()
         self.hits = 0  #: guarded-by: _lock
         self.misses = 0  #: guarded-by: _lock
-        self.evictions = 0  #: guarded-by: _lock
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.directory, f"{digest}.npz")
@@ -193,10 +188,10 @@ class DiskBlobStore:
         ino = None
         try:
             with open(path, "rb") as fh:
-                # The inode actually read; an eviction or replacement
-                # racing this read retargets the *name*, never this
-                # open handle, and the corrupt-drop below is guarded by
-                # it so a concurrent put's fresh bytes survive.
+                # The inode actually read; a replacement racing this
+                # read retargets the *name*, never this open handle,
+                # and the corrupt-drop below is guarded by it so a
+                # concurrent put's fresh bytes survive.
                 ino = os.fstat(fh.fileno()).st_ino
                 bundle = load_npz(fh)
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error):
@@ -240,94 +235,6 @@ class DiskBlobStore:
     def contains_bytes(self, digest: str) -> bool:
         return os.path.exists(self._blob_path(digest))
 
-    def iter_blob_digests(self) -> "Iterator[str]":
-        """Digests of every raw blob currently in the store (sorted).
-
-        The cluster manifest publisher (:mod:`repro.cluster.manifest`)
-        enumerates the store through this to build its chunk table.  The
-        listing is a snapshot: a blob evicted between listing and read
-        simply turns into a ``get_bytes`` miss, the store's usual
-        contract.
-        """
-        for name in sorted(os.listdir(self.directory)):
-            if name.endswith(".blob"):
-                yield name[: -len(".blob")]
-
-    # -- eviction ----------------------------------------------------------------
-    #: File suffixes that make up an entry; eviction and trimming treat
-    #: every file of one digest as one entry.
-    _suffixes: Tuple[str, ...] = (".npz", ".blob")
-
-    def evict(self, digest: str) -> bool:
-        """Remove every file of *digest*; ``True`` if anything was removed.
-
-        Concurrent readers of the evicted entry either finish their read
-        on the still-open inode or miss cleanly and refetch — the unlink
-        is atomic, nothing is ever truncated in place.
-        """
-        removed = False
-        for suffix in self._suffixes:
-            try:
-                os.unlink(os.path.join(self.directory, digest + suffix))
-                removed = True
-            except OSError:
-                pass
-        if removed:
-            with self._lock:
-                self.evictions += 1
-        return removed
-
-    def _entry_files(self) -> "Dict[str, List[Tuple[float, int, str]]]":
-        """Every entry's files: ``{digest: [(mtime, bytes, path), ...]}``."""
-        entries: "Dict[str, List[Tuple[float, int, str]]]" = {}
-        for name in os.listdir(self.directory):
-            digest, suffix = os.path.splitext(name)
-            if suffix not in self._suffixes:
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue  # concurrently evicted
-            entries.setdefault(digest, []).append((stat.st_mtime, stat.st_size, path))
-        return entries
-
-    def nbytes_on_disk(self) -> int:
-        """Bytes of every entry file: the total :meth:`trim_to_bytes` bounds."""
-        return sum(size for files in self._entry_files().values() for _, size, _ in files)
-
-    def trim_to_bytes(self, byte_budget: int) -> int:
-        """Evict oldest entries until the store is under *byte_budget*.
-
-        Age is the filesystem mtime of an entry's oldest file
-        (content-addressed entries are never rewritten in place, so
-        mtime is creation time).  Returns the number of entries removed.
-        Readers racing a trim see the same clean miss-and-refetch
-        contract as :meth:`evict`.
-        """
-        if byte_budget < 0:
-            raise ServiceError(f"byte_budget must be >= 0, got {byte_budget}")
-        entries = self._entry_files()
-        total = sum(size for files in entries.values() for _, size, _ in files)
-        removed = 0
-        for _, files in sorted(entries.items(), key=lambda e: (min(e[1])[0], e[0])):
-            if total <= byte_budget:
-                break
-            unlinked = False
-            for _, size, path in files:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue  # a concurrent evictor got there first
-                total -= size
-                unlinked = True
-            if unlinked:
-                removed += 1
-        if removed:
-            with self._lock:
-                self.evictions += removed
-        return removed
-
     def __contains__(self, digest: str) -> bool:
         return os.path.exists(self._path(digest))
 
@@ -338,8 +245,7 @@ class MemoryBlobStore:
     The raw-bytes face of :class:`DiskBlobStore` for services configured
     without a disk directory: delta-transport chunks live in a plain
     dict so decode-on-read and the bytes-shipped accounting work the
-    same way whether or not a disk tier exists.  Thread-safe; eviction
-    follows the same miss-and-refetch contract.
+    same way whether or not a disk tier exists.  Thread-safe.
     """
 
     def __init__(self):
@@ -347,7 +253,6 @@ class MemoryBlobStore:
         self._lock = threading.Lock()
         self.hits = 0  #: guarded-by: _lock
         self.misses = 0  #: guarded-by: _lock
-        self.evictions = 0  #: guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -370,19 +275,6 @@ class MemoryBlobStore:
     def contains_bytes(self, digest: str) -> bool:
         with self._lock:
             return digest in self._entries
-
-    def iter_blob_digests(self) -> "Iterator[str]":
-        """Digests of every blob in the store (sorted snapshot)."""
-        with self._lock:
-            digests = sorted(self._entries)
-        return iter(digests)
-
-    def evict(self, digest: str) -> bool:
-        with self._lock:
-            if self._entries.pop(digest, None) is None:
-                return False
-            self.evictions += 1
-            return True
 
     def nbytes(self) -> int:
         with self._lock:

@@ -36,7 +36,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -319,7 +319,7 @@ class TextureService:
         if flight is not None:
             self._flights.join(flight)
             return flight, False
-        self._admit(len(self._flights) - self._executor.active)
+        self._admit(self.backlog())
         flight = self._flights.begin(key)
         task = asyncio.get_running_loop().create_task(self._drive(flight, render))
         self._drives.add(task)
@@ -366,26 +366,6 @@ class TextureService:
                 ) from None
         except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
             return created, None, exc
-
-    def prefetch(self, frames: Iterable[int]) -> int:
-        """Queue renders for uncached *frames* without waiting; returns
-        the number of new renders scheduled (duplicates and cache hits
-        cost nothing)."""
-        if self._closed:
-            raise ServiceError("service is closed")
-        scheduled = 0
-        for frame in frames:
-            key, field = self._key_for(frame)
-            if self.cache.get(key.digest)[0] is not None:
-                continue
-            render = self._make_render(key.digest, frame, field, None)
-            try:
-                _, created = self._runtime.call(self._start, key.digest, render)
-            except AdmissionError:
-                self.stats.record_shed()
-                continue
-            scheduled += int(created)
-        return scheduled
 
     # -- the sequence-streaming sibling ------------------------------------------
     def animation_service(self, dt: Optional[float] = None, **kwargs):

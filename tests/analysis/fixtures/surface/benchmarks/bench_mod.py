@@ -1,5 +1,6 @@
 """A benchmark is a caller too."""
 
-from repro.mod import used_by_bench
+from repro.mod import Widget, used_by_bench
 
 RESULT = used_by_bench()
+SEVEN = Widget().called_from_bench()

@@ -1,4 +1,4 @@
-"""Public-surface fixture: which top-level names count as used."""
+"""Public-surface fixture: which top-level names and members count as used."""
 
 
 def used_in_src():
@@ -30,3 +30,36 @@ def mentioned_only():
 
 def _private_helper():
     return 4
+
+
+class Widget:
+    """Used from inside the package; its members are judged one by one."""
+
+    def called_from_src(self):
+        return 6
+
+    def called_from_bench(self):
+        return 7
+
+    def tested_only(self):
+        """Called by attribute only from tests/."""
+        return 8
+
+    @property
+    def tested_prop(self):
+        """Getter and setter are one member, read only from tests/."""
+        return self._prop
+
+    @tested_prop.setter
+    def tested_prop(self, value):
+        self._prop = value
+
+    def named_only(self):
+        """Its name occurs only as a bare name and in a string."""
+        return 9
+
+    def _private(self):
+        return 10
+
+    def __len__(self):
+        return 0

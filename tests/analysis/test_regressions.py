@@ -55,10 +55,11 @@ class TestShippedBugsStayDead:
         # PR 5 fixed the scheduler handing admission the raw in-flight
         # count (including already-executing renders), which over-shed.
         # The service's loop-native miss path keeps the same invariant
-        # with loop-confined state: backlog = flights minus executing.
+        # with loop-confined state: backlog = flights minus executing,
+        # which _start reads through TextureService.backlog.
         root = _scratch_tree(
             tmp_path, SERVER,
-            old="self._admit(len(self._flights) - self._executor.active)",
+            old="self._admit(self.backlog())",
             new="self._admit(len(self._flights))",
         )
         report = _run(root)

@@ -3,7 +3,8 @@
 The fixture tree under ``fixtures/surface`` is a miniature repo: a
 ``repro`` package whose public names are used from inside the package,
 from ``benchmarks/``, only from ``tests/`` and the package ``__init__``,
-or only in a docstring, a comment and a string.
+or only in a docstring, a comment and a string.  Its class ``Widget``
+has members used the same ways, plus one named only by a bare name.
 """
 
 import os
@@ -28,7 +29,8 @@ class TestPublicSurface:
     def test_flags_names_only_tests_and_reexports_use(self):
         report = _run()
         assert sorted(f.symbol for f in report.findings) == [
-            "Orphan", "mentioned_only", "orphan", "recursive_orphan",
+            "Orphan", "Widget.named_only", "Widget.tested_only", "Widget.tested_prop",
+            "mentioned_only", "orphan", "recursive_orphan",
         ]
         assert {f.path for f in report.findings} == {os.path.join("src", "repro", "mod.py")}
         assert {f.rule for f in report.findings} == {"unused-public"}
@@ -42,6 +44,20 @@ class TestPublicSurface:
         assert messages["Orphan"].startswith("public class 'Orphan'")
         assert messages["orphan"].startswith("public function 'orphan'")
 
+    def test_members_are_judged_by_attribute_references(self):
+        flagged = {f.symbol for f in _run().findings if "." in f.symbol}
+        # Test-only members are flagged; a property's getter and setter
+        # are one member; a bare name or a string never reaches a member.
+        assert flagged == {"Widget.tested_only", "Widget.tested_prop", "Widget.named_only"}
+        # Called by attribute from src/ or benchmarks/: used.  Underscored
+        # and dunder members are not judged.
+        for kept in ("called_from_src", "called_from_bench", "_private", "__len__"):
+            assert f"Widget.{kept}" not in flagged
+
+    def test_member_message_names_class_and_member(self):
+        finding = next(f for f in _run().findings if f.symbol == "Widget.tested_only")
+        assert finding.message.startswith("public member 'Widget.tested_only'")
+
     def test_scan_without_the_package_root_is_not_judged(self):
         report = _run(paths=[os.path.join(SURFACE_SRC, "mod.py")])
         assert report.findings == []
@@ -51,5 +67,6 @@ class TestPublicSurface:
         report = _run(baseline=Baseline([kept.key()]))
         assert [f.symbol for f in report.baselined] == ["orphan"]
         assert sorted(f.symbol for f in report.findings) == [
-            "Orphan", "mentioned_only", "recursive_orphan",
+            "Orphan", "Widget.named_only", "Widget.tested_only", "Widget.tested_prop",
+            "mentioned_only", "recursive_orphan",
         ]

@@ -35,6 +35,24 @@ def canonical(texture) -> bytes:
     return np.ascontiguousarray(texture, dtype=np.float64).tobytes()
 
 
+class MissingChunks:
+    """A blob store that misses the *missing* digests (lost chunks) and
+    passes everything else through to *store*."""
+
+    def __init__(self, store, missing):
+        self.store = store
+        self.missing = set(missing)
+
+    def get_bytes(self, digest):
+        return None if digest in self.missing else self.store.get_bytes(digest)
+
+    def contains_bytes(self, digest):
+        return digest not in self.missing and self.store.contains_bytes(digest)
+
+    def put_bytes(self, digest, payload):
+        return self.store.put_bytes(digest, payload)
+
+
 class TestCodecExactness:
     @pytest.mark.parametrize("codec", ["zlib", "bz2"])
     def test_round_trip_bit_exact(self, codec):
@@ -154,7 +172,7 @@ class TestManifestAndDecoder:
         assert manifest.sequence == "seq-a"
         assert manifest.keyframe_every == 4
         assert manifest.json_bytes() > 0
-        dec = transport.decoder(manifest)
+        dec = DeltaDecoder(transport.store, manifest)
         for t, f in enumerate(frames):
             assert dec.decode(t).tobytes() == canonical(f)
 
@@ -166,9 +184,9 @@ class TestManifestAndDecoder:
         for t, f in enumerate(frames):
             enc.add_frame(t, f, f"d{t}")
         manifest = enc.manifest()
-        dec = DeltaDecoder(store, manifest)
-        # Evict a *keyframe* chunk: the whole group [4, 6) is undecodable.
-        store.evict(manifest.frames[4].chunks[0].digest)
+        # Lose a *keyframe* chunk: the whole group [4, 6) is undecodable.
+        lost = MissingChunks(store, [manifest.frames[4].chunks[0].digest])
+        dec = DeltaDecoder(lost, manifest)
         assert dec.decode(4) is None
         assert dec.decode(5) is None
         assert dec.decode(3) is not None  # earlier group unaffected
@@ -220,22 +238,15 @@ class TestServiceIntegration:
         ) as svc:
             reference = {f.frame: f.texture for f in svc.stream(0, 4)}
             enc = svc.delta_encoder
-            for entry in enc.manifest().frames.values():
-                for chunk in entry.chunks:
-                    svc.delta_transport.store.evict(chunk.digest)
+            enc.store = MissingChunks(enc.store, [
+                chunk.digest
+                for entry in enc.manifest().frames.values()
+                for chunk in entry.chunks
+            ])
             svc.cache.memory.clear()
             response = svc.request(2)
             assert response.source in ("stream", "coalesced")
             assert response.texture.tobytes() == reference[2].tobytes()
-
-    def test_prefetch_skips_delta_encoded_frames(self):
-        source = make_source(seed=702, n=12)
-        with AnimationService(
-            source, self.CONFIG, length=N_FRAMES, delta_every=4,
-        ) as svc:
-            list(svc.stream(0, 6))
-            svc.cache.memory.clear()
-            assert svc.prefetch(0, 6) is False  # decodable, no new walk
 
     def test_manifest_embeds_delta_table(self):
         source = make_source(seed=703, n=12)

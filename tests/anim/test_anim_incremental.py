@@ -37,7 +37,7 @@ class TestBitIdentity:
     def test_bit_identity_with_respawning_lifecycle(self):
         # Lifetimes + fading exercise every RNG consumer (aging respawns,
         # staggered birth ages) — the hard case for state threading.
-        policy = LifeCyclePolicy.advected(lifetime=4, fade_frames=2)
+        policy = LifeCyclePolicy(position_mode="advect", lifetime=4, fade_frames=2)
         source = make_source()
         with IncrementalAnimator(CONFIG, source, policy=policy) as animator:
             result = list(render_range(animator, 0, 9))[-1]

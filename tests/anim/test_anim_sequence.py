@@ -53,7 +53,7 @@ class TestChain:
         seq.chain(5)
         seq.chain(3)
         assert loads == [0, 1, 2, 3, 4, 5]
-        assert seq.known_frames() == 6
+        assert seq.manifest()["known_frames"] == 6
 
 
 class TestKeys:
@@ -66,7 +66,7 @@ class TestKeys:
         other_dt = FrameSequence(fields.__getitem__, CONFIG, dt=0.2)
         other_policy = FrameSequence(
             fields.__getitem__, CONFIG, dt=0.1,
-            policy=LifeCyclePolicy.advected(lifetime=9),
+            policy=LifeCyclePolicy(position_mode="advect", lifetime=9, fade_frames=8),
         )
         digests = {
             seq.frame_digest(2)

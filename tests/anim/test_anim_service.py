@@ -254,7 +254,9 @@ class TestLoopNativeWalks:
 
         svc = AnimationService(gated, CONFIG, length=N_FRAMES, checkpoint_every=4)
         sched = svc.scheduler
-        assert svc.prefetch(0, 12)
+        # The first frame of a range stream starts a walk over the whole
+        # range, which runs on after frame 0 is delivered.
+        assert next(svc.stream(0, 12)).frame == 0
         assert reached.wait(10.0)  # the walk is parked inside frame 5
         walks = sched.runtime.call(lambda: set(sched._walks))
         assert len(walks) == 1
@@ -346,14 +348,6 @@ class TestCoalescing:
             matching = results["a"][f.frame]
             assert np.array_equal(f.texture, matching.texture)
 
-    def test_prefetch_streams_ahead(self, source):
-        with make_service(source) as svc:
-            created = svc.prefetch(0, 6)
-            assert created
-            frames = list(svc.stream(0, 6))
-            assert [f.frame for f in frames] == list(range(6))
-            assert svc.prefetch(0, 6) is False  # fully cached now
-
 
 class TestLifecycle:
     def test_close_closes_each_resource_once_and_refuses_work(
@@ -379,10 +373,6 @@ class TestLifecycle:
             svc.request(0)
         with pytest.raises(ServiceError, match="closed"):
             svc.stream(0, 2)
-        with pytest.raises(ServiceError, match="closed"):
-            svc.prefetch(0, 2)
-        with pytest.raises(ServiceError, match="closed"):
-            svc.stream_async(0, 2)
 
     def test_closed_animation_service_needs_no_cycle_collector(self, source):
         # Nothing may tie a closed service into a reference cycle (say,

@@ -513,12 +513,12 @@ class TestBrowser:
         _, scalar = browser.current()
         assert scalar is None
 
-    def test_seek_and_play(self, store):
+    def test_seek(self, store):
         browser = DataBrowser(store)
         browser.seek(2)
-        frames = list(browser.play(stop=6, stride=2))
-        assert len(frames) == 2
-        assert browser.position == 4
+        assert browser.position == 2
+        field, _ = browser.current()
+        np.testing.assert_array_equal(field.data, store.read(2).data)
 
     def test_seek_out_of_range(self, store):
         browser = DataBrowser(store)

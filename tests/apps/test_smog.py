@@ -100,7 +100,8 @@ class TestEmissions:
 
     def test_scale_multiplies(self):
         inv = EmissionInventory([EmissionSource((10.0, 11.0), 1.0, 1.0)], scale=3.0)
-        assert inv.total_rate() == 3.0
+        total = inv.rasterize(GRID).sum() * GRID.dx * GRID.dy
+        assert total == pytest.approx(3.0, rel=1e-6)
 
     def test_validation(self):
         with pytest.raises(ApplicationError):

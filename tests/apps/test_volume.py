@@ -78,10 +78,3 @@ class TestSliceBrowser:
         vol = space_time_volume(store)
         with pytest.raises(ApplicationError):
             SliceBrowser(vol, axis="z", index=6)
-
-    def test_sweep_yields_all(self, store):
-        vol = space_time_volume(store)
-        browser = SliceBrowser(vol, axis="z")
-        slices = list(browser.sweep())
-        assert len(slices) == 6
-        assert slices[3].u[0, 0] == 3.0

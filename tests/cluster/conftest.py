@@ -10,11 +10,15 @@ backoff sleeps are injected as no-ops for the same reason.
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
 
 from repro.cluster import LocalFleet
 from repro.cluster.fleet import analytic_source
+from repro.cluster.peer import PeerClient
 from repro.core.config import SpotNoiseConfig
+from repro.errors import ServiceError
 from repro.service.server import TextureService
 
 #: Shared fleet config.  Explicit backend: "auto" would plan per node
@@ -28,6 +32,36 @@ SOURCE_GRID = 21
 
 def _no_sleep(_s: float) -> None:
     return None
+
+
+class FaultFleet(LocalFleet):
+    """A :class:`LocalFleet` whose nodes the fault suite stops and restarts."""
+
+    def live_indices(self) -> List[int]:
+        return [i for i, node in enumerate(self.nodes) if node is not None]
+
+    def kill(self, i: int) -> None:
+        """Drop node *i* abruptly; peers learn of it through failures."""
+        node, client = self.nodes[i], self.clients[i]
+        self.nodes[i], self.clients[i] = None, None
+        if client is not None:
+            client.close()
+        if node is not None:
+            node.close()
+
+    def restart(self, i: int) -> None:
+        """Bring node *i* back (same identity, fresh port, same disk)."""
+        if self.nodes[i] is not None:
+            raise ServiceError(f"node {i} is already running")
+        node = self._build_node(i)
+        self.nodes[i] = node
+        self.clients[i] = PeerClient(node.address, **self._client_kwargs)
+        for j in self.live_indices():
+            if j == i:
+                continue
+            other = self.nodes[j]
+            other.add_peer(node.node_id, node.address, **self._client_kwargs)
+            node.add_peer(other.node_id, other.address, **self._client_kwargs)
 
 
 @pytest.fixture
@@ -69,13 +103,13 @@ def make_fleet(tmp_path, field_source):
     """Factory building fleets that are torn down even on test failure."""
     fleets = []
 
-    def _make(n_nodes: int = 3, **kwargs) -> LocalFleet:
+    def _make(n_nodes: int = 3, **kwargs) -> FaultFleet:
         kwargs.setdefault("field_source", field_source)
         kwargs.setdefault("base_dir", str(tmp_path / f"fleet-{len(fleets)}"))
         kwargs.setdefault("timeout", 30.0)
         kwargs.setdefault("backoff_s", 0.0)
         kwargs.setdefault("sleep", _no_sleep)
-        fleet = LocalFleet(n_nodes, FLEET_CONFIG, **kwargs)
+        fleet = FaultFleet(n_nodes, FLEET_CONFIG, **kwargs)
         fleets.append(fleet)
         return fleet
 

@@ -96,8 +96,8 @@ def test_serve_node_serves_real_sockets(tmp_path):
         host, port = line.split("listening on ")[1].split()[0].split(":")
         client = PeerClient((host, int(port)), timeout=30.0)
         try:
-            assert client.ping()["node"] == "solo"
             texture, header = client.request_texture(2)
+            assert header["node"] == "solo"
             # Repeat traffic is a cache hit, not a re-render.
             again, _ = client.request_texture(2)
         finally:

@@ -88,6 +88,9 @@ def test_requests_on_a_killed_nodes_client_fail_loudly(make_fleet):
 
 
 # -- hostile peers: drop and corrupt at the socket level ----------------------
+#: What the fake node answers every texture request with.
+FAKE_TEXTURE = np.arange(16.0).reshape(4, 4)
+
 class _FaultyServer:
     """A fake node whose first *n_faults* responses are sabotaged."""
 
@@ -125,7 +128,9 @@ class _FaultyServer:
                 faulty = self.requests_seen <= self.n_faults
                 if faulty and self.mode == "drop":
                     return  # vanish mid-request: connection reset/EOF
-                frame = wire.encode_frame(wire.PONG, {"node": "faulty"})
+                header, body = wire.encode_texture(FAKE_TEXTURE)
+                header["node"] = "faulty"
+                frame = wire.encode_frame(wire.TEXTURE_RESPONSE, header, body)
                 if faulty and self.mode == "corrupt":
                     # Flip a byte inside the header region: framing
                     # survives, the checksum does not.
@@ -155,8 +160,9 @@ def test_client_retries_through_transient_faults(mode):
             # Two sabotaged responses burn two attempts; the third
             # succeeds.  The fault was retried, not surfaced — and a
             # corrupt frame was *rejected*, not decoded.
-            header = client.ping()
+            texture, header = client.request_texture(0)
             assert header["node"] == "faulty"
+            assert np.array_equal(texture, FAKE_TEXTURE)
             assert server.requests_seen == 3
         finally:
             client.close()
@@ -174,7 +180,7 @@ def test_persistent_faults_surface_as_peer_unavailable(mode):
         )
         try:
             with pytest.raises(PeerUnavailable):
-                client.ping()
+                client.request_texture(0)
             assert server.requests_seen == 3  # bounded retry budget
         finally:
             client.close()
@@ -193,7 +199,7 @@ def test_backoff_schedule_is_exponential_and_bounded():
     )
     try:
         with pytest.raises(PeerUnavailable):
-            client.ping()
+            client.request_texture(0)
     finally:
         client.close()
     assert sleeps == [0.05, 0.1, 0.2]  # attempts-1 waits, doubling

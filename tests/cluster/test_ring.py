@@ -29,10 +29,18 @@ def _keys(n: int, salt: str = "") -> "list[str]":
     return [hashlib.sha256(f"{salt}{i}".encode()).hexdigest() for i in range(n)]
 
 
+def _spread(ring: HashRing, keys: "list[str]") -> "dict[str, int]":
+    """Owned-key counts per node over *keys*."""
+    counts = {node: 0 for node in ring.nodes()}
+    for key in keys:
+        counts[ring.owner(key)] += 1
+    return counts
+
+
 def test_spread_is_roughly_uniform():
     ring = HashRing(NODES)
     keys = _keys(2000)
-    counts = ring.spread(keys)
+    counts = _spread(ring, keys)
     assert sum(counts.values()) == len(keys)
     fair = len(keys) / len(NODES)
     for node, count in counts.items():
@@ -144,7 +152,7 @@ def test_replicas_trade_off_is_live():
     keys = _keys(2000)
 
     def imbalance(replicas: int) -> float:
-        counts = HashRing(NODES, replicas=replicas).spread(keys)
+        counts = _spread(HashRing(NODES, replicas=replicas), keys)
         fair = len(keys) / len(NODES)
         return max(abs(c - fair) for c in counts.values()) / fair
 

@@ -45,8 +45,8 @@ def test_round_trip_all_kinds():
 
 
 def test_empty_header_and_body():
-    kind, header, body = _roundtrip(wire.PING, {})
-    assert (kind, header, body) == (wire.PING, {}, b"")
+    kind, header, body = _roundtrip(wire.TEXTURE_REQUEST, {})
+    assert (kind, header, body) == (wire.TEXTURE_REQUEST, {}, b"")
 
 
 @pytest.mark.parametrize(
@@ -71,7 +71,7 @@ def test_corrupted_frames_raise_wire_error(mutate, match):
 
 @pytest.mark.parametrize("cut", [1, 10, 30, -5])
 def test_truncated_frames_raise_mid_frame_not_closed(cut):
-    frame = wire.encode_frame(wire.MANIFEST_RESPONSE, {"found": True}, b"x" * 64)
+    frame = wire.encode_frame(wire.TEXTURE_RESPONSE, {"found": True}, b"x" * 64)
     with pytest.raises(wire.WireError) as excinfo:
         _recv(frame[:cut])
     assert not isinstance(excinfo.value, wire.WireClosed)
@@ -83,20 +83,23 @@ def test_clean_close_raises_wire_closed():
 
 
 def test_oversize_announcements_rejected_before_allocation():
-    good = wire.encode_frame(wire.PING, {})
+    good = wire.encode_frame(wire.TEXTURE_REQUEST, {})
     prefix = wire._PREFIX
     for header_len, body_len in (
         (wire.MAX_HEADER_BYTES + 1, 0),
         (0, wire.MAX_BODY_BYTES + 1),
     ):
-        evil = prefix.pack(wire.MAGIC, wire.PING, header_len, body_len) + good[prefix.size:]
+        evil = (
+            prefix.pack(wire.MAGIC, wire.TEXTURE_REQUEST, header_len, body_len)
+            + good[prefix.size:]
+        )
         with pytest.raises(wire.WireError, match="cap"):
             _recv(evil)
 
 
 def test_encode_rejects_unknown_kind():
-    # 3 and 4 are retired kinds: they stay unassigned.
-    for kind in (3, 4, 42):
+    # 3-8 are retired kinds: they stay unassigned.
+    for kind in (3, 4, 5, 6, 7, 8, 42):
         with pytest.raises(wire.WireError, match="kind"):
             wire.encode_frame(kind, {})
 
@@ -108,7 +111,7 @@ def test_malformed_json_header_rejected():
     header_bytes = b"not json at all"
     digest = hashlib.sha256(header_bytes).digest()
     frame = (
-        struct.pack("!4sBIQ", wire.MAGIC, wire.PING, len(header_bytes), 0)
+        struct.pack("!4sBIQ", wire.MAGIC, wire.TEXTURE_REQUEST, len(header_bytes), 0)
         + header_bytes
         + digest
     )

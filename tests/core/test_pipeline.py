@@ -72,10 +72,10 @@ class TestPipelineStages:
         assert frame.image is not None
 
     def test_fading_changes_texture(self):
-        policy = LifeCyclePolicy.advected(lifetime=10, fade_frames=5)
+        policy = LifeCyclePolicy(position_mode="advect", lifetime=10, fade_frames=5)
         a = SpotNoisePipeline(CFG, FIELD, policy=policy)
         tex_fade, _ = (a.step().texture, a.close())
-        b = SpotNoisePipeline(CFG, FIELD, policy=LifeCyclePolicy.advected(10, 0))
+        b = SpotNoisePipeline(CFG, FIELD, policy=LifeCyclePolicy(position_mode="advect", lifetime=10, fade_frames=0))
         tex_plain, _ = (b.step().texture, b.close())
         assert not np.allclose(tex_fade, tex_plain)
 

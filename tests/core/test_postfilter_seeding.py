@@ -7,8 +7,9 @@ from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
 from repro.errors import PipelineError
 from repro.fields.analytic import constant_field
-from repro.fields.grid import RectilinearGrid
 from repro.fields.vectorfield import VectorField2D
+
+from oracles import stretched_grid, within_bounds
 
 FIELD = constant_field(1.0, 0.0, n=17)
 
@@ -50,12 +51,12 @@ class TestSeedingThroughPipeline:
         )
         with SpotNoisePipeline(cfg, FIELD) as pipe:
             assert len(pipe.particles) == 300
-            assert FIELD.grid.contains(pipe.particles.positions).all()
+            assert within_bounds(FIELD.grid, pipe.particles.positions)
             frame = pipe.step()
         assert frame.texture.shape == (48, 48)
 
     def test_cell_area_seeding_on_stretched_grid(self):
-        grid = RectilinearGrid.stretched(
+        grid = stretched_grid(
             65, 33, (0.0, 1.0, 0.0, 1.0), focus=(0.3, 0.5), strength=6.0
         )
         field = VectorField2D.from_function(grid, lambda X, Y: (np.ones_like(X), np.zeros_like(Y)))

@@ -63,23 +63,6 @@ class TestVectorFieldSampling:
 
 
 class TestVectorFieldAlgebra:
-    def test_scaled(self, grid):
-        f = VectorField2D.from_function(grid, lambda X, Y: (X, Y))
-        g = f.scaled(3.0)
-        np.testing.assert_allclose(g.data, 3.0 * f.data)
-
-    def test_plus(self, grid):
-        f = VectorField2D.from_function(grid, lambda X, Y: (X, Y))
-        h = f.plus(f.scaled(-1.0))
-        assert h.max_magnitude() == 0.0
-
-    def test_plus_grid_mismatch(self, grid):
-        f = VectorField2D.from_function(grid, lambda X, Y: (X, Y))
-        other_grid = RegularGrid(9, 7, (0.0, 1.0, 0.0, 1.0))
-        g = VectorField2D.from_function(other_grid, lambda X, Y: (X, Y))
-        with pytest.raises(FieldError):
-            f.plus(g)
-
     def test_nbytes(self, grid):
         f = VectorField2D(grid, np.zeros((*grid.shape, 2)))
         assert f.nbytes() == 7 * 9 * 2 * 8

@@ -16,8 +16,9 @@ without going through the code under test:
   animation;
 * :func:`recv_message` reads one cluster wire frame from a blocking
   socket, for test-side peers;
-* :func:`sync_manifest` syncs a blob store from a published cluster
-  manifest, verifying every payload;
+* :func:`within_bounds` checks that points lie inside a grid's bounds,
+  and :func:`stretched_grid` builds a DNS-like grid refined around a
+  focus point;
 * :func:`exact_rasteriser` renders frames through the per-quad
   reference rasteriser instead of the batched kernel.
 
@@ -27,17 +28,16 @@ the suite's ``conftest.py``, so pytest puts it on ``sys.path``.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
 
 from repro.cluster import wire
 from repro.core.config import SpotNoiseConfig
-from repro.errors import ReproError
+from repro.errors import GridError, ReproError
+from repro.fields.grid import RectilinearGrid
 from repro.fields.io import field_digest
 from repro.fields.scalarfield import ScalarField2D
 from repro.fields.vectorfield import VectorField2D
@@ -209,59 +209,67 @@ def recv_message(sock) -> "tuple[int, dict, bytes]":
     return wire._assemble(kind, header_bytes, body, exact(wire._DIGEST_BYTES))
 
 
-@dataclass(frozen=True)
-class SyncReport:
-    """Outcome of one :func:`sync_manifest` pass."""
-
-    fetched: int
-    deduped: int
-    corrupt: int
-    missing: int
-    bytes_fetched: int
-
-    @property
-    def complete(self) -> bool:
-        """Every advertised chunk is now present and verified locally."""
-        return self.corrupt == 0 and self.missing == 0
-
-
-def sync_manifest(
-    manifest,
-    fetch: Callable[[str], Optional[bytes]],
-    dest,
-) -> SyncReport:
-    """Bring *dest* up to date with *manifest*, fetching missing chunks.
-
-    *fetch* maps a chunk digest to its payload bytes (``None`` for a
-    miss), as a blob store's ``get_bytes`` does.
-    Every fetched payload is re-hashed against the manifest's
-    ``payload_sha256`` before it is stored; a mismatch counts as
-    ``corrupt`` and **nothing** is written, so a lying or damaged source
-    can cost a retry but never poison the local store.  Chunks already
-    present locally are deduped by store key without any transfer.
-    """
-    fetched = deduped = corrupt = missing = bytes_fetched = 0
-    for entry in manifest.chunks:
-        if dest.contains_bytes(entry.digest):
-            deduped += 1
-            continue
-        payload = fetch(entry.digest)
-        if payload is None:
-            missing += 1
-            continue
-        if hashlib.sha256(payload).hexdigest() != entry.payload_sha256:
-            corrupt += 1
-            continue
-        dest.put_bytes(entry.digest, payload)
-        fetched += 1
-        bytes_fetched += len(payload)
-    return SyncReport(
-        fetched=fetched,
-        deduped=deduped,
-        corrupt=corrupt,
-        missing=missing,
-        bytes_fetched=bytes_fetched,
+def within_bounds(grid, points: np.ndarray) -> bool:
+    """True when every ``(x, y)`` row of *points* lies inside (inclusive)
+    *grid*'s bounds."""
+    x0, x1, y0, y1 = grid.bounds
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    return bool(
+        ((pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)).all()
     )
+
+
+def stretched_grid(
+    nx: int,
+    ny: int,
+    bounds: Tuple[float, float, float, float],
+    focus: Tuple[float, float] = (0.5, 0.5),
+    strength: float = 2.0,
+) -> RectilinearGrid:
+    """Build a grid refined around a focus point.
+
+    *focus* is given in unit coordinates of the domain; *strength* > 1
+    concentrates nodes near it using a tanh stretching — the standard way
+    DNS meshes cluster resolution around an obstacle.
+    """
+    if strength <= 0:
+        raise GridError("strength must be positive")
+    x0, x1, y0, y1 = bounds
+
+    def stretch(n: int, lo: float, hi: float, f: float) -> np.ndarray:
+        # Map uniform parameter p in [0,1] through a sinh profile whose
+        # derivative is smallest at the focus: x(p) = f + sinh(s(p-p0))/D
+        # with p0 (the parameter of the focus) solving
+        # sinh(s*p0) / sinh(s*(1-p0)) = f / (1-f), so x(0)=0 and x(1)=1.
+        f = float(np.clip(f, 0.0, 1.0))
+        s = strength
+        if f <= 0.0:
+            p0 = 0.0
+        elif f >= 1.0:
+            p0 = 1.0
+        else:
+            lo_p, hi_p = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo_p + hi_p)
+                ratio = np.sinh(s * mid) / np.sinh(s * (1.0 - mid))
+                if ratio < f / (1.0 - f):
+                    lo_p = mid
+                else:
+                    hi_p = mid
+            p0 = 0.5 * (lo_p + hi_p)
+        if p0 <= 0.0:
+            D = np.sinh(s) / 1.0
+            t = np.sinh(s * np.linspace(0.0, 1.0, n)) / D
+        elif p0 >= 1.0:
+            D = np.sinh(s)
+            t = 1.0 + np.sinh(s * (np.linspace(0.0, 1.0, n) - 1.0)) / D
+        else:
+            D = np.sinh(s * p0) / f
+            t = f + np.sinh(s * (np.linspace(0.0, 1.0, n) - p0)) / D
+        t = (t - t[0]) / (t[-1] - t[0])
+        return lo + (hi - lo) * t
+
+    return RectilinearGrid(stretch(nx, x0, x1, focus[0]), stretch(ny, y0, y1, focus[1]))
 
 
 @contextmanager

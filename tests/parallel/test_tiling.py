@@ -14,7 +14,8 @@ WIN = (0.0, 1.0, 0.0, 1.0)
 
 class TestTileLayout:
     def test_factorisation_for_groups(self):
-        assert TileLayout.for_groups(64, 1, WIN).n_tiles == 1
+        layout1 = TileLayout.for_groups(64, 1, WIN)
+        assert (layout1.tiles_x, layout1.tiles_y) == (1, 1)
         layout2 = TileLayout.for_groups(64, 2, WIN)
         assert {layout2.tiles_x, layout2.tiles_y} == {1, 2}
         layout4 = TileLayout.for_groups(64, 4, WIN)

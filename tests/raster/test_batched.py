@@ -239,7 +239,7 @@ class TestBatchedBehaviour:
             fb, np.zeros((0, 4, 2)), np.zeros((0, 4, 2)), np.zeros(0), TEXTURE
         )
         assert n == 0
-        assert fb.total() == 0.0
+        assert fb.data.sum() == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_quads_dropped(self, bad):

@@ -124,7 +124,7 @@ class TestRasterizeQuadsExact:
         rot[0, :, 1] = s * sq[0, :, 0] + c * sq[0, :, 1]
         rasterize_quads_exact(fb1, sq, UV, np.array([1.0]))
         rasterize_quads_exact(fb2, rot, UV, np.array([1.0]))
-        assert fb2.total() == pytest.approx(fb1.total(), rel=0.05)
+        assert fb2.data.sum() == pytest.approx(fb1.data.sum(), rel=0.05)
 
     def test_validation(self):
         fb = FrameBuffer(4, 4, WIN)

@@ -16,25 +16,25 @@ class TestSplatPoints:
     def test_interior_point_conserves_value(self):
         fb = FrameBuffer(16, 16, WIN)
         splat_points(fb, np.array([[0.37, 0.61]]), np.array([2.5]))
-        assert fb.total() == pytest.approx(2.5)
+        assert fb.data.sum() == pytest.approx(2.5)
 
     def test_point_on_pixel_center_single_pixel(self):
         fb = FrameBuffer(4, 4, WIN)
         # Pixel (1, 2) center = ((1+0.5)/4, (2+0.5)/4).
         splat_points(fb, np.array([[0.375, 0.625]]), np.array([1.0]))
         assert fb.data[2, 1] == pytest.approx(1.0)
-        assert fb.total() == pytest.approx(1.0)
+        assert fb.data.sum() == pytest.approx(1.0)
 
     def test_outside_point_ignored(self):
         fb = FrameBuffer(4, 4, WIN)
         landed = splat_points(fb, np.array([[5.0, 5.0]]), np.array([1.0]))
         assert landed == 0
-        assert fb.total() == 0.0
+        assert fb.data.sum() == 0.0
 
     def test_boundary_point_loses_offgrid_share(self):
         fb = FrameBuffer(4, 4, WIN)
         splat_points(fb, np.array([[0.0, 0.5]]), np.array([1.0]))
-        assert 0 < fb.total() < 1.0
+        assert 0 < fb.data.sum() < 1.0
 
     def test_validation(self):
         fb = FrameBuffer(4, 4, WIN)
@@ -52,4 +52,4 @@ class TestSplatPoints:
     def test_conservation_property(self, x, y, v):
         fb = FrameBuffer(32, 32, WIN)
         splat_points(fb, np.array([[x, y]]), np.array([v]))
-        assert fb.total() == pytest.approx(v, abs=1e-9)
+        assert fb.data.sum() == pytest.approx(v, abs=1e-9)

@@ -53,7 +53,7 @@ class TestCrossing:
     def test_call_executes_on_the_loop_thread(self, rt):
         name = rt.call(lambda: threading.current_thread().name)
         assert name == "rt-test"
-        assert rt.call(lambda: asyncio.get_running_loop()) is rt.loop
+        assert rt.call(lambda: asyncio.get_running_loop()) is rt._loop
 
     def test_call_soon_fires_callback(self, rt):
         fired = threading.Event()

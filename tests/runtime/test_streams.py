@@ -1,11 +1,10 @@
-"""FrameStream and BoundedFrameChannel: the streaming spine primitives."""
+"""FrameStream: the streaming spine primitive."""
 
 import asyncio
 
 import pytest
 
-from repro.errors import ServiceError
-from repro.runtime.streams import BoundedFrameChannel, ChannelClosed, FrameStream
+from repro.runtime.streams import FrameStream
 
 
 def run(coro):
@@ -113,85 +112,3 @@ class TestFrameStreamWait:
             await task
 
         run(main())
-
-
-class TestBoundedChannel:
-    def test_maxsize_must_be_positive(self):
-        with pytest.raises(ServiceError, match="maxsize"):
-            BoundedFrameChannel(0)
-
-    def test_put_backpressures_at_maxsize(self):
-        async def main():
-            channel = BoundedFrameChannel(maxsize=2)
-            high_water = []
-
-            async def produce():
-                for i in range(6):
-                    await channel.put(i)
-                    high_water.append(len(channel))
-                channel.close()
-
-            async def consume():
-                items = []
-                async for item in channel:
-                    await asyncio.sleep(0.001)
-                    items.append(item)
-                return items
-
-            producer = asyncio.ensure_future(produce())
-            items = await consume()
-            await producer
-            return items, max(high_water)
-
-        items, deepest = run(main())
-        assert items == list(range(6))
-        assert deepest <= 2  # producer never ran ahead of the bound
-
-    def test_close_lets_consumer_drain_then_stops(self):
-        async def main():
-            channel = BoundedFrameChannel(maxsize=4)
-            await channel.put("a")
-            await channel.put("b")
-            channel.close()
-            drained = [item async for item in channel]
-            return drained
-
-        assert run(main()) == ["a", "b"]
-
-    def test_error_surfaces_after_buffered_items(self):
-        async def main():
-            channel = BoundedFrameChannel(maxsize=4)
-            await channel.put("before")
-            channel.close(error=RuntimeError("producer died"))
-            first = await channel.get()
-            with pytest.raises(RuntimeError, match="producer died"):
-                await channel.get()
-            return first
-
-        assert run(main()) == "before"
-
-    def test_put_on_closed_channel_raises(self):
-        async def main():
-            channel = BoundedFrameChannel(maxsize=1)
-            channel.close()
-            with pytest.raises(ChannelClosed):
-                await channel.put("late")
-
-        run(main())
-
-    def test_blocked_producer_unblocks_on_close(self):
-        async def main():
-            channel = BoundedFrameChannel(maxsize=1)
-            await channel.put("full")
-
-            async def produce_more():
-                with pytest.raises(ChannelClosed):
-                    await channel.put("overflow")
-                return "unblocked"
-
-            task = asyncio.ensure_future(produce_more())
-            await asyncio.sleep(0.01)
-            channel.close()
-            return await task
-
-        assert run(main()) == "unblocked"

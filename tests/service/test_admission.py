@@ -27,10 +27,10 @@ class TestLatencyPredictor:
         p = LatencyPredictor(alpha=1.0)
         cfg = SpotNoiseConfig(n_spots=500, texture_size=64)
         raw = p.predict(cfg)
-        assert not p.calibrated
+        assert p.scale is None
         # Tell the predictor renders actually take 10x its raw estimate.
         p.observe(cfg, actual_s=raw * 10.0)
-        assert p.calibrated
+        assert p.scale is not None
         assert p.predict(cfg) == pytest.approx(raw * 10.0)
 
     def test_ewma_smooths_observations(self):
@@ -71,7 +71,7 @@ class TestLatencyPredictor:
         p = LatencyPredictor()
         cfg = SpotNoiseConfig(n_spots=500, texture_size=64)
         p.observe(cfg, actual_s=0.0)
-        assert not p.calibrated
+        assert p.scale is None
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ServiceError):

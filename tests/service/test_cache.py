@@ -3,7 +3,6 @@
 import os
 import struct
 import threading
-import time
 import zipfile
 
 import numpy as np
@@ -24,9 +23,10 @@ def tex(value: float, n: int = 8) -> np.ndarray:
 
 ENTRY_BYTES = tex(0.0).nbytes  # 8*8*8 = 512
 
-#: Evict/put rounds each churner runs in the racing-readers test: a fixed
-#: operation count, so the test does the same work on every host.
-CHURN_ROUNDS = 200
+#: Reads each of the 8 readers makes in the fast-switching test: a fixed
+#: count, so the test does the same work on every host.  A 3 s deadline
+#: gave 700-1,300 reads a reader on a 2-CPU x86-64 host.
+READS_PER_READER = 1400
 
 
 def member_data_offset(path: str) -> int:
@@ -131,7 +131,7 @@ class TestDiskTextureCache:
         disk.put("abc", tex(0.5))
         leftovers = [n for n in os.listdir(tmp_path) if not n.endswith(".npz")]
         assert leftovers == []
-        assert disk.nbytes_on_disk() > 0
+        assert os.path.getsize(disk._path("abc")) > 0
         assert "abc" in disk
 
     def test_concurrent_readers_under_fast_switching(self, tmp_path):
@@ -153,12 +153,13 @@ class TestDiskTextureCache:
                 pass
 
         errors = []
-        deadline = time.monotonic() + 3.0
 
         def reader(seed):
             rng = np.random.default_rng(seed)
             try:
-                while time.monotonic() < deadline and not errors:
+                for _ in range(READS_PER_READER):
+                    if errors:
+                        return
                     digest = f"d{rng.integers(16)}"
                     got = disk.get(digest)
                     assert got is not None and np.array_equal(got, textures[digest])
@@ -253,73 +254,17 @@ class TestTieredTextureCache:
 
 
 class TestDiskBlobStoreEviction:
-    """Eviction vs concurrent readers: clean miss-and-refetch, never a
-    truncated read or stale-handle crash (PR 7 satellite fix)."""
+    """Raw blobs round-trip; a corrupt-entry drop racing a writer never
+    removes fresh bytes."""
 
-    def test_raw_blob_round_trip_and_evict(self, tmp_path):
+    def test_raw_blob_round_trip(self, tmp_path):
         store = DiskBlobStore(tmp_path)
+        assert store.get_bytes("d1") is None
         store.put_bytes("d1", b"payload-one")
         assert store.contains_bytes("d1")
         assert store.get_bytes("d1") == b"payload-one"
-        assert store.evict("d1")
-        assert not store.contains_bytes("d1")
-        assert store.get_bytes("d1") is None
-        assert store.evictions == 1
-        assert not store.evict("d1")  # double-evict is a clean no-op
-
-    def test_evict_removes_bundles_too(self, tmp_path):
-        store = DiskBlobStore(tmp_path)
-        store.put("d1", {"x": np.arange(4.0)})
-        assert "d1" in store
-        assert store.evict("d1")
-        assert "d1" not in store and store.get("d1") is None
-
-    def test_eviction_racing_readers_is_clean(self, tmp_path):
-        # Hammer: writers re-put and evictors unlink while readers read.
-        # Every read must return either the complete payload or a clean
-        # None — any exception or partial payload fails the test.
-        store = DiskBlobStore(tmp_path)
-        payload_a = b"A" * 65536
-        bundle = {"texture": np.full((32, 32), 7.0)}
-        store.put_bytes("blob", payload_a)
-        store.put("arr", bundle)
-        churned = threading.Event()
-        failures = []
-
-        def reader():
-            while True:
-                done = churned.is_set()
-                raw = store.get_bytes("blob")
-                if raw is not None and raw != payload_a:
-                    failures.append(("partial-blob", len(raw)))
-                got = store.get("arr")
-                if got is not None and not np.array_equal(
-                    got["texture"], bundle["texture"]
-                ):
-                    failures.append(("partial-bundle",))
-                if done:
-                    return
-
-        def churner():
-            for _ in range(CHURN_ROUNDS):
-                store.evict("blob")
-                store.evict("arr")
-                store.put_bytes("blob", payload_a)
-                store.put("arr", bundle)
-
-        readers = [threading.Thread(target=reader) for _ in range(4)]
-        churners = [threading.Thread(target=churner) for _ in range(2)]
-        for t in readers + churners:
-            t.start()
-        for t in churners:
-            t.join()
-        churned.set()
-        for t in readers:
-            t.join()
-        assert failures == []
-        # After the churn settles the entries are wholly readable again.
-        assert store.get_bytes("blob") == payload_a
-        np.testing.assert_array_equal(store.get("arr")["texture"], bundle["texture"])
+        assert "d1" not in store  # a raw blob is not an array bundle
+        assert (store.hits, store.misses) == (1, 1)
 
     def test_corrupt_entry_dropped_only_if_not_replaced(self, tmp_path):
         # A reader that decided an entry is corrupt must not unlink the
@@ -342,28 +287,12 @@ class TestDiskBlobStoreEviction:
         store._drop_corrupt(path, expected_ino=os.stat(path).st_ino)
         assert not os.path.exists(path)
 
-    def test_trim_to_bytes_evicts_oldest_first(self, tmp_path):
-        store = DiskBlobStore(tmp_path)
-        for i, name in enumerate(["old", "mid", "new"]):
-            store.put_bytes(name, bytes(1000))
-            # Deterministic ages regardless of filesystem timestamp
-            # granularity.
-            os.utime(store._blob_path(name), (1000.0 + i, 1000.0 + i))
-        removed = store.trim_to_bytes(2000)
-        assert removed == 1
-        assert not store.contains_bytes("old")
-        assert store.contains_bytes("mid") and store.contains_bytes("new")
-        assert store.trim_to_bytes(0) == 2
-
-
 class TestMemoryBlobStore:
-    def test_round_trip_and_evict(self):
+    def test_round_trip(self):
         store = MemoryBlobStore()
+        assert store.get_bytes("d") is None
         store.put_bytes("d", b"abc")
         assert store.contains_bytes("d")
         assert store.get_bytes("d") == b"abc"
         assert store.nbytes() == 3 and len(store) == 1
-        assert store.evict("d")
-        assert store.get_bytes("d") is None
-        assert not store.evict("d")
-        assert (store.hits, store.misses, store.evictions) == (1, 1, 1)
+        assert (store.hits, store.misses) == (1, 1)

@@ -98,18 +98,27 @@ def joiners(svc, pool, frame, n=1):
 
 
 class RecordingAdmission(AdmissionController):
-    """Records the backlog every new flight is priced at; sheds from
-    *shed_at* on."""
+    """Records the backlog every new flight is priced at, and signals
+    each pricing; sheds from *shed_at* on."""
 
     def __init__(self, shed_at=None):
         super().__init__()
         self.depths = []
         self.shed_at = shed_at
+        self._priced = threading.Semaphore(0)
 
     def admit(self, predicted_s, queue_depth):
         self.depths.append(queue_depth)
+        self._priced.release()
         if self.shed_at is not None and queue_depth >= self.shed_at:
             raise AdmissionError("queue full")
+
+    def wait_priced(self, n=1):
+        """Wait until *n* more new flights were priced.  The signal
+        comes from the loop callback that admits the flight and begins
+        it, so any later loop hop sees the flight."""
+        for _ in range(n):
+            assert self._priced.acquire(timeout=10.0)
 
 
 class TestSingleFlight:
@@ -230,24 +239,27 @@ class TestErrorsAndLifecycle:
         svc.close()
         with pytest.raises(ServiceError, match="closed"):
             svc.request(0)
-        with pytest.raises(ServiceError, match="closed"):
-            svc.prefetch([0])
         # The loop refuses a new flight too: a request racing close.
         with pytest.raises(ServiceError, match="closed"):
             svc._runtime.call(svc._start, "k", lambda: None)
 
     def test_close_drains_pending_work(self, fields):
-        svc = make_service(fields, n_workers=1)
+        admission = RecordingAdmission()
+        svc = make_service(fields, n_workers=1, admission=admission)
         gate = Gate(svc)
-        assert svc.prefetch(range(5)) == 5
-        gate.wait_started()
-        digests = [svc.render_digest(f) for f in range(5)]
-        gate.release()
-        svc.close()
-        # Every queued render ran and its flight settled before close
-        # returned.
-        assert svc.queue_depth() == 0
-        assert svc.stats.renders == 5
+        with ThreadPoolExecutor(5) as pool:
+            futures = [pool.submit(svc.request, f) for f in range(5)]
+            admission.wait_priced(5)  # five flights, one executing
+            gate.wait_started()
+            digests = [svc.render_digest(f) for f in range(5)]
+            gate.release()
+            svc.close()
+            # Every queued render ran and its flight settled before
+            # close returned.
+            assert svc.queue_depth() == 0
+            assert svc.stats.renders == 5
+            for future in futures:
+                assert future.result(timeout=10.0).source == "render"
         for f, digest in enumerate(digests):
             np.testing.assert_array_equal(svc.cache.get(digest)[0], fresh(fields[f]))
 
@@ -256,50 +268,61 @@ class TestAdmissionHook:
     def test_admit_sees_backlog_and_can_shed(self, fields):
         admission = RecordingAdmission(shed_at=2)
         with make_service(fields, n_workers=1, admission=admission) as svc, \
-                ThreadPoolExecutor(1) as pool:
+                ThreadPoolExecutor(4) as pool:
             gate = Gate(svc)
-            assert svc.prefetch([0]) == 1
+            futures = [pool.submit(svc.request, 0)]
+            admission.wait_priced()
             gate.wait_started()  # 0 is executing, not queued
-            assert svc.prefetch([1]) == 1  # backlog 0
-            assert svc.prefetch([2]) == 1  # backlog 1 (1 queued)
+            futures.append(pool.submit(svc.request, 1))
+            admission.wait_priced()  # backlog 0
+            futures.append(pool.submit(svc.request, 2))
+            admission.wait_priced()  # backlog 1 (1 queued)
             with pytest.raises(AdmissionError):
                 svc.request(3)  # backlog 2: shed
             assert svc.stats.sheds == 1
             # Joining an existing flight is never shed.
-            assert svc.prefetch([0]) == 0
             (joined,) = joiners(svc, pool, 0)
             assert admission.depths == [0, 0, 1, 2]
             gate.release()
             assert joined.result(timeout=10.0).source == "coalesced"
+            for future in futures:
+                assert future.result(timeout=10.0).source == "render"
 
     def test_admit_excludes_executing_renders(self, fields):
         """Regression: admission used to receive every flight — executing
         plus queued — so budgets priced nearly-finished renders as if
         they queued ahead of the new request and over-shed."""
         admission = RecordingAdmission()
-        with make_service(fields, n_workers=2, admission=admission) as svc:
+        with make_service(fields, n_workers=2, admission=admission) as svc, \
+                ThreadPoolExecutor(3) as pool:
             gate = Gate(svc)
+            futures = []
             for frame in (0, 1):
-                assert svc.prefetch([frame]) == 1
+                futures.append(pool.submit(svc.request, frame))
                 gate.wait_started()  # this flight is executing
             assert svc.queue_depth() == 2  # total in the system...
             assert svc.backlog() == 0      # ...but nothing queues ahead
-            assert svc.prefetch([2]) == 1
+            futures.append(pool.submit(svc.request, 2))
+            admission.wait_priced(3)
             # The new flight was admitted against an empty backlog, not
             # the two executing renders.
             assert admission.depths == [0, 0, 0]
             gate.release()
+            for future in futures:
+                assert future.result(timeout=10.0).source == "render"
 
     def test_queue_depth_tracks_inflight(self, fields):
-        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(1) as pool:
+        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(2) as pool:
             gate = Gate(svc)
             assert svc.queue_depth() == 0
-            assert svc.prefetch([0]) == 1
+            creator = pool.submit(svc.request, 0)
+            gate.wait_started()
             assert svc.queue_depth() == 1
             assert svc.stats.snapshot()["queue_depth"] == 1
             (joined,) = joiners(svc, pool, 0)
             gate.release()
             assert joined.result(timeout=10.0).source == "coalesced"
+            assert creator.result(timeout=10.0).source == "render"
             # The flight retires before its waiters wake.
             assert svc.queue_depth() == 0
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import SpotError
-from repro.fields.grid import RectilinearGrid, RegularGrid
+from repro.fields.grid import RegularGrid
 from repro.spots.distribution import seed_positions
 from repro.spots.functions import DoGProfile, get_profile
+
+from oracles import stretched_grid, within_bounds
 
 
 class TestSeedPositions:
@@ -15,10 +17,10 @@ class TestSeedPositions:
         for strategy in ("uniform", "jittered"):
             pts = seed_positions(300, g, strategy, seed=0)
             assert pts.shape == (300, 2)
-            assert g.contains(pts).all()
+            assert within_bounds(g, pts)
 
     def test_cell_area_concentrates_in_refined_region(self):
-        g = RectilinearGrid.stretched(
+        g = stretched_grid(
             65, 17, (0.0, 1.0, 0.0, 1.0), focus=(0.25, 0.5), strength=6.0
         )
         pts = seed_positions(4000, g, "cell_area", seed=1)

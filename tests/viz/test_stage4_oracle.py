@@ -15,12 +15,14 @@ import pytest
 from repro.apps.smog.steering import SteeredSmogApplication
 from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
-from repro.fields.grid import RectilinearGrid, RegularGrid
+from repro.fields.grid import RegularGrid
 from repro.fields.sampling import bilinear_sample
 from repro.fields.scalarfield import ScalarField2D
 from repro.spots.filtering import contrast_stretch, highpass_texture, histogram_equalize
 from repro.viz.colormap import Colormap, diverging, grayscale, rainbow
 from repro.viz.overlay import compose_scene, mask_overlay
+
+from oracles import stretched_grid
 
 GRAY = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
@@ -90,7 +92,7 @@ def regular_scalar(boundary):
 
 
 def rectilinear_scalar(boundary):
-    grid = RectilinearGrid.stretched(41, 29, (-2.0, 6.0, -1.5, 1.5), focus=(0.3, 0.5), strength=2.5)
+    grid = stretched_grid(41, 29, (-2.0, 6.0, -1.5, 1.5), focus=(0.3, 0.5), strength=2.5)
     return ScalarField2D.from_function(grid, lambda x, y: np.exp(-((x - 1.0) ** 2) - 2.0 * y * y), boundary)
 
 

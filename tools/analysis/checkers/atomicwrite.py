@@ -44,9 +44,9 @@ DURABLE_MODULES = (
     "repro.apps.dns.store",
     "repro.fields.io",
     "repro.viz.*",
-    # The cluster tier persists synced chunks and manifests through the
-    # blob store; any direct path write in it would break the same
-    # no-partial-reads promise.
+    # Cluster nodes own disk tiers through the blob store; any direct
+    # path write in the tier would break the same no-partial-reads
+    # promise.
     "repro.cluster.*",
 )
 

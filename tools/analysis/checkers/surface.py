@@ -12,6 +12,13 @@ Package ``__init__`` files do not count: a re-export is not a use.
 ``tests/`` is not searched, so a helper the tests need as an oracle
 belongs under ``tests/``.
 
+It judges the members of those modules' top-level classes too: every
+public method, property, classmethod and staticmethod, reported as
+``Class.member``.  A member is reached only by attribute, so only an
+``ast.Attribute`` of its name counts as a reference to it, and a
+property's getter and setter are one member.  The checker knows names,
+not types: a same-named attribute anywhere keeps a member alive.
+
 The judgement needs the whole package: a scan of one file or one
 subpackage still reads every reference tree, but it would report names
 only its own slice defines, so the checker runs only when the scanned
@@ -37,6 +44,11 @@ REFERENCE_DIRS = ("src", "benchmarks", "examples", "perfbench", "tools")
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git"})
 
+#: ``{name: [(abspath, line), ...]}``.
+Index = Dict[str, List[Tuple[str, int]]]
+
+_Def = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def _reference_files(root: str) -> Iterator[str]:
     for rel in REFERENCE_DIRS:
@@ -47,21 +59,24 @@ def _reference_files(root: str) -> Iterator[str]:
                     yield os.path.join(dirpath, name)
 
 
-def _code_references(tree: ast.AST) -> Iterator[Tuple[str, int]]:
-    """``(name, line)`` for every name, attribute and ``from`` import."""
+def _code_references(tree: ast.AST) -> Iterator[Tuple[str, int, bool]]:
+    """``(name, line, is_attribute)`` for every name, attribute and
+    ``from`` import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.end_lineno or node.lineno
+            yield node.attr, node.end_lineno or node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
 
 
-def _reference_lines(root: str) -> "Dict[str, List[Tuple[str, int]]]":
-    """``{name: [(abspath, line), ...]}`` over every reference file."""
-    index: "Dict[str, List[Tuple[str, int]]]" = defaultdict(list)
+def _reference_lines(root: str) -> Tuple[Index, Index]:
+    """Every code reference, and the attributes alone, over every
+    reference file."""
+    names: Index = defaultdict(list)
+    attributes: Index = defaultdict(list)
     for path in _reference_files(root):
         try:
             with open(path, encoding="utf-8") as fh:
@@ -69,17 +84,30 @@ def _reference_lines(root: str) -> "Dict[str, List[Tuple[str, int]]]":
         except (OSError, UnicodeDecodeError, SyntaxError):
             continue
         path = os.path.abspath(path)
-        for name, lineno in _code_references(tree):
-            index[name].append((path, lineno))
-    return index
+        for name, lineno, is_attribute in _code_references(tree):
+            names[name].append((path, lineno))
+            if is_attribute:
+                attributes[name].append((path, lineno))
+    return names, attributes
+
+
+def _members(cls: ast.ClassDef) -> Dict[str, List[ast.AST]]:
+    """*cls*'s public methods by name; a property's getter and setter
+    share one entry."""
+    members: Dict[str, List[ast.AST]] = defaultdict(list)
+    for node in cls.body:
+        if isinstance(node, _Def) and not node.name.startswith("_"):
+            members[node.name].append(node)
+    return members
 
 
 class PublicSurfaceChecker(Checker):
     name = "unused-public"
     rules = ("unused-public",)
     description = (
-        "public top-level functions and classes in repro are referenced "
-        "outside their own definition, __init__ re-exports and tests/"
+        "public top-level functions and classes in repro, and the public "
+        "members of those classes, are referenced outside their own "
+        "definition, __init__ re-exports and tests/"
     )
 
     def check_project(self, corpus: Dict[str, ParsedModule]) -> Iterable[Finding]:
@@ -87,33 +115,39 @@ class PublicSurfaceChecker(Checker):
         if package is None:
             return []
         root = package.path[: -len(package.rel)]
-        index = _reference_lines(root)
+        names, attributes = _reference_lines(root)
         findings: List[Finding] = []
+
+        def judge(mod: ParsedModule, symbol: str, defs: List[ast.AST],
+                  index: Index, kind: str) -> None:
+            own: Set[Tuple[str, int]] = set()
+            for node in defs:
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                own.update((mod.path, line) for line in range(first, node.end_lineno + 1))
+            if any(ref not in own for ref in index.get(defs[0].name, ())):
+                return
+            findings.append(
+                Finding(
+                    rule="unused-public",
+                    path=mod.rel,
+                    line=defs[0].lineno,
+                    message=(
+                        f"public {kind} {symbol!r} has no reference outside "
+                        "its definition, __init__ re-exports and tests/"
+                    ),
+                    symbol=symbol,
+                )
+            )
+
         for mod in sorted(corpus.values(), key=lambda m: m.rel):
             if not mod.module.startswith(PACKAGE + ".") or mod.path.endswith("__init__.py"):
                 continue
             for node in mod.tree.body:
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    continue
-                if node.name.startswith("_"):
-                    continue
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                own: Set[Tuple[str, int]] = {
-                    (mod.path, line) for line in range(first, node.end_lineno + 1)
-                }
-                if any(ref not in own for ref in index.get(node.name, ())):
-                    continue
-                kind = "class" if isinstance(node, ast.ClassDef) else "function"
-                findings.append(
-                    Finding(
-                        rule="unused-public",
-                        path=mod.rel,
-                        line=node.lineno,
-                        message=(
-                            f"public {kind} {node.name!r} has no reference outside "
-                            "its definition, __init__ re-exports and tests/"
-                        ),
-                        symbol=node.name,
-                    )
-                )
+                if isinstance(node, _Def) and not node.name.startswith("_"):
+                    judge(mod, node.name, [node], names, "function")
+                elif isinstance(node, ast.ClassDef):
+                    if not node.name.startswith("_"):
+                        judge(mod, node.name, [node], names, "class")
+                    for member, defs in _members(node).items():
+                        judge(mod, f"{node.name}.{member}", defs, attributes, "member")
         return findings
