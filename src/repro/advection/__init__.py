@@ -15,12 +15,11 @@ from repro.advection.integrators import (
 from repro.advection.particles import ParticleSet
 from repro.advection.lifecycle import LifeCyclePolicy
 from repro.advection.streamline import streamline_bundle
-from repro.advection.unsteady import pathline_bundle, timeline
+from repro.advection.unsteady import pathline_bundle
 from repro.advection.advector import Advector
 
 __all__ = [
     "pathline_bundle",
-    "timeline",
     "euler_step",
     "rk2_step",
     "rk4_step",

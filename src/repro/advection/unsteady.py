@@ -1,13 +1,12 @@
-"""Unsteady-flow integral curves: pathlines and timelines.
+"""Unsteady-flow integral curves: pathlines.
 
 The spot noise animation visualises *time-varying* data — "a new frame
 in the animation sequence is determined by advecting all particles over
 a small distance through the flow field" (section 2), with the field
 itself updated 5-15 times a second.  Particle trajectories through such
-data are *pathlines*, not streamlines; a material line carried along
-them is a *timeline*.  Both are provided here, over the same vectorised
-field-sampler interface the rest of the package uses — the sampler just
-gains a time argument.
+data are *pathlines*, not streamlines.  They are integrated here over
+the same vectorised field-sampler interface the rest of the package
+uses — the sampler just gains a time argument.
 
 For a steady field pathlines and streamlines coincide (tested).
 """
@@ -69,19 +68,3 @@ def pathline_bundle(
         out[:, i + 1] = pos
     return out
 
-
-def timeline(
-    velocity: UnsteadyVelocityFn,
-    seeds: np.ndarray,
-    t0: float,
-    dt: float,
-    n_steps: int,
-) -> np.ndarray:
-    """Advect a material line: the *timeline* of the seed curve.
-
-    Returns the ``(N, 2)`` positions of the seed points at the final time
-    — the deformed material line, the object a bent spot approximates
-    locally.
-    """
-    curves = pathline_bundle(velocity, seeds, t0, dt, n_steps)
-    return curves[:, -1]

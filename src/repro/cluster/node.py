@@ -26,10 +26,11 @@ The front end runs on the process
 :class:`~repro.runtime.loop.RuntimeLoop`: ``asyncio.start_server``
 replaces the accept thread, each live connection is one coroutine task
 (not one thread), and quota decisions happen on the loop before any
-work is scheduled.  Render and proxy work — everything that may block
-on a render pool or a peer round trip — is offloaded to a bounded
-serve executor, so a slow render never stalls the frame pumps of the
-other connections.
+work is scheduled.  Routing runs there too (:meth:`ClusterNode.serve_frame`
+is a coroutine): a memory hit is answered in the connection's task and
+a proxied hop awaits the owner on the same loop.  Only a frame's first
+sight, a disk read and a render leave the loop, so a slow render never
+stalls the frame pumps of the other connections.
 
 Quotas (:class:`~repro.cluster.quotas.TenantQuotas`) are charged once,
 at the node the request entered on; ``direct`` hops skip them.
@@ -39,8 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster import wire
@@ -48,7 +47,7 @@ from repro.cluster.peer import PeerClient, PeerUnavailable
 from repro.cluster.quotas import TenantQuotas
 from repro.cluster.ring import HashRing
 from repro.errors import AdmissionError, ServiceError
-from repro.runtime.loop import RuntimeLoop, get_runtime_loop
+from repro.runtime.loop import get_runtime_loop
 from repro.service.server import TextureService
 
 #: How many distinct owners a proxying node will try before serving the
@@ -59,11 +58,6 @@ PROXY_ATTEMPTS = 3
 #: Seconds a connection may sit idle between frames before the node
 #: drops it (the old per-socket timeout, now an awaited deadline).
 CONN_IDLE_S = 30.0
-
-#: Cap on concurrently *serving* requests per node.  Connections beyond
-#: this still connect and pump frames (they are cheap coroutines); only
-#: the blocking serve work queues here.
-SERVE_WORKERS = 32
 
 
 class ClusterNode:
@@ -85,9 +79,6 @@ class ClusterNode:
         Bind address; port 0 picks an ephemeral port (tests).
     quotas:
         Optional per-tenant rate limits, charged at the entry node.
-    runtime:
-        The spine the front end runs on; defaults to the process
-        singleton.
     """
 
     def __init__(
@@ -97,7 +88,6 @@ class ClusterNode:
         host: str = "127.0.0.1",
         port: int = 0,
         quotas: Optional[TenantQuotas] = None,
-        runtime: Optional[RuntimeLoop] = None,
     ):
         if not node_id:
             raise ServiceError("node_id must be non-empty")
@@ -107,7 +97,7 @@ class ClusterNode:
         self.ring = HashRing([node_id])
         self._host = host
         self._port = int(port)
-        self._runtime = runtime or get_runtime_loop()
+        self._runtime = get_runtime_loop()
         self._lock = threading.Lock()
         self._peers: Dict[str, PeerClient] = {}  #: guarded-by: _lock
         # Loop-confined: the listening server and one task per live
@@ -116,7 +106,6 @@ class ClusterNode:
         # dropped connection, which peers fail over from.
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._owns_service = False
         self.address: Optional[Tuple[str, int]] = None
@@ -152,15 +141,16 @@ class ClusterNode:
             old.close()
         self.ring.add(node_id)
 
-    def mark_dead(self, node_id: str) -> None:
-        """Drop *node_id* from the ring; its keys remap to survivors."""
+    async def mark_dead(self, node_id: str) -> None:
+        """Drop *node_id* from the ring; its keys remap to survivors.
+        Awaited on the runtime loop, where the failover path runs."""
         if node_id == self.node_id:
             return
         self.ring.discard(node_id)
         with self._lock:
             client = self._peers.pop(node_id, None)
         if client is not None:
-            client.close()
+            await client.aclose()
 
     def peer(self, node_id: str) -> Optional[PeerClient]:
         with self._lock:
@@ -171,10 +161,6 @@ class ClusterNode:
         """Bind, listen and start serving on the spine; returns the address."""
         if self.address is not None:
             return self.address
-        self._pool = ThreadPoolExecutor(
-            max_workers=SERVE_WORKERS,
-            thread_name_prefix=f"cluster-serve-{self.node_id}",
-        )
         self.address = self._runtime.run(self._start())
         return self.address
 
@@ -208,9 +194,8 @@ class ClusterNode:
     ) -> None:
         while not self._closed:
             try:
-                kind, header, _body = await asyncio.wait_for(
-                    wire.recv_message_async(reader), CONN_IDLE_S
-                )
+                async with asyncio.timeout(CONN_IDLE_S):
+                    kind, header, _body = await wire.recv_message_async(reader)
             except wire.WireClosed:
                 return
             except (wire.WireError, OSError, asyncio.TimeoutError):
@@ -223,7 +208,7 @@ class ClusterNode:
                 # "closed" by a node that is supposed to be dead.
                 return
             try:
-                await self._dispatch(writer, kind, header)
+                await self._handle_texture(writer, kind, header)
             except AdmissionError as exc:
                 await self._send_error(writer, "admission", exc)
             except ServiceError as exc:
@@ -242,24 +227,12 @@ class ClusterNode:
         except OSError:
             pass  # the requester's retry path handles a vanished reply
 
-    async def _dispatch(
+    # -- texture routing ---------------------------------------------------------
+    async def _handle_texture(
         self, writer: asyncio.StreamWriter, kind: int, header: Dict[str, Any]
     ) -> None:
         if kind != wire.TEXTURE_REQUEST:
-            raise ServiceError(
-                f"unexpected request kind {wire.KIND_NAMES.get(kind, kind)}"
-            )
-        await self._handle_texture(writer, header)
-
-    async def _offload(self, fn, *args, **kwargs):
-        """Run blocking serve work on the bounded serve executor."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, partial(fn, *args, **kwargs))
-
-    # -- texture routing ---------------------------------------------------------
-    async def _handle_texture(
-        self, writer: asyncio.StreamWriter, header: Dict[str, Any]
-    ) -> None:
+            raise ServiceError(f"unexpected request kind {wire.KIND_NAMES.get(kind, kind)}")
         try:
             frame = int(header["frame"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -270,24 +243,22 @@ class ClusterNode:
             # The admission decision runs on the loop, before any serve
             # work is scheduled: a shed request costs one callback.
             self.quotas.charge(tenant)
-        texture, meta = await self._offload(
-            self.serve_frame, frame, tenant=tenant, direct=direct
-        )
+        texture, meta = await self.serve_frame(frame, tenant=tenant, direct=direct)
         tex_header, tex_body = wire.encode_texture(texture)
         tex_header.update(meta)
         await wire.send_message_async(writer, wire.TEXTURE_RESPONSE, tex_header, tex_body)
 
-    def serve_frame(
+    async def serve_frame(
         self, frame: int, tenant: str = "default", direct: bool = False
     ) -> "tuple[Any, Dict[str, Any]]":
         """Serve *frame*, routing through the ring; quota NOT charged here.
 
         Returns ``(texture, meta)`` where meta records the digest, the
         serving node and the cache source — the header fields of a
-        texture response.  Blocking: runs on the serve executor (or any
-        caller thread), never on the loop.
+        texture response.  Runs on the runtime loop: a memory hit and a
+        proxied hop never leave it.
         """
-        digest = self.service.render_digest(frame)
+        digest = await self.service.render_digest_async(frame)
         for _attempt in range(PROXY_ATTEMPTS):
             try:
                 owner = self.ring.owner(digest)
@@ -296,17 +267,16 @@ class ClusterNode:
             if direct or owner == self.node_id:
                 break
             client = self.peer(owner)
-            if client is None:
-                # Ring knows a node we hold no client for (lost it to a
-                # failure race): treat as dead and re-route.
-                self.mark_dead(owner)
-                continue
             try:
-                texture, remote_header = client.request_texture(
+                if client is None:
+                    # Ring knows a node we hold no client for (lost it to
+                    # a failure race): treat as dead and re-route.
+                    raise PeerUnavailable(f"no client for {owner}")
+                texture, remote_header = await client.request_texture_async(
                     frame, tenant=tenant, direct=True
                 )
             except PeerUnavailable:
-                self.mark_dead(owner)
+                await self.mark_dead(owner)
                 continue
             self.service.stats.record_forward()
             return texture, {
@@ -314,7 +284,7 @@ class ClusterNode:
                 "node": str(remote_header.get("node", owner)),
                 "source": f"peer:{owner}",
             }
-        response = self.service.request(frame)
+        response = await self.service.request_async(frame)
         return response.texture, {
             "digest": digest,
             "node": self.node_id,
@@ -332,11 +302,6 @@ class ClusterNode:
             peers, self._peers = dict(self._peers), {}
         for client in peers.values():
             client.close()
-        if self._pool is not None:
-            # Don't wait: an offloaded serve blocked on a peer retry
-            # must not hold shutdown hostage; its connection task is
-            # already cancelled and its reply socket closed.
-            self._pool.shutdown(wait=False)
         if self._owns_service:
             self.service.close()
 

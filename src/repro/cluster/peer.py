@@ -13,9 +13,10 @@ On the async spine every round trip is a coroutine on the process
 :class:`~repro.runtime.loop.RuntimeLoop`: the connection pool is
 loop-confined state (``StreamReader``/``StreamWriter`` pairs, no lock),
 socket I/O awaits with a deadline, and the injected backoff sleep runs
-off-loop so a retrying client never stalls the spine.  The public API
-stays blocking — each call is a ``run_coroutine_threadsafe`` shim — so
-render workers and routing threads use the client exactly as before.
+off-loop so a retrying client never stalls the spine.  A node proxying
+to a key's owner awaits :meth:`PeerClient.request_texture_async`
+directly; drivers off the loop call the blocking ``request_texture``,
+a ``RuntimeLoop.run`` shim over it.
 
 Application-level rejections travel as ``ERROR`` frames and are *not*
 retried here: an admission shed (:class:`~repro.errors.AdmissionError`)
@@ -34,7 +35,7 @@ import numpy as np
 
 from repro.cluster import wire
 from repro.errors import AdmissionError, ServiceError
-from repro.runtime.loop import RuntimeLoop, get_runtime_loop
+from repro.runtime.loop import get_runtime_loop
 
 
 class PeerUnavailable(ServiceError):
@@ -58,9 +59,6 @@ class PeerClient:
     sleep:
         Injectable sleep (tests pass a no-op to keep fault suites fast).
         Runs on an executor thread, never on the runtime loop.
-    runtime:
-        The spine the client's coroutines run on; defaults to the
-        process singleton.
     """
 
     def __init__(
@@ -70,7 +68,6 @@ class PeerClient:
         attempts: int = 3,
         backoff_s: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
-        runtime: Optional[RuntimeLoop] = None,
     ):
         if attempts < 1:
             raise ServiceError(f"attempts must be >= 1, got {attempts}")
@@ -81,7 +78,7 @@ class PeerClient:
         self.attempts = int(attempts)
         self.backoff_s = float(backoff_s)
         self._sleep = sleep
-        self._runtime = runtime or get_runtime_loop()
+        self._runtime = get_runtime_loop()
         # Loop-confined: only coroutines on the runtime loop touch these.
         self._pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         self._closed = False
@@ -92,10 +89,8 @@ class PeerClient:
             raise PeerUnavailable(f"client for {self.address} is closed")
         if self._pool:
             return self._pool.pop()
-        return await asyncio.wait_for(
-            asyncio.open_connection(self.address[0], self.address[1]),
-            self.timeout,
-        )
+        async with asyncio.timeout(self.timeout):
+            return await asyncio.open_connection(*self.address)
 
     def _checkin(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -106,21 +101,16 @@ class PeerClient:
             writer.close()
 
     def close(self) -> None:
-        self._runtime.run(self._close_async())
+        self._runtime.run(self.aclose())
 
-    async def _close_async(self) -> None:
+    async def aclose(self) -> None:
+        """Refuse new calls and close the pooled connections, on the loop."""
         self._closed = True
         pool, self._pool = self._pool, []
         for _reader, writer in pool:
             writer.close()
 
     # -- one framed round trip ---------------------------------------------------
-    def _call(
-        self, kind: int, header: Dict[str, Any], body: bytes = b""
-    ) -> Tuple[int, Dict[str, Any], bytes]:
-        """Send one request frame, return the response frame (blocking shim)."""
-        return self._runtime.run(self._call_async(kind, header, body))
-
     async def _call_async(
         self, kind: int, header: Dict[str, Any], body: bytes = b""
     ) -> Tuple[int, Dict[str, Any], bytes]:
@@ -144,18 +134,21 @@ class PeerClient:
                 last = exc
                 continue
             try:
-                await asyncio.wait_for(
-                    wire.send_message_async(writer, kind, header, body), self.timeout
-                )
-                response = await asyncio.wait_for(
-                    wire.recv_message_async(reader), self.timeout
-                )
+                # A deadline per socket operation, without wait_for's
+                # extra task per await.
+                async with asyncio.timeout(self.timeout):
+                    await wire.send_message_async(writer, kind, header, body)
+                async with asyncio.timeout(self.timeout):
+                    response = await wire.recv_message_async(reader)
             except (OSError, wire.WireError, asyncio.TimeoutError) as exc:
                 # The stream's framing can no longer be trusted; the
                 # connection must not go back in the pool.
                 writer.close()
                 last = exc
                 continue
+            except BaseException:
+                writer.close()  # cancelled mid-call: the reply is orphaned
+                raise
             self._checkin(reader, writer)
             return self._raise_on_error(response)
         raise PeerUnavailable(
@@ -178,13 +171,19 @@ class PeerClient:
     def request_texture(
         self, frame: int, tenant: str = "default", direct: bool = False
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
+        """Blocking :meth:`request_texture_async`, for callers off the loop."""
+        return self._runtime.run(self.request_texture_async(frame, tenant, direct))
+
+    async def request_texture_async(
+        self, frame: int, tenant: str = "default", direct: bool = False
+    ) -> Tuple[np.ndarray, Dict[str, Any]]:
         """Request *frame*; returns ``(texture, response header)``.
 
         *direct* marks a proxied hop: the receiving node serves locally
         (no quota charge, no re-routing) even if its ring view disagrees
         — the entry node already charged the tenant and picked an owner.
         """
-        kind, header, body = self._call(
+        kind, header, body = await self._call_async(
             wire.TEXTURE_REQUEST,
             {"frame": int(frame), "tenant": tenant, "direct": bool(direct)},
         )

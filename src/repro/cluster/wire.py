@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 import struct
 from typing import Any, Dict, Tuple
 
@@ -183,7 +184,7 @@ def decode_texture(header: Dict[str, Any], body: bytes) -> np.ndarray:
         shape = tuple(int(n) for n in header["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed texture header: {exc}") from exc
-    expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
+    expected = dtype.itemsize * math.prod(shape)
     if len(body) != expected:
         raise WireError(
             f"texture body is {len(body)} bytes, header announces {expected}"

@@ -320,6 +320,11 @@ class TieredTextureCache:
         texture = self.memory.get(digest)
         if texture is not None:
             return texture, "memory"
+        return self.read_disk(digest)
+
+    def read_disk(self, digest: str) -> Tuple[Optional[np.ndarray], Optional[str]]:
+        """The disk half of :meth:`get` (blocking): read *digest* from
+        the disk tier and promote it to memory."""
         if self.disk is not None:
             texture = self.disk.get(digest)
             if texture is not None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.errors import ServiceError
@@ -87,9 +88,9 @@ class RequestKey:
     frame: int  #: cache-key: exempt (observability only; the key is content-addressed)
     tile: Optional[TileSpec] = None
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """SHA-256 hex digest of the canonical key string."""
+        """SHA-256 hex digest of the canonical key string, computed once per key."""
         tile = self.tile
         tile_token = (
             "full" if tile is None else f"{tile.x0},{tile.y0},{tile.width},{tile.height}"

@@ -36,7 +36,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Coroutine, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class TextureService:
     field_source:
         Callable ``frame -> VectorField2D``.  Must be safe to call from
         worker threads, and each frame must be immutable once served:
-        the service memoises ``frame -> field digest`` so cache hits
+        the service memoises ``frame -> request key`` so cache hits
         skip loading the field (the contract
         :class:`~repro.anim.service.AnimationService` shares).
     config:
@@ -177,7 +177,7 @@ class TextureService:
         self._flights = AsyncSingleFlight()  # loop-confined
         self._drives: "set[asyncio.Task]" = set()  # loop-confined
         self.stats.queue_depth_probe = self.queue_depth
-        self._digests: Dict[int, str] = {}
+        self._keys: Dict[int, RequestKey] = {}
         self._digest_lock = threading.Lock()
         self._closed = False
 
@@ -202,17 +202,21 @@ class TextureService:
             self._grid_shape = tuple(field.grid.shape)
         return field
 
+    def _known_key(self, frame: int) -> Optional[RequestKey]:
+        """*frame*'s request key if it is memoised, else ``None``."""
+        with self._digest_lock:
+            return self._keys.get(frame)
+
     def _key_for(self, frame: int) -> "tuple[RequestKey, Optional[VectorField2D]]":
         """Compute the request key, loading the field only when needed."""
-        with self._digest_lock:
-            digest = self._digests.get(frame)
-        if digest is not None:
-            return RequestKey(digest, self._fingerprint, frame), None
+        key = self._known_key(frame)
+        if key is not None:
+            return key, None
         field = self._load_field(frame)
-        digest = field_digest(field)
+        key = RequestKey(field_digest(field), self._fingerprint, frame)
         with self._digest_lock:
-            self._digests[frame] = digest
-        return RequestKey(digest, self._fingerprint, frame), field
+            self._keys[frame] = key
+        return key, field
 
     def render_digest(self, frame: int) -> str:
         """The full-frame render digest of *frame* — the routing key.
@@ -222,10 +226,17 @@ class TextureService:
         it, without rendering anything.  Computed exactly as the request
         path keys, so the owner a node routes to is the owner of the
         digest it would serve locally.
-        The field is loaded at most once per frame across all routing
-        and serving calls.
         """
         key, _ = self._key_for(frame)
+        return key.digest
+
+    async def render_digest_async(self, frame: int) -> str:
+        """:meth:`render_digest` on the runtime loop: a memoised digest
+        costs no hop, and only a frame's first sight loads and digests
+        its field, on the loop's default executor."""
+        key = self._known_key(frame)
+        if key is None:
+            key, _ = await asyncio.get_running_loop().run_in_executor(None, self._key_for, frame)
         return key.digest
 
     # -- the request path --------------------------------------------------------
@@ -235,70 +246,102 @@ class TextureService:
         tile: Optional[TileSpec] = None,
         timeout: Optional[float] = None,
     ) -> TextureResponse:
-        """Serve one texture request (blocking).
+        """Serve one texture request (blocking).  A hit is served on the
+        caller's thread; a miss crosses into the loop once.
 
         Raises :class:`~repro.errors.AdmissionError` when admission
         control sheds the render, and propagates renderer errors.
         """
-        if self._closed:
-            raise ServiceError("service is closed")
         if tile is not None:
             tile.validate_for(self.config.texture_size)
-        t0 = time.perf_counter()
-        self.stats.record_request()
+        t0 = self._begin()
         try:
             key, field = self._key_for(frame)
-            render_digest = key.digest  # full-frame digest (tile=None key)
-            texture, tier = self.cache.get(render_digest)
+            texture, source = self.cache.get(key.digest)
             predicted: Optional[float] = None
-            if texture is not None:
-                source = tier or "memory"
-            else:
-                predicted = self.predictor.predict(
-                    self.config, grid_shape=self._grid_shape
-                )
-                render = self._make_render(render_digest, frame, field, predicted)
-                created, texture, error = self._runtime.run(
-                    self._miss(render_digest, render, timeout)
-                )
-                if error is not None:
-                    raise error
-                source = "render" if created else "coalesced"
-        except AdmissionError:
+            if texture is None:
+                predicted, miss = self._miss_for(key, field, timeout)
+                texture, source = self._settled(self._runtime.run(miss))
+        except BaseException as exc:
+            self._record_failure(exc)
+            raise
+        return self._respond(key, tile, texture, source, t0, predicted)
+
+    async def request_async(self, frame: int) -> TextureResponse:
+        """:meth:`request` on the runtime loop, for loop-native callers
+        (the cluster front end).  A memory hit on a frame whose digest
+        is memoised never leaves the loop.  A first sight (field load
+        and digest) and a disk read run on the loop's default executor,
+        and a miss awaits its flight."""
+        t0 = self._begin()
+        try:
+            loop = asyncio.get_running_loop()
+            key, field = self._known_key(frame), None
+            if key is None:
+                key, field = await loop.run_in_executor(None, self._key_for, frame)
+            texture, source = self.cache.memory.get(key.digest), "memory"
+            if texture is None and self.cache.disk is not None:
+                texture, source = await loop.run_in_executor(None, self.cache.read_disk, key.digest)
+            predicted: Optional[float] = None
+            if texture is None:
+                predicted, miss = self._miss_for(key, field, None)
+                texture, source = self._settled(await miss)
+        except BaseException as exc:
+            self._record_failure(exc)
+            raise
+        return self._respond(key, None, texture, source, t0, predicted)
+
+    def _begin(self) -> float:
+        if self._closed:
+            raise ServiceError("service is closed")
+        t0 = time.perf_counter()
+        self.stats.record_request()
+        return t0
+
+    def _record_failure(self, exc: BaseException) -> None:
+        if isinstance(exc, AdmissionError):
             self.stats.record_shed()
-            raise
-        except Exception:
+        elif isinstance(exc, Exception):
             self.stats.record_error()
-            raise
+
+    def _respond(self, key: RequestKey, tile: Optional[TileSpec], texture: np.ndarray,
+                 source: str, t0: float, predicted: Optional[float]) -> TextureResponse:
         latency = time.perf_counter() - t0
         self.stats.record_response(source, latency)
-        out = tile.crop(texture) if tile is not None else texture
-        return TextureResponse(
-            texture=out,
-            key=RequestKey(key.field_digest, key.config_fingerprint, frame, tile),
-            source=source,
-            latency_s=latency,
-            predicted_s=predicted,
-        )
+        if tile is not None:
+            texture = tile.crop(texture)
+            key = RequestKey(key.field_digest, key.config_fingerprint, key.frame, tile)
+        return TextureResponse(texture, key, source, latency, predicted)
 
-    def _make_render(
-        self,
-        render_digest: str,
-        frame: int,
-        field: Optional[VectorField2D],
-        predicted: Optional[float],
-    ) -> "Callable[[], np.ndarray]":
-        def do_render() -> np.ndarray:
-            f = field if field is not None else self._load_field(frame)
+    def _miss_for(
+        self, key: RequestKey, field: Optional[VectorField2D], timeout: Optional[float]
+    ) -> "tuple[float, Coroutine[Any, Any, tuple]]":
+        """The predicted render time of a miss on *key*, and the
+        :meth:`_miss` coroutine that starts or joins its flight.  The
+        render job puts its texture in the cache before any waiter wakes."""
+        predicted = self.predictor.predict(self.config, grid_shape=self._grid_shape)
+
+        def render() -> np.ndarray:
+            f = field if field is not None else self._load_field(key.frame)
             t0 = time.perf_counter()
             texture = self.renderer.render(f)
             actual = time.perf_counter() - t0
-            self.cache.put(render_digest, texture)
+            self.cache.put(key.digest, texture)
             self.predictor.observe(self.config, actual, grid_shape=self._grid_shape)
             self.stats.record_render(predicted, actual)
             return texture
 
-        return do_render
+        return predicted, self._miss(key.digest, render, timeout)
+
+    def _settled(self, outcome: tuple) -> "tuple[np.ndarray, str]":
+        """``(texture, source)`` of a finished :meth:`_miss`, or its error."""
+        created, texture, error = outcome
+        if isinstance(error, (KeyboardInterrupt, SystemExit)) and self._runtime.in_loop_thread():
+            # Raised on the shared loop, it would stop every service's loop.
+            raise ServiceError(f"render interrupted: {error!r}") from error
+        if error is not None:
+            raise error
+        return texture, "render" if created else "coalesced"
 
     # -- the miss path, on the loop --------------------------------------------------
     def _start(
@@ -354,6 +397,10 @@ class TextureService:
         """
         created = False
         try:
+            # A flight that settled after the caller's lookup put its texture here.
+            texture = self.cache.memory.get(key)
+            if texture is not None:
+                return False, texture, None
             flight, created = self._start(key, render)
             try:
                 async with asyncio.timeout(timeout) as deadline:

@@ -1,12 +1,12 @@
-"""Tests for pathlines/timelines (repro.advection.unsteady)."""
+"""Tests for pathlines (repro.advection.unsteady)."""
 
 import numpy as np
 import pytest
 
 from repro.advection.streamline import streamline_bundle
-from repro.advection.unsteady import pathline_bundle, timeline
+from repro.advection.unsteady import pathline_bundle
 from repro.errors import AdvectionError
-from repro.fields.analytic import constant_field, vortex_field
+from repro.fields.analytic import vortex_field
 
 
 def steady(sampler):
@@ -53,19 +53,3 @@ class TestPathlines:
         with pytest.raises(AdvectionError):
             pathline_bundle(rotating_uniform, np.zeros((1, 2)), 0.0, 0.1, 0)
 
-
-class TestTimeline:
-    def test_material_line_translates_in_uniform_flow(self):
-        f = constant_field(1.0, -1.0, n=9)
-        seeds = np.stack([np.linspace(0, 1, 5), np.zeros(5)], axis=-1)
-        moved = timeline(steady(f.sample), seeds, 0.0, 0.1, 4)
-        np.testing.assert_allclose(moved, seeds + np.array([0.4, -0.4]), atol=1e-12)
-
-    def test_shear_tilts_material_line(self):
-        from repro.fields.analytic import shear_field
-
-        f = shear_field(rate=1.0, n=17)
-        seeds = np.stack([np.zeros(5), np.linspace(-0.5, 0.5, 5)], axis=-1)
-        moved = timeline(steady(f.sample), seeds, 0.0, 0.1, 5)
-        # u = y: top moves right, bottom moves left.
-        assert moved[-1, 0] > 0 > moved[0, 0]

@@ -28,6 +28,11 @@ def mentioned_only():
     return 5
 
 
+def shadowed_only():
+    """Its name occurs only as a benchmark's own variable."""
+    return 11
+
+
 def _private_helper():
     return 4
 

@@ -3,8 +3,9 @@
 The fixture tree under ``fixtures/surface`` is a miniature repo: a
 ``repro`` package whose public names are used from inside the package,
 from ``benchmarks/``, only from ``tests/`` and the package ``__init__``,
-or only in a docstring, a comment and a string.  Its class ``Widget``
-has members used the same ways, plus one named only by a bare name.
+or only in a docstring, a comment and a string, and one whose name only
+a benchmark's own variable shares.  Its class ``Widget`` has members
+used the same ways, plus one named only by a bare name.
 """
 
 import os
@@ -30,7 +31,7 @@ class TestPublicSurface:
         report = _run()
         assert sorted(f.symbol for f in report.findings) == [
             "Orphan", "Widget.named_only", "Widget.tested_only", "Widget.tested_prop",
-            "mentioned_only", "orphan", "recursive_orphan",
+            "mentioned_only", "orphan", "recursive_orphan", "shadowed_only",
         ]
         assert {f.path for f in report.findings} == {os.path.join("src", "repro", "mod.py")}
         assert {f.rule for f in report.findings} == {"unused-public"}
@@ -38,6 +39,13 @@ class TestPublicSurface:
     def test_a_name_in_prose_or_a_string_is_not_a_use(self):
         finding = next(f for f in _run().findings if f.symbol == "mentioned_only")
         assert finding.path == os.path.join("src", "repro", "mod.py")
+
+    def test_a_variable_of_the_same_name_is_not_a_use(self):
+        # bench_mod.py assigns and reads its own `shadowed_only`; a module
+        # that binds a name by assignment never calls the function.
+        finding = next(f for f in _run().findings if f.symbol == "shadowed_only")
+        assert finding.message.startswith("public function 'shadowed_only'")
+        assert "used_by_bench" not in {f.symbol for f in _run().findings}
 
     def test_message_names_the_kind(self):
         messages = {f.symbol: f.message for f in _run().findings}
@@ -68,5 +76,5 @@ class TestPublicSurface:
         assert [f.symbol for f in report.baselined] == ["orphan"]
         assert sorted(f.symbol for f in report.findings) == [
             "Orphan", "Widget.named_only", "Widget.tested_only", "Widget.tested_prop",
-            "mentioned_only", "recursive_orphan",
+            "mentioned_only", "recursive_orphan", "shadowed_only",
         ]

@@ -19,6 +19,7 @@ import pytest
 from repro.cluster import wire
 from repro.cluster.peer import PeerClient, PeerUnavailable
 from repro.errors import ServiceError
+from repro.runtime.loop import get_runtime_loop
 from repro.service import scrubbing_trace
 
 from oracles import recv_message
@@ -219,7 +220,7 @@ def test_unreachable_peer_is_marked_dead_and_keys_reroute(make_fleet):
     # drive traffic through node 0 for keys node 2 owns: the proxy must
     # fail over (mark node 2 dead, re-route) and still answer.
     node0 = fleet.nodes[0]
-    node0.mark_dead("node-2")
+    get_runtime_loop().run(node0.mark_dead("node-2"))
     node0.add_peer(
         "node-2", ("127.0.0.1", 1), timeout=0.2, attempts=2,
         backoff_s=0.0, sleep=lambda _s: None,

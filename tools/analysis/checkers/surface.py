@@ -7,7 +7,9 @@ underscore) top-level function or class in a ``repro.*`` module whose
 name has no code reference anywhere in :data:`REFERENCE_DIRS` outside
 its own definition.  A code reference is a name (``ast.Name``), an
 attribute (``ast.Attribute``) or a ``from ... import`` name; a word in
-a docstring, a comment or a string (``__all__`` included) is not one.
+a docstring, a comment or a string (``__all__`` included) is not one,
+and neither is a bare name that the referencing module itself binds by
+assignment (a local ``timeline = ...`` is not a call of ``timeline``).
 Package ``__init__`` files do not count: a re-export is not a use.
 ``tests/`` is not searched, so a helper the tests need as an oracle
 belongs under ``tests/``.
@@ -61,10 +63,16 @@ def _reference_files(root: str) -> Iterator[str]:
 
 def _code_references(tree: ast.AST) -> Iterator[Tuple[str, int, bool]]:
     """``(name, line, is_attribute)`` for every name, attribute and
-    ``from`` import."""
+    ``from`` import.  A name the module binds by assignment is its own
+    variable, so none of its occurrences there is a reference."""
+    bound = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno, False
+            if node.id not in bound:
+                yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.end_lineno or node.lineno, True
         elif isinstance(node, ast.ImportFrom):
