@@ -42,8 +42,6 @@ class CheckpointStore:
         self.disk = disk
         self._entries: "OrderedDict[str, PipelineState]" = OrderedDict()  #: guarded-by: _lock
         self._lock = threading.Lock()
-        self.hits = 0  #: guarded-by: _lock
-        self.misses = 0  #: guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -63,7 +61,6 @@ class CheckpointStore:
             state = self._entries.get(digest)
             if state is not None:
                 self._entries.move_to_end(digest)
-                self.hits += 1
                 return state
         if self.disk is not None:
             bundle = self.disk.get(digest)
@@ -84,10 +81,7 @@ class CheckpointStore:
                     self._entries[digest] = state
                     while len(self._entries) > self.max_memory_entries:
                         self._entries.popitem(last=False)
-                    self.hits += 1
                 return state
-        with self._lock:
-            self.misses += 1
         return None
 
     def __contains__(self, digest: str) -> bool:

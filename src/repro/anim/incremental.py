@@ -106,8 +106,6 @@ class IncrementalAnimator:
         self._pipeline: Optional[SpotNoisePipeline] = None
         self._last_digest: Optional[str] = None
         self._last_result: Optional[FrameResult] = None
-        self.reused_frames = 0
-        self.synthesized_frames = 0
 
     # -- pipeline lifecycle ------------------------------------------------------
     def _pipe(self) -> SpotNoisePipeline:
@@ -192,7 +190,6 @@ class IncrementalAnimator:
                 # (ages tick; positions and RNG untouched in static mode
                 # with no expiry) and reuse the previous texture.
                 pipe.advance_only(field)
-                self.reused_frames += 1
                 result = FrameResult(
                     texture=previous.texture,
                     display=previous.display,
@@ -204,7 +201,6 @@ class IncrementalAnimator:
                 return result
             self._last_digest = digest
         result = pipe.step(field)
-        self.synthesized_frames += 1
         self._last_result = result
         return result
 

@@ -19,18 +19,18 @@ before its caller holds the stream — ordering by construction, not by
 timing.  Publication keeps the load-linked/store-conditional shape of
 lock-free coordination: joiners *observe* the stream in one loop
 callback and only the walk advances it.  A walk offloads each frame's
-blocking body to the scheduler's
-:class:`~repro.runtime.executor.RenderExecutor`; :meth:`fetch` is the one
-blocking shim, joining and awaiting a frame in a single loop hop.
+blocking body to the scheduler's :attr:`~SequenceScheduler.executor`
+thread pool; :meth:`fetch` is the one blocking shim, joining and
+awaiting a frame in a single loop hop.
 """
 
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import AnimationServiceError, ServiceError
-from repro.runtime.executor import RenderExecutor
 from repro.runtime.loop import get_runtime_loop
 from repro.runtime.streams import FrameStream
 
@@ -51,20 +51,21 @@ class SequenceScheduler:
     Parameters
     ----------
     n_workers:
-        Size of the render executor the walks' frame jobs run on.
+        Size of the thread pool (:attr:`executor`) the walks' frame
+        jobs run on.
     buffer_limit:
         Published-frame buffer size handed to every stream.
     """
 
     def __init__(self, n_workers: int = 1, buffer_limit: int = DEFAULT_BUFFER_LIMIT):
+        if n_workers < 1:
+            raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
         self.runtime = get_runtime_loop()
-        self.executor = RenderExecutor(n_workers, name="anim-service")
+        self.executor = ThreadPoolExecutor(n_workers, thread_name_prefix="anim-service-worker")
         self.buffer_limit = int(buffer_limit)
         self._streams: Dict[str, FrameStream] = {}  # loop-confined
         self._walks: "Set[asyncio.Task]" = set()  # loop-confined
         self._closed = False  # loop-confined
-        self.created = 0
-        self.joined = 0
 
     # -- on the loop ---------------------------------------------------------------
     def join_or_start(
@@ -85,7 +86,6 @@ class SequenceScheduler:
         stream = self._streams.get(sequence_id)
         if stream is not None:
             if stream.try_join(start, stop):
-                self.joined += 1
                 return stream, False
             # Curtail-and-union: the live walk cannot serve `start` (it
             # passed and evicted it), so it stops where it is and the
@@ -98,7 +98,6 @@ class SequenceScheduler:
         self._streams[sequence_id] = stream
         self._walks.add(task)
         task.add_done_callback(self._walks.discard)
-        self.created += 1
         return stream, True
 
     async def _drive(self, stream: FrameStream, walk: Awaitable[None]) -> None:

@@ -30,6 +30,7 @@ against :func:`~repro.anim.incremental.one_shot_frame`.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import threading
 import time
@@ -347,7 +348,7 @@ class AnimationService:
     async def _walk(self, stream: FrameStream) -> None:
         """The render walk, a loop task: claim and publish on the loop,
         one executor job per frame for everything that blocks."""
-        run = self.scheduler.executor.run
+        run = partial(asyncio.get_running_loop().run_in_executor, self.scheduler.executor)
         animator = None
         try:
             animator = await run(partial(self._acquire_animator, stream.first))

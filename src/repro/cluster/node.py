@@ -240,7 +240,7 @@ class ClusterNode:
         tenant = str(header.get("tenant", "default"))
         direct = bool(header.get("direct", False))
         if not direct and self.quotas is not None:
-            # The admission decision runs on the loop, before any serve
+            # The quota decision runs on the loop, before any serve
             # work is scheduled: a shed request costs one callback.
             self.quotas.charge(tenant)
         texture, meta = await self.serve_frame(frame, tenant=tenant, direct=direct)

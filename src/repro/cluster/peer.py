@@ -19,7 +19,7 @@ directly; drivers off the loop call the blocking ``request_texture``,
 a ``RuntimeLoop.run`` shim over it.
 
 Application-level rejections travel as ``ERROR`` frames and are *not*
-retried here: an admission shed (:class:`~repro.errors.AdmissionError`)
+retried here: a quota shed (:class:`~repro.errors.AdmissionError`)
 or a service error means the peer is alive and said no — retrying the
 same request at the same node would just double the load that caused
 the shed.

@@ -1,13 +1,9 @@
 """Per-tenant quotas for the cluster front end.
 
-Admission control (:mod:`repro.service.admission`) protects the *node*:
-it sheds work whose predicted wait blows the latency budget regardless
-of who asked.  Quotas protect *tenants from each other*: one scrubbing
-dashboard hammering the fleet must not starve everyone else, so each
-tenant draws from its own :class:`~repro.service.admission.TokenBucket`
-and is shed with :class:`~repro.errors.AdmissionError` once it runs dry
-— the same error clients already handle for latency shedding, so the
-retry story is unchanged.
+Quotas protect *tenants from each other*: one scrubbing dashboard
+hammering the fleet must not starve everyone else, so each tenant draws
+from its own :class:`~repro.service.admission.TokenBucket` and is shed
+with :class:`~repro.errors.AdmissionError` once it runs dry.
 
 Quota is charged once, at the node the request *entered* on; proxied
 hops between peers are marked ``direct`` and never re-charged, otherwise
@@ -49,7 +45,6 @@ class TenantQuotas:
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}  #: guarded-by: _lock
-        self.shed = 0  #: guarded-by: _lock
 
     def _bucket(self, tenant: str) -> TokenBucket:
         with self._lock:
@@ -65,8 +60,6 @@ class TenantQuotas:
         if not tenant:
             raise ServiceError("tenant must be non-empty")
         if not self._bucket(tenant).try_acquire():
-            with self._lock:
-                self.shed += 1
             raise AdmissionError(
                 f"tenant {tenant!r} over quota "
                 f"({self.rate:g}/s sustained, burst {self.burst:g})"

@@ -26,6 +26,7 @@ from repro.core.config import SpotNoiseConfig
 from repro.errors import PipelineError
 from repro.fields.scalarfield import ScalarField2D
 from repro.fields.vectorfield import VectorField2D
+from repro.parallel.planner import DecompositionPlan, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime, RuntimeReport
 from repro.spots.distribution import seed_positions, signed_intensities
 from repro.spots.filtering import contrast_stretch, highpass_texture, histogram_equalize
@@ -64,7 +65,10 @@ class SpotNoisePipeline:
         with.  The pipeline does *not* take ownership: :meth:`close`
         leaves an injected runtime (and its pooled backend) alive, which
         is how the serving layer amortises worker pools across many
-        short-lived pipelines.
+        short-lived pipelines.  Without one, the pipeline builds its own
+        and resolves ``backend="auto"`` for it at construction
+        (:func:`~repro.parallel.planner.resolve_plan`): pricing reads
+        only the grid's shape and bounds, which :meth:`read_data` pins.
     """
 
     def __init__(
@@ -88,8 +92,14 @@ class SpotNoisePipeline:
             intensities = signed_intensities(config.n_spots, config.intensity, self.rng)
             self.particles = ParticleSet(positions, intensities)
         self.advector = Advector(field, dt=dt, policy=self.policy, seed=self.rng)
-        self.runtime = runtime or DivideAndConquerRuntime(config)
         self._owns_runtime = runtime is None
+        #: The resolved decomposition plan: ``None`` unless the pipeline
+        #: built its own runtime for a ``backend="auto"`` config.
+        self.plan: Optional[DecompositionPlan] = None
+        if runtime is None:
+            self.plan, resolved = resolve_plan(config, field)
+            runtime = DivideAndConquerRuntime(resolved)
+        self.runtime = runtime
         self.timer = StageTimer()
         self.frame_index = 0
 
@@ -102,17 +112,6 @@ class SpotNoisePipeline:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @property
-    def plan(self):
-        """The runtime's resolved decomposition plan.
-
-        ``None`` unless the configuration used ``backend="auto"`` and a
-        frame has been synthesised (the planner needs the field before
-        it can price the workload — see
-        :class:`~repro.parallel.planner.DecompositionPlanner`).
-        """
-        return self.runtime.plan
 
     # -- stage 1 ---------------------------------------------------------------
     def read_data(self, field: VectorField2D) -> None:

@@ -58,7 +58,7 @@ class ServiceError(ReproError):
 
 
 class AdmissionError(ServiceError):
-    """Request rejected by the serving layer's admission control."""
+    """Request rejected by a tenant's quota (:mod:`repro.cluster.quotas`)."""
 
 
 class AnimationServiceError(ServiceError):

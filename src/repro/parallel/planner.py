@@ -30,8 +30,8 @@ For a *fixed* calibration the plan is a deterministic pure function of
 the workload.
 
 :func:`resolve_plan` is the one place ``backend="auto"`` is resolved:
-the runtime, both serving front ends and the ``plan-bench`` command all
-call it.
+the pipeline, both serving front ends and the ``plan-bench`` command all
+call it at construction, and the runtime takes only concrete backends.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class DecompositionPlan:
     """The planner's decision plus the full priced table.
 
     ``apply`` stamps the decision onto a config — the bridge used by
-    ``SpotNoiseConfig(backend="auto")`` resolution in the runtime and
+    ``SpotNoiseConfig(backend="auto")`` resolution in the pipeline and
     the serving layer.
     """
 

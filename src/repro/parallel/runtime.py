@@ -10,7 +10,6 @@ strategy and backend.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -30,12 +29,7 @@ from repro.parallel.partition import (
     round_robin_partition,
     spatial_partition,
 )
-from repro.parallel.planner import (
-    DecompositionPlan,
-    DecompositionPlanner,
-    resolve_plan,
-    spot_reach_world,
-)
+from repro.parallel.planner import spot_reach_world
 from repro.parallel.sharedmem import SharedMemoryBackend, shared_backend
 from repro.parallel.tiling import Tile, TileLayout
 from repro.utils.timing import StageTimer
@@ -76,14 +70,10 @@ class DivideAndConquerRuntime:
     ----------
     config:
         Synthesis configuration (group count, partition strategy, backend).
-        With ``backend="auto"`` the decomposition is *planned*: on the
-        first :meth:`synthesize` call (when the field, and hence the
-        workload, is known) a :class:`DecompositionPlanner` prices the
-        candidate (backend, n_groups, partition) triples and the cheapest
-        becomes this runtime's effective configuration for its lifetime.
-        The plan is resolved once (:func:`~repro.parallel.planner.resolve_plan`)
-        — a stable decomposition keeps repeated renders of one config
-        bit-identical, which the serving layer's caches depend on.
+        The backend must be concrete: ``backend="auto"`` is resolved
+        before a runtime is built, by
+        :func:`~repro.parallel.planner.resolve_plan` (the pipeline and
+        the services do this at construction).
     backend:
         Optional pre-built backend instance; by default one is constructed
         from ``config.backend`` and kept for the runtime's lifetime (so
@@ -92,59 +82,20 @@ class DivideAndConquerRuntime:
         borrows the process-wide pool of
         :func:`~repro.parallel.sharedmem.shared_backend`, which
         :meth:`close` leaves running for the next runtime.
-    planner:
-        Planner used to resolve ``backend="auto"`` (a default-constructed
-        one otherwise).
     """
 
-    def __init__(
-        self,
-        config: SpotNoiseConfig,
-        backend: Optional[ExecutionBackend] = None,
-        planner: Optional[DecompositionPlanner] = None,
-    ):
+    def __init__(self, config: SpotNoiseConfig, backend: Optional[ExecutionBackend] = None):
         self.config = config
-        self._effective_config = config
-        self._plan: Optional[DecompositionPlan] = None
-        self._plan_lock = threading.Lock()
-        self._planner: Optional[DecompositionPlanner] = None
         if backend is not None:
-            self.backend: Optional[ExecutionBackend] = backend
+            self.backend = backend
             self._owns_backend = False
-            if config.backend == "auto":
-                # An injected backend settles the "auto" choice directly.
-                self._effective_config = config.with_overrides(backend=backend.name)
-        elif config.backend == "auto":
-            self.backend = None  # resolved by the planner on first synthesize
-            self._owns_backend = True
-            self._planner = planner or DecompositionPlanner()
         else:
-            self._adopt_backend(config.backend)
-
-    # -- planning ---------------------------------------------------------------
-    @property
-    def plan(self) -> Optional[DecompositionPlan]:
-        """The resolved plan (``None`` unless ``backend="auto"`` ran)."""
-        return self._plan
-
-    def _ensure_plan(self, field_: VectorField2D) -> None:
-        if self.backend is not None:
-            return
-        with self._plan_lock:
-            if self.backend is not None:  # pragma: no cover - raced resolve
-                return
-            self._plan, self._effective_config = resolve_plan(
-                self.config, field_, self._planner
-            )
-            self._adopt_backend(self._plan.backend)
-
-    def _adopt_backend(self, name: str) -> None:
-        """Build the named backend, or borrow the process-wide sharedmem pool."""
-        self._owns_backend = name != SharedMemoryBackend.name
-        self.backend = get_backend(name) if self._owns_backend else shared_backend()
+            # get_backend refuses "auto" with a hint to resolve it first.
+            self._owns_backend = config.backend != SharedMemoryBackend.name
+            self.backend = get_backend(config.backend) if self._owns_backend else shared_backend()
 
     def close(self) -> None:
-        if self._owns_backend and self.backend is not None:
+        if self._owns_backend:
             self.backend.close()
 
     def __enter__(self) -> "DivideAndConquerRuntime":
@@ -155,7 +106,7 @@ class DivideAndConquerRuntime:
 
     # -- internals -------------------------------------------------------------
     def _partition_nonspatial(self, n: int) -> List[np.ndarray]:
-        cfg = self._effective_config
+        cfg = self.config
         if cfg.partition == "round_robin":
             return round_robin_partition(n, cfg.n_groups)
         return block_partition(n, cfg.n_groups)
@@ -182,8 +133,7 @@ class DivideAndConquerRuntime:
         ``(texture_size, texture_size)`` float array over the field's
         domain.
         """
-        self._ensure_plan(field_)
-        cfg = self._effective_config
+        cfg = self.config
         window = field_.grid.bounds
         size = cfg.texture_size
         rep = report or RuntimeReport(

@@ -2,9 +2,9 @@
 
 One long-lived asyncio event loop per process coordinates everything
 that used to be a thread-pool-plus-lock stack of its own: single-flight
-request coalescing (:mod:`repro.runtime.singleflight`), the bounded
-render-executor bridge (:mod:`repro.runtime.executor`) and streaming
-frame delivery (:mod:`repro.runtime.streams`).
+request coalescing (:mod:`repro.runtime.singleflight`) and streaming
+frame delivery (:mod:`repro.runtime.streams`).  Blocking work (renders,
+field loads) runs on thread pools through ``loop.run_in_executor``.
 
 The design rule throughout is *loop confinement instead of locks*:
 coordination state (in-flight maps, walk buffers) is only ever touched
@@ -27,7 +27,6 @@ executor job per frame, so a blocking stream consumer pays one loop hop
 per frame it has to wait for.
 """
 
-from repro.runtime.executor import RenderExecutor
 from repro.runtime.loop import RuntimeLoop, get_runtime_loop
 from repro.runtime.singleflight import AsyncSingleFlight, Flight
 from repro.runtime.streams import FrameStream
@@ -36,7 +35,6 @@ __all__ = [
     "AsyncSingleFlight",
     "Flight",
     "FrameStream",
-    "RenderExecutor",
     "RuntimeLoop",
     "get_runtime_loop",
 ]

@@ -115,10 +115,6 @@ class RuntimeLoop:
 
         return self.run(invoke())
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget ``fn(*args)`` as a loop callback."""
-        self._loop.call_soon_threadsafe(fn, *args)
-
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self, timeout: Optional[float] = 5.0) -> None:
         """Stop the loop and join its thread (private loops/tests; the

@@ -10,11 +10,10 @@ matters: :meth:`AsyncSingleFlight.settle` retires a flight from the map
 *before* resolving its future, so a request arriving after completion
 starts fresh (and usually hits the cache the flight just populated).
 
-Waiter accounting: joining increments :attr:`Flight.waiters`, and a
-waiter that gives up — timeout or cancellation — detaches in
-:meth:`AsyncSingleFlight.wait`, so shed and cancellation accounting
-see the true number of live waiters.  The driver (the point-serving
-miss path in :class:`~repro.service.server.TextureService`) owns the
+A waiter that gives up (a timeout or a cancellation around
+:meth:`AsyncSingleFlight.wait`) leaves the shared future to the others.
+The driver (the point-serving miss path in
+:class:`~repro.service.server.TextureService`) owns the
 begin → run → settle sequence.
 """
 
@@ -29,12 +28,11 @@ from repro.errors import ServiceError
 class Flight:
     """One in-flight computation; many waiters share its future."""
 
-    __slots__ = ("key", "future", "waiters")
+    __slots__ = ("key", "future")
 
     def __init__(self, key: str, future: "asyncio.Future[Any]"):
         self.key = key
         self.future = future
-        self.waiters = 1  # loop-confined (the creator is the first waiter)
 
 
 class AsyncSingleFlight:
@@ -46,8 +44,6 @@ class AsyncSingleFlight:
 
     def __init__(self) -> None:
         self._flights: Dict[str, Flight] = {}  # loop-confined
-        self.coalesced = 0
-        self.dispatched = 0
 
     def __len__(self) -> int:
         return len(self._flights)
@@ -61,23 +57,7 @@ class AsyncSingleFlight:
             raise ServiceError(f"key {key[:12]}... is already in flight")
         flight = Flight(key, asyncio.get_running_loop().create_future())
         self._flights[key] = flight
-        self.dispatched += 1
         return flight
-
-    def join(self, flight: Flight) -> None:
-        """Attach one more waiter to an existing flight (a coalesced hit)."""
-        flight.waiters += 1
-        self.coalesced += 1
-
-    def detach(self, flight: Flight) -> None:
-        """Drop one waiter that gave up (timeout / cancellation).
-
-        Without this the count only ever grows, and anything pricing
-        work by live waiters — late-cancellation, shed accounting —
-        over-counts forever.
-        """
-        if flight.waiters > 0:
-            flight.waiters -= 1
 
     def settle(
         self,
@@ -97,14 +77,10 @@ class AsyncSingleFlight:
         else:
             flight.future.set_result(result)
 
-    async def wait(self, flight: Flight, timeout: Optional[float] = None) -> Any:
-        """Await the flight's result; detaches on timeout/cancellation.
+    async def wait(self, flight: Flight) -> Any:
+        """Await the flight's result.
 
         The shield keeps the shared future alive when *this* waiter is
-        cancelled — other waiters are still attached to it.
+        cancelled or times out — other waiters still await it.
         """
-        try:
-            return await asyncio.wait_for(asyncio.shield(flight.future), timeout)
-        except (asyncio.TimeoutError, asyncio.CancelledError):
-            self.detach(flight)
-            raise
+        return await asyncio.shield(flight.future)

@@ -69,7 +69,6 @@ class FrameStream:
         self.frames: "OrderedDict[int, Any]" = OrderedDict()  # loop-confined
         self.done = False  # loop-confined
         self.error: Optional[BaseException] = None  # loop-confined
-        self.joiners = 0  # loop-confined
         self._waiters: "List[asyncio.Future]" = []
 
     # -- the worker side -------------------------------------------------------
@@ -147,7 +146,6 @@ class FrameStream:
         if start < self.position and start not in self.frames:
             return False
         self.target = max(self.target, int(stop))
-        self.joiners += 1
         return True
 
     async def wait_frame(self, frame: int) -> Any:

@@ -11,14 +11,14 @@ renderer itself is not rendering at all:
 * :mod:`~repro.service.cache` — in-memory LRU under a byte budget over
   an atomic content-addressed disk tier;
 * :mod:`~repro.service.admission` — cost-model latency prediction and
-  load shedding;
+  the token bucket behind per-tenant quotas;
 * :mod:`~repro.service.stats` — hit rate, coalesce rate, queue depth,
   latency percentiles;
 * :mod:`~repro.service.server` — :class:`TextureService`, the front
   end binding a field source to one config; its misses coalesce
   concurrent duplicates on the runtime loop's
   :class:`~repro.runtime.singleflight.AsyncSingleFlight` and render on
-  a capped worker pool;
+  a capped thread pool;
 * :mod:`~repro.service.trace` — uniform/Zipf/scrubbing request traces
   and the replay harness behind ``repro.cli serve-bench``.
 
@@ -26,11 +26,10 @@ Every future scaling layer (sharding, multi-process serving, an HTTP
 front end) plugs in above :class:`TextureService`.  Sequence traffic —
 temporally-coherent animation frames, which depend on every field
 before them — is served by the sibling subsystem :mod:`repro.anim`,
-which builds on this module's keys and caches (see
-:meth:`TextureService.animation_service`).
+which builds on this module's keys and caches.
 """
 
-from repro.service.admission import AdmissionController, LatencyPredictor, TokenBucket
+from repro.service.admission import LatencyPredictor, TokenBucket
 from repro.service.cache import (
     DiskBlobStore,
     DiskTextureCache,
@@ -40,7 +39,6 @@ from repro.service.cache import (
 from repro.service.keys import (
     RequestKey,
     SequenceKey,
-    TileSpec,
     chain_digest,
     ring_hash,
 )
@@ -56,7 +54,6 @@ from repro.service.trace import (
 )
 
 __all__ = [
-    "AdmissionController",
     "LatencyPredictor",
     "TokenBucket",
     "DiskBlobStore",
@@ -65,7 +62,6 @@ __all__ = [
     "TieredTextureCache",
     "RequestKey",
     "SequenceKey",
-    "TileSpec",
     "chain_digest",
     "ring_hash",
     "FrameRenderer",

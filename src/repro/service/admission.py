@@ -1,4 +1,4 @@
-"""Admission control and latency prediction.
+"""Latency prediction and rate limiting.
 
 The machine model already knows how expensive a texture is — the same
 per-unit costs that reproduce Tables 1 and 2 price a request here.
@@ -9,11 +9,10 @@ an EWMA scale factor from observed render times (the absolute 1997
 constants are decades from this host, but the *structure* — spots,
 vertices, pixels — transfers; one scalar bridges the hardware gap).
 
-:class:`AdmissionController` uses the prediction to shed load: when the
-predicted wait (queued renders ahead plus this one) exceeds the latency
-budget, or the queue is full, the request is rejected with
-:class:`~repro.errors.AdmissionError` instead of silently degrading
-every client behind it.
+:class:`TokenBucket` sheds work that exceeds an allotted throughput;
+the cluster tier's per-tenant quotas (:mod:`repro.cluster.quotas`) keep
+one per tenant and refuse a spent tenant with
+:class:`~repro.errors.AdmissionError`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import time
 from typing import Callable, Optional, Tuple
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.fields.vectorfield import VectorField2D
 from repro.machine.costs import CostModel
 from repro.machine.workload import SpotWorkload, workload_from_config
@@ -122,10 +121,8 @@ class LatencyPredictor:
 class TokenBucket:
     """Thread-safe token bucket: sustained *rate* with a *burst* cap.
 
-    The rate-limiting half of admission control: where
-    :class:`AdmissionController` sheds work whose predicted wait blows a
-    latency budget, a bucket sheds work that exceeds an allotted
-    *throughput* — the per-tenant quota layer of the cluster tier
+    A bucket sheds work that exceeds an allotted *throughput* — the
+    per-tenant quota layer of the cluster tier
     (:mod:`repro.cluster.quotas`) keeps one bucket per tenant.
 
     Tokens refill continuously at *rate* per second up to *burst*; an
@@ -168,55 +165,3 @@ class TokenBucket:
             self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
             return self._tokens
 
-
-class AdmissionController:
-    """Sheds renders whose predicted wait would blow the latency budget.
-
-    Parameters
-    ----------
-    latency_budget_s:
-        Maximum acceptable predicted wait for a *new* render, counting
-        the renders already queued ahead of it.  ``None`` disables the
-        latency criterion.
-    max_queue:
-        Hard cap on the queue *backlog* — renders waiting for a worker,
-        not the ones already executing (those are nearly done and no
-        longer price the new request's wait).  ``None`` disables it.
-
-    Cache hits and coalesced joins are never shed — they are (nearly)
-    free; only work that would add a render to the queue is policed.
-    """
-
-    def __init__(
-        self,
-        latency_budget_s: Optional[float] = None,
-        max_queue: Optional[int] = None,
-    ):
-        if latency_budget_s is not None and latency_budget_s <= 0:
-            raise ServiceError("latency_budget_s must be positive (or None)")
-        if max_queue is not None and max_queue < 1:
-            raise ServiceError("max_queue must be >= 1 (or None)")
-        self.latency_budget_s = latency_budget_s
-        self.max_queue = max_queue
-
-    def admit(self, predicted_s: Optional[float], queue_depth: int) -> None:
-        """Raise :class:`AdmissionError` if the render must be shed.
-
-        *queue_depth* is the number of renders queued **ahead** of this
-        one — the service's backlog, excluding flights a worker is
-        already executing (:meth:`TextureService.backlog`).
-        """
-        if self.max_queue is not None and queue_depth >= self.max_queue:
-            raise AdmissionError(
-                f"render queue full ({queue_depth} >= {self.max_queue})"
-            )
-        if (
-            self.latency_budget_s is not None
-            and predicted_s is not None
-            and predicted_s * (queue_depth + 1) > self.latency_budget_s
-        ):
-            raise AdmissionError(
-                f"predicted wait {predicted_s * (queue_depth + 1) * 1e3:.1f} ms "
-                f"(depth {queue_depth}) exceeds the "
-                f"{self.latency_budget_s * 1e3:.1f} ms budget"
-            )

@@ -77,9 +77,6 @@ class LRUTextureCache:
         self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()  #: guarded-by: _lock
         self._nbytes = 0  #: guarded-by: _lock
         self._lock = threading.Lock()
-        self.hits = 0  #: guarded-by: _lock
-        self.misses = 0  #: guarded-by: _lock
-        self.evictions = 0  #: guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -94,11 +91,8 @@ class LRUTextureCache:
         """Return the cached texture (read-only, no copy) or ``None``."""
         with self._lock:
             entry = self._entries.get(digest)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(digest)
-            self.hits += 1
+            if entry is not None:
+                self._entries.move_to_end(digest)
             return entry
 
     def put(self, digest: str, texture: np.ndarray) -> bool:
@@ -115,7 +109,6 @@ class LRUTextureCache:
             while self._nbytes > self.byte_budget:
                 _, evicted = self._entries.popitem(last=False)
                 self._nbytes -= evicted.nbytes
-                self.evictions += 1
         return True
 
     def clear(self) -> None:
@@ -156,8 +149,6 @@ class DiskBlobStore:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
-        self.hits = 0  #: guarded-by: _lock
-        self.misses = 0  #: guarded-by: _lock
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.directory, f"{digest}.npz")
@@ -199,11 +190,7 @@ class DiskBlobStore:
                 # We read the entry and found it corrupt: drop that
                 # inode (a failure *opening* is just a miss, not a drop).
                 self._drop_corrupt(path, expected_ino=ino)
-            with self._lock:
-                self.misses += 1
             return None
-        with self._lock:
-            self.hits += 1
         return bundle
 
     def put(self, digest: str, arrays: "dict[str, np.ndarray]") -> bool:
@@ -219,14 +206,9 @@ class DiskBlobStore:
         """Return the raw payload stored under *digest*, or ``None``."""
         try:
             with open(self._blob_path(digest), "rb") as fh:
-                payload = fh.read()
+                return fh.read()
         except OSError:
-            with self._lock:
-                self.misses += 1
             return None
-        with self._lock:
-            self.hits += 1
-        return payload
 
     def put_bytes(self, digest: str, payload: bytes) -> bool:
         atomic_write(self._blob_path(digest), lambda fh: fh.write(payload))
@@ -251,8 +233,6 @@ class MemoryBlobStore:
     def __init__(self):
         self._entries: "Dict[str, bytes]" = {}  #: guarded-by: _lock
         self._lock = threading.Lock()
-        self.hits = 0  #: guarded-by: _lock
-        self.misses = 0  #: guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -260,12 +240,7 @@ class MemoryBlobStore:
 
     def get_bytes(self, digest: str) -> Optional[bytes]:
         with self._lock:
-            payload = self._entries.get(digest)
-            if payload is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return payload
+            return self._entries.get(digest)
 
     def put_bytes(self, digest: str, payload: bytes) -> bool:
         with self._lock:
@@ -298,9 +273,6 @@ class DiskTextureCache(DiskBlobStore):
             # A foreign bundle under a texture digest: corrupt for this
             # tier's purposes.
             self._drop_corrupt(self._path(digest))
-            with self._lock:
-                self.hits -= 1
-                self.misses += 1
             return None
         return np.asarray(texture, dtype=np.float64)
 

@@ -9,11 +9,6 @@ asking for the same slice with the same knobs hash to the same cache
 entry and coalesce onto the same in-flight render, no matter how their
 requests were phrased.
 
-Tile requests (a rectangular crop of the final texture, for map-style
-pan/zoom clients) share the *render* key of their full frame: the full
-texture is rendered and cached once, crops are sliced from it.  The tile
-only participates in the request identity, never in the render identity.
-
 Animation frames need a different identity: frame *t* of a temporally-
 coherent sequence depends on every field the particles advected through,
 so :class:`SequenceKey` addresses it by a rolling :func:`chain_digest`
@@ -27,41 +22,6 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
-
-from repro.errors import ServiceError
-
-
-@dataclass(frozen=True)
-class TileSpec:
-    """A crop of the final texture, in texture pixel coordinates.
-
-    ``(x0, y0)`` is the lower-left corner in the library's y-up
-    convention; ``(width, height)`` the crop extent.  Validated against
-    the texture size at request time.
-    """
-
-    x0: int
-    y0: int
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        if self.x0 < 0 or self.y0 < 0:
-            raise ServiceError(f"tile origin must be >= 0, got ({self.x0}, {self.y0})")
-        if self.width < 1 or self.height < 1:
-            raise ServiceError(
-                f"tile extent must be >= 1, got {self.width}x{self.height}"
-            )
-
-    def validate_for(self, texture_size: int) -> None:
-        if self.x0 + self.width > texture_size or self.y0 + self.height > texture_size:
-            raise ServiceError(
-                f"tile {self} exceeds the {texture_size}x{texture_size} texture"
-            )
-
-    def crop(self, texture):
-        """Slice this tile out of a (size, size) y-up texture array."""
-        return texture[self.y0 : self.y0 + self.height, self.x0 : self.x0 + self.width]
 
 
 @dataclass(frozen=True)
@@ -79,23 +39,18 @@ class RequestKey:
         digest: the key is content-addressed, so two frames whose field
         bytes coincide are the same work and share one cache entry.  The
         frame is carried for observability (logs, traces, metrics).
-    tile:
-        Optional crop; ``None`` means the full texture.
     """
 
     field_digest: str
     config_fingerprint: str
     frame: int  #: cache-key: exempt (observability only; the key is content-addressed)
-    tile: Optional[TileSpec] = None
 
     @cached_property
     def digest(self) -> str:
         """SHA-256 hex digest of the canonical key string, computed once per key."""
-        tile = self.tile
-        tile_token = (
-            "full" if tile is None else f"{tile.x0},{tile.y0},{tile.width},{tile.height}"
-        )
-        canon = f"{self.field_digest}|{self.config_fingerprint}|{tile_token}"
+        # "full" once marked an uncropped texture; it stays so that every
+        # cache entry and ring owner keeps the address it always had.
+        canon = f"{self.field_digest}|{self.config_fingerprint}|full"
         return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 

@@ -12,22 +12,21 @@ through the full stack:
    :class:`~repro.runtime.singleflight.AsyncSingleFlight` onto a
    deterministic render (:func:`repro.core.synthesizer.render_frame`)
    with a pooled divide-and-conquer runtime;
-4. admission control sheds renders past the latency budget;
-5. every step reports into :class:`~repro.service.stats.ServiceStats`.
+4. every step reports into :class:`~repro.service.stats.ServiceStats`.
 
 Responses are bit-identical to a fresh render of the same request — the
 cache stores exactly what the renderer produced, the disk tier round
 trips float64 exactly, and the renderer itself is a pure function of
 ``(config, field)``.
 
-A miss is loop-native.  The in-flight map, the set of drive tasks and
-admission are loop-confined: :meth:`TextureService._start` joins a
-key's flight or admits a new one and creates its drive task in one
-loop callback, and the drive task awaits the render on the service's
-:class:`~repro.runtime.executor.RenderExecutor` and settles the
-flight.  :meth:`TextureService.request` crosses into the loop once, to
-a coroutine that starts or joins the flight and awaits it; the cache
-put runs inside the render job, so it lands before any waiter wakes.
+A miss is loop-native.  The in-flight map and the set of drive tasks
+are loop-confined: :meth:`TextureService._start` joins a key's flight
+or begins a new one and creates its drive task in one loop callback,
+and the drive task awaits the render on the service's render thread
+pool and settles the flight.  :meth:`TextureService.request` crosses
+into the loop once, to a coroutine that starts or joins the flight and
+awaits it; the cache put runs inside the render job, so it lands before
+any waiter wakes.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Coroutine, Dict, Optional, Tuple
 
@@ -42,17 +42,16 @@ import numpy as np
 
 from repro.core.config import SpotNoiseConfig
 from repro.core.synthesizer import render_frame
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.fields.io import field_digest
 from repro.fields.vectorfield import VectorField2D
 from repro.parallel.planner import DecompositionPlanner, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime
-from repro.runtime.executor import RenderExecutor
 from repro.runtime.loop import get_runtime_loop
 from repro.runtime.singleflight import AsyncSingleFlight, Flight
-from repro.service.admission import AdmissionController, LatencyPredictor
+from repro.service.admission import LatencyPredictor
 from repro.service.cache import DEFAULT_MEMORY_BUDGET, DiskTextureCache, LRUTextureCache, TieredTextureCache
-from repro.service.keys import RequestKey, TileSpec
+from repro.service.keys import RequestKey
 from repro.service.stats import ServiceStats
 
 FieldSource = Callable[[int], VectorField2D]
@@ -116,9 +115,9 @@ class TextureService:
     disk_dir:
         Optional directory for the content-addressed disk tier.
     n_workers:
-        Render worker threads (distinct-request concurrency).
-    admission:
-        Optional :class:`AdmissionController`; absent means never shed.
+        Render worker threads (distinct-request concurrency).  Each
+        worker drives a full divide-and-conquer render, so the cap
+        trades request concurrency against per-render parallelism.
     predictor:
         Latency predictor (defaults to a fresh Onyx2-cost predictor that
         self-calibrates from observed renders).
@@ -140,7 +139,6 @@ class TextureService:
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
         disk_dir: "str | None" = None,
         n_workers: int = 2,
-        admission: Optional[AdmissionController] = None,
         predictor: Optional[LatencyPredictor] = None,
         stats: Optional[ServiceStats] = None,
         planner: Optional[DecompositionPlanner] = None,
@@ -154,11 +152,12 @@ class TextureService:
                 "TextureService requires a deterministic config: set "
                 "SpotNoiseConfig.seed to an integer (got seed=None)"
             )
+        if n_workers < 1:
+            raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
         self.field_source = field_source
         self.requested_config = config
         self.stats = stats or ServiceStats()
         self.predictor = predictor or LatencyPredictor()
-        self.admission = admission
         self._grid_shape: Optional[Tuple[int, int]] = None
         field0 = None
         if config.backend == "auto":
@@ -173,7 +172,9 @@ class TextureService:
         disk = DiskTextureCache(disk_dir) if disk_dir else None
         self.cache = TieredTextureCache(LRUTextureCache(memory_budget_bytes), disk)
         self._runtime = get_runtime_loop()
-        self._executor = RenderExecutor(n_workers, name="texture-service")
+        self._render_pool = ThreadPoolExecutor(
+            n_workers, thread_name_prefix="texture-service-worker"
+        )
         self._flights = AsyncSingleFlight()  # loop-confined
         self._drives: "set[asyncio.Task]" = set()  # loop-confined
         self.stats.queue_depth_probe = self.queue_depth
@@ -189,13 +190,6 @@ class TextureService:
         return cls(store.read, config, **kwargs)
 
     # -- internals -------------------------------------------------------------
-    def _admit(self, queue_depth: int) -> None:
-        if self.admission is not None:
-            predicted = self.predictor.predict(
-                self.config, grid_shape=self._grid_shape
-            )
-            self.admission.admit(predicted, queue_depth)
-
     def _load_field(self, frame: int) -> VectorField2D:
         field = self.field_source(frame)
         if self._grid_shape is None:
@@ -240,20 +234,10 @@ class TextureService:
         return key.digest
 
     # -- the request path --------------------------------------------------------
-    def request(
-        self,
-        frame: int,
-        tile: Optional[TileSpec] = None,
-        timeout: Optional[float] = None,
-    ) -> TextureResponse:
+    def request(self, frame: int, timeout: Optional[float] = None) -> TextureResponse:
         """Serve one texture request (blocking).  A hit is served on the
-        caller's thread; a miss crosses into the loop once.
-
-        Raises :class:`~repro.errors.AdmissionError` when admission
-        control sheds the render, and propagates renderer errors.
-        """
-        if tile is not None:
-            tile.validate_for(self.config.texture_size)
+        caller's thread; a miss crosses into the loop once.  Renderer
+        errors propagate."""
         t0 = self._begin()
         try:
             key, field = self._key_for(frame)
@@ -265,7 +249,7 @@ class TextureService:
         except BaseException as exc:
             self._record_failure(exc)
             raise
-        return self._respond(key, tile, texture, source, t0, predicted)
+        return self._respond(key, texture, source, t0, predicted)
 
     async def request_async(self, frame: int) -> TextureResponse:
         """:meth:`request` on the runtime loop, for loop-native callers
@@ -289,7 +273,7 @@ class TextureService:
         except BaseException as exc:
             self._record_failure(exc)
             raise
-        return self._respond(key, None, texture, source, t0, predicted)
+        return self._respond(key, texture, source, t0, predicted)
 
     def _begin(self) -> float:
         if self._closed:
@@ -299,18 +283,13 @@ class TextureService:
         return t0
 
     def _record_failure(self, exc: BaseException) -> None:
-        if isinstance(exc, AdmissionError):
-            self.stats.record_shed()
-        elif isinstance(exc, Exception):
+        if isinstance(exc, Exception):
             self.stats.record_error()
 
-    def _respond(self, key: RequestKey, tile: Optional[TileSpec], texture: np.ndarray,
-                 source: str, t0: float, predicted: Optional[float]) -> TextureResponse:
+    def _respond(self, key: RequestKey, texture: np.ndarray, source: str, t0: float,
+                 predicted: Optional[float]) -> TextureResponse:
         latency = time.perf_counter() - t0
         self.stats.record_response(source, latency)
-        if tile is not None:
-            texture = tile.crop(texture)
-            key = RequestKey(key.field_digest, key.config_fingerprint, key.frame, tile)
         return TextureResponse(texture, key, source, latency, predicted)
 
     def _miss_for(
@@ -347,22 +326,13 @@ class TextureService:
     def _start(
         self, key: str, render: "Callable[[], np.ndarray]"
     ) -> "tuple[Flight, bool]":
-        """Join *key*'s flight, or admit a new one and create its drive
-        task; returns ``(flight, created)``.  Runs as one loop callback.
-
-        Admission prices only a new flight, by the backlog: flights
-        still waiting for a worker, excluding the ones executing (an
-        executing render is nearly done and does not queue ahead of the
-        new one, so counting it would over-shed).  Joining is free and
-        never shed.
-        """
+        """Join *key*'s flight, or begin a new one and create its drive
+        task; returns ``(flight, created)``.  Runs as one loop callback."""
         if self._closed:
             raise ServiceError("service is closed")
         flight = self._flights.get(key)
         if flight is not None:
-            self._flights.join(flight)
             return flight, False
-        self._admit(self.backlog())
         flight = self._flights.begin(key)
         task = asyncio.get_running_loop().create_task(self._drive(flight, render))
         self._drives.add(task)
@@ -373,7 +343,7 @@ class TextureService:
         self, flight: Flight, render: "Callable[[], np.ndarray]"
     ) -> None:
         try:
-            texture = await self._executor.run(render)
+            texture = await asyncio.get_running_loop().run_in_executor(self._render_pool, render)
         except asyncio.CancelledError:
             self._flights.settle(flight, error=ServiceError("render cancelled"))
             raise
@@ -414,23 +384,6 @@ class TextureService:
         except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
             return created, None, exc
 
-    # -- the sequence-streaming sibling ------------------------------------------
-    def animation_service(self, dt: Optional[float] = None, **kwargs):
-        """An :class:`~repro.anim.service.AnimationService` over the same
-        source and config.
-
-        Point requests stay on this service; temporally-coherent
-        sequence traffic (scrubbing, replay, steering dashboards) goes
-        to the sibling, which threads pipeline state across frames
-        instead of treating every frame as independent.  The two address
-        different content (a sequence frame depends on every field
-        before it), so they never share cache entries even when handed
-        the same ``disk_dir``.
-        """
-        from repro.anim.service import AnimationService
-
-        return AnimationService(self.field_source, self.config, dt=dt, **kwargs)
-
     # -- introspection ---------------------------------------------------------
     def queue_depth(self) -> int:
         """Renders in flight, queued plus executing: the stats gauge.
@@ -439,10 +392,6 @@ class TextureService:
         run the callbacks that precede the read.
         """
         return len(self._flights)
-
-    def backlog(self) -> int:
-        """Renders still waiting for a worker: what admission prices."""
-        return len(self._flights) - self._executor.active
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -454,7 +403,7 @@ class TextureService:
         # after it refuses: the drain sees the final set of drives.
         self._closed = True
         self._runtime.run(self._drain())
-        self._executor.shutdown()
+        self._render_pool.shutdown()
         self.renderer.close()
 
     async def _drain(self) -> None:

@@ -2,8 +2,9 @@
 
 :class:`ServiceStats` is the one place every layer of the serving stack
 reports into: the cache tiers (hit source), single-flight (coalesces,
-queue depth, renders), admission control (sheds, predicted vs actual
-latency) and the request path itself (end-to-end latency per source).
+queue depth, renders), the latency predictor (predicted vs actual
+render time) and the request path itself (end-to-end latency per
+source).
 ``report()`` renders the operator view; ``snapshot()`` returns the same
 numbers as a dict for programmatic assertions and the bench harness.
 """
@@ -31,7 +32,6 @@ class ServiceStats:
     def __init__(self, sample_window: int = SAMPLE_WINDOW) -> None:
         self._lock = threading.Lock()
         self.requests = 0
-        self.sheds = 0
         self.errors = 0
         self.renders = 0
         #: Requests this service's node proxied to a peer that owns the
@@ -63,10 +63,6 @@ class ServiceStats:
             self.renders += 1
             if predicted_s is not None:
                 self._predictions.append((float(predicted_s), float(actual_s)))
-
-    def record_shed(self) -> None:
-        with self._lock:
-            self.sheds += 1
 
     def record_forward(self) -> None:
         """Count one request routed to a peer node (cluster tier)."""
@@ -129,13 +125,11 @@ class ServiceStats:
             by_source = dict(self.hits_by_source)
             requests = self.requests
             renders = self.renders
-            sheds = self.sheds
             errors = self.errors
             forwards = self.forwards
         snap: "dict[str, object]" = {
             "requests": requests,
             "renders": renders,
-            "sheds": sheds,
             "errors": errors,
             "forwards": forwards,
             "by_source": by_source,
@@ -154,8 +148,8 @@ class ServiceStats:
         by_source = snap["by_source"]
         lines = [
             f"requests: {snap['requests']} "
-            f"(renders {snap['renders']}, sheds {snap['sheds']}, "
-            f"errors {snap['errors']}, forwards {snap['forwards']})",
+            f"(renders {snap['renders']}, errors {snap['errors']}, "
+            f"forwards {snap['forwards']})",
             "served:   "
             + ", ".join(
                 f"{s}={by_source.get(s, 0)}"

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.service.server import TextureService
 from repro.utils.rng import as_rng
 
@@ -95,17 +95,11 @@ class ReplayResult:
     duration_s: float
     renders: int
     sources: Dict[str, int] = field(default_factory=dict)
-    sheds: int = 0
     bit_identical: Optional[bool] = None
 
     @property
-    def completed(self) -> int:
-        """Requests actually served (shed requests are not work done)."""
-        return self.n_requests - self.sheds
-
-    @property
     def throughput_rps(self) -> float:
-        return self.completed / self.duration_s if self.duration_s > 0 else 0.0
+        return self.n_requests / self.duration_s if self.duration_s > 0 else 0.0
 
 
 def _run_clients(
@@ -171,16 +165,10 @@ def replay(
     """
     served: Dict[int, np.ndarray] = {}
     served_lock = threading.Lock()
-    sheds = [0]
     before = service.stats.snapshot()
 
     def serve(frame: int) -> None:
-        try:
-            response = service.request(frame)
-        except AdmissionError:
-            with served_lock:
-                sheds[0] += 1
-            return
+        response = service.request(frame)
         with served_lock:
             served.setdefault(frame, response.texture)
 
@@ -204,7 +192,6 @@ def replay(
         duration_s=duration,
         renders=int(after["renders"]) - int(before["renders"]),  # type: ignore[arg-type]
         sources=sources,
-        sheds=sheds[0],
         bit_identical=bit_identical,
     )
 

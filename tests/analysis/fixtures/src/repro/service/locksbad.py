@@ -1,10 +1,10 @@
 """Fixture: guarded attributes touched outside their declared lock.
 
-Seeds every shape the lock-discipline checker must catch: a plain
-unlocked read, a read inside a closure created under the lock (the
-closure outruns it), an inherited guard in a same-module subclass, and
-the admission-backlog bug (raw ``len(self._inflight)`` fed to
-``_admit``).  ``drain_locked`` exercises the ``*_locked`` exemption.
+Seeds every shape the lock-discipline checker must catch: an unlocked
+``len(self._inflight)``, a plain unlocked read, a read inside a closure
+created under the lock (the closure outruns it) and an inherited guard
+in a same-module subclass.  ``drain_locked`` exercises the ``*_locked``
+exemption.
 """
 
 import threading
@@ -16,11 +16,8 @@ class BadScheduler:
         self._inflight = {}  #: guarded-by: _lock
         self._executing = 0  #: guarded-by: _lock
 
-    def _admit(self, backlog):
-        return backlog < 4
-
     def submit(self, key, job):
-        if not self._admit(len(self._inflight)):
+        if len(self._inflight) >= 4:
             return False
         with self._lock:
             self._inflight[key] = job

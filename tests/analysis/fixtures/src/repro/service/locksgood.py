@@ -1,7 +1,6 @@
 """Fixture: disciplined locking — must produce no findings.
 
-Every guarded access is under ``with self._lock``, the admission
-callback receives the queued backlog (len minus executing), and
+Every guarded access is under ``with self._lock``, and
 ``finish_locked`` relies on the ``*_locked`` caller-holds-it convention.
 """
 
@@ -14,13 +13,9 @@ class GoodScheduler:
         self._inflight = {}  #: guarded-by: _lock
         self._executing = 0  #: guarded-by: _lock
 
-    def _admit(self, backlog):
-        return backlog < 4
-
     def submit(self, key, job):
         with self._lock:
-            backlog = len(self._inflight) - self._executing
-            if not self._admit(backlog):
+            if len(self._inflight) - self._executing >= 4:
                 return False
             self._inflight[key] = job
         return True

@@ -33,6 +33,15 @@ def shadowed_only():
     return 11
 
 
+class AnnotatedOnly:
+    """Imported and named in annotations elsewhere, never built."""
+
+
+def used_under_alias():
+    """Called only through an import alias."""
+    return 12
+
+
 def _private_helper():
     return 4
 

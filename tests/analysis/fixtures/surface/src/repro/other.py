@@ -1,10 +1,16 @@
 """Calls one public name of mod from inside the package.
 
 It never calls mentioned_only: naming a function in prose is not a use.
-Widget.named_only is never reached by attribute either.
+Widget.named_only is never reached by attribute either.  AnnotatedOnly
+is imported and named by a parameter, a return and a dataclass field
+annotation, and never built.
 """
 
-from repro.mod import Widget, used_in_src
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.mod import AnnotatedOnly, Widget, used_in_src
+from repro.mod import used_under_alias as aliased
 
 VALUE = used_in_src()
 # mentioned_only stays unused here too.
@@ -13,3 +19,13 @@ NAME = "mentioned_only"
 WIDGET = Widget()
 SIX = WIDGET.called_from_src()
 named_only = "named_only"
+ALIASED = aliased()
+
+
+@dataclass
+class _Holder:
+    item: Optional[AnnotatedOnly] = None
+
+
+def _passthrough(item: "AnnotatedOnly | None", other: AnnotatedOnly) -> AnnotatedOnly:
+    return other

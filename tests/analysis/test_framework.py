@@ -11,7 +11,7 @@ from tools.analysis.runner import run_analysis
 
 #: Active findings the full fixture tree produces (asserted exactly so a
 #: checker that silently stops firing shows up here, not in production).
-EXPECTED_FINDINGS = 27
+EXPECTED_FINDINGS = 26
 EXPECTED_SUPPRESSED = 2
 
 
@@ -68,12 +68,12 @@ class TestRuleFiltering:
     def test_checker_name_selects_whole_family(self, analyse):
         report = analyse(rules=["lock-discipline"])
         rules = {f.rule for f in report.findings}
-        assert rules == {"guarded-by", "admission-backlog"}
+        assert rules == {"guarded-by"}
 
     def test_rule_id_selects_single_rule(self, analyse):
-        report = analyse(rules=["admission-backlog"])
-        assert {f.rule for f in report.findings} == {"admission-backlog"}
-        assert len(report.findings) == 1
+        report = analyse(rules=["guarded-by"])
+        assert {f.rule for f in report.findings} == {"guarded-by"}
+        assert len(report.findings) == 4
 
 
 class TestParseErrors:

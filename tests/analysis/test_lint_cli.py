@@ -34,7 +34,7 @@ class TestAnalysisMain:
         assert analysis_main(_fixture_args("--format", "json")) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts"]["findings"] == 27
+        assert payload["counts"]["findings"] == 26
         assert payload["counts"]["suppressed"] == 2
 
     def test_rule_filter_scopes_the_gate(self, capsys):
@@ -50,10 +50,10 @@ class TestAnalysisMain:
         args = [FIXTURE_SRC, "--root", FIXTURES, "--baseline", baseline]
         assert analysis_main([*args, "--write-baseline"]) == 0
         assert os.path.exists(baseline)
-        assert "wrote 27 baseline entries" in capsys.readouterr().out
+        assert "wrote 26 baseline entries" in capsys.readouterr().out
         # Grandfathered: the same tree now passes...
         assert analysis_main(args) == 0
-        assert "27 baselined" in capsys.readouterr().out
+        assert "26 baselined" in capsys.readouterr().out
         # ...unless the baseline is ignored.
         assert analysis_main([*args, "--no-baseline"]) == 1
 
@@ -74,7 +74,7 @@ class TestReproCliLint:
         code = cli_main(["lint", *_fixture_args("--format", "json")])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["findings"] == 27
+        assert payload["counts"]["findings"] == 26
 
     def test_lint_subcommand_passes_on_repo(self, capsys):
         assert cli_main(["lint"]) == 0

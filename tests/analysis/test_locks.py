@@ -1,4 +1,4 @@
-"""Lock-discipline checker: guarded-by annotations + admission backlog."""
+"""Lock-discipline checker: guarded-by annotations."""
 
 
 def _guarded(report):
@@ -37,15 +37,3 @@ class TestGuardedBy:
         assert report.findings == []
         assert report.ok()
 
-
-class TestAdmissionBacklog:
-    def test_raw_len_backlog_is_flagged(self, analyse):
-        report = analyse("service/locksbad.py")
-        findings = [f for f in report.findings if f.rule == "admission-backlog"]
-        assert len(findings) == 1
-        assert findings[0].symbol == "BadScheduler.submit"
-        assert "raw len(self._inflight)" in findings[0].message
-
-    def test_queued_backlog_passes(self, analyse):
-        report = analyse("service/locksgood.py")
-        assert not any(f.rule == "admission-backlog" for f in report.findings)

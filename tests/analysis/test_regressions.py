@@ -51,20 +51,6 @@ class TestShippedBugsStayDead:
         report = _run(root)
         assert any(f.rule == "pool-baseexception" for f in report.findings)
 
-    def test_admission_fed_raw_inflight_len_is_caught(self, tmp_path):
-        # PR 5 fixed the scheduler handing admission the raw in-flight
-        # count (including already-executing renders), which over-shed.
-        # The service's loop-native miss path keeps the same invariant
-        # with loop-confined state: backlog = flights minus executing,
-        # which _start reads through TextureService.backlog.
-        root = _scratch_tree(
-            tmp_path, SERVER,
-            old="self._admit(self.backlog())",
-            new="self._admit(len(self._flights))",
-        )
-        report = _run(root)
-        assert any(f.rule == "admission-backlog" for f in report.findings)
-
     def test_unmutated_copies_pass(self, tmp_path):
         _scratch_tree(tmp_path, SHAREDMEM)
         root = _scratch_tree(tmp_path, SERVER)

@@ -4,7 +4,8 @@ The fixture tree under ``fixtures/surface`` is a miniature repo: a
 ``repro`` package whose public names are used from inside the package,
 from ``benchmarks/``, only from ``tests/`` and the package ``__init__``,
 or only in a docstring, a comment and a string, and one whose name only
-a benchmark's own variable shares.  Its class ``Widget`` has members
+a benchmark's own variable shares; a class that only an import and
+annotations name, and a function called through an import alias.  Its class ``Widget`` has members
 used the same ways, plus one named only by a bare name.
 """
 
@@ -30,8 +31,9 @@ class TestPublicSurface:
     def test_flags_names_only_tests_and_reexports_use(self):
         report = _run()
         assert sorted(f.symbol for f in report.findings) == [
-            "Orphan", "Widget.named_only", "Widget.tested_only", "Widget.tested_prop",
-            "mentioned_only", "orphan", "recursive_orphan", "shadowed_only",
+            "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.tested_only",
+            "Widget.tested_prop", "mentioned_only", "orphan", "recursive_orphan",
+            "shadowed_only",
         ]
         assert {f.path for f in report.findings} == {os.path.join("src", "repro", "mod.py")}
         assert {f.rule for f in report.findings} == {"unused-public"}
@@ -46,6 +48,15 @@ class TestPublicSurface:
         finding = next(f for f in _run().findings if f.symbol == "shadowed_only")
         assert finding.message.startswith("public function 'shadowed_only'")
         assert "used_by_bench" not in {f.symbol for f in _run().findings}
+
+    def test_an_import_or_an_annotation_is_not_a_use(self):
+        # other.py imports AnnotatedOnly and names it in a parameter, a
+        # return and a dataclass field annotation, but never builds it.
+        finding = next(f for f in _run().findings if f.symbol == "AnnotatedOnly")
+        assert finding.message.startswith("public class 'AnnotatedOnly'")
+
+    def test_a_call_through_an_import_alias_is_a_use(self):
+        assert "used_under_alias" not in {f.symbol for f in _run().findings}
 
     def test_message_names_the_kind(self):
         messages = {f.symbol: f.message for f in _run().findings}
@@ -75,6 +86,6 @@ class TestPublicSurface:
         report = _run(baseline=Baseline([kept.key()]))
         assert [f.symbol for f in report.baselined] == ["orphan"]
         assert sorted(f.symbol for f in report.findings) == [
-            "Orphan", "Widget.named_only", "Widget.tested_only", "Widget.tested_prop",
-            "mentioned_only", "recursive_orphan", "shadowed_only",
+            "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.tested_only",
+            "Widget.tested_prop", "mentioned_only", "recursive_orphan", "shadowed_only",
         ]

@@ -6,6 +6,7 @@ import pytest
 from repro.advection.lifecycle import LifeCyclePolicy
 from repro.anim.incremental import IncrementalAnimator, one_shot_frame
 from repro.core.config import SpotNoiseConfig
+from repro.core.pipeline import SpotNoisePipeline
 from repro.errors import AnimationServiceError
 from repro.fields.analytic import constant_field, random_smooth_field
 
@@ -15,6 +16,20 @@ CONFIG = SpotNoiseConfig(n_spots=120, texture_size=32, seed=7)
 def make_source(n=12, seed=80):
     cache = {t: random_smooth_field(seed=seed + t, n=20) for t in range(n)}
     return cache.__getitem__
+
+
+@pytest.fixture
+def synthesized(monkeypatch):
+    """The frame index of every pipeline step (a synthesised frame)."""
+    frames = []
+    step = SpotNoisePipeline.step
+
+    def counting(pipe, *args, **kwargs):
+        frames.append(pipe.frame_index)
+        return step(pipe, *args, **kwargs)
+
+    monkeypatch.setattr(SpotNoisePipeline, "step", counting)
+    return frames
 
 
 def render_range(animator, start, stop):
@@ -103,34 +118,31 @@ class TestStateThreading:
 
 
 class TestUnchangedFrameReuse:
-    def test_static_policy_reuses_unchanged_frames(self):
+    def test_static_policy_reuses_unchanged_frames(self, synthesized):
         field = constant_field(1.0, 0.5, n=20)
         policy = LifeCyclePolicy.default_spot_noise()
         with IncrementalAnimator(CONFIG, lambda t: field, policy=policy) as animator:
             results = list(render_range(animator, 0, 4))
-            assert animator.synthesized_frames == 1
-            assert animator.reused_frames == 3
+            assert synthesized == [0]  # frames 1-3 reuse frame 0
             # Reuse is provably identical, including against one-shot.
             animator.verify_frame(results[-1])
         for r in results[1:]:
             assert np.array_equal(r.texture, results[0].texture)
 
-    def test_advected_policy_never_reuses(self):
+    def test_advected_policy_never_reuses(self, synthesized):
         field = constant_field(1.0, 0.5, n=20)
         with IncrementalAnimator(CONFIG, lambda t: field) as animator:
             list(render_range(animator, 0, 3))
-            assert animator.reused_frames == 0
-            assert animator.synthesized_frames == 3
+            assert synthesized == [0, 1, 2]
 
-    def test_static_policy_resynthesises_on_content_change(self):
+    def test_static_policy_resynthesises_on_content_change(self, synthesized):
         fields = {0: constant_field(1.0, 0.0, n=20), 1: constant_field(1.0, 0.0, n=20),
                   2: constant_field(0.0, 1.0, n=20)}
         policy = LifeCyclePolicy.default_spot_noise()
         with IncrementalAnimator(CONFIG, fields.__getitem__, policy=policy) as animator:
             list(render_range(animator, 0, 3))
             # Frame 1 is byte-equal to frame 0 (reused); frame 2 differs.
-            assert animator.reused_frames == 1
-            assert animator.synthesized_frames == 2
+            assert synthesized == [0, 2]
 
 
 class TestOneShot:

@@ -42,7 +42,6 @@ class TestCoalescing:
             )
             assert stream_b is stream_a
             assert not created_b
-            assert sched.joined == 1
             release.set()
             assert await stream_a.wait_frame(7) == "tex-7"
             assert await stream_a.wait_frame(9) == "tex-9"
@@ -232,9 +231,12 @@ class TestDelivery:
             # buffered, so the caller's stream serves it.
             again, created, payload = sched.fetch("seq", 2, 8, walk, stream)
             assert again is stream and not created and payload == "tex-2"
-            assert sched.created == 1
             sched.runtime.call(gate.set)
         assert rendered == list(range(8))
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ServiceError, match="n_workers"):
+            SequenceScheduler(n_workers=0)
 
     def test_empty_range_rejected(self):
         with SequenceScheduler() as sched:

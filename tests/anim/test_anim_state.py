@@ -108,4 +108,3 @@ class TestBlobStore:
         path.write_bytes(b"not a zipfile")
         assert store.get("bad") is None
         assert not path.exists()  # corrupt entry dropped
-        assert store.misses == 2

@@ -84,15 +84,17 @@ class TestDnsBrowser:
 
 
 class TestTextureServiceSibling:
-    def test_texture_service_spawns_animation_sibling(self, tmp_path):
+    def test_sequence_frames_are_not_point_renders(self, tmp_path):
         store = build_store(tmp_path)
         from repro.service.server import TextureService
 
-        with TextureService.for_store(store, CONFIG) as tex:
-            with tex.animation_service(length=len(store)) as anim:
-                response = anim.request(2)
+        with TextureService.for_store(store, CONFIG) as tex, \
+                AnimationService.for_store(store, tex.config) as anim:
+            still = tex.request(2)
+            response = anim.request(2)
         # Sequence frame 2 is NOT the per-frame render of field 2: the
         # sibling serves temporally-coherent frames, the point service
         # serves independent stills — different identities, both exact.
         reference = one_shot_frame(CONFIG, store.read, 2, dt=anim.dt)
         assert np.array_equal(response.texture, reference.display)
+        assert response.key.digest != still.key.digest

@@ -3,7 +3,7 @@
 A cluster node answers a memory hit in the connection's own task and
 awaits a proxied hop on the same loop; only a frame's first sight, a
 disk read and a render leave it.  These tests pin that by counting what
-reaches the loop's default executor and the service's render executor,
+reaches the loop's default executor and the service's render pool,
 never by timing, and check that the loop entry of
 :class:`~repro.service.server.TextureService` records exactly what the
 blocking one does.
@@ -56,15 +56,15 @@ def counting_default_executor():
 
 
 def _count_renders(service, monkeypatch) -> List[int]:
-    """Count the jobs *service* hands its render executor."""
+    """Count the jobs *service* hands its render pool."""
     calls = [0]
-    run = service._executor.run
+    submit = service._render_pool.submit
 
-    async def counting_run(fn):
+    def counting_submit(fn, *args):
         calls[0] += 1
-        return await run(fn)
+        return submit(fn, *args)
 
-    monkeypatch.setattr(service._executor, "run", counting_run)
+    monkeypatch.setattr(service._render_pool, "submit", counting_submit)
     return calls
 
 
@@ -93,7 +93,7 @@ def test_hits_never_enter_a_thread(make_fleet, counting_default_executor, monkey
 
     # The stubs do see what must leave the loop: a new frame's first
     # sight goes to the default executor and its render to the owner's
-    # render executor.
+    # render pool.
     fresh = 1
     fleet.request(_owner_index(fleet, fresh), fresh)
     assert counting_default_executor.submitted > before
@@ -102,7 +102,7 @@ def test_hits_never_enter_a_thread(make_fleet, counting_default_executor, monkey
 
 def _stats_view(stats) -> Dict[str, int]:
     snap = stats.snapshot()
-    view = {k: snap[k] for k in ("requests", "renders", "sheds", "errors", "forwards")}
+    view = {k: snap[k] for k in ("requests", "renders", "errors", "forwards")}
     view.update({f"source.{s}": n for s, n in snap["by_source"].items()})
     view.update({f"samples.{s}": len(d) for s, d in stats._latencies.items()})
     return view

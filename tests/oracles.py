@@ -43,7 +43,7 @@ from repro.fields.scalarfield import ScalarField2D
 from repro.fields.vectorfield import VectorField2D
 from repro.glsim import pipe
 from repro.raster.rasterize import rasterize_quads_exact
-from repro.service.keys import RequestKey, TileSpec
+from repro.service.keys import RequestKey
 
 
 def divergence_field(field: VectorField2D) -> ScalarField2D:
@@ -147,17 +147,13 @@ def request_key(
     field: VectorField2D,
     config: SpotNoiseConfig,
     frame: int = 0,
-    tile: Optional[TileSpec] = None,
     field_digest_hex: Optional[str] = None,
 ) -> RequestKey:
     """The key for serving *frame* of *field* under *config*."""
-    if tile is not None:
-        tile.validate_for(config.texture_size)
     return RequestKey(
         field_digest=field_digest_hex or field_digest(field),
         config_fingerprint=config.fingerprint(),
         frame=int(frame),
-        tile=tile,
     )
 
 

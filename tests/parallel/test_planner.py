@@ -9,9 +9,9 @@ for a fixed calibration the plan must be a pure function.
 import numpy as np
 import pytest
 
-from repro.advection.particles import ParticleSet
 from repro.apps.smog.steering import SteeredSmogApplication
 from repro.core.config import SpotNoiseConfig
+from repro.core.pipeline import SpotNoisePipeline
 from repro.errors import BackendError, MachineError
 from repro.fields.analytic import vortex_field
 from repro.machine.costs import CostModel
@@ -163,36 +163,34 @@ class TestAutoRuntime:
         cfg = SpotNoiseConfig(
             n_spots=150, texture_size=64, seed=3, backend="auto"
         )
-        ps = ParticleSet.uniform_random(150, self.FIELD.grid.bounds, seed=3)
-        with DivideAndConquerRuntime(cfg) as rt:
-            out, rep = rt.synthesize(self.FIELD, ps.copy())
-            resolved = rt._effective_config
-            plan = rt.plan
+        with SpotNoisePipeline(cfg, self.FIELD) as pipe:
+            plan = pipe.plan
+            out, rep = pipe.synthesize()
         assert plan is not None
+        resolved = plan.apply(cfg)
         assert resolved.backend in BACKEND_NAMES
         assert rep.backend == resolved.backend
         # The auto texture must equal a direct render under the resolved
         # config, bit for bit — auto is a planner, not a new renderer.
-        with DivideAndConquerRuntime(resolved) as rt:
-            ref, _ = rt.synthesize(self.FIELD, ps.copy())
+        with SpotNoisePipeline(resolved, self.FIELD) as pipe:
+            assert pipe.plan is None
+            ref, _ = pipe.synthesize()
         np.testing.assert_array_equal(out, ref)
 
     def test_auto_plan_is_stable_across_frames(self):
         cfg = SpotNoiseConfig(n_spots=100, texture_size=64, seed=1, backend="auto")
-        ps = ParticleSet.uniform_random(100, self.FIELD.grid.bounds, seed=1)
-        with DivideAndConquerRuntime(cfg) as rt:
-            rt.synthesize(self.FIELD, ps.copy())
-            first = rt.plan
-            rt.synthesize(self.FIELD, ps.copy())
-            assert rt.plan is first  # resolved once per runtime lifetime
+        with SpotNoisePipeline(cfg, self.FIELD) as pipe:
+            first = pipe.plan  # resolved at construction, before any frame
+            assert pipe.runtime.config == first.apply(cfg)
+            pipe.step()
+            pipe.step(self.FIELD)
+            assert pipe.plan is first  # resolved once per pipeline lifetime
+            assert pipe.runtime.config == first.apply(cfg)
 
-    def test_injected_backend_settles_auto(self):
-        from repro.parallel.backends import SerialBackend
-
+    def test_runtime_takes_only_concrete_backends(self):
         cfg = SpotNoiseConfig(n_spots=50, texture_size=32, seed=0, backend="auto")
-        be = SerialBackend()
-        with DivideAndConquerRuntime(cfg, backend=be) as rt:
-            assert rt._effective_config.backend == "serial"
+        with pytest.raises(BackendError, match="resolved by the planner"):
+            DivideAndConquerRuntime(cfg)
 
     def test_concrete_backend_resolves_to_itself(self):
         cfg = SpotNoiseConfig(n_spots=50, texture_size=32, seed=0, backend="sharedmem")

@@ -55,11 +55,6 @@ class TestCrossing:
         assert name == "rt-test"
         assert rt.call(lambda: asyncio.get_running_loop()) is rt._loop
 
-    def test_call_soon_fires_callback(self, rt):
-        fired = threading.Event()
-        rt.call_soon(fired.set)
-        assert fired.wait(5.0)
-
     def test_blocking_run_from_loop_thread_is_refused(self, rt):
         # The deadlock guard: a blocking shim on the loop thread would
         # wait on a result only the loop thread itself can produce.

@@ -1,4 +1,4 @@
-"""AsyncSingleFlight: coalescing, waiter accounting, settle ordering."""
+"""AsyncSingleFlight: coalescing, waiters that give up, settle ordering."""
 
 import asyncio
 
@@ -15,14 +15,12 @@ def run(coro):
 drives = set()  # keeps each drive task referenced until it is done
 
 
-async def serve(flights, key, supplier, timeout=None):
+async def serve(flights, key, supplier):
     """One request in the shape the service's miss path takes: join
     *key*'s flight, or begin one whose drive task runs *supplier* and
     settles it; either way, await the flight."""
     flight = flights.get(key)
-    if flight is not None:
-        flights.join(flight)
-    else:
+    if flight is None:
         flight = flights.begin(key)
 
         async def drive():
@@ -36,7 +34,7 @@ async def serve(flights, key, supplier, timeout=None):
         task = asyncio.ensure_future(drive())
         drives.add(task)
         task.add_done_callback(drives.discard)
-    return await flights.wait(flight, timeout)
+    return await flights.wait(flight)
 
 
 class TestCoalescing:
@@ -56,28 +54,29 @@ class TestCoalescing:
             return flights, calls, results
 
         flights, calls, results = run(main())
-        assert calls == [1]
+        assert calls == [1]  # one flight; the other four joined it
         assert results == ["payload"] * 5
-        assert flights.dispatched == 1
-        assert flights.coalesced == 4
+        assert len(flights) == 0
 
     def test_distinct_keys_dispatch_independently(self):
         async def main():
             flights = AsyncSingleFlight()
 
+            calls = []
+
             async def supplier(key):
+                calls.append(key)
                 return key.upper()
 
             a, b = await asyncio.gather(
                 serve(flights, "a", lambda: supplier("a")),
                 serve(flights, "b", lambda: supplier("b")),
             )
-            return flights, a, b
+            return calls, a, b
 
-        flights, a, b = run(main())
+        calls, a, b = run(main())
         assert (a, b) == ("A", "B")
-        assert flights.dispatched == 2
-        assert flights.coalesced == 0
+        assert sorted(calls) == ["a", "b"]  # one flight each, none joined
 
     def test_sequential_same_key_runs_again(self):
         async def main():
@@ -90,11 +89,9 @@ class TestCoalescing:
 
             first = await serve(flights, "k", supplier)
             second = await serve(flights, "k", supplier)
-            return flights, first, second
+            return first, second
 
-        flights, first, second = run(main())
-        assert (first, second) == (1, 2)
-        assert flights.dispatched == 2
+        assert run(main()) == (1, 2)  # two flights, one supplier call each
 
 
 class TestFlightMap:
@@ -147,44 +144,12 @@ class TestFlightMap:
 
 
 class TestWaiterAccounting:
-    def test_join_and_detach_track_live_waiters(self):
-        async def main():
-            flights = AsyncSingleFlight()
-            flight = flights.begin("k")
-            assert flight.waiters == 1
-            flights.join(flight)
-            flights.join(flight)
-            assert flight.waiters == 3
-            flights.detach(flight)
-            assert flight.waiters == 2
-            flights.detach(flight)
-            flights.detach(flight)
-            flights.detach(flight)  # never goes negative
-            assert flight.waiters == 0
-
-        run(main())
-
-    def test_wait_timeout_detaches_the_waiter(self):
-        # Regression: a waiter that gives up must not count as live
-        # forever, or shed and cancellation accounting over-counts.
-        async def main():
-            flights = AsyncSingleFlight()
-            flight = flights.begin("k")
-            flights.join(flight)
-            assert flight.waiters == 2
-            with pytest.raises(asyncio.TimeoutError):
-                await flights.wait(flight, timeout=0.01)
-            assert flight.waiters == 1
-            flights.settle(flight, "late")
-            return flight
-
-        run(main())
+    """A waiter that gives up leaves the shared flight to the others."""
 
     def test_cancelled_waiter_detaches_without_killing_the_flight(self):
         async def main():
             flights = AsyncSingleFlight()
             flight = flights.begin("k")
-            flights.join(flight)
 
             async def waiter():
                 return await flights.wait(flight)
@@ -195,7 +160,6 @@ class TestWaiterAccounting:
             with pytest.raises(asyncio.CancelledError):
                 await task
             # The shield kept the shared future alive for the creator.
-            assert flight.waiters == 1
             assert not flight.future.cancelled()
             flights.settle(flight, "survived")
             return await flights.wait(flight)
@@ -211,11 +175,10 @@ class TestWaiterAccounting:
                 return "eventually"
 
             async def impatient():
-                existing = flights.get("k")
-                flights.join(existing)
                 try:
-                    await flights.wait(existing, timeout=0.001)
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(0.001):
+                        await flights.wait(flights.get("k"))
+                except TimeoutError:
                     return "gave up"
 
             patient = asyncio.ensure_future(serve(flights, "k", slow))

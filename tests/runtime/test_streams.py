@@ -46,7 +46,6 @@ class TestFrameStreamJoin:
         stream = FrameStream("seq", first=0, target=4, buffer_limit=8)
         assert stream.try_join(2, 9)
         assert stream.target == 9
-        assert stream.joiners == 1
 
     def test_join_refused_once_start_passed_and_evicted(self):
         stream = FrameStream("seq", first=0, target=10, buffer_limit=1)

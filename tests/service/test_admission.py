@@ -1,11 +1,11 @@
-"""Tests for repro.service.admission — prediction and shedding."""
+"""Tests for repro.service.admission — latency prediction."""
 
 import pytest
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.fields.analytic import vortex_field
-from repro.service.admission import AdmissionController, LatencyPredictor
+from repro.service.admission import LatencyPredictor
 
 
 class TestLatencyPredictor:
@@ -77,25 +77,3 @@ class TestLatencyPredictor:
         with pytest.raises(ServiceError):
             LatencyPredictor(alpha=0.0)
 
-
-class TestAdmissionController:
-    def test_unbounded_controller_admits_everything(self):
-        AdmissionController().admit(predicted_s=1e9, queue_depth=10**6)
-
-    def test_queue_cap_sheds(self):
-        ctrl = AdmissionController(max_queue=2)
-        ctrl.admit(None, queue_depth=1)
-        with pytest.raises(AdmissionError, match="queue full"):
-            ctrl.admit(None, queue_depth=2)
-
-    def test_latency_budget_counts_queued_work(self):
-        ctrl = AdmissionController(latency_budget_s=0.1)
-        ctrl.admit(predicted_s=0.04, queue_depth=1)  # 2 * 40ms = 80ms ok
-        with pytest.raises(AdmissionError, match="budget"):
-            ctrl.admit(predicted_s=0.04, queue_depth=2)  # 3 * 40ms = 120ms
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ServiceError):
-            AdmissionController(latency_budget_s=0.0)
-        with pytest.raises(ServiceError):
-            AdmissionController(max_queue=0)

@@ -83,7 +83,7 @@ class TestLRUTextureCache:
         assert cache.get("a") is not None
         assert cache.get("d") is not None
         assert cache.nbytes <= 3 * ENTRY_BYTES
-        assert cache.evictions == 1
+        assert len(cache) == 3  # exactly one entry was evicted
 
     def test_oversized_entry_is_rejected_not_thrashing(self):
         cache = LRUTextureCache(ENTRY_BYTES)
@@ -116,7 +116,6 @@ class TestDiskTextureCache:
     def test_missing_entry_is_a_miss(self, tmp_path):
         disk = DiskTextureCache(tmp_path)
         assert disk.get("nope") is None
-        assert disk.misses == 1
 
     def test_corrupt_entry_is_dropped_and_missed(self, tmp_path):
         disk = DiskTextureCache(tmp_path)
@@ -181,8 +180,7 @@ class TestDiskTextureCache:
         finally:
             sys.setswitchinterval(interval)
             gc.set_threshold(*threshold)
-        assert errors == []
-        assert disk.misses == 0
+        assert errors == []  # every read hit, with the stored bytes
 
 
 class TestDiskCodec:
@@ -207,7 +205,6 @@ class TestDiskCodec:
         got = disk.get("old")
         assert got.dtype == np.float64
         assert got.tobytes() == t.tobytes()
-        assert disk.hits == 1
 
     def test_damaged_deflate_stream_is_a_dropped_miss(self, tmp_path):
         store = DiskBlobStore(tmp_path)
@@ -216,7 +213,6 @@ class TestDiskCodec:
             np.savez_compressed(fh, texture=np.linspace(0.0, 1.0, 256).reshape(16, 16))
         flip_byte(path, member_data_offset(path))
         assert store.get("old") is None
-        assert store.misses == 1 and store.hits == 0
         assert not os.path.exists(path)
 
     def test_damaged_raw_entry_fails_its_crc_and_is_dropped(self, tmp_path):
@@ -227,7 +223,6 @@ class TestDiskCodec:
             size = zf.infolist()[0].compress_size
         flip_byte(path, member_data_offset(path) + size - 1)  # array data, not header
         assert store.get("d") is None
-        assert store.misses == 1
         assert not os.path.exists(path)
 
 
@@ -264,7 +259,6 @@ class TestDiskBlobStoreEviction:
         assert store.contains_bytes("d1")
         assert store.get_bytes("d1") == b"payload-one"
         assert "d1" not in store  # a raw blob is not an array bundle
-        assert (store.hits, store.misses) == (1, 1)
 
     def test_corrupt_entry_dropped_only_if_not_replaced(self, tmp_path):
         # A reader that decided an entry is corrupt must not unlink the
@@ -295,4 +289,3 @@ class TestMemoryBlobStore:
         assert store.contains_bytes("d")
         assert store.get_bytes("d") == b"abc"
         assert store.nbytes() == 3 and len(store) == 1
-        assert (store.hits, store.misses) == (1, 1)

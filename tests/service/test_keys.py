@@ -1,16 +1,12 @@
 """Tests for repro.service.keys — content-addressed request identity."""
 
-from dataclasses import replace
-
-import numpy as np
-import pytest
+import hashlib
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import ServiceError
 from repro.fields.analytic import vortex_field
 from repro.fields.io import field_digest
 from repro.fields.vectorfield import VectorField2D
-from repro.service.keys import TileSpec
+from repro.service.keys import RequestKey
 
 from oracles import request_key
 
@@ -48,32 +44,10 @@ class TestRequestKey:
         assert key.field_digest == d
         assert key.digest == request_key(f, cfg).digest
 
-    def test_render_key_strips_the_tile(self):
-        f = vortex_field(n=17)
-        cfg = SpotNoiseConfig(n_spots=10, texture_size=32)
-        tiled = request_key(f, cfg, tile=TileSpec(0, 0, 8, 8))
-        full = replace(tiled, tile=None)
-        assert full.digest == request_key(f, cfg).digest
-        assert tiled.digest != full.digest
-
-
-class TestTileSpec:
-    def test_crop_slices_the_texture(self):
-        tex = np.arange(16.0).reshape(4, 4)
-        np.testing.assert_array_equal(
-            TileSpec(1, 2, 2, 2).crop(tex), tex[2:4, 1:3]
-        )
-
-    def test_rejects_negative_origin(self):
-        with pytest.raises(ServiceError):
-            TileSpec(-1, 0, 4, 4)
-
-    def test_rejects_empty_extent(self):
-        with pytest.raises(ServiceError):
-            TileSpec(0, 0, 0, 4)
-
-    def test_rejects_out_of_bounds_for_texture(self):
-        f = vortex_field(n=17)
-        cfg = SpotNoiseConfig(n_spots=10, texture_size=32)
-        with pytest.raises(ServiceError):
-            request_key(f, cfg, tile=TileSpec(30, 0, 8, 8))
+    def test_digest_is_pinned_to_the_canonical_string(self):
+        # Cache entries on disk and ring owners across a fleet are
+        # addressed by this digest: its canonical string must not move.
+        key = RequestKey("f" * 64, "c" * 64, frame=5)
+        canon = f"{'f' * 64}|{'c' * 64}|full"
+        assert key.digest == hashlib.sha256(canon.encode("ascii")).hexdigest()
+        assert key.digest == "c487f95a51af686e5d995c2452e9cf697012b6d4bd50e27609897d0354d796c2"

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.fields.analytic import random_smooth_field
 from repro.service import (
-    AdmissionController,
     FrameRenderer,
     TextureService,
     replay,
@@ -89,22 +88,12 @@ class TestReplay:
         renderer.close()
         assert result.bit_identical is True
 
-    def test_everything_shed_is_not_verified(self, served):
+    def test_an_empty_replay_is_not_verified(self, served):
         # Zero frames compared must not read as a bit-identity pass.
-        class ShedEverything(AdmissionController):
-            def admit(self, predicted_s, queue_depth):
-                raise AdmissionError("shed by the test")
-
         fields, config = served
-        with TextureService(
-            lambda f: fields[f], config, admission=ShedEverything()
-        ) as svc:
-            result = replay(
-                svc,
-                uniform_trace(6, 4, seed=1),
-                verify_fresh=lambda f: pytest.fail("nothing was served"),
-            )
-        assert result.sheds == 6
+        with TextureService(lambda f: fields[f], config) as svc:
+            result = replay(svc, [], verify_fresh=lambda f: pytest.fail("nothing was served"))
+        assert result.n_requests == 0
         assert result.bit_identical is False
 
     def test_uncached_baseline_renders_everything(self, served):
@@ -133,13 +122,3 @@ class TestReplay:
             with pytest.raises(ServiceError):
                 replay(svc, [0], n_clients=0)
 
-
-class TestShedAccounting:
-    def test_throughput_counts_only_completed_requests(self):
-        from repro.service.trace import ReplayResult
-
-        r = ReplayResult(
-            n_requests=100, n_clients=4, duration_s=2.0, renders=10, sheds=50
-        )
-        assert r.completed == 50
-        assert r.throughput_rps == 25.0

@@ -1,9 +1,9 @@
 """Single-flight scheduling of TextureService misses.
 
-A miss joins its key's in-flight render or admits a new one on the
+A miss joins its key's in-flight render or begins a new one on the
 runtime loop (``TextureService._start``), a drive task renders it on the
-service's executor and settles the flight, and the caller awaits it in
-one loop hop.  These tests drive that path through the public service.
+service's render pool and settles the flight, and the caller awaits it
+in one loop hop.  These tests drive that path through the public service.
 Renders are held at a gate; every wait is ordered on an event the code
 under test signals (a render starting, a request joining), never on a
 clock.
@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.fields.analytic import random_smooth_field
 from repro.runtime.loop import RuntimeLoop, get_runtime_loop
-from repro.service import AdmissionController, FrameRenderer, TextureService
+from repro.service import FrameRenderer, TextureService
 
 CONFIG = SpotNoiseConfig(n_spots=80, texture_size=24, seed=3)
 
@@ -76,49 +76,39 @@ class Gate:
         del self.svc.renderer.render
 
 
+class Starts:
+    """Signals every flight *svc* begins or joins, from the loop
+    callback that does it (``TextureService._start``), so a wait on it
+    is ordered: any later loop hop sees the flight."""
+
+    def __init__(self, svc):
+        self.begun = threading.Semaphore(0)
+        self.joined = threading.Semaphore(0)
+        start = svc._start
+
+        def signalling(key, render):
+            flight, created = start(key, render)
+            (self.begun if created else self.joined).release()
+            return flight, created
+
+        svc._start = signalling
+
+    @staticmethod
+    def wait(signal, n=1):
+        for _ in range(n):
+            assert signal.acquire(timeout=10.0)
+
+
 def joiners(svc, pool, frame, n=1):
     """Submit *n* blocking requests for *frame*; return their futures
-    once every one has joined the in-flight render (signalled from the
-    loop callback that joins, so the wait is ordered)."""
-    joined = threading.Semaphore(0)
-    join = svc._flights.join
-
-    def counting(flight):
-        join(flight)
-        joined.release()
-
-    svc._flights.join = counting
+    once every one has joined the in-flight render."""
+    starts = Starts(svc)
     try:
         futures = [pool.submit(svc.request, frame) for _ in range(n)]
-        for _ in range(n):
-            assert joined.acquire(timeout=10.0)
+        Starts.wait(starts.joined, n)
     finally:
-        del svc._flights.join
+        del svc._start
     return futures
-
-
-class RecordingAdmission(AdmissionController):
-    """Records the backlog every new flight is priced at, and signals
-    each pricing; sheds from *shed_at* on."""
-
-    def __init__(self, shed_at=None):
-        super().__init__()
-        self.depths = []
-        self.shed_at = shed_at
-        self._priced = threading.Semaphore(0)
-
-    def admit(self, predicted_s, queue_depth):
-        self.depths.append(queue_depth)
-        self._priced.release()
-        if self.shed_at is not None and queue_depth >= self.shed_at:
-            raise AdmissionError("queue full")
-
-    def wait_priced(self, n=1):
-        """Wait until *n* more new flights were priced.  The signal
-        comes from the loop callback that admits the flight and begins
-        it, so any later loop hop sees the flight."""
-        for _ in range(n):
-            assert self._priced.acquire(timeout=10.0)
 
 
 class TestSingleFlight:
@@ -166,6 +156,22 @@ class TestSingleFlight:
         np.testing.assert_array_equal(first.texture, second.texture)
 
 
+    def test_queue_depth_tracks_inflight(self, fields):
+        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(2) as pool:
+            gate = Gate(svc)
+            assert svc.queue_depth() == 0
+            creator = pool.submit(svc.request, 0)
+            gate.wait_started()
+            assert svc.queue_depth() == 1
+            assert svc.stats.snapshot()["queue_depth"] == 1
+            (joined,) = joiners(svc, pool, 0)
+            gate.release()
+            assert joined.result(timeout=10.0).source == "coalesced"
+            assert creator.result(timeout=10.0).source == "render"
+            # The flight retires before its waiters wake.
+            assert svc.queue_depth() == 0
+
+
 class TestErrorsAndLifecycle:
     def test_render_error_propagates_to_every_waiter(self, fields):
         with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(2) as pool:
@@ -195,44 +201,20 @@ class TestErrorsAndLifecycle:
             assert svc.request(0).source == "memory"
             assert svc.stats.renders == 2
 
-    def test_timed_out_and_shed_requests_leave_the_service_serving(self, fields):
-        # A request that created or joined a flight and timed out, or
-        # was shed, leaves the flight and the renderer to the service.
-        admission = RecordingAdmission()
-        with make_service(fields, n_workers=1, admission=admission) as svc:
+    def test_timed_out_requests_leave_flights_running(self, fields):
+        # A request that created or joined a flight and timed out leaves
+        # the flight and the renderer to the service.
+        with make_service(fields, n_workers=1) as svc:
             gate = Gate(svc)
             with pytest.raises(ServiceError, match="timed out"):
                 svc.request(0, timeout=0.05)  # created, then timed out
             with pytest.raises(ServiceError, match="timed out"):
                 svc.request(0, timeout=0.05)  # joined, then timed out
-            admission.shed_at = 0
-            with pytest.raises(AdmissionError):
-                svc.request(2)  # shed
-            admission.shed_at = None
             gate.release()
             assert svc.request(1).source == "render"  # ordered behind 0
             assert svc.request(0).source == "memory"
             assert svc.stats.renders == 2
             assert svc.queue_depth() == 0
-
-    def test_wait_timeout_detaches_the_waiter(self, fields):
-        # Regression: a timed-out waiter used to stay attached to the
-        # flight forever, so anything pricing work by live waiters —
-        # shed and late-cancellation accounting — over-counted for the
-        # rest of the flight's life.
-        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(1) as pool:
-            gate = Gate(svc)
-            creator = pool.submit(svc.request, 0)
-            gate.wait_started()
-            with pytest.raises(ServiceError, match="timed out"):
-                svc.request(0, timeout=0.05)
-            digest = svc.render_digest(0)
-            # The detach runs on the loop before the timed-out request
-            # returns, so this read needs no barrier.
-            assert svc._runtime.call(lambda: svc._flights.get(digest).waiters) == 1
-            assert svc._flights.coalesced == 1
-            gate.release()
-            assert creator.result(timeout=10.0).texture.shape == (24, 24)
 
     def test_submit_after_close_raises(self, fields):
         svc = make_service(fields, n_workers=1)
@@ -244,12 +226,12 @@ class TestErrorsAndLifecycle:
             svc._runtime.call(svc._start, "k", lambda: None)
 
     def test_close_drains_pending_work(self, fields):
-        admission = RecordingAdmission()
-        svc = make_service(fields, n_workers=1, admission=admission)
+        svc = make_service(fields, n_workers=1)
         gate = Gate(svc)
+        starts = Starts(svc)
         with ThreadPoolExecutor(5) as pool:
             futures = [pool.submit(svc.request, f) for f in range(5)]
-            admission.wait_priced(5)  # five flights, one executing
+            Starts.wait(starts.begun, 5)  # five flights, one executing
             gate.wait_started()
             digests = [svc.render_digest(f) for f in range(5)]
             gate.release()
@@ -262,69 +244,6 @@ class TestErrorsAndLifecycle:
                 assert future.result(timeout=10.0).source == "render"
         for f, digest in enumerate(digests):
             np.testing.assert_array_equal(svc.cache.get(digest)[0], fresh(fields[f]))
-
-
-class TestAdmissionHook:
-    def test_admit_sees_backlog_and_can_shed(self, fields):
-        admission = RecordingAdmission(shed_at=2)
-        with make_service(fields, n_workers=1, admission=admission) as svc, \
-                ThreadPoolExecutor(4) as pool:
-            gate = Gate(svc)
-            futures = [pool.submit(svc.request, 0)]
-            admission.wait_priced()
-            gate.wait_started()  # 0 is executing, not queued
-            futures.append(pool.submit(svc.request, 1))
-            admission.wait_priced()  # backlog 0
-            futures.append(pool.submit(svc.request, 2))
-            admission.wait_priced()  # backlog 1 (1 queued)
-            with pytest.raises(AdmissionError):
-                svc.request(3)  # backlog 2: shed
-            assert svc.stats.sheds == 1
-            # Joining an existing flight is never shed.
-            (joined,) = joiners(svc, pool, 0)
-            assert admission.depths == [0, 0, 1, 2]
-            gate.release()
-            assert joined.result(timeout=10.0).source == "coalesced"
-            for future in futures:
-                assert future.result(timeout=10.0).source == "render"
-
-    def test_admit_excludes_executing_renders(self, fields):
-        """Regression: admission used to receive every flight — executing
-        plus queued — so budgets priced nearly-finished renders as if
-        they queued ahead of the new request and over-shed."""
-        admission = RecordingAdmission()
-        with make_service(fields, n_workers=2, admission=admission) as svc, \
-                ThreadPoolExecutor(3) as pool:
-            gate = Gate(svc)
-            futures = []
-            for frame in (0, 1):
-                futures.append(pool.submit(svc.request, frame))
-                gate.wait_started()  # this flight is executing
-            assert svc.queue_depth() == 2  # total in the system...
-            assert svc.backlog() == 0      # ...but nothing queues ahead
-            futures.append(pool.submit(svc.request, 2))
-            admission.wait_priced(3)
-            # The new flight was admitted against an empty backlog, not
-            # the two executing renders.
-            assert admission.depths == [0, 0, 0]
-            gate.release()
-            for future in futures:
-                assert future.result(timeout=10.0).source == "render"
-
-    def test_queue_depth_tracks_inflight(self, fields):
-        with make_service(fields, n_workers=1) as svc, ThreadPoolExecutor(2) as pool:
-            gate = Gate(svc)
-            assert svc.queue_depth() == 0
-            creator = pool.submit(svc.request, 0)
-            gate.wait_started()
-            assert svc.queue_depth() == 1
-            assert svc.stats.snapshot()["queue_depth"] == 1
-            (joined,) = joiners(svc, pool, 0)
-            gate.release()
-            assert joined.result(timeout=10.0).source == "coalesced"
-            assert creator.result(timeout=10.0).source == "render"
-            # The flight retires before its waiters wake.
-            assert svc.queue_depth() == 0
 
 
 class TestLoopHops:

@@ -12,14 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SpotNoiseConfig
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.fields.analytic import random_smooth_field
-from repro.service import (
-    AdmissionController,
-    FrameRenderer,
-    TextureService,
-    TileSpec,
-)
+from repro.service import FrameRenderer, TextureService
 from repro.service.server import TextureResponse
 
 from oracles import exact_rasteriser
@@ -93,15 +88,6 @@ class TestServedBytes:
             assert svc2.stats.renders == 0
             np.testing.assert_array_equal(warm.texture, rendered.texture)
 
-    def test_tile_is_a_crop_of_the_full_texture(self, fields, config):
-        with make_service(fields, config) as svc:
-            full = svc.request(0).texture
-            tile = svc.request(0, tile=TileSpec(8, 4, 16, 12))
-        assert tile.texture.shape == (12, 16)
-        np.testing.assert_array_equal(tile.texture, full[4:16, 8:24])
-        # The tile was sliced from the cached full frame, not re-rendered.
-        assert tile.source == "memory"
-
     def test_different_configs_do_not_share_entries(self, fields, config):
         other = config.with_overrides(n_spots=config.n_spots + 1)
         with make_service(fields, config) as a, make_service(fields, other) as b:
@@ -138,62 +124,6 @@ class TestKeysAndSources:
 
 
 class TestAdmissionIntegration:
-    def test_queue_cap_sheds_new_renders(self, fields, config):
-        import concurrent.futures as cf
-        import threading
-
-        hold = threading.Event()
-        started = threading.Event()
-        svc = TextureService(
-            lambda f: fields[f],
-            config,
-            n_workers=1,
-            admission=AdmissionController(max_queue=1),
-        )
-        original_render = svc.renderer.render
-
-        def slow_render(field):
-            started.set()
-            hold.wait(5.0)
-            return original_render(field)
-
-        svc.renderer.render = slow_render
-        try:
-            with cf.ThreadPoolExecutor(2) as pool:
-                # One render executes at the held worker...
-                futures = [pool.submit(svc.request, 0)]
-                assert started.wait(5.0)
-                assert svc.backlog() == 0
-                # An ordered wait, not a poll: the flight map signals
-                # when the next flight has begun.
-                begun = threading.Semaphore(0)
-                begin = svc._flights.begin
-
-                def signalling(key):
-                    flight = begin(key)
-                    begun.release()
-                    return flight
-
-                svc._flights.begin = signalling
-                # ...which must NOT count against the queue cap: the cap
-                # prices renders queued ahead, and an executing render is
-                # nearly done (the over-shedding regression).
-                futures.append(pool.submit(svc.request, 1))
-                assert begun.acquire(timeout=5.0)
-                assert svc.queue_depth() == 2
-                assert svc.backlog() == 1
-                # A third distinct render sees a full backlog and is shed,
-                # while joining an in-flight render stays admitted.
-                with pytest.raises(AdmissionError):
-                    svc.request(2)
-                assert svc.stats.sheds == 1
-                hold.set()
-                for fut in futures:
-                    assert fut.result(timeout=10.0).source == "render"
-        finally:
-            hold.set()
-            svc.close()
-
     def test_served_latency_and_prediction_are_recorded(self, fields, config):
         with make_service(fields, config) as svc:
             svc.request(0)
@@ -297,6 +227,13 @@ class TestDeterminismGuard:
         unseeded = SpotNoiseConfig(n_spots=50, texture_size=32, seed=None)
         with pytest.raises(ServiceError, match="seed"):
             TextureService(lambda f: fields[f], unseeded)
+
+    def test_zero_workers_is_rejected_before_any_work(self, config):
+        loads = []
+        auto = config.with_overrides(backend="auto")
+        with pytest.raises(ServiceError, match="n_workers"):
+            TextureService(loads.append, auto, n_workers=0)
+        assert loads == []  # refused before frame 0 was loaded to plan
 
 
 class TestConcurrentStoreReads:

@@ -11,7 +11,7 @@ story rests on (see ``docs/static_analysis.md`` for the full catalogue):
   dataclasses they fingerprint;
 * :class:`~tools.analysis.checkers.locks.LockDisciplineChecker` —
   attributes annotated ``#: guarded-by: <lock>`` are only touched under
-  ``with self.<lock>`` (plus the admission-backlog rule);
+  ``with self.<lock>``;
 * :class:`~tools.analysis.checkers.lifecycle.ResourceLifecycleChecker` —
   shared-memory segments unlink, executors shut down, process-pool
   dispatch accounts for ``BaseException``, ``open()`` uses ``with``;

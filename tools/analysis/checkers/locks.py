@@ -2,7 +2,7 @@
 
 The serving spine is a handful of small classes whose mutable state is
 protected by exactly one lock each (``LRUTextureCache._lock``,
-``SharedMemoryBackend._pool_lock``, ``RenderExecutor._lock``, ...).  The
+``SharedMemoryBackend._pool_lock``, ``TokenBucket._lock``, ...).  The
 discipline is simple — *every* touch of a guarded attribute happens
 inside ``with self.<lock>`` — but nothing enforced it until now: one
 refactor that hoists a read out of the ``with`` block reintroduces
@@ -23,16 +23,10 @@ repo's structural conventions encoded:
   (their *callers* are still checked);
 * nested functions and lambdas reset the held-lock state — a closure
   created under the lock typically runs after it was released, so it
-  must re-acquire (the pool-thread closure ``RenderExecutor._tracked``
-  returns is the canonical example);
+  must re-acquire (a callback handed to a worker thread is the
+  canonical example);
 * guard annotations are inherited by same-module subclasses
   (``DiskTextureCache`` manipulates counters its base declared).
-
-The checker also owns the **admission-backlog** rule: an admission
-callback invoked as ``self._admit(len(self.<attr>))`` is passing the
-raw in-flight count, which includes renders already *executing* — the
-over-shedding bug the scheduler previously had.  The backlog handed to
-admission must subtract the executing count.
 """
 
 from __future__ import annotations
@@ -44,8 +38,6 @@ from typing import Dict, Iterable, List, Optional, Set
 from tools.analysis.core import Checker, Finding, ParsedModule
 
 _GUARD_RE = re.compile(r"#:\s*guarded-by:\s*([\w]+)")
-
-_ADMIT_NAMES = frozenset({"_admit", "admit"})
 
 
 def _guard_on_line(mod: ParsedModule, lineno: int) -> Optional[str]:
@@ -81,11 +73,10 @@ class LockDisciplineChecker(Checker):
     """Guarded attributes are only touched under their declared lock."""
 
     name = "lock-discipline"
-    rules = ("guarded-by", "admission-backlog")
+    rules = ("guarded-by",)
     description = (
         "attributes annotated `#: guarded-by: <lock>` may only be accessed "
-        "inside `with self.<lock>` (outside __init__ and *_locked methods); "
-        "admission callbacks may not receive a raw len() backlog"
+        "inside `with self.<lock>` (outside __init__ and *_locked methods)"
     )
 
     def check_module(self, mod: ParsedModule) -> Iterable[Finding]:
@@ -110,10 +101,9 @@ class LockDisciplineChecker(Checker):
             return guards
 
         for name, klass in classes.items():
-            # The admission-backlog rule applies to every class (a
-            # lock-free scheduler still has admission); the guarded-by
-            # walk is a no-op when the class declares no guards.
-            yield from self._check_class(mod, klass, resolved_guards(name, set()))
+            guards = resolved_guards(name, set())
+            if guards:
+                yield from self._check_class(mod, klass, guards)
 
     # -- per-class walk --------------------------------------------------------
     def _check_class(
@@ -123,7 +113,6 @@ class LockDisciplineChecker(Checker):
         for method in klass.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            self._scan_admission(mod, klass, method, findings)
             if method.name == "__init__" or method.name.endswith("_locked"):
                 continue
             self._walk(mod, klass, method, method, guards, frozenset(), findings)
@@ -199,41 +188,3 @@ class LockDisciplineChecker(Checker):
                     symbol=f"{klass.name}.{getattr(method, 'name', '<lambda>')}",
                 ))
             self._walk(mod, klass, method, child, guards, held, findings)
-
-    # -- the admission-backlog rule --------------------------------------------
-    def _scan_admission(
-        self,
-        mod: ParsedModule,
-        klass: ast.ClassDef,
-        method: ast.AST,
-        findings: List[Finding],
-    ) -> None:
-        for node in ast.walk(method):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _ADMIT_NAMES
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and node.args):
-                continue
-            arg = node.args[0]
-            if (isinstance(arg, ast.Call)
-                    and isinstance(arg.func, ast.Name)
-                    and arg.func.id == "len"
-                    and len(arg.args) == 1
-                    and isinstance(arg.args[0], ast.Attribute)
-                    and isinstance(arg.args[0].value, ast.Name)
-                    and arg.args[0].value.id == "self"):
-                attr = arg.args[0].attr
-                findings.append(Finding(
-                    rule="admission-backlog",
-                    path=mod.rel,
-                    line=node.lineno,
-                    message=(
-                        f"admission receives the raw len(self.{attr}) — that "
-                        f"counts flights a worker is already executing, so "
-                        f"budget-based admission over-sheds; pass the queued "
-                        f"backlog (len(...) minus the executing count)"
-                    ),
-                    symbol=f"{klass.name}.{getattr(method, 'name', '<lambda>')}",
-                ))

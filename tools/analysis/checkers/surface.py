@@ -5,12 +5,17 @@ nothing but its own tests runs is a second implementation waiting to
 drift.  This cross-file checker flags every public (no leading
 underscore) top-level function or class in a ``repro.*`` module whose
 name has no code reference anywhere in :data:`REFERENCE_DIRS` outside
-its own definition.  A code reference is a name (``ast.Name``), an
-attribute (``ast.Attribute``) or a ``from ... import`` name; a word in
-a docstring, a comment or a string (``__all__`` included) is not one,
-and neither is a bare name that the referencing module itself binds by
-assignment (a local ``timeline = ...`` is not a call of ``timeline``).
-Package ``__init__`` files do not count: a re-export is not a use.
+its own definition.  A code reference is a name (``ast.Name``) or an
+attribute (``ast.Attribute``) that the code evaluates.  A word in a
+docstring, a comment or a string (``__all__`` included) is not one;
+neither is a bare name that the referencing module itself binds by
+assignment (a local ``timeline = ...`` is not a call of ``timeline``),
+a ``from ... import`` name (importing a name does not use it; a name
+imported under an alias is used where the alias is), or a name inside
+a type annotation (a parameter, return or ``AnnAssign`` annotation,
+dataclass fields included): a class that only annotations name is
+never built or called.  Package ``__init__`` files do not count: a
+re-export is not a use.
 ``tests/`` is not searched, so a helper the tests need as an oracle
 belongs under ``tests/``.
 
@@ -61,23 +66,44 @@ def _reference_files(root: str) -> Iterator[str]:
                     yield os.path.join(dirpath, name)
 
 
+def _annotations(tree: ast.AST) -> Iterator[ast.expr]:
+    """Every parameter, return and ``AnnAssign`` annotation in *tree*."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, _Def):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        else:
+            continue
+        if annotation is not None:
+            yield annotation
+
+
 def _code_references(tree: ast.AST) -> Iterator[Tuple[str, int, bool]]:
-    """``(name, line, is_attribute)`` for every name, attribute and
-    ``from`` import.  A name the module binds by assignment is its own
-    variable, so none of its occurrences there is a reference."""
+    """``(name, line, is_attribute)`` for every name and attribute the
+    code evaluates outside an annotation.  A name the module binds by
+    assignment is its own variable, so none of its occurrences there is
+    a reference; an import alias stands for the name it imports."""
     bound = {
         node.id for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.asname
+    }
+    annotated = {id(node) for ann in _annotations(tree) for node in ast.walk(ann)}
     for node in ast.walk(tree):
+        if id(node) in annotated:
+            continue
         if isinstance(node, ast.Name):
             if node.id not in bound:
-                yield node.id, node.lineno, False
+                yield aliases.get(node.id, node.id), node.lineno, False
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.end_lineno or node.lineno, True
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                yield alias.name, node.lineno, False
 
 
 def _reference_lines(root: str) -> Tuple[Index, Index]:
