@@ -12,8 +12,7 @@ read, one advection and one synthesis, never a replay.
 Because stages 3-4 of the pipeline never touch the evolution state, the
 incremental path and the one-shot path run the identical sequence of
 particle/RNG operations — incremental frames are bit-identical to
-one-shot renders of the same ``(fields, config, dt, frame)``, and
-:meth:`IncrementalAnimator.verify_frame` checks exactly that.
+one-shot renders of the same ``(fields, config, dt, frame)``.
 
 Two further reuse levers live here:
 
@@ -29,8 +28,6 @@ Two further reuse levers live here:
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.advection.advector import auto_dt
 from repro.advection.lifecycle import LifeCyclePolicy
@@ -79,8 +76,8 @@ class IncrementalAnimator:
         Optional shared :class:`DivideAndConquerRuntime`; injected
         runtimes are left open on :meth:`close` (pool amortisation, same
         contract as the pipeline).
-    reuse_unchanged:
-        Enable the unchanged-frame fast path for static policies.
+
+    Under a static policy the unchanged-frame fast path is on.
     """
 
     def __init__(
@@ -90,7 +87,6 @@ class IncrementalAnimator:
         dt: Optional[float] = None,
         policy: Optional[LifeCyclePolicy] = None,
         runtime: Optional[DivideAndConquerRuntime] = None,
-        reuse_unchanged: bool = True,
     ):
         if config.seed is None:
             raise AnimationServiceError(
@@ -101,7 +97,7 @@ class IncrementalAnimator:
         self.field_source = field_source
         self.policy = policy or LifeCyclePolicy()
         self.runtime = runtime
-        self.reuse_unchanged = reuse_unchanged and _static_policy(self.policy)
+        self._reuse = _static_policy(self.policy)
         self.dt = float(dt) if dt is not None else auto_dt(field_source(0))
         self._pipeline: Optional[SpotNoisePipeline] = None
         self._last_digest: Optional[str] = None
@@ -181,7 +177,7 @@ class IncrementalAnimator:
         pipe = self._pipe()
         t = pipe.frame_index
         field = self.field_source(t)
-        if self.reuse_unchanged:
+        if self._reuse:
             digest = field_digest(field)
             previous = self._last_result
             if previous is not None and digest == self._last_digest:
@@ -203,33 +199,6 @@ class IncrementalAnimator:
         result = pipe.step(field)
         self._last_result = result
         return result
-
-    # -- the bit-identity fallback check -----------------------------------------
-    def verify_frame(self, result: FrameResult) -> None:
-        """Assert *result* is bit-identical to a one-shot render.
-
-        Re-renders the frame through :func:`one_shot_frame` (full prefix
-        replay, fresh pipeline) and raises
-        :class:`~repro.errors.AnimationServiceError` on any pixel
-        difference.  This is the fallback check that keeps the
-        incremental path honest; it is expensive (O(frame) advections)
-        and meant for sampled verification, not the hot path.
-        """
-        reference = one_shot_frame(
-            self.config,
-            self.field_source,
-            result.frame_index,
-            dt=self.dt,
-            policy=self.policy,
-            runtime=self.runtime,
-        )
-        if not np.array_equal(reference.display, result.display) or not np.array_equal(
-            reference.texture, result.texture
-        ):
-            raise AnimationServiceError(
-                f"incremental frame {result.frame_index} diverged from the "
-                "one-shot render — state threading is broken"
-            )
 
 
 def one_shot_frame(

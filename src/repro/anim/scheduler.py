@@ -122,20 +122,12 @@ class SequenceScheduler:
         stop: int,
         walk: Walk,
         stream: Optional[FrameStream],
-        timeout: Optional[float],
     ) -> Tuple[FrameStream, bool, Any, Optional[BaseException]]:
         created = False
         if stream is None or not stream.try_join(frame, stop):
             stream, created = self.join_or_start(sequence_id, frame, stop, walk)
         try:
-            async with asyncio.timeout(timeout) as deadline:
-                payload = await stream.wait_frame(frame)
-        except TimeoutError:
-            if not deadline.expired():
-                raise  # the walk's own error, delivered as-is
-            raise ServiceError(
-                f"timed out waiting for frame {frame} of {sequence_id[:12]}..."
-            ) from None
+            payload = await stream.wait_frame(frame)
         except (KeyboardInterrupt, SystemExit) as exc:
             # Re-raised on the caller's thread instead, for the same
             # reason the walk never lets them escape its task.
@@ -155,7 +147,6 @@ class SequenceScheduler:
         stop: int,
         walk: Walk,
         stream: Optional[FrameStream] = None,
-        timeout: Optional[float] = None,
     ) -> Tuple[FrameStream, bool, Any]:
         """Block for *frame* from a walk serving ``[frame, stop)``.
 
@@ -164,11 +155,10 @@ class SequenceScheduler:
         ``(stream, created, payload)``; ``payload`` is ``None`` when the
         walk can no longer deliver *frame* from its buffer (it passed
         it), and the caller falls back to the cache or a new walk.
-        Raises the walk's error, and :class:`~repro.errors.ServiceError`
-        when *timeout* (a total deadline, not per-publish) expires first.
+        Raises the walk's error.
         """
         stream, created, payload, error = self.runtime.run(
-            self._fetch(sequence_id, frame, stop, walk, stream, timeout)
+            self._fetch(sequence_id, frame, stop, walk, stream)
         )
         if error is not None:
             raise error

@@ -23,9 +23,8 @@ streams temporally-coherent frames through it.
 
 Responses are bit-identical to one-shot renders of the same
 ``(fields, config, dt, frame)`` — the incremental walk performs the
-exact particle/RNG operation sequence of the from-scratch replay, which
-:meth:`AnimationService.verify` (and the ``verify_every`` knob) check
-against :func:`~repro.anim.incremental.one_shot_frame`.
+exact particle/RNG operation sequence of the from-scratch replay,
+:func:`~repro.anim.incremental.one_shot_frame`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from repro.advection.advector import auto_dt
 from repro.advection.lifecycle import LifeCyclePolicy
 from repro.anim.checkpoints import CheckpointStore
 from repro.anim.delta import DeltaEncoder, DeltaTransport
-from repro.anim.incremental import FieldSource, IncrementalAnimator, one_shot_frame
+from repro.anim.incremental import FieldSource, IncrementalAnimator
 from repro.anim.scheduler import SequenceScheduler
 from repro.anim.sequence import FrameSequence
 from repro.core.config import SpotNoiseConfig
@@ -52,7 +51,6 @@ from repro.errors import AnimationServiceError, ServiceError
 from repro.parallel.planner import DecompositionPlanner, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.runtime.streams import FrameStream
-from repro.service.admission import LatencyPredictor
 from repro.service.cache import (
     DiskBlobStore,
     DiskTextureCache,
@@ -89,12 +87,9 @@ class _RangeCursor:
     this one pipeline — cache → delta decode → coalesced render walk.
     """
 
-    def __init__(
-        self, service: "AnimationService", stop: int, timeout: Optional[float]
-    ):
+    def __init__(self, service: "AnimationService", stop: int):
         self.service = service
         self.stop = stop
-        self.timeout = timeout
         self.stream: Optional[FrameStream] = None
         self.stream_source = "stream"
 
@@ -123,8 +118,7 @@ class _RangeCursor:
                 # One loop hop: keep following this cursor's walk, or
                 # join/start the sequence's, and await frame t.
                 stream, created, texture = svc.scheduler.fetch(
-                    svc._sequence_id, t, self.stop, svc._walk,
-                    self.stream, self.timeout,
+                    svc._sequence_id, t, self.stop, svc._walk, self.stream
                 )
                 if stream is not self.stream:
                     self.stream = stream
@@ -181,10 +175,6 @@ class AnimationService:
         suffices for a single sequence (a service serves exactly one);
         more only overlaps a curtailed walk's last frames with its
         replacement's.
-    verify_every:
-        When > 0, every Nth frame rendered by a walk is re-rendered
-        one-shot and compared bit-for-bit (expensive — a debugging and
-        acceptance-testing knob, not a production default).
     delta_every:
         ``None`` disables the delta transport.  Any integer >= 0 enables
         it: rendered frames are delta-encoded (keyframe every K frames +
@@ -196,14 +186,12 @@ class AnimationService:
         and the manifest embeds the delta frame table for digest-sync
         clients.  Decoded frames are bit-identical to rendered ones — a
         missing or corrupt chunk falls back to rendering transparently.
-    planner / predictor:
+    planner:
         With ``config.backend == "auto"`` the decomposition is resolved
         by the planner at construction — a sequence's identity (and
         hence its digest chain, checkpoints and cached frames) is bound
         to the *resolved* config, so the plan must hold for the
-        sequence's lifetime.  The plan is priced at the predictor's
-        calibration scale, and incremental render times feed the
-        predictor.
+        sequence's lifetime.
     """
 
     def __init__(
@@ -217,10 +205,7 @@ class AnimationService:
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
         disk_dir: "str | None" = None,
         n_workers: int = 1,
-        verify_every: int = 0,
-        stats: Optional[ServiceStats] = None,
         planner: Optional[DecompositionPlanner] = None,
-        predictor: Optional[LatencyPredictor] = None,
         delta_every: Optional[int] = None,
     ):
         if checkpoint_every < 0:
@@ -228,21 +213,13 @@ class AnimationService:
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
             )
         self.field_source = field_source
-        self.requested_config = config
         self.policy = policy or LifeCyclePolicy()
-        self.predictor = predictor
         # Frame 0 is loaded only when something actually needs it: the
-        # automatic advection step, the planner's workload, or the
-        # predictor's grid shape.
+        # automatic advection step or the planner's workload.
         field0 = None
-        if dt is None or config.backend == "auto" or predictor is not None:
+        if dt is None or config.backend == "auto":
             field0 = field_source(0)
         self.dt = float(dt) if dt is not None else auto_dt(field0)
-        self._grid_shape = tuple(field0.grid.shape) if field0 is not None else None
-        scale = 1.0
-        if config.backend == "auto":
-            self.predictor = self.predictor or LatencyPredictor()
-            scale = self.predictor.scale or 1.0
         self.delta_transport: Optional[DeltaTransport] = None
         if delta_every is not None:
             delta_store = (
@@ -254,7 +231,7 @@ class AnimationService:
                 delta_store, keyframe_every=int(delta_every)
             )
         #: The resolved plan (``None`` without auto) and config.
-        self.plan, self.config = resolve_plan(config, field0, planner, scale=scale)
+        self.plan, self.config = resolve_plan(config, field0, planner)
         self.sequence = FrameSequence(
             field_source, self.config, self.dt, policy=self.policy, length=length
         )
@@ -268,8 +245,7 @@ class AnimationService:
             else None
         )
         self.checkpoint_every = int(checkpoint_every)
-        self.verify_every = int(verify_every)
-        self.stats = stats or ServiceStats()
+        self.stats = ServiceStats()
         disk = DiskTextureCache(disk_dir) if disk_dir else None
         self.cache = TieredTextureCache(LRUTextureCache(memory_budget_bytes), disk)
         blob = DiskBlobStore(os.path.join(disk_dir, "checkpoints")) if disk_dir else None
@@ -292,9 +268,7 @@ class AnimationService:
         return cls(store.read, config, **kwargs)
 
     # -- the request path --------------------------------------------------------
-    def stream(
-        self, start: int, stop: int, timeout: Optional[float] = None
-    ) -> Iterator[FrameResponse]:
+    def stream(self, start: int, stop: int) -> Iterator[FrameResponse]:
         """Yield frames ``start..stop-1`` as they become available.
 
         Cached frames are yielded immediately; the first miss joins (or
@@ -305,7 +279,7 @@ class AnimationService:
         or bad range raises here, not at the first ``next()``.)
         """
         self._check_range(start, stop)
-        return self._stream(start, stop, timeout)
+        return self._stream(start, stop)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -318,31 +292,16 @@ class AnimationService:
         self.sequence.check_frame(start)
         self.sequence.check_frame(stop - 1)
 
-    def _stream(
-        self, start: int, stop: int, timeout: Optional[float]
-    ) -> Iterator[FrameResponse]:
-        cursor = _RangeCursor(self, stop, timeout)
+    def _stream(self, start: int, stop: int) -> Iterator[FrameResponse]:
+        cursor = _RangeCursor(self, stop)
         for t in range(start, stop):
             yield cursor.materialise(t)
 
-    def request(self, frame: int, timeout: Optional[float] = None) -> FrameResponse:
+    def request(self, frame: int) -> FrameResponse:
         """Serve a single frame (a one-frame :meth:`stream`)."""
         self._check_open()
         self.sequence.check_frame(frame)
-        return _RangeCursor(self, frame + 1, timeout).materialise(frame)
-
-    def verify(self, frame: int) -> bool:
-        """Serve *frame* and compare it bit-for-bit with a one-shot render."""
-        response = self.request(frame)
-        reference = one_shot_frame(
-            self.config,
-            self.field_source,
-            frame,
-            dt=self.dt,
-            policy=self.policy,
-            runtime=self.runtime,
-        )
-        return bool(np.array_equal(response.texture, reference.display))
+        return _RangeCursor(self, frame + 1).materialise(frame)
 
     # -- the render walk ---------------------------------------------------------
     async def _walk(self, stream: FrameStream) -> None:
@@ -380,14 +339,8 @@ class AnimationService:
             self._encode_delta(t, cached, digest)
             return cached
         animator.advance_to(t)
-        r0 = time.perf_counter()
         result = animator.render_next()
-        elapsed = time.perf_counter() - r0
-        self.stats.record_render(None, elapsed)
-        if self.predictor is not None:
-            self.predictor.observe(self.config, elapsed, grid_shape=self._grid_shape)
-        if self.verify_every and result.frame_index % self.verify_every == 0:
-            animator.verify_frame(result)
+        self.stats.record_render()
         self._bookkeep(t, digest, animator)
         self._encode_delta(t, result.display, digest)
         # Put last: a consumer can see the frame in the cache before the

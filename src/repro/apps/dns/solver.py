@@ -113,7 +113,6 @@ class DNSSolver:
         rng = as_rng(c.seed)
         self.v += 0.02 * c.u_inflow * rng.standard_normal(self.grid.shape)
         self.time = 0.0
-        self.step_count = 0
         self._project()
 
     # -- spatial operators (periodic central differences) ---------------------
@@ -186,7 +185,6 @@ class DNSSolver:
         self.u, self.v = u_star, v_star
         self._project()
         self.time += h
-        self.step_count += 1
 
     def advance_to(self, t_end: float, max_steps: int = 100000) -> int:
         """Step until ``time >= t_end``; returns steps taken."""

@@ -51,7 +51,6 @@ class SteeredSmogApplication:
         ny: int = 55,
         n_sources: int = 6,
         seed: int = 1997,
-        model_config: Optional[SmogModelConfig] = None,
         history_limit: int = 256,
     ):
         self.grid = RegularGrid(nx, ny, (0.0, float(nx), 0.0, float(ny)))
@@ -64,7 +63,7 @@ class SteeredSmogApplication:
         ]
         self.emissions = EmissionInventory(sources, scale=1.0)
         self.meteo = SyntheticMeteorology(self.grid, n_systems=3, base_wind=1.0, seed=seed + 1)
-        self.model = SmogModel(self.grid, self.emissions, self.land, model_config)
+        self.model = SmogModel(self.grid, self.emissions, self.land)
         self.dt = 0.25
         self.frame = 0
 

@@ -25,9 +25,10 @@ from repro.cluster.fleet import LocalFleet
 from repro.core.config import SpotNoiseConfig
 from repro.core.pipeline import SpotNoisePipeline
 from repro.fields.vectorfield import VectorField2D
+from repro.machine.costs import CostModel
+from repro.machine.workload import workload_from_config
 from repro.parallel.planner import DecompositionPlan, DecompositionPlanner, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime
-from repro.service.admission import LatencyPredictor
 from repro.service.server import DEFAULT_MEMORY_BUDGET, FieldSource, FrameRenderer, TextureService
 from repro.service.trace import ReplayResult, replay, replay_uncached
 
@@ -195,20 +196,39 @@ def open_pipeline(
     return SpotNoisePipeline(config.with_overrides(backend=backend), field)
 
 
+#: Weight of the newer frame in :func:`calibrated_plan`'s EWMA scale.
+_CALIBRATION_ALPHA = 0.3
+
+
+def _onyx2_serial_s(config: SpotNoiseConfig, field: VectorField2D) -> float:
+    """Seconds one serial frame of *config* on *field* takes on the
+    paper's Onyx2: spot shaping, feeding, scan conversion and blending."""
+    w = workload_from_config(config, field)
+    c = CostModel.onyx2()
+    return (
+        c.shape_time(w.n_spots, w.total_vertices)
+        + c.feed_time(w.total_vertices)
+        + c.pipe_time(w.total_vertices, w.total_pixels)
+        + c.blend_time(w.texture_pixels)
+    )
+
+
 def calibrated_plan(
     config: SpotNoiseConfig, field: VectorField2D, host_workers: Optional[int]
 ) -> Tuple[float, DecompositionPlan]:
     """``(scale, plan)``: the planner's choice for *config* on *field*
-    after calibrating the cost model against this host with two serial
-    frames, the way the serving layer calibrates online."""
-    predictor = LatencyPredictor()
+    after calibrating the cost model against this host.  The scale is an
+    EWMA (alpha 0.3), over two serial frames, of each frame's seconds
+    divided by its Onyx2 estimate."""
+    raw = _onyx2_serial_s(config, field)
+    ratios = []
     with SpotNoisePipeline(config, field) as pipe:
         for _ in range(2):
             t0 = time.perf_counter()
             pipe.step()
-            predictor.observe(config, time.perf_counter() - t0,
-                              grid_shape=tuple(field.grid.shape))
-    scale = predictor.scale or 1.0
+            ratios.append((time.perf_counter() - t0) / raw)
+    # Seeded with the first frame, the second weighs _CALIBRATION_ALPHA.
+    scale = (1.0 - _CALIBRATION_ALPHA) * ratios[0] + _CALIBRATION_ALPHA * ratios[1]
     plan, _ = resolve_plan(
         config.with_overrides(backend="auto"), field,
         DecompositionPlanner(host_workers=host_workers), scale=scale,

@@ -29,7 +29,7 @@ exactly once.  The pieces, bottom to top:
 from repro.cluster.fleet import LocalFleet, analytic_source
 from repro.cluster.node import ClusterNode
 from repro.cluster.peer import PeerClient, PeerUnavailable
-from repro.cluster.quotas import TenantQuotas
+from repro.cluster.quotas import TenantQuotas, TokenBucket
 from repro.cluster.ring import HashRing
 from repro.cluster.wire import WireClosed, WireError
 
@@ -40,6 +40,7 @@ __all__ = [
     "PeerClient",
     "PeerUnavailable",
     "TenantQuotas",
+    "TokenBucket",
     "HashRing",
     "WireClosed",
     "WireError",

@@ -2,7 +2,7 @@
 
 Quotas protect *tenants from each other*: one scrubbing dashboard
 hammering the fleet must not starve everyone else, so each tenant draws
-from its own :class:`~repro.service.admission.TokenBucket` and is shed
+from its own :class:`TokenBucket` and is shed
 with :class:`~repro.errors.AdmissionError` once it runs dry.
 
 Quota is charged once, at the node the request *entered* on; proxied
@@ -14,10 +14,54 @@ off-node.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, Dict, Optional
 
 from repro.errors import AdmissionError, ServiceError
-from repro.service.admission import TokenBucket
+
+
+class TokenBucket:
+    """Thread-safe token bucket: sustained *rate* with a *burst* cap.
+
+    Tokens refill continuously at *rate* per second up to *burst*; an
+    acquire that finds no whole token fails.  The clock is injectable so
+    quota tests are deterministic instead of sleep-based.
+    """
+
+    def __init__(self, rate: float, burst: float,
+                 clock: Optional[Callable[[], float]] = None):
+        if rate <= 0:
+            raise ServiceError(f"rate must be positive, got {rate}")
+        if burst < 1:
+            raise ServiceError(f"burst must be >= 1, got {burst}")
+        self.rate = float(rate)
+        self.burst = float(burst)
+        self._clock = clock or time.monotonic
+        self._lock = threading.Lock()
+        self._tokens = float(burst)  #: guarded-by: _lock
+        self._last = self._clock()  #: guarded-by: _lock
+
+    def try_acquire(self, n: float = 1.0) -> bool:
+        """Take *n* tokens if available; ``False`` sheds the request."""
+        now = self._clock()
+        with self._lock:
+            elapsed = max(0.0, now - self._last)
+            self._last = now
+            self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
+            if self._tokens < n:
+                return False
+            self._tokens -= n
+            return True
+
+    @property
+    def tokens(self) -> float:
+        """Tokens currently available (refilled to now; observability)."""
+        now = self._clock()
+        with self._lock:
+            elapsed = max(0.0, now - self._last)
+            self._last = now
+            self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
+            return self._tokens
 
 
 class TenantQuotas:

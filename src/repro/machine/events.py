@@ -22,12 +22,11 @@ from repro.errors import MachineError
 class Event:
     """A one-shot occurrence processes can wait on."""
 
-    __slots__ = ("sim", "triggered", "processed", "callbacks", "value")
+    __slots__ = ("sim", "triggered", "callbacks", "value")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.triggered = False
-        self.processed = False
         self.callbacks: List[Callable[["Event"], None]] = []
         self.value: Any = None
 
@@ -44,13 +43,12 @@ class Event:
 class Timeout(Event):
     """An event that triggers *delay* time units after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise MachineError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim)
-        self.delay = delay
         self.triggered = True
         sim._schedule(delay, self)
 
@@ -113,7 +111,6 @@ class Simulator:
                 self.now = until
                 return self.now
             self.now = t
-            ev.processed = True
             callbacks, ev.callbacks = ev.callbacks, []
             for cb in callbacks:
                 cb(ev)

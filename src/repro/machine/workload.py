@@ -204,24 +204,19 @@ class SpotWorkload:
 def workload_from_config(
     config: "SpotNoiseConfig",
     field: "Optional[VectorField2D]" = None,
-    grid_shape: "Optional[tuple[int, int]]" = None,
 ) -> SpotWorkload:
     """Translate a synthesis configuration into a machine-model workload.
 
     Pixel coverage per spot is estimated from the spot geometry and grid
     resolution (the same arithmetic the workload constructors use for the
     paper's two applications).  The grid comes from *field* when given,
-    else from an explicit ``(ny, nx)`` *grid_shape* (the serving layer's
-    latency predictor knows the shape without loading data), else from
-    the documented default :data:`DEFAULT_WORKLOAD_GRID_SHAPE` — in every
-    case it feeds both the per-spot coverage estimate and the workload's
-    ``grid_shape``, so machine-model predictions stay self-consistent.
+    else from the documented default :data:`DEFAULT_WORKLOAD_GRID_SHAPE`
+    — in either case it feeds both the per-spot coverage estimate and
+    the workload's ``grid_shape``, so machine-model predictions stay
+    self-consistent.
     """
-    if field is not None:
-        grid_shape = tuple(field.grid.shape)
-    elif grid_shape is None:
-        grid_shape = DEFAULT_WORKLOAD_GRID_SHAPE
-    grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
+    shape = field.grid.shape if field is not None else DEFAULT_WORKLOAD_GRID_SHAPE
+    grid_shape = (int(shape[0]), int(shape[1]))
     nx = grid_shape[1]
     if config.spot_mode == "bent":
         b = config.bent

@@ -13,10 +13,9 @@ an executable decision for the *real* backends: given a
 Two families of terms participate:
 
 * the **render-work terms** (spot shaping, feeding, scan conversion)
-  use the 1997 Onyx2 constants times a host calibration ``scale`` — the
-  same EWMA scale the serving layer's
-  :class:`~repro.service.admission.LatencyPredictor` learns online —
-  divided by the parallel slots;
+  use the 1997 Onyx2 constants times a host calibration ``scale`` (1.0
+  unless a caller measured one, as ``plan-bench`` does from two serial
+  frames) divided by the parallel slots;
 * the **host terms** are priced on the host and are *not* scaled:
   partition and blend (eq 3.2's sequential term) by the bytes they move
   over ``shm_bandwidth_Bps``, charged only when there is more than one

@@ -79,7 +79,7 @@ class RuntimeLoop:
             raise ServiceError("runtime loop is shut down")
         return asyncio.run_coroutine_threadsafe(coro, self._loop)
 
-    def run(self, coro: "Coroutine[Any, Any, T]", timeout: Optional[float] = None) -> T:
+    def run(self, coro: "Coroutine[Any, Any, T]") -> T:
         """Run *coro* on the loop and block for its result.
 
         The deadlock guard is load-bearing: a blocking shim invoked from
@@ -92,15 +92,7 @@ class RuntimeLoop:
                 "blocking runtime call from the event-loop thread would "
                 "deadlock; await the coroutine instead"
             )
-        future = self.submit(coro)
-        try:
-            return future.result(timeout)
-        except concurrent.futures.TimeoutError:
-            if not future.done():
-                future.cancel()
-                raise ServiceError(f"runtime call timed out after {timeout}s") from None
-            # Finished meanwhile, or raised a TimeoutError of its own.
-            return future.result()
+        return self.submit(coro).result()
 
     def call(self, fn: Callable[..., T], *args: Any) -> T:
         """Run plain ``fn(*args)`` on the loop thread; returns its result.

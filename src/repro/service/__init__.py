@@ -10,8 +10,6 @@ renderer itself is not rendering at all:
   digest + config fingerprint), so identical work is identical bytes;
 * :mod:`~repro.service.cache` — in-memory LRU under a byte budget over
   an atomic content-addressed disk tier;
-* :mod:`~repro.service.admission` — cost-model latency prediction and
-  the token bucket behind per-tenant quotas;
 * :mod:`~repro.service.stats` — hit rate, coalesce rate, queue depth,
   latency percentiles;
 * :mod:`~repro.service.server` — :class:`TextureService`, the front
@@ -29,7 +27,6 @@ before them — is served by the sibling subsystem :mod:`repro.anim`,
 which builds on this module's keys and caches.
 """
 
-from repro.service.admission import LatencyPredictor, TokenBucket
 from repro.service.cache import (
     DiskBlobStore,
     DiskTextureCache,
@@ -54,8 +51,6 @@ from repro.service.trace import (
 )
 
 __all__ = [
-    "LatencyPredictor",
-    "TokenBucket",
     "DiskBlobStore",
     "DiskTextureCache",
     "LRUTextureCache",

@@ -36,7 +36,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Coroutine, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.parallel.planner import DecompositionPlanner, resolve_plan
 from repro.parallel.runtime import DivideAndConquerRuntime
 from repro.runtime.loop import get_runtime_loop
 from repro.runtime.singleflight import AsyncSingleFlight, Flight
-from repro.service.admission import LatencyPredictor
 from repro.service.cache import DEFAULT_MEMORY_BUDGET, DiskTextureCache, LRUTextureCache, TieredTextureCache
 from repro.service.keys import RequestKey
 from repro.service.stats import ServiceStats
@@ -70,7 +69,6 @@ class TextureResponse:
     key: RequestKey
     source: str
     latency_s: float
-    predicted_s: Optional[float] = None
 
 
 class FrameRenderer:
@@ -118,18 +116,14 @@ class TextureService:
         Render worker threads (distinct-request concurrency).  Each
         worker drives a full divide-and-conquer render, so the cap
         trades request concurrency against per-render parallelism.
-    predictor:
-        Latency predictor (defaults to a fresh Onyx2-cost predictor that
-        self-calibrates from observed renders).
     planner:
         Decomposition planner used when ``config.backend == "auto"``:
         frame 0 is loaded eagerly, the workload priced, and the
-        cheapest (backend, n_groups, partition) triple, priced at the
-        predictor's calibration scale, becomes the service's *resolved*
-        config for its lifetime.  The resolved config — not the
-        requested ``"auto"`` one — is what gets fingerprinted into
-        cache keys, so a different plan can only ever cause an extra
-        render, never a wrong cache hit.
+        cheapest (backend, n_groups, partition) triple becomes the
+        service's *resolved* config for its lifetime.  The resolved
+        config — not the requested ``"auto"`` one — is what gets
+        fingerprinted into cache keys, so a different plan can only
+        ever cause an extra render, never a wrong cache hit.
     """
 
     def __init__(
@@ -139,8 +133,6 @@ class TextureService:
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
         disk_dir: "str | None" = None,
         n_workers: int = 2,
-        predictor: Optional[LatencyPredictor] = None,
-        stats: Optional[ServiceStats] = None,
         planner: Optional[DecompositionPlanner] = None,
     ):
         if config.seed is None:
@@ -155,18 +147,10 @@ class TextureService:
         if n_workers < 1:
             raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
         self.field_source = field_source
-        self.requested_config = config
-        self.stats = stats or ServiceStats()
-        self.predictor = predictor or LatencyPredictor()
-        self._grid_shape: Optional[Tuple[int, int]] = None
-        field0 = None
-        if config.backend == "auto":
-            field0 = field_source(0)
-            self._grid_shape = tuple(field0.grid.shape)
+        self.stats = ServiceStats()
+        field0 = field_source(0) if config.backend == "auto" else None
         #: The resolved plan (``None`` without auto) and config.
-        self.plan, self.config = resolve_plan(
-            config, field0, planner, scale=self.predictor.scale or 1.0
-        )
+        self.plan, self.config = resolve_plan(config, field0, planner)
         self._fingerprint = self.config.fingerprint()
         self.renderer = FrameRenderer(self.config)
         disk = DiskTextureCache(disk_dir) if disk_dir else None
@@ -190,12 +174,6 @@ class TextureService:
         return cls(store.read, config, **kwargs)
 
     # -- internals -------------------------------------------------------------
-    def _load_field(self, frame: int) -> VectorField2D:
-        field = self.field_source(frame)
-        if self._grid_shape is None:
-            self._grid_shape = tuple(field.grid.shape)
-        return field
-
     def _known_key(self, frame: int) -> Optional[RequestKey]:
         """*frame*'s request key if it is memoised, else ``None``."""
         with self._digest_lock:
@@ -206,7 +184,7 @@ class TextureService:
         key = self._known_key(frame)
         if key is not None:
             return key, None
-        field = self._load_field(frame)
+        field = self.field_source(frame)
         key = RequestKey(field_digest(field), self._fingerprint, frame)
         with self._digest_lock:
             self._keys[frame] = key
@@ -234,7 +212,7 @@ class TextureService:
         return key.digest
 
     # -- the request path --------------------------------------------------------
-    def request(self, frame: int, timeout: Optional[float] = None) -> TextureResponse:
+    def request(self, frame: int) -> TextureResponse:
         """Serve one texture request (blocking).  A hit is served on the
         caller's thread; a miss crosses into the loop once.  Renderer
         errors propagate."""
@@ -242,14 +220,13 @@ class TextureService:
         try:
             key, field = self._key_for(frame)
             texture, source = self.cache.get(key.digest)
-            predicted: Optional[float] = None
             if texture is None:
-                predicted, miss = self._miss_for(key, field, timeout)
+                miss = self._miss(key.digest, self._render_job(key, field))
                 texture, source = self._settled(self._runtime.run(miss))
         except BaseException as exc:
             self._record_failure(exc)
             raise
-        return self._respond(key, texture, source, t0, predicted)
+        return self._respond(key, texture, source, t0)
 
     async def request_async(self, frame: int) -> TextureResponse:
         """:meth:`request` on the runtime loop, for loop-native callers
@@ -266,14 +243,13 @@ class TextureService:
             texture, source = self.cache.memory.get(key.digest), "memory"
             if texture is None and self.cache.disk is not None:
                 texture, source = await loop.run_in_executor(None, self.cache.read_disk, key.digest)
-            predicted: Optional[float] = None
             if texture is None:
-                predicted, miss = self._miss_for(key, field, None)
+                miss = self._miss(key.digest, self._render_job(key, field))
                 texture, source = self._settled(await miss)
         except BaseException as exc:
             self._record_failure(exc)
             raise
-        return self._respond(key, texture, source, t0, predicted)
+        return self._respond(key, texture, source, t0)
 
     def _begin(self) -> float:
         if self._closed:
@@ -286,31 +262,26 @@ class TextureService:
         if isinstance(exc, Exception):
             self.stats.record_error()
 
-    def _respond(self, key: RequestKey, texture: np.ndarray, source: str, t0: float,
-                 predicted: Optional[float]) -> TextureResponse:
+    def _respond(self, key: RequestKey, texture: np.ndarray, source: str,
+                 t0: float) -> TextureResponse:
         latency = time.perf_counter() - t0
         self.stats.record_response(source, latency)
-        return TextureResponse(texture, key, source, latency, predicted)
+        return TextureResponse(texture, key, source, latency)
 
-    def _miss_for(
-        self, key: RequestKey, field: Optional[VectorField2D], timeout: Optional[float]
-    ) -> "tuple[float, Coroutine[Any, Any, tuple]]":
-        """The predicted render time of a miss on *key*, and the
-        :meth:`_miss` coroutine that starts or joins its flight.  The
-        render job puts its texture in the cache before any waiter wakes."""
-        predicted = self.predictor.predict(self.config, grid_shape=self._grid_shape)
+    def _render_job(
+        self, key: RequestKey, field: Optional[VectorField2D]
+    ) -> "Callable[[], np.ndarray]":
+        """The render of a miss on *key*, for its flight's drive task.
+        It puts its texture in the cache before any waiter wakes."""
 
         def render() -> np.ndarray:
-            f = field if field is not None else self._load_field(key.frame)
-            t0 = time.perf_counter()
+            f = field if field is not None else self.field_source(key.frame)
             texture = self.renderer.render(f)
-            actual = time.perf_counter() - t0
             self.cache.put(key.digest, texture)
-            self.predictor.observe(self.config, actual, grid_shape=self._grid_shape)
-            self.stats.record_render(predicted, actual)
+            self.stats.record_render()
             return texture
 
-        return predicted, self._miss(key.digest, render, timeout)
+        return render
 
     def _settled(self, outcome: tuple) -> "tuple[np.ndarray, str]":
         """``(texture, source)`` of a finished :meth:`_miss`, or its error."""
@@ -355,10 +326,10 @@ class TextureService:
             self._flights.settle(flight, texture)
 
     async def _miss(
-        self, key: str, render: "Callable[[], np.ndarray]", timeout: Optional[float]
+        self, key: str, render: "Callable[[], np.ndarray]"
     ) -> "tuple[bool, Optional[np.ndarray], Optional[BaseException]]":
-        """Join or start *key*'s flight and await it under a total
-        *timeout*: the one loop hop of a miss.
+        """Join or start *key*'s flight and await it: the one loop hop
+        of a miss.
 
         Returns ``(created, texture, error)``.  Errors come back as
         values: a KeyboardInterrupt/SystemExit raised out of this task
@@ -372,15 +343,7 @@ class TextureService:
             if texture is not None:
                 return False, texture, None
             flight, created = self._start(key, render)
-            try:
-                async with asyncio.timeout(timeout) as deadline:
-                    return created, await self._flights.wait(flight), None
-            except TimeoutError:
-                if not deadline.expired():
-                    raise  # the render's own error, delivered as-is
-                raise ServiceError(
-                    f"timed out waiting for render {key[:12]}..."
-                ) from None
+            return created, await self._flights.wait(flight), None
         except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
             return created, None, exc
 

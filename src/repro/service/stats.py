@@ -2,9 +2,8 @@
 
 :class:`ServiceStats` is the one place every layer of the serving stack
 reports into: the cache tiers (hit source), single-flight (coalesces,
-queue depth, renders), the latency predictor (predicted vs actual
-render time) and the request path itself (end-to-end latency per
-source).
+queue depth, renders) and the request path itself (end-to-end latency
+per source).
 ``report()`` renders the operator view; ``snapshot()`` returns the same
 numbers as a dict for programmatic assertions and the bench harness.
 """
@@ -13,23 +12,23 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional
 
 import numpy as np
 
 #: Response sources, in the order reports print them.
 SOURCES = ("memory", "disk", "coalesced", "render")
 
-#: Retained samples per latency/prediction series.  Counters are exact
-#: forever; percentiles and prediction means are over the most recent
-#: window, keeping a long-running service at O(1) memory.
+#: Retained samples per latency series.  Counters are exact forever;
+#: percentiles are over the most recent window, keeping a long-running
+#: service at O(1) memory.
 SAMPLE_WINDOW = 4096
 
 
 class ServiceStats:
     """Thread-safe counters and latency records for one service."""
 
-    def __init__(self, sample_window: int = SAMPLE_WINDOW) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.requests = 0
         self.errors = 0
@@ -39,10 +38,8 @@ class ServiceStats:
         self.forwards = 0
         self.hits_by_source: Dict[str, int] = {s: 0 for s in SOURCES}
         self._latencies: Dict[str, Deque[float]] = {
-            s: deque(maxlen=sample_window) for s in SOURCES
+            s: deque(maxlen=SAMPLE_WINDOW) for s in SOURCES
         }
-        self._predictions: Deque[Tuple[float, float]] = deque(maxlen=sample_window)
-        self._sample_window = sample_window
         #: Optional gauge probe installed by the service (its queue depth).
         self.queue_depth_probe: Optional[Callable[[], int]] = None
 
@@ -55,14 +52,12 @@ class ServiceStats:
         with self._lock:
             self.hits_by_source[source] = self.hits_by_source.get(source, 0) + 1
             if source not in self._latencies:
-                self._latencies[source] = deque(maxlen=self._sample_window)
+                self._latencies[source] = deque(maxlen=SAMPLE_WINDOW)
             self._latencies[source].append(float(latency_s))
 
-    def record_render(self, predicted_s: Optional[float], actual_s: float) -> None:
+    def record_render(self) -> None:
         with self._lock:
             self.renders += 1
-            if predicted_s is not None:
-                self._predictions.append((float(predicted_s), float(actual_s)))
 
     def record_forward(self) -> None:
         """Count one request routed to a peer node (cluster tier)."""
@@ -92,16 +87,12 @@ class ServiceStats:
         probe = self.queue_depth_probe
         return probe() if probe is not None else 0
 
-    def latency_percentiles(
-        self, source: Optional[str] = None
-    ) -> "dict[str, float]":
-        """``{"p50": ..., "p95": ...}`` seconds over one or all sources
-        (computed over the most recent :data:`SAMPLE_WINDOW` samples)."""
+    def latency_percentiles(self) -> "dict[str, float]":
+        """``{"p50": ..., "p95": ...}`` seconds over all sources
+        (computed over each source's most recent :data:`SAMPLE_WINDOW`
+        samples)."""
         with self._lock:
-            if source is None:
-                values = [v for vs in self._latencies.values() for v in vs]
-            else:
-                values = list(self._latencies.get(source, ()))
+            values = [v for vs in self._latencies.values() for v in vs]
         if not values:
             return {"p50": 0.0, "p95": 0.0}
         arr = np.asarray(values)
@@ -109,15 +100,6 @@ class ServiceStats:
             "p50": float(np.percentile(arr, 50)),
             "p95": float(np.percentile(arr, 95)),
         }
-
-    def prediction_accuracy(self) -> "tuple[float, float]":
-        """``(mean predicted, mean actual)`` render seconds (0, 0 when none)."""
-        with self._lock:
-            preds = list(self._predictions)
-        if not preds:
-            return 0.0, 0.0
-        arr = np.asarray(preds)
-        return float(arr[:, 0].mean()), float(arr[:, 1].mean())
 
     # -- reporting ---------------------------------------------------------------
     def snapshot(self) -> "dict[str, object]":
@@ -127,7 +109,7 @@ class ServiceStats:
             renders = self.renders
             errors = self.errors
             forwards = self.forwards
-        snap: "dict[str, object]" = {
+        return {
             "requests": requests,
             "renders": renders,
             "errors": errors,
@@ -138,10 +120,6 @@ class ServiceStats:
             "queue_depth": self.queue_depth(),
             "latency": self.latency_percentiles(),
         }
-        predicted, actual = self.prediction_accuracy()
-        snap["predicted_render_s"] = predicted
-        snap["actual_render_s"] = actual
-        return snap
 
     def report(self) -> str:
         snap = self.snapshot()
@@ -162,9 +140,4 @@ class ServiceStats:
         lines.append(
             f"latency:  p50 {lat['p50'] * 1e3:.2f} ms, p95 {lat['p95'] * 1e3:.2f} ms"
         )
-        if snap["renders"] and snap["actual_render_s"]:
-            lines.append(
-                f"renders:  predicted {snap['predicted_render_s'] * 1e3:.2f} ms, "
-                f"actual {snap['actual_render_s'] * 1e3:.2f} ms (mean)"
-            )
         return "\n".join(lines)

@@ -49,6 +49,14 @@ def _private_helper():
 class Widget:
     """Used from inside the package; its members are judged one by one."""
 
+    def __init__(self):
+        # Instance attributes are judged by the loads of their names.
+        self.read_in_src = 1
+        self.read_by_tests = 2
+        self.written_only = 0
+        self.written_only += 1  # an augmented assignment writes, it does not read
+        self._private_attr = 3
+
     def called_from_src(self):
         return 6
 

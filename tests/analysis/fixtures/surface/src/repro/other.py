@@ -1,7 +1,8 @@
 """Calls one public name of mod from inside the package.
 
 It never calls mentioned_only: naming a function in prose is not a use.
-Widget.named_only is never reached by attribute either.  AnnotatedOnly
+Widget.named_only is never reached by attribute either, and
+Widget.written_only is assigned here but never read.  AnnotatedOnly
 is imported and named by a parameter, a return and a dataclass field
 annotation, and never built.
 """
@@ -18,6 +19,8 @@ NAME = "mentioned_only"
 
 WIDGET = Widget()
 SIX = WIDGET.called_from_src()
+ONE = WIDGET.read_in_src
+WIDGET.written_only = 5
 named_only = "named_only"
 ALIASED = aliased()
 

@@ -6,4 +6,4 @@ CHECKS = (Orphan(), orphan(), recursive_orphan(2))
 
 WIDGET = Widget()
 WIDGET.tested_prop = 1
-MEMBER_CHECKS = (WIDGET.tested_only(), WIDGET.tested_prop)
+MEMBER_CHECKS = (WIDGET.tested_only(), WIDGET.tested_prop, WIDGET.read_by_tests)

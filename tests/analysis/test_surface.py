@@ -6,7 +6,9 @@ from ``benchmarks/``, only from ``tests/`` and the package ``__init__``,
 or only in a docstring, a comment and a string, and one whose name only
 a benchmark's own variable shares; a class that only an import and
 annotations name, and a function called through an import alias.  Its class ``Widget`` has members
-used the same ways, plus one named only by a bare name.
+used the same ways, plus one named only by a bare name, and instance
+attributes read from the package, read only from ``tests/``, or only
+ever written.
 """
 
 import os
@@ -31,9 +33,9 @@ class TestPublicSurface:
     def test_flags_names_only_tests_and_reexports_use(self):
         report = _run()
         assert sorted(f.symbol for f in report.findings) == [
-            "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.tested_only",
-            "Widget.tested_prop", "mentioned_only", "orphan", "recursive_orphan",
-            "shadowed_only",
+            "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.read_by_tests",
+            "Widget.tested_only", "Widget.tested_prop", "Widget.written_only",
+            "mentioned_only", "orphan", "recursive_orphan", "shadowed_only",
         ]
         assert {f.path for f in report.findings} == {os.path.join("src", "repro", "mod.py")}
         assert {f.rule for f in report.findings} == {"unused-public"}
@@ -64,13 +66,25 @@ class TestPublicSurface:
         assert messages["orphan"].startswith("public function 'orphan'")
 
     def test_members_are_judged_by_attribute_references(self):
-        flagged = {f.symbol for f in _run().findings if "." in f.symbol}
+        flagged = {f.symbol for f in _run().findings if f.message.startswith("public member")}
         # Test-only members are flagged; a property's getter and setter
         # are one member; a bare name or a string never reaches a member.
         assert flagged == {"Widget.tested_only", "Widget.tested_prop", "Widget.named_only"}
         # Called by attribute from src/ or benchmarks/: used.  Underscored
         # and dunder members are not judged.
         for kept in ("called_from_src", "called_from_bench", "_private", "__len__"):
+            assert f"Widget.{kept}" not in flagged
+
+    def test_instance_attributes_are_judged_by_loads(self):
+        flagged = {f.symbol: f.message for f in _run().findings}
+        # Read only from tests/: flagged, and named as an attribute.
+        assert flagged["Widget.read_by_tests"].startswith(
+            "public attribute 'Widget.read_by_tests'"
+        )
+        # Assigned in other.py and augmented in __init__, never loaded.
+        assert "Widget.written_only" in flagged
+        # Loaded from inside the package: used.  Underscored: not judged.
+        for kept in ("read_in_src", "_private_attr"):
             assert f"Widget.{kept}" not in flagged
 
     def test_member_message_names_class_and_member(self):
@@ -86,6 +100,7 @@ class TestPublicSurface:
         report = _run(baseline=Baseline([kept.key()]))
         assert [f.symbol for f in report.baselined] == ["orphan"]
         assert sorted(f.symbol for f in report.findings) == [
-            "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.tested_only",
-            "Widget.tested_prop", "mentioned_only", "recursive_orphan", "shadowed_only",
+            "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.read_by_tests",
+            "Widget.tested_only", "Widget.tested_prop", "Widget.written_only",
+            "mentioned_only", "recursive_orphan", "shadowed_only",
         ]

@@ -49,10 +49,9 @@ class TestStreaming:
     def test_streamed_frames_bit_identical_to_one_shot(self, source):
         with make_service(source) as svc:
             frames = {f.frame: f.texture for f in svc.stream(0, 10)}
-            for t in (0, 5, 9):
+            for t in (0, 5, 6, 9):
                 reference = one_shot_frame(CONFIG, source, t, dt=svc.dt)
                 assert np.array_equal(frames[t], reference.display)
-            assert svc.verify(6)
 
     def test_request_is_single_frame_stream(self, source):
         with make_service(source) as svc:
@@ -193,9 +192,9 @@ class TestLoopNativeWalks:
         hops = []
         run, call = RuntimeLoop.run, RuntimeLoop.call
 
-        def counting_run(self, coro, timeout=None):
+        def counting_run(self, coro):
             hops.append("run")
-            return run(self, coro, timeout)
+            return run(self, coro)
 
         def counting_call(self, fn, *args):
             # call() goes through run(), so a call counts twice: the
@@ -289,7 +288,7 @@ class TestLoopNativeWalks:
             try:
                 for start in row:
                     stop = min(N_FRAMES, int(start) + 6)
-                    served.extend(svc.stream(int(start), stop, timeout=30.0))
+                    served.extend(svc.stream(int(start), stop))
             except Exception as exc:  # noqa: BLE001 - the assertion
                 errors.append(exc)
 
@@ -297,7 +296,7 @@ class TestLoopNativeWalks:
         sys.setswitchinterval(1e-5)
         try:
             svc = make_service(source, n_workers=2, memory_budget_bytes=4 * 32 * 32 * 8)
-            threads = [threading.Thread(target=client, args=(row,)) for row in starts]
+            threads = [threading.Thread(target=client, args=(row,), daemon=True) for row in starts]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -389,12 +388,6 @@ class TestLifecycle:
             assert ref() is None
         finally:
             gc.enable()
-
-
-class TestVerifyEvery:
-    def test_verify_every_checks_and_passes(self, source):
-        with make_service(source, verify_every=2) as svc:
-            list(svc.stream(0, 5))  # raises inside the walk on divergence
 
     def test_unseeded_config_rejected(self, source):
         with pytest.raises(AnimationServiceError):

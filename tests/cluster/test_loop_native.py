@@ -164,7 +164,7 @@ def test_an_interrupted_render_does_not_stop_the_loop(make_single_node, monkeypa
     monkeypatch.setattr(service.renderer, "render", abort)
     runtime = get_runtime_loop()
     with pytest.raises(ServiceError, match="render interrupted"):
-        runtime.run(service.request_async(0), timeout=30.0)
+        runtime.submit(service.request_async(0)).result(timeout=30.0)
     assert runtime.alive
     assert service.stats.snapshot()["errors"] == 1
 

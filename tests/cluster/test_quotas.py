@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.quotas import TenantQuotas
+from repro.cluster.quotas import TenantQuotas, TokenBucket
 from repro.errors import AdmissionError, ServiceError
-from repro.service.admission import TokenBucket
 
 
 class FakeClock:

@@ -6,6 +6,8 @@ out (eq 3.2's balance tips), host calibration must move the balance, and
 for a fixed calibration the plan must be a pure function.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,37 @@ class TestHostRanking:
             + c.pipe_time(w.total_vertices, w.total_pixels)
         )
         assert self.PLANNER.price(w, "serial", 1, scale=3.0) == pytest.approx(3.0 * work)
+
+
+class TestPlanBenchCalibration:
+    """``plan-bench`` calibrates the Onyx2 model from two serial frames:
+    its scale is an EWMA (alpha 0.3) of each frame's seconds over the
+    raw Onyx2 estimate of the frame."""
+
+    def test_scale_is_an_ewma_of_two_frames(self, monkeypatch):
+        from repro import benches
+
+        ticks = iter([0.0, 0.010, 1.0, 1.030])  # frames of 10 and 30 ms
+        monkeypatch.setattr(benches, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        cfg = SpotNoiseConfig(n_spots=200, texture_size=32, seed=2)
+        field_ = vortex_field(n=17)
+        scale, plan = benches.calibrated_plan(cfg, field_, 2)
+
+        c = CostModel.onyx2()
+        w = workload_from_config(cfg, field_)
+        raw = (
+            c.shape_time(w.n_spots, w.total_vertices)
+            + c.feed_time(w.total_vertices)
+            + c.pipe_time(w.total_vertices, w.total_pixels)
+            + c.blend_time(w.texture_pixels)
+        )
+        expected = 0.7 * (0.010 / raw) + 0.3 * (0.030 / raw)
+        assert scale == pytest.approx(expected, rel=1e-12)
+        expected_plan, _ = resolve_plan(
+            cfg.with_overrides(backend="auto"), field_,
+            DecompositionPlanner(host_workers=2), scale=scale,
+        )
+        assert plan == expected_plan and plan.scale == scale
 
 
 class TestValidation:

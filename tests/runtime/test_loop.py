@@ -46,10 +46,6 @@ class TestCrossing:
         with pytest.raises(TimeoutError, match="store read"):
             rt.run(store_read())
 
-    def test_run_timeout_raises_service_error(self, rt):
-        with pytest.raises(ServiceError, match="timed out"):
-            rt.run(asyncio.sleep(30.0), timeout=0.05)
-
     def test_call_executes_on_the_loop_thread(self, rt):
         name = rt.call(lambda: threading.current_thread().name)
         assert name == "rt-test"

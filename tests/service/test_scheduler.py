@@ -189,33 +189,6 @@ class TestErrorsAndLifecycle:
             assert svc.request(0).source == "render"
             assert svc.stats.renders == 1
 
-    def test_wait_timeout_raises(self, fields):
-        with make_service(fields, n_workers=1) as svc:
-            gate = Gate(svc)
-            with pytest.raises(ServiceError, match="timed out"):
-                svc.request(0, timeout=0.05)
-            gate.release()
-            # The timed-out request's render still completes and caches:
-            # frame 1 queues behind it on the one worker.
-            assert svc.request(1).source == "render"
-            assert svc.request(0).source == "memory"
-            assert svc.stats.renders == 2
-
-    def test_timed_out_requests_leave_flights_running(self, fields):
-        # A request that created or joined a flight and timed out leaves
-        # the flight and the renderer to the service.
-        with make_service(fields, n_workers=1) as svc:
-            gate = Gate(svc)
-            with pytest.raises(ServiceError, match="timed out"):
-                svc.request(0, timeout=0.05)  # created, then timed out
-            with pytest.raises(ServiceError, match="timed out"):
-                svc.request(0, timeout=0.05)  # joined, then timed out
-            gate.release()
-            assert svc.request(1).source == "render"  # ordered behind 0
-            assert svc.request(0).source == "memory"
-            assert svc.stats.renders == 2
-            assert svc.queue_depth() == 0
-
     def test_submit_after_close_raises(self, fields):
         svc = make_service(fields, n_workers=1)
         svc.close()
@@ -251,9 +224,9 @@ class TestLoopHops:
         hops = []
         run, call = RuntimeLoop.run, RuntimeLoop.call
 
-        def counting_run(self, coro, timeout=None):
+        def counting_run(self, coro):
             hops.append((threading.get_ident(), "run"))
-            return run(self, coro, timeout)
+            return run(self, coro)
 
         def counting_call(self, fn, *args):
             # call() goes through run(), so a call counts twice: the

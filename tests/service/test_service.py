@@ -123,17 +123,14 @@ class TestKeysAndSources:
             assert loads[0] == loads_after_miss  # hit did not touch the source
 
 
-class TestAdmissionIntegration:
-    def test_served_latency_and_prediction_are_recorded(self, fields, config):
+class TestStatsIntegration:
+    def test_served_latency_is_recorded(self, fields, config):
         with make_service(fields, config) as svc:
             svc.request(0)
             svc.request(0)
         snap = svc.stats.snapshot()
         assert snap["renders"] == 1
         assert snap["by_source"]["memory"] == 1
-        assert snap["actual_render_s"] > 0.0
-        assert snap["predicted_render_s"] > 0.0
-        assert svc.predictor.scale is not None
         pct = svc.stats.latency_percentiles()
         assert pct["p95"] >= pct["p50"] >= 0.0
 

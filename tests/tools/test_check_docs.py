@@ -75,3 +75,22 @@ def test_leading_shell_operator_is_reported_not_raised(tmp_path, monkeypatch):
     monkeypatch.setattr(check_docs, "doc_files", lambda: [str(doc)])
     failures = check_docs.check_cli_invocations()
     assert len(failures) == 1 and "names no command" in failures[0]
+
+
+def test_reports_a_dotted_name_that_does_not_resolve(tmp_path, monkeypatch):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Serve with `repro.service.server.TextureService`, plan with\n"
+        "`repro.parallel.planner.resolve_plan(config, field)`, stream with `repro.anim.*`.\n"
+        "Gone: `repro.service.admission.LatencyPredictor`, `repro.service.Nope`.\n"
+        "```\nfrom repro.nowhere import nothing\n```\n"
+    )
+    monkeypatch.setattr(check_docs, "doc_files", lambda: [str(doc)])
+    failures = check_docs.check_dotted_names()
+    assert len(failures) == 2
+    assert "line 3: `repro.service.admission.LatencyPredictor` does not resolve" in failures[0]
+    assert "line 3: `repro.service.Nope` does not resolve" in failures[1]
+
+
+def test_every_documented_dotted_name_resolves():
+    assert check_docs.check_dotted_names() == []

@@ -23,8 +23,12 @@ It judges the members of those modules' top-level classes too: every
 public method, property, classmethod and staticmethod, reported as
 ``Class.member``.  A member is reached only by attribute, so only an
 ``ast.Attribute`` of its name counts as a reference to it, and a
-property's getter and setter are one member.  The checker knows names,
-not types: a same-named attribute anywhere keeps a member alive.
+property's getter and setter are one member.  It judges their instance
+attributes as well: every public ``self.<name>`` that a class's
+``__init__`` assigns, also reported as ``Class.name``.  An attribute is
+used only where code *loads* it (``ast.Attribute`` in a load context);
+a store, an augmented assignment or a ``del`` only writes it.  The checker knows names, not types: a
+same-named attribute anywhere keeps a member or an attribute alive.
 
 The judgement needs the whole package: a scan of one file or one
 subpackage still reads every reference tree, but it would report names
@@ -106,11 +110,12 @@ def _code_references(tree: ast.AST) -> Iterator[Tuple[str, int, bool]]:
             yield node.attr, node.end_lineno or node.lineno, True
 
 
-def _reference_lines(root: str) -> Tuple[Index, Index]:
-    """Every code reference, and the attributes alone, over every
-    reference file."""
+def _reference_lines(root: str) -> Tuple[Index, Index, Index]:
+    """Every code reference, the attributes alone, and the attribute
+    loads alone, over every reference file."""
     names: Index = defaultdict(list)
     attributes: Index = defaultdict(list)
+    loads: Index = defaultdict(list)
     for path in _reference_files(root):
         try:
             with open(path, encoding="utf-8") as fh:
@@ -122,7 +127,10 @@ def _reference_lines(root: str) -> Tuple[Index, Index]:
             names[name].append((path, lineno))
             if is_attribute:
                 attributes[name].append((path, lineno))
-    return names, attributes
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads[node.attr].append((path, node.end_lineno or node.lineno))
+    return names, attributes, loads
 
 
 def _members(cls: ast.ClassDef) -> Dict[str, List[ast.AST]]:
@@ -135,13 +143,30 @@ def _members(cls: ast.ClassDef) -> Dict[str, List[ast.AST]]:
     return members
 
 
+def _instance_attributes(cls: ast.ClassDef) -> Dict[str, List[ast.AST]]:
+    """The public ``self.<name>`` attributes *cls*'s ``__init__``
+    assigns, by name, minus those that are also methods."""
+    attributes: Dict[str, List[ast.AST]] = defaultdict(list)
+    for node in cls.body:
+        if isinstance(node, _Def) and node.name == "__init__" and node.args.args:
+            this = node.args.args[0].arg
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == this
+                        and not sub.attr.startswith("_")):
+                    attributes[sub.attr].append(sub)
+    for member in _members(cls):
+        attributes.pop(member, None)
+    return attributes
+
+
 class PublicSurfaceChecker(Checker):
     name = "unused-public"
     rules = ("unused-public",)
     description = (
         "public top-level functions and classes in repro, and the public "
-        "members of those classes, are referenced outside their own "
-        "definition, __init__ re-exports and tests/"
+        "members and instance attributes of those classes, are referenced "
+        "outside their own definition, __init__ re-exports and tests/"
     )
 
     def check_project(self, corpus: Dict[str, ParsedModule]) -> Iterable[Finding]:
@@ -149,16 +174,17 @@ class PublicSurfaceChecker(Checker):
         if package is None:
             return []
         root = package.path[: -len(package.rel)]
-        names, attributes = _reference_lines(root)
+        names, attributes, loads = _reference_lines(root)
         findings: List[Finding] = []
 
         def judge(mod: ParsedModule, symbol: str, defs: List[ast.AST],
                   index: Index, kind: str) -> None:
             own: Set[Tuple[str, int]] = set()
             for node in defs:
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                decorators = getattr(node, "decorator_list", [])
+                first = min([node.lineno] + [d.lineno for d in decorators])
                 own.update((mod.path, line) for line in range(first, node.end_lineno + 1))
-            if any(ref not in own for ref in index.get(defs[0].name, ())):
+            if any(ref not in own for ref in index.get(symbol.rpartition(".")[2], ())):
                 return
             findings.append(
                 Finding(
@@ -184,4 +210,6 @@ class PublicSurfaceChecker(Checker):
                         judge(mod, node.name, [node], names, "class")
                     for member, defs in _members(node).items():
                         judge(mod, f"{node.name}.{member}", defs, attributes, "member")
+                    for attr, defs in _instance_attributes(node).items():
+                        judge(mod, f"{node.name}.{attr}", defs, loads, "attribute")
         return findings

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate for CI.
 
-Three checks, all cheap to keep honest:
+Four checks, all cheap to keep honest:
 
 1. **Docstring audit** — every public module under ``src/repro`` (any
    ``.py`` whose name does not start with an underscore, including
@@ -17,6 +17,10 @@ Three checks, all cheap to keep honest:
    with ``repro.cli.build_parser()``, up to its first shell operator
    (``|``, ``>``, ``;``, ``&&`` ...), so a renamed subcommand or flag
    fails here before a reader trips on it.
+4. **Dotted names** — every inline code span in those files that names
+   ``repro.<dotted.path>`` (alone, called, or as a ``.*`` wildcard) must
+   import and resolve attribute by attribute, so a deleted module or a
+   renamed class fails here instead of in a reader's shell.
 
 Exit status is non-zero with a per-failure report, so the CI step's log
 says exactly which module or snippet broke.
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -45,6 +50,7 @@ INLINE_RE = re.compile(r"`([^`]+)`")
 CLI_RE = re.compile(r"python -m repro\.cli\s+(\S.*)")
 CONTINUATION_RE = re.compile(r"\\[ \t]*\n")
 SHELL_OPERATOR_CHARS = set("();<>|&")
+DOTTED_RE = re.compile(r"(repro(?:\.[A-Za-z_]\w*)+)(?:\(.*\)|\.\*)?")
 
 
 def public_modules() -> "list[str]":
@@ -119,16 +125,27 @@ def check_snippets() -> "list[str]":
     return failures
 
 
+def inline_spans(text: str) -> "list[tuple[int, str]]":
+    """``(line, content)`` of every inline code span in *text*'s prose;
+    fenced blocks are blanked first, so their backticks never pair with
+    prose."""
+    prose = ANY_FENCE_RE.sub(lambda m: " " * len(m.group(0)), text)
+    return [
+        (text.count("\n", 0, span.start(1)) + 1, span.group(1))
+        for span in INLINE_RE.finditer(prose)
+    ]
+
+
 def cli_invocations(text: str) -> "list[tuple[int, str]]":
     """``(line, arguments)`` of every ``python -m repro.cli`` command
     line with arguments in *text*: one per (``\\``-continued) line of a
     fenced block, one per inline code span."""
     found = []
 
-    def add(offset: int, snippet: str) -> None:
+    def add(line: int, snippet: str) -> None:
         match = CLI_RE.search(" ".join(snippet.split()))
         if match:
-            found.append((text.count("\n", 0, offset) + 1, match.group(1)))
+            found.append((line, match.group(1)))
 
     for fence in ANY_FENCE_RE.finditer(text):
         offset = start = fence.start(1)
@@ -139,13 +156,10 @@ def cli_invocations(text: str) -> "list[tuple[int, str]]":
             command += line
             offset += len(line)
             if not CONTINUATION_RE.search(line):
-                add(start, CONTINUATION_RE.sub(" ", command))
+                add(text.count("\n", 0, start) + 1, CONTINUATION_RE.sub(" ", command))
                 command = ""
-    # Blank the fences (keeping offsets) so inline spans never pair a
-    # fence's backticks with prose.
-    prose = ANY_FENCE_RE.sub(lambda m: " " * len(m.group(0)), text)
-    for span in INLINE_RE.finditer(prose):
-        add(span.start(1), span.group(1))
+    for line, span in inline_spans(text):
+        add(line, span)
     return sorted(found)
 
 
@@ -208,12 +222,47 @@ def check_cli_invocations() -> "list[str]":
     return failures
 
 
+def resolve(dotted: str) -> None:
+    """Import the longest module prefix of *dotted* and look the rest up
+    attribute by attribute; ImportError/AttributeError when it fails."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return
+    raise ImportError(f"no prefix of {dotted} imports")
+
+
+def check_dotted_names() -> "list[str]":
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    failures = []
+    for path in doc_files():
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for line, span in inline_spans(text):
+            match = DOTTED_RE.fullmatch(span)
+            if not match:
+                continue
+            try:
+                resolve(match.group(1))
+            except (ImportError, AttributeError) as exc:
+                failures.append(f"{rel} line {line}: `{span}` does not resolve ({exc})")
+    return failures
+
+
 def main() -> int:
     failures = check_docstrings()
     n_modules = len(public_modules())
     if not failures:
         print(f"ok: {n_modules} public modules all carry module docstrings")
     failures += check_cli_invocations()
+    failures += check_dotted_names()
     failures += check_snippets()
     if failures:
         print(f"\n{len(failures)} docs check failure(s):", file=sys.stderr)
