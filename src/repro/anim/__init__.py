@@ -34,12 +34,7 @@ loop (``SteeredSmogApplication.animation_service``) and the DNS browser
 """
 
 from repro.anim.checkpoints import CheckpointStore
-from repro.anim.delta import (
-    DeltaDecoder,
-    DeltaEncoder,
-    DeltaManifest,
-    DeltaTransport,
-)
+from repro.anim.delta import DeltaDecoder, DeltaEncoder, DeltaManifest
 from repro.anim.incremental import IncrementalAnimator, one_shot_frame
 from repro.anim.scheduler import SequenceScheduler
 from repro.anim.sequence import FrameSequence
@@ -52,7 +47,6 @@ __all__ = [
     "DeltaDecoder",
     "DeltaEncoder",
     "DeltaManifest",
-    "DeltaTransport",
     "FrameResponse",
     "FrameSequence",
     "IncrementalAnimator",

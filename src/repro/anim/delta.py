@@ -20,7 +20,7 @@ The encoding itself is exact by construction, never approximate:
   to runs of zeros exactly where the frames agree bit-for-bit;
 * both streams are cut into fixed-size chunks, byte-shuffled (the
   float64 byte-plane transpose that groups exponent bytes together so
-  near-agreement compresses), compressed with zlib or bz2, and stored
+  near-agreement compresses), compressed with zlib at level 6, and stored
   under the SHA-256 of their stored-form bytes
   (:func:`repro.service.keys.chunk_digest`).  Identical chunks —
   all-zero diff regions, repeated frames, shared sequence prefixes —
@@ -33,17 +33,21 @@ equivalence zoo asserts exactly that.  A missing or corrupt chunk makes
 :meth:`DeltaDecoder.decode` return ``None`` (never wrong bytes): the
 serving layer falls back to full-frame rendering transparently.
 
-The keyframe cadence K is an economics knob, priced by the
-:class:`~repro.machine.costs.CostModel` (``best_keyframe_cadence``):
-thin diffs buy long cadences, diffs as fat as keyframes price K down to
-1 because a diff chain then costs decode time and saves no bandwidth.
+The keyframe cadence K is an economics knob, priced by the paper
+machine's :class:`~repro.machine.costs.CostModel`
+(``CostModel.onyx2().best_keyframe_cadence``): thin diffs buy long
+cadences, diffs as fat as keyframes price K down to 1 because a diff
+chain then costs decode time and saves no bandwidth.
 ``keyframe_every=0`` resolves K automatically from the first measured
 diff.
+
+An :class:`~repro.anim.service.AnimationService` built with
+``delta_every`` owns one :class:`DeltaEncoder`; its chunk store is the
+service's ``delta_encoder.store``.
 """
 
 from __future__ import annotations
 
-import bz2
 import json
 import threading
 import zlib
@@ -63,10 +67,12 @@ DEFAULT_CHUNK_BYTES = 1 << 14
 #: Cadence candidates priced when ``keyframe_every=0`` (auto).
 CADENCE_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
 
-_CODECS = {
-    "zlib": (lambda data, level: zlib.compress(data, level), zlib.decompress),
-    "bz2": (lambda data, level: bz2.compress(data, level), bz2.decompress),
-}
+#: The chunk codec and its level, as every manifest records them.
+CODEC = "zlib"
+LEVEL = 6
+
+#: The cost model that prices an automatic keyframe cadence.
+_COSTS = CostModel.onyx2()
 
 
 def _shuffle(raw: bytes) -> bytes:
@@ -149,8 +155,6 @@ class DeltaManifest:
     """
 
     sequence: str
-    codec: str
-    level: int
     chunk_bytes: int
     keyframe_every: int
     shape: Tuple[int, ...]
@@ -165,8 +169,8 @@ class DeltaManifest:
             "kind": self.KIND,
             "version": self.VERSION,
             "sequence": self.sequence,
-            "codec": self.codec,
-            "level": self.level,
+            "codec": CODEC,
+            "level": LEVEL,
             "chunk_bytes": self.chunk_bytes,
             "keyframe_every": self.keyframe_every,
             "shape": list(self.shape),
@@ -187,10 +191,13 @@ class DeltaManifest:
                 f"delta manifest version {payload['version']} is newer than "
                 f"this reader (understands <= {cls.VERSION})"
             )
+        if payload.get("codec") != CODEC:
+            raise AnimationServiceError(
+                f"unknown delta codec {payload.get('codec')!r}; this reader "
+                f"decodes {CODEC!r} only"
+            )
         return cls(
             sequence=str(payload["sequence"]),
-            codec=str(payload["codec"]),
-            level=int(payload["level"]),
             chunk_bytes=int(payload["chunk_bytes"]),
             keyframe_every=int(payload["keyframe_every"]),
             shape=tuple(int(n) for n in payload["shape"]),
@@ -206,11 +213,7 @@ class DeltaManifest:
         return len(json.dumps(self.to_dict(), sort_keys=True).encode("utf-8"))
 
 
-def _materialise(
-    entry: FrameEntry,
-    store,
-    decompress,
-) -> Optional[bytes]:
+def _materialise(entry: FrameEntry, store) -> Optional[bytes]:
     """Fetch, inflate, verify and unshuffle one entry's payload bytes.
 
     Returns ``None`` on any missing or corrupt chunk — the caller's
@@ -223,8 +226,8 @@ def _materialise(
         if payload is None:
             return None
         try:
-            stored = decompress(payload)
-        except (ValueError, OSError, EOFError, zlib.error):
+            stored = zlib.decompress(payload)
+        except zlib.error:
             return None
         if len(stored) != ref.raw_bytes or chunk_digest(stored) != ref.digest:
             return None
@@ -236,7 +239,6 @@ def _decode_frame(
     frame: int,
     entries: Dict[int, FrameEntry],
     store,
-    decompress,
     shape: Tuple[int, ...],
     dtype: str,
 ) -> Optional[np.ndarray]:
@@ -251,11 +253,11 @@ def _decode_frame(
         if entry.kind == "key":
             break
         t -= 1
-    buf = _materialise(chain[-1], store, decompress)
+    buf = _materialise(chain[-1], store)
     if buf is None:
         return None
     for entry in reversed(chain[:-1]):
-        diff = _materialise(entry, store, decompress)
+        diff = _materialise(entry, store)
         if diff is None:
             return None
         buf = _xor(buf, diff)
@@ -280,14 +282,7 @@ class DeltaEncoder:
         sequence_id: str,
         keyframe_every: int = 0,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        codec: str = "zlib",
-        level: int = 6,
-        cost_model: Optional[CostModel] = None,
     ):
-        if codec not in _CODECS:
-            raise AnimationServiceError(
-                f"unknown delta codec {codec!r}; available: {sorted(_CODECS)}"
-            )
         if keyframe_every < 0:
             raise AnimationServiceError(
                 f"keyframe_every must be >= 0 (0 = price automatically), "
@@ -299,11 +294,7 @@ class DeltaEncoder:
             )
         self.store = store
         self.sequence_id = sequence_id
-        self.codec = codec
-        self.level = int(level)
         self.chunk_bytes = int(chunk_bytes)
-        self.cost_model = cost_model or CostModel.onyx2()
-        self._compress, self._decompress = _CODECS[codec]
         self._lock = threading.Lock()
         self._keyframe_every = int(keyframe_every)  #: guarded-by: _lock
         self._prev: "Optional[Tuple[int, bytes]]" = None  #: guarded-by: _lock
@@ -334,7 +325,7 @@ class DeltaEncoder:
         for start in range(0, len(stream), self.chunk_bytes):
             stored = _shuffle(stream[start : start + self.chunk_bytes])
             digest = chunk_digest(stored)
-            payload = self._compress(stored, self.level)
+            payload = zlib.compress(stored, LEVEL)
             if self.store.contains_bytes(digest):
                 dedup += 1
             else:
@@ -426,7 +417,7 @@ class DeltaEncoder:
                 c.stored_bytes for c in self._entries[key_entries[0]].chunks
             )
             delta_bytes = sum(c.stored_bytes for c in delta_entry.chunks)
-            cadence = self.cost_model.best_keyframe_cadence(
+            cadence = _COSTS.best_keyframe_cadence(
                 len(raw), key_bytes, delta_bytes, CADENCE_CANDIDATES
             )
             self._keyframe_every = cadence
@@ -451,7 +442,7 @@ class DeltaEncoder:
             shape, dtype = self._shape, self._dtype
         if shape is None:
             return None
-        return _decode_frame(frame, entries, self.store, self._decompress, shape, dtype)
+        return _decode_frame(frame, entries, self.store, shape, dtype)
 
     def manifest(self) -> Optional[DeltaManifest]:
         """Snapshot the frame table as a publishable manifest."""
@@ -460,8 +451,6 @@ class DeltaEncoder:
                 return None
             return DeltaManifest(
                 sequence=self.sequence_id,
-                codec=self.codec,
-                level=self.level,
                 chunk_bytes=self.chunk_bytes,
                 keyframe_every=self._keyframe_every,
                 shape=self._shape,
@@ -494,57 +483,13 @@ class DeltaDecoder:
     def __init__(self, store, manifest: DeltaManifest):
         self.store = store
         self.manifest = manifest
-        self._decompress = _CODECS[manifest.codec][1]
 
     def decode(self, frame: int) -> Optional[np.ndarray]:
         return _decode_frame(
             frame,
             self.manifest.frames,
             self.store,
-            self._decompress,
             self.manifest.shape,
             self.manifest.dtype,
         )
 
-
-class DeltaTransport:
-    """Store + codec parameters shared by a service's encoders.
-
-    One transport per :class:`~repro.anim.service.AnimationService`:
-    plan re-resolutions create fresh encoders (new sequence identity,
-    new frame table) over the *same* chunk store, so byte-identical
-    chunks keep deduping across plans and process restarts.
-    """
-
-    def __init__(
-        self,
-        store,
-        keyframe_every: int = 0,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        codec: str = "zlib",
-        level: int = 6,
-        cost_model: Optional[CostModel] = None,
-    ):
-        # Validate eagerly (the encoder re-checks, but a bad cadence or
-        # codec should fail at service construction, not first frame).
-        if codec not in _CODECS:
-            raise AnimationServiceError(
-                f"unknown delta codec {codec!r}; available: {sorted(_CODECS)}"
-            )
-        self.store = store
-        self.keyframe_every = int(keyframe_every)
-        self.chunk_bytes = int(chunk_bytes)
-        self.codec = codec
-        self.level = int(level)
-        self.cost_model = cost_model or CostModel.onyx2()
-
-    def encoder(self, sequence_id: str) -> DeltaEncoder:
-        return DeltaEncoder(
-            self.store,
-            sequence_id,
-            keyframe_every=self.keyframe_every,
-            chunk_bytes=self.chunk_bytes,
-            codec=self.codec,
-            level=self.level,
-            cost_model=self.cost_model,
-        )

@@ -42,7 +42,7 @@ import numpy as np
 from repro.advection.advector import auto_dt
 from repro.advection.lifecycle import LifeCyclePolicy
 from repro.anim.checkpoints import CheckpointStore
-from repro.anim.delta import DeltaEncoder, DeltaTransport
+from repro.anim.delta import DeltaEncoder
 from repro.anim.incremental import FieldSource, IncrementalAnimator
 from repro.anim.scheduler import SequenceScheduler
 from repro.anim.sequence import FrameSequence
@@ -220,16 +220,6 @@ class AnimationService:
         if dt is None or config.backend == "auto":
             field0 = field_source(0)
         self.dt = float(dt) if dt is not None else auto_dt(field0)
-        self.delta_transport: Optional[DeltaTransport] = None
-        if delta_every is not None:
-            delta_store = (
-                DiskBlobStore(os.path.join(disk_dir, "delta"))
-                if disk_dir
-                else MemoryBlobStore()
-            )
-            self.delta_transport = DeltaTransport(
-                delta_store, keyframe_every=int(delta_every)
-            )
         #: The resolved plan (``None`` without auto) and config.
         self.plan, self.config = resolve_plan(config, field0, planner)
         self.sequence = FrameSequence(
@@ -238,12 +228,17 @@ class AnimationService:
         self._sequence_id = (
             f"{self.config.fingerprint()}|{self.dt!r}|{self.sequence._policy_token}"
         )
+        self.delta_encoder: Optional[DeltaEncoder] = None
+        if delta_every is not None:
+            delta_store = (
+                DiskBlobStore(os.path.join(disk_dir, "delta"))
+                if disk_dir
+                else MemoryBlobStore()
+            )
+            self.delta_encoder = DeltaEncoder(
+                delta_store, self._sequence_id, keyframe_every=int(delta_every)
+            )
         self.runtime = DivideAndConquerRuntime(self.config)
-        self.delta_encoder: Optional[DeltaEncoder] = (
-            self.delta_transport.encoder(self._sequence_id)
-            if self.delta_transport is not None
-            else None
-        )
         self.checkpoint_every = int(checkpoint_every)
         self.stats = ServiceStats()
         disk = DiskTextureCache(disk_dir) if disk_dir else None

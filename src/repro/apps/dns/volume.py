@@ -71,12 +71,6 @@ class SliceBrowser:
     def index(self) -> int:
         return self._spec.index
 
-    def seek(self, index: int) -> None:
-        size = self.volume.axis_size(self.axis)
-        if not (0 <= index < size):
-            raise ApplicationError(f"index {index} out of range [0, {size})")
-        self._spec = SliceSpec(self.axis, index)
-
     def step(self, delta: int = 1) -> int:
         """Move the slice index by *delta* with wraparound; returns new index."""
         size = self.volume.axis_size(self.axis)

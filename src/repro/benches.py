@@ -165,7 +165,7 @@ def delta_bench(
         wall_s = time.perf_counter() - t0
         stats = service.delta_stats()
         manifest = DeltaManifest.from_dict(service.manifest()["delta"])
-        decoder = DeltaDecoder(service.delta_transport.store, manifest)
+        decoder = DeltaDecoder(service.delta_encoder.store, manifest)
         dt = service.dt
 
     distinct = sorted(textures)

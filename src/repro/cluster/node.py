@@ -256,9 +256,12 @@ class ClusterNode:
         Returns ``(texture, meta)`` where meta records the digest, the
         serving node and the cache source — the header fields of a
         texture response.  Runs on the runtime loop: a memory hit and a
-        proxied hop never leave it.
+        proxied hop never leave it.  The frame's key is resolved once: a
+        first sight loads the field to route it, and a local miss
+        renders that same field.
         """
-        digest = await self.service.render_digest_async(frame)
+        key, field = await self.service._resolve_async(frame)
+        digest = key.digest
         for _attempt in range(PROXY_ATTEMPTS):
             try:
                 owner = self.ring.owner(digest)
@@ -284,7 +287,7 @@ class ClusterNode:
                 "node": str(remote_header.get("node", owner)),
                 "source": f"peer:{owner}",
             }
-        response = await self.service.request_async(frame)
+        response = await self.service._serve_async(key, field)
         return response.texture, {
             "digest": digest,
             "node": self.node_id,

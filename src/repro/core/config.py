@@ -152,17 +152,6 @@ class SpotNoiseConfig:
 
     # -- convenience constructors matching the paper -----------------------------
     @classmethod
-    def atmospheric(cls, **overrides) -> "SpotNoiseConfig":
-        """Section 5.1: 2500 bent spots, 32x17 meshes, 512^2 texture."""
-        base = cls(
-            n_spots=2500,
-            spot_mode="bent",
-            bent=BentConfig(n_along=32, n_across=17, length_cells=4.0, width_cells=1.2),
-            texture_size=512,
-        )
-        return replace(base, **overrides)
-
-    @classmethod
     def turbulence(cls, **overrides) -> "SpotNoiseConfig":
         """Section 5.2: 40 000 bent spots, 16x3 meshes, 512^2 texture."""
         base = cls(

@@ -89,10 +89,3 @@ class SteeringSession:
     def journal(self) -> List[Tuple[int, str, float]]:
         """(frame, parameter, value) change records, in order."""
         return list(self._journal)
-
-    def describe(self) -> str:
-        lines = []
-        for name in self.names():
-            p = self._params[name]
-            lines.append(f"{name} = {p.value:g}  in [{p.lo:g}, {p.hi:g}]  {p.description}")
-        return "\n".join(lines)

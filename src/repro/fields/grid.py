@@ -151,11 +151,6 @@ class RectilinearGrid:
     def bounds(self) -> Tuple[float, float, float, float]:
         return (float(self.x[0]), float(self.x[-1]), float(self.y[0]), float(self.y[-1]))
 
-    @property
-    def extent(self) -> Tuple[float, float]:
-        x0, x1, y0, y1 = self.bounds
-        return (x1 - x0, y1 - y0)
-
     def x_coords(self) -> np.ndarray:
         return self.x
 
@@ -177,17 +172,6 @@ class RectilinearGrid:
             return idx + (vals - lo) / (hi - lo)
 
         return frac(self.x, pts[:, 0]), frac(self.y, pts[:, 1])
-
-    def fractional_to_world(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-        fx = np.asarray(fx, dtype=np.float64)
-        fy = np.asarray(fy, dtype=np.float64)
-
-        def world(coords: np.ndarray, f: np.ndarray) -> np.ndarray:
-            idx = np.clip(np.floor(f).astype(np.int64), 0, coords.size - 2)
-            t = f - idx
-            return coords[idx] * (1.0 - t) + coords[idx + 1] * t
-
-        return np.stack([world(self.x, fx), world(self.y, fy)], axis=-1)
 
     def min_spacing(self) -> float:
         return float(min(np.diff(self.x).min(), np.diff(self.y).min()))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,13 +30,6 @@ class ScalarField2D:
         self.grid = grid
         self.data = data
         self.boundary: BoundaryMode = check_boundary_mode(boundary)
-
-    @classmethod
-    def from_function(
-        cls, grid: Grid, fn: Callable[[np.ndarray, np.ndarray], np.ndarray], boundary: BoundaryMode = "clamp"
-    ) -> "ScalarField2D":
-        X, Y = grid.mesh()
-        return cls(grid, np.broadcast_to(np.asarray(fn(X, Y), dtype=np.float64), X.shape).copy(), boundary)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField2D":

@@ -99,23 +99,3 @@ class Dataset3D:
         grid = RegularGrid(nx, ny, self._plane_bounds(plane_axes))
         return VectorField2D(grid, in_plane)
 
-    @classmethod
-    def from_function(
-        cls,
-        fn,
-        shape: Tuple[int, int, int],
-        bounds: Tuple[float, ...] = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0),
-    ) -> "Dataset3D":
-        """Sample ``fn(X, Y, Z) -> (U, V, W)`` onto a regular lattice."""
-        nz, ny, nx = shape
-        x0, x1, y0, y1, z0, z1 = bounds
-        xs = np.linspace(x0, x1, nx)
-        ys = np.linspace(y0, y1, ny)
-        zs = np.linspace(z0, z1, nz)
-        Z, Y, X = np.meshgrid(zs, ys, xs, indexing="ij")
-        u, v, w = fn(X, Y, Z)
-        data = np.stack(
-            [np.broadcast_to(u, X.shape), np.broadcast_to(v, X.shape), np.broadcast_to(w, X.shape)],
-            axis=-1,
-        )
-        return cls(data.astype(np.float64), bounds)

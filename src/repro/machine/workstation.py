@@ -36,13 +36,6 @@ class WorkstationConfig:
         if self.bus_bandwidth_Bps <= 0:
             raise MachineError("bus bandwidth must be positive")
 
-    @classmethod
-    def onyx2(cls, n_processors: int = 8, n_pipes: int = 4) -> "WorkstationConfig":
-        """The paper's machine (any sub-configuration of 8 CPUs x 4 pipes)."""
-        if n_processors > 8 or n_pipes > 4:
-            raise MachineError("the Onyx2 of the paper has at most 8 processors and 4 pipes")
-        return cls(n_processors, n_pipes)
-
     def processors_per_group(self) -> "list[int]":
         """Even partition of processors over pipes (masters included).
 

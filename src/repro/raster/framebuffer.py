@@ -71,9 +71,6 @@ class FrameBuffer:
         )
 
     # -- content -------------------------------------------------------------
-    def clear(self) -> None:
-        self.data[...] = 0.0
-
     def copy(self) -> "FrameBuffer":
         fb = FrameBuffer(self.width, self.height, self.window)
         fb.data[...] = self.data

@@ -10,8 +10,8 @@ matters: :meth:`AsyncSingleFlight.settle` retires a flight from the map
 *before* resolving its future, so a request arriving after completion
 starts fresh (and usually hits the cache the flight just populated).
 
-A waiter that gives up (a timeout or a cancellation around
-:meth:`AsyncSingleFlight.wait`) leaves the shared future to the others.
+A waiter that is cancelled in :meth:`AsyncSingleFlight.wait` leaves
+the shared future to the others.
 The driver (the point-serving miss path in
 :class:`~repro.service.server.TextureService`) owns the
 begin → run → settle sequence.
@@ -81,6 +81,6 @@ class AsyncSingleFlight:
         """Await the flight's result.
 
         The shield keeps the shared future alive when *this* waiter is
-        cancelled or times out — other waiters still await it.
+        cancelled — other waiters still await it.
         """
         return await asyncio.shield(flight.future)

@@ -30,7 +30,7 @@ def _wake(waiters: "List[asyncio.Future]") -> None:
 async def _wait_on(waiters: "List[asyncio.Future]") -> None:
     """Park until the next :func:`_wake` on *waiters*.
 
-    Per-waiter futures make cancellation local: a timed-out waiter
+    Per-waiter futures make cancellation local: a cancelled waiter
     cancels only its own future, never a broadcast future other waiters
     are parked on.
     """
@@ -153,8 +153,7 @@ class FrameStream:
 
         Returns ``None`` when this stream can no longer deliver it from
         its buffer (the walk passed it, or finished without reaching
-        it); raises the stream's error if the walk failed.  Timeouts are
-        the caller's job (``asyncio.wait_for``).
+        it); raises the stream's error if the walk failed.
         """
         while True:
             if frame in self.frames:

@@ -111,11 +111,6 @@ class LRUTextureCache:
                 self._nbytes -= evicted.nbytes
         return True
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._nbytes = 0
-
 
 class DiskBlobStore:
     """Content-addressed on-disk store of named-array bundles and raw blobs.

@@ -202,14 +202,15 @@ class TextureService:
         key, _ = self._key_for(frame)
         return key.digest
 
-    async def render_digest_async(self, frame: int) -> str:
-        """:meth:`render_digest` on the runtime loop: a memoised digest
-        costs no hop, and only a frame's first sight loads and digests
-        its field, on the loop's default executor."""
+    async def _resolve_async(self, frame: int) -> "tuple[RequestKey, Optional[VectorField2D]]":
+        """:meth:`_key_for` on the runtime loop: a memoised key costs no
+        hop, and only a frame's first sight loads and digests its field,
+        on the loop's default executor.  The field comes back with the
+        key so that a miss renders it without loading it again."""
         key = self._known_key(frame)
-        if key is None:
-            key, _ = await asyncio.get_running_loop().run_in_executor(None, self._key_for, frame)
-        return key.digest
+        if key is not None:
+            return key, None
+        return await asyncio.get_running_loop().run_in_executor(None, self._key_for, frame)
 
     # -- the request path --------------------------------------------------------
     def request(self, frame: int) -> TextureResponse:
@@ -228,18 +229,16 @@ class TextureService:
             raise
         return self._respond(key, texture, source, t0)
 
-    async def request_async(self, frame: int) -> TextureResponse:
-        """:meth:`request` on the runtime loop, for loop-native callers
-        (the cluster front end).  A memory hit on a frame whose digest
-        is memoised never leaves the loop.  A first sight (field load
-        and digest) and a disk read run on the loop's default executor,
-        and a miss awaits its flight."""
+    async def _serve_async(self, key: RequestKey, field: Optional[VectorField2D]) -> TextureResponse:
+        """:meth:`request` on the runtime loop, of a frame that
+        :meth:`_resolve_async` resolved to ``(key, field)``, for the
+        cluster front end, which resolves a frame once to route it and
+        to serve it.  A memory hit never leaves the loop.  A disk read
+        runs on the loop's default executor, and a miss awaits its
+        flight and renders *field* when it is loaded."""
         t0 = self._begin()
         try:
             loop = asyncio.get_running_loop()
-            key, field = self._known_key(frame), None
-            if key is None:
-                key, field = await loop.run_in_executor(None, self._key_for, frame)
             texture, source = self.cache.memory.get(key.digest), "memory"
             if texture is None and self.cache.disk is not None:
                 texture, source = await loop.run_in_executor(None, self.cache.read_disk, key.digest)

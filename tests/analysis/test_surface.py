@@ -8,7 +8,10 @@ a benchmark's own variable shares; a class that only an import and
 annotations name, and a function called through an import alias.  Its class ``Widget`` has members
 used the same ways, plus one named only by a bare name, and instance
 attributes read from the package, read only from ``tests/``, or only
-ever written.
+ever written.  The classes of ``typed.py`` share member names, and
+``benchmarks/bench_typed.py`` uses them through receivers whose class
+is plain (an annotated parameter, ``Cls(...)``, ``self.x``, a dict) or
+open (an unannotated parameter).
 """
 
 import os
@@ -18,6 +21,7 @@ from tools.analysis.runner import run_analysis
 
 SURFACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "surface")
 SURFACE_SRC = os.path.join(SURFACE, "src", "repro")
+MOD = os.path.join("src", "repro", "mod.py")
 
 
 def _run(paths=(SURFACE_SRC,), baseline=None):
@@ -32,17 +36,17 @@ def _run(paths=(SURFACE_SRC,), baseline=None):
 class TestPublicSurface:
     def test_flags_names_only_tests_and_reexports_use(self):
         report = _run()
-        assert sorted(f.symbol for f in report.findings) == [
+        assert sorted(f.symbol for f in report.findings if f.path == MOD) == [
             "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.read_by_tests",
             "Widget.tested_only", "Widget.tested_prop", "Widget.written_only",
             "mentioned_only", "orphan", "recursive_orphan", "shadowed_only",
         ]
-        assert {f.path for f in report.findings} == {os.path.join("src", "repro", "mod.py")}
+        assert {f.path for f in report.findings} == {MOD, os.path.join("src", "repro", "typed.py")}
         assert {f.rule for f in report.findings} == {"unused-public"}
 
     def test_a_name_in_prose_or_a_string_is_not_a_use(self):
         finding = next(f for f in _run().findings if f.symbol == "mentioned_only")
-        assert finding.path == os.path.join("src", "repro", "mod.py")
+        assert finding.path == MOD
 
     def test_a_variable_of_the_same_name_is_not_a_use(self):
         # bench_mod.py assigns and reads its own `shadowed_only`; a module
@@ -66,7 +70,10 @@ class TestPublicSurface:
         assert messages["orphan"].startswith("public function 'orphan'")
 
     def test_members_are_judged_by_attribute_references(self):
-        flagged = {f.symbol for f in _run().findings if f.message.startswith("public member")}
+        flagged = {
+            f.symbol for f in _run().findings
+            if f.path == MOD and f.message.startswith("public member")
+        }
         # Test-only members are flagged; a property's getter and setter
         # are one member; a bare name or a string never reaches a member.
         assert flagged == {"Widget.tested_only", "Widget.tested_prop", "Widget.named_only"}
@@ -100,7 +107,42 @@ class TestPublicSurface:
         report = _run(baseline=Baseline([kept.key()]))
         assert [f.symbol for f in report.baselined] == ["orphan"]
         assert sorted(f.symbol for f in report.findings) == [
-            "AnnotatedOnly", "Orphan", "Widget.named_only", "Widget.read_by_tests",
+            "AnnotatedOnly", "Cache.clear", "Orphan", "Other.evict", "Other.hits", "Other.ping",
+            "Widget.named_only", "Widget.read_by_tests",
             "Widget.tested_only", "Widget.tested_prop", "Widget.written_only",
             "mentioned_only", "recursive_orphan", "shadowed_only",
         ]
+
+
+class TestTypedReceivers:
+    """A use counts for its receiver's class wherever the module makes
+    that class plain (``typed.py`` and ``bench_typed.py``)."""
+
+    def _flagged(self):
+        return {f.symbol for f in _run().findings}
+
+    def test_a_member_only_a_builtin_shadows_is_flagged(self):
+        # bench_typed.py calls clear() only on a dict literal.
+        assert "Cache.clear" in self._flagged()
+
+    def test_a_typed_use_keeps_its_class_member_only(self):
+        # ``cache: Cache`` keeps Cache.ping and the attribute Cache.hits;
+        # Other's same-named member and attribute are flagged.
+        flagged = self._flagged()
+        assert "Cache.ping" not in flagged and "Cache.hits" not in flagged
+        assert {"Other.ping", "Other.hits"} <= flagged
+
+    def test_an_open_receiver_keeps_every_member_of_the_name(self):
+        # ``thing`` has no annotation: the name rule still applies.
+        assert "Cache.refresh" not in self._flagged()
+
+    def test_a_member_inherited_by_a_typed_subclass_is_kept(self):
+        # Sub().inherited() resolves to Sub, whose base defines it.
+        assert "Base.inherited" not in self._flagged()
+
+    def test_self_attributes_resolve_through_init(self):
+        # Holder.__init__ binds self.cache = Cache(): self.cache.evict()
+        # keeps Cache.evict, not Other.evict.
+        flagged = self._flagged()
+        assert "Cache.evict" not in flagged and "Holder.cache" not in flagged
+        assert "Other.evict" in flagged

@@ -16,12 +16,11 @@ from repro.anim.delta import (
     DeltaDecoder,
     DeltaEncoder,
     DeltaManifest,
-    DeltaTransport,
 )
 from repro.core.config import SpotNoiseConfig
 from repro.errors import AnimationServiceError
 from repro.fields.analytic import random_smooth_field
-from repro.service.cache import MemoryBlobStore
+from repro.service.cache import LRUTextureCache, MemoryBlobStore
 
 N_FRAMES = 12
 
@@ -54,12 +53,10 @@ class MissingChunks:
 
 
 class TestCodecExactness:
-    @pytest.mark.parametrize("codec", ["zlib", "bz2"])
-    def test_round_trip_bit_exact(self, codec):
+    def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(3)
         store = MemoryBlobStore()
-        enc = DeltaEncoder(store, "seq", keyframe_every=4, codec=codec,
-                           chunk_bytes=2048)
+        enc = DeltaEncoder(store, "seq", keyframe_every=4, chunk_bytes=2048)
         frames = [rng.random((16, 16)) for _ in range(9)]
         for t, f in enumerate(frames):
             enc.add_frame(t, f, f"digest-{t}")
@@ -146,8 +143,6 @@ class TestCodecExactness:
     def test_validation(self):
         store = MemoryBlobStore()
         with pytest.raises(AnimationServiceError):
-            DeltaEncoder(store, "s", codec="lz4")
-        with pytest.raises(AnimationServiceError):
             DeltaEncoder(store, "s", keyframe_every=-1)
         with pytest.raises(AnimationServiceError):
             DeltaEncoder(store, "s", chunk_bytes=12)  # not a multiple of 8
@@ -163,8 +158,7 @@ class TestManifestAndDecoder:
     def test_manifest_round_trip_and_client_decode(self):
         rng = np.random.default_rng(11)
         store = MemoryBlobStore()
-        transport = DeltaTransport(store, keyframe_every=4)
-        enc = transport.encoder("seq-a")
+        enc = DeltaEncoder(store, "seq-a", keyframe_every=4)
         frames = [rng.random((16, 16)) for _ in range(6)]
         for t, f in enumerate(frames):
             enc.add_frame(t, f, f"d{t}")
@@ -172,7 +166,7 @@ class TestManifestAndDecoder:
         assert manifest.sequence == "seq-a"
         assert manifest.keyframe_every == 4
         assert manifest.json_bytes() > 0
-        dec = DeltaDecoder(transport.store, manifest)
+        dec = DeltaDecoder(store, manifest)
         for t, f in enumerate(frames):
             assert dec.decode(t).tobytes() == canonical(f)
 
@@ -213,6 +207,17 @@ class TestManifestAndDecoder:
         with pytest.raises(AnimationServiceError):
             DeltaManifest.from_dict(payload)
 
+    def test_manifest_records_zlib_and_rejects_other_codecs(self):
+        store = MemoryBlobStore()
+        enc = DeltaEncoder(store, "seq", keyframe_every=2)
+        enc.add_frame(0, np.zeros((4, 4)), "d0")
+        payload = enc.manifest().to_dict()
+        assert (payload["codec"], payload["level"]) == ("zlib", 6)
+        # The manifest comes from outside the program: a codec this
+        # reader cannot decode is a service error, not a KeyError.
+        with pytest.raises(AnimationServiceError, match="lz4"):
+            DeltaManifest.from_dict(dict(payload, codec="lz4"))
+
 
 class TestServiceIntegration:
     CONFIG = SpotNoiseConfig(n_spots=60, texture_size=24, seed=7)
@@ -224,7 +229,7 @@ class TestServiceIntegration:
         ) as svc:
             first = {f.frame: f.texture for f in svc.stream(0, 6)}
             renders = svc.stats.renders
-            svc.cache.memory.clear()  # drop every texture; chunks remain
+            svc.cache.memory = LRUTextureCache(svc.cache.memory.byte_budget)  # chunks remain
             again = list(svc.stream(0, 6))
             assert svc.stats.renders == renders  # no re-render
             assert {f.source for f in again} == {"delta"}
@@ -243,7 +248,7 @@ class TestServiceIntegration:
                 for entry in enc.manifest().frames.values()
                 for chunk in entry.chunks
             ])
-            svc.cache.memory.clear()
+            svc.cache.memory = LRUTextureCache(svc.cache.memory.byte_budget)
             response = svc.request(2)
             assert response.source in ("stream", "coalesced")
             assert response.texture.tobytes() == reference[2].tobytes()
@@ -273,7 +278,7 @@ class TestServiceIntegration:
             persisted = json.load(fh)
         delta = DeltaManifest.from_dict(persisted["delta"])
         # A fresh process can decode straight from the on-disk chunks.
-        store = svc.delta_transport.store
+        store = svc.delta_encoder.store
         dec = DeltaDecoder(store, delta)
         reference = one_shot_frame(self.CONFIG, source, 3, dt=svc.dt)
         assert dec.decode(3).tobytes() == canonical(reference.display)
@@ -282,6 +287,6 @@ class TestServiceIntegration:
         source = make_source(seed=705, n=12)
         with AnimationService(source, self.CONFIG, length=N_FRAMES) as svc:
             list(svc.stream(0, 3))
-            assert svc.delta_transport is None
+            assert svc.delta_encoder is None
             assert svc.delta_stats() is None
             assert "delta" not in svc.manifest()

@@ -68,12 +68,6 @@ class TestSliceBrowser:
         browser.step(-3)  # wraparound
         assert browser.index == 5
 
-    def test_seek_bounds(self, store):
-        vol = space_time_volume(store)
-        browser = SliceBrowser(vol)
-        with pytest.raises(ApplicationError):
-            browser.seek(99)
-
     def test_bad_initial_index(self, store):
         vol = space_time_volume(store)
         with pytest.raises(ApplicationError):

@@ -4,9 +4,10 @@ A cluster node answers a memory hit in the connection's own task and
 awaits a proxied hop on the same loop; only a frame's first sight, a
 disk read and a render leave it.  These tests pin that by counting what
 reaches the loop's default executor and the service's render pool,
-never by timing, and check that the loop entry of
-:class:`~repro.service.server.TextureService` records exactly what the
-blocking one does.
+never by timing, and check that a node's loop-native serve of its own
+frame records exactly what the blocking
+:meth:`~repro.service.server.TextureService.request` does and loads a
+missed frame's field once.
 """
 
 from __future__ import annotations
@@ -121,15 +122,33 @@ def test_a_loop_hit_records_what_a_blocking_hit_does(make_single_node):
     blocking_delta = _stats_delta(service.stats, before)
 
     before = _stats_view(service.stats)
-    on_loop = get_runtime_loop().run(service.request_async(0))
+    with ClusterNode("solo", service) as node:
+        _, meta = get_runtime_loop().run(node.serve_frame(0))
     loop_delta = _stats_delta(service.stats, before)
 
-    assert blocking.source == on_loop.source == "memory"
-    assert on_loop.key == blocking.key
+    assert blocking.source == meta["source"] == "memory"
+    assert meta["digest"] == blocking.key.digest
     assert loop_delta == blocking_delta
     assert blocking_delta["requests"] == 1
     assert blocking_delta["source.memory"] == blocking_delta["samples.memory"] == 1
     assert sum(blocking_delta.values()) == 3
+
+
+def test_a_routed_miss_loads_its_field_once(make_fleet, field_source):
+    # Routing needs the frame's digest, so a first sight loads the field
+    # on the loop's executor; the miss must render that same field.
+    loads: Dict[int, int] = {}
+
+    def counting_source(frame):
+        loads[frame] = loads.get(frame, 0) + 1
+        return field_source(frame)
+
+    fleet = make_fleet(1, field_source=counting_source)
+    frames = [0, 1, 2]
+    for frame in frames + frames:  # a miss, then a memoised hit, per frame
+        fleet.request(0, frame)
+    assert loads == {frame: 1 for frame in frames}
+    assert fleet.total_renders() == len(frames)
 
 
 def test_each_proxied_hop_counts_one_forward(make_fleet):
@@ -163,8 +182,8 @@ def test_an_interrupted_render_does_not_stop_the_loop(make_single_node, monkeypa
 
     monkeypatch.setattr(service.renderer, "render", abort)
     runtime = get_runtime_loop()
-    with pytest.raises(ServiceError, match="render interrupted"):
-        runtime.submit(service.request_async(0)).result(timeout=30.0)
+    with ClusterNode("solo", service) as node, pytest.raises(ServiceError, match="render interrupted"):
+        runtime.submit(node.serve_frame(0)).result(timeout=30.0)
     assert runtime.alive
     assert service.stats.snapshot()["errors"] == 1
 

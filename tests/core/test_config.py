@@ -43,23 +43,15 @@ class TestSpotNoiseConfig:
         with pytest.raises(PipelineError):
             SpotNoiseConfig(**kwargs)
 
-    def test_atmospheric_factory(self):
-        c = SpotNoiseConfig.atmospheric()
-        assert c.n_spots == 2500
-        assert c.spot_mode == "bent"
-        assert c.bent.n_along == 32 and c.bent.n_across == 17
-        assert c.vertices_per_spot() == 544
-        assert c.quads_per_spot() == 496
-
     def test_turbulence_factory(self):
         c = SpotNoiseConfig.turbulence()
         assert c.n_spots == 40_000
         assert c.vertices_per_spot() == 48
 
     def test_factory_overrides(self):
-        c = SpotNoiseConfig.atmospheric(n_spots=100, n_groups=4)
+        c = SpotNoiseConfig.turbulence(n_spots=100, n_groups=4)
         assert c.n_spots == 100 and c.n_groups == 4
-        assert c.bent.n_along == 32
+        assert c.bent.n_along == 16
 
     def test_standard_vertices(self):
         assert SpotNoiseConfig(spot_mode="standard").vertices_per_spot() == 4

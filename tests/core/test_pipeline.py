@@ -9,7 +9,8 @@ from repro.core.pipeline import SpotNoisePipeline
 from repro.core.synthesizer import SpotNoiseSynthesizer, workload_from_config
 from repro.errors import PipelineError
 from repro.fields.analytic import constant_field, vortex_field
-from repro.fields.scalarfield import ScalarField2D
+
+from oracles import atmospheric_config, scalar_from_function
 
 CFG = SpotNoiseConfig(n_spots=200, texture_size=48, spot_mode="standard", seed=1)
 FIELD = vortex_field(n=17)
@@ -59,7 +60,7 @@ class TestPipelineStages:
 
     def test_render_with_scalar_overlay(self):
         with SpotNoisePipeline(CFG, FIELD) as pipe:
-            scalar = ScalarField2D.from_function(FIELD.grid, lambda X, Y: X + 1.0)
+            scalar = scalar_from_function(FIELD.grid, lambda X, Y: X + 1.0)
             frame = pipe.step(scalar=scalar)
         assert frame.image is not None
         assert frame.image.shape == (48, 48, 3)
@@ -99,14 +100,14 @@ class TestSynthesizer:
             assert s._pipeline is not first
 
     def test_predict_timing(self):
-        with SpotNoiseSynthesizer(SpotNoiseConfig.atmospheric()) as s:
+        with SpotNoiseSynthesizer(atmospheric_config()) as s:
             res = s.predict_timing(FIELD, 8, 4)
         assert res.textures_per_second > 1.0
 
 
 class TestWorkloadFromConfig:
     def test_bent_config_workload(self):
-        w = workload_from_config(SpotNoiseConfig.atmospheric())
+        w = workload_from_config(atmospheric_config())
         assert w.n_spots == 2500
         assert w.vertices_per_spot == 544
 

@@ -21,6 +21,8 @@ from repro.core.synthesizer import (
 from repro.errors import PipelineError
 from repro.fields.analytic import vortex_field
 
+from oracles import atmospheric_config
+
 CFG = SpotNoiseConfig(n_spots=60, texture_size=32, spot_mode="standard", seed=1)
 
 
@@ -88,7 +90,7 @@ class TestAnimateGeometryValidation:
 
 class TestWorkloadFromConfig:
     def test_fieldless_workload_uses_documented_default(self):
-        for cfg in (CFG, SpotNoiseConfig.atmospheric(n_spots=100)):
+        for cfg in (CFG, atmospheric_config(n_spots=100)):
             w = workload_from_config(cfg)
             assert tuple(w.grid_shape) == DEFAULT_WORKLOAD_GRID_SHAPE
 
@@ -97,7 +99,7 @@ class TestWorkloadFromConfig:
         # as no field at all — the fallback is consistent, not (0, 0).
         n = DEFAULT_WORKLOAD_GRID_SHAPE[1]
         field = vortex_field(n=n)
-        for cfg in (CFG, SpotNoiseConfig.atmospheric(n_spots=100)):
+        for cfg in (CFG, atmospheric_config(n_spots=100)):
             w_none = workload_from_config(cfg)
             w_field = workload_from_config(cfg, field)
             assert tuple(w_field.grid_shape) == tuple(w_none.grid_shape)

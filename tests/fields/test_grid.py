@@ -6,7 +6,7 @@ import pytest
 from repro.errors import GridError
 from repro.fields.grid import RectilinearGrid, RegularGrid
 
-from oracles import stretched_grid
+from oracles import rectilinear_to_world, stretched_grid
 
 
 class TestRegularGridConstruction:
@@ -88,7 +88,7 @@ class TestRectilinearGrid:
         g = RectilinearGrid(np.array([0.0, 0.5, 2.0, 7.0]), np.array([0.0, 3.0, 4.0]))
         pts = np.array([[0.25, 3.5], [5.0, 0.1], [6.9, 3.9]])
         fx, fy = g.world_to_fractional(pts)
-        np.testing.assert_allclose(g.fractional_to_world(fx, fy), pts, atol=1e-12)
+        np.testing.assert_allclose(rectilinear_to_world(g, fx, fy), pts, atol=1e-12)
 
     def test_stretched_factory_monotone(self):
         g = stretched_grid(32, 24, (0.0, 4.0, 0.0, 3.0), focus=(0.25, 0.5))

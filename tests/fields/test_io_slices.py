@@ -7,9 +7,10 @@ from repro.errors import FieldError
 from repro.fields.analytic import vortex_field
 from repro.fields.grid import RegularGrid
 from repro.fields.io import field_digest
-from repro.fields.scalarfield import ScalarField2D
 from repro.fields.slices import Dataset3D, SliceSpec
 from repro.fields.vectorfield import VectorField2D
+
+from oracles import scalar_from_function
 
 
 class TestFieldDigest:
@@ -37,7 +38,7 @@ class TestFieldDigest:
 
     def test_scalar_and_vector_digests_are_distinct_kinds(self):
         grid = RegularGrid(6, 5)
-        s = ScalarField2D.from_function(grid, lambda X, Y: X)
+        s = scalar_from_function(grid, lambda X, Y: X)
         assert len(field_digest(s)) == 64
 
     def test_digest_ignores_memory_layout(self):
@@ -51,11 +52,12 @@ class TestFieldDigest:
 class TestDataset3D:
     @pytest.fixture
     def volume(self):
-        return Dataset3D.from_function(
-            lambda X, Y, Z: (X, Y, Z),
-            shape=(4, 5, 6),
-            bounds=(0.0, 6.0, 0.0, 5.0, 0.0, 4.0),
+        # Each node holds its own (x, y, z) coordinates as (u, v, w).
+        Z, Y, X = np.meshgrid(
+            np.linspace(0.0, 4.0, 4), np.linspace(0.0, 5.0, 5), np.linspace(0.0, 6.0, 6),
+            indexing="ij",
         )
+        return Dataset3D(np.stack([X, Y, Z], axis=-1), bounds=(0.0, 6.0, 0.0, 5.0, 0.0, 4.0))
 
     def test_shape_validation(self):
         with pytest.raises(FieldError):

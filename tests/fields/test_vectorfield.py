@@ -8,6 +8,8 @@ from repro.fields.grid import RegularGrid
 from repro.fields.scalarfield import ScalarField2D
 from repro.fields.vectorfield import VectorField2D
 
+from oracles import scalar_from_function
+
 
 @pytest.fixture
 def grid():
@@ -77,7 +79,7 @@ class TestScalarField:
         with pytest.raises(FieldError, match="unknown boundary mode 'nope'"):
             ScalarField2D(grid, np.zeros(grid.shape), boundary="nope")
         with pytest.raises(FieldError, match="unknown boundary mode"):
-            ScalarField2D.from_function(grid, lambda X, Y: X, boundary="periodic")
+            scalar_from_function(grid, lambda X, Y: X, boundary="periodic")
         for mode in ("clamp", "wrap", "zero"):
             assert ScalarField2D(grid, np.zeros(grid.shape), boundary=mode).boundary == mode
 
@@ -86,17 +88,17 @@ class TestScalarField:
         assert s.min() == s.max() == 0.0
 
     def test_normalized_range(self, grid):
-        s = ScalarField2D.from_function(grid, lambda X, Y: X)
+        s = scalar_from_function(grid, lambda X, Y: X)
         n = s.normalized()
         assert n.min() == pytest.approx(0.0)
         assert n.max() == pytest.approx(1.0)
 
     def test_normalized_constant_maps_to_zero(self, grid):
-        s = ScalarField2D.from_function(grid, lambda X, Y: np.full_like(X, 3.3))
+        s = scalar_from_function(grid, lambda X, Y: np.full_like(X, 3.3))
         assert np.all(s.normalized().data == 0.0)
 
     def test_resampled_to_shape(self, grid):
-        s = ScalarField2D.from_function(grid, lambda X, Y: X + Y)
+        s = scalar_from_function(grid, lambda X, Y: X + Y)
         r = s.resampled_to((16, 32))
         assert r.shape == (16, 32)
         # Linear field resamples exactly.
@@ -109,5 +111,5 @@ class TestScalarField:
             s.resampled_to((0, 8))
 
     def test_sample(self, grid):
-        s = ScalarField2D.from_function(grid, lambda X, Y: 2 * X)
+        s = scalar_from_function(grid, lambda X, Y: 2 * X)
         assert s.sample(np.array([[0.5, 0.5]]))[0] == pytest.approx(1.0)

@@ -108,11 +108,6 @@ class TestWorkstationConfig:
         with pytest.raises(MachineError):
             WorkstationConfig(2, 4)
 
-    def test_onyx2_limits(self):
-        WorkstationConfig.onyx2(8, 4)
-        with pytest.raises(MachineError):
-            WorkstationConfig.onyx2(16, 4)
-
     def test_describe_mentions_all_groups(self):
         text = WorkstationConfig(8, 4).describe()
         assert text.count("group") == 4

@@ -17,8 +17,11 @@ without going through the code under test:
 * :func:`recv_message` reads one cluster wire frame from a blocking
   socket, for test-side peers;
 * :func:`within_bounds` checks that points lie inside a grid's bounds,
-  and :func:`stretched_grid` builds a DNS-like grid refined around a
-  focus point;
+  :func:`stretched_grid` builds a DNS-like grid refined around a
+  focus point, and :func:`rectilinear_to_world` inverts a rectilinear
+  grid's ``world_to_fractional``;
+* :func:`scalar_from_function` samples a scalar field on a grid, and
+  :func:`atmospheric_config` is the paper's Section 5.1 configuration;
 * :func:`exact_rasteriser` renders frames through the per-quad
   reference rasteriser instead of the batched kernel.
 
@@ -35,7 +38,7 @@ from unittest import mock
 import numpy as np
 
 from repro.cluster import wire
-from repro.core.config import SpotNoiseConfig
+from repro.core.config import BentConfig, SpotNoiseConfig
 from repro.errors import GridError, ReproError
 from repro.fields.grid import RectilinearGrid
 from repro.fields.io import field_digest
@@ -266,6 +269,35 @@ def stretched_grid(
         return lo + (hi - lo) * t
 
     return RectilinearGrid(stretch(nx, x0, x1, focus[0]), stretch(ny, y0, y1, focus[1]))
+
+
+def rectilinear_to_world(grid: RectilinearGrid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """World points ``(N, 2)`` at fractional node indices of *grid*:
+    linear interpolation between the bracketing coordinates."""
+
+    def world(coords: np.ndarray, f: np.ndarray) -> np.ndarray:
+        f = np.asarray(f, dtype=np.float64)
+        idx = np.clip(np.floor(f).astype(np.int64), 0, coords.size - 2)
+        t = f - idx
+        return coords[idx] * (1.0 - t) + coords[idx + 1] * t
+
+    return np.stack([world(grid.x, fx), world(grid.y, fy)], axis=-1)
+
+
+def scalar_from_function(grid, fn, boundary: str = "clamp") -> ScalarField2D:
+    """``fn(X, Y)`` sampled on *grid*'s nodes (broadcast to the grid shape)."""
+    X, Y = grid.mesh()
+    return ScalarField2D(grid, np.broadcast_to(np.asarray(fn(X, Y), dtype=np.float64), X.shape).copy(), boundary)
+
+
+def atmospheric_config(**overrides) -> SpotNoiseConfig:
+    """Section 5.1 of the paper: 2500 bent spots, 32x17 meshes, 512^2 texture."""
+    return SpotNoiseConfig(
+        n_spots=2500,
+        spot_mode="bent",
+        bent=BentConfig(n_along=32, n_across=17, length_cells=4.0, width_cells=1.2),
+        texture_size=512,
+    ).with_overrides(**overrides)
 
 
 @contextmanager

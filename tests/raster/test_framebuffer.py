@@ -40,9 +40,3 @@ class TestRectOps:
         c = a.copy()
         c.data[...] = 9.0
         assert a.data.sum() == 0.0
-
-    def test_clear(self):
-        a = FrameBuffer(4, 4, (0, 1, 0, 1))
-        a.data[...] = 1.0
-        a.clear()
-        assert a.data.sum() == 0.0

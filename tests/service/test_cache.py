@@ -235,7 +235,7 @@ class TestTieredTextureCache:
         _, tier = tiered.get("a")
         assert tier == "memory"
         # Drop the memory tier; the disk tier must answer and re-promote.
-        tiered.memory.clear()
+        tiered.memory = LRUTextureCache(4 * ENTRY_BYTES)
         got, tier = tiered.get("a")
         assert tier == "disk"
         np.testing.assert_array_equal(got, tex(1.0))

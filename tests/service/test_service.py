@@ -15,6 +15,7 @@ from repro.core.config import SpotNoiseConfig
 from repro.errors import ServiceError
 from repro.fields.analytic import random_smooth_field
 from repro.service import FrameRenderer, TextureService
+from repro.service.cache import LRUTextureCache
 from repro.service.server import TextureResponse
 
 from oracles import exact_rasteriser
@@ -72,7 +73,7 @@ class TestServedBytes:
         with make_service(fields, config, disk_dir=str(tmp_path)) as svc:
             rendered = svc.request(0)
             # Wipe the memory tier: the disk tier must serve the bytes.
-            svc.cache.memory.clear()
+            svc.cache.memory = LRUTextureCache(svc.cache.memory.byte_budget)
             from_disk = svc.request(0)
             assert from_disk.source == "disk"
             np.testing.assert_array_equal(from_disk.texture, rendered.texture)

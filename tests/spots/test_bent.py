@@ -10,10 +10,11 @@ from repro.spots.bent import BentSpotConfig, bent_spot_meshes, meshes_to_quads
 
 class TestBentSpotConfig:
     def test_paper_mesh_counts(self):
-        atm = BentSpotConfig.atmospheric(cell=1.0)
+        # Section 5.1 (32x17 mesh) and Section 5.2 (16x3 mesh).
+        atm = BentSpotConfig(n_along=32, n_across=17, length=4.0, width=1.2)
         assert atm.vertices_per_spot == 32 * 17 == 544
         assert atm.quads_per_spot == 31 * 16 == 496
-        dns = BentSpotConfig.turbulence(cell=1.0)
+        dns = BentSpotConfig(n_along=16, n_across=3, length=3.0, width=0.8)
         assert dns.vertices_per_spot == 48
         assert dns.quads_per_spot == 30
 

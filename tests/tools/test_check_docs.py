@@ -94,3 +94,22 @@ def test_reports_a_dotted_name_that_does_not_resolve(tmp_path, monkeypatch):
 
 def test_every_documented_dotted_name_resolves():
     assert check_docs.check_dotted_names() == []
+
+
+def test_reports_a_class_member_that_does_not_resolve(tmp_path, monkeypatch):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Serve with `TextureService.request(frame)`, read `TextureService.cache`,\n"
+        "size with `DeltaManifest.chunk_bytes` and walk with `ClusterNode.serve_frame`.\n"
+        "Gone: `PeerClient.manifest`, `TextureService.request_async()`.\n"
+        "Not judged: `Unknown.member`, `np.zeros`.\n"
+    )
+    monkeypatch.setattr(check_docs, "doc_files", lambda: [str(doc)])
+    failures = check_docs.check_members()
+    assert len(failures) == 2
+    assert "line 3: `PeerClient.manifest`" in failures[0]
+    assert "line 3: `TextureService.request_async()`" in failures[1]
+
+
+def test_every_documented_class_member_resolves():
+    assert check_docs.check_members() == []

@@ -22,7 +22,7 @@ from repro.spots.filtering import contrast_stretch, highpass_texture, histogram_
 from repro.viz.colormap import Colormap, diverging, grayscale, rainbow
 from repro.viz.overlay import compose_scene, mask_overlay
 
-from oracles import stretched_grid
+from oracles import scalar_from_function, stretched_grid
 
 GRAY = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
@@ -86,21 +86,21 @@ def oracle_render(config, texture, scalar, mask=None):
 def regular_scalar(boundary):
     # The steering application's 53x55 slice.
     grid = RegularGrid(53, 55, (0.0, 53.0, 0.0, 55.0))
-    return ScalarField2D.from_function(
+    return scalar_from_function(
         grid, lambda x, y: np.sin(0.3 * x) * np.cos(0.2 * y) + 0.01 * x * y, boundary
     )
 
 
 def rectilinear_scalar(boundary):
     grid = stretched_grid(41, 29, (-2.0, 6.0, -1.5, 1.5), focus=(0.3, 0.5), strength=2.5)
-    return ScalarField2D.from_function(grid, lambda x, y: np.exp(-((x - 1.0) ** 2) - 2.0 * y * y), boundary)
+    return scalar_from_function(grid, lambda x, y: np.exp(-((x - 1.0) ** 2) - 2.0 * y * y), boundary)
 
 
 def edge_scalar(boundary):
     # (3.3 - 1.1) / dx lands one ulp past index 7, so the raster's last
     # column lies just outside the grid: the "zero" mode blanks it.
     grid = RegularGrid(8, 6, (1.1, 3.3, 0.0, 1.0))
-    return ScalarField2D.from_function(grid, lambda x, y: 1.0 + x * x - y, boundary)
+    return scalar_from_function(grid, lambda x, y: 1.0 + x * x - y, boundary)
 
 
 def constant_scalar(boundary):

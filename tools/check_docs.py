@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate for CI.
 
-Four checks, all cheap to keep honest:
+Five checks, all cheap to keep honest:
 
 1. **Docstring audit** — every public module under ``src/repro`` (any
    ``.py`` whose name does not start with an underscore, including
@@ -21,6 +21,11 @@ Four checks, all cheap to keep honest:
    ``repro.<dotted.path>`` (alone, called, or as a ``.*`` wildcard) must
    import and resolve attribute by attribute, so a deleted module or a
    renamed class fails here instead of in a reader's shell.
+5. **Class members** — every inline code span ``Class.member`` (alone
+   or called) whose ``Class`` is the name of exactly one top-level class
+   in ``src/repro`` must name a member of that class: an attribute
+   ``getattr`` finds on it, a field its body annotates, or a
+   ``self.<member>`` its ``__init__`` assigns.  A deleted method fails here while its prose lives on.
 
 Exit status is non-zero with a per-failure report, so the CI step's log
 says exactly which module or snippet broke.
@@ -51,6 +56,7 @@ CLI_RE = re.compile(r"python -m repro\.cli\s+(\S.*)")
 CONTINUATION_RE = re.compile(r"\\[ \t]*\n")
 SHELL_OPERATOR_CHARS = set("();<>|&")
 DOTTED_RE = re.compile(r"(repro(?:\.[A-Za-z_]\w*)+)(?:\(.*\)|\.\*)?")
+MEMBER_RE = re.compile(r"([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(.*\))?")
 
 
 def public_modules() -> "list[str]":
@@ -256,6 +262,59 @@ def check_dotted_names() -> "list[str]":
     return failures
 
 
+def top_level_classes() -> "dict[str, list[tuple[str, ast.ClassDef]]]":
+    """``{name: [(module, class node), ...]}`` over every top-level class
+    in ``src/repro``."""
+    classes: "dict[str, list[tuple[str, ast.ClassDef]]]" = {}
+    for path in public_modules():
+        rel = os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
+        module = rel[: -len(".__init__")] if rel.endswith(".__init__") else rel
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append((module, node))
+    return classes
+
+
+def declared_attributes(cls: ast.ClassDef) -> "set[str]":
+    """The fields *cls*'s body annotates and the ``self.<name>``
+    attributes its ``__init__`` assigns."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__" and node.args.args:
+            this = node.args.args[0].arg
+            names.update(
+                sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == this
+            )
+    return names
+
+
+def check_members() -> "list[str]":
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    classes = top_level_classes()
+    failures = []
+    for path in doc_files():
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for line, span in inline_spans(text):
+            match = MEMBER_RE.fullmatch(span)
+            if not match or len(classes.get(match.group(1), ())) != 1:
+                continue
+            name, member = match.groups()
+            module, node = classes[name][0]
+            cls = getattr(importlib.import_module(module), name)
+            if not hasattr(cls, member) and member not in declared_attributes(node):
+                failures.append(f"{rel} line {line}: `{span}`: {module}.{name} has no member {member!r}")
+    return failures
+
+
 def main() -> int:
     failures = check_docstrings()
     n_modules = len(public_modules())
@@ -263,6 +322,7 @@ def main() -> int:
         print(f"ok: {n_modules} public modules all carry module docstrings")
     failures += check_cli_invocations()
     failures += check_dotted_names()
+    failures += check_members()
     failures += check_snippets()
     if failures:
         print(f"\n{len(failures)} docs check failure(s):", file=sys.stderr)
